@@ -464,16 +464,22 @@ impl HiTiAirClient {
                         let (Some(seq), Some(tot)) = (r.read_u32(), r.read_u32()) else {
                             return Err(QueryError::Aborted("malformed HiTi index header"));
                         };
-                        let tot = tot as usize;
+                        // Bound the header before it sizes or indexes
+                        // anything: the copy fits in one cycle, and every
+                        // packet of it agrees on its length.
+                        let (seq, tot) = (seq as usize, tot as usize);
+                        if seq >= tot || tot > len || total.is_some_and(|t| t != tot) {
+                            return Err(QueryError::Aborted("inconsistent HiTi index header"));
+                        }
                         total = Some(tot);
-                        received.resize(tot.max(received.len()), false);
-                        if !received[seq as usize] {
+                        received.resize(tot, false);
+                        if !received[seq] {
                             if !dec.ingest(p.payload()) {
                                 return Err(QueryError::Aborted("undecodable HiTi index packet"));
                             }
-                            received[seq as usize] = true;
+                            received[seq] = true;
                         }
-                        pos = seq as usize + 1;
+                        pos = seq + 1;
                     }
                     Received::Lost | Received::Corrupted => pos += 1,
                 }
@@ -684,7 +690,7 @@ fn hierarchical_search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spair_broadcast::LossModel;
+    use spair_broadcast::{LossModel, Packet};
     use spair_roadnet::dijkstra_distance;
     use spair_roadnet::generators::small_grid;
 
@@ -896,6 +902,55 @@ mod tests {
                 let _ = dec.ingest(&flipped);
                 let _ = dec.retained_bytes();
             }
+
+            /// Runs of index headers with arbitrary sequence numbers and
+            /// lengths: reception ends in a typed result, never an
+            /// out-of-bounds index or a cycle-sized-plus allocation.
+            #[test]
+            fn arbitrary_index_headers_never_panic(
+                headers in proptest::collection::vec((0u32..8, prop_oneof![0u32..8, any::<u32>()]), 1..6),
+            ) {
+                let cycle = index_cycle(&headers);
+                let mut ch = BroadcastChannel::lossless(&cycle);
+                let _ = HiTiAirClient::new().receive_index(&mut ch, 0);
+            }
         }
+    }
+
+    /// A cycle of bare index packets carrying the `(seq, total)` headers.
+    fn index_cycle(headers: &[(u32, u32)]) -> BroadcastCycle {
+        let packets = headers
+            .iter()
+            .map(|&(seq, total)| {
+                let mut h = RecordBuf::new();
+                h.put_u8(MAGIC).put_u32(seq).put_u32(total);
+                Packet::new(PacketKind::Index, 0, Bytes::from(h.as_slice().to_vec()))
+            })
+            .collect();
+        BroadcastCycle::from_packets(packets)
+    }
+
+    /// Hostile index headers are typed aborts: a sequence number past
+    /// the copy's length, a length beyond the cycle (checked before it
+    /// sizes the receive table), and packets that disagree on the length.
+    #[test]
+    fn hostile_index_headers_abort() {
+        for headers in [
+            vec![(5, 2), (1, 2)],
+            vec![(0, u32::MAX), (1, u32::MAX)],
+            vec![(0, 2), (1, 3)],
+        ] {
+            let cycle = index_cycle(&headers);
+            let mut ch = BroadcastChannel::lossless(&cycle);
+            assert_eq!(
+                HiTiAirClient::new().receive_index(&mut ch, 0).err(),
+                Some(QueryError::Aborted("inconsistent HiTi index header")),
+                "{headers:?}"
+            );
+        }
+        // The same two packets with consistent headers are received.
+        let cycle = index_cycle(&[(0, 2), (1, 2)]);
+        let mut ch = BroadcastChannel::lossless(&cycle);
+        assert!(HiTiAirClient::new().receive_index(&mut ch, 0).is_ok());
     }
 }

@@ -82,7 +82,7 @@ impl Quadtree {
     }
 }
 
-fn quadrant(p: Point, min: Point, mid: Point, max: Point) -> (usize, (Point, Point)) {
+pub(crate) fn quadrant(p: Point, min: Point, mid: Point, max: Point) -> (usize, (Point, Point)) {
     let east = p.x >= mid.x;
     let north = p.y >= mid.y;
     let idx = usize::from(north) * 2 + usize::from(east);

@@ -135,8 +135,8 @@ fn main() {
             Ok((cycle, _boot, m)) => {
                 println!(
                     "probe method={} transport={} session={} cycle_len={} frames_rx={} \
-                     dups={} observed_drops={} bad_frames={} laps={} admission_us={} \
-                     packets={}",
+                     dups={} observed_drops={} bad_frames={} foreign_frames={} laps={} \
+                     admission_us={} packets={}",
                     args.method,
                     args.transport.name(),
                     m.session,
@@ -145,6 +145,7 @@ fn main() {
                     m.dups,
                     m.observed_drops,
                     m.bad_frames,
+                    m.foreign_frames,
                     m.laps,
                     m.admission_us,
                     cycle.len()

@@ -9,10 +9,13 @@
 //! a session (more laps listened), never change its answer — once the
 //! table is full the rebuilt [`BroadcastCycle`] is byte-identical to
 //! the one the daemon serves, and the digest of any query run over it
-//! matches the in-process run exactly.
+//! matches the in-process run exactly. Only the admitted session's
+//! frames are filed: a frame carrying another session id (a closed
+//! session's late datagrams reaching a reused port) is counted and
+//! dropped.
 
 use crate::frame::{
-    self, Close, CloseReason, Frame, FrameError, Hello, RejectReason, StreamDecoder,
+    self, Close, CloseReason, DataFrame, Frame, FrameError, Hello, RejectReason, StreamDecoder,
 };
 use spair_broadcast::{BroadcastChannel, BroadcastCycle, LossModel, Packet};
 use spair_core::query::{Query, QueryOutcome};
@@ -102,6 +105,9 @@ pub struct SessionMetrics {
     /// Undecodable datagrams skipped (UDP only; each is typed and
     /// counted, never ingested).
     pub bad_frames: u64,
+    /// Data frames of another session, dropped uningested — on UDP, a
+    /// closed session's late datagrams reaching a reused port.
+    pub foreign_frames: u64,
     /// Laps listened until the table filled.
     pub laps: u32,
 }
@@ -322,6 +328,24 @@ pub fn fetch_cycle(
     Ok((table.into_cycle(), bootstrap, metrics))
 }
 
+/// Files one data frame of the admitted session; a frame of any other
+/// session is counted and dropped.
+fn ingest_data(
+    d: DataFrame,
+    config: &SessionConfig,
+    table: &mut SlotTable,
+    metrics: &mut SessionMetrics,
+) {
+    if d.session != metrics.session {
+        metrics.foreign_frames += 1;
+        return;
+    }
+    table.ingest(d.slot, d.packet, metrics);
+    if !config.frame_pause.is_zero() {
+        std::thread::sleep(config.frame_pause);
+    }
+}
+
 fn collect_tcp(
     control: &mut TcpStream,
     dec: &mut StreamDecoder,
@@ -332,12 +356,7 @@ fn collect_tcp(
 ) -> Result<(), SessionFailure> {
     while !table.complete() {
         match next_control_frame(control, dec, deadline)? {
-            Frame::Data(d) => {
-                table.ingest(d.slot, d.packet, metrics);
-                if !config.frame_pause.is_zero() {
-                    std::thread::sleep(config.frame_pause);
-                }
-            }
+            Frame::Data(d) => ingest_data(d, config, table, metrics),
             Frame::Close(c) => return Err(close_to_failure(c.reason)),
             _ => return Err(SessionFailure::Frame(FrameError::UnknownKind(0xFE))),
         }
@@ -365,12 +384,7 @@ fn collect_udp(
         }
         match sock.recv_from(&mut dgram) {
             Ok((n, _peer)) => match frame::decode(&dgram[..n]) {
-                Ok(Frame::Data(d)) => {
-                    table.ingest(d.slot, d.packet, metrics);
-                    if !config.frame_pause.is_zero() {
-                        std::thread::sleep(config.frame_pause);
-                    }
-                }
+                Ok(Frame::Data(d)) => ingest_data(d, config, table, metrics),
                 Ok(_) => metrics.bad_frames += 1,
                 Err(_) => {
                     // A corrupt datagram is indistinguishable from line

@@ -1,18 +1,18 @@
 //! End-to-end serving tests: a real daemon on a loopback socket, real
 //! client sessions, answers compared against the in-process channel.
 
-use spair_broadcast::{BroadcastChannel, LossModel};
+use spair_broadcast::{BroadcastChannel, BroadcastCycle, LossModel, Packet, PacketKind};
 use spair_core::query::Query;
 use spair_core::BorderPrecomputation;
-use spair_methods::{MethodRegistry, ProgramSet, World};
+use spair_methods::{ClientBootstrap, MethodRegistry, ProgramSet, World};
 use spair_partition::KdTreePartition;
 use spair_roadnet::generators::small_grid;
 use spair_roadnet::QueuePolicy;
 use spair_serve::client::{fetch_cycle, run_query, SessionConfig, SessionFailure, Transport};
 use spair_serve::daemon::{DropPlan, ServeDaemon, ServeOptions, ServeWorld};
-use spair_serve::frame::{encode_stream, Frame, Hello};
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use spair_serve::frame::{encode, encode_stream, Admit, DataFrame, Frame, Hello, StreamDecoder};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream, UdpSocket};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -149,6 +149,111 @@ fn udp_drops_delay_but_do_not_corrupt() {
     let summary = daemon.shutdown().unwrap();
     assert!(summary.injected_drops > 0, "drop plan never fired");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A stand-in daemon on a loopback socket that admits one session as
+/// session 7 and, before every genuine data frame, sends a forged frame
+/// for the same slot under session 8 — the late datagrams of a closed
+/// session reaching a reused port. Laps repeat until the client closes.
+fn forging_daemon(
+    cycle: BroadcastCycle,
+    bootstrap: ClientBootstrap,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let daemon = std::thread::spawn(move || {
+        let (mut control, _) = listener.accept().expect("accept");
+        control
+            .set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        let mut dec = StreamDecoder::new();
+        let mut buf = [0u8; 1024];
+        // The client's next control frame: `Ok(None)` when none arrived
+        // within the read timeout, `Err` once the connection is gone.
+        let mut next = |control: &mut TcpStream| loop {
+            if let Some(f) = dec.next_frame().expect("client frame") {
+                return Ok(Some(f));
+            }
+            match control.read(&mut buf) {
+                Ok(0) => return Err(()),
+                Ok(n) => dec.push(&buf[..n]),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return Ok(None)
+                }
+                Err(_) => return Err(()),
+            }
+        };
+        let hello = loop {
+            match next(&mut control) {
+                Ok(Some(Frame::Hello(h))) => break h,
+                Ok(_) => {}
+                Err(()) => return,
+            }
+        };
+        let len = cycle.len() as u64;
+        control
+            .write_all(&encode_stream(&Frame::Admit(Admit {
+                session: 7,
+                cycle_len: len,
+                bootstrap,
+            })))
+            .unwrap();
+        let udp = UdpSocket::bind("127.0.0.1:0").expect("bind udp");
+        let forged = Packet::new(PacketKind::Data, 0, bytes::Bytes::from_static(b"forged"));
+        for lap in 0..200u64 {
+            for slot in lap * len..(lap + 1) * len {
+                let genuine = cycle.packet((slot % len) as usize).clone();
+                for (session, packet) in [(8, forged.clone()), (7, genuine)] {
+                    let frame = Frame::Data(DataFrame {
+                        session,
+                        slot,
+                        packet,
+                    });
+                    if hello.transport == 1 {
+                        let _ = udp.send_to(&encode(&frame), ("127.0.0.1", hello.udp_port));
+                    } else if control.write_all(&encode_stream(&frame)).is_err() {
+                        return;
+                    }
+                }
+            }
+            if !matches!(next(&mut control), Ok(None)) {
+                return;
+            }
+        }
+    });
+    (addr, daemon)
+}
+
+/// Data frames of another session are dropped and counted, never filed:
+/// over both transports the fetched cycle equals the served one even
+/// when every slot first arrives under a foreign session id.
+#[test]
+fn foreign_session_frames_are_dropped() {
+    let programs = build_programs(6, 6, 4, 5);
+    let program = programs.ensure(MethodRegistry::standard().get("dj").unwrap());
+    let cycle = program.cycle().expect("cycle");
+    for transport in [Transport::Udp, Transport::Tcp] {
+        let (addr, daemon) = forging_daemon(cycle.clone(), program.client_bootstrap());
+        let mut config = SessionConfig::new(addr, "dj", transport);
+        config.max_wait = Duration::from_secs(20);
+        let (fetched, _boot, m) = fetch_cycle(&config).expect("fetch");
+        daemon.join().expect("forging daemon");
+        assert_eq!(m.session, 7);
+        assert_eq!(fetched.len(), cycle.len());
+        for i in 0..cycle.len() {
+            assert_eq!(
+                fetched.packet(i).to_wire(),
+                cycle.packet(i).to_wire(),
+                "{} slot {i}",
+                transport.name()
+            );
+        }
+        assert!(
+            m.foreign_frames > 0,
+            "{}: no forged frame arrived",
+            transport.name()
+        );
+    }
 }
 
 /// Unknown methods are refused with a typed reason, and garbage instead
