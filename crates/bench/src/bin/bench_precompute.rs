@@ -28,117 +28,91 @@
 //! 5. writes the measurements as JSON.
 //!
 //! The JSON schema is documented in ROADMAP.md's Performance section.
+//! A parallel build that diverges from serial is reported through the
+//! shared runner of `spair_roadnet::certify`: the artifact records each
+//! `bit_identical` verdict and the run exits 1.
 
 use spair_baselines::spq::SpqIndex;
 use spair_baselines::HiTiIndex;
 use spair_core::BorderPrecomputation;
 use spair_partition::KdTreePartition;
+use spair_roadnet::certify::{self, host_json, object, Cli, Envelope};
 use spair_roadnet::generators::small_grid;
-use spair_roadnet::{bench_out, parallel};
 use std::time::Instant;
 
-struct Opts {
+/// The problem sizes of a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Sizes {
     side: usize,
     regions: usize,
     spq_side: usize,
     hiti_side: usize,
-    threads: usize,
     repeat: usize,
-    out: String,
 }
 
-impl Opts {
-    /// The configuration the committed artifact is generated with.
-    fn default_sizes() -> Opts {
-        Opts {
-            side: 71,
-            regions: 32,
-            spq_side: 45,
-            hiti_side: 45,
-            threads: 0,
-            repeat: 3,
-            out: "BENCH_precompute.json".to_string(),
-        }
-    }
-}
-
-fn parse_opts() -> Opts {
-    let mut opts = Opts::default_sizes();
-    // Worker-count precedence (shared by every bench binary): an explicit
-    // `--threads` flag wins over `SPAIR_THREADS`, which wins over the
-    // detected parallelism.
-    let mut threads_flag: Option<usize> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("error: missing value for {flag}");
-                std::process::exit(2);
-            })
-        };
-        let parse = |flag: &str, v: String| -> usize {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("error: {flag} expects a positive integer, got '{v}'");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--side" => opts.side = parse(flag, value()),
-            "--regions" => opts.regions = parse(flag, value()),
-            "--spq-side" => opts.spq_side = parse(flag, value()),
-            "--hiti-side" => opts.hiti_side = parse(flag, value()),
-            "--threads" => {
-                let n = parse(flag, value());
-                if n == 0 {
-                    eprintln!("error: --threads must be >= 1");
-                    std::process::exit(2);
-                }
-                threads_flag = Some(n);
-            }
-            "--repeat" => opts.repeat = parse(flag, value()),
-            "--out" => opts.out = value(),
-            other => {
-                eprintln!(
-                    "error: unknown flag {other}\nusage: bench_precompute \
-                     [--side N] [--regions N] [--spq-side N] [--hiti-side N] \
-                     [--threads N] [--repeat N] [--out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if opts.repeat == 0
-        || opts.side == 0
-        || opts.regions == 0
-        || opts.spq_side == 0
-        || opts.hiti_side == 0
-    {
-        eprintln!("error: --side, --regions, --spq-side, --hiti-side and --repeat must be >= 1");
-        std::process::exit(2);
-    }
-    opts.threads = parallel::resolve_threads(threads_flag);
-    opts.out = bench_out::redirect_partial_out(&opts.out, partial_reason(&opts));
-    opts
-}
-
-/// The committed `BENCH_precompute.json` is generated with the default
-/// problem sizes; a run shrunk (or grown) via `--side`/`--regions`/
-/// `--spq-side`/`--hiti-side`/`--repeat` is a partial run redirected to
+/// The configuration the committed artifact is generated with; a run
+/// shrunk (or grown) via any size flag is a partial run redirected to
 /// `*.smoke.json`.
-fn partial_reason(opts: &Opts) -> Option<&'static str> {
-    let d = Opts::default_sizes();
-    if (
-        opts.side,
-        opts.regions,
-        opts.spq_side,
-        opts.hiti_side,
-        opts.repeat,
-    ) != (d.side, d.regions, d.spq_side, d.hiti_side, d.repeat)
-    {
-        Some("non-default problem size")
-    } else {
-        None
+const DEFAULT_SIZES: Sizes = Sizes {
+    side: 71,
+    regions: 32,
+    spq_side: 45,
+    hiti_side: 45,
+    repeat: 3,
+};
+
+impl Sizes {
+    fn partial_reason(&self) -> Option<&'static str> {
+        (*self != DEFAULT_SIZES).then_some("non-default problem size")
+    }
+}
+
+/// One serial-vs-parallel build comparison.
+struct Stage {
+    serial_secs: f64,
+    parallel_secs: f64,
+    bit_identical: bool,
+}
+
+impl Stage {
+    /// Times `serial` and `parallel` (best of `repeat` runs each) and
+    /// compares their outputs with `same`; returns the serial output.
+    fn measure<T>(
+        label: &str,
+        repeat: usize,
+        serial: impl FnMut() -> T,
+        parallel: impl FnMut() -> T,
+        same: impl Fn(&T, &T) -> bool,
+    ) -> (Stage, T) {
+        let (serial_secs, s) = best_of(repeat, serial);
+        eprintln!("{label}serial:   {serial_secs:.3}s (best of {repeat})");
+        let (parallel_secs, p) = best_of(repeat, parallel);
+        eprintln!("{label}parallel: {parallel_secs:.3}s (best of {repeat})");
+        let stage = Stage {
+            serial_secs,
+            parallel_secs,
+            bit_identical: same(&s, &p),
+        };
+        eprintln!(
+            "{label}speedup:  {:.2}x (bit-identical: {})",
+            stage.speedup(),
+            stage.bit_identical
+        );
+        (stage, s)
+    }
+
+    fn speedup(&self) -> f64 {
+        self.serial_secs / self.parallel_secs
+    }
+
+    /// The stage's measurement fields, in artifact order.
+    fn fields(&self) -> [(&'static str, String); 4] {
+        [
+            ("serial_secs", format!("{:.6}", self.serial_secs)),
+            ("parallel_secs", format!("{:.6}", self.parallel_secs)),
+            ("speedup", format!("{:.4}", self.speedup())),
+            ("bit_identical", self.bit_identical.to_string()),
+        ]
     }
 }
 
@@ -155,139 +129,114 @@ fn best_of<T>(repeat: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 }
 
 fn main() {
-    let opts = parse_opts();
-    let g = small_grid(opts.side, opts.side, 42);
-    let part = KdTreePartition::build(&g, opts.regions);
+    let mut sizes = DEFAULT_SIZES;
+    let mut cli = Cli::from_env(
+        "bench_precompute",
+        "[--side N] [--regions N] [--spq-side N] [--hiti-side N] [--threads N] \
+         [--repeat N] [--out PATH]",
+    );
+    let args = cli.bench_args(&[], |flag, cli| {
+        let field = match flag {
+            "--side" => &mut sizes.side,
+            "--regions" => &mut sizes.regions,
+            "--spq-side" => &mut sizes.spq_side,
+            "--hiti-side" => &mut sizes.hiti_side,
+            "--repeat" => &mut sizes.repeat,
+            _ => return Ok(false),
+        };
+        *field = cli.positive(flag)?;
+        Ok(true)
+    });
+    let out = args.out_path("BENCH_precompute.json", sizes.partial_reason());
+    let (threads, repeat) = (args.threads, sizes.repeat);
 
+    let g = small_grid(sizes.side, sizes.side, 42);
+    let part = KdTreePartition::build(&g, sizes.regions);
     eprintln!(
-        "graph: {} nodes, {} edges; partition: {} regions; threads: {}",
+        "graph: {} nodes, {} edges; partition: {} regions; threads: {threads}",
         g.num_nodes(),
         g.num_edges(),
-        opts.regions,
-        opts.threads
+        sizes.regions,
     );
-
-    let (serial_secs, serial) =
-        best_of(opts.repeat, || BorderPrecomputation::run_serial(&g, &part));
-    eprintln!("serial:   {serial_secs:.3}s (best of {})", opts.repeat);
-    let (parallel_secs, par) = best_of(opts.repeat, || {
-        BorderPrecomputation::run_with_threads(&g, &part, opts.threads)
-    });
-    eprintln!("parallel: {parallel_secs:.3}s (best of {})", opts.repeat);
-
-    let identical = serial.same_tables(&par);
-    assert!(identical, "parallel output diverged from serial");
-    let speedup = serial_secs / parallel_secs;
-    eprintln!("speedup:  {speedup:.2}x (bit-identical: {identical})");
+    let (border, serial) = Stage::measure(
+        "",
+        repeat,
+        || BorderPrecomputation::run_serial(&g, &part),
+        || BorderPrecomputation::run_with_threads(&g, &part, threads),
+        BorderPrecomputation::same_tables,
+    );
 
     // SPQ all-pairs build: one full Dijkstra + one quadtree per node. Its
     // own (smaller) network keeps the quadratic stage within a bench
     // budget while still dominating the border measurements above.
-    let sg = small_grid(opts.spq_side, opts.spq_side, 42);
+    let sg = small_grid(sizes.spq_side, sizes.spq_side, 42);
     eprintln!(
         "spq graph: {} nodes, {} edges",
         sg.num_nodes(),
         sg.num_edges()
     );
-    let (spq_serial_secs, spq_serial) = best_of(opts.repeat, || SpqIndex::build_serial(&sg));
-    eprintln!(
-        "spq serial:   {spq_serial_secs:.3}s (best of {})",
-        opts.repeat
+    let (spq, spq_index) = Stage::measure(
+        "spq ",
+        repeat,
+        || SpqIndex::build_serial(&sg),
+        || SpqIndex::build_with_threads(&sg, threads),
+        SpqIndex::same_trees,
     );
-    let (spq_parallel_secs, spq_par) = best_of(opts.repeat, || {
-        SpqIndex::build_with_threads(&sg, opts.threads)
-    });
-    eprintln!(
-        "spq parallel: {spq_parallel_secs:.3}s (best of {})",
-        opts.repeat
-    );
-    let spq_identical = spq_serial.same_trees(&spq_par);
-    assert!(spq_identical, "parallel SPQ build diverged from serial");
-    let spq_speedup = spq_serial_secs / spq_parallel_secs;
-    eprintln!("spq speedup:  {spq_speedup:.2}x (bit-identical: {spq_identical})");
 
     // HiTi hierarchy build: restricted border-pair Dijkstras over every
     // group of every level, on the flat slot-arena path. One worker vs
     // many, pinned bit-identical via the `same_tables` certificate.
     const HITI_GRID_SIDE: usize = 8;
     const HITI_LEVELS: usize = 4;
-    let hg = small_grid(opts.hiti_side, opts.hiti_side, 42);
+    let hg = small_grid(sizes.hiti_side, sizes.hiti_side, 42);
     eprintln!(
         "hiti graph: {} nodes, {} edges",
         hg.num_nodes(),
         hg.num_edges()
     );
-    let (hiti_serial_secs, hiti_serial) = best_of(opts.repeat, || {
-        HiTiIndex::build_with_threads(&hg, HITI_GRID_SIDE, HITI_LEVELS, 1)
-    });
-    eprintln!(
-        "hiti serial:   {hiti_serial_secs:.3}s (best of {})",
-        opts.repeat
+    let (hiti, hiti_index) = Stage::measure(
+        "hiti ",
+        repeat,
+        || HiTiIndex::build_with_threads(&hg, HITI_GRID_SIDE, HITI_LEVELS, 1),
+        || HiTiIndex::build_with_threads(&hg, HITI_GRID_SIDE, HITI_LEVELS, threads),
+        HiTiIndex::same_tables,
     );
-    let (hiti_parallel_secs, hiti_par) = best_of(opts.repeat, || {
-        HiTiIndex::build_with_threads(&hg, HITI_GRID_SIDE, HITI_LEVELS, opts.threads)
-    });
-    eprintln!(
-        "hiti parallel: {hiti_parallel_secs:.3}s (best of {})",
-        opts.repeat
-    );
-    let hiti_identical = hiti_serial.same_tables(&hiti_par);
-    assert!(hiti_identical, "parallel HiTi build diverged from serial");
-    let hiti_speedup = hiti_serial_secs / hiti_parallel_secs;
-    eprintln!("hiti speedup:  {hiti_speedup:.2}x (bit-identical: {hiti_identical})");
 
-    let json = format!(
-        "{{\n  \
-         \"benchmark\": \"border_precompute_serial_vs_parallel\",\n  \
-         \"graph\": {{ \"nodes\": {}, \"edges\": {}, \"border_nodes\": {}, \"regions\": {} }},\n  \
-         \"host\": {{ \"available_parallelism\": {}, \"worker_threads\": {} }},\n  \
-         \"repeat\": {},\n  \
-         \"serial_secs\": {:.6},\n  \
-         \"parallel_secs\": {:.6},\n  \
-         \"speedup\": {:.4},\n  \
-         \"bit_identical\": {},\n  \
-         \"spq\": {{ \"nodes\": {}, \"edges\": {}, \"total_blocks\": {}, \
-         \"index_packets\": {}, \"serial_secs\": {:.6}, \"parallel_secs\": {:.6}, \
-         \"speedup\": {:.4}, \"bit_identical\": {} }},\n  \
-         \"hiti\": {{ \"nodes\": {}, \"edges\": {}, \"grid_side\": {}, \"levels\": {}, \
-         \"index_bytes\": {}, \"index_packets\": {}, \"serial_secs\": {:.6}, \
-         \"parallel_secs\": {:.6}, \"speedup\": {:.4}, \"bit_identical\": {} }}\n\
-         }}\n",
-        g.num_nodes(),
-        g.num_edges(),
-        serial.borders().count(),
-        opts.regions,
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        opts.threads,
-        opts.repeat,
-        serial_secs,
-        parallel_secs,
-        speedup,
-        identical,
-        sg.num_nodes(),
-        sg.num_edges(),
-        spq_serial.total_blocks(),
-        spq_serial.index_packets(),
-        spq_serial_secs,
-        spq_parallel_secs,
-        spq_speedup,
-        spq_identical,
-        hg.num_nodes(),
-        hg.num_edges(),
-        HITI_GRID_SIDE,
-        HITI_LEVELS,
-        hiti_serial.index_bytes(),
-        hiti_serial.index_packets(),
-        hiti_serial_secs,
-        hiti_parallel_secs,
-        hiti_speedup,
-        hiti_identical
-    );
-    std::fs::write(&opts.out, &json).expect("write BENCH json");
-    println!("{json}");
-    eprintln!("wrote {}", opts.out);
+    let spq_fields = [
+        ("nodes", sg.num_nodes().to_string()),
+        ("edges", sg.num_edges().to_string()),
+        ("total_blocks", spq_index.total_blocks().to_string()),
+        ("index_packets", spq_index.index_packets().to_string()),
+    ];
+    let hiti_fields = [
+        ("nodes", hg.num_nodes().to_string()),
+        ("edges", hg.num_edges().to_string()),
+        ("grid_side", HITI_GRID_SIDE.to_string()),
+        ("levels", HITI_LEVELS.to_string()),
+        ("index_bytes", hiti_index.index_bytes().to_string()),
+        ("index_packets", hiti_index.index_packets().to_string()),
+    ];
+    let mut json = Envelope::new("border_precompute_serial_vs_parallel")
+        .field(
+            "graph",
+            object(&[
+                ("nodes", g.num_nodes().to_string()),
+                ("edges", g.num_edges().to_string()),
+                ("border_nodes", serial.borders().count().to_string()),
+                ("regions", sizes.regions.to_string()),
+            ]),
+        )
+        .field("host", host_json(threads))
+        .field("repeat", repeat);
+    for (key, value) in border.fields() {
+        json = json.field(key, value);
+    }
+    let json = json
+        .field("spq", object(&[&spq_fields[..], &spq.fields()].concat()))
+        .field("hiti", object(&[&hiti_fields[..], &hiti.fields()].concat()))
+        .finish();
+    let bit_identical = border.bit_identical && spq.bit_identical && hiti.bit_identical;
+    std::process::exit(certify::publish(&out, &json, Ok(()), bit_identical));
 }
 
 #[cfg(test)]
@@ -295,18 +244,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn full_default_run_may_write_the_committed_artifact() {
-        assert_eq!(partial_reason(&Opts::default_sizes()), None);
-    }
-
-    #[test]
     fn resized_runs_never_shadow_the_committed_artifact() {
-        let mut o = Opts::default_sizes();
-        o.side = 41;
-        assert_eq!(partial_reason(&o), Some("non-default problem size"));
-        assert_eq!(
-            bench_out::redirect_partial_out(&o.out, partial_reason(&o)),
-            "BENCH_precompute.smoke.json"
-        );
+        assert_eq!(DEFAULT_SIZES.partial_reason(), None);
+        let sizes = Sizes {
+            side: 41,
+            ..DEFAULT_SIZES
+        };
+        assert_eq!(sizes.partial_reason(), Some("non-default problem size"));
     }
 }

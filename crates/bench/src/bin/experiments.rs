@@ -27,6 +27,7 @@ use spair_core::memory_bound::MemoryBoundProcessor;
 use spair_core::netcodec::{decode_payload, encode_nodes_with_borders, ReceivedGraph};
 use spair_core::Query;
 use spair_partition::{Partitioning, RegionId};
+use spair_roadnet::certify::{Cli, UsageError};
 use spair_roadnet::{NetworkPreset, NodeId};
 
 struct Opts {
@@ -41,34 +42,44 @@ struct Opts {
     methods: Vec<Method>,
 }
 
-fn parse_opts() -> Opts {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cmd = String::from("all");
-    let mut scale = DEFAULT_SCALE;
-    let mut queries = 0usize; // 0 = per-experiment default
-    let mut seed = 42u64;
-    let mut methods: Vec<Method> = PER_QUERY_METHODS.to_vec();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+/// One table or figure of the paper.
+type Experiment = fn(&Opts);
+
+/// The experiment subcommands, in `all` order.
+const EXPERIMENTS: [(&str, Experiment); 9] = [
+    ("table1", table1),
+    ("table2", table2),
+    ("table3", table3),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("ablations", ablations),
+];
+
+fn parse_opts(cli: &mut Cli) -> Result<Opts, UsageError> {
+    let mut opts = Opts {
+        cmd: String::from("all"),
+        scale: DEFAULT_SCALE,
+        queries: 0, // 0 = per-experiment default
+        seed: 42,
+        methods: PER_QUERY_METHODS.to_vec(),
+    };
+    while let Some(a) = cli.next_arg() {
         match a.as_str() {
-            "--full" => scale = 1.0,
-            "--scale" => scale = it.next().expect("--scale <f>").parse().expect("scale"),
-            "--queries" => queries = it.next().expect("--queries <n>").parse().expect("n"),
-            "--seed" => seed = it.next().expect("--seed <s>").parse().expect("seed"),
+            "--full" => opts.scale = 1.0,
+            "--scale" => {
+                opts.scale = cli.parse(&a)?;
+                if !opts.scale.is_finite() || opts.scale <= 0.0 {
+                    return Err(UsageError("--scale must be > 0".into()));
+                }
+            }
+            "--queries" => opts.queries = cli.parse(&a)?,
+            "--seed" => opts.seed = cli.parse(&a)?,
             "--methods" => {
-                let registry = MethodRegistry::standard();
-                methods = it
-                    .next()
-                    .expect("--methods <a,b,c>")
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|name| {
-                        registry
-                            .get(name.trim())
-                            .unwrap_or_else(|e| panic!("--methods: {e}"))
-                    })
-                    .collect();
-                assert!(!methods.is_empty(), "--methods expects at least one name");
+                let air = MethodRegistry::standard().air_methods();
+                opts.methods = MethodRegistry::parse_list(&cli.value(&a)?, &air)?;
             }
             "--list-methods" => {
                 println!("registered air methods (usable with --methods):");
@@ -77,21 +88,23 @@ fn parse_opts() -> Opts {
                 }
                 std::process::exit(0);
             }
-            c if !c.starts_with('-') => cmd = c.to_string(),
-            other => panic!("unknown flag {other}"),
+            c if c == "all" || EXPERIMENTS.iter().any(|(name, _)| *name == c) => opts.cmd = a,
+            c if !c.starts_with('-') => {
+                return Err(UsageError(format!("unknown experiment '{c}'")))
+            }
+            other => return Err(UsageError(format!("unknown flag {other}"))),
         }
     }
-    Opts {
-        cmd,
-        scale,
-        queries,
-        seed,
-        methods,
-    }
+    Ok(opts)
 }
 
 fn main() {
-    let opts = parse_opts();
+    let mut cli = Cli::from_env(
+        "experiments",
+        "<table1|table2|table3|fig10|fig11|fig12|fig13|fig14|ablations|all> [--full] \
+         [--scale F] [--queries N] [--seed S] [--methods a,b] [--list-methods]",
+    );
+    let opts = parse_opts(&mut cli).unwrap_or_else(|e| cli.fail(e));
     eprintln!(
         "# spair experiments — scale {:.2}{}, seed {}",
         opts.scale,
@@ -102,28 +115,10 @@ fn main() {
         },
         opts.seed
     );
-    match opts.cmd.as_str() {
-        "table1" => table1(&opts),
-        "table2" => table2(&opts),
-        "table3" => table3(&opts),
-        "fig10" => fig10(&opts),
-        "fig11" => fig11(&opts),
-        "fig12" => fig12(&opts),
-        "fig13" => fig13(&opts),
-        "fig14" => fig14(&opts),
-        "ablations" => ablations(&opts),
-        "all" => {
-            table1(&opts);
-            table2(&opts);
-            table3(&opts);
-            fig10(&opts);
-            fig11(&opts);
-            fig12(&opts);
-            fig13(&opts);
-            fig14(&opts);
-            ablations(&opts);
+    for (name, run) in EXPERIMENTS {
+        if opts.cmd == "all" || opts.cmd == name {
+            run(&opts);
         }
-        other => panic!("unknown experiment '{other}'"),
     }
 }
 

@@ -24,181 +24,118 @@
 //! worker processes over UDP and TCP, emitting `BENCH_serve.json`
 //! (`--events DIR` places the daemons' JSONL event logs). Every lossless
 //! socket cell's answer digest must equal the in-process reference.
+//!
+//! Flags, run order and exit codes are the shared ones of
+//! `spair_roadnet::certify`.
 
 use spair_load::spec::override_population;
 use spair_load::{
     default_load_matrix, override_flash_population, prepare, run, run_socket_bench,
     smoke_load_matrix, SocketBenchConfig, WorkerMode,
 };
-use spair_roadnet::{bench_out, parallel};
+use spair_roadnet::certify::{self, object, BenchArgs, Certified, Cli, Envelope, Tier, UsageError};
 use std::time::Instant;
 
-/// Which serving stack the population runs against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TransportMode {
-    /// The in-process broadcast channel (the default, `BENCH_load.json`).
-    Channel,
-    /// Real loopback sockets against a `spair-serve` daemon, client
-    /// sessions in worker processes (`BENCH_serve.json`).
-    Socket,
-}
-
-struct Opts {
-    smoke: bool,
-    threads: usize,
+/// The load-specific knobs that resize a run.
+struct Overrides {
     scale: f64,
     population: Option<usize>,
     flash_population: Option<usize>,
-    transport: TransportMode,
-    events: Option<String>,
-    out: String,
-    out_set: bool,
 }
 
-fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        smoke: false,
-        threads: 0,
+impl Overrides {
+    /// A run may refresh a committed artifact only at scale 1.0 with the
+    /// specs' own populations; a resized network or an overridden client
+    /// count is a partial run redirected to `*.smoke.json`.
+    fn partial_reason(&self) -> Option<&'static str> {
+        if self.scale != 1.0 {
+            Some("--scale")
+        } else if self.population.is_some() {
+            Some("--population-override")
+        } else if self.flash_population.is_some() {
+            Some("--flash-population-override")
+        } else {
+            None
+        }
+    }
+}
+
+fn main() {
+    // Hidden worker mode: the socket bench re-invokes this binary as
+    // `bench_load --socket-worker ADDR` for each client process; jobs
+    // stream over stdin, replies over stdout (see `spair_load::socket`).
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.first().map(String::as_str) == Some("--socket-worker") {
+        let addr = argv.get(1).map(String::as_str).unwrap_or("");
+        spair_load::socket::socket_worker_main(addr);
+    }
+    let mut o = Overrides {
         scale: 1.0,
         population: None,
         flash_population: None,
-        transport: TransportMode::Channel,
-        events: None,
-        out: "BENCH_load.json".to_string(),
-        out_set: false,
     };
-    // Worker-count precedence (shared by every bench binary): an explicit
-    // `--threads` flag wins over `SPAIR_THREADS`, which wins over the
-    // detected parallelism.
-    let mut threads_flag: Option<usize> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("error: missing value for {flag}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--smoke" => opts.smoke = true,
-            "--threads" => {
-                let n: usize = value().parse().unwrap_or_else(|_| {
-                    eprintln!("error: --threads expects a positive integer");
-                    std::process::exit(2);
-                });
-                if n == 0 {
-                    eprintln!("error: --threads must be >= 1");
-                    std::process::exit(2);
-                }
-                threads_flag = Some(n);
-            }
+    let mut socket = false;
+    let mut events = None;
+    let mut cli = Cli::new(
+        "bench_load",
+        "[--smoke] [--threads N] [--population N] [--flash-population N] [--scale F] \
+         [--transport channel|socket] [--events DIR] [--out PATH]",
+        argv,
+    );
+    let args = cli.bench_args(&[Tier::Smoke], |flag, cli| {
+        match flag {
             "--scale" => {
-                opts.scale = value().parse().unwrap_or_else(|_| {
-                    eprintln!("error: --scale expects a positive number");
-                    std::process::exit(2);
-                });
-                if !opts.scale.is_finite() || opts.scale <= 0.0 {
-                    eprintln!("error: --scale must be > 0");
-                    std::process::exit(2);
+                o.scale = cli.parse(flag)?;
+                if !o.scale.is_finite() || o.scale <= 0.0 {
+                    return Err(UsageError("--scale must be > 0".into()));
                 }
             }
-            "--population" => {
-                let n: usize = value().parse().unwrap_or_else(|_| {
-                    eprintln!("error: --population expects a positive integer");
-                    std::process::exit(2);
-                });
-                if n == 0 {
-                    eprintln!("error: --population must be >= 1");
-                    std::process::exit(2);
-                }
-                opts.population = Some(n);
-            }
-            "--flash-population" => {
-                let n: usize = value().parse().unwrap_or_else(|_| {
-                    eprintln!("error: --flash-population expects a positive integer");
-                    std::process::exit(2);
-                });
-                if n == 0 {
-                    eprintln!("error: --flash-population must be >= 1");
-                    std::process::exit(2);
-                }
-                opts.flash_population = Some(n);
-            }
+            "--population" => o.population = Some(cli.positive(flag)?),
+            "--flash-population" => o.flash_population = Some(cli.positive(flag)?),
             "--transport" => {
-                opts.transport = match value().as_str() {
-                    "channel" => TransportMode::Channel,
-                    "socket" => TransportMode::Socket,
+                socket = match cli.value(flag)?.as_str() {
+                    "channel" => false,
+                    "socket" => true,
                     other => {
-                        eprintln!("error: --transport expects channel|socket, got {other}");
-                        std::process::exit(2);
+                        return Err(UsageError(format!(
+                            "--transport expects channel|socket, got {other}"
+                        )))
                     }
-                };
+                }
             }
-            "--events" => opts.events = Some(value()),
-            "--out" => {
-                opts.out = value();
-                opts.out_set = true;
-            }
-            other => {
-                eprintln!(
-                    "error: unknown flag {other}\n\
-                     usage: bench_load [--smoke] [--threads N] [--population N] \
-                     [--flash-population N] [--scale F] [--transport channel|socket] \
-                     [--events DIR] [--out PATH]"
-                );
-                std::process::exit(2);
-            }
+            "--events" => events = Some(cli.value(flag)?),
+            _ => return Ok(false),
         }
-    }
-    if opts.transport == TransportMode::Socket && !opts.out_set {
-        opts.out = "BENCH_serve.json".to_string();
-    }
-    opts.threads = parallel::resolve_threads(threads_flag);
-    opts.out = bench_out::redirect_partial_out(&opts.out, partial_reason(&opts));
-    opts
-}
-
-/// A run may refresh the committed `BENCH_load.json` only in the full
-/// default configuration: the default matrix at scale 1.0 with the
-/// specs' own populations. Everything else — the smoke matrix, a resized
-/// network, an overridden client count — is a partial run redirected to
-/// `*.smoke.json`.
-fn partial_reason(opts: &Opts) -> Option<&'static str> {
-    if opts.smoke {
-        Some("--smoke")
-    } else if opts.scale != 1.0 {
-        Some("--scale")
-    } else if opts.population.is_some() {
-        Some("--population-override")
-    } else if opts.flash_population.is_some() {
-        Some("--flash-population-override")
+        Ok(true)
+    });
+    let code = if socket {
+        run_socket_main(&args, &o, events)
     } else {
-        None
-    }
+        run_channel_main(&args, &o).unwrap_or_else(|e| cli.fail(e))
+    };
+    std::process::exit(code);
 }
 
 /// The socket-transport path: real loopback daemons, client sessions in
-/// worker processes, `BENCH_serve.json`. Exits non-zero if any lossless
-/// cell's digest diverges from the in-process reference or any cell —
-/// contention included — produced a wrong answer.
-fn run_socket_main(opts: &Opts) {
-    let events_dir = opts
-        .events
-        .clone()
-        .unwrap_or_else(|| "target/serve-bench".to_string());
+/// worker processes, `BENCH_serve.json`. Fails if any lossless cell's
+/// digest diverges from the in-process reference or any cell —
+/// contention included — produced a wrong answer. Its digest folds only
+/// worker-count-invariant columns, so there is no serial rerun.
+fn run_socket_main(args: &BenchArgs, o: &Overrides, events: Option<String>) -> i32 {
+    let out = args.out_path("BENCH_serve.json", o.partial_reason());
+    let events_dir = events.unwrap_or_else(|| "target/serve-bench".to_string());
     let exe = std::env::current_exe().expect("current exe for worker spawn");
     let config = SocketBenchConfig {
-        smoke: opts.smoke,
-        threads: opts.threads,
-        population: opts.population,
+        smoke: args.smoke(),
+        threads: args.threads,
+        population: o.population,
         worker: WorkerMode::Process(exe),
         events_dir: events_dir.clone().into(),
     };
     eprintln!(
         "# bench_load --transport socket — {} worker processes, events under {events_dir}{}",
-        opts.threads,
-        if opts.smoke { " (smoke)" } else { "" }
+        args.threads,
+        args.tier.suffix()
     );
     let start = Instant::now();
     let report = run_socket_bench(&config);
@@ -215,76 +152,54 @@ fn run_socket_main(opts: &Opts) {
     let sc = &report.scenario;
     let methods: Vec<String> = sc.methods.iter().map(|m| format!("\"{m}\"")).collect();
     let d = &report.daemon;
-    let json = format!(
-        "{{\n  \
-         \"benchmark\": \"broadcast_serve_socket\",\n  \
-         \"smoke\": {},\n  \
-         \"grid\": [{}, {}],\n  \
-         \"regions\": {},\n  \
-         \"seed\": {},\n  \
-         \"methods\": [{}],\n  \
-         \"population_per_cell\": {},\n  \
-         \"threads\": {},\n  \
-         \"worker_mode\": \"{}\",\n  \
-         \"all_match\": {all_match},\n  \
-         \"digest\": \"{digest:016x}\",\n  \
-         \"daemon\": {{ \"sessions\": {}, \"rejections\": {}, \"evictions\": {}, \
-         \"injected_drops\": {}, \"backpressure_drops\": {}, \"dead_letters\": {}, \
-         \"events\": {} }},\n  \
-         \"wall_secs\": {wall_secs:.6},\n  \
-         \"cells\": {}\n\
-         }}\n",
-        opts.smoke,
-        sc.grid.0,
-        sc.grid.1,
-        sc.regions,
-        sc.seed,
-        methods.join(", "),
-        opts.population.unwrap_or(sc.population),
-        report.threads,
-        report.worker_mode,
-        d.sessions,
-        d.rejections,
-        d.evictions,
-        d.injected_drops,
-        d.backpressure_drops,
-        d.dead_letters,
-        d.events,
-        report.cells_json(),
-    );
-    std::fs::write(&opts.out, &json).expect("write BENCH_serve json");
-    println!("{json}");
-    eprintln!("wrote {}", opts.out);
-    if !all_match {
-        eprintln!("SERVE CONFORMANCE FAILURE: socket answers diverged from in-process");
-        std::process::exit(1);
-    }
+    let json = Envelope::new("broadcast_serve_socket")
+        .field("smoke", args.smoke())
+        .field("grid", format!("[{}, {}]", sc.grid.0, sc.grid.1))
+        .field("regions", sc.regions)
+        .field("seed", sc.seed)
+        .field("methods", format!("[{}]", methods.join(", ")))
+        .field("population_per_cell", o.population.unwrap_or(sc.population))
+        .field("threads", report.threads)
+        .field("worker_mode", format!("\"{}\"", report.worker_mode))
+        .field("all_match", all_match)
+        .field("digest", format!("\"{digest:016x}\""))
+        .field(
+            "daemon",
+            object(&[
+                ("sessions", d.sessions.to_string()),
+                ("rejections", d.rejections.to_string()),
+                ("evictions", d.evictions.to_string()),
+                ("injected_drops", d.injected_drops.to_string()),
+                ("backpressure_drops", d.backpressure_drops.to_string()),
+                ("dead_letters", d.dead_letters.to_string()),
+                ("events", d.events.to_string()),
+            ]),
+        )
+        .secs("wall_secs", wall_secs)
+        .field("cells", report.cells_json())
+        .finish();
+    let verdict = if all_match {
+        Ok(())
+    } else {
+        Err("SERVE CONFORMANCE FAILURE: socket answers diverged from in-process".to_string())
+    };
+    certify::publish(&out, &json, verdict, true)
 }
 
-fn main() {
-    // Hidden worker mode: the socket bench re-invokes this binary as
-    // `bench_load --socket-worker ADDR` for each client process; jobs
-    // stream over stdin, replies over stdout (see `spair_load::socket`).
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--socket-worker") {
-        let addr = args.get(1).map(String::as_str).unwrap_or("");
-        spair_load::socket::socket_worker_main(addr);
-    }
-    let opts = parse_opts();
-    if opts.transport == TransportMode::Socket {
-        run_socket_main(&opts);
-        return;
-    }
-    let mut specs = if opts.smoke {
+/// The in-process channel path behind `BENCH_load.json`: prepare once,
+/// then serve the population under the certified run order.
+fn run_channel_main(args: &BenchArgs, o: &Overrides) -> Result<i32, UsageError> {
+    let out = args.out_path("BENCH_load.json", o.partial_reason());
+    let mut specs = if args.smoke() {
         smoke_load_matrix()
     } else {
-        default_load_matrix(opts.scale)
+        default_load_matrix(o.scale)
     };
-    if let Some(n) = opts.population {
+    if let Some(n) = o.population {
         override_population(&mut specs, n);
     }
     // After --population, so an explicit flash override wins the cap.
-    if let Some(n) = opts.flash_population {
+    if let Some(n) = o.flash_population {
         override_flash_population(&mut specs, n);
     }
     let cells: usize = specs.iter().map(|s| s.methods.len()).sum();
@@ -292,12 +207,12 @@ fn main() {
         "# bench_load — {} scenarios, {} cells, {} threads{}",
         specs.len(),
         cells,
-        opts.threads,
-        if opts.smoke { " (smoke)" } else { "" }
+        args.threads,
+        args.tier.suffix()
     );
 
     let start = Instant::now();
-    let prep = prepare(&specs, opts.threads);
+    let prep = prepare(&specs, args.threads);
     let prepare_secs = start.elapsed().as_secs_f64();
     eprintln!(
         "prepared {} cells ({} profile sessions) in {prepare_secs:.2}s",
@@ -315,147 +230,74 @@ fn main() {
         }
     }
 
-    let start = Instant::now();
-    let report = run(&prep, opts.threads);
-    let serve_secs = start.elapsed().as_secs_f64();
+    // The serial rerun serves the same prepared state single-threaded.
+    let cert = certify::certify(args.threads, |t| run(&prep, t))?;
+    let report = &cert.report;
     eprint!("{}", report.render_table());
 
-    // Determinism certificate: a single-threaded serve over the same
-    // prepared state must be byte-identical. With --threads 1 the first
-    // serve already is the serial reference — skip the tautology.
-    let digest = report.digest();
-    let (serial_secs, bit_identical) = if opts.threads == 1 {
-        (serve_secs, true)
-    } else {
-        let start = Instant::now();
-        let serial = run(&prep, 1);
-        (
-            start.elapsed().as_secs_f64(),
-            serial.to_json(false) == report.to_json(false),
-        )
-    };
-
-    let conformant = report.all_exact();
-    eprintln!(
-        "population: {}  mismatches: {}  digest: {digest:016x}  bit_identical: {bit_identical}",
-        report.total_population(),
-        report.total_mismatches(),
-    );
-
-    let json = format!(
-        "{{\n  \
-         \"benchmark\": \"broadcast_load_population\",\n  \
-         \"smoke\": {},\n  \
-         \"scale\": {:.3},\n  \
-         \"scenarios\": {},\n  \
-         \"cells\": {},\n  \
-         \"population_total\": {},\n  \
-         \"profile_sessions\": {},\n  \
-         \"mismatches\": {},\n  \
-         \"typed_failures\": {},\n  \
-         \"all_exact\": {},\n  \
-         \"digest\": \"{digest:016x}\",\n  \
-         \"bit_identical_across_threads\": {bit_identical},\n  \
-         \"host\": {{ \"available_parallelism\": {}, \"worker_threads\": {} }},\n  \
-         \"prepare_secs\": {prepare_secs:.6},\n  \
-         \"serve_secs\": {serve_secs:.6},\n  \
-         \"serial_serve_secs\": {serial_secs:.6},\n  \
-         \"cells_detail\": {}\n\
-         }}\n",
-        opts.smoke,
-        opts.scale,
-        specs.len(),
-        report.cells.len(),
-        report.total_population(),
-        prep.profile_sessions(),
-        report.total_mismatches(),
-        report.total_typed_failures(),
-        conformant,
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        opts.threads,
-        report.to_json(true),
-    );
-    std::fs::write(&opts.out, &json).expect("write BENCH json");
-    println!("{json}");
-    eprintln!("wrote {}", opts.out);
-
-    if !conformant {
-        eprintln!(
-            "LOAD CONFORMANCE FAILURE: {} mismatched/failed sessions",
-            report.total_mismatches()
-        );
-        std::process::exit(1);
-    }
-    if !bit_identical {
-        eprintln!("DETERMINISM FAILURE: parallel serve diverged from serial");
-        std::process::exit(1);
-    }
+    let json = Envelope::new("broadcast_load_population")
+        .field("smoke", args.smoke())
+        .field("scale", format!("{:.3}", o.scale))
+        .field("scenarios", specs.len())
+        .field("cells", report.cells.len())
+        .field("population_total", report.total_population())
+        .field("profile_sessions", prep.profile_sessions())
+        .field("mismatches", report.total_mismatches())
+        .field("typed_failures", report.total_typed_failures())
+        .field("all_exact", report.all_exact())
+        .certificate(cert.digest, cert.bit_identical, args.threads)
+        .secs("prepare_secs", prepare_secs)
+        .secs("serve_secs", cert.secs)
+        .secs("serial_serve_secs", cert.serial_secs)
+        .field("cells_detail", report.artifact_json())
+        .finish();
+    Ok(certify::publish(
+        &out,
+        &json,
+        report.verdict(),
+        cert.bit_identical,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn full_opts() -> Opts {
-        Opts {
-            smoke: false,
-            threads: 1,
+    fn full() -> Overrides {
+        Overrides {
             scale: 1.0,
             population: None,
             flash_population: None,
-            transport: TransportMode::Channel,
-            events: None,
-            out: "BENCH_load.json".to_string(),
-            out_set: false,
         }
     }
 
     #[test]
-    fn full_default_run_may_write_the_committed_artifact() {
-        assert_eq!(partial_reason(&full_opts()), None);
-    }
-
-    #[test]
-    fn smoke_scaled_and_overridden_runs_are_partial() {
-        let mut o = full_opts();
-        o.smoke = true;
+    fn resized_runs_never_shadow_the_committed_artifacts() {
+        assert_eq!(full().partial_reason(), None);
+        let o = Overrides {
+            scale: 0.25,
+            ..full()
+        };
+        assert_eq!(o.partial_reason(), Some("--scale"));
+        let o = Overrides {
+            population: Some(1000),
+            ..full()
+        };
+        assert_eq!(o.partial_reason(), Some("--population-override"));
+        let o = Overrides {
+            flash_population: Some(1000),
+            ..full()
+        };
+        assert_eq!(o.partial_reason(), Some("--flash-population-override"));
+        // The socket transport's BENCH_serve.json shares the guard.
+        let args = BenchArgs {
+            tier: Tier::Default,
+            threads: 1,
+            out: None,
+        };
         assert_eq!(
-            bench_out::redirect_partial_out(&o.out, partial_reason(&o)),
-            "BENCH_load.smoke.json"
-        );
-        let mut o = full_opts();
-        o.scale = 0.25;
-        assert_eq!(partial_reason(&o), Some("--scale"));
-        let mut o = full_opts();
-        o.population = Some(1000);
-        assert_eq!(partial_reason(&o), Some("--population-override"));
-        let mut o = full_opts();
-        o.flash_population = Some(1000);
-        assert_eq!(partial_reason(&o), Some("--flash-population-override"));
-    }
-
-    /// The socket artifact gets the same clobber guard: only the full
-    /// default socket run may write `BENCH_serve.json`; smoke and
-    /// population-overridden runs are redirected to `*.smoke.json`.
-    #[test]
-    fn socket_runs_share_the_clobber_guard() {
-        let mut o = full_opts();
-        o.transport = TransportMode::Socket;
-        o.out = "BENCH_serve.json".to_string();
-        assert_eq!(partial_reason(&o), None);
-        assert_eq!(
-            bench_out::redirect_partial_out(&o.out, partial_reason(&o)),
-            "BENCH_serve.json"
-        );
-        o.smoke = true;
-        assert_eq!(
-            bench_out::redirect_partial_out(&o.out, partial_reason(&o)),
+            args.out_path("BENCH_serve.json", o.partial_reason()),
             "BENCH_serve.smoke.json"
         );
-        o.smoke = false;
-        o.population = Some(8);
-        assert_eq!(partial_reason(&o), Some("--population-override"));
     }
 }

@@ -2,6 +2,8 @@
 //! (scenario × method) cell, digest-certified like the conformance
 //! matrix.
 
+use spair_roadnet::certify::{cells_json, Certified};
+
 /// Percentiles and exact extremes of one cost dimension over a client
 /// population, read off a streaming histogram.
 #[derive(Debug, Clone, PartialEq)]
@@ -217,35 +219,6 @@ impl LoadReport {
             .sum()
     }
 
-    /// FNV-1a digest over the deterministic fields. Equal digests across
-    /// thread counts / reruns certify reproducibility.
-    pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.to_json(false).bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
-    /// Serializes the cells. With `include_timings = false` the output
-    /// contains only deterministic fields and is byte-for-byte
-    /// reproducible from the specs' seeds.
-    pub fn to_json(&self, include_timings: bool) -> String {
-        let mut out = String::from("[\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str("    { ");
-            out.push_str(&c.json_fields(include_timings));
-            out.push_str(" }");
-            if i + 1 < self.cells.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]");
-        out
-    }
-
     /// A fixed-width text table (one row per cell) for terminal output.
     pub fn render_table(&self) -> String {
         let mut out = format!(
@@ -293,9 +266,35 @@ impl LoadReport {
     }
 }
 
+impl Certified for LoadReport {
+    fn deterministic_json(&self) -> String {
+        cells_json(&self.cells, |c| c.json_fields(false))
+    }
+
+    fn artifact_json(&self) -> String {
+        cells_json(&self.cells, |c| c.json_fields(true))
+    }
+
+    fn cells(&self) -> usize {
+        self.cells.len()
+    }
+
+    fn verdict(&self) -> Result<(), String> {
+        if self.all_exact() {
+            Ok(())
+        } else {
+            Err(format!(
+                "LOAD CONFORMANCE FAILURE: {} mismatched/failed sessions",
+                self.total_mismatches()
+            ))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spair_roadnet::certify::fnv1a64;
 
     fn summary() -> PercentileSummary {
         PercentileSummary {
@@ -362,6 +361,8 @@ mod tests {
             cells: vec![cell(0)],
         };
         let d0 = r.digest();
+        assert_eq!(d0, fnv1a64(r.deterministic_json().as_bytes()));
+        assert_eq!(d0, 0xf348_37df_f8bb_856f, "cell rendering moved the digest");
         r.cells[0].cpu_ms = 999.0;
         r.cells[0].client_cpu_ms = 999.0;
         assert_eq!(r.digest(), d0, "cpu time must not affect the digest");
@@ -374,10 +375,10 @@ mod tests {
         let r = LoadReport {
             cells: vec![cell(0)],
         };
-        assert!(!r.to_json(false).contains("cpu_ms"));
-        assert!(r.to_json(true).contains("cpu_ms"));
-        assert!(r.to_json(true).contains("client_cpu_ms"));
-        assert!(r.to_json(false).contains("latency_packets"));
+        assert!(!r.deterministic_json().contains("cpu_ms"));
+        assert!(r.artifact_json().contains("cpu_ms"));
+        assert!(r.artifact_json().contains("client_cpu_ms"));
+        assert!(r.deterministic_json().contains("latency_packets"));
     }
 
     #[test]
@@ -385,11 +386,11 @@ mod tests {
         let mut r = LoadReport {
             cells: vec![cell(0)],
         };
-        let plain = r.to_json(false);
+        let plain = r.deterministic_json();
         assert!(!plain.contains("\"fault\""), "non-flash cells unchanged");
         let d0 = r.digest();
         r.cells[0].fault = Some(fault_summary());
-        let with = r.to_json(false);
+        let with = r.deterministic_json();
         assert!(with.contains("\"fault\": {"));
         assert!(with.contains("\"failure_rate\": 0.030000"));
         assert!(with.contains("\"cycle_aborted\": 3"));

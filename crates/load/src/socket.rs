@@ -30,6 +30,7 @@ use spair_core::query::Query;
 use spair_core::BorderPrecomputation;
 use spair_methods::{MethodRegistry, ProgramSet, World};
 use spair_partition::KdTreePartition;
+use spair_roadnet::certify::{cells_json, Fnv1a};
 use spair_roadnet::generators::small_grid;
 use spair_roadnet::{NodeId, Point, QueuePolicy};
 use spair_serve::client::{run_query, SessionConfig, Transport};
@@ -191,22 +192,16 @@ pub fn schedule(
 pub fn answers_digest(answers: &[SessionAnswer]) -> u64 {
     let mut sorted: Vec<&SessionAnswer> = answers.iter().collect();
     sorted.sort_by_key(|a| a.index);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a::default();
     for a in &sorted {
-        fold(a.index as u64);
-        fold(a.distance);
-        fold(a.path.len() as u64);
+        h.write_u64(a.index as u64)
+            .write_u64(a.distance)
+            .write_u64(a.path.len() as u64);
         for &n in &a.path {
-            fold(u64::from(n));
+            h.write_u64(u64::from(n));
         }
     }
-    h
+    h.finish()
 }
 
 /// In-process reference answers for a schedule: the same method client
@@ -608,41 +603,31 @@ impl SocketReport {
     /// contention counters and daemon totals are excluded, so the
     /// digest is invariant across worker counts and worker modes.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let fold_bytes = |bytes: &[u8], h: &mut u64| {
-            for &b in bytes {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        for c in &self.cells {
-            if c.kind != "lossless" {
-                continue;
-            }
-            fold_bytes(c.method.as_bytes(), &mut h);
-            fold_bytes(c.transport.as_bytes(), &mut h);
-            fold_bytes(&(c.population as u64).to_le_bytes(), &mut h);
-            fold_bytes(&c.answers_digest.to_le_bytes(), &mut h);
-            fold_bytes(&c.expected_digest.to_le_bytes(), &mut h);
-            fold_bytes(&[u8::from(c.digest_match)], &mut h);
-            fold_bytes(&(c.wrong_answers as u64).to_le_bytes(), &mut h);
+        let mut h = Fnv1a::default();
+        for c in self.cells.iter().filter(|c| c.kind == "lossless") {
+            h.write(c.method.as_bytes())
+                .write(c.transport.as_bytes())
+                .write_u64(c.population as u64)
+                .write_u64(c.answers_digest)
+                .write_u64(c.expected_digest)
+                .write(&[u8::from(c.digest_match)])
+                .write_u64(c.wrong_answers as u64);
         }
-        h
+        h.finish()
     }
 
     /// Renders the cells array (pretty, two-space indented under the
     /// top-level document).
     pub fn cells_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{ \"method\": \"{}\", \"transport\": \"{}\", \"kind\": \"{}\", \
+        cells_json(&self.cells, |c| {
+            format!(
+                "\"method\": \"{}\", \"transport\": \"{}\", \"kind\": \"{}\", \
                  \"population\": {}, \"completed\": {}, \
                  \"answers_digest\": \"{:016x}\", \"expected_digest\": \"{:016x}\", \
                  \"digest_match\": {}, \"wrong_answers\": {}, \"failures\": {}, \
                  \"observed_drops\": {}, \"drops_injected\": {}, \
                  \"backpressure_drops\": {}, \"evictions\": {}, \
-                 \"admission_us\": {}, \"wall_secs\": {:.6} }}{}\n",
+                 \"admission_us\": {}, \"wall_secs\": {:.6}",
                 c.method,
                 c.transport,
                 c.kind,
@@ -659,11 +644,8 @@ impl SocketReport {
                 c.evictions,
                 c.admission_json(),
                 c.wall_secs,
-                if i + 1 == self.cells.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ]");
-        out
+            )
+        })
     }
 
     /// One human-readable line per cell (stderr progress table).
@@ -975,6 +957,11 @@ mod tests {
         let fwd = vec![mk(10), mk(11), mk(12)];
         let rev: Vec<SessionAnswer> = fwd.iter().rev().cloned().collect();
         assert_eq!(answers_digest(&fwd), answers_digest(&rev));
+        assert_eq!(
+            answers_digest(&fwd),
+            0xaca5_ad82_8c5a_ebe7,
+            "answer fold moved"
+        );
         let mut changed = fwd.clone();
         changed[1].distance += 1;
         assert_ne!(answers_digest(&fwd), answers_digest(&changed));

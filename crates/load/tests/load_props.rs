@@ -16,6 +16,7 @@ use proptest::prelude::*;
 use spair_broadcast::{BroadcastChannel, LossModel};
 use spair_load::spec::override_population;
 use spair_load::{prepare, run, smoke_load_matrix, LoadSpec, StreamingHistogram};
+use spair_roadnet::certify::Certified;
 use spair_sim::{
     GraphSpec, LossSpec, MethodId, MethodRegistry, ScenarioContext, ScenarioSpec, WorkItem,
     WorkloadMix,
@@ -103,8 +104,16 @@ fn whole_pipeline_is_bit_identical_across_thread_counts() {
     let prep4 = prepare(&specs, 4);
     let r4 = run(&prep4, 4);
     let r2 = run(&prep4, 2);
-    assert_eq!(r1.to_json(false), r4.to_json(false), "prepare+serve 1 vs 4");
-    assert_eq!(r2.to_json(false), r4.to_json(false), "serve 2 vs 4");
+    assert_eq!(
+        r1.deterministic_json(),
+        r4.deterministic_json(),
+        "prepare+serve 1 vs 4"
+    );
+    assert_eq!(
+        r2.deterministic_json(),
+        r4.deterministic_json(),
+        "serve 2 vs 4"
+    );
     assert_eq!(r1.digest(), r4.digest());
 }
 

@@ -51,6 +51,7 @@ use spair_core::knn::KnnOutcome;
 use spair_core::query::{AirClient, Query, QueryError, QueryOutcome};
 use spair_core::BorderPrecomputation;
 use spair_partition::KdTreePartition;
+use spair_roadnet::certify::UsageError;
 use spair_roadnet::{NetworkPreset, NodeId, Point, QueuePolicy, RoadNetwork};
 use std::sync::{Arc, OnceLock};
 
@@ -255,6 +256,45 @@ impl std::fmt::Display for MethodUnavailable {
 }
 
 impl std::error::Error for MethodUnavailable {}
+
+/// Why a `--methods` list was rejected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MethodListError {
+    /// The list names no method.
+    Empty,
+    /// A name outside the run's column set: unregistered, or registered
+    /// but not a method this run can serve.
+    NotAllowed {
+        /// The rejected name.
+        name: String,
+        /// The names the run accepts.
+        allowed: Vec<&'static str>,
+    },
+    /// A name listed twice, which would run its column twice.
+    Duplicate(String),
+}
+
+impl std::fmt::Display for MethodListError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MethodListError::Empty => f.write_str("--methods expects a non-empty name list"),
+            MethodListError::NotAllowed { name, allowed } => write!(
+                f,
+                "'{name}' is not a method this run accepts (allowed: {})",
+                allowed.join(",")
+            ),
+            MethodListError::Duplicate(name) => write!(f, "--methods lists '{name}' twice"),
+        }
+    }
+}
+
+impl std::error::Error for MethodListError {}
+
+impl From<MethodListError> for UsageError {
+    fn from(e: MethodListError) -> Self {
+        UsageError(e.to_string())
+    }
+}
 
 /// Per-method tuning knobs — the parameters the paper fine-tunes per
 /// experiment (§7) rather than per scenario.
@@ -543,6 +583,30 @@ impl MethodRegistry {
             .find(|m| m.descriptor().name == name)
             .map(|m| MethodId(m.descriptor()))
             .ok_or_else(|| MethodUnavailable::Unknown(name.to_string()))
+    }
+
+    /// Resolves a comma-separated `--methods` list against the run's
+    /// column set `allowed`, keeping the list's order. Empty segments are
+    /// skipped; an empty list, a name outside `allowed` and a repeated
+    /// name are typed errors.
+    pub fn parse_list(list: &str, allowed: &[MethodId]) -> Result<Vec<MethodId>, MethodListError> {
+        let mut methods: Vec<MethodId> = Vec::new();
+        for name in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
+            let Some(&m) = allowed.iter().find(|m| m.name() == name) else {
+                return Err(MethodListError::NotAllowed {
+                    name: name.to_string(),
+                    allowed: allowed.iter().map(MethodId::name).collect(),
+                });
+            };
+            if methods.contains(&m) {
+                return Err(MethodListError::Duplicate(name.to_string()));
+            }
+            methods.push(m);
+        }
+        if methods.is_empty() {
+            return Err(MethodListError::Empty);
+        }
+        Ok(methods)
     }
 
     /// The implementation behind a handle.

@@ -14,7 +14,7 @@
 use spair_broadcast::{BroadcastChannel, LossModel};
 use spair_core::query::Query;
 use spair_core::BorderPrecomputation;
-use spair_methods::{MethodId, MethodRegistry, MethodUnavailable, World};
+use spair_methods::{MethodId, MethodListError, MethodRegistry, MethodUnavailable, World};
 use spair_partition::KdTreePartition;
 use spair_roadnet::generators::small_grid;
 use spair_roadnet::{dijkstra_distance, NodeId, QueuePolicy};
@@ -53,6 +53,33 @@ fn registry_is_complete_with_frozen_names_and_ordinals() {
     labels.sort_unstable();
     labels.dedup();
     assert_eq!(labels.len(), all.len(), "chart labels must be unique");
+}
+
+#[test]
+fn method_lists_resolve_in_order_and_reject_bad_names() {
+    let all = MethodRegistry::standard().all();
+    let parse = |list| MethodRegistry::parse_list(list, &all);
+    assert_eq!(
+        parse("dj, nr,,eb"),
+        Ok(vec![MethodId::DJ, MethodId::NR, MethodId::EB])
+    );
+    assert_eq!(parse(""), Err(MethodListError::Empty));
+    assert_eq!(parse(",,"), Err(MethodListError::Empty));
+    assert_eq!(parse("nr,nr"), Err(MethodListError::Duplicate("nr".into())));
+    let names: Vec<&str> = all.iter().map(MethodId::name).collect();
+    assert_eq!(
+        parse("zz"),
+        Err(MethodListError::NotAllowed {
+            name: "zz".into(),
+            allowed: names
+        })
+    );
+    // Registered but outside the run's own column set.
+    let err = MethodRegistry::parse_list("knn_air", &[MethodId::NR, MethodId::DJ]).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "'knn_air' is not a method this run accepts (allowed: nr,dj)"
+    );
 }
 
 #[test]

@@ -23,6 +23,7 @@ pub mod astar;
 pub mod bench_out;
 pub mod bidirectional;
 pub mod bucket_queue;
+pub mod certify;
 pub mod dijkstra;
 pub mod first_hop;
 pub mod generators;

@@ -38,10 +38,10 @@ pub fn num_threads() -> usize {
 }
 
 /// Resolves a worker count under the precedence rule shared by every
-/// bench binary (`bench_precompute`, `bench_scenarios`, `bench_load`):
-/// an explicit `--threads` flag wins over `SPAIR_THREADS`, which wins
-/// over the detected available parallelism. A flag value of 0 counts as
-/// "not given" — binaries reject it at parse time.
+/// bench binary (through [`crate::certify::Cli`]): an explicit
+/// `--threads` flag wins over `SPAIR_THREADS`, which wins over the
+/// detected available parallelism. A flag value of 0 counts as "not
+/// given" — binaries reject it at parse time.
 pub fn resolve_threads(flag: Option<usize>) -> usize {
     resolve_threads_from(
         flag,

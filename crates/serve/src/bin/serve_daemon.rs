@@ -28,7 +28,7 @@ struct Args {
     grid: (usize, usize),
     regions: usize,
     seed: u64,
-    methods: Vec<String>,
+    methods: Vec<MethodId>,
     events: PathBuf,
     dead_letter: PathBuf,
     max_laps: u32,
@@ -45,7 +45,7 @@ impl Default for Args {
             grid: (12, 12),
             regions: 16,
             seed: 9301,
-            methods: Vec::new(),
+            methods: MethodRegistry::standard().air_methods(),
             events: PathBuf::from("serve.events.jsonl"),
             dead_letter: PathBuf::from("serve.deadletter.jsonl"),
             max_laps: 64,
@@ -76,11 +76,9 @@ fn parse_args() -> Result<Args, String> {
             }
             "--seed" => args.seed = val("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--methods" => {
-                args.methods = val("--methods")?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect()
+                let air = MethodRegistry::standard().air_methods();
+                args.methods = MethodRegistry::parse_list(&val("--methods")?, &air)
+                    .map_err(|e| e.to_string())?
             }
             "--events" => args.events = PathBuf::from(val("--events")?),
             "--dead-letter" => args.dead_letter = PathBuf::from(val("--dead-letter")?),
@@ -124,29 +122,11 @@ fn main() {
         }
     };
 
-    let registry = MethodRegistry::standard();
-    let methods: Vec<MethodId> = if args.methods.is_empty() {
-        registry.air_methods()
-    } else {
-        match args
-            .methods
-            .iter()
-            .map(|n| registry.get(n))
-            .collect::<Result<Vec<_>, _>>()
-        {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("serve_daemon: {e}");
-                std::process::exit(2);
-            }
-        }
-    };
-
     let g = small_grid(args.grid.0, args.grid.1, args.seed);
     let part = KdTreePartition::build(&g, args.regions);
     let pre = BorderPrecomputation::run(&g, &part);
     let programs = ProgramSet::new(World::from_parts(g, part, pre));
-    let world = ServeWorld::from_program_set(&programs, &methods);
+    let world = ServeWorld::from_program_set(&programs, &args.methods);
     if world.channels().is_empty() {
         eprintln!("serve_daemon: no servable channels among requested methods");
         std::process::exit(2);

@@ -18,237 +18,70 @@
 //! gate. The JSON also reports whether the anchored incremental methods
 //! (NR, EB) stayed current strictly cheaper per version than every
 //! whole-cycle method — the partial-tuning advantage the dynamic axis
-//! exists to demonstrate.
+//! exists to demonstrate. `--methods` accepts only the dynamic-capable
+//! methods. Flags, run order and exit codes are the shared ones of
+//! `spair_roadnet::certify`.
 
-use spair_roadnet::{bench_out, parallel};
+use spair_roadnet::certify::{self, columns_partial, Certified, Cli, Envelope, Tier};
 use spair_sim::{
     dynamic_matrix, dynamic_methods, nightly_dynamic_matrix, run_dynamic_matrix,
-    smoke_dynamic_matrix, MethodId, MethodRegistry,
+    smoke_dynamic_matrix, MethodRegistry,
 };
-use std::time::Instant;
-
-struct Opts {
-    smoke: bool,
-    nightly: bool,
-    threads: usize,
-    methods: Vec<MethodId>,
-    out: String,
-}
-
-fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        smoke: false,
-        nightly: false,
-        threads: 0,
-        methods: dynamic_methods(),
-        out: "BENCH_dynamic.json".to_string(),
-    };
-    let mut threads_flag: Option<usize> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("error: missing value for {flag}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--smoke" => opts.smoke = true,
-            "--nightly" => opts.nightly = true,
-            "--threads" => {
-                let n: usize = value().parse().unwrap_or_else(|_| {
-                    eprintln!("error: --threads expects a positive integer");
-                    std::process::exit(2);
-                });
-                if n == 0 {
-                    eprintln!("error: --threads must be >= 1");
-                    std::process::exit(2);
-                }
-                threads_flag = Some(n);
-            }
-            "--methods" => {
-                let list = value();
-                opts.methods = list
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|name| {
-                        MethodRegistry::standard()
-                            .get(name.trim())
-                            .unwrap_or_else(|e| {
-                                eprintln!("error: {e}");
-                                std::process::exit(2);
-                            })
-                    })
-                    .collect();
-                if opts.methods.is_empty() {
-                    eprintln!("error: --methods expects a non-empty name list");
-                    std::process::exit(2);
-                }
-            }
-            "--out" => opts.out = value(),
-            other => {
-                eprintln!(
-                    "error: unknown flag {other}\n\
-                     usage: bench_dynamic [--smoke | --nightly] [--threads N] \
-                     [--methods a,b,c] [--out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if opts.smoke && opts.nightly {
-        eprintln!("error: --smoke and --nightly are mutually exclusive");
-        std::process::exit(2);
-    }
-    opts.threads = parallel::resolve_threads(threads_flag);
-    opts.out = bench_out::redirect_partial_out(&opts.out, partial_reason(&opts));
-    opts
-}
-
-/// A run may refresh the committed `BENCH_dynamic.json` only in the full
-/// default configuration: the default dynamic matrix over every
-/// dynamic-capable method. Everything else is redirected to
-/// `*.smoke.json`.
-fn partial_reason(opts: &Opts) -> Option<&'static str> {
-    if opts.smoke {
-        Some("--smoke")
-    } else if opts.nightly {
-        Some("--nightly")
-    } else if opts.methods != dynamic_methods() {
-        Some("--methods-restricted")
-    } else {
-        None
-    }
-}
 
 fn main() {
-    let opts = parse_opts();
-    let specs = if opts.smoke {
-        smoke_dynamic_matrix()
-    } else if opts.nightly {
-        nightly_dynamic_matrix()
-    } else {
-        dynamic_matrix()
+    let full = dynamic_methods();
+    let mut methods = full.clone();
+    let mut cli = Cli::from_env(
+        "bench_dynamic",
+        "[--smoke | --nightly] [--threads N] [--methods a,b,c] [--out PATH]",
+    );
+    let args = cli.bench_args(&[Tier::Smoke, Tier::Nightly], |flag, cli| {
+        if flag != "--methods" {
+            return Ok(false);
+        }
+        methods = MethodRegistry::parse_list(&cli.value(flag)?, &full)?;
+        Ok(true)
+    });
+    let specs = match args.tier {
+        Tier::Smoke => smoke_dynamic_matrix(),
+        Tier::Nightly => nightly_dynamic_matrix(),
+        Tier::Default => dynamic_matrix(),
     };
-    let methods = &opts.methods;
+    let out = args.out_path("BENCH_dynamic.json", columns_partial(&methods, &full));
     eprintln!(
         "# bench_dynamic — {} dynamic scenarios x {} methods, {} threads{}",
         specs.len(),
         methods.len(),
-        opts.threads,
-        if opts.smoke {
-            " (smoke)"
-        } else if opts.nightly {
-            " (nightly)"
-        } else {
-            ""
-        }
+        args.threads,
+        args.tier.suffix()
     );
 
-    let start = Instant::now();
-    let matrix = run_dynamic_matrix(&specs, methods, opts.threads);
-    let parallel_secs = start.elapsed().as_secs_f64();
+    let cert = certify::certify(args.threads, |t| run_dynamic_matrix(&specs, &methods, t))
+        .unwrap_or_else(|e| cli.fail(e));
+    let matrix = &cert.report;
     eprint!("{}", matrix.render_table());
 
-    // Determinism certificate: a serial rerun must be byte-identical.
-    let digest = matrix.digest();
-    let (serial_secs, bit_identical) = if opts.threads == 1 {
-        (parallel_secs, true)
-    } else {
-        let start = Instant::now();
-        let serial = run_dynamic_matrix(&specs, methods, 1);
-        (
-            start.elapsed().as_secs_f64(),
-            serial.to_json() == matrix.to_json(),
+    let json = Envelope::new("dynamic_world_matrix")
+        .field("smoke", args.smoke())
+        .field("nightly", args.nightly())
+        .field("scenarios", specs.len())
+        .field("methods", methods.len())
+        .field("cells", matrix.cells.len())
+        .field("mismatches", matrix.total_mismatches())
+        .field("all_exact", matrix.all_exact())
+        .field(
+            "partial_tuning_advantage",
+            matrix.partial_tuning_advantage(),
         )
-    };
-
-    let exact = matrix.all_exact();
-    let advantage = matrix.partial_tuning_advantage();
-    eprintln!(
-        "cells: {}  mismatches: {}  partial_tuning_advantage: {advantage}  \
-         digest: {digest:016x}  bit_identical: {bit_identical}",
-        matrix.cells.len(),
-        matrix.total_mismatches(),
-    );
-
-    let json = format!(
-        "{{\n  \
-         \"benchmark\": \"dynamic_world_matrix\",\n  \
-         \"smoke\": {},\n  \
-         \"nightly\": {},\n  \
-         \"scenarios\": {},\n  \
-         \"methods\": {},\n  \
-         \"cells\": {},\n  \
-         \"mismatches\": {},\n  \
-         \"all_exact\": {},\n  \
-         \"partial_tuning_advantage\": {advantage},\n  \
-         \"digest\": \"{digest:016x}\",\n  \
-         \"bit_identical_across_threads\": {bit_identical},\n  \
-         \"host\": {{ \"available_parallelism\": {}, \"worker_threads\": {} }},\n  \
-         \"parallel_secs\": {parallel_secs:.6},\n  \
-         \"serial_secs\": {serial_secs:.6},\n  \
-         \"matrix\": {}\n\
-         }}\n",
-        opts.smoke,
-        opts.nightly,
-        specs.len(),
-        methods.len(),
-        matrix.cells.len(),
-        matrix.total_mismatches(),
-        exact,
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        opts.threads,
-        matrix.to_json(),
-    );
-    std::fs::write(&opts.out, &json).expect("write BENCH json");
-    println!("{json}");
-    eprintln!("wrote {}", opts.out);
-
-    if !exact {
-        eprintln!(
-            "DYNAMIC ORACLE FAILURE: {} answers contradicted their version's oracle",
-            matrix.total_mismatches(),
-        );
-        std::process::exit(1);
-    }
-    if !bit_identical {
-        eprintln!("DETERMINISM FAILURE: parallel run diverged from serial");
-        std::process::exit(1);
-    }
-}
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn full_opts() -> Opts {
-        Opts {
-            smoke: false,
-            nightly: false,
-            threads: 1,
-            methods: dynamic_methods(),
-            out: "BENCH_dynamic.json".to_string(),
-        }
-    }
-
-    #[test]
-    fn full_default_run_may_write_the_committed_artifact() {
-        assert_eq!(partial_reason(&full_opts()), None);
-    }
-
-    #[test]
-    fn partial_runs_never_shadow_the_committed_artifact() {
-        let mut o = full_opts();
-        o.smoke = true;
-        assert_eq!(
-            bench_out::redirect_partial_out(&o.out, partial_reason(&o)),
-            "BENCH_dynamic.smoke.json"
-        );
-        let mut o = full_opts();
-        o.methods.truncate(2);
-        assert_eq!(partial_reason(&o), Some("--methods-restricted"));
-    }
+        .certificate(cert.digest, cert.bit_identical, args.threads)
+        .secs("parallel_secs", cert.secs)
+        .secs("serial_secs", cert.serial_secs)
+        .field("matrix", matrix.artifact_json())
+        .finish();
+    std::process::exit(certify::publish(
+        &out,
+        &json,
+        matrix.verdict(),
+        cert.bit_identical,
+    ));
 }

@@ -15,236 +15,65 @@
 //! recovery budget. A serial rerun must reproduce the parallel run
 //! byte-for-byte (same digest for every thread count). **Exits non-zero
 //! on any wrong answer, budget violation or determinism break**, so CI
-//! can use it as a gate.
+//! can use it as a gate. Flags, run order and exit codes are the shared
+//! ones of `spair_roadnet::certify`.
 
-use spair_roadnet::{bench_out, parallel};
+use spair_roadnet::certify::{self, columns_partial, Certified, Cli, Envelope, Tier};
 use spair_sim::{
-    fault_matrix, nightly_fault_matrix, run_fault_matrix, smoke_fault_matrix, MethodId,
-    MethodRegistry,
+    fault_matrix, nightly_fault_matrix, run_fault_matrix, smoke_fault_matrix, MethodRegistry,
 };
-use std::time::Instant;
-
-struct Opts {
-    smoke: bool,
-    nightly: bool,
-    threads: usize,
-    methods: Vec<MethodId>,
-    out: String,
-}
-
-fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        smoke: false,
-        nightly: false,
-        threads: 0,
-        methods: MethodRegistry::standard().all(),
-        out: "BENCH_faults.json".to_string(),
-    };
-    let mut threads_flag: Option<usize> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("error: missing value for {flag}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--smoke" => opts.smoke = true,
-            "--nightly" => opts.nightly = true,
-            "--threads" => {
-                let n: usize = value().parse().unwrap_or_else(|_| {
-                    eprintln!("error: --threads expects a positive integer");
-                    std::process::exit(2);
-                });
-                if n == 0 {
-                    eprintln!("error: --threads must be >= 1");
-                    std::process::exit(2);
-                }
-                threads_flag = Some(n);
-            }
-            "--methods" => {
-                let list = value();
-                opts.methods = list
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|name| {
-                        MethodRegistry::standard()
-                            .get(name.trim())
-                            .unwrap_or_else(|e| {
-                                eprintln!("error: {e}");
-                                std::process::exit(2);
-                            })
-                    })
-                    .collect();
-                if opts.methods.is_empty() {
-                    eprintln!("error: --methods expects a non-empty name list");
-                    std::process::exit(2);
-                }
-            }
-            "--out" => opts.out = value(),
-            other => {
-                eprintln!(
-                    "error: unknown flag {other}\n\
-                     usage: bench_faults [--smoke | --nightly] [--threads N] \
-                     [--methods a,b,c] [--out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if opts.smoke && opts.nightly {
-        eprintln!("error: --smoke and --nightly are mutually exclusive");
-        std::process::exit(2);
-    }
-    opts.threads = parallel::resolve_threads(threads_flag);
-    opts.out = bench_out::redirect_partial_out(&opts.out, partial_reason(&opts));
-    opts
-}
-
-/// A run may refresh the committed `BENCH_faults.json` only in the full
-/// default configuration: the default chaos matrix over the complete
-/// method registry. Everything else is redirected to `*.smoke.json`.
-fn partial_reason(opts: &Opts) -> Option<&'static str> {
-    if opts.smoke {
-        Some("--smoke")
-    } else if opts.nightly {
-        Some("--nightly")
-    } else if opts.methods != MethodRegistry::standard().all() {
-        Some("--methods-restricted")
-    } else {
-        None
-    }
-}
 
 fn main() {
-    let opts = parse_opts();
-    let specs = if opts.smoke {
-        smoke_fault_matrix()
-    } else if opts.nightly {
-        nightly_fault_matrix()
-    } else {
-        fault_matrix()
+    let full = MethodRegistry::standard().all();
+    let mut methods = full.clone();
+    let mut cli = Cli::from_env(
+        "bench_faults",
+        "[--smoke | --nightly] [--threads N] [--methods a,b,c] [--out PATH]",
+    );
+    let args = cli.bench_args(&[Tier::Smoke, Tier::Nightly], |flag, cli| {
+        if flag != "--methods" {
+            return Ok(false);
+        }
+        methods = MethodRegistry::parse_list(&cli.value(flag)?, &full)?;
+        Ok(true)
+    });
+    let specs = match args.tier {
+        Tier::Smoke => smoke_fault_matrix(),
+        Tier::Nightly => nightly_fault_matrix(),
+        Tier::Default => fault_matrix(),
     };
-    let methods = &opts.methods;
+    let out = args.out_path("BENCH_faults.json", columns_partial(&methods, &full));
     eprintln!(
         "# bench_faults — {} fault scenarios x {} methods, {} threads{}",
         specs.len(),
         methods.len(),
-        opts.threads,
-        if opts.smoke {
-            " (smoke)"
-        } else if opts.nightly {
-            " (nightly)"
-        } else {
-            ""
-        }
+        args.threads,
+        args.tier.suffix()
     );
 
-    let start = Instant::now();
-    let matrix = run_fault_matrix(&specs, methods, opts.threads);
-    let parallel_secs = start.elapsed().as_secs_f64();
+    let cert = certify::certify(args.threads, |t| run_fault_matrix(&specs, &methods, t))
+        .unwrap_or_else(|e| cli.fail(e));
+    let matrix = &cert.report;
     eprint!("{}", matrix.render_table());
 
-    // Determinism certificate: a serial rerun must be byte-identical.
-    let digest = matrix.digest();
-    let (serial_secs, bit_identical) = if opts.threads == 1 {
-        (parallel_secs, true)
-    } else {
-        let start = Instant::now();
-        let serial = run_fault_matrix(&specs, methods, 1);
-        (
-            start.elapsed().as_secs_f64(),
-            serial.to_json() == matrix.to_json(),
-        )
-    };
-
-    let certified = matrix.all_certified();
-    eprintln!(
-        "cells: {}  wrong: {}  typed_failures: {}  digest: {digest:016x}  bit_identical: {bit_identical}",
-        matrix.cells.len(),
-        matrix.total_wrong(),
-        matrix.total_typed_failures(),
-    );
-
-    let json = format!(
-        "{{\n  \
-         \"benchmark\": \"fault_chaos_matrix\",\n  \
-         \"smoke\": {},\n  \
-         \"nightly\": {},\n  \
-         \"scenarios\": {},\n  \
-         \"methods\": {},\n  \
-         \"cells\": {},\n  \
-         \"wrong_answers\": {},\n  \
-         \"typed_failures\": {},\n  \
-         \"never_wrong_only_late_or_typed\": {},\n  \
-         \"digest\": \"{digest:016x}\",\n  \
-         \"bit_identical_across_threads\": {bit_identical},\n  \
-         \"host\": {{ \"available_parallelism\": {}, \"worker_threads\": {} }},\n  \
-         \"parallel_secs\": {parallel_secs:.6},\n  \
-         \"serial_secs\": {serial_secs:.6},\n  \
-         \"matrix\": {}\n\
-         }}\n",
-        opts.smoke,
-        opts.nightly,
-        specs.len(),
-        methods.len(),
-        matrix.cells.len(),
-        matrix.total_wrong(),
-        matrix.total_typed_failures(),
-        certified,
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        opts.threads,
-        matrix.to_json(),
-    );
-    std::fs::write(&opts.out, &json).expect("write BENCH json");
-    println!("{json}");
-    eprintln!("wrote {}", opts.out);
-
-    if !certified {
-        eprintln!(
-            "CHAOS CERTIFICATE FAILURE: {} wrong answers / budget violations",
-            matrix.total_wrong(),
-        );
-        std::process::exit(1);
-    }
-    if !bit_identical {
-        eprintln!("DETERMINISM FAILURE: parallel run diverged from serial");
-        std::process::exit(1);
-    }
-}
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn full_opts() -> Opts {
-        Opts {
-            smoke: false,
-            nightly: false,
-            threads: 1,
-            methods: MethodRegistry::standard().all(),
-            out: "BENCH_faults.json".to_string(),
-        }
-    }
-
-    #[test]
-    fn full_default_run_may_write_the_committed_artifact() {
-        assert_eq!(partial_reason(&full_opts()), None);
-    }
-
-    #[test]
-    fn partial_runs_never_shadow_the_committed_artifact() {
-        let mut o = full_opts();
-        o.smoke = true;
-        assert_eq!(
-            bench_out::redirect_partial_out(&o.out, partial_reason(&o)),
-            "BENCH_faults.smoke.json"
-        );
-        let mut o = full_opts();
-        o.methods.truncate(2);
-        assert_eq!(partial_reason(&o), Some("--methods-restricted"));
-    }
+    let json = Envelope::new("fault_chaos_matrix")
+        .field("smoke", args.smoke())
+        .field("nightly", args.nightly())
+        .field("scenarios", specs.len())
+        .field("methods", methods.len())
+        .field("cells", matrix.cells.len())
+        .field("wrong_answers", matrix.total_wrong())
+        .field("typed_failures", matrix.total_typed_failures())
+        .field("never_wrong_only_late_or_typed", matrix.all_certified())
+        .certificate(cert.digest, cert.bit_identical, args.threads)
+        .secs("parallel_secs", cert.secs)
+        .secs("serial_secs", cert.serial_secs)
+        .field("matrix", matrix.artifact_json())
+        .finish();
+    std::process::exit(certify::publish(
+        &out,
+        &json,
+        matrix.verdict(),
+        cert.bit_identical,
+    ));
 }

@@ -17,21 +17,13 @@
 //! pin the nine legacy methods' digest across refactors);
 //! `--list-methods` prints the registry and exits. **Exits non-zero on
 //! any conformance mismatch or determinism break**, so CI can use it as
-//! a gate.
+//! a gate. Flags, run order and exit codes are the shared ones of
+//! `spair_roadnet::certify`.
 
-use spair_roadnet::{bench_out, parallel};
+use spair_roadnet::certify::{self, columns_partial, Certified, Cli, Envelope, Tier};
 use spair_sim::{
     default_matrix, nightly_matrix, run_matrix, smoke_matrix, MethodId, MethodRegistry,
 };
-use std::time::Instant;
-
-struct Opts {
-    smoke: bool,
-    nightly: bool,
-    threads: usize,
-    methods: Vec<MethodId>,
-    out: String,
-}
 
 fn list_methods(methods: &[MethodId]) -> String {
     let mut out = format!(
@@ -68,236 +60,63 @@ fn list_methods(methods: &[MethodId]) -> String {
     out
 }
 
-fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        smoke: false,
-        nightly: false,
-        threads: 0,
-        methods: MethodRegistry::standard().all(),
-        out: "BENCH_scenarios.json".to_string(),
-    };
-    // Worker-count precedence (shared by every bench binary): an explicit
-    // `--threads` flag wins over `SPAIR_THREADS`, which wins over the
-    // detected parallelism.
-    let mut threads_flag: Option<usize> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("error: missing value for {flag}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--smoke" => opts.smoke = true,
-            "--nightly" => opts.nightly = true,
+fn main() {
+    let full = MethodRegistry::standard().all();
+    let mut methods = full.clone();
+    let mut cli = Cli::from_env(
+        "bench_scenarios",
+        "[--smoke | --nightly] [--threads N] [--methods a,b,c] [--list-methods] [--out PATH]",
+    );
+    let args = cli.bench_args(&[Tier::Smoke, Tier::Nightly], |flag, cli| {
+        match flag {
+            "--methods" => methods = MethodRegistry::parse_list(&cli.value(flag)?, &full)?,
             "--list-methods" => {
-                print!("{}", list_methods(&MethodRegistry::standard().all()));
+                print!("{}", list_methods(&full));
                 std::process::exit(0);
             }
-            "--threads" => {
-                let n: usize = value().parse().unwrap_or_else(|_| {
-                    eprintln!("error: --threads expects a positive integer");
-                    std::process::exit(2);
-                });
-                if n == 0 {
-                    eprintln!("error: --threads must be >= 1");
-                    std::process::exit(2);
-                }
-                threads_flag = Some(n);
-            }
-            "--methods" => {
-                let list = value();
-                opts.methods = list
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|name| {
-                        MethodRegistry::standard()
-                            .get(name.trim())
-                            .unwrap_or_else(|e| {
-                                eprintln!(
-                                    "error: {e}\n{}",
-                                    list_methods(&MethodRegistry::standard().all())
-                                );
-                                std::process::exit(2);
-                            })
-                    })
-                    .collect();
-                if opts.methods.is_empty() {
-                    eprintln!("error: --methods expects a non-empty name list");
-                    std::process::exit(2);
-                }
-            }
-            "--out" => opts.out = value(),
-            other => {
-                eprintln!(
-                    "error: unknown flag {other}\n\
-                     usage: bench_scenarios [--smoke | --nightly] [--threads N] \
-                     [--methods a,b,c] [--list-methods] [--out PATH]"
-                );
-                std::process::exit(2);
-            }
+            _ => return Ok(false),
         }
-    }
-    if opts.smoke && opts.nightly {
-        eprintln!("error: --smoke and --nightly are mutually exclusive");
-        std::process::exit(2);
-    }
-    opts.threads = parallel::resolve_threads(threads_flag);
-    opts.out = bench_out::redirect_partial_out(&opts.out, partial_reason(&opts));
-    opts
-}
-
-/// A run may refresh the committed `BENCH_scenarios.json` only in the
-/// full default configuration: the default matrix over the complete
-/// method registry. Everything else is a partial run the clobber guard
-/// redirects to `*.smoke.json`.
-fn partial_reason(opts: &Opts) -> Option<&'static str> {
-    if opts.smoke {
-        Some("--smoke")
-    } else if opts.nightly {
-        Some("--nightly")
-    } else if opts.methods != MethodRegistry::standard().all() {
-        Some("--methods-restricted")
-    } else {
-        None
-    }
-}
-
-fn main() {
-    let opts = parse_opts();
-    let specs = if opts.smoke {
-        smoke_matrix()
-    } else if opts.nightly {
-        nightly_matrix()
-    } else {
-        default_matrix()
+        Ok(true)
+    });
+    let specs = match args.tier {
+        Tier::Smoke => smoke_matrix(),
+        Tier::Nightly => nightly_matrix(),
+        Tier::Default => default_matrix(),
     };
-    let methods = &opts.methods;
+    let out = args.out_path("BENCH_scenarios.json", columns_partial(&methods, &full));
     eprintln!(
         "# bench_scenarios — {} scenarios x {} methods, {} threads{}",
         specs.len(),
         methods.len(),
-        opts.threads,
-        if opts.smoke {
-            " (smoke)"
-        } else if opts.nightly {
-            " (nightly)"
-        } else {
-            ""
-        }
+        args.threads,
+        args.tier.suffix()
     );
     // The run's own column set (not the whole registry) — so restricted
     // runs (`--methods`) stay self-documenting in the logs.
-    eprint!("{}", list_methods(methods));
+    eprint!("{}", list_methods(&methods));
 
-    let start = Instant::now();
-    let matrix = run_matrix(&specs, methods, opts.threads);
-    let parallel_secs = start.elapsed().as_secs_f64();
+    let cert = certify::certify(args.threads, |t| run_matrix(&specs, &methods, t))
+        .unwrap_or_else(|e| cli.fail(e));
+    let matrix = &cert.report;
     eprint!("{}", matrix.render_table());
 
-    // Determinism certificate: a serial rerun must be byte-identical.
-    // With --threads 1 the first run already *is* the serial reference,
-    // so the rerun would be a tautology — skip it.
-    let digest = matrix.digest();
-    let (serial_secs, bit_identical) = if opts.threads == 1 {
-        (parallel_secs, true)
-    } else {
-        let start = Instant::now();
-        let serial = run_matrix(&specs, methods, 1);
-        (
-            start.elapsed().as_secs_f64(),
-            serial.to_json(false) == matrix.to_json(false),
-        )
-    };
-
-    let conformant = matrix.all_exact();
-    eprintln!(
-        "cells: {}  mismatches: {}  digest: {digest:016x}  bit_identical: {bit_identical}",
-        matrix.cells.len(),
-        matrix.total_mismatches(),
-    );
-
-    let json = format!(
-        "{{\n  \
-         \"benchmark\": \"scenario_conformance_matrix\",\n  \
-         \"smoke\": {},\n  \
-         \"nightly\": {},\n  \
-         \"scenarios\": {},\n  \
-         \"methods\": {},\n  \
-         \"cells\": {},\n  \
-         \"mismatches\": {},\n  \
-         \"all_exact\": {},\n  \
-         \"digest\": \"{digest:016x}\",\n  \
-         \"bit_identical_across_threads\": {bit_identical},\n  \
-         \"host\": {{ \"available_parallelism\": {}, \"worker_threads\": {} }},\n  \
-         \"parallel_secs\": {parallel_secs:.6},\n  \
-         \"serial_secs\": {serial_secs:.6},\n  \
-         \"matrix\": {}\n\
-         }}\n",
-        opts.smoke,
-        opts.nightly,
-        specs.len(),
-        methods.len(),
-        matrix.cells.len(),
-        matrix.total_mismatches(),
-        conformant,
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        opts.threads,
-        matrix.to_json(true),
-    );
-    std::fs::write(&opts.out, &json).expect("write BENCH json");
-    println!("{json}");
-    eprintln!("wrote {}", opts.out);
-
-    if !conformant {
-        eprintln!(
-            "CONFORMANCE FAILURE: {} mismatches",
-            matrix.total_mismatches()
-        );
-        std::process::exit(1);
-    }
-    if !bit_identical {
-        eprintln!("DETERMINISM FAILURE: parallel run diverged from serial");
-        std::process::exit(1);
-    }
-}
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn full_opts() -> Opts {
-        Opts {
-            smoke: false,
-            nightly: false,
-            threads: 1,
-            methods: MethodRegistry::standard().all(),
-            out: "BENCH_scenarios.json".to_string(),
-        }
-    }
-
-    #[test]
-    fn full_default_run_may_write_the_committed_artifact() {
-        assert_eq!(partial_reason(&full_opts()), None);
-    }
-
-    #[test]
-    fn smoke_nightly_and_restricted_runs_are_partial() {
-        let mut o = full_opts();
-        o.smoke = true;
-        assert_eq!(partial_reason(&o), Some("--smoke"));
-        let mut o = full_opts();
-        o.nightly = true;
-        assert_eq!(partial_reason(&o), Some("--nightly"));
-        let mut o = full_opts();
-        o.methods.pop();
-        assert_eq!(partial_reason(&o), Some("--methods-restricted"));
-        assert_eq!(
-            bench_out::redirect_partial_out(&o.out, partial_reason(&o)),
-            "BENCH_scenarios.smoke.json"
-        );
-    }
+    let json = Envelope::new("scenario_conformance_matrix")
+        .field("smoke", args.smoke())
+        .field("nightly", args.nightly())
+        .field("scenarios", specs.len())
+        .field("methods", methods.len())
+        .field("cells", matrix.cells.len())
+        .field("mismatches", matrix.total_mismatches())
+        .field("all_exact", matrix.all_exact())
+        .certificate(cert.digest, cert.bit_identical, args.threads)
+        .secs("parallel_secs", cert.secs)
+        .secs("serial_secs", cert.serial_secs)
+        .field("matrix", matrix.artifact_json())
+        .finish();
+    std::process::exit(certify::publish(
+        &out,
+        &json,
+        matrix.verdict(),
+        cert.bit_identical,
+    ));
 }

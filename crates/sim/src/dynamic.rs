@@ -42,6 +42,7 @@ use spair_core::patch::{build_patch_cycle, receive_patch, ClientArena, PatchErro
 use spair_core::{supervise, AttemptReport, BorderPrecomputation, Query, SessionOutcome};
 use spair_methods::{MethodId, MethodRegistry, ProgramSet, SessionShape, Tuning, World};
 use spair_partition::{KdTreePartition, Partitioning};
+use spair_roadnet::certify::{cells_json, Certified};
 use spair_roadnet::{dijkstra_distance, parallel, Distance, NetworkPreset, NodeId, RoadNetwork};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -393,33 +394,6 @@ impl DynamicMatrix {
             })
     }
 
-    /// FNV-1a digest over the (fully deterministic) serialized cells.
-    pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.to_json().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
-    /// Serializes the matrix. Every field is a pure function of the
-    /// scenario seeds, so the output is byte-for-byte reproducible.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str("    { ");
-            out.push_str(&c.json_fields());
-            out.push_str(" }");
-            if i + 1 < self.cells.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]");
-        out
-    }
-
     /// A fixed-width text table (one row per cell) for terminal output.
     pub fn render_table(&self) -> String {
         let mut out = format!(
@@ -453,6 +427,33 @@ impl DynamicMatrix {
             ));
         }
         out
+    }
+}
+
+/// Every field is a pure function of the scenario seeds, so the
+/// artifact's cells are the digest input as they are.
+impl Certified for DynamicMatrix {
+    fn deterministic_json(&self) -> String {
+        cells_json(&self.cells, DynamicCellReport::json_fields)
+    }
+
+    fn artifact_json(&self) -> String {
+        self.deterministic_json()
+    }
+
+    fn cells(&self) -> usize {
+        self.cells.len()
+    }
+
+    fn verdict(&self) -> Result<(), String> {
+        if self.all_exact() {
+            Ok(())
+        } else {
+            Err(format!(
+                "DYNAMIC ORACLE FAILURE: {} answers contradicted their version's oracle",
+                self.total_mismatches()
+            ))
+        }
     }
 }
 
@@ -821,6 +822,7 @@ pub fn nightly_dynamic_matrix() -> Vec<DynamicSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spair_roadnet::certify::fnv1a64;
 
     fn quick_spec(seed: u64) -> DynamicSpec {
         let mut s = ScenarioSpec::small("dyn-test", seed);
@@ -894,8 +896,17 @@ mod tests {
         let methods = [MethodId::NR, MethodId::DJ, MethodId::LD];
         let serial = run_dynamic_matrix(&specs, &methods, 1);
         let par = run_dynamic_matrix(&specs, &methods, 4);
-        assert_eq!(serial.to_json(), par.to_json());
+        assert_eq!(serial.deterministic_json(), par.deterministic_json());
         assert_eq!(serial.digest(), par.digest());
+        assert_eq!(
+            serial.digest(),
+            fnv1a64(serial.deterministic_json().as_bytes())
+        );
+        assert_eq!(
+            serial.digest(),
+            0x2016_08a1_2eb4_1a56,
+            "dynamic digest moved"
+        );
     }
 
     #[test]

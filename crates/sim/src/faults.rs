@@ -28,6 +28,7 @@ use spair_core::{
     on_edge_query, supervise, AttemptReport, Query, QueryError, RecoveryBudget, SessionOutcome,
 };
 use spair_methods::{MethodId, MethodProgram};
+use spair_roadnet::certify::{cells_json, Certified};
 use spair_roadnet::{parallel, Distance};
 use std::collections::BTreeMap;
 
@@ -132,33 +133,6 @@ impl FaultMatrix {
         self.cells.iter().map(|c| c.typed_failures).sum()
     }
 
-    /// FNV-1a digest over the (fully deterministic) serialized cells.
-    pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.to_json().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
-    /// Serializes the matrix. Every field is a pure function of the
-    /// scenario seeds, so the output is byte-for-byte reproducible.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str("    { ");
-            out.push_str(&c.json_fields());
-            out.push_str(" }");
-            if i + 1 < self.cells.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]");
-        out
-    }
-
     /// A fixed-width text table (one row per cell) for terminal output.
     pub fn render_table(&self) -> String {
         let mut out = format!(
@@ -181,6 +155,33 @@ impl FaultMatrix {
             ));
         }
         out
+    }
+}
+
+/// Every field is a pure function of the scenario seeds, so the
+/// artifact's cells are the digest input as they are.
+impl Certified for FaultMatrix {
+    fn deterministic_json(&self) -> String {
+        cells_json(&self.cells, FaultCellReport::json_fields)
+    }
+
+    fn artifact_json(&self) -> String {
+        self.deterministic_json()
+    }
+
+    fn cells(&self) -> usize {
+        self.cells.len()
+    }
+
+    fn verdict(&self) -> Result<(), String> {
+        if self.all_certified() {
+            Ok(())
+        } else {
+            Err(format!(
+                "CHAOS CERTIFICATE FAILURE: {} wrong answers / budget violations",
+                self.total_wrong()
+            ))
+        }
     }
 }
 
@@ -665,6 +666,7 @@ mod tests {
     use super::*;
     use crate::engine::run_cell;
     use spair_methods::MethodRegistry;
+    use spair_roadnet::certify::fnv1a64;
 
     #[test]
     fn matrices_cover_four_fault_classes_and_are_uniquely_named() {
@@ -753,8 +755,13 @@ mod tests {
         let methods = [MethodId::NR, MethodId::DJ, MethodId::KNN_AIR];
         let serial = run_fault_matrix(&specs, &methods, 1);
         let par = run_fault_matrix(&specs, &methods, 4);
-        assert_eq!(serial.to_json(), par.to_json());
+        assert_eq!(serial.deterministic_json(), par.deterministic_json());
         assert_eq!(serial.digest(), par.digest());
+        assert_eq!(
+            serial.digest(),
+            fnv1a64(serial.deterministic_json().as_bytes())
+        );
+        assert_eq!(serial.digest(), 0xc700_b277_1d7e_8fdb, "chaos digest moved");
     }
 
     #[test]
@@ -791,7 +798,7 @@ mod tests {
             MethodId::NR,
         );
         // Compare the deterministic serialization (cpu_ms is wall clock).
-        let json = |c| crate::ConformanceMatrix { cells: vec![c] }.to_json(false);
+        let json = |c| crate::ConformanceMatrix { cells: vec![c] }.deterministic_json();
         assert_eq!(json(base), json(with));
     }
 }

@@ -23,8 +23,8 @@
 //! cells carrying the §3.1 cost factors plus a radio energy figure. The
 //! independent cells fan out across threads via the deterministic
 //! chunk-ordered map-reduce of `spair_roadnet::parallel`, so a matrix is
-//! **bit-identical for every thread count** — certified by
-//! [`ConformanceMatrix::digest`].
+//! **bit-identical for every thread count** — certified by its
+//! [`Certified::digest`](spair_roadnet::certify::Certified::digest).
 //!
 //! ```text
 //! cargo run --release -p spair-sim --bin bench_scenarios

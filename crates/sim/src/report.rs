@@ -3,10 +3,12 @@
 //! One [`CellReport`] summarizes one (scenario × method) cell: how many
 //! queries ran, whether every answer matched the serial Dijkstra oracle,
 //! and the aggregated §3.1 cost factors. All fields except `cpu_ms` are
-//! pure functions of the scenario seed, so [`ConformanceMatrix::digest`]
-//! and [`ConformanceMatrix::to_json`]`(false)` are byte-for-byte
+//! pure functions of the scenario seed, so the matrix's
+//! [`Certified::deterministic_json`] and digest are byte-for-byte
 //! reproducible across runs and thread counts; wall-clock CPU rides along
 //! in the full JSON for human consumption only.
+
+use spair_roadnet::certify::{cells_json, Certified};
 
 /// Aggregated result of one (scenario × method) cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,35 +109,6 @@ impl ConformanceMatrix {
         self.cells.iter().map(|c| c.mismatches).sum()
     }
 
-    /// FNV-1a digest over the deterministic fields. Equal digests across
-    /// thread counts / reruns certify reproducibility.
-    pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.to_json(false).bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
-    /// Serializes the matrix. With `include_timings = false` the output
-    /// contains only deterministic fields and is byte-for-byte
-    /// reproducible from the scenario seeds.
-    pub fn to_json(&self, include_timings: bool) -> String {
-        let mut out = String::from("[\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str("    { ");
-            out.push_str(&c.json_fields(include_timings));
-            out.push_str(" }");
-            if i + 1 < self.cells.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]");
-        out
-    }
-
     /// A fixed-width text table (one row per cell) for terminal output.
     pub fn render_table(&self) -> String {
         let mut out = format!(
@@ -166,9 +139,35 @@ impl ConformanceMatrix {
     }
 }
 
+impl Certified for ConformanceMatrix {
+    fn deterministic_json(&self) -> String {
+        cells_json(&self.cells, |c| c.json_fields(false))
+    }
+
+    fn artifact_json(&self) -> String {
+        cells_json(&self.cells, |c| c.json_fields(true))
+    }
+
+    fn cells(&self) -> usize {
+        self.cells.len()
+    }
+
+    fn verdict(&self) -> Result<(), String> {
+        if self.all_exact() {
+            Ok(())
+        } else {
+            Err(format!(
+                "CONFORMANCE FAILURE: {} mismatches",
+                self.total_mismatches()
+            ))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spair_roadnet::certify::fnv1a64;
 
     fn cell(scenario: &str, mismatches: usize) -> CellReport {
         CellReport {
@@ -211,6 +210,8 @@ mod tests {
             cells: vec![cell("a", 0)],
         };
         let d0 = a.digest();
+        assert_eq!(d0, fnv1a64(a.deterministic_json().as_bytes()));
+        assert_eq!(d0, 0x58e2_8812_3cb7_ed32, "cell rendering moved the digest");
         a.cells[0].cpu_ms = 999.0;
         assert_eq!(a.digest(), d0, "cpu time must not affect the digest");
         a.cells[0].tuning_packets += 1;
@@ -222,7 +223,7 @@ mod tests {
         let m = ConformanceMatrix {
             cells: vec![cell("a", 0)],
         };
-        assert!(!m.to_json(false).contains("cpu_ms"));
-        assert!(m.to_json(true).contains("cpu_ms"));
+        assert!(!m.deterministic_json().contains("cpu_ms"));
+        assert!(m.artifact_json().contains("cpu_ms"));
     }
 }

@@ -9,6 +9,7 @@
 //!    independent of thread count.
 
 use proptest::prelude::*;
+use spair_roadnet::certify::Certified;
 use spair_sim::{
     run_matrix, ConformanceMatrix, GraphSpec, LossSpec, MethodId, MethodRegistry, PartitionerKind,
     ScenarioSpec, WorkloadMix,
@@ -128,13 +129,13 @@ fn runs_are_reproducible_byte_for_byte_across_thread_counts() {
     let serial_again = run_matrix(&specs, &methods, 1);
     let parallel = run_matrix(&specs, &methods, 4);
     assert_eq!(
-        serial.to_json(false),
-        serial_again.to_json(false),
+        serial.deterministic_json(),
+        serial_again.deterministic_json(),
         "two serial runs diverged"
     );
     assert_eq!(
-        serial.to_json(false),
-        parallel.to_json(false),
+        serial.deterministic_json(),
+        parallel.deterministic_json(),
         "parallel run diverged from serial"
     );
     assert_eq!(serial.digest(), parallel.digest());
