@@ -16,7 +16,7 @@
 //! * `lossless` — method × transport × population, digest-gated against
 //!   the in-process run;
 //! * `contention-drops` — a dedicated daemon injects deterministic
-//!   datagram drops ([`spair_serve::DropPlan`]); sessions finish late
+//!   frame drops ([`spair_serve::DropPlan`]); sessions finish late
 //!   (healing laps) but every answer still matches in-process;
 //! * `contention-evict` — deliberately stalled consumers against a
 //!   short-stall daemon; the cell counts typed evictions. Contention
@@ -145,7 +145,7 @@ pub struct SessionAnswer {
     pub path: Vec<NodeId>,
     /// Microseconds from connect to admission.
     pub admission_us: u64,
-    /// Receiver-observed datagram gaps.
+    /// Receiver-observed slot gaps.
     pub observed_drops: u64,
     /// Laps listened until the cycle table filled.
     pub laps: u32,
@@ -547,7 +547,7 @@ pub struct SocketCellReport {
     pub wrong_answers: usize,
     /// Typed session failures (strings; empty for lossless cells).
     pub failures: Vec<String>,
-    /// Receiver-observed datagram gaps, summed.
+    /// Receiver-observed slot gaps. summed.
     pub observed_drops: u64,
     /// Daemon-side injected drops (contention-drops cell).
     pub drops_injected: u64,
@@ -778,7 +778,7 @@ pub fn run_socket_bench(config: &SocketBenchConfig) -> SocketReport {
     }
     let daemon_summary = daemon.shutdown().expect("lossless daemon shutdown");
 
-    // --- Contention cell 1: deterministic injected datagram drops. ---
+    // --- Contention cell 1: deterministic injected frame drops. ---
     let drop_method = sc.methods[0];
     let drop_population = population.min(16);
     let world = ServeWorld::from_program_set(&programs, &ids[..1]);
@@ -819,7 +819,6 @@ pub fn run_socket_bench(config: &SocketBenchConfig) -> SocketReport {
     let opts = ServeOptions {
         stall: Duration::from_millis(100),
         max_laps: 1_000_000,
-        lap_pause: Duration::ZERO,
         events_path: config.events_dir.join("serve.evict.events.jsonl"),
         dead_letter_path: config.events_dir.join("serve.evict.deadletter.jsonl"),
         ..ServeOptions::in_dir(&config.events_dir)

@@ -6,7 +6,7 @@
 //! serve_daemon [--addr 127.0.0.1:0] [--grid W H] [--regions N]
 //!              [--seed S] [--methods nr,eb,dj] [--events PATH]
 //!              [--dead-letter PATH] [--max-laps N] [--stall-ms N]
-//!              [--drop-permille N] [--drop-laps N] [--lap-pause-us N]
+//!              [--drop-permille N] [--drop-laps N]
 //! ```
 //!
 //! On startup it prints exactly one `listening on ADDR` line to stdout
@@ -35,7 +35,6 @@ struct Args {
     stall_ms: u64,
     drop_permille: u16,
     drop_laps: u32,
-    lap_pause_us: u64,
 }
 
 impl Default for Args {
@@ -52,7 +51,6 @@ impl Default for Args {
             stall_ms: 1500,
             drop_permille: 0,
             drop_laps: 0,
-            lap_pause_us: 200,
         }
     }
 }
@@ -102,11 +100,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--drop-laps: {e}"))?
             }
-            "--lap-pause-us" => {
-                args.lap_pause_us = val("--lap-pause-us")?
-                    .parse()
-                    .map_err(|e| format!("--lap-pause-us: {e}"))?
-            }
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -136,7 +129,6 @@ fn main() {
         addr: args.addr.clone(),
         max_laps: args.max_laps,
         stall: Duration::from_millis(args.stall_ms),
-        lap_pause: Duration::from_micros(args.lap_pause_us),
         drop_plan: (args.drop_permille > 0).then_some(DropPlan {
             permille: args.drop_permille,
             laps: args.drop_laps.max(1),

@@ -12,7 +12,9 @@
 //! matches the in-process run exactly. Only the admitted session's
 //! frames are filed: a frame carrying another session id (a closed
 //! session's late datagrams reaching a reused port) is counted and
-//! dropped.
+//! dropped. A UDP datagram carries several frames, each with its own
+//! CRC; a damaged one ends its datagram, and the checked frames before
+//! it are still filed.
 
 use crate::frame::{
     self, Close, CloseReason, DataFrame, Frame, FrameError, Hello, RejectReason, StreamDecoder,
@@ -30,7 +32,7 @@ use std::time::{Duration, Instant};
 pub enum Transport {
     /// Length-prefixed frames on the control connection itself.
     Tcp,
-    /// One CRC-framed datagram per packet to the client's UDP port.
+    /// Datagrams of CRC-framed packets to the client's UDP port.
     Udp,
 }
 
@@ -102,13 +104,14 @@ pub struct SessionMetrics {
     /// Gaps observed in the absolute slot sequence (UDP loss as seen
     /// from the receiver).
     pub observed_drops: u64,
-    /// Undecodable datagrams skipped (UDP only; each is typed and
-    /// counted, never ingested).
+    /// Undecodable frames skipped (UDP only; each is typed and counted,
+    /// never ingested, and ends the datagram it came in).
     pub bad_frames: u64,
     /// Data frames of another session, dropped uningested — on UDP, a
     /// closed session's late datagrams reaching a reused port.
     pub foreign_frames: u64,
-    /// Laps listened until the table filled.
+    /// Laps spanned from the first filed slot to the slot that filled
+    /// the table (1 for a session that lost nothing).
     pub laps: u32,
 }
 
@@ -173,6 +176,7 @@ fn close_to_failure(reason: CloseReason) -> SessionFailure {
 struct SlotTable {
     slots: Vec<Option<Packet>>,
     filled: usize,
+    first: Option<u64>,
     next_expected: Option<u64>,
 }
 
@@ -181,6 +185,7 @@ impl SlotTable {
         Self {
             slots: vec![None; cycle_len as usize],
             filled: 0,
+            first: None,
             next_expected: None,
         }
     }
@@ -192,7 +197,8 @@ impl SlotTable {
                 m.observed_drops += slot - exp;
             }
         }
-        self.next_expected = Some(slot + 1);
+        self.first.get_or_insert(slot);
+        self.next_expected = Some(slot.saturating_add(1));
         let pos = (slot % self.slots.len() as u64) as usize;
         if self.slots[pos].is_some() {
             m.dups += 1;
@@ -204,6 +210,17 @@ impl SlotTable {
 
     fn complete(&self) -> bool {
         self.filled == self.slots.len()
+    }
+
+    /// Laps spanned by the slots filed so far: `(last - first) / len + 1`.
+    fn laps(&self) -> u32 {
+        match (self.first, self.next_expected) {
+            (Some(first), Some(next)) => {
+                let span = (next - 1).saturating_sub(first);
+                (span / self.slots.len() as u64 + 1) as u32
+            }
+            _ => 0,
+        }
     }
 
     fn into_cycle(self) -> BroadcastCycle {
@@ -226,13 +243,14 @@ fn send_done(control: &mut TcpStream, session: u32, m: &SessionMetrics) {
     let _ = control.flush();
 }
 
-/// Blocking-with-timeout read of the next frame off the control stream.
+/// Blocking-with-timeout read of the next frame off the control stream,
+/// reading into `buf` when the decoder holds no whole frame.
 fn next_control_frame(
     stream: &mut TcpStream,
     dec: &mut StreamDecoder,
     deadline: Instant,
+    buf: &mut [u8],
 ) -> Result<Frame, SessionFailure> {
-    let mut buf = [0u8; 4096];
     loop {
         if let Some(f) = dec.next_frame().map_err(SessionFailure::Frame)? {
             return Ok(f);
@@ -240,7 +258,7 @@ fn next_control_frame(
         if Instant::now() > deadline {
             return Err(SessionFailure::Timeout);
         }
-        match stream.read(&mut buf) {
+        match stream.read(buf) {
             Ok(0) => return Err(SessionFailure::Io("connection closed".into())),
             Ok(n) => dec.push(&buf[..n]),
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
@@ -283,8 +301,10 @@ pub fn fetch_cycle(
     })))?;
 
     let mut dec = StreamDecoder::new();
+    // One read can take a whole batch of the daemon's TCP writes.
+    let mut rx = vec![0u8; crate::daemon::TCP_BATCH];
     let (session, cycle_len, bootstrap) =
-        match next_control_frame(&mut control, &mut dec, deadline)? {
+        match next_control_frame(&mut control, &mut dec, deadline, &mut rx)? {
             Frame::Admit(a) => (a.session, a.cycle_len, a.bootstrap),
             Frame::Reject(r) => return Err(SessionFailure::Rejected(r)),
             Frame::Close(c) => return Err(close_to_failure(c.reason)),
@@ -308,6 +328,7 @@ pub fn fetch_cycle(
             &mut control,
             &mut dec,
             deadline,
+            &mut rx,
             config,
             &mut table,
             &mut metrics,
@@ -323,7 +344,7 @@ pub fn fetch_cycle(
         )?,
     }
 
-    metrics.laps = (metrics.frames_rx / cycle_len.max(1)) as u32 + 1;
+    metrics.laps = table.laps();
     send_done(&mut control, session, &metrics);
     Ok((table.into_cycle(), bootstrap, metrics))
 }
@@ -350,12 +371,13 @@ fn collect_tcp(
     control: &mut TcpStream,
     dec: &mut StreamDecoder,
     deadline: Instant,
+    rx: &mut [u8],
     config: &SessionConfig,
     table: &mut SlotTable,
     metrics: &mut SessionMetrics,
 ) -> Result<(), SessionFailure> {
     while !table.complete() {
-        match next_control_frame(control, dec, deadline)? {
+        match next_control_frame(control, dec, deadline, rx)? {
             Frame::Data(d) => ingest_data(d, config, table, metrics),
             Frame::Close(c) => return Err(close_to_failure(c.reason)),
             _ => return Err(SessionFailure::Frame(FrameError::UnknownKind(0xFE))),
@@ -376,23 +398,28 @@ fn collect_udp(
     // The control connection turns nonblocking: we only poll it for a
     // daemon-initiated Close while datagrams stream on the UDP socket.
     control.set_nonblocking(true)?;
-    let mut dgram = [0u8; frame::MAX_FRAME];
+    let mut dgram = [0u8; frame::MAX_DATAGRAM];
     while !table.complete() {
         if Instant::now() > deadline {
             control.set_nonblocking(false)?;
             return Err(SessionFailure::Timeout);
         }
         match sock.recv_from(&mut dgram) {
-            Ok((n, _peer)) => match frame::decode(&dgram[..n]) {
-                Ok(Frame::Data(d)) => ingest_data(d, config, table, metrics),
-                Ok(_) => metrics.bad_frames += 1,
-                Err(_) => {
-                    // A corrupt datagram is indistinguishable from line
-                    // noise: typed, counted, skipped — the slot heals on
-                    // a later lap.
-                    metrics.bad_frames += 1;
+            Ok((n, _peer)) => {
+                for f in frame::decode_datagram(&dgram[..n]) {
+                    if table.complete() {
+                        break;
+                    }
+                    match f {
+                        Ok(Frame::Data(d)) => ingest_data(d, config, table, metrics),
+                        // A corrupt frame is indistinguishable from line
+                        // noise: typed, counted, skipped — its slot, and
+                        // those after it in the datagram, heal on a later
+                        // lap.
+                        Ok(_) | Err(_) => metrics.bad_frames += 1,
+                    }
                 }
-            },
+            }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
             Err(e) => {
                 control.set_nonblocking(false)?;
@@ -470,6 +497,30 @@ mod tests {
         assert!(t.complete());
         assert_eq!(m.dups, 2); // slots 4 and 5 duplicate 0 and 1
         assert_eq!(m.frames_rx, 6);
+    }
+
+    #[test]
+    fn one_exact_lap_is_one_lap() {
+        let mut m = SessionMetrics::default();
+        let mut t = SlotTable::new(4);
+        for slot in 9u64..13 {
+            t.ingest(slot, pkt(), &mut m);
+        }
+        assert!(t.complete());
+        assert_eq!(t.laps(), 1);
+    }
+
+    #[test]
+    fn a_session_healed_on_its_second_lap_is_two_laps() {
+        let mut m = SessionMetrics::default();
+        let mut t = SlotTable::new(4);
+        // Slot 2 is lost on lap 0 and filled by slot 6 on lap 1.
+        for slot in [0u64, 1, 3, 6] {
+            t.ingest(slot, pkt(), &mut m);
+        }
+        assert!(t.complete());
+        assert_eq!(t.laps(), 2);
+        assert_eq!(m.observed_drops, 3);
     }
 
     #[test]

@@ -15,19 +15,24 @@
 //! Backpressure is transport-shaped, never answer-shaped (the PR 6
 //! contract — late or typed, never wrong):
 //!
-//! * **TCP**: the kernel send buffer is the queue and a write timeout
-//!   is the stall detector. A consumer that drains nothing for
-//!   [`ServeOptions::stall`] is evicted (`client_evicted`, typed
+//! * **TCP**: frames go out in batches of about [`TCP_BATCH`] bytes
+//!   from one reused buffer, and the kernel send buffer is the queue. A
+//!   write timeout is the stall detector: a consumer that drains nothing
+//!   for [`ServeOptions::stall`] is evicted (`client_evicted`, typed
 //!   `Close`).
-//! * **UDP**: a full socket buffer drops the datagram (counted,
-//!   `packet_dropped` with cause `backpressure`); a [`DropPlan`]
-//!   additionally injects *deterministic* seeded drops so contention
-//!   cells exercise gap recovery reproducibly. Dropped slots re-arrive
-//!   on a later lap — the client is delayed, its answer unchanged.
+//! * **UDP**: consecutive slots are packed into datagrams of at most
+//!   [`frame::MAX_DATAGRAM`] bytes, and the streamer yields its thread
+//!   after every send so the receiver can drain its socket buffer. A
+//!   send that fails drops every frame in the datagram (counted per
+//!   frame, `packet_dropped` with cause `backpressure`); a [`DropPlan`]
+//!   additionally leaves *deterministic* seeded slots out of the pack so
+//!   contention cells exercise gap recovery reproducibly. Dropped slots
+//!   re-arrive on a later lap — the client is delayed, its answer
+//!   unchanged.
 
 use crate::events::{DeadLetter, Event, EventLog};
 use crate::frame::{
-    self, Close, CloseReason, DataFrame, Frame, Hello, RejectReason, StreamDecoder,
+    self, Close, CloseReason, DataFrame, Datagram, Frame, Hello, RejectReason, StreamDecoder,
 };
 use spair_broadcast::BroadcastCycle;
 use spair_methods::{ClientBootstrap, MethodId, MethodRegistry, ProgramSet};
@@ -98,9 +103,9 @@ impl ServeWorld {
     }
 }
 
-/// Deterministic injected datagram drops (UDP transport only): during
-/// the first `laps` laps of a session, each slot is dropped with
-/// probability `permille`/1000, seeded by (session, slot) — so a
+/// Deterministic injected frame drops (UDP transport only): during the
+/// first `laps` laps of a session, each slot is left out of its datagram
+/// with probability `permille`/1000, seeded by (session, slot) — so a
 /// contention cell's drop pattern replays exactly.
 #[derive(Debug, Clone, Copy)]
 pub struct DropPlan {
@@ -142,9 +147,6 @@ pub struct ServeOptions {
     pub max_laps: u32,
     /// TCP write stall after which a consumer is evicted.
     pub stall: Duration,
-    /// Pause between laps (lets prompt clients drain; keeps UDP bursts
-    /// inside the loopback socket buffer).
-    pub lap_pause: Duration,
     /// Deterministic injected drops (UDP data frames only).
     pub drop_plan: Option<DropPlan>,
     /// JSONL event log path.
@@ -160,13 +162,16 @@ impl ServeOptions {
             addr: "127.0.0.1:0".to_string(),
             max_laps: 64,
             stall: Duration::from_millis(1500),
-            lap_pause: Duration::from_micros(200),
             drop_plan: None,
             events_path: dir.join("serve.events.jsonl"),
             dead_letter_path: dir.join("serve.deadletter.jsonl"),
         }
     }
 }
+
+/// Bytes of TCP data frames gathered before one write; the rest of a lap
+/// is written at its end.
+pub const TCP_BATCH: usize = 64 * 1024;
 
 /// Monotonic counters the daemon exposes after shutdown.
 #[derive(Debug, Clone, Copy, Default)]
@@ -177,9 +182,9 @@ pub struct ServeSummary {
     pub rejections: u64,
     /// Slow consumers evicted.
     pub evictions: u64,
-    /// Deterministically injected datagram drops.
+    /// Data frames deterministically left out of their datagrams.
     pub injected_drops: u64,
-    /// Datagrams dropped by send-buffer backpressure.
+    /// Data frames dropped with a datagram that failed to send.
     pub backpressure_drops: u64,
     /// Dead-letter entries recorded.
     pub dead_letters: u64,
@@ -497,8 +502,9 @@ fn send_close(stream: &TcpStream, session: u32, reason: CloseReason) {
     })));
 }
 
-/// Streams the cycle over the control TCP connection itself. The kernel
-/// send buffer is the per-client queue; a write that stalls past
+/// Streams the cycle over the control TCP connection itself, one write
+/// per [`TCP_BATCH`] bytes of frames and one at lap end. The kernel send
+/// buffer is the per-client queue; a write that stalls past
 /// `opts.stall` evicts the consumer.
 fn stream_tcp(
     ctx: &mut SessionCtx<'_>,
@@ -511,6 +517,7 @@ fn stream_tcp(
     let opts = &shared.opts;
     let _ = stream.set_write_timeout(Some(opts.stall));
     let len = cycle.len() as u64;
+    let mut batch = Vec::with_capacity(TCP_BATCH + 2 + frame::MAX_FRAME);
     for lap in 0..opts.max_laps {
         if shared.stop.load(Ordering::SeqCst) {
             send_close(stream, ctx.session, CloseReason::DaemonShutdown);
@@ -522,16 +529,26 @@ fn stream_tcp(
                 .u64("session", u64::from(ctx.session))
                 .u64("lap", u64::from(lap)),
         );
+        let mut batched = 0;
         for i in 0..len {
             let slot = hello.offset + u64::from(lap) * len + i;
             let pos = (slot % len) as usize;
-            let bytes = frame::encode_stream(&Frame::Data(DataFrame {
-                session: ctx.session,
-                slot,
-                packet: cycle.packet(pos).clone(),
-            }));
-            match stream.write_all(&bytes) {
-                Ok(()) => ctx.frames_sent += 1,
+            frame::encode_stream_into(
+                &Frame::Data(DataFrame {
+                    session: ctx.session,
+                    slot,
+                    packet: cycle.packet(pos).clone(),
+                }),
+                &mut batch,
+            );
+            batched += 1;
+            if batch.len() < TCP_BATCH && i + 1 < len {
+                continue;
+            }
+            let written = stream.write_all(&batch);
+            batch.clear();
+            match written {
+                Ok(()) => ctx.frames_sent += std::mem::take(&mut batched),
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                     // The consumer drained nothing for a full stall
                     // window: evict it.
@@ -575,14 +592,13 @@ fn stream_tcp(
                 return;
             }
         }
-        std::thread::sleep(opts.lap_pause);
     }
     send_close(stream, ctx.session, CloseReason::Expired);
     ctx.close_event(CloseReason::Expired.label(), None);
 }
 
-/// Streams the cycle as one datagram per packet to the client's UDP
-/// port, keeping the TCP connection as the control plane.
+/// Streams the cycle to the client's UDP port in datagrams of
+/// consecutive slots, keeping the TCP connection as the control plane.
 fn stream_udp(
     ctx: &mut SessionCtx<'_>,
     control: &TcpStream,
@@ -604,6 +620,7 @@ fn stream_udp(
     let _ = sock.set_nonblocking(true);
     let dest = SocketAddr::new(peer.ip(), hello.udp_port);
     let len = cycle.len() as u64;
+    let mut dgram = Datagram::new();
     for lap in 0..opts.max_laps {
         if shared.stop.load(Ordering::SeqCst) {
             send_close(control, ctx.session, CloseReason::DaemonShutdown);
@@ -626,19 +643,18 @@ fn stream_udp(
                 }
             }
             let pos = (slot % len) as usize;
-            let body = frame::encode(&Frame::Data(DataFrame {
+            let data = Frame::Data(DataFrame {
                 session: ctx.session,
                 slot,
                 packet: cycle.packet(pos).clone(),
-            }));
-            match sock.send_to(&body, dest) {
-                Ok(_) => ctx.frames_sent += 1,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    // Loopback send buffer full: UDP semantics say drop.
-                    lap_backpressure += 1;
-                }
-                Err(_) => lap_backpressure += 1,
+            });
+            if !dgram.push(&data) {
+                send_datagram(&sock, dest, &mut dgram, ctx, &mut lap_backpressure);
+                assert!(dgram.push(&data), "a frame fits an empty datagram");
             }
+        }
+        if !dgram.is_empty() {
+            send_datagram(&sock, dest, &mut dgram, ctx, &mut lap_backpressure);
         }
         if lap_injected > 0 {
             ctx.injected += lap_injected;
@@ -683,10 +699,30 @@ fn stream_udp(
                 return;
             }
         }
-        std::thread::sleep(opts.lap_pause);
     }
     send_close(control, ctx.session, CloseReason::Expired);
     ctx.close_event(CloseReason::Expired.label(), None);
+}
+
+/// Sends one packed datagram and empties it, then yields the thread so
+/// the receiver can drain its socket buffer before the next one. A
+/// failed send (the loopback send buffer is full, or the peer is gone)
+/// drops every frame in the datagram, as UDP does; they are counted
+/// into `dropped`.
+fn send_datagram(
+    sock: &UdpSocket,
+    dest: SocketAddr,
+    dgram: &mut Datagram,
+    ctx: &mut SessionCtx<'_>,
+    dropped: &mut u64,
+) {
+    let frames = dgram.frames() as u64;
+    match sock.send_to(dgram.as_bytes(), dest) {
+        Ok(_) => ctx.frames_sent += frames,
+        Err(_) => *dropped += frames,
+    }
+    dgram.clear();
+    std::thread::yield_now();
 }
 
 #[cfg(test)]

@@ -1,14 +1,15 @@
 //! The wire format: one frame codec for both loopback transports.
 //!
-//! A *frame body* is the same byte sequence everywhere; the transports
-//! differ only in delimiting. UDP sends one body per datagram (the
-//! datagram length *is* the frame length); TCP prefixes each body with
-//! a little-endian `u16` length ([`StreamDecoder`] reassembles frames
-//! from arbitrary chunk boundaries).
+//! A *frame body* is the same byte sequence everywhere, and both
+//! transports delimit bodies the same way: a little-endian `u16` length
+//! prefix. TCP carries one unbroken stream of prefixed frames
+//! ([`StreamDecoder`] reassembles them from arbitrary chunk boundaries);
+//! a UDP datagram carries one or more of them, packed by [`Datagram`] up
+//! to [`MAX_DATAGRAM`] bytes and split again by [`decode_datagram`].
 //!
 //! ```text
 //! 0..2   magic  "SP"
-//! 2      version (1)
+//! 2      version (2)
 //! 3      kind
 //! 4..    kind-specific fields
 //! tail   CRC-32 (LE) over everything before it
@@ -18,7 +19,9 @@
 //! polynomial the 128-byte packet images are checked with, so the data
 //! plane is covered end to end by one error model. Decoding is total:
 //! every way a frame can be wrong maps to a typed [`FrameError`]; no
-//! input slice panics, and no frame is ever half-applied.
+//! input slice panics, and no frame is ever half-applied. Every frame of
+//! a datagram carries its own CRC, so a damaged frame costs only itself
+//! and the frames after it in the same datagram.
 
 use spair_broadcast::packet::{crc32, Packet, PACKET_SIZE, PAYLOAD_CAPACITY};
 use spair_methods::ClientBootstrap;
@@ -27,8 +30,8 @@ use spair_roadnet::{Point, QueuePolicy};
 /// Frame magic: `"SP"`.
 pub const MAGIC: [u8; 2] = *b"SP";
 
-/// Wire protocol version.
-pub const VERSION: u8 = 1;
+/// Wire protocol version (2: datagrams carry length-prefixed frames).
+pub const VERSION: u8 = 2;
 
 /// Smallest well-formed frame body (header + CRC).
 pub const MIN_FRAME: usize = 4 + 4;
@@ -36,6 +39,11 @@ pub const MIN_FRAME: usize = 4 + 4;
 /// Largest well-formed frame body (a Hello with a maximal method name
 /// still fits; the data frame is 150 bytes).
 pub const MAX_FRAME: usize = 512;
+
+/// Largest UDP datagram the daemon sends: an Ethernet MTU less the IPv4
+/// and UDP headers, so a datagram never fragments. Nine prefixed data
+/// frames fit.
+pub const MAX_DATAGRAM: usize = 1472;
 
 /// Why a byte sequence is not a frame. Every variant is a *diagnosis*:
 /// the serving daemon dead-letters the offending bytes under it and the
@@ -308,86 +316,148 @@ impl<'a> Cur<'a> {
     }
 }
 
-fn body_shell(kind: u8) -> Vec<u8> {
-    let mut v = Vec::with_capacity(MIN_FRAME + PACKET_SIZE + 16);
-    v.extend_from_slice(&MAGIC);
-    v.push(VERSION);
-    v.push(kind);
-    v
-}
-
-fn seal(mut body: Vec<u8>) -> Vec<u8> {
-    let c = crc32(&body);
-    body.extend_from_slice(&c.to_le_bytes());
-    debug_assert!(body.len() <= MAX_FRAME);
-    body
-}
-
-/// Encodes a frame body (one UDP datagram).
-pub fn encode(frame: &Frame) -> Vec<u8> {
+/// Appends one frame body to `out`. Allocation-free once `out` has
+/// room for [`MAX_FRAME`] more bytes.
+pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
     match frame {
         Frame::Hello(h) => {
-            let mut b = body_shell(KIND_HELLO);
+            out.push(KIND_HELLO);
             let name = h.method.as_bytes();
             assert!(name.len() <= u8::MAX as usize, "method name too long");
-            b.push(name.len() as u8);
-            b.extend_from_slice(name);
-            b.push(h.transport);
-            b.extend_from_slice(&h.udp_port.to_le_bytes());
-            b.extend_from_slice(&h.offset.to_le_bytes());
-            seal(b)
+            out.push(name.len() as u8);
+            out.extend_from_slice(name);
+            out.push(h.transport);
+            out.extend_from_slice(&h.udp_port.to_le_bytes());
+            out.extend_from_slice(&h.offset.to_le_bytes());
         }
         Frame::Admit(a) => {
-            let mut b = body_shell(KIND_ADMIT);
-            b.extend_from_slice(&a.session.to_le_bytes());
-            b.extend_from_slice(&a.cycle_len.to_le_bytes());
-            b.extend_from_slice(&(a.bootstrap.num_regions as u32).to_le_bytes());
+            out.push(KIND_ADMIT);
+            out.extend_from_slice(&a.session.to_le_bytes());
+            out.extend_from_slice(&a.cycle_len.to_le_bytes());
+            out.extend_from_slice(&(a.bootstrap.num_regions as u32).to_le_bytes());
             match a.bootstrap.bbox {
-                None => b.push(0),
+                None => out.push(0),
                 Some((lo, hi)) => {
-                    b.push(1);
+                    out.push(1);
                     for v in [lo.x, lo.y, hi.x, hi.y] {
-                        b.extend_from_slice(&v.to_bits().to_le_bytes());
+                        out.extend_from_slice(&v.to_bits().to_le_bytes());
                     }
                 }
             }
-            seal(b)
         }
         Frame::Reject(r) => {
-            let mut b = body_shell(KIND_REJECT);
-            b.push(*r as u8);
-            seal(b)
+            out.push(KIND_REJECT);
+            out.push(*r as u8);
         }
         Frame::Data(d) => {
-            let mut b = body_shell(KIND_DATA);
-            b.extend_from_slice(&d.session.to_le_bytes());
-            b.extend_from_slice(&d.slot.to_le_bytes());
-            b.extend_from_slice(&(d.packet.payload().len() as u16).to_le_bytes());
-            b.extend_from_slice(&d.packet.to_wire());
-            seal(b)
+            out.push(KIND_DATA);
+            out.extend_from_slice(&d.session.to_le_bytes());
+            out.extend_from_slice(&d.slot.to_le_bytes());
+            out.extend_from_slice(&(d.packet.payload().len() as u16).to_le_bytes());
+            out.extend_from_slice(&d.packet.to_wire());
         }
         Frame::Close(c) => {
-            let mut b = body_shell(KIND_CLOSE);
-            b.extend_from_slice(&c.session.to_le_bytes());
-            b.push(c.reason as u8);
-            b.extend_from_slice(&c.drops.to_le_bytes());
-            b.extend_from_slice(&c.laps.to_le_bytes());
-            seal(b)
+            out.push(KIND_CLOSE);
+            out.extend_from_slice(&c.session.to_le_bytes());
+            out.push(c.reason as u8);
+            out.extend_from_slice(&c.drops.to_le_bytes());
+            out.extend_from_slice(&c.laps.to_le_bytes());
         }
     }
+    let c = crc32(&out[start..]);
+    out.extend_from_slice(&c.to_le_bytes());
+    debug_assert!(out.len() - start <= MAX_FRAME);
+}
+
+/// Encodes one frame body.
+pub fn encode(frame: &Frame) -> Vec<u8> {
+    let mut out = Vec::with_capacity(MAX_FRAME);
+    encode_into(frame, &mut out);
+    out
+}
+
+/// Appends one frame to `out` with its `u16` length prefix — the
+/// delimiting of the TCP stream and of every frame in a datagram.
+pub fn encode_stream_into(frame: &Frame, out: &mut Vec<u8>) {
+    let at = out.len();
+    out.extend_from_slice(&[0, 0]);
+    encode_into(frame, out);
+    let len = (out.len() - at - 2) as u16;
+    out[at..at + 2].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Encodes a frame for the TCP stream (length prefix + body).
 pub fn encode_stream(frame: &Frame) -> Vec<u8> {
-    let body = encode(frame);
-    let mut out = Vec::with_capacity(2 + body.len());
-    out.extend_from_slice(&(body.len() as u16).to_le_bytes());
-    out.extend_from_slice(&body);
+    let mut out = Vec::with_capacity(2 + MAX_FRAME);
+    encode_stream_into(frame, &mut out);
     out
 }
 
-/// Decodes one frame body (one UDP datagram). Total: every input is
-/// either a frame or a typed error.
+/// A UDP datagram being packed: length-prefixed frames, never more than
+/// [`MAX_DATAGRAM`] bytes. Reuse one across sends with
+/// [`Datagram::clear`]; packing never allocates.
+#[derive(Debug)]
+pub struct Datagram {
+    buf: Vec<u8>,
+    frames: usize,
+}
+
+impl Default for Datagram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Datagram {
+    /// An empty datagram.
+    pub fn new() -> Self {
+        Self {
+            // Room for a frame that overflows and is taken back out.
+            buf: Vec::with_capacity(MAX_DATAGRAM + 2 + MAX_FRAME),
+            frames: 0,
+        }
+    }
+
+    /// Appends `frame` if it still fits; otherwise leaves the datagram
+    /// as it was and returns `false`. Any frame fits an empty datagram.
+    pub fn push(&mut self, frame: &Frame) -> bool {
+        let at = self.buf.len();
+        encode_stream_into(frame, &mut self.buf);
+        if self.buf.len() > MAX_DATAGRAM {
+            self.buf.truncate(at);
+            return false;
+        }
+        self.frames += 1;
+        true
+    }
+
+    /// The datagram's bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Frames packed so far.
+    pub fn frames(&self) -> usize {
+        self.frames
+    }
+
+    /// Whether no frame is packed.
+    pub fn is_empty(&self) -> bool {
+        self.frames == 0
+    }
+
+    /// Empties the datagram, keeping its buffer.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.frames = 0;
+    }
+}
+
+/// Decodes one frame body. Total: every input is either a frame or a
+/// typed error.
 pub fn decode(body: &[u8]) -> Result<Frame, FrameError> {
     if body.len() < MIN_FRAME {
         return Err(FrameError::TooShort(body.len()));
@@ -482,6 +552,57 @@ pub fn decode(body: &[u8]) -> Result<Frame, FrameError> {
     Ok(frame)
 }
 
+/// The length-prefixed frame body at the front of `bytes` (it ends at
+/// `2 + body.len()`); `Ok(None)` when the body has not fully arrived. A
+/// prefix outside frame bounds is an error: the bytes have lost framing.
+fn prefixed_body(bytes: &[u8]) -> Result<Option<&[u8]>, FrameError> {
+    let Some(prefix) = bytes.get(..2) else {
+        return Ok(None);
+    };
+    let len = u16::from_le_bytes([prefix[0], prefix[1]]);
+    if !(MIN_FRAME..=MAX_FRAME).contains(&(len as usize)) {
+        return Err(FrameError::BadStreamLength(len));
+    }
+    Ok(bytes.get(2..2 + len as usize))
+}
+
+/// The frames of one datagram, in order (see [`decode_datagram`]).
+#[derive(Debug)]
+pub struct DatagramFrames<'a> {
+    /// Bytes not yet split; `None` once the datagram has ended.
+    rest: Option<&'a [u8]>,
+}
+
+/// Splits a datagram into its frames. A frame that fails to decode, or a
+/// length prefix that is out of bounds or overruns the datagram, is
+/// yielded as its typed error and ends the datagram: the bytes after it
+/// have lost framing. An empty datagram is one `TooShort(0)` error.
+pub fn decode_datagram(dgram: &[u8]) -> DatagramFrames<'_> {
+    DatagramFrames { rest: Some(dgram) }
+}
+
+impl Iterator for DatagramFrames<'_> {
+    type Item = Result<Frame, FrameError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let bytes = self.rest.take()?;
+        let res = match prefixed_body(bytes) {
+            Ok(Some(body)) => {
+                let rest = &bytes[2 + body.len()..];
+                self.rest = (!rest.is_empty()).then_some(rest);
+                decode(body)
+            }
+            Ok(None) if bytes.is_empty() => Err(FrameError::TooShort(0)),
+            Ok(None) => Err(FrameError::Truncated),
+            Err(e) => Err(e),
+        };
+        if res.is_err() {
+            self.rest = None;
+        }
+        Some(res)
+    }
+}
+
 /// Reassembles frames from a TCP byte stream fed in arbitrary chunks.
 ///
 /// A frame is surfaced only once its full body has arrived and decoded —
@@ -491,6 +612,9 @@ pub fn decode(body: &[u8]) -> Result<Frame, FrameError> {
 #[derive(Debug, Default)]
 pub struct StreamDecoder {
     buf: Vec<u8>,
+    /// Start of the bytes not yet framed; consumed frames are compacted
+    /// away on the next [`StreamDecoder::push`].
+    start: usize,
     poisoned: bool,
 }
 
@@ -502,6 +626,8 @@ impl StreamDecoder {
 
     /// Appends received bytes.
     pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.start);
+        self.start = 0;
         self.buf.extend_from_slice(bytes);
     }
 
@@ -510,32 +636,21 @@ impl StreamDecoder {
         if self.poisoned {
             return Err(FrameError::BadStreamLength(0));
         }
-        if self.buf.len() < 2 {
-            return Ok(None);
-        }
-        let len = u16::from_le_bytes([self.buf[0], self.buf[1]]);
-        if (len as usize) < MIN_FRAME || (len as usize) > MAX_FRAME {
-            self.poisoned = true;
-            return Err(FrameError::BadStreamLength(len));
-        }
-        let total = 2 + len as usize;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let res = decode(&self.buf[2..total]);
-        self.buf.drain(..total);
-        match res {
-            Ok(f) => Ok(Some(f)),
-            Err(e) => {
-                self.poisoned = true;
-                Err(e)
+        let res = match prefixed_body(&self.buf[self.start..]) {
+            Ok(None) => return Ok(None),
+            Ok(Some(body)) => {
+                self.start += 2 + body.len();
+                decode(body)
             }
-        }
+            Err(e) => Err(e),
+        };
+        self.poisoned = res.is_err();
+        res.map(Some)
     }
 
     /// Bytes buffered but not yet framed.
     pub fn pending(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 }
 
@@ -679,6 +794,44 @@ mod tests {
         }
         assert_eq!(out, frames.len());
         assert_eq!(dec.pending(), 0);
+    }
+
+    #[test]
+    fn nine_data_frames_fill_a_datagram() {
+        let data = |slot| {
+            Frame::Data(DataFrame {
+                session: 1,
+                slot,
+                packet: Packet::new(PacketKind::Data, 0, Bytes::from_static(b"x")),
+            })
+        };
+        let mut d = Datagram::new();
+        for slot in 0..9 {
+            assert!(d.push(&data(slot)), "frame {slot} must fit");
+        }
+        let full = d.as_bytes().to_vec();
+        assert!(!d.push(&data(9)), "a tenth data frame overflows");
+        assert_eq!(
+            d.as_bytes(),
+            &full[..],
+            "an overflowing push changes nothing"
+        );
+        assert!(d.as_bytes().len() <= MAX_DATAGRAM);
+        let slots: Vec<u64> = decode_datagram(d.as_bytes())
+            .map(|f| match f {
+                Ok(Frame::Data(f)) => f.slot,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(slots, (0..9).collect::<Vec<_>>());
+        d.clear();
+        assert!(d.is_empty() && d.as_bytes().is_empty());
+    }
+
+    #[test]
+    fn empty_datagram_is_typed() {
+        let out: Vec<_> = decode_datagram(&[]).collect();
+        assert!(matches!(out[..], [Err(FrameError::TooShort(0))]));
     }
 
     #[test]

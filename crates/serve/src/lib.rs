@@ -4,27 +4,30 @@
 //! through an in-process iterator. This crate is the step from
 //! "reproduction" to "system": a long-running daemon takes any registry
 //! method's assembled [`spair_broadcast::BroadcastCycle`] and streams it
-//! over real loopback transports — UDP (one CRC-framed datagram per
-//! packet) and TCP (a length-prefixed stream) — to client *processes*
-//! that reconstruct the cycle from the wire and run the unmodified
-//! method clients over it.
+//! over real loopback transports — UDP (datagrams of up to nine
+//! length-prefixed, CRC-framed packets) and TCP (a stream of the same
+//! length-prefixed frames, written in ~64 KiB batches) — to client
+//! *processes* that reconstruct the cycle from the wire and run the
+//! unmodified method clients over it.
 //!
 //! The layering mirrors a real broadcast station:
 //!
 //! * [`frame`] — the wire format. One binary frame codec shared by both
 //!   transports, CRC-32-tailed with the same polynomial the 128-byte
-//!   packet images already use; every malformed input surfaces as a
-//!   typed [`frame::FrameError`], never a panic or a partial ingest.
+//!   packet images already use, plus the datagram packer
+//!   [`frame::Datagram`]; every malformed input surfaces as a typed
+//!   [`frame::FrameError`], never a panic or a partial ingest.
 //! * [`events`] — the observability layer: an append-only JSONL event
 //!   log in the outbox style (`session_admitted`, `cycle_started`,
 //!   `packet_dropped`, `client_evicted`, `session_closed`) plus a
 //!   dead-letter file for undecodable inbound frames.
 //! * [`daemon`] — session admission over a TCP control connection,
-//!   per-session streamer threads, per-client backpressure (TCP write
-//!   stalls evict slow consumers; UDP send-buffer pressure and the
-//!   deterministic injected [`daemon::DropPlan`] drop datagrams), and
-//!   graceful shutdown that closes every session with a typed reason
-//!   and fsyncs the log.
+//!   per-session streamer threads that batch their sends (UDP streamers
+//!   yield after every datagram so receivers keep up), per-client
+//!   backpressure (TCP write stalls evict slow consumers; failed UDP
+//!   sends and the deterministic injected [`daemon::DropPlan`] drop
+//!   frames), and graceful shutdown that closes every session with a
+//!   typed reason and fsyncs the log.
 //! * [`client`] — the client side: tune in over a socket, collect one
 //!   full cycle into a slot table (late datagrams fill on later laps —
 //!   drops only ever delay an answer, they never change it), rebuild

@@ -4,12 +4,32 @@
 //! panics and never half-ingests.
 
 use proptest::prelude::*;
+use spair_broadcast::{Packet, PacketKind, PAYLOAD_CAPACITY};
 use spair_serve::frame::{
-    self, decode, encode, encode_stream, Close, CloseReason, Frame, Hello, StreamDecoder,
+    self, decode, decode_datagram, encode, encode_stream, Close, CloseReason, DataFrame, Datagram,
+    Frame, Hello, StreamDecoder, MAX_DATAGRAM,
 };
 
 fn arb_frame() -> impl Strategy<Value = Frame> {
     prop_oneof![
+        (
+            any::<u32>(),
+            any::<u64>(),
+            0u8..=4,
+            any::<u32>(),
+            proptest::collection::vec(any::<u8>(), 0..=PAYLOAD_CAPACITY)
+        )
+            .prop_map(|(session, slot, kind, next, payload)| {
+                Frame::Data(DataFrame {
+                    session,
+                    slot,
+                    packet: Packet::new(
+                        PacketKind::from_u8(kind).unwrap(),
+                        next,
+                        bytes::Bytes::from(payload),
+                    ),
+                })
+            }),
         (
             proptest::collection::vec(b'a'..=b'z', 0..24)
                 .prop_map(|v| String::from_utf8(v).unwrap()),
@@ -37,6 +57,29 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
         ),
         (0u8..=3).prop_map(|r| Frame::Reject(frame::RejectReason::from_u8(r))),
     ]
+}
+
+/// Packs `frames` in order into as few datagrams as the cap allows.
+fn pack(frames: &[Frame]) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    let mut d = Datagram::new();
+    for f in frames {
+        if !d.push(f) {
+            out.push(d.as_bytes().to_vec());
+            d.clear();
+            assert!(d.push(f), "a frame fits an empty datagram");
+        }
+    }
+    if !d.is_empty() {
+        out.push(d.as_bytes().to_vec());
+    }
+    out
+}
+
+/// Frames compare by their encoding (`Frame` holds packets, which have
+/// no equality of their own).
+fn bodies(frames: &[Frame]) -> Vec<Vec<u8>> {
+    frames.iter().map(encode).collect()
 }
 
 proptest! {
@@ -122,15 +165,97 @@ proptest! {
         }
     }
 
-    /// Reordered delivery across two sessions' datagrams decodes every
-    /// datagram independently — UDP frames carry no inter-frame state.
+    /// A datagram of arbitrary frames decodes to exactly those frames,
+    /// in order.
     #[test]
-    fn datagram_reordering_is_harmless(frames in proptest::collection::vec(arb_frame(), 2..10), rot in 0usize..10) {
-        let mut bodies: Vec<Vec<u8>> = frames.iter().map(encode).collect();
-        let n = bodies.len();
-        bodies.rotate_left(rot % n);
-        for b in &bodies {
-            prop_assert!(decode(b).is_ok());
+    fn datagram_carries_its_frames_in_order(frames in proptest::collection::vec(arb_frame(), 1..12)) {
+        let mut decoded = Vec::new();
+        for dgram in pack(&frames) {
+            for f in decode_datagram(&dgram) {
+                decoded.push(f.expect("packed frame decodes"));
+            }
+        }
+        prop_assert_eq!(bodies(&decoded), bodies(&frames));
+    }
+
+    /// No packed datagram exceeds the cap, none is empty, and packing
+    /// never loses or invents a frame.
+    #[test]
+    fn no_datagram_exceeds_the_cap(frames in proptest::collection::vec(arb_frame(), 1..40)) {
+        let dgrams = pack(&frames);
+        let mut count = 0;
+        for d in &dgrams {
+            prop_assert!(!d.is_empty() && d.len() <= MAX_DATAGRAM, "datagram of {} bytes", d.len());
+            count += decode_datagram(d).count();
+        }
+        prop_assert_eq!(count, frames.len());
+    }
+
+    /// A truncated or bit-flipped datagram never panics the decoder. It
+    /// surfaces only the intact frames before the damage, in order, and
+    /// types the damaged frame as the datagram's last item.
+    #[test]
+    fn damaged_datagrams_surface_only_sent_frames(
+        frames in proptest::collection::vec(arb_frame(), 1..10),
+        truncate in any::<bool>(),
+        at in 0usize..2048,
+        flip in 1u8..=255,
+    ) {
+        let dgram = pack(&frames).swap_remove(0);
+        let sent = decode_datagram(&dgram).count();
+        // Where each frame ends in the datagram.
+        let ends: Vec<usize> = frames[..sent]
+            .iter()
+            .scan(0, |end, f| {
+                *end += 2 + encode(f).len();
+                Some(*end)
+            })
+            .collect();
+        let pos = at % dgram.len();
+        let damaged = if truncate {
+            dgram[..pos].to_vec()
+        } else {
+            let mut d = dgram.clone();
+            d[pos] ^= flip;
+            d
+        };
+        // Frames wholly before the damage survive. A cut exactly at a
+        // frame boundary leaves nothing to type, except that an empty
+        // datagram is itself typed.
+        let intact = ends.iter().filter(|&&e| e <= pos).count();
+        let typed = !truncate || pos == 0 || !ends.contains(&pos);
+        let out: Vec<_> = decode_datagram(&damaged).collect();
+        let ok: Vec<Frame> = out.iter().filter_map(|r| r.as_ref().ok().cloned()).collect();
+        prop_assert_eq!(bodies(&ok), bodies(&frames[..intact]));
+        prop_assert_eq!(out.len(), intact + usize::from(typed));
+        if typed {
+            prop_assert!(out.last().unwrap().is_err(), "damage must end the datagram typed");
+        }
+    }
+
+    /// Datagrams decode independently: delivered in any order, each one
+    /// still yields exactly its own frames, in order — a datagram
+    /// carries no state into the next.
+    #[test]
+    fn datagram_reordering_is_harmless(
+        frames in proptest::collection::vec(arb_frame(), 2..30),
+        rot in 0usize..10,
+    ) {
+        // Pack in order, remembering which frames went into each datagram.
+        let mut groups: Vec<(Vec<u8>, Vec<Vec<u8>>)> = Vec::new();
+        let mut start = 0;
+        for dgram in pack(&frames) {
+            let n = decode_datagram(&dgram).count();
+            groups.push((dgram, bodies(&frames[start..start + n])));
+            start += n;
+        }
+        let n = groups.len();
+        groups.rotate_left(rot % n);
+        for (dgram, expected) in &groups {
+            let got: Vec<Frame> = decode_datagram(dgram)
+                .map(|f| f.expect("intact datagram"))
+                .collect();
+            prop_assert_eq!(&bodies(&got), expected);
         }
     }
 }

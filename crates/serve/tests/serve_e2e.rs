@@ -10,7 +10,7 @@ use spair_roadnet::generators::small_grid;
 use spair_roadnet::QueuePolicy;
 use spair_serve::client::{fetch_cycle, run_query, SessionConfig, SessionFailure, Transport};
 use spair_serve::daemon::{DropPlan, ServeDaemon, ServeOptions, ServeWorld};
-use spair_serve::frame::{encode, encode_stream, Admit, DataFrame, Frame, Hello, StreamDecoder};
+use spair_serve::frame::{encode_stream, Admit, DataFrame, Datagram, Frame, Hello, StreamDecoder};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream, UdpSocket};
 use std::path::PathBuf;
@@ -154,7 +154,8 @@ fn udp_drops_delay_but_do_not_corrupt() {
 /// A stand-in daemon on a loopback socket that admits one session as
 /// session 7 and, before every genuine data frame, sends a forged frame
 /// for the same slot under session 8 — the late datagrams of a closed
-/// session reaching a reused port. Laps repeat until the client closes.
+/// session reaching a reused port. Over UDP the forged frame rides in the
+/// same datagram as the genuine one. Laps repeat until the client closes.
 fn forging_daemon(
     cycle: BroadcastCycle,
     bootstrap: ClientBootstrap,
@@ -200,19 +201,28 @@ fn forging_daemon(
             .unwrap();
         let udp = UdpSocket::bind("127.0.0.1:0").expect("bind udp");
         let forged = Packet::new(PacketKind::Data, 0, bytes::Bytes::from_static(b"forged"));
+        let mut dgram = Datagram::new();
         for lap in 0..200u64 {
             for slot in lap * len..(lap + 1) * len {
                 let genuine = cycle.packet((slot % len) as usize).clone();
-                for (session, packet) in [(8, forged.clone()), (7, genuine)] {
-                    let frame = Frame::Data(DataFrame {
+                let frames = [(8, forged.clone()), (7, genuine)].map(|(session, packet)| {
+                    Frame::Data(DataFrame {
                         session,
                         slot,
                         packet,
-                    });
-                    if hello.transport == 1 {
-                        let _ = udp.send_to(&encode(&frame), ("127.0.0.1", hello.udp_port));
-                    } else if control.write_all(&encode_stream(&frame)).is_err() {
-                        return;
+                    })
+                });
+                if hello.transport == 1 {
+                    dgram.clear();
+                    for f in &frames {
+                        assert!(dgram.push(f), "two data frames fit one datagram");
+                    }
+                    let _ = udp.send_to(dgram.as_bytes(), ("127.0.0.1", hello.udp_port));
+                } else {
+                    for f in &frames {
+                        if control.write_all(&encode_stream(f)).is_err() {
+                            return;
+                        }
                     }
                 }
             }
@@ -327,7 +337,6 @@ fn slow_tcp_consumer_is_evicted() {
     let opts = ServeOptions {
         stall: Duration::from_millis(200),
         max_laps: 100_000, // keep writing until the buffers burst
-        lap_pause: Duration::ZERO,
         ..ServeOptions::in_dir(&dir)
     };
     let daemon = ServeDaemon::start(world, opts).expect("daemon start");
