@@ -13,7 +13,10 @@
 //!
 //! 1. runs `BorderPrecomputation::run_serial` and the parallel
 //!    `run_with_threads` (best of `--repeat` runs each),
-//! 2. verifies the parallel tables are **bit-identical** to serial,
+//! 2. verifies the parallel tables are **bit-identical** to serial and
+//!    records the kernel's deterministic counters (`core_nodes`: the
+//!    2-core every source searches; `tie_fallback_sources`: sources
+//!    recomputed over the whole graph after a double tie),
 //! 3. repeats the exercise for the SPQ all-pairs build on a
 //!    `--spq-side`-sized grid (`SpqIndex::build_serial` vs
 //!    `build_with_threads`, gated on `same_trees`) — the per-node
@@ -224,6 +227,11 @@ fn main() {
                 ("edges", g.num_edges().to_string()),
                 ("border_nodes", serial.borders().count().to_string()),
                 ("regions", sizes.regions.to_string()),
+                ("core_nodes", serial.core_nodes().to_string()),
+                (
+                    "tie_fallback_sources",
+                    serial.tie_fallback_sources().to_string(),
+                ),
             ]),
         )
         .field("host", host_json(threads))

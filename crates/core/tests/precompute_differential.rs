@@ -1,0 +1,474 @@
+//! Differential certification of the 2-core border precompute against
+//! the legacy fold it replaced, reimplemented here as the test oracle:
+//! one whole-graph `DijkstraWorkspace::run` per border node, then the
+//! same forward region DP, min/max fold and reverse cross-border DP.
+//!
+//! The kernel claims bit-identical tables on every graph and thread
+//! count. The graph families aim at the places where peeling dangling
+//! trees, searching the core and filling the trees back in could
+//! diverge from a whole-graph search: pure trees (the core is one node
+//! per component), cycles with long spurs, one-way and parallel spur
+//! edges (which must stay in the core), zero-weight edges, unit-weight
+//! lattices (where double ties force the whole-graph fallback),
+//! disconnected components, single-region partitions, and a hashed
+//! partition that makes border sources of nodes deep inside trees.
+
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use spair_core::precompute::BorderPrecomputation;
+use spair_core::RegionSet;
+use spair_partition::{BorderInfo, GridPartition, KdTreePartition, Partitioning, RegionId};
+use spair_roadnet::dijkstra::{DijkstraWorkspace, Direction};
+use spair_roadnet::{Distance, GraphBuilder, NodeId, Point, RoadNetwork, DIST_INF};
+
+// ---------------------------------------------------------------------
+// The legacy fold: one whole-graph search per border node.
+// ---------------------------------------------------------------------
+
+/// The tables of one precompute run, as the legacy fold produced them.
+struct LegacyTables {
+    regions: usize,
+    /// Row-major `(min, max)`, diagonal min forced to 0.
+    minmax: Vec<(Distance, Distance)>,
+    traversed: Vec<RegionSet>,
+    cross_border: Vec<bool>,
+}
+
+fn legacy_fold(g: &RoadNetwork, part: &impl Partitioning) -> LegacyTables {
+    let n = part.num_regions();
+    let nn = g.num_nodes();
+    let borders = BorderInfo::compute(g, part);
+    let mut minmax = vec![(DIST_INF, 0); n * n];
+    let mut traversed = vec![RegionSet::new(n); n * n];
+    let mut cross_border = vec![false; nn];
+    let mut ws = DijkstraWorkspace::new(nn);
+    let mut path_regions = vec![RegionSet::new(n); nn];
+    let mut on_path = vec![false; nn];
+    for &b in borders.all() {
+        let rb = part.region_of(b) as usize;
+        ws.run(g, b, Direction::Forward);
+        for &v in ws.settle_order() {
+            let mut set = match ws.parent(v) {
+                Some(p) => path_regions[p as usize].clone(),
+                None => RegionSet::new(n),
+            };
+            set.insert(part.region_of(v));
+            path_regions[v as usize] = set;
+        }
+        for &t in borders.all() {
+            let d = ws.distance(t);
+            if t == b || d == DIST_INF {
+                continue;
+            }
+            let rt = part.region_of(t) as usize;
+            let cell = &mut minmax[rb * n + rt];
+            cell.0 = cell.0.min(d);
+            cell.1 = cell.1.max(d);
+            traversed[rb * n + rt].union_with(&path_regions[t as usize]);
+        }
+        for &v in ws.settle_order() {
+            on_path[v as usize] = false;
+        }
+        for &t in borders.all() {
+            if t != b && ws.distance(t) != DIST_INF {
+                on_path[t as usize] = true;
+            }
+        }
+        for &v in ws.settle_order().iter().rev() {
+            if on_path[v as usize] {
+                cross_border[v as usize] = true;
+                if let Some(p) = ws.parent(v) {
+                    on_path[p as usize] = true;
+                }
+            }
+        }
+    }
+    for r in 0..n {
+        minmax[r * n + r].0 = 0;
+    }
+    for &b in borders.all() {
+        cross_border[b as usize] = true;
+    }
+    LegacyTables {
+        regions: n,
+        minmax,
+        traversed,
+        cross_border,
+    }
+}
+
+/// Every table `pre` exposes equals the legacy fold's.
+fn matches_legacy(pre: &BorderPrecomputation, legacy: &LegacyTables) -> Result<(), String> {
+    let n = legacy.regions;
+    if pre.num_regions() != n {
+        return Err(format!("{} regions, legacy {n}", pre.num_regions()));
+    }
+    for ri in 0..n {
+        for rj in 0..n {
+            let (a, b) = (ri as RegionId, rj as RegionId);
+            let cell = pre.minmax(a, b);
+            if (cell.min, cell.max) != legacy.minmax[ri * n + rj] {
+                return Err(format!("minmax({ri},{rj})"));
+            }
+            if *pre.traversed(a, b) != legacy.traversed[ri * n + rj] {
+                return Err(format!("traversed({ri},{rj})"));
+            }
+        }
+    }
+    match (0..legacy.cross_border.len())
+        .find(|&v| pre.is_cross_border(v as NodeId) != legacy.cross_border[v])
+    {
+        Some(v) => Err(format!("cross_border({v})")),
+        None => Ok(()),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Graph families.
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Family {
+    PureTrees,
+    CycleWithSpurs,
+    OddSpurEdges,
+    ZeroWeights,
+    UnitLattice,
+    Components,
+}
+
+const FAMILIES: [Family; 6] = [
+    Family::PureTrees,
+    Family::CycleWithSpurs,
+    Family::OddSpurEdges,
+    Family::ZeroWeights,
+    Family::UnitLattice,
+    Family::Components,
+];
+
+/// Builds graphs from a seeded stream, placing nodes at random points so
+/// kd partitions cut through trees as well as cores.
+struct Gen {
+    rng: StdRng,
+    b: GraphBuilder,
+}
+
+impl Gen {
+    fn node(&mut self) -> NodeId {
+        let p = Point::new(
+            self.rng.gen_range(0.0..100.0),
+            self.rng.gen_range(0.0..100.0),
+        );
+        self.b.add_node(p)
+    }
+
+    fn weight(&mut self, zero_weights: bool) -> u32 {
+        if zero_weights && self.rng.gen_bool(0.3) {
+            0
+        } else {
+            self.rng.gen_range(1..40)
+        }
+    }
+
+    /// A tree of `n` nodes, each attached to a random earlier one.
+    fn tree(&mut self, n: usize) -> NodeId {
+        let root = self.node();
+        let mut nodes = vec![root];
+        for _ in 1..n {
+            let p = nodes[self.rng.gen_range(0..nodes.len())];
+            let v = self.node();
+            let w = self.weight(false);
+            self.b.add_undirected_edge(p, v, w);
+            nodes.push(v);
+        }
+        root
+    }
+
+    /// A cycle of `k` nodes; returns its nodes.
+    fn cycle(&mut self, k: usize, zero_weights: bool) -> Vec<NodeId> {
+        let nodes: Vec<NodeId> = (0..k).map(|_| self.node()).collect();
+        for i in 0..k {
+            let w = self.weight(zero_weights);
+            self.b.add_undirected_edge(nodes[i], nodes[(i + 1) % k], w);
+        }
+        nodes
+    }
+
+    /// A `w × h` lattice of unit weights; returns its nodes.
+    fn lattice(&mut self, w: usize, h: usize) -> Vec<NodeId> {
+        let nodes: Vec<NodeId> = (0..w * h).map(|_| self.node()).collect();
+        for y in 0..h {
+            for x in 0..w {
+                let v = nodes[y * w + x];
+                if x + 1 < w {
+                    self.b.add_undirected_edge(v, nodes[y * w + x + 1], 1);
+                }
+                if y + 1 < h {
+                    self.b.add_undirected_edge(v, nodes[(y + 1) * w + x], 1);
+                }
+            }
+        }
+        nodes
+    }
+
+    /// Grows `count` spurs of up to `max_len` nodes off `anchors`, each
+    /// new node hanging off the previous one or (sometimes) off a random
+    /// earlier spur node, so spurs branch into trees. `odd` mixes in
+    /// one-way edges, parallel edges and asymmetric weights;
+    /// `zero_weights` draws some weights of 0 and `unit` makes all of
+    /// them 1.
+    fn spurs(
+        &mut self,
+        anchors: &[NodeId],
+        count: usize,
+        max_len: usize,
+        odd: bool,
+        zero_weights: bool,
+        unit: bool,
+    ) {
+        for _ in 0..count {
+            let mut spur = vec![anchors[self.rng.gen_range(0..anchors.len())]];
+            let len = self.rng.gen_range(1..=max_len);
+            for _ in 0..len {
+                let p = if self.rng.gen_bool(0.2) {
+                    spur[self.rng.gen_range(0..spur.len())]
+                } else {
+                    *spur.last().expect("anchor")
+                };
+                let v = self.node();
+                let (down, up) = if unit {
+                    (1, 1)
+                } else {
+                    (self.weight(zero_weights), self.weight(zero_weights))
+                };
+                let roll = if odd { self.rng.gen_range(0..10) } else { 9 };
+                match roll {
+                    // One-way edge either way.
+                    0 => self.b.add_edge(p, v, down),
+                    1 => self.b.add_edge(v, p, up),
+                    // Parallel edge beside the pair.
+                    2 => {
+                        self.b.add_undirected_edge(p, v, down);
+                        self.b.add_edge(p, v, down + 1);
+                    }
+                    // Asymmetric pair.
+                    3 => {
+                        self.b.add_edge(p, v, down);
+                        self.b.add_edge(v, p, up);
+                    }
+                    _ => self.b.add_undirected_edge(p, v, down),
+                }
+                spur.push(v);
+            }
+        }
+    }
+
+    fn family(&mut self, family: Family) {
+        match family {
+            Family::PureTrees => {
+                let n = self.rng.gen_range(1..60);
+                self.tree(n);
+            }
+            Family::CycleWithSpurs => {
+                let k = self.rng.gen_range(3..12);
+                let cycle = self.cycle(k, false);
+                let count = self.rng.gen_range(1..8);
+                self.spurs(&cycle, count, 20, false, false, false);
+            }
+            Family::OddSpurEdges => {
+                let k = self.rng.gen_range(3..10);
+                let cycle = self.cycle(k, false);
+                let count = self.rng.gen_range(2..8);
+                self.spurs(&cycle, count, 12, true, false, false);
+            }
+            Family::ZeroWeights => {
+                let k = self.rng.gen_range(3..10);
+                let cycle = self.cycle(k, true);
+                let count = self.rng.gen_range(2..8);
+                self.spurs(&cycle, count, 12, false, true, false);
+            }
+            Family::UnitLattice => {
+                let (w, h) = (self.rng.gen_range(2..8), self.rng.gen_range(2..8));
+                let lattice = self.lattice(w, h);
+                let count = self.rng.gen_range(0..5);
+                self.spurs(&lattice, count, 6, false, false, true);
+            }
+            Family::Components => {
+                let parts = self.rng.gen_range(2..4);
+                for _ in 0..parts {
+                    let f = FAMILIES[self.rng.gen_range(0..FAMILIES.len() - 1)];
+                    self.family(f);
+                }
+                // An isolated node.
+                self.node();
+            }
+        }
+    }
+}
+
+fn build(family: Family, seed: u64) -> RoadNetwork {
+    let mut gen = Gen {
+        rng: StdRng::seed_from_u64(seed),
+        b: GraphBuilder::new(),
+    };
+    gen.family(family);
+    gen.b.finish()
+}
+
+/// Regions by node-id hash: most nodes, deep tree nodes included, get a
+/// neighbour in another region and so become border sources.
+struct HashPartition {
+    region_of: Vec<RegionId>,
+    by_region: Vec<Vec<NodeId>>,
+}
+
+impl HashPartition {
+    fn build(g: &RoadNetwork, regions: usize) -> Self {
+        let region_of: Vec<RegionId> = g
+            .node_ids()
+            .map(|v| ((v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize % regions)
+            .map(|r| r as RegionId)
+            .collect();
+        let mut by_region = vec![Vec::new(); regions];
+        for v in g.node_ids() {
+            by_region[region_of[v as usize] as usize].push(v);
+        }
+        Self {
+            region_of,
+            by_region,
+        }
+    }
+}
+
+impl Partitioning for HashPartition {
+    fn num_regions(&self) -> usize {
+        self.by_region.len()
+    }
+
+    fn region_of(&self, v: NodeId) -> RegionId {
+        self.region_of[v as usize]
+    }
+
+    fn locate(&self, _p: Point) -> RegionId {
+        0
+    }
+
+    fn nodes_by_region(&self) -> &[Vec<NodeId>] {
+        &self.by_region
+    }
+}
+
+/// Runs the kernel at 1, 2 and 5 threads and checks each against the
+/// legacy fold and against each other.
+fn check(g: &RoadNetwork, part: &(impl Partitioning + Sync)) -> Result<(), TestCaseError> {
+    let legacy = legacy_fold(g, part);
+    let serial = BorderPrecomputation::run_with_threads(g, part, 1);
+    for threads in [1, 2, 5] {
+        let pre = BorderPrecomputation::run_with_threads(g, part, threads);
+        if let Err(what) = matches_legacy(&pre, &legacy) {
+            return Err(TestCaseError::fail(format!(
+                "{what} differs from the legacy fold at {threads} threads"
+            )));
+        }
+        prop_assert!(serial.same_tables(&pre), "threads={}", threads);
+        prop_assert_eq!(serial.core_nodes(), pre.core_nodes());
+        prop_assert_eq!(serial.tie_fallback_sources(), pre.tie_fallback_sources());
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The kernel's tables equal the legacy fold's on every family and
+    /// partition kind (kd, rounded up to a power of two regions; single
+    /// region; hashed), at every thread count.
+    #[test]
+    fn same_tables_as_the_legacy_fold(
+        family in 0usize..6,
+        seed in any::<u64>(),
+        kind in 0u8..3,
+        regions in 2usize..9,
+    ) {
+        let family = FAMILIES[family];
+        let g = build(family, seed);
+        match kind {
+            0 => check(&g, &KdTreePartition::build(&g, regions.next_power_of_two())),
+            1 => check(&g, &GridPartition::build(&g, 1, 1)),
+            _ => check(&g, &HashPartition::build(&g, regions)),
+        }?;
+    }
+}
+
+#[test]
+fn pure_trees_keep_one_core_node_per_component() {
+    for seed in 0..20 {
+        let g = build(Family::PureTrees, seed);
+        let part = HashPartition::build(&g, 3);
+        let pre = BorderPrecomputation::run(&g, &part);
+        assert_eq!(pre.core_nodes(), 1, "seed {seed}");
+        assert_eq!(pre.tie_fallback_sources(), 0, "seed {seed}");
+        assert!(matches_legacy(&pre, &legacy_fold(&g, &part)).is_ok());
+    }
+}
+
+#[test]
+fn odd_spur_edges_stay_in_the_core() {
+    // A triangle with a spur 0 -> 3 -> 4: the one-way edge 0 -> 3 and the
+    // parallel pair 3 <-> 4 keep both spur nodes in the core.
+    let mut b = GraphBuilder::new();
+    for i in 0..5 {
+        b.add_node(Point::new(i as f64, (i % 2) as f64));
+    }
+    b.add_undirected_edge(0, 1, 2);
+    b.add_undirected_edge(1, 2, 2);
+    b.add_undirected_edge(2, 0, 2);
+    b.add_edge(0, 3, 1);
+    b.add_undirected_edge(3, 4, 1);
+    b.add_edge(3, 4, 5);
+    let g = b.finish();
+    let part = HashPartition::build(&g, 2);
+    let pre = BorderPrecomputation::run(&g, &part);
+    assert_eq!(pre.core_nodes(), 5);
+    assert!(matches_legacy(&pre, &legacy_fold(&g, &part)).is_ok());
+}
+
+#[test]
+fn unit_lattices_fall_back_on_every_source() {
+    for seed in 0..12 {
+        let mut gen = Gen {
+            rng: StdRng::seed_from_u64(seed),
+            b: GraphBuilder::new(),
+        };
+        gen.lattice(3 + seed as usize % 4, 4);
+        let g = gen.b.finish();
+        let part = HashPartition::build(&g, 4);
+        let pre = BorderPrecomputation::run(&g, &part);
+        assert!(pre.borders().count() > 0);
+        assert_eq!(pre.tie_fallback_sources(), pre.borders().count());
+        assert!(matches_legacy(&pre, &legacy_fold(&g, &part)).is_ok());
+    }
+}
+
+#[test]
+fn zero_weight_spur_edges_stay_in_the_core() {
+    // Path 0 - 1 - 2 hanging off triangle 0-5-6, with edge 1 -> 2 of
+    // weight 0: node 2 is not peeled, so 1 keeps two neighbours.
+    let mut b = GraphBuilder::new();
+    for i in 0..7 {
+        b.add_node(Point::new(i as f64, 0.0));
+    }
+    b.add_undirected_edge(0, 5, 3);
+    b.add_undirected_edge(5, 6, 3);
+    b.add_undirected_edge(6, 0, 3);
+    b.add_undirected_edge(0, 1, 4);
+    b.add_edge(1, 2, 0);
+    b.add_edge(2, 1, 7);
+    let g = b.finish();
+    let part = HashPartition::build(&g, 3);
+    let pre = BorderPrecomputation::run(&g, &part);
+    // Nodes 3 and 4 are isolated core nodes; 0, 1, 2, 5, 6 stay too.
+    assert_eq!(pre.core_nodes(), 7);
+    assert!(matches_legacy(&pre, &legacy_fold(&g, &part)).is_ok());
+}

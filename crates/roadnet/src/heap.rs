@@ -81,29 +81,37 @@ impl<T: Copy> MinHeap<T> {
             0 => None,
             1 => self.slots.pop(),
             _ => {
-                self.slots.swap(0, len - 1);
-                let top = self.slots.pop();
-                self.sift_down(0);
-                top
+                let last = self.slots.pop().expect("len > 1");
+                let top = self.slots[0];
+                self.sift_down(0, last);
+                Some(top)
             }
         }
     }
 
+    // Both sifts move a hole instead of swapping: entries on the way
+    // shift one level and the moving entry is written once, at the slot
+    // the swap version would have left it in (same comparisons, same
+    // final layout, so the pop sequence is unchanged).
+
     #[inline]
     fn sift_up(&mut self, mut i: usize) {
+        let moving = self.slots[i];
         while i > 0 {
             let parent = (i - 1) / 4;
-            if self.slots[i].key < self.slots[parent].key {
-                self.slots.swap(i, parent);
+            if moving.key < self.slots[parent].key {
+                self.slots[i] = self.slots[parent];
                 i = parent;
             } else {
                 break;
             }
         }
+        self.slots[i] = moving;
     }
 
+    /// Sifts `moving` down from the hole at `i`.
     #[inline]
-    fn sift_down(&mut self, mut i: usize) {
+    fn sift_down(&mut self, mut i: usize, moving: HeapEntry<T>) {
         let len = self.slots.len();
         loop {
             let first_child = 4 * i + 1;
@@ -117,13 +125,14 @@ impl<T: Copy> MinHeap<T> {
                     best = c;
                 }
             }
-            if self.slots[best].key < self.slots[i].key {
-                self.slots.swap(i, best);
+            if self.slots[best].key < moving.key {
+                self.slots[i] = self.slots[best];
                 i = best;
             } else {
                 break;
             }
         }
+        self.slots[i] = moving;
     }
 }
 

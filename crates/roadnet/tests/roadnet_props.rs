@@ -278,3 +278,97 @@ proptest! {
         }
     }
 }
+
+/// Verbatim copy of the swap-based 4-ary heap `MinHeap` used before its
+/// sifts moved a hole; the reference the hole-move heap must reproduce
+/// pop for pop.
+struct SwapHeap {
+    slots: Vec<(u64, u32)>,
+}
+
+impl SwapHeap {
+    fn push(&mut self, key: u64, item: u32) {
+        self.slots.push((key, item));
+        self.sift_up(self.slots.len() - 1);
+    }
+
+    fn pop(&mut self) -> Option<(u64, u32)> {
+        let len = self.slots.len();
+        match len {
+            0 => None,
+            1 => self.slots.pop(),
+            _ => {
+                self.slots.swap(0, len - 1);
+                let top = self.slots.pop();
+                self.sift_down(0);
+                top
+            }
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        while i > 0 {
+            let parent = (i - 1) / 4;
+            if self.slots[i].0 < self.slots[parent].0 {
+                self.slots.swap(i, parent);
+                i = parent;
+            } else {
+                break;
+            }
+        }
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let len = self.slots.len();
+        loop {
+            let first_child = 4 * i + 1;
+            if first_child >= len {
+                break;
+            }
+            let last_child = (first_child + 4).min(len);
+            let mut best = first_child;
+            for c in first_child + 1..last_child {
+                if self.slots[c].0 < self.slots[best].0 {
+                    best = c;
+                }
+            }
+            if self.slots[best].0 < self.slots[i].0 {
+                self.slots.swap(i, best);
+                i = best;
+            } else {
+                break;
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The hole-move heap pops exactly the `(key, item)` sequence of the
+    /// swap heap — duplicate keys included, so equal-key entries leave in
+    /// the same order and every heap-driven Dijkstra keeps its settle
+    /// order. `ops` interleaves pushes (`op % 3 != 0`) with pops over a
+    /// narrow key range, then drains both heaps.
+    #[test]
+    fn hole_move_heap_pops_like_the_swap_heap(
+        ops in proptest::collection::vec((0u8..3, 0u64..12), 0..400),
+    ) {
+        let mut heap = spair_roadnet::MinHeap::new();
+        let mut reference = SwapHeap { slots: Vec::new() };
+        for (i, &(op, key)) in ops.iter().enumerate() {
+            if op != 0 {
+                heap.push(key, i as u32);
+                reference.push(key, i as u32);
+            } else {
+                let got = heap.pop().map(|e| (e.key, e.item));
+                prop_assert_eq!(got, reference.pop(), "pop at op {}", i);
+            }
+        }
+        while let Some(want) = reference.pop() {
+            let got = heap.pop().map(|e| (e.key, e.item));
+            prop_assert_eq!(got, Some(want));
+        }
+        prop_assert!(heap.pop().is_none());
+    }
+}
