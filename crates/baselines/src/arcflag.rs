@@ -3,11 +3,15 @@
 //! Server: partition the nodes (kd-tree, as fine-tuned in the paper), and
 //! give every directed edge a bit vector with one bit per region: bit `R`
 //! is set iff the edge lies on some shortest path ending in region `R`
-//! (computed by one backward Dijkstra per border node of `R`; an edge
-//! `(u,v)` is on a shortest path towards border `b` iff
+//! (computed from the distances towards every border node of `R`; an
+//! edge `(u,v)` is on a shortest path towards border `b` iff
 //! `d(u→b) = w(u,v) + d(v→b)`, which marks the whole shortest-path DAG and
-//! therefore covers ties). Intra-target edges are flagged for their own
-//! region.
+//! therefore covers ties). The distances come from the reverse,
+//! distance-only mode of the all-sources kernel in
+//! [`spair_roadnet::peel`], which searches only the graph's 2-core; the
+//! flags depend on exact distances alone, so they equal one whole-graph
+//! backward Dijkstra per border node. Intra-target edges are flagged for
+//! their own region.
 //!
 //! Client: selective tuning is impossible (§3.2), so the whole cycle —
 //! adjacency data *and* flags — is received; the flags then prune the
@@ -24,8 +28,9 @@ use spair_broadcast::{
 use spair_core::netcodec::{decode_payload, encode_nodes, ReceivedGraph};
 use spair_core::query::{AirClient, Query, QueryError, QueryOutcome};
 use spair_partition::{BorderInfo, KdLocator, KdTreePartition, Partitioning, RegionId};
-use spair_roadnet::dijkstra::{DijkstraWorkspace, Direction};
+use spair_roadnet::dijkstra::Direction;
 use spair_roadnet::parallel;
+use spair_roadnet::peel::{Peel, SourceTree};
 use spair_roadnet::{Distance, MinHeap, NodeId, RoadNetwork, DIST_INF};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -47,8 +52,8 @@ pub struct ArcFlagIndex {
 }
 
 impl ArcFlagIndex {
-    /// Builds flags with one backward Dijkstra per border node, fanned
-    /// out across [`parallel::num_threads`] workers.
+    /// Builds flags from one backward kernel search per border node,
+    /// fanned out across [`parallel::num_threads`] workers.
     pub fn build(g: &RoadNetwork, part: &KdTreePartition) -> Self {
         Self::build_with_threads(g, part, parallel::num_threads())
     }
@@ -74,27 +79,28 @@ impl ArcFlagIndex {
         }
 
         let borders = BorderInfo::compute(g, part);
+        let peel = Peel::new(g, Direction::Reverse);
         let merged = parallel::map_reduce_chunked(
             borders.all(),
             threads,
             4,
-            || DijkstraWorkspace::new(g.num_nodes()),
+            || SourceTree::new(&peel),
             || vec![0u64; m * words],
-            |ws, partial: &mut Vec<u64>, sources, _base| {
+            |tree, partial: &mut Vec<u64>, sources, _base| {
                 for &b in sources {
                     let rb = part.region_of(b) as usize;
                     // An edge (u,v) lies on a shortest path towards b
                     // iff d(u→b) = w(u,v) + d(v→b) — marks the whole
                     // shortest-path DAG, covering ties.
-                    ws.run(g, b, Direction::Reverse); // d(x -> b)
+                    tree.search_distances(&peel, b);
+                    let dist = tree.distances(); // d(x -> b)
                     for u in g.node_ids() {
-                        let du = ws.distance(u);
+                        let du = dist[u as usize];
                         if du == DIST_INF {
                             continue;
                         }
                         for e in g.out_edge_ids(u) {
-                            let v = g.edge_target(e);
-                            let dv = ws.distance(v);
+                            let dv = dist[g.edge_target(e) as usize];
                             if dv != DIST_INF && du == dv + g.edge_weight(e) as Distance {
                                 partial[e as usize * words + rb / 64] |= 1 << (rb % 64);
                             }

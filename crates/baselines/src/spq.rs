@@ -11,27 +11,36 @@
 //! experiments: storing one quadtree per node multiplies the cycle length
 //! (Table 1: 52 337 packets versus Dijkstra's 14 019 on Germany) and the
 //! client would have to hold all trees on the path. Building is also the
-//! costliest of all methods (one full Dijkstra per node), which used to
-//! lock SPQ out of the paper-scale load cell entirely. The production
-//! build ([`SpqIndex::build_with_threads`]) makes it tractable with three
+//! costliest of all methods (one shortest-path tree per node), which used
+//! to lock SPQ out of the paper-scale load cell entirely. The production
+//! build ([`SpqIndex::build_with_threads`]) makes it tractable with four
 //! ingredients, each differentially tested against a slow oracle:
 //!
-//! * colors come from [`spair_roadnet::first_hop`]'s one-sweep DP over a
-//!   reusable [`DijkstraWorkspace`] (no per-root allocation, no per-target
-//!   path reconstruction);
+//! * core roots take their tree from the all-sources kernel of
+//!   [`spair_roadnet::peel`], which searches only the graph's 2-core and
+//!   fills the dangling trees around it, and their colors from
+//!   [`spair_roadnet::first_hop`]'s one-sweep DP over that tree;
+//! * a root inside a dangling tree runs no search at all: every node it
+//!   reaches outside its own subtree takes the color of its one exit
+//!   edge, and its subtree takes the child-edge colors in one pass over
+//!   the kernel's fill order (reachability comes from the search of the
+//!   core node the tree hangs off);
 //! * per-root quadtrees are built by walking a [`QuadTemplate`] — the
 //!   node coordinates are quadrant-sorted **once per graph**, so a root's
 //!   tree costs one color scan over the shared order instead of
 //!   re-bucketing every point at every recursion level;
-//! * roots fan out across worker threads through
-//!   [`parallel::map_reduce_chunked`] with a chunk-ordered merge, so the
-//!   index is bit-identical ([`SpqIndex::same_trees`]) for every thread
-//!   count — and identical to [`SpqIndex::build_reference`], the naive
-//!   per-root recursive builder retained as the differential oracle.
+//! * core roots, each with the roots hanging off it, fan out across
+//!   worker threads through [`parallel::map_reduce_chunked`]; every tree
+//!   depends on its root alone, so the index is bit-identical
+//!   ([`SpqIndex::same_trees`]) for every thread count — and identical
+//!   to [`SpqIndex::build_reference`], the naive per-root recursive
+//!   builder retained as the differential oracle.
 
-use spair_roadnet::dijkstra::{DijkstraWorkspace, Direction};
-use spair_roadnet::first_hop::{first_hops_from_tree, first_hops_from_workspace};
-use spair_roadnet::{dijkstra_full, parallel, NodeId, Point, RoadNetwork};
+use spair_roadnet::dijkstra::Direction;
+use spair_roadnet::first_hop::{first_hops_from_source_tree, first_hops_from_tree};
+use spair_roadnet::peel::{Peel, SourceTree};
+use spair_roadnet::sptree::NO_PARENT;
+use spair_roadnet::{dijkstra_full, parallel, NodeId, Point, RoadNetwork, DIST_INF};
 use std::time::Instant;
 
 /// Color = index of the first edge out of the root node (255 = none).
@@ -284,68 +293,93 @@ fn subdivide(
 pub struct SpqIndex {
     trees: Vec<Quadtree>,
     bbox: (Point, Point),
+    /// Roots inside dangling trees, colored without a search.
+    searchless_roots: usize,
+    /// Core roots the kernel recomputed over the whole graph after a
+    /// double tie.
+    tie_fallback_roots: usize,
     /// Build wall-clock.
     pub precompute_secs: f64,
 }
 
-/// Per-worker scratch of the fan-out build: one reusable Dijkstra
-/// workspace plus one color buffer, shared across every root the worker
-/// claims.
+/// Per-worker scratch of the fan-out build, shared across every root the
+/// worker claims.
 struct RootScratch {
-    ws: DijkstraWorkspace,
+    tree: SourceTree,
     colors: Vec<Color>,
+    /// Per peeled node: the last root whose subtree it was found in.
+    subtree_of: Vec<NodeId>,
+}
+
+/// One worker's trees, keyed by root, and its fallback count.
+#[derive(Default)]
+struct RootPartial {
+    trees: Vec<(NodeId, Quadtree)>,
+    tie_fallbacks: usize,
 }
 
 impl SpqIndex {
-    /// Builds all quadtrees with the detected worker count (one full
-    /// Dijkstra per node — still the method's documented weakness, but
-    /// parallel, allocation-free per root, and template-driven).
+    /// Builds all quadtrees with the detected worker count.
     pub fn build(g: &RoadNetwork) -> Self {
         Self::build_with_threads(g, parallel::num_threads())
     }
 
-    /// Single-threaded [`SpqIndex::build_with_threads`] — the reference
-    /// order the chunk-ordered parallel merge reproduces.
+    /// Single-threaded [`SpqIndex::build_with_threads`].
     pub fn build_serial(g: &RoadNetwork) -> Self {
         Self::build_with_threads(g, 1)
     }
 
-    /// Builds the index with an explicit worker count. Bit-identical to
-    /// [`SpqIndex::build_serial`] for every `threads` (chunk-ordered
-    /// merge) and to [`SpqIndex::build_reference`] (shared tie rule and
-    /// template/recursive tree equivalence).
-    ///
-    /// The per-worker workspace is heap-driven on purpose: its settle
-    /// order — and therefore its shortest-path-tie parents, which the
-    /// colors inherit — is identical to `dijkstra_full`'s, the tie rule
-    /// documented in [`spair_roadnet::first_hop`].
+    /// Builds the index with an explicit worker count: one kernel search
+    /// per core root, none per root inside a dangling tree (see the
+    /// module docs). Bit-identical to [`SpqIndex::build_serial`] for
+    /// every `threads` and to [`SpqIndex::build_reference`]: the kernel's
+    /// parents are exactly those of a whole-graph heap-driven search, the
+    /// tie rule documented in [`spair_roadnet::first_hop`].
     pub fn build_with_threads(g: &RoadNetwork, threads: usize) -> Self {
         let start = Instant::now();
         let bbox = g.bounding_box();
         let template = QuadTemplate::build(g);
-        let roots: Vec<NodeId> = g.node_ids().collect();
-        let trees = parallel::map_reduce_chunked(
-            &roots,
+        let peel = Peel::new(g, Direction::Forward);
+        let hanging = hanging_roots(g, &peel);
+        let merged = parallel::map_reduce_chunked(
+            peel.core_nodes(),
             threads,
-            2,
+            8,
             || RootScratch {
-                ws: DijkstraWorkspace::new(g.num_nodes()),
+                tree: SourceTree::new(&peel),
                 colors: vec![NO_COLOR; g.num_nodes()],
+                subtree_of: vec![NO_PARENT; g.num_nodes()],
             },
-            Vec::new,
-            |scratch, partial: &mut Vec<Quadtree>, chunk, _| {
-                for &v in chunk {
-                    scratch.ws.run(g, v, Direction::Forward);
-                    first_hops_from_workspace(g, &scratch.ws, &mut scratch.colors);
-                    partial.push(template.colored_tree(g, &scratch.colors, v));
+            RootPartial::default,
+            |scratch, partial, chunk, _| {
+                for &a in chunk {
+                    partial.tie_fallbacks += usize::from(scratch.tree.search(&peel, a));
+                    first_hops_from_source_tree(g, &scratch.tree, &mut scratch.colors);
+                    partial
+                        .trees
+                        .push((a, template.colored_tree(g, &scratch.colors, a)));
+                    let first = hanging.partition_point(|&(b, _)| b < a);
+                    for &(_, r) in hanging[first..].iter().take_while(|&&(b, _)| b == a) {
+                        color_hanging_root(g, &peel, r, scratch);
+                        partial
+                            .trees
+                            .push((r, template.colored_tree(g, &scratch.colors, r)));
+                    }
                 }
             },
-            |a, b| a.extend(b),
+            |acc, p| {
+                acc.trees.extend(p.trees);
+                acc.tie_fallbacks += p.tie_fallbacks;
+            },
         )
         .unwrap_or_default();
+        let mut trees = merged.trees;
+        trees.sort_unstable_by_key(|&(v, _)| v);
         Self {
-            trees,
+            trees: trees.into_iter().map(|(_, tree)| tree).collect(),
             bbox,
+            searchless_roots: peel.fill_order().len(),
+            tie_fallback_roots: merged.tie_fallbacks,
             precompute_secs: start.elapsed().as_secs_f64(),
         }
     }
@@ -374,6 +408,8 @@ impl SpqIndex {
         Self {
             trees,
             bbox,
+            searchless_roots: 0,
+            tie_fallback_roots: 0,
             precompute_secs: start.elapsed().as_secs_f64(),
         }
     }
@@ -383,6 +419,22 @@ impl SpqIndex {
     /// fan-out and the template walk must not change a single block).
     pub fn same_trees(&self, other: &Self) -> bool {
         self.bbox == other.bbox && self.trees == other.trees
+    }
+
+    /// Nodes in the graph's 2-core: the roots the build searches (every
+    /// node for [`SpqIndex::build_reference`]).
+    pub fn core_nodes(&self) -> usize {
+        self.trees.len() - self.searchless_roots
+    }
+
+    /// Roots inside dangling trees, colored without a search.
+    pub fn searchless_roots(&self) -> usize {
+        self.searchless_roots
+    }
+
+    /// Core roots recomputed over the whole graph after a double tie.
+    pub fn tie_fallback_roots(&self) -> usize {
+        self.tie_fallback_roots
     }
 
     /// The colored quadtree of node `v`.
@@ -425,6 +477,64 @@ impl SpqIndex {
             cur = next;
         }
         None
+    }
+}
+
+/// The peeled nodes as `(attachment, node)` pairs, sorted: the
+/// attachment is the core node the node's dangling tree hangs off.
+fn hanging_roots(g: &RoadNetwork, peel: &Peel) -> Vec<(NodeId, NodeId)> {
+    let mut attachment: Vec<NodeId> = g.node_ids().collect();
+    for &v in peel.fill_order() {
+        attachment[v as usize] = attachment[peel.tree_parent(v).expect("peeled") as usize];
+    }
+    let mut hanging: Vec<_> = peel
+        .fill_order()
+        .iter()
+        .map(|&v| (attachment[v as usize], v))
+        .collect();
+    hanging.sort_unstable();
+    hanging
+}
+
+/// Colors every node by its first hop out of `r`, a root inside a
+/// dangling tree, without a search. `scratch.tree` must hold the search
+/// from the core node `r`'s tree hangs off, which reaches exactly the
+/// nodes `r` reaches: the tree's edges run both ways.
+///
+/// Every out-edge of `r` leads to its tree parent or to a child, and a
+/// child's subtree connects to the rest only through `r`. So a node in
+/// a child's subtree is reached through that child's edge, and every
+/// other node `r` reaches through the exit edge to its tree parent.
+/// Positions past 254 are inexpressible and stay [`NO_COLOR`], as in the
+/// first-hop sweep.
+fn color_hanging_root(g: &RoadNetwork, peel: &Peel, r: NodeId, scratch: &mut RootScratch) {
+    let RootScratch {
+        tree,
+        colors,
+        subtree_of,
+    } = scratch;
+    let exit_parent = peel.tree_parent(r);
+    let color_of = |i: usize| Color::try_from(i).unwrap_or(NO_COLOR);
+    let exit = g
+        .out_edges(r)
+        .position(|(u, _)| Some(u) == exit_parent)
+        .map_or(NO_COLOR, color_of);
+    for (c, &d) in colors.iter_mut().zip(tree.distances()) {
+        *c = if d == DIST_INF { NO_COLOR } else { exit };
+    }
+    colors[r as usize] = NO_COLOR;
+    for (i, (u, _)) in g.out_edges(r).enumerate() {
+        if Some(u) != exit_parent {
+            colors[u as usize] = color_of(i);
+            subtree_of[u as usize] = r;
+        }
+    }
+    for &u in peel.fill_order() {
+        let p = peel.tree_parent(u).expect("peeled") as usize;
+        if subtree_of[p] == r {
+            colors[u as usize] = colors[p];
+            subtree_of[u as usize] = r;
+        }
     }
 }
 
@@ -504,6 +614,27 @@ mod tests {
             let par = SpqIndex::build_with_threads(&g, threads);
             assert!(serial.same_trees(&par), "threads {threads}");
         }
+    }
+
+    /// Tripwire for the searchless roots, beside precompute's
+    /// `germany_class_core_is_small_and_tie_free` on the same map: at
+    /// least half the roots hang in dangling trees and no core root meets
+    /// a double tie. A generator change that quietly defeats the kernel
+    /// fails here.
+    #[test]
+    fn germany_class_roots_are_mostly_searchless_and_tie_free() {
+        let g = spair_roadnet::NetworkPreset::Germany
+            .config_for_nodes(7, 2_000)
+            .generate();
+        let idx = SpqIndex::build(&g);
+        assert!(
+            idx.searchless_roots() * 2 >= g.num_nodes(),
+            "searchless {} of {}",
+            idx.searchless_roots(),
+            g.num_nodes()
+        );
+        assert_eq!(idx.core_nodes() + idx.searchless_roots(), g.num_nodes());
+        assert_eq!(idx.tie_fallback_roots(), 0);
     }
 
     // ---- quadtree shape battery -----------------------------------------

@@ -22,7 +22,10 @@
 //!    `build_with_threads`, gated on `same_trees`) — the per-node
 //!    quadtree construction is the costliest precompute stage the
 //!    framework has, so its speedup is tracked as its own trajectory
-//!    point,
+//!    point — with its deterministic counters (`core_nodes`: roots the
+//!    kernel searches; `searchless_roots`: roots inside dangling trees,
+//!    colored without a search; `tie_fallback_roots`: core roots
+//!    recomputed over the whole graph after a double tie),
 //! 4. repeats it once more for the HiTi hierarchy build on a
 //!    `--hiti-side`-sized grid (`HiTiIndex::build_with_threads` at one
 //!    worker vs many, gated on `same_tables`) — the flattened
@@ -169,9 +172,9 @@ fn main() {
         BorderPrecomputation::same_tables,
     );
 
-    // SPQ all-pairs build: one full Dijkstra + one quadtree per node. Its
-    // own (smaller) network keeps the quadratic stage within a bench
-    // budget while still dominating the border measurements above.
+    // SPQ all-pairs build: one shortest-path tree (searched, or derived
+    // inside a dangling tree) and one quadtree per node. Its own
+    // (smaller) network keeps the quadratic stage within a bench budget.
     let sg = small_grid(sizes.spq_side, sizes.spq_side, 42);
     eprintln!(
         "spq graph: {} nodes, {} edges",
@@ -210,6 +213,12 @@ fn main() {
         ("edges", sg.num_edges().to_string()),
         ("total_blocks", spq_index.total_blocks().to_string()),
         ("index_packets", spq_index.index_packets().to_string()),
+        ("core_nodes", spq_index.core_nodes().to_string()),
+        ("searchless_roots", spq_index.searchless_roots().to_string()),
+        (
+            "tie_fallback_roots",
+            spq_index.tie_fallback_roots().to_string(),
+        ),
     ];
     let hiti_fields = [
         ("nodes", hg.num_nodes().to_string()),

@@ -146,7 +146,7 @@ fn table1(opts: &Opts) {
     eprintln!("  building HiTi hierarchy...");
     let hiti = registry.get("hiti_air").expect("registered");
     let hiti_len = programs.cycle(hiti).len();
-    eprintln!("  building SPQ quadtrees (one Dijkstra per node)...");
+    eprintln!("  building SPQ quadtrees (one shortest-path tree per node)...");
     let spq = registry.get("spq_air").expect("registered");
     let spq_len = programs.cycle(spq).len();
     let dj_len = programs.cycle(Method::DJ).len();

@@ -19,45 +19,22 @@
 //! on-a-border-path marks propagate child→parent in reverse settle order.
 //! Any parents-first order of the tree serves both.
 //!
-//! **Searching only where paths can branch.** Road networks hang many
-//! dead-end trees off a much smaller 2-core (an 8 000-node germany-class
-//! map keeps 2 836 core nodes). Once per run the pass peels those
-//! dangling trees: a node goes when its only remaining neighbour is
-//! linked to it by exactly one edge in each direction, both of positive
-//! weight, and that neighbour becomes its tree parent. Per source it then
-//!
-//! 1. walks from a source inside a tree up to the core node the tree
-//!    attaches at — the only way out of the tree;
-//! 2. runs a lazy-heap Dijkstra over a CSR of the core's own edges from
-//!    there;
-//! 3. fills every other peeled node in one linear pass, parents first:
-//!    `d(v) = d(tree parent) + w`, with the tree parent as parent.
-//!
-//! **Why the tables stay bit-identical.** They depend only on each
-//! source's distances and parents. A whole-graph lazy-heap Dijkstra makes
-//! the parent of `u` the first settled of its tight predecessors (`p` with
-//! `d(p) + w(p, u) = d(u)`). Nodes settle in nondecreasing distance, so
-//! that is the tight predecessor of smallest distance, whatever order the
-//! heap gives equal keys — unless two of them share that distance (a
-//! *double tie*). A peeled node's only tight predecessor is its tree
-//! parent, or on the walk its child towards the source; the attachment
-//! node's is the last walk node; every other core node's lie in the core.
-//! So without a double tie the core search yields the whole-graph
-//! search's parents. The core loop flags a double tie when a settled node
-//! relaxes a neighbour to exactly its current distance while that
-//! neighbour's parent sits at the same key, and that source alone is
-//! recomputed with [`DijkstraWorkspace::run`] over the whole graph. The
-//! tables therefore equal one whole-graph search per border node on every
+//! Each source's tree comes from the all-sources kernel of
+//! [`spair_roadnet::peel`]: it searches only the graph's 2-core and fills
+//! the dangling trees around it, with exactly the parents of one
+//! whole-graph [`DijkstraWorkspace::run`](spair_roadnet::dijkstra::DijkstraWorkspace::run)
+//! per border node. So the tables equal that whole-graph fold on every
 //! graph; [`BorderPrecomputation::tie_fallback_sources`] counts the
-//! recomputed sources.
+//! sources the kernel recomputed over the whole graph after a double
+//! tie.
 
 use crate::regionset::{RegionSet, RegionSetMatrix};
 use spair_partition::{BorderInfo, Partitioning, RegionId};
-use spair_roadnet::dijkstra::{DijkstraWorkspace, Direction};
-use spair_roadnet::heap::MinHeap;
+use spair_roadnet::dijkstra::Direction;
 use spair_roadnet::parallel;
+use spair_roadnet::peel::{Peel, SourceTree};
 use spair_roadnet::sptree::NO_PARENT;
-use spair_roadnet::{Distance, NodeId, RoadNetwork, Weight, DIST_INF};
+use spair_roadnet::{Distance, NodeId, RoadNetwork, DIST_INF};
 use std::time::Instant;
 
 /// Min/max shortest-path distance between border nodes of a region pair.
@@ -104,235 +81,9 @@ pub struct BorderPrecomputation {
     pub precompute_secs: f64,
 }
 
-/// Marks a node outside the core in [`Peel::core_index`].
-const NOT_CORE: u32 = u32::MAX;
-
-/// The graph split into its 2-core and the dangling trees peeled off it
-/// (see the module docs), built once per run and shared by all workers.
-struct Peel {
-    /// Node → dense core index, [`NOT_CORE`] for peeled nodes.
-    core_index: Vec<u32>,
-    /// Core index → node.
-    core_nodes: Vec<NodeId>,
-    /// Forward CSR of the edges between core nodes, over core indices.
-    core_offsets: Vec<u32>,
-    core_targets: Vec<u32>,
-    core_weights: Vec<Weight>,
-    /// Per peeled node: the neighbour it was peeled towards
-    /// (`NO_PARENT` for core nodes) and the weights of the edges to it
-    /// (`up`) and from it (`down`).
-    tree_parent: Vec<NodeId>,
-    up_weight: Vec<Weight>,
-    down_weight: Vec<Weight>,
-    /// Peeled nodes, every tree parent before its children.
-    fill_order: Vec<NodeId>,
-}
-
-impl Peel {
-    fn new(g: &RoadNetwork) -> Self {
-        let n = g.num_nodes();
-        // Edges to nodes not yet peeled, per direction.
-        let mut out_left: Vec<u32> = g.node_ids().map(|v| g.out_degree(v) as u32).collect();
-        let mut in_left: Vec<u32> = g.node_ids().map(|v| g.in_degree(v) as u32).collect();
-        let mut tree_parent = vec![NO_PARENT; n];
-        let mut up_weight = vec![0; n];
-        let mut down_weight = vec![0; n];
-        let mut fill_order = Vec::new();
-        let one_each_way =
-            |o: &[u32], i: &[u32], v: NodeId| o[v as usize] == 1 && i[v as usize] == 1;
-        // A node enters the stack when it reaches one edge each way, which
-        // happens at most once; it may lose both before it is popped.
-        let mut stack: Vec<NodeId> = (0..n as NodeId)
-            .rev()
-            .filter(|&v| one_each_way(&out_left, &in_left, v))
-            .collect();
-        while let Some(v) = stack.pop() {
-            if !one_each_way(&out_left, &in_left, v) {
-                continue;
-            }
-            let left = |e: &(NodeId, Weight)| tree_parent[e.0 as usize] == NO_PARENT;
-            let (u, up) = g.out_edges(v).find(left).expect("one out-edge left");
-            let (x, down) = g.in_edges(v).find(left).expect("one in-edge left");
-            if u != x || u == v || up == 0 || down == 0 {
-                continue;
-            }
-            tree_parent[v as usize] = u;
-            up_weight[v as usize] = up;
-            down_weight[v as usize] = down;
-            fill_order.push(v);
-            out_left[u as usize] -= 1;
-            in_left[u as usize] -= 1;
-            if one_each_way(&out_left, &in_left, u) {
-                stack.push(u);
-            }
-        }
-        fill_order.reverse();
-
-        let mut core_index = vec![NOT_CORE; n];
-        let core_nodes: Vec<NodeId> = g
-            .node_ids()
-            .filter(|&v| tree_parent[v as usize] == NO_PARENT)
-            .collect();
-        for (c, &v) in core_nodes.iter().enumerate() {
-            core_index[v as usize] = c as u32;
-        }
-        let mut core_offsets = Vec::with_capacity(core_nodes.len() + 1);
-        let mut core_targets = Vec::new();
-        let mut core_weights = Vec::new();
-        core_offsets.push(0);
-        for &v in &core_nodes {
-            for (u, w) in g.out_edges(v) {
-                if core_index[u as usize] != NOT_CORE {
-                    core_targets.push(core_index[u as usize]);
-                    core_weights.push(w);
-                }
-            }
-            core_offsets.push(core_targets.len() as u32);
-        }
-        Self {
-            core_index,
-            core_nodes,
-            core_offsets,
-            core_targets,
-            core_weights,
-            tree_parent,
-            up_weight,
-            down_weight,
-            fill_order,
-        }
-    }
-
-    /// Fills `tree` with the whole-graph shortest-path tree from `b`
-    /// (walk, core search, linear fill). Returns false — `tree` then
-    /// unusable — when the core search met a double tie.
-    fn search(&self, b: NodeId, core: &mut CoreSearch, tree: &mut SourceTree) -> bool {
-        tree.order.clear();
-        let mut v = b;
-        let mut d: Distance = 0;
-        let mut prev = NO_PARENT;
-        while self.core_index[v as usize] == NOT_CORE {
-            tree.dist[v as usize] = d;
-            tree.parent[v as usize] = prev;
-            tree.order.push(v);
-            tree.on_walk[v as usize] = true;
-            d += self.up_weight[v as usize] as Distance;
-            prev = v;
-            v = self.tree_parent[v as usize];
-        }
-        let walk = tree.order.len();
-        let tie_free = core.run(self, self.core_index[v as usize], d);
-        if tie_free {
-            for (c, &node) in self.core_nodes.iter().enumerate() {
-                tree.dist[node as usize] = core.dist[c];
-                tree.parent[node as usize] = match core.parent[c] {
-                    NO_PARENT => NO_PARENT,
-                    p => self.core_nodes[p as usize],
-                };
-            }
-            tree.parent[v as usize] = prev;
-            let core_nodes = &self.core_nodes;
-            tree.order
-                .extend(core.order.iter().map(|&c| core_nodes[c as usize]));
-            for &u in &self.fill_order {
-                if tree.on_walk[u as usize] {
-                    continue;
-                }
-                let p = self.tree_parent[u as usize];
-                let dp = tree.dist[p as usize];
-                if dp == DIST_INF {
-                    tree.dist[u as usize] = DIST_INF;
-                    tree.parent[u as usize] = NO_PARENT;
-                } else {
-                    tree.dist[u as usize] = dp + self.down_weight[u as usize] as Distance;
-                    tree.parent[u as usize] = p;
-                    tree.order.push(u);
-                }
-            }
-        }
-        for &u in &tree.order[..walk] {
-            tree.on_walk[u as usize] = false;
-        }
-        tie_free
-    }
-}
-
-/// Per-worker buffers of the core search, over core indices.
-struct CoreSearch {
-    heap: MinHeap<u32>,
-    dist: Vec<Distance>,
-    /// Core index of the parent, `NO_PARENT` for the root.
-    parent: Vec<u32>,
-    order: Vec<u32>,
-}
-
-impl CoreSearch {
-    fn new(core_nodes: usize) -> Self {
-        Self {
-            heap: MinHeap::with_capacity(64),
-            dist: vec![DIST_INF; core_nodes],
-            parent: vec![NO_PARENT; core_nodes],
-            order: Vec::with_capacity(core_nodes),
-        }
-    }
-
-    /// Lazy-heap Dijkstra over the core from `root`, which sits at
-    /// distance `d0` from the source. Returns false on a double tie.
-    fn run(&mut self, peel: &Peel, root: u32, d0: Distance) -> bool {
-        self.dist.fill(DIST_INF);
-        self.parent.fill(NO_PARENT);
-        self.order.clear();
-        self.heap.clear();
-        self.dist[root as usize] = d0;
-        self.heap.push(d0, root);
-        while let Some(e) = self.heap.pop() {
-            let (dv, v) = (e.key, e.item);
-            if dv != self.dist[v as usize] {
-                continue; // stale duplicate
-            }
-            self.order.push(v);
-            let (lo, hi) = (
-                peel.core_offsets[v as usize] as usize,
-                peel.core_offsets[v as usize + 1] as usize,
-            );
-            for (&u, &w) in peel.core_targets[lo..hi]
-                .iter()
-                .zip(&peel.core_weights[lo..hi])
-            {
-                let cand = dv + w as Distance;
-                let du = self.dist[u as usize];
-                if cand < du {
-                    self.dist[u as usize] = cand;
-                    self.parent[u as usize] = v;
-                    self.heap.push(cand, u);
-                } else if cand == du {
-                    let p = self.parent[u as usize];
-                    if p != v && p != NO_PARENT && self.dist[p as usize] == dv {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-}
-
-/// One source's shortest-path tree over the whole graph, as the DPs read
-/// it: `order` holds the reachable nodes parents first; `dist`/`parent`
-/// are indexed by node (`DIST_INF`/`NO_PARENT` where unreachable).
-struct SourceTree {
-    order: Vec<NodeId>,
-    dist: Vec<Distance>,
-    parent: Vec<NodeId>,
-    /// Marks the walk from the source to the core while the fill runs.
-    on_walk: Vec<bool>,
-}
-
 /// Reusable per-worker buffers for the per-source searches and DPs.
 struct SourceScratch {
-    core: CoreSearch,
     tree: SourceTree,
-    /// Whole-graph search for double-tie sources.
-    fallback: DijkstraWorkspace,
     /// Flat parent→child DP buffer: region set of the tree path to v.
     path_regions: Vec<u64>,
     /// Child→parent marks: v lies on a path towards some border target.
@@ -377,21 +128,14 @@ impl BorderPrecomputation {
         let borders = BorderInfo::compute(g, part);
         let region_of: Vec<RegionId> = g.node_ids().map(|v| part.region_of(v)).collect();
         let words = n.div_ceil(64);
-        let peel = Peel::new(g);
+        let peel = Peel::new(g, Direction::Forward);
 
         let merged = parallel::map_reduce_chunked(
             borders.all(),
             threads,
             4,
             || SourceScratch {
-                core: CoreSearch::new(peel.core_nodes.len()),
-                tree: SourceTree {
-                    order: Vec::with_capacity(nn),
-                    dist: vec![DIST_INF; nn],
-                    parent: vec![NO_PARENT; nn],
-                    on_walk: vec![false; nn],
-                },
-                fallback: DijkstraWorkspace::new(nn),
+                tree: SourceTree::new(&peel),
                 path_regions: vec![0u64; nn * words],
                 on_path: vec![false; nn],
             },
@@ -404,7 +148,7 @@ impl BorderPrecomputation {
             |scratch, partial, sources, _base| {
                 for &b in sources {
                     process_source(
-                        g, &peel, part, &borders, &region_of, words, scratch, partial, b,
+                        &peel, part, &borders, &region_of, words, scratch, partial, b,
                     );
                 }
             },
@@ -443,7 +187,7 @@ impl BorderPrecomputation {
             traversed,
             cross_border,
             borders,
-            core_nodes: peel.core_nodes.len(),
+            core_nodes: peel.core_nodes().len(),
             tie_fallback_sources,
             precompute_secs: start.elapsed().as_secs_f64(),
         }
@@ -513,13 +257,11 @@ impl BorderPrecomputation {
 }
 
 /// Folds one border-node source into a partial: its shortest-path tree
-/// (core search, or the whole-graph search after a double tie), then the
-/// three tree DPs of the module docs. Depends only on `b`'s own search
+/// from the kernel, then the three tree DPs of the module docs. Depends only on `b`'s own search
 /// tree, never on other sources' results — the independence the
 /// parallel fan-out rests on.
 #[allow(clippy::too_many_arguments)]
 fn process_source(
-    g: &RoadNetwork,
     peel: &Peel,
     part: &(impl Partitioning + Sync),
     borders: &BorderInfo,
@@ -532,28 +274,12 @@ fn process_source(
     let n = part.num_regions();
     let rb = part.region_of(b);
     let SourceScratch {
-        core,
         tree,
-        fallback,
         path_regions,
         on_path,
     } = scratch;
-    if !peel.search(b, core, tree) {
-        partial.tie_fallbacks += 1;
-        fallback.run(g, b, Direction::Forward);
-        tree.order.clear();
-        tree.order.extend_from_slice(fallback.settle_order());
-        for v in g.node_ids() {
-            tree.dist[v as usize] = fallback.distance(v);
-            tree.parent[v as usize] = fallback.parent(v).unwrap_or(NO_PARENT);
-        }
-    }
-    let SourceTree {
-        order,
-        dist,
-        parent,
-        ..
-    } = tree;
+    partial.tie_fallbacks += usize::from(tree.search(peel, b));
+    let (order, dist, parent) = (tree.order(), tree.distances(), tree.parents());
 
     // Forward DP: regions of the path b -> v.
     for &v in order.iter() {

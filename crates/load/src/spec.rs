@@ -181,10 +181,11 @@ pub fn default_load_matrix(scale: f64) -> Vec<LoadSpec> {
     };
     let mut specs = Vec::new();
 
-    // SPQ precomputes a full Dijkstra (and a quadtree) per node — the
-    // costliest build of all methods — but the template-driven parallel
-    // build (`SpqIndex::build_with_threads`) keeps the all-pairs pass
-    // tractable at 100k nodes, so the paper-scale cell serves both
+    // SPQ precomputes a shortest-path tree (and a quadtree) per node —
+    // the costliest build of all methods — but the build
+    // (`SpqIndex::build_with_threads`) searches only the 2-core, colors
+    // roots inside dangling trees without a search and fans out over
+    // workers, which keeps the all-pairs pass tractable at 100k nodes, so the paper-scale cell serves both
     // whole-cycle-index representatives: SPQ next to HiTi.
     let mut s = base_scenario(&format!("germany{}k-kd-lossless", nodes / 1000), 9001);
     s.graph = graph;

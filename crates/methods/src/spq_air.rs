@@ -76,8 +76,10 @@ impl BroadcastMethod for SpqAir {
     }
 
     fn build_program(&self, world: &World) -> Box<dyn MethodProgram> {
-        // One full Dijkstra per node: the template-driven parallel build
-        // (bit-identical to serial) keeps paper-scale worlds tractable.
+        // One shortest-path tree per node, searched over the 2-core only
+        // (none for roots inside dangling trees): the template-driven
+        // parallel build (bit-identical to serial) keeps paper-scale
+        // worlds tractable.
         let index = SpqIndex::build(&world.g);
         Box::new(SpqMethodProgram {
             precompute_secs: index.precompute_secs,

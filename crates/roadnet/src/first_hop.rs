@@ -18,14 +18,16 @@
 //! out of settled nodes, so a node's final parent is always settled —
 //! and therefore already colored — before the node itself, **including
 //! across zero-weight edges** (the parent popped first even when child
-//! and parent distances tie).
+//! and parent distances tie). Any parents-first order serves as well,
+//! such as a [`SourceTree`]'s.
 //!
 //! # Tie rule
 //!
 //! Colors are only unique when shortest paths are; on ties the sweep
 //! commits to the parents the driving search chose, which for
 //! [`dijkstra_full`](crate::dijkstra::dijkstra_full) and the heap-driven
-//! [`DijkstraWorkspace`] (identical settle order by construction) means:
+//! [`DijkstraWorkspace`](crate::dijkstra::DijkstraWorkspace) (identical
+//! settle order by construction) means:
 //!
 //! * relaxation replaces a parent only on a **strict** distance
 //!   improvement (`cand < dist`), so among equal-distance predecessors
@@ -36,13 +38,14 @@
 //!
 //! Any consumer that compares colors against a freshly run
 //! `dijkstra_full` (the SPQ differential tests do) must drive the sweep
-//! from a search sharing this rule — a bucket-queue search settles
-//! equal-distance nodes in a different order and may pick different
-//! (equally shortest) parents.
+//! from a search sharing this rule — the forward [`SourceTree`] of
+//! [`crate::peel`] does; a bucket-queue search settles equal-distance
+//! nodes in a different order and may pick different (equally shortest)
+//! parents.
 
-use crate::dijkstra::DijkstraWorkspace;
 use crate::graph::{NodeId, RoadNetwork};
-use crate::sptree::ShortestPathTree;
+use crate::peel::SourceTree;
+use crate::sptree::{ShortestPathTree, NO_PARENT};
 
 /// Color of the root itself, of unreachable nodes, and of nodes whose
 /// first hop is beyond the 255 addressable out-edge positions.
@@ -95,11 +98,15 @@ pub fn first_hops_from_tree(g: &RoadNetwork, tree: &ShortestPathTree, out: &mut 
     sweep(g, tree.settle_order(), |u| tree.parent(u), out);
 }
 
-/// [`first_hops_from_tree`] over a [`DijkstraWorkspace`]'s latest run —
-/// the allocation-free form the per-root SPQ build loops on (the
-/// workspace and `out` are per-worker scratch, reused across roots).
-pub fn first_hops_from_workspace(g: &RoadNetwork, ws: &DijkstraWorkspace, out: &mut [u8]) {
-    sweep(g, ws.settle_order(), |u| ws.parent(u), out);
+/// [`first_hops_from_tree`] over a [`SourceTree`] of the all-sources
+/// kernel, whose forward parents are exactly
+/// [`DijkstraWorkspace`](crate::dijkstra::DijkstraWorkspace)'s —
+/// the allocation-free form the per-root SPQ build loops on (the tree
+/// and `out` are per-worker scratch, reused across roots).
+pub fn first_hops_from_source_tree(g: &RoadNetwork, tree: &SourceTree, out: &mut [u8]) {
+    let parents = tree.parents();
+    let parent = |u: NodeId| Some(parents[u as usize]).filter(|&p| p != NO_PARENT);
+    sweep(g, tree.order(), parent, out);
 }
 
 #[cfg(test)]
@@ -107,6 +114,7 @@ mod tests {
     use super::*;
     use crate::dijkstra::{dijkstra_full, Direction};
     use crate::graph::{GraphBuilder, Point};
+    use crate::peel::Peel;
 
     /// Oracle: reconstruct the `root -> t` path and look the first hop up
     /// in the root's out-edge list.
@@ -159,16 +167,17 @@ mod tests {
     }
 
     #[test]
-    fn workspace_sweep_matches_tree_sweep() {
+    fn source_tree_sweep_matches_tree_sweep() {
         let g = line_with_branch();
         let tree = dijkstra_full(&g, 0);
         let mut from_tree = vec![0u8; g.num_nodes()];
         first_hops_from_tree(&g, &tree, &mut from_tree);
-        let mut ws = DijkstraWorkspace::new(g.num_nodes());
-        ws.run(&g, 0, Direction::Forward);
-        let mut from_ws = vec![0u8; g.num_nodes()];
-        first_hops_from_workspace(&g, &ws, &mut from_ws);
-        assert_eq!(from_tree, from_ws);
+        let peel = Peel::new(&g, Direction::Forward);
+        let mut source_tree = SourceTree::new(&peel);
+        source_tree.search(&peel, 0);
+        let mut from_source_tree = vec![0u8; g.num_nodes()];
+        first_hops_from_source_tree(&g, &source_tree, &mut from_source_tree);
+        assert_eq!(from_tree, from_source_tree);
     }
 
     #[test]
@@ -203,16 +212,17 @@ mod tests {
     #[test]
     fn stale_scratch_is_overwritten() {
         let g = line_with_branch();
-        let mut ws = DijkstraWorkspace::new(g.num_nodes());
+        let peel = Peel::new(&g, Direction::Forward);
+        let mut tree = SourceTree::new(&peel);
         let mut dp = vec![0u8; g.num_nodes()];
-        ws.run(&g, 0, Direction::Forward);
-        first_hops_from_workspace(&g, &ws, &mut dp);
+        tree.search(&peel, 0);
+        first_hops_from_source_tree(&g, &tree, &mut dp);
         let first = dp.clone();
         // A different root in between must not leak into a rerun of 0.
-        ws.run(&g, 3, Direction::Forward);
-        first_hops_from_workspace(&g, &ws, &mut dp);
-        ws.run(&g, 0, Direction::Forward);
-        first_hops_from_workspace(&g, &ws, &mut dp);
+        tree.search(&peel, 3);
+        first_hops_from_source_tree(&g, &tree, &mut dp);
+        tree.search(&peel, 0);
+        first_hops_from_source_tree(&g, &tree, &mut dp);
         assert_eq!(dp, first);
     }
 }

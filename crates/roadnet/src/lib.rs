@@ -12,7 +12,9 @@
 //! * [`generators`] — synthetic road networks with road-like topology and
 //!   presets matching the five networks evaluated in the paper;
 //! * [`io`] — a DIMACS-like text format so real datasets can be dropped in;
-//! * [`snap`] — nearest-node snapping for arbitrary (off-node) locations.
+//! * [`snap`] — nearest-node snapping for arbitrary (off-node) locations;
+//! * [`peel`] — the all-sources kernel every per-source server build runs:
+//!   one search per source over the 2-core, dangling trees filled around it.
 //!
 //! All randomness is seeded; everything in this crate is deterministic.
 
@@ -31,6 +33,7 @@ pub mod graph;
 pub mod heap;
 pub mod io;
 pub mod parallel;
+pub mod peel;
 pub mod snap;
 pub mod split;
 pub mod sptree;
@@ -42,7 +45,7 @@ pub use dijkstra::{
     dijkstra_distance, dijkstra_filtered, dijkstra_filtered_with, dijkstra_full,
     dijkstra_to_target, DijkstraOptions, SearchStats,
 };
-pub use first_hop::{first_hops_from_tree, first_hops_from_workspace, NO_FIRST_HOP};
+pub use first_hop::{first_hops_from_source_tree, first_hops_from_tree, NO_FIRST_HOP};
 pub use generators::{GeneratorConfig, NetworkPreset};
 pub use graph::{EdgeId, GraphBuilder, NodeId, Point, RoadNetwork, Weight};
 pub use heap::MinHeap;

@@ -183,6 +183,7 @@ proptest! {
         pick in 0usize..10_000,
     ) {
         use spair_roadnet::dijkstra::{DijkstraWorkspace, Direction};
+        use spair_roadnet::peel::{Peel, SourceTree};
         use spair_roadnet::QueuePolicy;
 
         // Reference: a builder fed the same edges in source-major order
@@ -232,18 +233,17 @@ proptest! {
                     prop_assert_eq!(wg.distance(v), wc.distance(v));
                     prop_assert_eq!(wg.parent(v), wc.parent(v));
                 }
-                if dir == Direction::Forward {
-                    let mut hops_g = vec![0u8; g.num_nodes()];
-                    let mut hops_c = vec![0u8; c.num_nodes()];
-                    spair_roadnet::first_hops_from_workspace(&g, &wg, &mut hops_g);
-                    spair_roadnet::first_hops_from_workspace(&c, &wc, &mut hops_c);
-                    prop_assert_eq!(
-                        &hops_g, &hops_c,
-                        "first-hop colors from {} under {:?}", s, policy
-                    );
-                }
             }
         }
+        let (peel_g, peel_c) = (Peel::new(&g, Direction::Forward), Peel::new(&c, Direction::Forward));
+        let (mut tree_g, mut tree_c) = (SourceTree::new(&peel_g), SourceTree::new(&peel_c));
+        tree_g.search(&peel_g, s);
+        tree_c.search(&peel_c, s);
+        let mut hops_g = vec![0u8; g.num_nodes()];
+        let mut hops_c = vec![0u8; c.num_nodes()];
+        spair_roadnet::first_hops_from_source_tree(&g, &tree_g, &mut hops_g);
+        spair_roadnet::first_hops_from_source_tree(&c, &tree_c, &mut hops_c);
+        prop_assert_eq!(&hops_g, &hops_c, "first-hop colors from {}", s);
     }
 
     /// Zero-weight edges create equal-key ties; the CSR rebuild must

@@ -1,25 +1,32 @@
-//! Differential certification of the 2-core border precompute against
-//! the legacy fold it replaced, reimplemented here as the test oracle:
-//! one whole-graph `DijkstraWorkspace::run` per border node, then the
-//! same forward region DP, min/max fold and reverse cross-border DP.
+//! Differential certification of the all-sources kernel
+//! (`spair_roadnet::peel`) and of the three builds that run it — border
+//! precompute, SPQ and arc flags — against oracles that share no code
+//! with the kernel: whole-graph `DijkstraWorkspace::run` /
+//! `dijkstra_full` searches, and in-test copies of the legacy
+//! per-border folds the builds replaced.
 //!
-//! The kernel claims bit-identical tables on every graph and thread
-//! count. The graph families aim at the places where peeling dangling
-//! trees, searching the core and filling the trees back in could
-//! diverge from a whole-graph search: pure trees (the core is one node
-//! per component), cycles with long spurs, one-way and parallel spur
-//! edges (which must stay in the core), zero-weight edges, unit-weight
-//! lattices (where double ties force the whole-graph fallback),
-//! disconnected components, single-region partitions, and a hashed
-//! partition that makes border sources of nodes deep inside trees.
+//! The kernel claims exactly the whole-graph search's distances and
+//! parents on every graph and thread count. The graph families aim at
+//! the places where peeling dangling trees, searching the core and
+//! filling the trees back in could diverge from a whole-graph search:
+//! pure trees (the core is one node per component), cycles with long
+//! spurs, one-way and parallel spur edges (which must stay in the core),
+//! zero-weight edges, unit-weight lattices (where double ties force the
+//! whole-graph fallback), disconnected components, single-region
+//! partitions, and a hashed partition that makes border sources of nodes
+//! deep inside trees.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use spair_baselines::arcflag::ArcFlagIndex;
+use spair_baselines::spq::{Quadtree, SpqIndex, NO_COLOR};
 use spair_core::precompute::BorderPrecomputation;
 use spair_core::RegionSet;
 use spair_partition::{BorderInfo, GridPartition, KdTreePartition, Partitioning, RegionId};
 use spair_roadnet::dijkstra::{DijkstraWorkspace, Direction};
+use spair_roadnet::peel::{Peel, SourceTree};
+use spair_roadnet::sptree::NO_PARENT;
 use spair_roadnet::{Distance, GraphBuilder, NodeId, Point, RoadNetwork, DIST_INF};
 
 // ---------------------------------------------------------------------
@@ -122,6 +129,33 @@ fn matches_legacy(pre: &BorderPrecomputation, legacy: &LegacyTables) -> Result<(
         Some(v) => Err(format!("cross_border({v})")),
         None => Ok(()),
     }
+}
+
+/// The legacy arc-flag fold: intra-target flags, then one whole-graph
+/// backward search per border node marking every edge `(u, v)` with
+/// `d(u→b) = w(u, v) + d(v→b)`. Returns per edge the set regions.
+fn legacy_flags(g: &RoadNetwork, part: &KdTreePartition) -> Vec<RegionSet> {
+    let n = part.num_regions();
+    let mut flags = vec![RegionSet::new(n); g.num_edges()];
+    for u in g.node_ids() {
+        for e in g.out_edge_ids(u) {
+            flags[e as usize].insert(part.region_of(g.edge_target(e)));
+        }
+    }
+    let mut ws = DijkstraWorkspace::new(g.num_nodes());
+    for &b in BorderInfo::compute(g, part).all() {
+        ws.run(g, b, Direction::Reverse);
+        for u in g.node_ids() {
+            let du = ws.distance(u);
+            for e in g.out_edge_ids(u) {
+                let dv = ws.distance(g.edge_target(e));
+                if du != DIST_INF && dv != DIST_INF && du == dv + g.edge_weight(e) as Distance {
+                    flags[e as usize].insert(part.region_of(b));
+                }
+            }
+        }
+    }
+    flags
 }
 
 // ---------------------------------------------------------------------
@@ -401,6 +435,115 @@ proptest! {
     }
 }
 
+/// The kernel's tree from every source equals a whole-graph search's:
+/// in `dir` with exact parents, or distances only.
+fn check_kernel(g: &RoadNetwork, dir: Direction) -> Result<(), TestCaseError> {
+    let peel = Peel::new(g, dir);
+    let mut tree = SourceTree::new(&peel);
+    let mut ws = DijkstraWorkspace::new(g.num_nodes());
+    let mut seen = vec![false; g.num_nodes()];
+    for s in g.node_ids() {
+        ws.run(g, s, dir);
+        tree.search_distances(&peel, s);
+        for v in g.node_ids() {
+            prop_assert_eq!(tree.distances()[v as usize], ws.distance(v), "{}->{}", s, v);
+        }
+        tree.search(&peel, s);
+        for v in g.node_ids() {
+            prop_assert_eq!(tree.distances()[v as usize], ws.distance(v), "{}->{}", s, v);
+            let want = ws.parent(v).unwrap_or(NO_PARENT);
+            prop_assert_eq!(
+                tree.parents()[v as usize],
+                want,
+                "parent of {} from {}",
+                v,
+                s
+            );
+        }
+        // Parents first, starting at the source, every reachable node
+        // exactly once.
+        prop_assert_eq!(tree.order().first(), Some(&s));
+        prop_assert_eq!(tree.order().len(), ws.settle_order().len());
+        seen.fill(false);
+        for &v in tree.order() {
+            prop_assert!(!seen[v as usize], "{} twice", v);
+            let p = tree.parents()[v as usize];
+            prop_assert!(v == s || seen[p as usize], "{} before its parent", v);
+            seen[v as usize] = true;
+        }
+    }
+    Ok(())
+}
+
+/// The SPQ build equals the recursive reference at 1 and 3 threads, and
+/// its counters split the roots between the core and the trees.
+fn check_spq(g: &RoadNetwork) -> Result<(), TestCaseError> {
+    let reference = SpqIndex::build_reference(g);
+    let serial = SpqIndex::build_serial(g);
+    prop_assert!(serial.same_trees(&reference), "serial vs reference");
+    prop_assert_eq!(
+        serial.core_nodes() + serial.searchless_roots(),
+        g.num_nodes()
+    );
+    let par = SpqIndex::build_with_threads(g, 3);
+    prop_assert!(par.same_trees(&serial), "3 threads vs serial");
+    prop_assert_eq!(par.tie_fallback_roots(), serial.tie_fallback_roots());
+    Ok(())
+}
+
+/// Arc flags equal the legacy fold's bit for bit, at 1, 2 and 5 threads.
+fn check_flags(g: &RoadNetwork, part: &KdTreePartition) -> Result<(), TestCaseError> {
+    let legacy = legacy_flags(g, part);
+    let serial = ArcFlagIndex::build_with_threads(g, part, 1);
+    for threads in [1, 2, 5] {
+        let index = ArcFlagIndex::build_with_threads(g, part, threads);
+        prop_assert!(serial.same_flags(&index), "threads={}", threads);
+        for e in 0..g.num_edges() as u32 {
+            for r in 0..part.num_regions() as RegionId {
+                prop_assert_eq!(
+                    index.flag(e, r),
+                    legacy[e as usize].contains(r),
+                    "edge {} region {}",
+                    e,
+                    r
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Forward trees and reverse distances equal whole-graph searches
+    /// from every source.
+    #[test]
+    fn kernel_matches_whole_graph_searches(family in 0usize..6, seed in any::<u64>()) {
+        let g = build(FAMILIES[family], seed);
+        check_kernel(&g, Direction::Forward)?;
+        check_kernel(&g, Direction::Reverse)?;
+    }
+
+    /// SPQ trees equal the recursive reference's on every family.
+    #[test]
+    fn spq_same_trees_as_the_reference(family in 0usize..6, seed in any::<u64>()) {
+        check_spq(&build(FAMILIES[family], seed))?;
+    }
+
+    /// Arc flags equal the legacy fold's on every family (kd regions,
+    /// rounded up to a power of two).
+    #[test]
+    fn arc_flags_same_as_the_legacy_fold(
+        family in 0usize..6,
+        seed in any::<u64>(),
+        regions in 2usize..9,
+    ) {
+        let g = build(FAMILIES[family], seed);
+        check_flags(&g, &KdTreePartition::build(&g, regions.next_power_of_two()))?;
+    }
+}
+
 #[test]
 fn pure_trees_keep_one_core_node_per_component() {
     for seed in 0..20 {
@@ -471,4 +614,83 @@ fn zero_weight_spur_edges_stay_in_the_core() {
     // Nodes 3 and 4 are isolated core nodes; 0, 1, 2, 5, 6 stay too.
     assert_eq!(pre.core_nodes(), 7);
     assert!(matches_legacy(&pre, &legacy_fold(&g, &part)).is_ok());
+    let index = SpqIndex::build_serial(&g);
+    assert_eq!((index.core_nodes(), index.searchless_roots()), (7, 0));
+    assert!(index.same_trees(&SpqIndex::build_reference(&g)));
+}
+
+/// The color `root`'s quadtree gives node `t`.
+fn spq_color(g: &RoadNetwork, index: &SpqIndex, root: NodeId, t: NodeId) -> u8 {
+    index.tree(root).color_at(g.point(t), g.bounding_box())
+}
+
+#[test]
+fn hub_with_300_leaves_colors_past_position_254_as_no_color() {
+    // The hub alone is the core; hung off a triangle by one edge (its
+    // out-edge position 300), it is a searchless root itself.
+    for hang in [false, true] {
+        let mut b = GraphBuilder::new();
+        let hub = b.add_node(Point::new(0.0, 0.0));
+        for i in 0..300 {
+            let angle = i as f64 * std::f64::consts::TAU / 300.0;
+            let leaf = b.add_node(Point::new(angle.cos() * 10.0, angle.sin() * 10.0));
+            b.add_undirected_edge(hub, leaf, 1 + i % 7);
+        }
+        if hang {
+            let t: Vec<NodeId> = (0..3)
+                .map(|i| b.add_node(Point::new(20.0 + i as f64, 20.0)))
+                .collect();
+            for i in 0..3 {
+                b.add_undirected_edge(t[i], t[(i + 1) % 3], 2);
+            }
+            b.add_undirected_edge(hub, t[0], 4);
+        }
+        let g = b.finish();
+        let index = SpqIndex::build_serial(&g);
+        assert_eq!(index.searchless_roots(), if hang { 301 } else { 300 });
+        assert!(
+            index.same_trees(&SpqIndex::build_reference(&g)),
+            "hang {hang}"
+        );
+        // A leaf reaches everything through its one edge, position 0.
+        for leaf in [1, 150, 300] {
+            assert_eq!(index.tree(leaf), &Quadtree::Leaf(0), "leaf {leaf}");
+        }
+        for (i, (u, _)) in g.out_edges(hub).enumerate() {
+            let want = if i < 255 { i as u8 } else { NO_COLOR };
+            assert_eq!(spq_color(&g, &index, hub, u), want, "position {i}");
+        }
+    }
+}
+
+#[test]
+fn tree_root_behind_a_one_way_bridge_leaves_unreachable_nodes_uncolored() {
+    // Triangles 0-1-2 and 3-4-5, a one-way bridge 2 -> 3, and spurs
+    // 0 - 6 - 7 and 3 - 8 - 9.
+    let mut b = GraphBuilder::new();
+    for i in 0..10 {
+        b.add_node(Point::new(i as f64, (i * i % 5) as f64));
+    }
+    for (x, y) in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)] {
+        b.add_undirected_edge(x, y, 2 + x);
+    }
+    b.add_edge(2, 3, 5);
+    for (x, y) in [(0, 6), (6, 7), (3, 8), (8, 9)] {
+        b.add_undirected_edge(x, y, 3);
+    }
+    let g = b.finish();
+    let index = SpqIndex::build_serial(&g);
+    assert_eq!(index.searchless_roots(), 4);
+    assert!(index.same_trees(&SpqIndex::build_reference(&g)));
+    // 9 sits behind the bridge: it reaches only its own side.
+    for t in [0, 1, 2, 6, 7] {
+        assert_eq!(spq_color(&g, &index, 9, t), NO_COLOR, "9 -> {t}");
+    }
+    for t in [3, 4, 5, 8] {
+        assert_eq!(spq_color(&g, &index, 9, t), 0, "9 -> {t}");
+    }
+    // 7 crosses the bridge.
+    for t in [0, 1, 2, 3, 4, 5, 6, 8, 9] {
+        assert_eq!(spq_color(&g, &index, 7, t), 0, "7 -> {t}");
+    }
 }

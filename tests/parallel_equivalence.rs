@@ -9,8 +9,9 @@ use spair_core::BorderPrecomputation;
 use spair_roadnet::dijkstra::{
     dijkstra_with_options, DijkstraOptions, DijkstraWorkspace, Direction,
 };
-use spair_roadnet::first_hop::{first_hops_from_tree, first_hops_from_workspace, NO_FIRST_HOP};
+use spair_roadnet::first_hop::{first_hops_from_source_tree, first_hops_from_tree, NO_FIRST_HOP};
 use spair_roadnet::generators::GeneratorConfig;
+use spair_roadnet::peel::{Peel, SourceTree};
 use spair_roadnet::{dijkstra_full, NodeId, QueuePolicy, Weight};
 
 fn arb_network() -> impl Strategy<Value = RoadNetwork> {
@@ -151,13 +152,15 @@ proptest! {
         let mut dp = vec![0u8; g.num_nodes()];
         first_hops_from_tree(&g, &tree, &mut dp);
 
-        // The workspace-driven sweep (the SPQ build's production path)
-        // must agree with the tree-driven one.
-        let mut ws = DijkstraWorkspace::new(g.num_nodes());
-        ws.run(&g, root, Direction::Forward);
-        let mut dp_ws = vec![0u8; g.num_nodes()];
-        first_hops_from_workspace(&g, &ws, &mut dp_ws);
-        prop_assert_eq!(&dp, &dp_ws, "workspace sweep diverged from tree sweep");
+        // The sweep over the all-sources kernel's tree (the SPQ build's
+        // production path, double-tie fallback included) must agree with
+        // the tree-driven one.
+        let peel = Peel::new(&g, Direction::Forward);
+        let mut source_tree = SourceTree::new(&peel);
+        source_tree.search(&peel, root);
+        let mut dp_kernel = vec![0u8; g.num_nodes()];
+        first_hops_from_source_tree(&g, &source_tree, &mut dp_kernel);
+        prop_assert_eq!(&dp, &dp_kernel, "kernel sweep diverged from tree sweep");
 
         let first_edges: Vec<NodeId> = g.out_edges(root).map(|(u, _)| u).collect();
         for t in g.node_ids() {
