@@ -231,37 +231,37 @@ fn table2(opts: &Opts) {
         let mut client = programs.client(m);
         rows.push((name, run_air_client(client.as_mut(), cycle, &queries)));
     }
+    let mb = |bytes: usize| bytes as f64 / (1024.0 * 1024.0);
     for (name, peak) in rows {
-        println!(
-            "{:<6} peak {:>8.3} MB vs heap {:>8.3} MB  -> {}",
-            name,
-            peak as f64 / (1024.0 * 1024.0),
-            heap as f64 / (1024.0 * 1024.0),
-            if peak <= heap { "ok" } else { "exceeds heap" },
-        );
+        match peak {
+            Ok(peak) => println!(
+                "{name:<6} peak {:>8.3} MB vs heap {:>8.3} MB  -> {}",
+                mb(peak),
+                mb(heap),
+                if peak <= heap { "ok" } else { "exceeds heap" },
+            ),
+            Err(e) => println!("{name:<6} FAILED ({e}) vs heap {:>8.3} MB", mb(heap)),
+        }
     }
 }
 
-/// Peak memory of an air client over a query set (lossless).
+/// Peak memory of an air client over a query set (lossless), or the
+/// first query that failed.
 fn run_air_client(
     client: &mut dyn spair_core::query::AirClient,
     cycle: &spair_broadcast::BroadcastCycle,
     queries: &[Query],
-) -> usize {
+) -> Result<usize, String> {
     use spair_broadcast::{BroadcastChannel, LossModel};
-    queries
-        .iter()
-        .enumerate()
-        .map(|(i, q)| {
-            let mut ch =
-                BroadcastChannel::tune_in(cycle, (i * 131) % cycle.len(), LossModel::Lossless);
-            client
-                .query(&mut ch, q)
-                .map(|o| o.stats.peak_memory_bytes)
-                .unwrap_or(0)
-        })
-        .max()
-        .unwrap_or(0)
+    let mut peak = 0;
+    for (i, q) in queries.iter().enumerate() {
+        let mut ch = BroadcastChannel::tune_in(cycle, (i * 131) % cycle.len(), LossModel::Lossless);
+        let out = client
+            .query(&mut ch, q)
+            .map_err(|e| format!("query {i}: {e}"))?;
+        peak = peak.max(out.stats.peak_memory_bytes);
+    }
+    Ok(peak)
 }
 
 /// Table 3: server precomputation time per network.

@@ -34,9 +34,12 @@
 
 use crate::packet::{crc32, Packet, PACKET_SIZE};
 
-/// SplitMix64 — the stateless per-slot hash behind every fault draw.
+/// SplitMix64 — the stateless hash behind every fault draw, and the
+/// seed-derivation function of every harness: session offsets, loss
+/// streams and fault plans are all pure functions of a seed through it,
+/// so runs reproduce for any thread schedule.
 #[inline]
-fn splitmix64(mut x: u64) -> u64 {
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

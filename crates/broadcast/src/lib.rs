@@ -43,7 +43,7 @@ pub use codec::{PayloadReader, RecordWriter};
 pub use cycle::{BroadcastCycle, CycleBuilder, SegmentKind};
 pub use device::{ChannelRate, DeviceProfile};
 pub use energy::EnergyModel;
-pub use fault::{FaultPlan, FaultTelemetry};
+pub use fault::{splitmix64, FaultPlan, FaultTelemetry};
 pub use interleave::{interleave_1m, optimal_m};
 pub use metrics::{CpuMeter, MemoryMeter, QueryStats};
 pub use packet::{crc32, Packet, PacketKind, PACKET_SIZE, PAYLOAD_CAPACITY};

@@ -230,6 +230,18 @@ pub struct SupervisedSession<T> {
     pub tuned_packets: u64,
 }
 
+impl<T> SupervisedSession<T> {
+    /// Whether the session kept to `budget` over a `cycle_len`-packet
+    /// cycle: attempts within the attempt budget, and recovery latency
+    /// within the packet ceiling plus one attempt's overshoot (the
+    /// supervisor checks the ceiling only *between* attempts, and each
+    /// attempt is itself bounded by the client's own retry guard).
+    pub fn within(&self, budget: RecoveryBudget, cycle_len: usize) -> bool {
+        self.attempts <= budget.max_attempts
+            && self.recovery_packets <= budget.packet_budget(cycle_len).saturating_mul(2)
+    }
+}
+
 /// Classifies an attempt's telemetry into the taint that invalidates it,
 /// most severe first (a restart invalidates more than a stale frame,
 /// which invalidates more than a stutter).

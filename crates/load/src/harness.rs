@@ -40,47 +40,22 @@ use crate::hist::StreamingHistogram;
 use crate::report::{LoadCellReport, LoadFaultSummary, LoadReport, PercentileSummary};
 use crate::spec::LoadSpec;
 use spair_broadcast::cycle::SegmentKind;
-use spair_broadcast::{
-    BroadcastChannel, BroadcastCycle, ChannelRate, EnergyModel, FaultPlan, LossModel, QueryStats,
+use spair_broadcast::{splitmix64, BroadcastCycle, ChannelRate, EnergyModel, QueryStats};
+use spair_core::RecoveryBudget;
+use spair_methods::{MethodId, MethodProgram, SessionShape};
+use spair_roadnet::parallel;
+use spair_sim::{
+    drive, Device, Driven, FaultSource, ScenarioContext, Tune, TuneInSpec, Verdict, WorkItem,
+    FAULT_BUDGET,
 };
-use spair_core::query::Query;
-use spair_core::{supervise, AttemptReport, RecoveryBudget, SessionOutcome};
-use spair_methods::{MethodId, SessionShape};
-use spair_roadnet::{parallel, Distance};
-use spair_sim::{ScenarioContext, WorkItem};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// The recovery budget every flash-crowd client session runs under —
-/// the same chaos budget the fault matrix certifies.
-const FLASH_BUDGET: RecoveryBudget = RecoveryBudget::standard();
-
-/// SplitMix64 — the same seed-derivation PRNG the scenario engine uses.
-/// Every client's (query, offset, loss seed) is a pure function of
-/// (scenario seed, method ordinal, client index), so populations are
-/// reproducible for any thread schedule.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
+/// A cell's seed: every client's (query, offset, loss seed) is a pure
+/// function of (scenario seed, method ordinal, client index), so
+/// populations are reproducible for any thread schedule.
 fn cell_seed(scenario_seed: u64, method: MethodId) -> u64 {
     splitmix64(scenario_seed ^ splitmix64(u64::from(method.ordinal()).wrapping_add(0x10AD)))
-}
-
-/// Salts a client's base seed per supervised re-tune attempt. Attempt 0
-/// uses the base unchanged, so a fault-free supervised session draws
-/// exactly the streams an unsupervised client would (same convention as
-/// the fault matrix).
-fn attempt_seed(base: u64, attempt: u32) -> u64 {
-    if attempt == 0 {
-        base
-    } else {
-        splitmix64(base ^ u64::from(attempt))
-    }
 }
 
 /// The consumption shape of an air client method — read straight off its
@@ -96,10 +71,21 @@ pub fn session_shape(method: MethodId) -> SessionShape {
     })
 }
 
+/// The program of a validated cell's method.
+fn program(ctx: &ScenarioContext, method: MethodId) -> &dyn MethodProgram {
+    ctx.program(method)
+        .unwrap_or_else(|e| panic!("LoadSpec::validate admits only air methods: {e}"))
+}
+
 /// The air cycle of a validated cell's method.
 fn air_cycle(ctx: &ScenarioContext, method: MethodId) -> &BroadcastCycle {
     ctx.cycle(method)
         .unwrap_or_else(|e| panic!("LoadSpec::validate admits only air methods: {e}"))
+}
+
+/// A fresh client device of a validated cell's method.
+fn device(ctx: &ScenarioContext, method: MethodId) -> Device {
+    Device::new(program(ctx, method), ctx.spec.queue).expect("air methods have air clients")
 }
 
 /// One real client session's measurements, recorded at a class
@@ -129,16 +115,18 @@ enum CellMode {
         /// Query-major: `profiles[qi * classes + ci]`.
         profiles: Vec<SessionProfile>,
     },
-    /// Lossy: every client runs a full session over its own loss stream.
-    Exact,
-    /// Flash crowd: every client runs a full bounded-recovery supervised
-    /// session against this **shared** fault plan — one faulty server,
-    /// the whole population tuned in within one cycle, correlated bursts
-    /// hitting neighbouring clients at the same wall-clock slots.
-    Supervised {
-        /// The population-wide fault plan (seeded off the cell, not the
-        /// client, so fault draws correlate across clients).
-        plan: FaultPlan,
+    /// Every client runs a full session: over its own loss stream in a
+    /// lossy cell (one attempt, fault-free), or — in a flash crowd —
+    /// under the recovery budget against one **shared** fault plan: one
+    /// faulty server, the whole population tuned in within one cycle,
+    /// correlated bursts hitting neighbouring clients at the same
+    /// wall-clock slots.
+    Full {
+        /// Fault-free, or the population-wide plan (seeded off the cell,
+        /// not the client, so fault draws correlate across clients).
+        faults: FaultSource,
+        /// The sessions' recovery budget.
+        budget: RecoveryBudget,
     },
 }
 
@@ -196,7 +184,7 @@ impl PreparedCell {
     pub fn profile_sessions(&self) -> usize {
         match &self.mode {
             CellMode::Replay { profiles, .. } => profiles.len(),
-            CellMode::Exact | CellMode::Supervised { .. } => 0,
+            CellMode::Full { .. } => 0,
         }
     }
 
@@ -215,13 +203,10 @@ pub struct PreparedLoad {
 }
 
 /// The query pool of a context: every P2p work item with its oracle.
-fn query_pool(ctx: &ScenarioContext) -> Vec<(Query, Distance)> {
+fn query_pool(ctx: &ScenarioContext) -> Vec<&WorkItem> {
     ctx.workload
         .iter()
-        .filter_map(|item| match item {
-            WorkItem::P2p { query, oracle } => Some((*query, *oracle)),
-            _ => None,
-        })
+        .filter(|item| matches!(item, WorkItem::P2p { .. }))
         .collect()
 }
 
@@ -246,35 +231,30 @@ fn index_starts(ctx: &ScenarioContext, method: MethodId) -> Vec<usize> {
 fn probe_session(
     ctx: &ScenarioContext,
     method: MethodId,
-    query: &Query,
-    oracle: Distance,
+    item: &WorkItem,
     offset: usize,
 ) -> SessionProfile {
-    let cycle = air_cycle(ctx, method);
-    let mut ch = BroadcastChannel::tune_in(cycle, offset, LossModel::Lossless);
-    let mut client = ctx
-        .client(method)
-        .unwrap_or_else(|e| panic!("LoadSpec::validate admits only air methods: {e}"));
+    let mut client = device(ctx, method);
     let start = Instant::now();
-    let result = client.query(&mut ch, query);
+    let (tune, single) = (Tune::at(offset), RecoveryBudget::single());
+    let d = drive(
+        program(ctx, method),
+        &mut client,
+        ctx.g(),
+        item,
+        &tune,
+        single,
+        |_| 0,
+    );
     let cpu_ms = start.elapsed().as_secs_f64() * 1000.0;
-    match result {
-        Ok(out) => SessionProfile {
-            tuning: out.stats.tuning_packets,
-            latency: out.stats.latency_packets,
-            peak_memory_bytes: out.stats.peak_memory_bytes,
-            cpu_ms,
-            exact: out.distance == oracle,
-            failed: false,
-        },
-        Err(_) => SessionProfile {
-            tuning: 0,
-            latency: 0,
-            peak_memory_bytes: 0,
-            cpu_ms,
-            exact: false,
-            failed: true,
-        },
+    let stats = d.stats.unwrap_or_default();
+    SessionProfile {
+        tuning: stats.tuning_packets,
+        latency: stats.latency_packets,
+        peak_memory_bytes: stats.peak_memory_bytes,
+        cpu_ms,
+        exact: d.verdict == Verdict::Exact,
+        failed: d.stats.is_none(),
     }
 }
 
@@ -308,14 +288,7 @@ fn build_profiles(ctx: &ScenarioContext, method: MethodId, threads: usize) -> Ce
         Vec::new,
         |_, partial: &mut Vec<SessionProfile>, chunk, _| {
             for &(qi, ci) in chunk {
-                let (query, oracle) = pool[qi];
-                partial.push(probe_session(
-                    ctx,
-                    method,
-                    &query,
-                    oracle,
-                    class_offsets[ci],
-                ));
+                partial.push(probe_session(ctx, method, pool[qi], class_offsets[ci]));
             }
         },
         |a, b| a.extend(b),
@@ -351,14 +324,19 @@ pub fn prepare(specs: &[LoadSpec], threads: usize) -> PreparedLoad {
                 // cell, so every client shares the fault stream.
                 let cycle_len = air_cycle(&contexts[si], method).len();
                 let seed = cell_seed(spec.scenario.seed, method);
-                CellMode::Supervised {
-                    plan: spec
-                        .scenario
-                        .fault
-                        .plan(splitmix64(seed ^ 0xFA17), cycle_len),
+                let plan = spec
+                    .scenario
+                    .fault
+                    .plan(splitmix64(seed ^ 0xFA17), cycle_len);
+                CellMode::Full {
+                    faults: FaultSource::Shared(plan),
+                    budget: FAULT_BUDGET,
                 }
             } else if spec.scenario.loss.is_lossy() {
-                CellMode::Exact
+                CellMode::Full {
+                    faults: FaultSource::None,
+                    budget: RecoveryBudget::single(),
+                }
             } else {
                 build_profiles(&contexts[si], method, threads)
             };
@@ -463,19 +441,13 @@ impl FaultAgg {
         }
     }
 
-    /// Folds one supervised session's cost in. The budget ceiling allows
-    /// the supervisor's one-attempt overshoot (each attempt is bounded
-    /// by the client's own retry budget), same as the fault matrix.
-    fn session(&mut self, attempts: u32, recovery: u64, cycle_len: usize) {
-        self.attempts += u64::from(attempts);
-        self.max_attempts = self.max_attempts.max(attempts);
-        self.retried += u64::from(attempts > 1);
-        self.recovery.record(recovery);
-        if attempts > FLASH_BUDGET.max_attempts
-            || recovery > FLASH_BUDGET.packet_budget(cycle_len).saturating_mul(2)
-        {
-            self.budget_violations += 1;
-        }
+    /// Folds one supervised session's cost in.
+    fn session(&mut self, d: &Driven) {
+        self.attempts += u64::from(d.attempts);
+        self.max_attempts = self.max_attempts.max(d.attempts);
+        self.retried += u64::from(d.attempts > 1);
+        self.recovery.record(d.recovery_packets);
+        self.budget_violations += u64::from(d.over_budget);
     }
 
     fn failed(&mut self, class: &'static str) {
@@ -596,12 +568,16 @@ fn run_cell(prep: &PreparedLoad, cell: &PreparedCell, threads: usize) -> LoadCel
     let cycle = air_cycle(ctx, cell.method);
     let cycle_len = cycle.len();
     let pool = query_pool(ctx);
-    let supervised = matches!(cell.mode, CellMode::Supervised { .. });
+    let supervised = spec.flash;
     // Cells whose clients each run a real session (lossy or supervised
     // flash), as opposed to O(1) profile replay.
     let full_sessions = spec.scenario.loss.is_lossy() || supervised;
     let rate = spec.scenario.rate;
     let seed = cell_seed(spec.scenario.seed, cell.method);
+    let uniform = Tune {
+        tune_in: TuneInSpec::Uniform,
+        ..Tune::of(&spec.scenario)
+    };
 
     let clients: Vec<u32> = (0..cell.population as u32).collect();
     let metrics = parallel::map_reduce_chunked(
@@ -611,10 +587,7 @@ fn run_cell(prep: &PreparedLoad, cell: &PreparedCell, threads: usize) -> LoadCel
         // Full-session workers reuse one client device's buffers across
         // their sessions (each session still opens a fresh channel).
         || match &cell.mode {
-            CellMode::Exact | CellMode::Supervised { .. } => Some(
-                ctx.client(cell.method)
-                    .unwrap_or_else(|e| panic!("LoadSpec::validate admits only air methods: {e}")),
-            ),
+            CellMode::Full { .. } => Some(device(ctx, cell.method)),
             CellMode::Replay { .. } => None,
         },
         || CellMetrics::new(cycle_len, full_sessions, supervised, rate),
@@ -623,7 +596,7 @@ fn run_cell(prep: &PreparedLoad, cell: &PreparedCell, threads: usize) -> LoadCel
                 let h = splitmix64(seed ^ splitmix64(u64::from(i) + 1));
                 let qi = (h % pool.len() as u64) as usize;
                 let offset = (splitmix64(h) % cycle_len as u64) as usize;
-                match &cell.mode {
+                let (tune, budget) = match &cell.mode {
                     CellMode::Replay {
                         shape,
                         anchors,
@@ -646,75 +619,60 @@ fn run_cell(prep: &PreparedLoad, cell: &PreparedCell, threads: usize) -> LoadCel
                                 p.exact,
                             );
                         }
+                        continue;
                     }
-                    CellMode::Exact => {
-                        let loss_seed = splitmix64(h ^ 0x10C5);
-                        let mut ch = BroadcastChannel::tune_in(
-                            cycle,
-                            offset,
-                            spec.scenario.loss.model(loss_seed),
-                        );
-                        let device = client.as_mut().expect("full-session scratch");
-                        let (query, oracle) = pool[qi];
-                        let t0 = Instant::now();
-                        let result = device.query(&mut ch, &query);
-                        partial.session_cpu_ms += t0.elapsed().as_secs_f64() * 1000.0;
-                        partial.cpu_sessions += 1;
-                        match result {
-                            Ok(out) => partial.record(
-                                rate,
-                                out.stats.tuning_packets,
-                                out.stats.latency_packets,
-                                out.stats.peak_memory_bytes,
-                                out.distance == oracle,
-                            ),
-                            Err(_) => partial.failures += 1,
-                        }
+                    // Re-tunes draw fresh offsets and loss streams; a
+                    // shared fault plan stays the population-wide
+                    // schedule throughout.
+                    CellMode::Full { faults, budget } => (
+                        Tune {
+                            faults: *faults,
+                            ..uniform
+                        },
+                        *budget,
+                    ),
+                };
+                // Attempt 0 re-derives this client's own offset and loss
+                // stream from `h`.
+                let device = client.as_mut().expect("full-session scratch");
+                let t0 = Instant::now();
+                let d = drive(
+                    program(ctx, cell.method),
+                    device,
+                    ctx.g(),
+                    pool[qi],
+                    &tune,
+                    budget,
+                    |_| h,
+                );
+                partial.session_cpu_ms += t0.elapsed().as_secs_f64() * 1000.0;
+                partial.cpu_sessions += 1;
+                let Some(fault) = partial.fault.as_mut() else {
+                    match d.stats {
+                        Some(stats) => partial.record(
+                            rate,
+                            stats.tuning_packets,
+                            stats.latency_packets,
+                            stats.peak_memory_bytes,
+                            d.verdict == Verdict::Exact,
+                        ),
+                        None => partial.failures += 1,
                     }
-                    CellMode::Supervised { plan } => {
-                        let device = client.as_mut().expect("full-session scratch");
-                        let (query, oracle) = pool[qi];
-                        let t0 = Instant::now();
-                        let s = supervise(FLASH_BUDGET, cycle_len, |k| {
-                            // Attempt 0 re-derives this client's own
-                            // offset/loss stream; re-tunes draw fresh
-                            // ones. The fault plan stays the shared
-                            // population-wide schedule throughout.
-                            let a = attempt_seed(h, k);
-                            let mut ch = BroadcastChannel::tune_in_with_faults(
-                                cycle,
-                                (splitmix64(a) % cycle_len as u64) as usize,
-                                spec.scenario.loss.model(splitmix64(a ^ 0x10C5)),
-                                *plan,
-                            );
-                            let result = device.query(&mut ch, &query);
-                            (result, AttemptReport::of(&ch, (0, 0)))
-                        });
-                        partial.session_cpu_ms += t0.elapsed().as_secs_f64() * 1000.0;
-                        partial.cpu_sessions += 1;
-                        partial.fault.as_mut().expect("supervised metrics").session(
-                            s.attempts,
-                            s.recovery_packets,
-                            cycle_len,
-                        );
-                        match s.outcome {
-                            SessionOutcome::Answered(out) => partial.record(
-                                rate,
-                                s.tuned_packets,
-                                s.recovery_packets,
-                                out.stats.peak_memory_bytes,
-                                out.distance == oracle,
-                            ),
-                            // The pool is oracle-backed — every query is
-                            // reachable — so a trusted negative is wrong.
-                            SessionOutcome::Unreachable => partial.mismatches += 1,
-                            SessionOutcome::Failed(e) => partial
-                                .fault
-                                .as_mut()
-                                .expect("supervised metrics")
-                                .failed(e.root_class()),
-                        }
-                    }
+                    continue;
+                };
+                fault.session(&d);
+                match (d.stats, d.verdict) {
+                    (Some(stats), verdict) => partial.record(
+                        rate,
+                        d.tuned_packets,
+                        d.recovery_packets,
+                        stats.peak_memory_bytes,
+                        verdict == Verdict::Exact,
+                    ),
+                    (None, Verdict::Failed(class)) => fault.failed(class),
+                    // The pool is oracle-backed — every query is
+                    // reachable — so a trusted negative is wrong.
+                    (None, _) => partial.mismatches += 1,
                 }
             }
         },
@@ -746,9 +704,7 @@ fn run_cell(prep: &PreparedLoad, cell: &PreparedCell, threads: usize) -> LoadCel
             let n = profiles.len().max(1);
             profiles.iter().map(|p| p.cpu_ms).sum::<f64>() / n as f64
         }
-        CellMode::Exact | CellMode::Supervised { .. } => {
-            metrics.session_cpu_ms / metrics.cpu_sessions.max(1) as f64
-        }
+        CellMode::Full { .. } => metrics.session_cpu_ms / metrics.cpu_sessions.max(1) as f64,
     };
 
     LoadCellReport {

@@ -25,17 +25,18 @@
 //!   never wrong.
 
 use crate::hist::StreamingHistogram;
-use spair_broadcast::{BroadcastChannel, LossModel};
+use spair_broadcast::splitmix64;
 use spair_core::query::Query;
-use spair_core::BorderPrecomputation;
+use spair_core::{BorderPrecomputation, RecoveryBudget};
 use spair_methods::{MethodRegistry, ProgramSet, World};
 use spair_partition::KdTreePartition;
 use spair_roadnet::certify::{cells_json, Fnv1a};
 use spair_roadnet::generators::small_grid;
-use spair_roadnet::{NodeId, Point, QueuePolicy};
+use spair_roadnet::{dijkstra_distance, NodeId, Point, QueuePolicy};
 use spair_serve::client::{run_query, SessionConfig, Transport};
 use spair_serve::daemon::{DropPlan, ServeDaemon, ServeOptions, ServeSummary, ServeWorld};
 use spair_serve::frame::{encode_stream, Frame, Hello};
+use spair_sim::{drive, Device, Tune, Verdict, WorkItem};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -110,13 +111,6 @@ pub fn socket_scenario(smoke: bool) -> SocketScenario {
             query_pool: 12,
         }
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// One session to run: everything a worker process needs on one line.
@@ -205,40 +199,41 @@ pub fn answers_digest(answers: &[SessionAnswer]) -> u64 {
 }
 
 /// In-process reference answers for a schedule: the same method client
-/// over the same cycle at the same offsets, via the in-memory channel.
+/// over the same cycle at the same offsets, via the in-memory channel,
+/// each answer checked against the Dijkstra oracle.
 pub fn in_process_answers(programs: &ProgramSet, jobs: &[SessionJob]) -> Vec<SessionAnswer> {
     let registry = MethodRegistry::standard();
+    let g = &programs.world().g;
     jobs.iter()
         .map(|job| {
             let id = registry.get(&job.method).expect("scheduled method");
             let program = programs.ensure(id);
-            let cycle = program.cycle().expect("served method has a cycle");
-            let mut client = program.make_client(QueuePolicy::Heap).expect("air client");
-            let mut ch = BroadcastChannel::tune_in(
-                cycle,
-                (job.offset % cycle.len() as u64) as usize,
-                LossModel::Lossless,
+            let mut device = Device::new(program, QueuePolicy::Heap).expect("air client");
+            let (s, t) = (job.query.source, job.query.target);
+            let oracle = dijkstra_distance(g, s, t).expect("scheduled queries are reachable");
+            let item = WorkItem::P2p {
+                query: job.query,
+                oracle,
+            };
+            let (tune, single) = (Tune::at(job.offset as usize), RecoveryBudget::single());
+            let d = drive(program, &mut device, g, &item, &tune, single, |_| 0);
+            assert_eq!(
+                d.verdict,
+                Verdict::Exact,
+                "in-process {} session {} contradicts the oracle",
+                job.method,
+                job.index
             );
-            let outcome = ch_query(&mut *client, &mut ch, &job.query);
             SessionAnswer {
                 index: job.index,
-                distance: outcome.0,
-                path: outcome.1,
+                distance: oracle,
+                path: d.nodes,
                 admission_us: 0,
                 observed_drops: 0,
                 laps: 1,
             }
         })
         .collect()
-}
-
-fn ch_query(
-    client: &mut dyn spair_core::query::AirClient,
-    ch: &mut BroadcastChannel<'_>,
-    q: &Query,
-) -> (u64, Vec<NodeId>) {
-    let outcome = client.query(ch, q).expect("lossless in-process query");
-    (outcome.distance, outcome.path)
 }
 
 /// Builds the shared program set for a scenario.

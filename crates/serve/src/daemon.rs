@@ -34,7 +34,7 @@ use crate::events::{DeadLetter, Event, EventLog};
 use crate::frame::{
     self, Close, CloseReason, DataFrame, Datagram, Frame, Hello, RejectReason, StreamDecoder,
 };
-use spair_broadcast::BroadcastCycle;
+use spair_broadcast::{splitmix64, BroadcastCycle};
 use spair_methods::{ClientBootstrap, MethodId, MethodRegistry, ProgramSet};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
@@ -124,17 +124,6 @@ impl DropPlan {
         let h = splitmix64(0x5350_D809 ^ (u64::from(session) << 32) ^ slot);
         (h % 1000) < u64::from(self.permille)
     }
-}
-
-/// `splitmix64` — the same generator the load harness seeds sessions
-/// with (its copy is private to that crate; the function is its own
-/// spec: Steele et al., "Fast splittable pseudorandom number
-/// generators").
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Daemon tuning knobs.

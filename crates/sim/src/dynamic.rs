@@ -31,19 +31,21 @@
 //!
 //! [`ReceivedGraph::shortest_path_checked`]: spair_core::netcodec::ReceivedGraph::shortest_path_checked
 
-use crate::engine::{path_is_valid, session_seed, splitmix64};
-use crate::faults::FAULT_BUDGET;
-use crate::spec::{GraphSpec, ScenarioSpec, TuneInSpec, WorkloadMix};
+use crate::drive::{
+    attempt_seed, drive, open, path_is_valid, Device, Driven, Tune, Verdict, FAULT_BUDGET,
+};
+use crate::engine::{run_cells, session_seed, WorkItem};
+use crate::spec::{GraphSpec, ScenarioSpec, WorkloadMix};
 use crate::traffic::{network_at, version_deltas, TrafficSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spair_broadcast::{BroadcastChannel, BroadcastCycle};
+use spair_broadcast::{splitmix64, BroadcastCycle};
 use spair_core::patch::{build_patch_cycle, receive_patch, ClientArena, PatchError};
-use spair_core::{supervise, AttemptReport, BorderPrecomputation, Query, SessionOutcome};
+use spair_core::{BorderPrecomputation, Query, RecoveryBudget};
 use spair_methods::{MethodId, MethodRegistry, ProgramSet, SessionShape, Tuning, World};
 use spair_partition::{KdTreePartition, Partitioning};
 use spair_roadnet::certify::{cells_json, Certified};
-use spair_roadnet::{dijkstra_distance, parallel, Distance, NetworkPreset, NodeId, RoadNetwork};
+use spair_roadnet::{dijkstra_distance, Distance, NetworkPreset, NodeId, RoadNetwork};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -229,27 +231,42 @@ impl DynamicContext {
             .expect("dynamic methods broadcast a cycle")
     }
 
-    /// A fresh client bound to version `v`'s program.
-    fn client(&self, v: usize, method: MethodId) -> Box<dyn spair_core::query::AirClient> {
-        self.worlds[v]
-            .ensure(method)
-            .make_client(self.spec.base.queue)
-            .expect("dynamic methods are air clients")
+    /// Drives one full session of query `qi` on version `v`'s world with
+    /// a fresh client, which it returns for arena export.
+    fn session(
+        &self,
+        v: usize,
+        method: MethodId,
+        qi: usize,
+        budget: RecoveryBudget,
+        seed: u64,
+    ) -> (Driven, Device) {
+        let program = self.worlds[v].ensure(method);
+        let mut device =
+            Device::new(program, self.spec.base.queue).expect("dynamic methods are air clients");
+        let (query, oracles) = &self.queries[qi];
+        let item = WorkItem::P2p {
+            query: *query,
+            oracle: oracles[v],
+        };
+        let (g, tune) = (self.g(v), Tune::of(&self.spec.base));
+        let d = drive(program, &mut device, g, &item, &tune, budget, |_| seed);
+        (d, device)
     }
 }
 
-/// The methods a dynamic world exercises: air clients with a cycle of
-/// their own (the §6.1 channel-less runner and the kNN client have no
-/// journey to re-answer over patches).
+/// Whether a dynamic world exercises the method: air clients with a
+/// cycle of their own (the §6.1 channel-less runner and the kNN client
+/// have no journey to re-answer over patches).
+fn exercises(m: MethodId) -> bool {
+    let d = m.descriptor();
+    d.air_client && d.own_channel && !d.knn
+}
+
+/// The methods a dynamic world exercises, in registry order.
 pub fn dynamic_methods() -> Vec<MethodId> {
-    MethodRegistry::standard()
-        .all()
-        .into_iter()
-        .filter(|m| {
-            let d = m.descriptor();
-            d.air_client && d.own_channel && !d.knn
-        })
-        .collect()
+    let all = MethodRegistry::standard().all();
+    all.into_iter().filter(|&m| exercises(m)).collect()
 }
 
 /// Aggregated result of one (scenario × method) dynamic cell.
@@ -458,6 +475,7 @@ impl Certified for DynamicMatrix {
 }
 
 /// Per-cell accumulation state.
+#[derive(Default)]
 struct DynAcc {
     answered: usize,
     mismatches: usize,
@@ -471,40 +489,16 @@ struct DynAcc {
 }
 
 impl DynAcc {
-    fn new() -> Self {
-        Self {
-            answered: 0,
-            mismatches: 0,
-            typed_failures: 0,
-            patch_sessions: 0,
-            fallback_retunes: 0,
-            fallback_classes: BTreeMap::new(),
-            initial_tune_packets: 0,
-            patch_packets: 0,
-            retune_packets: 0,
-        }
+    /// Counts one version's answer, exact or not.
+    fn count(&mut self, exact: bool) {
+        self.answered += 1;
+        self.mismatches += usize::from(!exact);
     }
 
-    /// Verifies one produced answer against version `v`'s oracle.
-    fn check(
-        &mut self,
-        ctx: &DynamicContext,
-        v: usize,
-        query: &Query,
-        oracle: Distance,
-        res: Option<(Distance, Vec<NodeId>)>,
-    ) {
-        self.answered += 1;
-        let ok = match res {
-            Some((dist, path)) => {
-                dist == oracle && path_is_valid(ctx.g(v), query.source, query.target, dist, &path)
-            }
-            // Workload pairs are reachable at every version.
-            None => false,
-        };
-        if !ok {
-            self.mismatches += 1;
-        }
+    /// Counts a driven session's answer; a session that gave up counts
+    /// as a contradiction of that version's (reachable) oracle.
+    fn check(&mut self, d: &Driven) {
+        self.count(d.verdict == Verdict::Exact);
     }
 
     fn fallback(&mut self, class: &'static str) {
@@ -548,32 +542,6 @@ impl DynAcc {
     }
 }
 
-fn open_dyn_channel<'a>(
-    ctx: &DynamicContext,
-    cycle: &'a BroadcastCycle,
-    seed: u64,
-) -> BroadcastChannel<'a> {
-    let offset = match ctx.spec.base.tune_in {
-        TuneInSpec::Start => 0,
-        TuneInSpec::Uniform => (splitmix64(seed) % cycle.len() as u64) as usize,
-    };
-    BroadcastChannel::tune_in(
-        cycle,
-        offset,
-        ctx.spec.base.loss.model(splitmix64(seed ^ 0x10C5)),
-    )
-}
-
-/// Derives the `k`-th supervised attempt's seed (attempt 0 reuses the
-/// base so fault-free fallbacks are reproducible against plain sessions).
-fn attempt_seed(base: u64, attempt: u32) -> u64 {
-    if attempt == 0 {
-        base
-    } else {
-        splitmix64(base ^ u64::from(attempt))
-    }
-}
-
 fn patch_error_class(e: &PatchError) -> &'static str {
     match e {
         PatchError::Stale { .. } => "stale_version",
@@ -588,35 +556,23 @@ fn patch_error_class(e: &PatchError) -> &'static str {
 pub fn run_dynamic_cell(ctx: &DynamicContext, method: MethodId) -> DynamicCellReport {
     let d = method.descriptor();
     let queue = ctx.spec.base.queue;
+    let tune = Tune::of(&ctx.spec.base);
+    let single = RecoveryBudget::single();
     // The dynamic seed space is salted so it never collides with the
     // static engine's or the chaos harness's session streams.
     let seed = splitmix64(ctx.spec.base.seed ^ 0xDA_11_4C);
-    let mut acc = DynAcc::new();
+    let mut acc = DynAcc::default();
 
     for (qi, (query, oracles)) in ctx.queries.iter().enumerate() {
         // Version 0: a plain full session on the base world's cycle.
-        let mut client = ctx.client(0, method);
-        let cycle0 = ctx.cycle(0, method);
-        let seed0 = session_seed(seed, method, qi, 0);
-        let mut ch = open_dyn_channel(ctx, cycle0, seed0);
-        let first = client.query(&mut ch, query);
-        acc.initial_tune_packets += ch.tuned();
-        let mut arena: Option<ClientArena> = match first {
-            Ok(out) => {
-                acc.check(ctx, 0, query, oracles[0], Some((out.distance, out.path)));
-                if d.patches_incrementally {
-                    client.export_arena()
-                } else {
-                    None
-                }
-            }
-            Err(_) => {
-                // Lossless/lossy sessions recover internally; an error
-                // here contradicts the reachable oracle.
-                acc.answered += 1;
-                acc.mismatches += 1;
-                None
-            }
+        let (first, mut device) =
+            ctx.session(0, method, qi, single, session_seed(seed, method, qi, 0));
+        acc.initial_tune_packets += first.tuned_packets;
+        acc.check(&first);
+        let mut arena: Option<ClientArena> = if first.stats.is_some() && d.patches_incrementally {
+            device.export_arena()
+        } else {
+            None
         };
 
         for (v, &oracle) in oracles.iter().enumerate().skip(1) {
@@ -632,8 +588,7 @@ pub fn run_dynamic_cell(ctx: &DynamicContext, method: MethodId) -> DynamicCellRe
                 let patch_base = splitmix64(vseed ^ 0x9A7C);
                 let mut patched = Err(PatchError::Aborted("no patch attempt ran"));
                 for k in 0..FAULT_BUDGET.max_attempts {
-                    let mut pch =
-                        open_dyn_channel(ctx, ctx.patch_cycle(v), attempt_seed(patch_base, k));
+                    let mut pch = open(ctx.patch_cycle(v), &tune, attempt_seed(patch_base, k));
                     patched = receive_patch(&mut pch, v as u32 - 1, &ar.coverage, &mut ar.store);
                     acc.patch_packets += pch.tuned();
                     match &patched {
@@ -650,7 +605,9 @@ pub fn run_dynamic_cell(ctx: &DynamicContext, method: MethodId) -> DynamicCellRe
                                 .shortest_path_checked(query.source, query.target, queue);
                         if certified {
                             acc.patch_sessions += 1;
-                            acc.check(ctx, v, query, oracle, res);
+                            acc.count(res.is_some_and(|(dist, path)| {
+                                dist == oracle && path_is_valid(ctx.g(v), query, dist, &path)
+                            }));
                             continue;
                         }
                         // The changed world routed the journey outside the
@@ -666,46 +623,27 @@ pub fn run_dynamic_cell(ctx: &DynamicContext, method: MethodId) -> DynamicCellRe
             }
 
             if d.patches_incrementally {
-                // Supervised full re-tune on version v's world.
-                let cycle_v = ctx.cycle(v, method);
-                let mut cv = ctx.client(v, method);
+                // Supervised full re-tune on version v's world; the
+                // re-tuned arena holds version v, so the chain resumes
+                // patching at v + 1.
                 let base = splitmix64(vseed ^ 0x7E71);
-                let sup = supervise(FAULT_BUDGET, cycle_v.len(), |k| {
-                    let mut rch = open_dyn_channel(ctx, cycle_v, attempt_seed(base, k));
-                    let result = cv.query(&mut rch, query);
-                    (result, AttemptReport::of(&rch, (0, 0)))
-                });
-                acc.retune_packets += sup.tuned_packets;
-                match sup.outcome {
-                    SessionOutcome::Answered(out) => {
-                        acc.check(ctx, v, query, oracle, Some((out.distance, out.path)));
-                        // The re-tuned arena holds version v: the chain
-                        // resumes patching at v + 1.
-                        arena = cv.export_arena();
-                    }
-                    SessionOutcome::Unreachable => {
-                        acc.answered += 1;
-                        acc.mismatches += 1;
-                    }
-                    SessionOutcome::Failed(e) => {
+                let (r, mut device) = ctx.session(v, method, qi, FAULT_BUDGET, base);
+                acc.retune_packets += r.tuned_packets;
+                match r.verdict {
+                    Verdict::Failed(class) => {
                         acc.typed_failures += 1;
-                        *acc.fallback_classes.entry(e.root_class()).or_insert(0) += 1;
+                        *acc.fallback_classes.entry(class).or_insert(0) += 1;
                     }
+                    _ => acc.check(&r),
+                }
+                if r.stats.is_some() {
+                    arena = device.export_arena();
                 }
             } else {
                 // Rebuild method: a fresh full session per version.
-                let cycle_v = ctx.cycle(v, method);
-                let mut cv = ctx.client(v, method);
-                let mut rch = open_dyn_channel(ctx, cycle_v, vseed);
-                let result = cv.query(&mut rch, query);
-                acc.retune_packets += rch.tuned();
-                match result {
-                    Ok(out) => acc.check(ctx, v, query, oracle, Some((out.distance, out.path))),
-                    Err(_) => {
-                        acc.answered += 1;
-                        acc.mismatches += 1;
-                    }
-                }
+                let (r, _) = ctx.session(v, method, qi, single, vseed);
+                acc.retune_packets += r.tuned_packets;
+                acc.check(&r);
             }
         }
     }
@@ -722,30 +660,10 @@ pub fn run_dynamic_matrix(
     threads: usize,
 ) -> DynamicMatrix {
     let contexts: Vec<DynamicContext> = specs.iter().map(DynamicContext::build).collect();
-    let mut cells: Vec<(usize, MethodId)> = Vec::new();
-    for si in 0..contexts.len() {
-        for &m in methods {
-            let d = m.descriptor();
-            if d.air_client && d.own_channel && !d.knn {
-                cells.push((si, m));
-            }
-        }
+    let has_work = |_: &DynamicContext, m| exercises(m);
+    DynamicMatrix {
+        cells: run_cells(&contexts, methods, threads, has_work, run_dynamic_cell),
     }
-    let reports = parallel::map_reduce_chunked(
-        &cells,
-        threads,
-        2,
-        || (),
-        Vec::new,
-        |_, partial: &mut Vec<DynamicCellReport>, chunk, _| {
-            for &(si, m) in chunk {
-                partial.push(run_dynamic_cell(&contexts[si], m));
-            }
-        },
-        |a, b| a.extend(b),
-    )
-    .unwrap_or_default();
-    DynamicMatrix { cells: reports }
 }
 
 fn dyn_base(name: &str, seed: u64, traffic: TrafficSpec, versions: usize) -> DynamicSpec {

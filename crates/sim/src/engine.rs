@@ -5,17 +5,16 @@
 //! the seeded workload with its serial-Dijkstra oracle answers, and —
 //! through the method registry's [`ProgramSet`] — one broadcast program
 //! per requested method. [`run_cell`] then drives one method through the
-//! whole workload — every channel session gets a loss model and tune-in
-//! offset derived from the scenario seed alone — and differentially
-//! verifies each answer against the oracle.
+//! whole workload with [`crate::drive()`] — every channel session gets a
+//! loss model and tune-in offset derived from the scenario seed alone —
+//! and differentially verifies each answer against the oracle.
 //!
 //! Methods are dispatched by **capability**, not by name: the engine
-//! never matches on a method enum. A method whose descriptor says
-//! `air_client` runs the generic p2p/on-edge session loop; `knn` runs
-//! the kNN portion; everything else answers locally through
-//! [`spair_methods::MethodProgram::local_answer`] (the §6.1 memory-bound
-//! contraction). Missing programs surface as typed
-//! [`MethodUnavailable`] cell failures instead of `expect` panics.
+//! never matches on a method enum. The driver's [`Device`] follows the
+//! method's descriptor — an air client, the kNN client, or a local
+//! answer through [`spair_methods::MethodProgram::local_answer`] (the
+//! §6.1 memory-bound contraction). Missing programs surface as failed
+//! cells instead of `expect` panics.
 //!
 //! [`run_matrix`] fans the independent (scenario × method) cells across
 //! threads with [`spair_roadnet::parallel::map_reduce_chunked`], whose
@@ -23,13 +22,14 @@
 //! [`ConformanceMatrix`] bit-identical to a serial run for every thread
 //! count.
 
+use crate::drive::{drive, Device, Driven, Tune, Verdict};
 use crate::report::{CellReport, ConformanceMatrix};
-use crate::spec::{PartitionerKind, ScenarioSpec, TuneInSpec};
+use crate::spec::{PartitionerKind, ScenarioSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spair_broadcast::{BroadcastChannel, BroadcastCycle, EnergyModel, QueryStats};
+use spair_broadcast::{splitmix64, BroadcastCycle, EnergyModel, QueryStats};
 use spair_core::query::AirClient;
-use spair_core::{on_edge_query, BorderPrecomputation, OnEdgePoint, Query, QueryError};
+use spair_core::{BorderPrecomputation, OnEdgePoint, Query, RecoveryBudget};
 use spair_methods::{
     MethodId, MethodProgram, MethodRegistry, MethodUnavailable, ProgramSet, World,
 };
@@ -39,17 +39,9 @@ use spair_roadnet::{
     Point, RoadNetwork, Weight,
 };
 
-/// SplitMix64 — the seed-derivation PRNG. Every channel session's seed is
-/// a pure function of (scenario seed, method ordinal, query index,
-/// sub-query index), so runs are reproducible for any thread schedule.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
+/// The base seed of one channel session: a pure function of (scenario
+/// seed, method ordinal, query index, sub-query index), so runs are
+/// reproducible for any thread schedule.
 pub(crate) fn session_seed(scenario_seed: u64, method: MethodId, query: usize, sub: usize) -> u64 {
     let ordinal = u64::from(method.ordinal());
     splitmix64(
@@ -189,6 +181,35 @@ impl ScenarioContext {
             _ => 0,
         }
     }
+
+    /// Drives every item of the method's portion of the workload (its kNN
+    /// items for a kNN method, every other item otherwise) on one reused
+    /// device, handing each to `fold`. Sub-session `s` of item `qi` draws
+    /// from [`session_seed`]`(seed, method, qi, s)`. Without a program or
+    /// device every item folds as the default [`Driven`].
+    pub(crate) fn drive_portion(
+        &self,
+        method: MethodId,
+        tune: &Tune,
+        budget: RecoveryBudget,
+        mut fold: impl FnMut(&WorkItem, Driven),
+    ) {
+        let program = self.program(method).ok();
+        let mut device = program.and_then(|p| Device::new(p, self.spec.queue).ok());
+        let knn = method.descriptor().knn;
+        for (qi, item) in self.workload.iter().enumerate() {
+            if matches!(item, WorkItem::Knn { .. }) != knn {
+                continue;
+            }
+            let d = match (program, device.as_mut()) {
+                (Some(p), Some(dev)) => drive(p, dev, self.g(), item, tune, budget, |sub| {
+                    session_seed(self.spec.seed, method, qi, sub)
+                }),
+                _ => Driven::default(),
+            };
+            fold(item, d);
+        }
+    }
 }
 
 /// Generates the seeded workload and the POI set for a spec.
@@ -303,30 +324,8 @@ fn generate_workload(spec: &ScenarioSpec, g: &RoadNetwork) -> (Vec<WorkItem>, Ve
     (items, pois)
 }
 
-/// True iff `path` is a real `source -> target` walk in `g` whose weights
-/// sum to `distance` — the conformance check behind "exact shortest
-/// paths", not just matching lengths.
-pub(crate) fn path_is_valid(
-    g: &RoadNetwork,
-    source: NodeId,
-    target: NodeId,
-    distance: Distance,
-    path: &[NodeId],
-) -> bool {
-    if path.first() != Some(&source) || path.last() != Some(&target) {
-        return false;
-    }
-    let mut acc: Distance = 0;
-    for w in path.windows(2) {
-        match g.weight_between(w[0], w[1]) {
-            Some(wt) => acc += wt as Distance,
-            None => return false,
-        }
-    }
-    acc == distance
-}
-
 /// Per-cell accumulation state.
+#[derive(Default)]
 struct CellAcc {
     queries: usize,
     air_queries: usize,
@@ -338,15 +337,20 @@ struct CellAcc {
 }
 
 impl CellAcc {
-    fn new() -> Self {
-        Self {
-            queries: 0,
-            air_queries: 0,
-            mismatches: 0,
-            total: QueryStats::default(),
-            max_p2p: 0,
-            max_onedge: 0,
-            max_knn: 0,
+    fn fold(&mut self, item: &WorkItem, d: Driven) {
+        self.queries += 1;
+        self.air_queries += d.queries;
+        if d.verdict != Verdict::Exact {
+            self.mismatches += 1;
+        }
+        if let Some(stats) = &d.stats {
+            let max = match item {
+                WorkItem::P2p { .. } => &mut self.max_p2p,
+                WorkItem::OnEdge { .. } => &mut self.max_onedge,
+                WorkItem::Knn { .. } => &mut self.max_knn,
+            };
+            *max = (*max).max(stats.latency_packets);
+            self.total.add(stats);
         }
     }
 
@@ -374,217 +378,18 @@ impl CellAcc {
     }
 }
 
-/// Runs one (scenario × method) cell: the full workload, differentially
-/// verified against the oracle. Dispatch is capability-driven (no
-/// per-method `match`): kNN methods run the kNN portion, air clients the
-/// session loop, channel-less methods the local §6.1 pipeline. A method
-/// whose program is unavailable yields a fully failed cell (every work
-/// item of its portion counted as a mismatch) — surfacing the error in
-/// the matrix instead of panicking.
+/// Runs one (scenario × method) cell: the method's portion of the
+/// workload (the kNN items for kNN methods, every other item otherwise),
+/// each item driven through [`drive`] on a fault-free channel in one
+/// attempt and verified against the oracle. A method whose program is
+/// unavailable yields a fully failed cell (every item of its portion a
+/// mismatch) — surfacing the error in the matrix instead of panicking.
 pub fn run_cell(ctx: &ScenarioContext, method: MethodId) -> CellReport {
-    let d = method.descriptor();
-    match ctx.program(method) {
-        Err(_) => unavailable_cell(ctx, method),
-        Ok(_) if d.knn => run_knn_cell(ctx, method),
-        Ok(program) if !d.air_client => run_local_cell(ctx, method, program),
-        Ok(_) => run_air_cell(ctx, method),
-    }
-}
-
-/// The all-failed report of a method whose program is unavailable.
-fn unavailable_cell(ctx: &ScenarioContext, method: MethodId) -> CellReport {
-    let mut acc = CellAcc::new();
-    for item in ctx.workload.iter() {
-        let counts = if method.descriptor().knn {
-            matches!(item, WorkItem::Knn { .. })
-        } else {
-            !matches!(item, WorkItem::Knn { .. })
-        };
-        if counts {
-            acc.queries += 1;
-            acc.mismatches += 1;
-        }
-    }
-    acc.into_report(ctx, method)
-}
-
-fn open_channel<'a>(
-    ctx: &'a ScenarioContext,
-    cycle: &'a BroadcastCycle,
-    seed: u64,
-) -> BroadcastChannel<'a> {
-    let offset = match ctx.spec.tune_in {
-        TuneInSpec::Start => 0,
-        TuneInSpec::Uniform => (splitmix64(seed) % cycle.len() as u64) as usize,
-    };
-    BroadcastChannel::tune_in(
-        cycle,
-        offset,
-        ctx.spec.loss.model(splitmix64(seed ^ 0x10C5)),
-    )
-}
-
-fn run_air_cell(ctx: &ScenarioContext, method: MethodId) -> CellReport {
-    let cycle = ctx.cycle(method).expect("air program built");
-    let mut client = ctx.client(method).expect("air client");
-    let g = ctx.g();
-    let mut acc = CellAcc::new();
-    for (qi, item) in ctx.workload.iter().enumerate() {
-        match item {
-            WorkItem::P2p { query, oracle } => {
-                let seed = session_seed(ctx.spec.seed, method, qi, 0);
-                let mut ch = open_channel(ctx, cycle, seed);
-                acc.queries += 1;
-                acc.air_queries += 1;
-                match client.query(&mut ch, query) {
-                    Ok(out) => {
-                        let ok = out.distance == *oracle
-                            && path_is_valid(
-                                g,
-                                query.source,
-                                query.target,
-                                out.distance,
-                                &out.path,
-                            );
-                        if !ok {
-                            acc.mismatches += 1;
-                        }
-                        acc.max_p2p = acc.max_p2p.max(out.stats.latency_packets);
-                        acc.total.add(&out.stats);
-                    }
-                    Err(_) => acc.mismatches += 1,
-                }
-            }
-            WorkItem::OnEdge { src, dst, oracle } => {
-                acc.queries += 1;
-                let mut sub = 0usize;
-                let mut item_latency = 0u64;
-                let result = on_edge_query(src, dst, |q| {
-                    sub += 1;
-                    let seed = session_seed(ctx.spec.seed, method, qi, sub);
-                    let mut ch = open_channel(ctx, cycle, seed);
-                    let out = client.query(&mut ch, q);
-                    if let Ok(out) = &out {
-                        item_latency += out.stats.latency_packets;
-                    }
-                    out
-                });
-                acc.air_queries += sub;
-                match result {
-                    Ok(out) => {
-                        if out.distance != *oracle {
-                            acc.mismatches += 1;
-                        }
-                        acc.max_onedge = acc.max_onedge.max(item_latency);
-                        acc.total.add(&out.stats);
-                    }
-                    Err(_) => acc.mismatches += 1,
-                }
-            }
-            WorkItem::Knn { .. } => {} // the kNN method's portion
-        }
-    }
-    acc.into_report(ctx, method)
-}
-
-fn run_knn_cell(ctx: &ScenarioContext, method: MethodId) -> CellReport {
-    let program = ctx.program(method).expect("knn program built");
-    let cycle = program.cycle().expect("knn methods broadcast a cycle");
-    let mut client = program.make_knn_client().expect("knn client");
-    let mut acc = CellAcc::new();
-    for (qi, item) in ctx.workload.iter().enumerate() {
-        let WorkItem::Knn {
-            source,
-            source_pt,
-            k,
-            oracle,
-        } = item
-        else {
-            continue;
-        };
-        let seed = session_seed(ctx.spec.seed, method, qi, 0);
-        let mut ch = open_channel(ctx, cycle, seed);
-        acc.queries += 1;
-        acc.air_queries += 1;
-        match client.query(&mut ch, *source, *source_pt, *k) {
-            Ok(out) => {
-                let got: Vec<Distance> = out.neighbors.iter().map(|nb| nb.distance).collect();
-                // Ties may swap POI identities; distances must agree
-                // exactly (ascending on both sides).
-                if got != *oracle {
-                    acc.mismatches += 1;
-                }
-                acc.max_knn = acc.max_knn.max(out.stats.latency_packets);
-                acc.total.add(&out.stats);
-            }
-            Err(_) => acc.mismatches += 1,
-        }
-    }
-    acc.into_report(ctx, method)
-}
-
-/// Channel-less methods (§6.1 memory-bound contraction): every p2p and
-/// on-edge item is answered through the program's
-/// [`MethodProgram::local_answer`]. Channel costs are not simulated (the
-/// data is the reference method's own region set); the stats carry the
-/// contraction's memory/CPU, which is the quantity §6.1 is about.
-fn run_local_cell(
-    ctx: &ScenarioContext,
-    method: MethodId,
-    program: &dyn MethodProgram,
-) -> CellReport {
-    let g = ctx.g();
-    let queue = ctx.spec.queue;
-    let answer = |q: &Query| {
-        program
-            .local_answer(q, queue)
-            .unwrap_or(Err(QueryError::Aborted("method answers no local queries")))
-    };
-    let mut acc = CellAcc::new();
-    for item in ctx.workload.iter() {
-        match item {
-            WorkItem::P2p { query, oracle } => {
-                acc.queries += 1;
-                acc.air_queries += 1;
-                match answer(query) {
-                    Ok(out) => {
-                        let ok = out.distance == *oracle
-                            && path_is_valid(
-                                g,
-                                query.source,
-                                query.target,
-                                out.distance,
-                                &out.path,
-                            );
-                        if !ok {
-                            acc.mismatches += 1;
-                        }
-                        acc.total.add(&out.stats);
-                    }
-                    Err(_) => acc.mismatches += 1,
-                }
-            }
-            WorkItem::OnEdge { src, dst, oracle } => {
-                acc.queries += 1;
-                let mut subs = 0usize;
-                let result = on_edge_query(src, dst, |q| {
-                    subs += 1;
-                    answer(q)
-                });
-                acc.air_queries += subs;
-                match result {
-                    Ok(out) => {
-                        if out.distance != *oracle {
-                            acc.mismatches += 1;
-                        }
-                        acc.total.add(&out.stats);
-                    }
-                    Err(_) => acc.mismatches += 1,
-                }
-            }
-            WorkItem::Knn { .. } => {}
-        }
-    }
+    let mut acc = CellAcc::default();
+    let tune = Tune::of(&ctx.spec);
+    ctx.drive_portion(method, &tune, RecoveryBudget::single(), |item, d| {
+        acc.fold(item, d)
+    });
     acc.into_report(ctx, method)
 }
 
@@ -602,29 +407,43 @@ pub fn run_matrix(
         .iter()
         .map(|s| ScenarioContext::build(s, methods))
         .collect();
-    let mut cells: Vec<(usize, MethodId)> = Vec::new();
-    for (si, ctx) in contexts.iter().enumerate() {
-        for &m in methods {
-            if ctx.has_work(m) {
-                cells.push((si, m));
-            }
-        }
+    ConformanceMatrix {
+        cells: run_cells(
+            &contexts,
+            methods,
+            threads,
+            ScenarioContext::has_work,
+            run_cell,
+        ),
     }
-    let reports = parallel::map_reduce_chunked(
+}
+
+/// Fans the (context × method) cells that `has_work` admits across
+/// `threads` workers, in context-major order. The chunk-ordered merge of
+/// [`parallel::map_reduce_chunked`] keeps that order — and therefore the
+/// report bytes and digest — identical for every thread count.
+pub(crate) fn run_cells<C: Sync, R: Send>(
+    contexts: &[C],
+    methods: &[MethodId],
+    threads: usize,
+    has_work: impl Fn(&C, MethodId) -> bool,
+    run: impl Fn(&C, MethodId) -> R + Sync,
+) -> Vec<R> {
+    let cells: Vec<(&C, MethodId)> = contexts
+        .iter()
+        .flat_map(|c| methods.iter().map(move |&m| (c, m)))
+        .filter(|&(c, m)| has_work(c, m))
+        .collect();
+    parallel::map_reduce_chunked(
         &cells,
         threads,
         2,
         || (),
         Vec::new,
-        |_, partial: &mut Vec<CellReport>, chunk, _| {
-            for &(si, m) in chunk {
-                partial.push(run_cell(&contexts[si], m));
-            }
-        },
+        |_, partial: &mut Vec<R>, chunk, _| partial.extend(chunk.iter().map(|&(c, m)| run(c, m))),
         |a, b| a.extend(b),
     )
-    .unwrap_or_default();
-    ConformanceMatrix { cells: reports }
+    .unwrap_or_default()
 }
 
 #[cfg(test)]

@@ -5,8 +5,9 @@
 //! full fault model of `spair_broadcast::fault` — bit corruption,
 //! duplicated and stale-version frames, server restarts and correlated
 //! window loss. Every (scenario × fault × method) cell drives the whole
-//! workload through [`spair_core::supervise`]d sessions with a hard
-//! [`RecoveryBudget`] and checks three properties per work item:
+//! workload through [`crate::drive()`]'s supervised sessions with a hard
+//! [`RecoveryBudget`](spair_core::RecoveryBudget) and checks three
+//! properties per work item:
 //!
 //! 1. **never wrong** — a produced answer matches the serial Dijkstra
 //!    oracle exactly (distance *and* a valid path);
@@ -21,19 +22,12 @@
 //! the conformance matrix uses, so a [`FaultMatrix`] — and its digest —
 //! is bit-identical for every thread count.
 
-use crate::engine::{path_is_valid, session_seed, splitmix64, ScenarioContext, WorkItem};
-use crate::spec::{FaultSpec, GraphSpec, LossSpec, ScenarioSpec, TuneInSpec, WorkloadMix};
-use spair_broadcast::{BroadcastChannel, BroadcastCycle};
-use spair_core::{
-    on_edge_query, supervise, AttemptReport, Query, QueryError, RecoveryBudget, SessionOutcome,
-};
-use spair_methods::{MethodId, MethodProgram};
+use crate::drive::{Driven, FaultSource, Tune, Verdict, FAULT_BUDGET};
+use crate::engine::{run_cells, ScenarioContext};
+use crate::spec::{FaultSpec, GraphSpec, LossSpec, ScenarioSpec, WorkloadMix};
+use spair_methods::MethodId;
 use spair_roadnet::certify::{cells_json, Certified};
-use spair_roadnet::{parallel, Distance};
 use std::collections::BTreeMap;
-
-/// The budget every supervised session in the fault matrix runs under.
-pub const FAULT_BUDGET: RecoveryBudget = RecoveryBudget::standard();
 
 /// Aggregated result of one (scenario × fault × method) cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,9 +55,9 @@ pub struct FaultCellReport {
     pub attempts: u64,
     /// Worst single session's attempt count.
     pub max_attempts: u32,
-    /// Sessions that blew the attempt budget or the packet ceiling
-    /// (with its one-attempt overshoot allowance). The certificate
-    /// requires 0.
+    /// Work items with a session that blew the attempt budget or the
+    /// packet ceiling (with its one-attempt overshoot allowance). The
+    /// certificate requires 0.
     pub budget_violations: usize,
     /// Total packets elapsed across every attempt of every session —
     /// the recovery latency a population would wait.
@@ -186,6 +180,7 @@ impl Certified for FaultMatrix {
 }
 
 /// Per-cell accumulation state.
+#[derive(Default)]
 struct FaultAcc {
     queries: usize,
     answered: usize,
@@ -200,41 +195,25 @@ struct FaultAcc {
 }
 
 impl FaultAcc {
-    fn new() -> Self {
-        Self {
-            queries: 0,
-            answered: 0,
-            wrong_answers: 0,
-            typed_failures: 0,
-            classes: BTreeMap::new(),
-            attempts: 0,
-            max_attempts: 0,
-            budget_violations: 0,
-            recovery_packets: 0,
-            max_recovery_packets: 0,
+    /// Folds one driven item into the cell. An item counts as answered
+    /// when a trusted answer came back (right or wrong); a trusted
+    /// unreachability verdict is wrong without an answer.
+    fn fold(&mut self, d: Driven) {
+        self.queries += 1;
+        self.attempts += u64::from(d.attempts);
+        self.max_attempts = self.max_attempts.max(d.max_attempts);
+        self.recovery_packets += d.recovery_packets;
+        self.max_recovery_packets = self.max_recovery_packets.max(d.max_recovery_packets);
+        self.budget_violations += usize::from(d.over_budget);
+        self.answered += usize::from(d.stats.is_some());
+        match d.verdict {
+            Verdict::Exact => {}
+            Verdict::Wrong => self.wrong_answers += 1,
+            Verdict::Failed(class) => {
+                self.typed_failures += 1;
+                *self.classes.entry(class).or_insert(0) += 1;
+            }
         }
-    }
-
-    /// Folds one supervised session's cost into the cell, checking the
-    /// budget certificate: attempts within the hard attempt budget, and
-    /// recovery latency within the packet ceiling plus one attempt's
-    /// overshoot (the supervisor only checks the ceiling *between*
-    /// attempts, and each attempt is itself bounded by the clients' own
-    /// `MAX_RETRY_CYCLES` guard).
-    fn session_cost(&mut self, attempts: u32, recovery: u64, cycle_len: usize) {
-        self.attempts += u64::from(attempts);
-        self.max_attempts = self.max_attempts.max(attempts);
-        self.recovery_packets += recovery;
-        self.max_recovery_packets = self.max_recovery_packets.max(recovery);
-        let ceiling = FAULT_BUDGET.packet_budget(cycle_len).saturating_mul(2);
-        if attempts > FAULT_BUDGET.max_attempts || recovery > ceiling {
-            self.budget_violations += 1;
-        }
-    }
-
-    fn item_failed(&mut self, class: &'static str) {
-        self.typed_failures += 1;
-        *self.classes.entry(class).or_insert(0) += 1;
     }
 
     fn into_report(self, ctx: &ScenarioContext, method: MethodId) -> FaultCellReport {
@@ -260,229 +239,20 @@ impl FaultAcc {
     }
 }
 
-/// Derives the `k`-th attempt's seed. Attempt 0 reuses the base session
-/// seed (so a fault-free supervised run draws the exact streams of the
-/// unsupervised engine); re-tunes draw fresh offsets, loss streams and
-/// fault plans — a client re-tuning at a different moment.
-fn attempt_seed(base: u64, attempt: u32) -> u64 {
-    if attempt == 0 {
-        base
-    } else {
-        splitmix64(base ^ u64::from(attempt))
-    }
-}
-
-fn open_fault_channel<'a>(
-    ctx: &'a ScenarioContext,
-    cycle: &'a BroadcastCycle,
-    seed: u64,
-) -> BroadcastChannel<'a> {
-    let offset = match ctx.spec.tune_in {
-        TuneInSpec::Start => 0,
-        TuneInSpec::Uniform => (splitmix64(seed) % cycle.len() as u64) as usize,
-    };
-    BroadcastChannel::tune_in_with_faults(
-        cycle,
-        offset,
-        ctx.spec.loss.model(splitmix64(seed ^ 0x10C5)),
-        ctx.spec.fault.plan(splitmix64(seed ^ 0xFA17), cycle.len()),
-    )
-}
-
-/// Runs one (scenario × fault × method) cell: the full workload through
-/// supervised sessions, every answer verified against the oracle,
-/// every give-up classified. Dispatch mirrors the conformance engine's
-/// capability dispatch; channel-less methods have no channel to fault
-/// and certify trivially through their local pipeline.
+/// Runs one (scenario × fault × method) cell: the method's portion of
+/// the workload through supervised sessions under [`FAULT_BUDGET`], each
+/// with its own fault plan, every answer verified against the oracle and
+/// every give-up classified. Channel-less methods see no channel faults;
+/// their local answers are still oracle-checked, so the never-wrong
+/// certificate covers every registry column. A method without a program
+/// counts every item of its portion as wrong.
 pub fn run_fault_cell(ctx: &ScenarioContext, method: MethodId) -> FaultCellReport {
-    let d = method.descriptor();
-    match ctx.program(method) {
-        Err(_) => {
-            // No program: an empty, uncertifiable-free cell (no queries
-            // ran, nothing to certify wrong).
-            FaultAcc::new().into_report(ctx, method)
-        }
-        Ok(_) if d.knn => run_knn_fault_cell(ctx, method),
-        Ok(program) if !d.air_client => run_local_fault_cell(ctx, method, program),
-        Ok(_) => run_air_fault_cell(ctx, method),
-    }
-}
-
-fn run_air_fault_cell(ctx: &ScenarioContext, method: MethodId) -> FaultCellReport {
-    let cycle = ctx.cycle(method).expect("air program built");
-    let mut client = ctx.client(method).expect("air client");
-    let g = ctx.g();
-    let mut acc = FaultAcc::new();
-    for (qi, item) in ctx.workload.iter().enumerate() {
-        match item {
-            WorkItem::P2p { query, oracle } => {
-                acc.queries += 1;
-                let base = session_seed(ctx.spec.seed, method, qi, 0);
-                let sup = supervise(FAULT_BUDGET, cycle.len(), |k| {
-                    let mut ch = open_fault_channel(ctx, cycle, attempt_seed(base, k));
-                    let result = client.query(&mut ch, query);
-                    (result, AttemptReport::of(&ch, (0, 0)))
-                });
-                acc.session_cost(sup.attempts, sup.recovery_packets, cycle.len());
-                match sup.outcome {
-                    SessionOutcome::Answered(out) => {
-                        acc.answered += 1;
-                        let ok = out.distance == *oracle
-                            && path_is_valid(
-                                g,
-                                query.source,
-                                query.target,
-                                out.distance,
-                                &out.path,
-                            );
-                        if !ok {
-                            acc.wrong_answers += 1;
-                        }
-                    }
-                    // Workload oracles are reachable by construction, so
-                    // a (trusted) unreachability verdict contradicts them.
-                    SessionOutcome::Unreachable => acc.wrong_answers += 1,
-                    SessionOutcome::Failed(e) => acc.item_failed(e.root_class()),
-                }
-            }
-            WorkItem::OnEdge { src, dst, oracle } => {
-                acc.queries += 1;
-                let mut sub = 0usize;
-                let mut failure: Option<&'static str> = None;
-                let result = on_edge_query(src, dst, |q: &Query| {
-                    sub += 1;
-                    let base = session_seed(ctx.spec.seed, method, qi, sub);
-                    let sup = supervise(FAULT_BUDGET, cycle.len(), |k| {
-                        let mut ch = open_fault_channel(ctx, cycle, attempt_seed(base, k));
-                        let result = client.query(&mut ch, q);
-                        (result, AttemptReport::of(&ch, (0, 0)))
-                    });
-                    acc.session_cost(sup.attempts, sup.recovery_packets, cycle.len());
-                    match sup.outcome {
-                        SessionOutcome::Answered(out) => Ok(out),
-                        SessionOutcome::Unreachable => Err(QueryError::Unreachable),
-                        SessionOutcome::Failed(e) => {
-                            failure.get_or_insert(e.root_class());
-                            Err(QueryError::Aborted("supervised sub-session gave up"))
-                        }
-                    }
-                });
-                match (result, failure) {
-                    (Ok(out), _) => {
-                        acc.answered += 1;
-                        if out.distance != *oracle {
-                            acc.wrong_answers += 1;
-                        }
-                    }
-                    // At least one endpoint session gave up typed — the
-                    // composite item degrades to that typed failure.
-                    (Err(_), Some(class)) => acc.item_failed(class),
-                    // No sub-session failed, yet the composite found no
-                    // path: a wrong unreachability verdict.
-                    (Err(_), None) => acc.wrong_answers += 1,
-                }
-            }
-            WorkItem::Knn { .. } => {}
-        }
-    }
-    acc.into_report(ctx, method)
-}
-
-fn run_knn_fault_cell(ctx: &ScenarioContext, method: MethodId) -> FaultCellReport {
-    let program = ctx.program(method).expect("knn program built");
-    let cycle = program.cycle().expect("knn methods broadcast a cycle");
-    let mut client = program.make_knn_client().expect("knn client");
-    let mut acc = FaultAcc::new();
-    for (qi, item) in ctx.workload.iter().enumerate() {
-        let WorkItem::Knn {
-            source,
-            source_pt,
-            k,
-            oracle,
-        } = item
-        else {
-            continue;
-        };
-        acc.queries += 1;
-        let base = session_seed(ctx.spec.seed, method, qi, 0);
-        let sup = supervise(FAULT_BUDGET, cycle.len(), |a| {
-            let mut ch = open_fault_channel(ctx, cycle, attempt_seed(base, a));
-            let result = client.query(&mut ch, *source, *source_pt, *k);
-            (result, AttemptReport::of(&ch, (0, 0)))
-        });
-        acc.session_cost(sup.attempts, sup.recovery_packets, cycle.len());
-        match sup.outcome {
-            SessionOutcome::Answered(out) => {
-                acc.answered += 1;
-                let got: Vec<Distance> = out.neighbors.iter().map(|nb| nb.distance).collect();
-                if got != *oracle {
-                    acc.wrong_answers += 1;
-                }
-            }
-            SessionOutcome::Unreachable => acc.wrong_answers += 1,
-            SessionOutcome::Failed(e) => acc.item_failed(e.root_class()),
-        }
-    }
-    acc.into_report(ctx, method)
-}
-
-/// Channel-less methods never see channel faults; their supervised cell
-/// is the single-attempt local pipeline, still oracle-checked so the
-/// never-wrong certificate covers every registry column.
-fn run_local_fault_cell(
-    ctx: &ScenarioContext,
-    method: MethodId,
-    program: &dyn MethodProgram,
-) -> FaultCellReport {
-    let g = ctx.g();
-    let queue = ctx.spec.queue;
-    let answer = |q: &Query| {
-        program
-            .local_answer(q, queue)
-            .unwrap_or(Err(QueryError::Aborted("method answers no local queries")))
+    let mut acc = FaultAcc::default();
+    let tune = Tune {
+        faults: FaultSource::PerSession(ctx.spec.fault),
+        ..Tune::of(&ctx.spec)
     };
-    let mut acc = FaultAcc::new();
-    for item in ctx.workload.iter() {
-        match item {
-            WorkItem::P2p { query, oracle } => {
-                acc.queries += 1;
-                acc.session_cost(1, 0, 1);
-                match answer(query) {
-                    Ok(out) => {
-                        acc.answered += 1;
-                        let ok = out.distance == *oracle
-                            && path_is_valid(
-                                g,
-                                query.source,
-                                query.target,
-                                out.distance,
-                                &out.path,
-                            );
-                        if !ok {
-                            acc.wrong_answers += 1;
-                        }
-                    }
-                    Err(QueryError::Unreachable) => acc.wrong_answers += 1,
-                    Err(QueryError::Aborted(_)) => acc.item_failed("client_aborted"),
-                }
-            }
-            WorkItem::OnEdge { src, dst, oracle } => {
-                acc.queries += 1;
-                acc.session_cost(1, 0, 1);
-                match on_edge_query(src, dst, |q| answer(q)) {
-                    Ok(out) => {
-                        acc.answered += 1;
-                        if out.distance != *oracle {
-                            acc.wrong_answers += 1;
-                        }
-                    }
-                    Err(QueryError::Unreachable) => acc.wrong_answers += 1,
-                    Err(QueryError::Aborted(_)) => acc.item_failed("client_aborted"),
-                }
-            }
-            WorkItem::Knn { .. } => {}
-        }
-    }
+    ctx.drive_portion(method, &tune, FAULT_BUDGET, |_, d| acc.fold(d));
     acc.into_report(ctx, method)
 }
 
@@ -499,29 +269,15 @@ pub fn run_fault_matrix(
         .iter()
         .map(|s| ScenarioContext::build(s, methods))
         .collect();
-    let mut cells: Vec<(usize, MethodId)> = Vec::new();
-    for (si, ctx) in contexts.iter().enumerate() {
-        for &m in methods {
-            if ctx.has_work(m) {
-                cells.push((si, m));
-            }
-        }
+    FaultMatrix {
+        cells: run_cells(
+            &contexts,
+            methods,
+            threads,
+            ScenarioContext::has_work,
+            run_fault_cell,
+        ),
     }
-    let reports = parallel::map_reduce_chunked(
-        &cells,
-        threads,
-        2,
-        || (),
-        Vec::new,
-        |_, partial: &mut Vec<FaultCellReport>, chunk, _| {
-            for &(si, m) in chunk {
-                partial.push(run_fault_cell(&contexts[si], m));
-            }
-        },
-        |a, b| a.extend(b),
-    )
-    .unwrap_or_default();
-    FaultMatrix { cells: reports }
 }
 
 fn fault_base(name: &str, seed: u64, fault: FaultSpec) -> ScenarioSpec {
@@ -704,6 +460,20 @@ mod tests {
         assert_eq!(r.answered, r.queries);
         assert!(r.attempts as usize >= r.queries, "on-edge items add subs");
         assert_eq!(r.max_attempts, 1, "no faults, no retries");
+    }
+
+    #[test]
+    fn unbuilt_method_counts_every_item_wrong() {
+        let spec = fault_base("missing", 80, FaultSpec::None);
+        let ctx = ScenarioContext::build(&spec, &[MethodId::NR]);
+        let r = run_fault_cell(&ctx, MethodId::DJ);
+        assert!(!r.certified(), "an unbuilt method must not certify");
+        assert_eq!(
+            r.queries,
+            spec.workload.point_to_point + spec.workload.on_edge
+        );
+        assert_eq!(r.wrong_answers, r.queries);
+        assert_eq!(r.answered, 0);
     }
 
     #[test]

@@ -19,6 +19,11 @@
 //! `BroadcastMethod` (one file + one registry line) adds a conformance
 //! matrix column with zero edits here.
 //!
+//! Every session — here, in the chaos and dynamic matrices, in the load
+//! harness and in the `spair` CLI — runs through one driver, [`drive()`]:
+//! it tunes a channel in, supervises the attempts and returns one
+//! oracle verdict with the session's cost.
+//!
 //! Results aggregate into a [`ConformanceMatrix`] of (scenario × method)
 //! cells carrying the §3.1 cost factors plus a radio energy figure. The
 //! independent cells fan out across threads via the deterministic
@@ -34,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod drive;
 pub mod dynamic;
 pub mod engine;
 pub mod faults;
@@ -42,6 +48,7 @@ pub mod report;
 pub mod spec;
 pub mod traffic;
 
+pub use drive::{drive, open, Device, Driven, FaultSource, Tune, Verdict, FAULT_BUDGET};
 pub use dynamic::{
     dynamic_matrix, dynamic_methods, nightly_dynamic_matrix, run_dynamic_cell, run_dynamic_matrix,
     smoke_dynamic_matrix, DynamicCellReport, DynamicContext, DynamicMatrix, DynamicSpec,

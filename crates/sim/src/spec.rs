@@ -255,6 +255,9 @@ pub enum TuneInSpec {
     Start,
     /// Uniformly random offset per query (the paper's §7 protocol).
     Uniform,
+    /// Always at this offset (modulo the cycle length): a probe session
+    /// at a chosen slot, or a scheduled socket session's in-process twin.
+    At(usize),
 }
 
 /// How many queries of each kind a scenario poses.

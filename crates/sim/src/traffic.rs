@@ -20,7 +20,7 @@
 //! Weights never drop below 1, so every versioned network keeps the
 //! invariants the search stack assumes.
 
-use crate::engine::splitmix64;
+use spair_broadcast::splitmix64;
 use spair_core::patch::WeightDelta;
 use spair_partition::{KdTreePartition, Partitioning, RegionId};
 use spair_roadnet::{NodeId, RoadNetwork, Weight};

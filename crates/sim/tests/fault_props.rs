@@ -7,16 +7,17 @@
 //!    the serial Dijkstra oracle: give-ups are typed, classified, and
 //!    counted;
 //! 2. **transparency** — on a lossless channel with `FaultPlan::none()`,
-//!    a supervised session is byte-identical to the unsupervised client
-//!    (same distance, path and packet/memory stats, exactly one
-//!    attempt), so supervision costs nothing when nothing goes wrong.
+//!    a session driven under the chaos budget is byte-identical to the
+//!    unsupervised client (same distance, path and packet/memory stats,
+//!    exactly one attempt), so supervision costs nothing when nothing
+//!    goes wrong.
 
 use proptest::prelude::*;
 use spair_broadcast::{BroadcastChannel, FaultPlan, LossModel};
-use spair_core::{supervise, AttemptReport, RecoveryBudget, SessionOutcome};
+use spair_core::RecoveryBudget;
 use spair_sim::{
-    run_fault_cell, FaultSpec, GraphSpec, MethodRegistry, ScenarioContext, ScenarioSpec, WorkItem,
-    WorkloadMix,
+    drive, run_fault_cell, Device, FaultSource, FaultSpec, GraphSpec, LossSpec, MethodRegistry,
+    ScenarioContext, ScenarioSpec, Tune, TuneInSpec, Verdict, WorkItem, WorkloadMix,
 };
 
 /// Same budget the fault matrix certifies against.
@@ -116,40 +117,29 @@ proptest! {
         let ctx = ScenarioContext::build(&chaos_spec(seed, FaultSpec::None), &methods);
         for &m in &methods {
             let cycle = ctx.cycle(m).expect("air program built");
-            let mut supervised = ctx.client(m).expect("air client");
+            let program = ctx.program(m).expect("air program built");
+            let mut supervised = Device::new(program, ctx.spec.queue).expect("air client");
             let mut raw = ctx.client(m).expect("air client");
             for (qi, item) in ctx.workload.iter().enumerate() {
-                let WorkItem::P2p { query, .. } = item else { continue };
+                let WorkItem::P2p { query, oracle } = item else { continue };
                 let offset = ((salt ^ qi as u64) % cycle.len() as u64) as usize;
-                let s = supervise(BUDGET, cycle.len(), |_| {
-                    let mut ch = BroadcastChannel::tune_in_with_faults(
-                        cycle,
-                        offset,
-                        LossModel::Lossless,
-                        FaultPlan::none(),
-                    );
-                    let result = supervised.query(&mut ch, query);
-                    (result, AttemptReport::of(&ch, (0, 0)))
-                });
+                let tune = Tune {
+                    tune_in: TuneInSpec::At(offset),
+                    loss: LossSpec::Lossless,
+                    faults: FaultSource::Shared(FaultPlan::none()),
+                };
+                let d = drive(program, &mut supervised, ctx.g(), item, &tune, BUDGET, |_| salt);
                 let mut ch = BroadcastChannel::tune_in(cycle, offset, LossModel::Lossless);
                 let want = raw.query(&mut ch, query).expect("lossless session");
-                prop_assert_eq!(s.attempts, 1, "{}: fault-free retried", m.name());
-                match s.outcome {
-                    SessionOutcome::Answered(got) => {
-                        prop_assert_eq!(got.distance, want.distance);
-                        prop_assert_eq!(&got.path, &want.path);
-                        prop_assert_eq!(got.stats.tuning_packets, want.stats.tuning_packets);
-                        prop_assert_eq!(got.stats.latency_packets, want.stats.latency_packets);
-                        prop_assert_eq!(got.stats.sleep_packets, want.stats.sleep_packets);
-                        prop_assert_eq!(got.stats.peak_memory_bytes, want.stats.peak_memory_bytes);
-                    }
-                    other => prop_assert!(
-                        false,
-                        "{}: lossless fault-free session must answer, got {:?}",
-                        m.name(),
-                        other.failed()
-                    ),
-                }
+                prop_assert_eq!(d.attempts, 1, "{}: fault-free retried", m.name());
+                prop_assert_eq!(d.verdict, Verdict::Exact, "{}: lossless fault-free session", m.name());
+                let got = d.stats.expect("an exact verdict carries its answer");
+                prop_assert_eq!(want.distance, *oracle);
+                prop_assert_eq!(&d.nodes, &want.path);
+                prop_assert_eq!(got.tuning_packets, want.stats.tuning_packets);
+                prop_assert_eq!(got.latency_packets, want.stats.latency_packets);
+                prop_assert_eq!(got.sleep_packets, want.stats.sleep_packets);
+                prop_assert_eq!(got.peak_memory_bytes, want.stats.peak_memory_bytes);
             }
         }
     }

@@ -11,9 +11,19 @@
 //! `generate` writes the DIMACS-style text format `roadnet::io` reads, so
 //! real road data can be substituted for the synthetic presets. All other
 //! subcommands accept any file in that format.
+//!
+//! `serve`, `query` and `knn` build the chosen method's program through
+//! the method registry and answer through `spair_sim::drive`, the session
+//! driver every harness uses, so every registered method is reachable
+//! and every answer is checked against local Dijkstra.
 
+use spair::core::RecoveryBudget;
 use spair::prelude::*;
-use spair::roadnet::{self, NodeId};
+use spair::roadnet::{self, Distance, NodeId, QueuePolicy};
+use spair_methods::{MethodId, MethodRegistry, ProgramSet, Tuning, World};
+use spair_sim::{
+    drive, Device, Driven, FaultSource, LossSpec, Tune, TuneInSpec, Verdict, WorkItem,
+};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
@@ -21,7 +31,7 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
     let result = match cmd.as_str() {
@@ -31,10 +41,10 @@ fn main() -> ExitCode {
         "query" => query(rest),
         "knn" => knn(rest),
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            println!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'\n{USAGE}")),
+        other => Err(format!("unknown command '{other}'\n{}", usage())),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -45,19 +55,42 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "\
+/// The usage text, with the method list read off the registry.
+fn usage() -> String {
+    let methods: Vec<String> = MethodRegistry::standard()
+        .all()
+        .iter()
+        .map(|m| {
+            let d = m.descriptor();
+            let commands = if d.knn {
+                "knn"
+            } else if d.own_channel {
+                "serve, query"
+            } else {
+                "query (no channel of its own)"
+            };
+            format!("  {:<13} {:<13} {commands}", d.name, d.label)
+        })
+        .collect();
+    format!(
+        "\
 spair — shortest paths on air indexes (VLDB'10 reproduction)
 
 commands:
   generate --preset <milan|germany|argentina|india|sanfrancisco>
            [--scale <f>] [--seed <n>] -o <file>     write a synthetic network
   inspect  <file>                                   network statistics
-  serve    <file> [--method <nr|eb|dj|af|ld>] [--regions <n>]
-                                                    broadcast-cycle statistics
+  serve    <file> [--method <m>] [--regions <n>]    broadcast-cycle statistics
   query    <file> --from <node> --to <node> [--method <m>] [--regions <n>]
            [--loss <rate>] [--offset <packets>]     run one client query
   knn      <file> --from <node> [--k <n>] [--poi-every <n>] [--regions <n>]
-                                                    on-air k-nearest-neighbour";
+                                                    on-air k-nearest-neighbour
+
+methods (--method, default nr):
+{}",
+        methods.join("\n")
+    )
+}
 
 /// Tiny flag parser: `--key value` pairs plus positionals.
 struct Flags {
@@ -164,65 +197,60 @@ fn inspect(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the requested method's broadcast cycle.
-fn build_cycle(
-    g: &RoadNetwork,
-    method: &str,
-    regions: usize,
-) -> Result<(spair::broadcast::BroadcastCycle, String), String> {
-    match method {
-        "nr" | "eb" => {
-            let part = KdTreePartition::build(g, regions);
-            let pre = BorderPrecomputation::run(g, &part);
-            if method == "nr" {
-                let p = NrServer::new(g, &part, &pre)
-                    .build_program()
-                    .expect("encode");
-                Ok((p.cycle().clone(), format!("NR, {regions} regions")))
-            } else {
-                let p = EbServer::new(g, &part, &pre)
-                    .build_program()
-                    .expect("encode");
-                Ok((
-                    p.cycle().clone(),
-                    format!(
-                        "EB, {regions} regions, (1,{}) interleaving",
-                        p.replication()
-                    ),
-                ))
-            }
-        }
-        "dj" => {
-            let p = spair::baselines::DjServer::new(g).build_program();
-            Ok((p.cycle().clone(), "Dijkstra on air".to_string()))
-        }
-        "af" => {
-            let part = KdTreePartition::build(g, regions.min(16));
-            let index = spair::baselines::arcflag::ArcFlagIndex::build(g, &part);
-            let p = spair::baselines::ArcFlagServer::new(g, &part, &index)
-                .build_program()
-                .expect("encode");
-            Ok((
-                p.cycle().clone(),
-                format!("ArcFlag, {} regions", regions.min(16)),
-            ))
-        }
-        "ld" => {
-            let index = spair::baselines::landmark::LandmarkIndex::build(g, 4);
-            let p = spair::baselines::LandmarkServer::new(g, &index).build_program();
-            Ok((p.cycle().clone(), "Landmark, 4 anchors".to_string()))
-        }
-        other => Err(format!("unknown method '{other}' (nr|eb|dj|af|ld)")),
+/// The registry's programs over a map: a kd partition into `--regions`
+/// regions with its border precomputation, every `--poi-every`-th node as
+/// a POI, and ArcFlag on its own partition of at most 16 regions.
+fn programs(g: RoadNetwork, flags: &Flags) -> Result<ProgramSet, String> {
+    let regions: usize = flags.get_parsed("regions", 32)?;
+    let every: usize = flags.get_parsed("poi-every", 50)?;
+    let pois: Vec<NodeId> = g.node_ids().step_by(every.max(1)).collect();
+    let part = KdTreePartition::build(&g, regions);
+    let pre = BorderPrecomputation::run(&g, &part);
+    let tuning = Tuning {
+        af_regions: Some(regions.min(16)),
+        ..Tuning::default()
+    };
+    Ok(ProgramSet::new(
+        World::from_parts(g, part, pre)
+            .with_pois(pois)
+            .with_tuning(tuning),
+    ))
+}
+
+/// The `--method` flag's registry entry.
+fn method(flags: &Flags) -> Result<MethodId, String> {
+    let name = flags.get("method").unwrap_or("nr").to_ascii_lowercase();
+    MethodRegistry::standard()
+        .get(&name)
+        .map_err(|e| e.to_string())
+}
+
+/// Drives one work item on the method's program, as every harness does,
+/// and turns a wrong or failed verdict into an error.
+fn run(
+    programs: &ProgramSet,
+    m: MethodId,
+    item: &WorkItem,
+    tune: &Tune,
+    seed: u64,
+) -> Result<Driven, String> {
+    let (program, g) = (programs.ensure(m), &programs.world().g);
+    let mut device = Device::new(program, QueuePolicy::default()).map_err(|e| e.to_string())?;
+    let single = RecoveryBudget::single();
+    let d = drive(program, &mut device, g, item, tune, single, |_| seed);
+    match d.verdict {
+        Verdict::Exact => Ok(d),
+        Verdict::Wrong => Err("MISMATCH vs local Dijkstra".into()),
+        Verdict::Failed(class) => Err(format!("the session gave up: {class}")),
     }
 }
 
 fn serve(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
-    let g = load(flags.file()?)?;
-    let method = flags.get("method").unwrap_or("nr").to_ascii_lowercase();
-    let regions: usize = flags.get_parsed("regions", 32)?;
-    let (cycle, label) = build_cycle(&g, &method, regions)?;
-    println!("method          : {label}");
+    let m = method(&flags)?;
+    let programs = programs(load(flags.file()?)?, &flags)?;
+    let cycle = programs.ensure(m).cycle().map_err(|e| e.to_string())?;
+    println!("method          : {} ({m})", m.label());
     println!(
         "cycle length    : {} packets ({} KB)",
         cycle.len(),
@@ -248,87 +276,48 @@ fn query(args: &[String]) -> Result<(), String> {
     if from as usize >= g.num_nodes() || to as usize >= g.num_nodes() {
         return Err(format!("node ids must be < {}", g.num_nodes()));
     }
-    let method = flags.get("method").unwrap_or("nr").to_ascii_lowercase();
-    let regions: usize = flags.get_parsed("regions", 32)?;
+    let m = method(&flags)?;
+    if m.descriptor().knn {
+        return Err(format!("{m} answers kNN queries: use `spair knn`"));
+    }
     let loss: f64 = flags.get_parsed("loss", 0.0)?;
     let seed: u64 = flags.get_parsed("seed", 1)?;
-
-    // Build program + matching client.
-    let part = KdTreePartition::build(&g, regions);
-    let pre = BorderPrecomputation::run(&g, &part);
-    let (cycle, mut client): (spair::broadcast::BroadcastCycle, Box<dyn AirClient>) =
-        match method.as_str() {
-            "nr" => {
-                let p = NrServer::new(&g, &part, &pre)
-                    .build_program()
-                    .expect("encode");
-                (p.cycle().clone(), Box::new(NrClient::new(p.summary())))
-            }
-            "eb" => {
-                let p = EbServer::new(&g, &part, &pre)
-                    .build_program()
-                    .expect("encode");
-                (p.cycle().clone(), Box::new(EbClient::new(p.summary())))
-            }
-            "dj" => {
-                let p = spair::baselines::DjServer::new(&g).build_program();
-                (p.cycle().clone(), Box::new(DjClient::new()))
-            }
-            "af" => {
-                let af_part = KdTreePartition::build(&g, regions.min(16));
-                let index = spair::baselines::arcflag::ArcFlagIndex::build(&g, &af_part);
-                let p = spair::baselines::ArcFlagServer::new(&g, &af_part, &index)
-                    .build_program()
-                    .expect("encode");
-                (
-                    p.cycle().clone(),
-                    Box::new(ArcFlagClient::new(regions.min(16))),
-                )
-            }
-            "ld" => {
-                let index = spair::baselines::landmark::LandmarkIndex::build(&g, 4);
-                let p = spair::baselines::LandmarkServer::new(&g, &index).build_program();
-                (p.cycle().clone(), Box::new(LandmarkClient::new()))
-            }
-            other => return Err(format!("unknown method '{other}'")),
-        };
-
-    let offset: usize = flags.get_parsed("offset", cycle.len() / 3)?;
-    let loss_model = if loss > 0.0 {
-        LossModel::bernoulli(loss, seed)
-    } else {
-        LossModel::Lossless
+    let oracle = roadnet::dijkstra_distance(&g, from, to)
+        .ok_or_else(|| format!("node {to} is unreachable from node {from}"))?;
+    let query = Query::for_nodes(&g, from, to);
+    let programs = programs(g, &flags)?;
+    let cycle_len = programs.ensure(m).cycle().map_or(1, |c| c.len());
+    let tune = Tune {
+        tune_in: TuneInSpec::At(flags.get_parsed("offset", cycle_len / 3)?),
+        loss: if loss > 0.0 {
+            LossSpec::Bernoulli { rate: loss }
+        } else {
+            LossSpec::Lossless
+        },
+        faults: FaultSource::None,
     };
-    let mut ch = BroadcastChannel::tune_in(&cycle, offset % cycle.len(), loss_model);
-    let out = client
-        .query(&mut ch, &Query::for_nodes(&g, from, to))
-        .map_err(|e| e.to_string())?;
+    let d = run(&programs, m, &WorkItem::P2p { query, oracle }, &tune, seed)?;
+    let stats = d.stats.unwrap_or_default();
 
-    println!("method          : {}", client.method_name());
-    println!("distance        : {}", out.distance);
-    println!("path hops       : {}", out.path.len().saturating_sub(1));
-    println!("tuning time     : {} packets", out.stats.tuning_packets);
+    println!("method          : {} ({m})", m.label());
+    println!("distance        : {oracle}");
+    println!("path hops       : {}", d.nodes.len().saturating_sub(1));
+    println!("tuning time     : {} packets", stats.tuning_packets);
     println!(
         "access latency  : {} packets ({:.3} s @ 384 Kbps)",
-        out.stats.latency_packets,
-        out.stats.latency_packets as f64 * 128.0 * 8.0 / 384_000.0,
+        stats.latency_packets,
+        stats.latency_packets as f64 * 128.0 * 8.0 / 384_000.0,
     );
     println!(
         "peak memory     : {:.1} KB",
-        out.stats.peak_memory_bytes as f64 / 1024.0
+        stats.peak_memory_bytes as f64 / 1024.0
     );
     println!(
         "client CPU      : {:.3} ms",
-        out.stats.cpu.as_secs_f64() * 1000.0
+        stats.cpu.as_secs_f64() * 1000.0
     );
-    let energy = EnergyModel::WAVELAN_ARM.joules(&out.stats, ChannelRate::MOVING_3G);
+    let energy = EnergyModel::WAVELAN_ARM.joules(&stats, ChannelRate::MOVING_3G);
     println!("energy          : {energy:.3} J (WaveLAN/ARM @ 384 Kbps)");
-
-    // Sanity: verify against local Dijkstra.
-    let want = roadnet::dijkstra_distance(&g, from, to);
-    if want != Some(out.distance) {
-        return Err(format!("MISMATCH vs local Dijkstra: {want:?}"));
-    }
     println!("verified        : matches local Dijkstra");
     Ok(())
 }
@@ -341,30 +330,41 @@ fn knn(args: &[String]) -> Result<(), String> {
         return Err("--from is required and must be a valid node id".into());
     }
     let k: usize = flags.get_parsed("k", 3)?;
-    let every: usize = flags.get_parsed("poi-every", 50)?;
-    let regions: usize = flags.get_parsed("regions", 32)?;
-    let part = KdTreePartition::build(&g, regions);
-    let pre = BorderPrecomputation::run(&g, &part);
-    let pois: Vec<NodeId> = g.node_ids().step_by(every.max(1)).collect();
-    let program = KnnServer::new(&g, &part, &pre, &pois)
-        .build_program()
-        .expect("encode");
-    let mut client = KnnClient::new(regions);
-    let mut ch = BroadcastChannel::lossless(program.cycle());
-    let out = client
-        .query(&mut ch, from, g.point(from), k)
-        .map_err(|e| e.to_string())?;
-    println!("{} POIs on the network (every {every}th node)", pois.len());
+    let m = MethodId::KNN_AIR;
+    let tree = roadnet::dijkstra_full(&g, from);
+    let source_pt = g.point(from);
+    let programs = programs(g, &flags)?;
+    let pois = &programs.world().pois;
+    let mut oracle: Vec<Distance> = pois
+        .iter()
+        .filter(|&&p| tree.reachable(p))
+        .map(|&p| tree.distance(p))
+        .collect();
+    oracle.sort_unstable();
+    oracle.truncate(k);
+    let item = WorkItem::Knn {
+        source: from,
+        source_pt,
+        k,
+        oracle: oracle.clone(),
+    };
+    let d = run(&programs, m, &item, &Tune::at(0), 0)?;
+    let cycle_len = programs.ensure(m).cycle().map_or(0, |c| c.len());
+    let tuning = d.stats.unwrap_or_default().tuning_packets;
+    println!(
+        "{} POIs on the network (every {}th node)",
+        pois.len(),
+        flags.get_parsed("poi-every", 50)?
+    );
     println!("{k} nearest to node {from}:");
-    for nb in &out.neighbors {
-        println!("  node {:>8}  distance {:>10}", nb.node, nb.distance);
+    for (node, distance) in d.nodes.iter().zip(&oracle) {
+        println!("  node {node:>8}  distance {distance:>10}");
     }
     println!(
-        "tuning {} of {} cycle packets ({:.0}% pruned)",
-        out.stats.tuning_packets,
-        program.cycle().len(),
-        100.0 * (1.0 - out.stats.tuning_packets as f64 / program.cycle().len() as f64),
+        "tuning {tuning} of {cycle_len} cycle packets ({:.0}% pruned)",
+        100.0 * (1.0 - tuning as f64 / cycle_len as f64),
     );
+    println!("verified        : matches local Dijkstra");
     Ok(())
 }
 
