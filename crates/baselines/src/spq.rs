@@ -295,6 +295,9 @@ pub struct SpqIndex {
     bbox: (Point, Point),
     /// Roots inside dangling trees, colored without a search.
     searchless_roots: usize,
+    /// Core nodes outside the degree-2 chains, the ones each search's
+    /// heap settles.
+    branch_nodes: usize,
     /// Core roots the kernel recomputed over the whole graph after a
     /// double tie.
     tie_fallback_roots: usize,
@@ -379,6 +382,7 @@ impl SpqIndex {
             trees: trees.into_iter().map(|(_, tree)| tree).collect(),
             bbox,
             searchless_roots: peel.fill_order().len(),
+            branch_nodes: peel.branch_nodes().len(),
             tie_fallback_roots: merged.tie_fallbacks,
             precompute_secs: start.elapsed().as_secs_f64(),
         }
@@ -409,6 +413,7 @@ impl SpqIndex {
             trees,
             bbox,
             searchless_roots: 0,
+            branch_nodes: g.num_nodes(),
             tie_fallback_roots: 0,
             precompute_secs: start.elapsed().as_secs_f64(),
         }
@@ -430,6 +435,12 @@ impl SpqIndex {
     /// Roots inside dangling trees, colored without a search.
     pub fn searchless_roots(&self) -> usize {
         self.searchless_roots
+    }
+
+    /// Core nodes outside the degree-2 chains: the nodes each root's heap
+    /// search settles (every node for [`SpqIndex::build_reference`]).
+    pub fn branch_nodes(&self) -> usize {
+        self.branch_nodes
     }
 
     /// Core roots recomputed over the whole graph after a double tie.
@@ -618,9 +629,9 @@ mod tests {
 
     /// Tripwire for the searchless roots, beside precompute's
     /// `germany_class_core_is_small_and_tie_free` on the same map: at
-    /// least half the roots hang in dangling trees and no core root meets
-    /// a double tie. A generator change that quietly defeats the kernel
-    /// fails here.
+    /// least half the roots hang in dangling trees, at least half the core
+    /// lies on degree-2 chains, and no core root meets a double tie. A
+    /// generator change that quietly defeats the kernel fails here.
     #[test]
     fn germany_class_roots_are_mostly_searchless_and_tie_free() {
         let g = spair_roadnet::NetworkPreset::Germany
@@ -634,6 +645,12 @@ mod tests {
             g.num_nodes()
         );
         assert_eq!(idx.core_nodes() + idx.searchless_roots(), g.num_nodes());
+        assert!(
+            idx.branch_nodes() * 2 <= idx.core_nodes(),
+            "branch {} of core {}",
+            idx.branch_nodes(),
+            idx.core_nodes()
+        );
         assert_eq!(idx.tie_fallback_roots(), 0);
     }
 

@@ -15,16 +15,19 @@
 //!    `run_with_threads` (best of `--repeat` runs each),
 //! 2. verifies the parallel tables are **bit-identical** to serial and
 //!    records the kernel's deterministic counters (`core_nodes`: the
-//!    2-core every source searches; `tie_fallback_sources`: sources
-//!    recomputed over the whole graph after a double tie),
+//!    2-core every source searches; `branch_nodes`: the core nodes
+//!    outside degree-2 chains, which the heap settles;
+//!    `tie_fallback_sources`: sources recomputed over the whole graph
+//!    after a double tie),
 //! 3. repeats the exercise for the SPQ all-pairs build on a
 //!    `--spq-side`-sized grid (`SpqIndex::build_serial` vs
 //!    `build_with_threads`, gated on `same_trees`) — the per-node
 //!    quadtree construction is the costliest precompute stage the
 //!    framework has, so its speedup is tracked as its own trajectory
 //!    point — with its deterministic counters (`core_nodes`: roots the
-//!    kernel searches; `searchless_roots`: roots inside dangling trees,
-//!    colored without a search; `tie_fallback_roots`: core roots
+//!    kernel searches; `branch_nodes`: the core nodes the heap settles;
+//!    `searchless_roots`: roots inside dangling trees, colored without
+//!    a search; `tie_fallback_roots`: core roots
 //!    recomputed over the whole graph after a double tie),
 //! 4. repeats it once more for the HiTi hierarchy build on a
 //!    `--hiti-side`-sized grid (`HiTiIndex::build_with_threads` at one
@@ -214,6 +217,7 @@ fn main() {
         ("total_blocks", spq_index.total_blocks().to_string()),
         ("index_packets", spq_index.index_packets().to_string()),
         ("core_nodes", spq_index.core_nodes().to_string()),
+        ("branch_nodes", spq_index.branch_nodes().to_string()),
         ("searchless_roots", spq_index.searchless_roots().to_string()),
         (
             "tie_fallback_roots",
@@ -237,6 +241,7 @@ fn main() {
                 ("border_nodes", serial.borders().count().to_string()),
                 ("regions", sizes.regions.to_string()),
                 ("core_nodes", serial.core_nodes().to_string()),
+                ("branch_nodes", serial.branch_nodes().to_string()),
                 (
                     "tie_fallback_sources",
                     serial.tie_fallback_sources().to_string(),

@@ -20,8 +20,9 @@
 //! Any parents-first order of the tree serves both.
 //!
 //! Each source's tree comes from the all-sources kernel of
-//! [`spair_roadnet::peel`]: it searches only the graph's 2-core and fills
-//! the dangling trees around it, with exactly the parents of one
+//! [`spair_roadnet::peel`]: it searches only the branch nodes of the
+//! graph's 2-core and fills the degree-2 chains and the dangling trees
+//! around them, with exactly the parents of one
 //! whole-graph [`DijkstraWorkspace::run`](spair_roadnet::dijkstra::DijkstraWorkspace::run)
 //! per border node. So the tables equal that whole-graph fold on every
 //! graph; [`BorderPrecomputation::tie_fallback_sources`] counts the
@@ -75,6 +76,8 @@ pub struct BorderPrecomputation {
     borders: BorderInfo,
     /// Nodes left in the 2-core once the dangling trees are peeled.
     core_nodes: usize,
+    /// Core nodes outside the degree-2 chains, the ones the heap settles.
+    branch_nodes: usize,
     /// Sources recomputed over the whole graph after a double tie.
     tie_fallback_sources: usize,
     /// Wall-clock cost of the pass (Table 3).
@@ -188,6 +191,7 @@ impl BorderPrecomputation {
             cross_border,
             borders,
             core_nodes: peel.core_nodes().len(),
+            branch_nodes: peel.branch_nodes().len(),
             tie_fallback_sources,
             precompute_secs: start.elapsed().as_secs_f64(),
         }
@@ -247,6 +251,12 @@ impl BorderPrecomputation {
     /// over (the rest hangs off it in dangling trees).
     pub fn core_nodes(&self) -> usize {
         self.core_nodes
+    }
+
+    /// Core nodes outside the degree-2 chains: the nodes each source's
+    /// heap search settles (the chains are filled in a linear pass).
+    pub fn branch_nodes(&self) -> usize {
+        self.branch_nodes
     }
 
     /// Border sources whose core search met a double tie and were
@@ -518,8 +528,9 @@ mod tests {
     }
 
     /// Tripwire for the core search: on a germany-class map the dangling
-    /// trees hold most nodes and no source meets a double tie. A
-    /// generator change that quietly defeats the kernel fails here.
+    /// trees hold most nodes, the degree-2 chains at least half the core,
+    /// and no source meets a double tie. A generator change that quietly
+    /// defeats the kernel fails here.
     #[test]
     fn germany_class_core_is_small_and_tie_free() {
         let g = spair_roadnet::NetworkPreset::Germany
@@ -533,6 +544,12 @@ mod tests {
             "core {} of {}",
             pre.core_nodes(),
             g.num_nodes()
+        );
+        assert!(
+            pre.branch_nodes() * 2 <= pre.core_nodes(),
+            "branch {} of core {}",
+            pre.branch_nodes(),
+            pre.core_nodes()
         );
         assert_eq!(pre.tie_fallback_sources(), 0);
     }

@@ -12,9 +12,10 @@
 //! pure trees (the core is one node per component), cycles with long
 //! spurs, one-way and parallel spur edges (which must stay in the core),
 //! zero-weight edges, unit-weight lattices (where double ties force the
-//! whole-graph fallback), disconnected components, single-region
-//! partitions, and a hashed partition that makes border sources of nodes
-//! deep inside trees.
+//! whole-graph fallback), cores made mostly of degree-2 chains (where
+//! contracting the chains could diverge), disconnected components,
+//! single-region partitions, and a hashed partition that makes border
+//! sources of nodes deep inside trees and inside chains.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -169,15 +170,18 @@ enum Family {
     OddSpurEdges,
     ZeroWeights,
     UnitLattice,
+    ChainCore,
     Components,
 }
 
-const FAMILIES: [Family; 6] = [
+/// Every family; `Components` must stay last, it draws from the others.
+const FAMILIES: [Family; 7] = [
     Family::PureTrees,
     Family::CycleWithSpurs,
     Family::OddSpurEdges,
     Family::ZeroWeights,
     Family::UnitLattice,
+    Family::ChainCore,
     Family::Components,
 ];
 
@@ -298,6 +302,68 @@ impl Gen {
         }
     }
 
+    /// A few branch nodes joined by long chains: parallel chains between
+    /// one pair, chains from a branch node back to itself, sometimes a
+    /// ring with no branch node, and spurs hanging off chain interiors.
+    fn chain_core(&mut self) {
+        let hubs: Vec<NodeId> = (0..self.rng.gen_range(2..5)).map(|_| self.node()).collect();
+        for pair in hubs.windows(2) {
+            if self.rng.gen_bool(0.5) {
+                let w = self.rng.gen_range(1..12);
+                self.b.add_undirected_edge(pair[0], pair[1], w);
+            }
+        }
+        let mut interiors = Vec::new();
+        for _ in 0..self.rng.gen_range(2..7) {
+            let a = hubs[self.rng.gen_range(0..hubs.len())];
+            let b = if self.rng.gen_bool(0.2) {
+                a
+            } else {
+                hubs[self.rng.gen_range(0..hubs.len())]
+            };
+            let k = self.rng.gen_range(if a == b { 2 } else { 1 }..10);
+            let mut prev = a;
+            for _ in 0..k {
+                let v = self.node();
+                self.chain_hop(prev, v);
+                interiors.push(v);
+                prev = v;
+            }
+            self.chain_hop(prev, b);
+        }
+        if self.rng.gen_bool(0.5) {
+            let k = self.rng.gen_range(3..8);
+            interiors.extend(self.cycle(k, false));
+        }
+        let count = self.rng.gen_range(0..4);
+        if count > 0 {
+            self.spurs(&interiors, count, 4, false, false, false);
+        }
+    }
+
+    /// One hop of a chain. Its small weights make interiors tight from
+    /// both ends often, equidistant ones included; half the hops are
+    /// asymmetric. A zero-weight or one-way hop ends the chain there.
+    fn chain_hop(&mut self, u: NodeId, v: NodeId) {
+        let there = self.rng.gen_range(1..4);
+        let back = if self.rng.gen_bool(0.5) {
+            there
+        } else {
+            self.rng.gen_range(1..4)
+        };
+        match self.rng.gen_range(0..12) {
+            0 => self.b.add_edge(u, v, there),
+            1 => {
+                self.b.add_edge(u, v, 0);
+                self.b.add_edge(v, u, back);
+            }
+            _ => {
+                self.b.add_edge(u, v, there);
+                self.b.add_edge(v, u, back);
+            }
+        }
+    }
+
     fn family(&mut self, family: Family) {
         match family {
             Family::PureTrees => {
@@ -328,6 +394,7 @@ impl Gen {
                 let count = self.rng.gen_range(0..5);
                 self.spurs(&lattice, count, 6, false, false, true);
             }
+            Family::ChainCore => self.chain_core(),
             Family::Components => {
                 let parts = self.rng.gen_range(2..4);
                 for _ in 0..parts {
@@ -420,7 +487,7 @@ proptest! {
     /// region; hashed), at every thread count.
     #[test]
     fn same_tables_as_the_legacy_fold(
-        family in 0usize..6,
+        family in 0usize..7,
         seed in any::<u64>(),
         kind in 0u8..3,
         regions in 2usize..9,
@@ -519,7 +586,7 @@ proptest! {
     /// Forward trees and reverse distances equal whole-graph searches
     /// from every source.
     #[test]
-    fn kernel_matches_whole_graph_searches(family in 0usize..6, seed in any::<u64>()) {
+    fn kernel_matches_whole_graph_searches(family in 0usize..7, seed in any::<u64>()) {
         let g = build(FAMILIES[family], seed);
         check_kernel(&g, Direction::Forward)?;
         check_kernel(&g, Direction::Reverse)?;
@@ -527,7 +594,7 @@ proptest! {
 
     /// SPQ trees equal the recursive reference's on every family.
     #[test]
-    fn spq_same_trees_as_the_reference(family in 0usize..6, seed in any::<u64>()) {
+    fn spq_same_trees_as_the_reference(family in 0usize..7, seed in any::<u64>()) {
         check_spq(&build(FAMILIES[family], seed))?;
     }
 
@@ -535,7 +602,7 @@ proptest! {
     /// rounded up to a power of two).
     #[test]
     fn arc_flags_same_as_the_legacy_fold(
-        family in 0usize..6,
+        family in 0usize..7,
         seed in any::<u64>(),
         regions in 2usize..9,
     ) {
