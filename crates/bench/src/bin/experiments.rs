@@ -19,7 +19,7 @@
 //! Numbers are expected to reproduce the paper's *shape* (who wins, by
 //! roughly what factor, where crossovers fall), not its absolute values:
 //! the networks are synthetic with the paper's sizes, and the host is not
-//! a 2010 J2ME handset. See EXPERIMENTS.md for the recorded comparison.
+//! a 2010 J2ME handset.
 
 use spair_bench::*;
 use spair_broadcast::{ChannelRate, DeviceProfile, EnergyModel};

@@ -20,8 +20,8 @@
 //! session failure or determinism break**, so CI can use it as a gate.
 //!
 //! `--transport socket` switches to the real serving stack: a
-//! `spair-serve` daemon on a loopback port, client sessions in spawned
-//! worker processes over UDP and TCP, emitting `BENCH_serve.json`
+//! `spair-serve` daemon on a loopback port, client sessions on worker
+//! threads over UDP and TCP, emitting `BENCH_serve.json`
 //! (`--events DIR` places the daemons' JSONL event logs). Every lossless
 //! socket cell's answer digest must equal the in-process reference.
 //!
@@ -31,7 +31,7 @@
 use spair_load::spec::override_population;
 use spair_load::{
     default_load_matrix, override_flash_population, prepare, run, run_socket_bench,
-    smoke_load_matrix, SocketBenchConfig, WorkerMode,
+    smoke_load_matrix, SocketBenchConfig,
 };
 use spair_roadnet::certify::{self, object, BenchArgs, Certified, Cli, Envelope, Tier, UsageError};
 use std::time::Instant;
@@ -61,14 +61,6 @@ impl Overrides {
 }
 
 fn main() {
-    // Hidden worker mode: the socket bench re-invokes this binary as
-    // `bench_load --socket-worker ADDR` for each client process; jobs
-    // stream over stdin, replies over stdout (see `spair_load::socket`).
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("--socket-worker") {
-        let addr = argv.get(1).map(String::as_str).unwrap_or("");
-        spair_load::socket::socket_worker_main(addr);
-    }
     let mut o = Overrides {
         scale: 1.0,
         population: None,
@@ -80,7 +72,7 @@ fn main() {
         "bench_load",
         "[--smoke] [--threads N] [--population N] [--flash-population N] [--scale F] \
          [--transport channel|socket] [--events DIR] [--out PATH]",
-        argv,
+        std::env::args().skip(1).collect(),
     );
     let args = cli.bench_args(&[Tier::Smoke], |flag, cli| {
         match flag {
@@ -116,24 +108,22 @@ fn main() {
     std::process::exit(code);
 }
 
-/// The socket-transport path: real loopback daemons, client sessions in
-/// worker processes, `BENCH_serve.json`. Fails if any lossless cell's
+/// The socket-transport path: real loopback daemons, client sessions on
+/// worker threads, `BENCH_serve.json`. Fails if any lossless cell's
 /// digest diverges from the in-process reference or any cell —
 /// contention included — produced a wrong answer. Its digest folds only
 /// worker-count-invariant columns, so there is no serial rerun.
 fn run_socket_main(args: &BenchArgs, o: &Overrides, events: Option<String>) -> i32 {
     let out = args.out_path("BENCH_serve.json", o.partial_reason());
     let events_dir = events.unwrap_or_else(|| "target/serve-bench".to_string());
-    let exe = std::env::current_exe().expect("current exe for worker spawn");
     let config = SocketBenchConfig {
         smoke: args.smoke(),
         threads: args.threads,
         population: o.population,
-        worker: WorkerMode::Process(exe),
         events_dir: events_dir.clone().into(),
     };
     eprintln!(
-        "# bench_load --transport socket — {} worker processes, events under {events_dir}{}",
+        "# bench_load --transport socket — {} worker threads, events under {events_dir}{}",
         args.threads,
         args.tier.suffix()
     );
@@ -160,7 +150,6 @@ fn run_socket_main(args: &BenchArgs, o: &Overrides, events: Option<String>) -> i
         .field("methods", format!("[{}]", methods.join(", ")))
         .field("population_per_cell", o.population.unwrap_or(sc.population))
         .field("threads", report.threads)
-        .field("worker_mode", format!("\"{}\"", report.worker_mode))
         .field("all_match", all_match)
         .field("digest", format!("\"{digest:016x}\""))
         .field(

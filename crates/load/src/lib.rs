@@ -39,7 +39,6 @@ pub use hist::StreamingHistogram;
 pub use report::{LoadCellReport, LoadFaultSummary, LoadReport, PercentileSummary};
 pub use socket::{
     run_socket_bench, socket_scenario, SocketBenchConfig, SocketCellReport, SocketReport,
-    WorkerMode,
 };
 pub use spair_methods::SessionShape;
 pub use spec::{

@@ -4,12 +4,13 @@
 //! Where the in-process harness iterates a [`spair_broadcast`] channel
 //! object, this module drives the real serving stack end to end: a
 //! [`spair_serve::ServeDaemon`] on a loopback port, client sessions over
-//! real UDP datagrams and TCP streams (optionally in separate worker
-//! *processes*), and per-cell digests that must equal the in-process
-//! answers byte for byte. The schedule (offsets, queries) is a pure
-//! function of the scenario seed and the session index, so the digest is
-//! invariant across worker counts and worker modes — that invariance is
-//! what the CI serve gate pins.
+//! real UDP datagrams and TCP streams from worker threads, and per-cell
+//! digests that must equal the in-process answers byte for byte. Each
+//! session builds its client from the daemon's `Admit` bootstrap alone,
+//! as a client on another host would. The schedule (offsets, queries) is
+//! a pure function of the scenario seed and the session index, so the
+//! digest is invariant across worker counts — that invariance is what
+//! the CI serve gate pins.
 //!
 //! Cells come in three kinds:
 //!
@@ -32,41 +33,27 @@ use spair_methods::{MethodRegistry, ProgramSet, World};
 use spair_partition::KdTreePartition;
 use spair_roadnet::certify::{cells_json, Fnv1a};
 use spair_roadnet::generators::small_grid;
-use spair_roadnet::{dijkstra_distance, NodeId, Point, QueuePolicy};
-use spair_serve::client::{run_query, SessionConfig, Transport};
+use spair_roadnet::{dijkstra_distance, NodeId, QueuePolicy};
+use spair_serve::client::{run_query, SessionConfig, SessionFailure, Transport};
 use spair_serve::daemon::{DropPlan, ServeDaemon, ServeOptions, ServeSummary, ServeWorld};
 use spair_serve::frame::{encode_stream, Frame, Hello};
 use spair_sim::{drive, Device, Tune, Verdict, WorkItem};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// How client sessions are executed.
-#[derive(Debug, Clone)]
-pub enum WorkerMode {
-    /// Sessions run on threads inside this process (tests; still real
-    /// sockets).
-    InThread,
-    /// Sessions run in spawned worker *processes* (the bench default):
-    /// the given executable is re-invoked with `--socket-worker ADDR`
-    /// and jobs stream over its stdin/stdout.
-    Process(PathBuf),
-}
 
 /// Socket-bench configuration.
 #[derive(Debug, Clone)]
 pub struct SocketBenchConfig {
     /// Smoke matrix (smaller world and population).
     pub smoke: bool,
-    /// Worker count (threads or processes, per [`WorkerMode`]).
+    /// Client worker threads.
     pub threads: usize,
     /// Sessions per lossless cell (`None` → matrix default).
     pub population: Option<usize>,
-    /// Session execution mode.
-    pub worker: WorkerMode,
     /// Directory for the daemons' event logs and dead-letter files.
     pub events_dir: PathBuf,
 }
@@ -113,7 +100,7 @@ pub fn socket_scenario(smoke: bool) -> SocketScenario {
     }
 }
 
-/// One session to run: everything a worker process needs on one line.
+/// One session to run.
 #[derive(Debug, Clone)]
 pub struct SessionJob {
     /// Global session index within its cell (digest order).
@@ -147,7 +134,7 @@ pub struct SessionAnswer {
 
 /// The deterministic per-cell schedule: offsets and queries are pure
 /// functions of (scenario seed, method name, session index) — the same
-/// for every transport, worker count and worker mode.
+/// for every transport and worker count.
 pub fn schedule(
     sc: &SocketScenario,
     g: &spair_roadnet::RoadNetwork,
@@ -244,32 +231,16 @@ pub fn build_programs(sc: &SocketScenario) -> ProgramSet {
     ProgramSet::new(World::from_parts(g, part, pre))
 }
 
-/// Runs one cell's jobs against a daemon, in threads or processes.
-/// Returns answers (index order not guaranteed) and failures.
-pub fn run_jobs(
-    addr: SocketAddr,
-    jobs: &[SessionJob],
-    threads: usize,
-    worker: &WorkerMode,
-) -> (Vec<SessionAnswer>, Vec<String>) {
-    match worker {
-        WorkerMode::InThread => run_jobs_threads(addr, jobs, threads),
-        WorkerMode::Process(exe) => run_jobs_processes(addr, jobs, threads, exe),
-    }
-}
+/// A session that produced no answer: its job index and typed cause.
+pub type JobFailure = (usize, SessionFailure);
 
-fn run_one(addr: SocketAddr, job: &SessionJob) -> Result<SessionAnswer, String> {
+fn run_one(addr: SocketAddr, job: &SessionJob) -> Result<SessionAnswer, JobFailure> {
     let config = SessionConfig {
-        addr,
-        method: job.method.clone(),
-        transport: job.transport,
         offset: job.offset,
-        queue: QueuePolicy::Heap,
         max_wait: Duration::from_secs(60),
-        frame_pause: Duration::ZERO,
+        ..SessionConfig::new(addr, &job.method, job.transport)
     };
-    let (outcome, m) =
-        run_query(&config, &job.query).map_err(|e| format!("session {}: {e}", job.index))?;
+    let (outcome, m) = run_query(&config, &job.query).map_err(|e| (job.index, e))?;
     Ok(SessionAnswer {
         index: job.index,
         distance: outcome.distance,
@@ -280,14 +251,16 @@ fn run_one(addr: SocketAddr, job: &SessionJob) -> Result<SessionAnswer, String> 
     })
 }
 
-fn run_jobs_threads(
+/// Runs one cell's jobs against a daemon on `threads` worker threads.
+/// Returns answers (index order not guaranteed) and failures.
+pub fn run_jobs(
     addr: SocketAddr,
     jobs: &[SessionJob],
     threads: usize,
-) -> (Vec<SessionAnswer>, Vec<String>) {
+) -> (Vec<SessionAnswer>, Vec<JobFailure>) {
     let queue: Arc<Mutex<VecDeque<SessionJob>>> =
         Arc::new(Mutex::new(jobs.iter().cloned().collect()));
-    let out: Arc<Mutex<(Vec<SessionAnswer>, Vec<String>)>> =
+    let out: Arc<Mutex<(Vec<SessionAnswer>, Vec<JobFailure>)>> =
         Arc::new(Mutex::new((Vec::new(), Vec::new())));
     std::thread::scope(|scope| {
         for _ in 0..threads.max(1) {
@@ -311,216 +284,8 @@ fn run_jobs_threads(
         .unwrap()
 }
 
-/// Serializes a job as one worker-protocol line. Coordinates travel as
-/// `f64::to_bits` hex so the worker reconstructs them exactly.
-pub fn job_to_line(job: &SessionJob) -> String {
-    format!(
-        "{} {} {} {} {} {} {:016x} {:016x} {:016x} {:016x}\n",
-        job.index,
-        job.method,
-        job.transport.name(),
-        job.offset,
-        job.query.source,
-        job.query.target,
-        job.query.source_pt.x.to_bits(),
-        job.query.source_pt.y.to_bits(),
-        job.query.target_pt.x.to_bits(),
-        job.query.target_pt.y.to_bits(),
-    )
-}
-
-/// Parses a worker-protocol job line (inverse of [`job_to_line`]).
-pub fn job_from_line(line: &str) -> Result<SessionJob, String> {
-    let mut p = line.split_ascii_whitespace();
-    let mut next = |what: &str| p.next().ok_or_else(|| format!("missing {what}"));
-    let index: usize = next("index")?.parse().map_err(|e| format!("index: {e}"))?;
-    let method = next("method")?.to_string();
-    let transport = match next("transport")? {
-        "tcp" => Transport::Tcp,
-        "udp" => Transport::Udp,
-        other => return Err(format!("unknown transport {other}")),
-    };
-    let offset: u64 = next("offset")?
-        .parse()
-        .map_err(|e| format!("offset: {e}"))?;
-    let source: NodeId = next("src")?.parse().map_err(|e| format!("src: {e}"))?;
-    let target: NodeId = next("dst")?.parse().map_err(|e| format!("dst: {e}"))?;
-    let mut coord = |what: &str| -> Result<f64, String> {
-        let bits = u64::from_str_radix(next(what)?, 16).map_err(|e| format!("{what}: {e}"))?;
-        Ok(f64::from_bits(bits))
-    };
-    let (sx, sy, tx, ty) = (coord("sx")?, coord("sy")?, coord("tx")?, coord("ty")?);
-    Ok(SessionJob {
-        index,
-        method,
-        transport,
-        offset,
-        query: Query {
-            source,
-            target,
-            source_pt: Point::new(sx, sy),
-            target_pt: Point::new(tx, ty),
-        },
-    })
-}
-
-fn answer_to_line(a: &SessionAnswer) -> String {
-    let path: Vec<String> = a.path.iter().map(|n| n.to_string()).collect();
-    format!(
-        "ok {} {} {} {} {} {}\n",
-        a.index,
-        a.distance,
-        a.admission_us,
-        a.observed_drops,
-        a.laps,
-        path.join(",")
-    )
-}
-
-fn answer_from_line(line: &str) -> Result<SessionAnswer, String> {
-    let mut p = line.split_ascii_whitespace();
-    match p.next() {
-        Some("ok") => {}
-        Some("err") => return Err(line["err".len()..].trim().to_string()),
-        other => return Err(format!("bad worker reply {other:?}")),
-    }
-    let mut next = |what: &str| {
-        p.next()
-            .ok_or_else(|| format!("missing {what}"))
-            .and_then(|s| s.parse::<u64>().map_err(|e| format!("{what}: {e}")))
-    };
-    let index = next("index")? as usize;
-    let distance = next("distance")?;
-    let admission_us = next("admission_us")?;
-    let observed_drops = next("observed_drops")?;
-    let laps = next("laps")? as u32;
-    let path_field = p.next().unwrap_or("");
-    let path: Vec<NodeId> = if path_field.is_empty() {
-        Vec::new()
-    } else {
-        path_field
-            .split(',')
-            .map(|s| s.parse().map_err(|e| format!("path: {e}")))
-            .collect::<Result<_, String>>()?
-    };
-    Ok(SessionAnswer {
-        index,
-        distance,
-        path,
-        admission_us,
-        observed_drops,
-        laps,
-    })
-}
-
-/// The worker-process entry point: `bench_load --socket-worker ADDR`
-/// lands here. Reads job lines on stdin, runs each session against the
-/// daemon at `addr`, writes one reply line per job, exits 0.
-pub fn socket_worker_main(addr: &str) -> ! {
-    let addr: SocketAddr = match addr.parse() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("socket worker: bad addr: {e}");
-            std::process::exit(2);
-        }
-    };
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = match job_from_line(&line) {
-            Ok(job) => match run_one(addr, &job) {
-                Ok(a) => answer_to_line(&a),
-                Err(e) => format!("err {e}\n"),
-            },
-            Err(e) => format!("err bad job line: {e}\n"),
-        };
-        if out.write_all(reply.as_bytes()).is_err() {
-            break;
-        }
-        let _ = out.flush();
-    }
-    std::process::exit(0);
-}
-
-fn run_jobs_processes(
-    addr: SocketAddr,
-    jobs: &[SessionJob],
-    threads: usize,
-    exe: &Path,
-) -> (Vec<SessionAnswer>, Vec<String>) {
-    let workers = threads.max(1).min(jobs.len().max(1));
-    let mut children = Vec::new();
-    for w in 0..workers {
-        let share: Vec<&SessionJob> = jobs.iter().skip(w).step_by(workers).collect();
-        if share.is_empty() {
-            continue;
-        }
-        let mut child = match std::process::Command::new(exe)
-            .arg("--socket-worker")
-            .arg(addr.to_string())
-            .stdin(std::process::Stdio::piped())
-            .stdout(std::process::Stdio::piped())
-            .spawn()
-        {
-            Ok(c) => c,
-            Err(e) => {
-                return (
-                    Vec::new(),
-                    vec![format!("spawn worker {}: {e}", exe.display())],
-                )
-            }
-        };
-        let mut stdin = child.stdin.take().expect("piped stdin");
-        let mut wire = String::new();
-        for job in &share {
-            wire.push_str(&job_to_line(job));
-        }
-        // Small shares fit comfortably in the pipe buffer; write and
-        // close so the worker sees EOF after its last job.
-        if stdin.write_all(wire.as_bytes()).is_err() {
-            let _ = child.kill();
-        }
-        drop(stdin);
-        children.push((child, share.len()));
-    }
-    let mut answers = Vec::new();
-    let mut failures = Vec::new();
-    for (mut child, expected) in children {
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut got = 0usize;
-        for line in BufReader::new(stdout).lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
-            }
-            match answer_from_line(&line) {
-                Ok(a) => answers.push(a),
-                Err(e) => failures.push(e),
-            }
-            got += 1;
-        }
-        if got != expected {
-            failures.push(format!("worker returned {got}/{expected} replies"));
-        }
-        match child.wait() {
-            Ok(s) if s.success() => {}
-            Ok(s) => failures.push(format!("worker exited {s}")),
-            Err(e) => failures.push(format!("worker wait: {e}")),
-        }
-    }
-    (answers, failures)
-}
-
 /// One socket bench cell's results.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SocketCellReport {
     /// Registry method name.
     pub method: String,
@@ -540,8 +305,8 @@ pub struct SocketCellReport {
     pub digest_match: bool,
     /// Sessions whose answer differed from in-process (must be 0).
     pub wrong_answers: usize,
-    /// Typed session failures (strings; empty for lossless cells).
-    pub failures: Vec<String>,
+    /// Typed session failures (empty for lossless cells).
+    pub failures: Vec<JobFailure>,
     /// Receiver-observed slot gaps. summed.
     pub observed_drops: u64,
     /// Daemon-side injected drops (contention-drops cell).
@@ -574,10 +339,8 @@ impl SocketCellReport {
 pub struct SocketReport {
     /// The scenario every cell shares.
     pub scenario: SocketScenario,
-    /// Worker count used.
+    /// Worker threads used.
     pub threads: usize,
-    /// `"process"` or `"thread"` workers.
-    pub worker_mode: &'static str,
     /// Per-cell results.
     pub cells: Vec<SocketCellReport>,
     /// Lossless daemon counters after shutdown.
@@ -596,7 +359,7 @@ impl SocketReport {
     /// FNV-1a over the deterministic columns only: cell identity,
     /// population, answer digests and digest verdicts. Timing,
     /// contention counters and daemon totals are excluded, so the
-    /// digest is invariant across worker counts and worker modes.
+    /// digest is invariant across worker counts.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::default();
         for c in self.cells.iter().filter(|c| c.kind == "lossless") {
@@ -677,7 +440,7 @@ fn collate_cell(
     transport: &'static str,
     kind: &'static str,
     jobs: &[SessionJob],
-    (answers, failures): (Vec<SessionAnswer>, Vec<String>),
+    (answers, failures): (Vec<SessionAnswer>, Vec<JobFailure>),
     expected: &[SessionAnswer],
     wall_secs: f64,
 ) -> SocketCellReport {
@@ -752,7 +515,7 @@ pub fn run_socket_bench(config: &SocketBenchConfig) -> SocketReport {
         for transport in [Transport::Udp, Transport::Tcp] {
             let jobs = schedule(&sc, &g, method, transport, population);
             let start = Instant::now();
-            let (answers, failures) = run_jobs(addr, &jobs, config.threads, &config.worker);
+            let (answers, failures) = run_jobs(addr, &jobs, config.threads);
             let wall = start.elapsed().as_secs_f64();
             eprintln!(
                 "  cell {method}/{} served {}/{} sessions in {wall:.2}s",
@@ -791,9 +554,7 @@ pub fn run_socket_bench(config: &SocketBenchConfig) -> SocketReport {
     let jobs = schedule(&sc, &g, drop_method, Transport::Udp, drop_population);
     let expected = in_process_answers(&programs, &jobs);
     let start = Instant::now();
-    // Contention cells always run in-thread: they measure the daemon
-    // under pressure, not client-process scaling.
-    let (answers, failures) = run_jobs(drop_addr, &jobs, config.threads, &WorkerMode::InThread);
+    let (answers, failures) = run_jobs(drop_addr, &jobs, config.threads);
     let wall = start.elapsed().as_secs_f64();
     let drop_summary = drop_daemon.shutdown().expect("drop daemon shutdown");
     let mut cell = collate_cell(
@@ -873,10 +634,6 @@ pub fn run_socket_bench(config: &SocketBenchConfig) -> SocketReport {
     SocketReport {
         scenario: sc,
         threads: config.threads,
-        worker_mode: match config.worker {
-            WorkerMode::InThread => "thread",
-            WorkerMode::Process(_) => "process",
-        },
         cells,
         daemon: daemon_summary,
     }
@@ -885,41 +642,6 @@ pub fn run_socket_bench(config: &SocketBenchConfig) -> SocketReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn job_lines_roundtrip_exactly() {
-        let sc = socket_scenario(true);
-        let programs = build_programs(&sc);
-        let g = programs.world().g.clone();
-        let jobs = schedule(&sc, &g, "nr", Transport::Udp, 9);
-        for job in &jobs {
-            let back = job_from_line(&job_to_line(job)).expect("roundtrip");
-            assert_eq!(back.index, job.index);
-            assert_eq!(back.method, job.method);
-            assert_eq!(back.transport, job.transport);
-            assert_eq!(back.offset, job.offset);
-            assert_eq!(back.query, job.query);
-        }
-    }
-
-    #[test]
-    fn answer_lines_roundtrip_and_type_errors() {
-        let a = SessionAnswer {
-            index: 5,
-            distance: 123_456,
-            path: vec![1, 2, 3, 60],
-            admission_us: 890,
-            observed_drops: 2,
-            laps: 3,
-        };
-        let b = answer_from_line(&answer_to_line(&a)).expect("roundtrip");
-        assert_eq!(b.index, 5);
-        assert_eq!(b.distance, 123_456);
-        assert_eq!(b.path, vec![1, 2, 3, 60]);
-        assert_eq!((b.admission_us, b.observed_drops, b.laps), (890, 2, 3));
-        assert!(answer_from_line("err session 3: timed out").is_err());
-        assert!(answer_from_line("garbage").is_err());
-    }
 
     #[test]
     fn schedule_is_deterministic_and_transport_invariant() {

@@ -1,12 +1,10 @@
 //! Transport equivalence at the load-harness level: the same scheduled
 //! population over loopback UDP, loopback TCP and the in-process
 //! channel must produce byte-identical answer digests. This is the
-//! in-tree version of the `BENCH_serve.json` digest columns, run with
-//! in-thread workers so the test stays hermetic.
+//! in-tree version of the `BENCH_serve.json` digest columns.
 
 use spair_load::socket::{
     answers_digest, build_programs, in_process_answers, run_jobs, schedule, socket_scenario,
-    WorkerMode,
 };
 use spair_methods::MethodRegistry;
 use spair_serve::client::Transport;
@@ -43,7 +41,7 @@ fn udp_tcp_and_in_process_digests_agree() {
         };
         for transport in [Transport::Udp, Transport::Tcp] {
             let jobs = schedule(&sc, &g, method, transport, population);
-            let (answers, failures) = run_jobs(addr, &jobs, 4, &WorkerMode::InThread);
+            let (answers, failures) = run_jobs(addr, &jobs, 4);
             assert!(
                 failures.is_empty(),
                 "{method}/{} session failures: {failures:?}",
@@ -62,9 +60,9 @@ fn udp_tcp_and_in_process_digests_agree() {
     // Worker-count invariance: the digest is a pure function of the
     // schedule, so 1 worker and 4 workers agree.
     let jobs = schedule(&sc, &g, sc.methods[0], Transport::Tcp, population);
-    let (serial, failures) = run_jobs(addr, &jobs, 1, &WorkerMode::InThread);
+    let (serial, failures) = run_jobs(addr, &jobs, 1);
     assert!(failures.is_empty(), "serial failures: {failures:?}");
-    let (wide, failures) = run_jobs(addr, &jobs, 4, &WorkerMode::InThread);
+    let (wide, failures) = run_jobs(addr, &jobs, 4);
     assert!(failures.is_empty(), "parallel failures: {failures:?}");
     assert_eq!(answers_digest(&serial), answers_digest(&wide));
 

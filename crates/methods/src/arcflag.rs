@@ -52,10 +52,6 @@ impl MethodProgram for ArcFlagMethodProgram {
         Ok(self.program.cycle())
     }
 
-    fn make_client(&self, _queue: QueuePolicy) -> Result<Box<dyn AirClient>, MethodUnavailable> {
-        Ok(Box::new(ArcFlagClient::new(self.num_regions)))
-    }
-
     fn client_bootstrap(&self) -> ClientBootstrap {
         ClientBootstrap {
             num_regions: self.num_regions,

@@ -72,10 +72,6 @@ impl MethodProgram for AstarMethodProgram {
         Ok(self.program.cycle())
     }
 
-    fn make_client(&self, _queue: QueuePolicy) -> Result<Box<dyn AirClient>, MethodUnavailable> {
-        Ok(Box::new(AstarAirClient::default()))
-    }
-
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }

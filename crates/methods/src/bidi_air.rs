@@ -54,10 +54,6 @@ impl MethodProgram for BidiMethodProgram {
         Ok(self.program.cycle())
     }
 
-    fn make_client(&self, _queue: QueuePolicy) -> Result<Box<dyn AirClient>, MethodUnavailable> {
-        Ok(Box::new(BidiAirClient::default()))
-    }
-
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }

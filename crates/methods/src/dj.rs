@@ -48,10 +48,6 @@ impl MethodProgram for DjMethodProgram {
         Ok(self.program.cycle())
     }
 
-    fn make_client(&self, queue: QueuePolicy) -> Result<Box<dyn AirClient>, MethodUnavailable> {
-        Ok(Box::new(DjClient::new().with_queue_policy(queue)))
-    }
-
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }

@@ -9,10 +9,10 @@ use crate::{
 };
 use spair_broadcast::{BroadcastChannel, BroadcastCycle};
 use spair_core::knn::KnnOutcome;
-use spair_core::query::{AirClient, QueryError};
+use spair_core::query::QueryError;
 use spair_core::{KnnClient, KnnProgram, KnnServer};
 use spair_partition::Partitioning;
-use spair_roadnet::{NodeId, Point, QueuePolicy};
+use spair_roadnet::{NodeId, Point};
 
 /// The kNN method's descriptor.
 pub const DESCRIPTOR: MethodDescriptor = MethodDescriptor {
@@ -64,10 +64,6 @@ impl MethodProgram for KnnMethodProgram {
 
     fn cycle(&self) -> Result<&BroadcastCycle, MethodUnavailable> {
         Ok(self.program.cycle())
-    }
-
-    fn make_client(&self, _queue: QueuePolicy) -> Result<Box<dyn AirClient>, MethodUnavailable> {
-        Err(MethodUnavailable::NotAirClient(DESCRIPTOR.name))
     }
 
     fn make_knn_client(&self) -> Result<Box<dyn KnnAirClient>, MethodUnavailable> {

@@ -50,10 +50,6 @@ impl MethodProgram for LandmarkMethodProgram {
         Ok(self.program.cycle())
     }
 
-    fn make_client(&self, _queue: QueuePolicy) -> Result<Box<dyn AirClient>, MethodUnavailable> {
-        Ok(Box::new(LandmarkClient::new()))
-    }
-
     fn precompute_secs(&self) -> f64 {
         self.precompute_secs
     }

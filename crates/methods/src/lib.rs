@@ -223,8 +223,7 @@ pub enum MethodUnavailable {
     /// The method is not a kNN client.
     NotKnn(&'static str),
     /// The admission bootstrap lacks a field the method's remote client
-    /// requires (serving daemon and client process disagree about the
-    /// method).
+    /// requires (serving daemon and client disagree about the method).
     BadBootstrap(&'static str),
 }
 
@@ -378,9 +377,9 @@ impl World {
 }
 
 /// The a-priori knowledge a client needs to tune in to a method's cycle
-/// from across a process boundary — the serving daemon ships this blob
-/// in its admission reply so remote client processes can build an
-/// [`AirClient`] without ever seeing the server's [`World`].
+/// — the serving daemon ships this blob in its admission reply, so a
+/// socket client builds its [`AirClient`] without ever seeing the
+/// server's [`World`], and in-process clients are built from it too.
 ///
 /// It is deliberately tiny: the paper's clients assume almost nothing
 /// beyond "which method the channel carries" (EB/NR need the region
@@ -419,9 +418,15 @@ pub trait MethodProgram: Send + Sync {
     fn cycle(&self) -> Result<&BroadcastCycle, MethodUnavailable>;
 
     /// A fresh client device (every session models an independent mobile
-    /// client). `Err(NotAirClient)` for methods not driven through the
-    /// [`AirClient`] interface.
-    fn make_client(&self, queue: QueuePolicy) -> Result<Box<dyn AirClient>, MethodUnavailable>;
+    /// client). It is built the way a socket client builds one, by
+    /// [`BroadcastMethod::make_remote_client`] from
+    /// [`MethodProgram::client_bootstrap`] alone, so an in-process client
+    /// knows nothing a remote one could not. `Err(NotAirClient)` for
+    /// methods not driven through the [`AirClient`] interface.
+    fn make_client(&self, queue: QueuePolicy) -> Result<Box<dyn AirClient>, MethodUnavailable> {
+        let id = MethodId(self.descriptor());
+        MethodRegistry::standard().remote_client(id, &self.client_bootstrap(), queue)
+    }
 
     /// A fresh kNN client. `Err(NotKnn)` unless the method answers the
     /// kNN portion.
@@ -429,9 +434,10 @@ pub trait MethodProgram: Send + Sync {
         Err(MethodUnavailable::NotKnn(self.descriptor().name))
     }
 
-    /// The a-priori blob a remote client process needs before tuning in
-    /// (shipped by the serving daemon in its admission reply). Methods
-    /// whose clients start blind keep the empty default.
+    /// The a-priori blob a client needs before tuning in (shipped by the
+    /// serving daemon in its admission reply, and the only input of
+    /// [`MethodProgram::make_client`]). Methods whose clients start blind
+    /// keep the empty default.
     fn client_bootstrap(&self) -> ClientBootstrap {
         ClientBootstrap::default()
     }
@@ -469,11 +475,11 @@ pub trait BroadcastMethod: Send + Sync {
     /// Builds the server-side broadcast program for a world.
     fn build_program(&self, world: &World) -> Box<dyn MethodProgram>;
 
-    /// A fresh client built from a [`ClientBootstrap`] alone — the
-    /// remote twin of [`MethodProgram::make_client`] for client
-    /// processes that hold no program (they receive the cycle over a
-    /// socket). `Err(NotAirClient)` for methods not driven through the
-    /// [`AirClient`] interface.
+    /// A fresh client built from a [`ClientBootstrap`] alone — the one
+    /// client factory, behind both [`MethodProgram::make_client`] and
+    /// the socket clients that hold no program (they receive the cycle
+    /// over a socket). `Err(NotAirClient)` for methods not driven
+    /// through the [`AirClient`] interface.
     fn make_remote_client(
         &self,
         bootstrap: &ClientBootstrap,
@@ -614,8 +620,8 @@ impl MethodRegistry {
         self.methods[id.ordinal() as usize].as_ref()
     }
 
-    /// A remote client for `id` from its admission bootstrap — the
-    /// lookup the serving daemon's client processes go through.
+    /// A client for `id` from its bootstrap — the lookup every client,
+    /// in-process or behind a socket, goes through.
     pub fn remote_client(
         &self,
         id: MethodId,

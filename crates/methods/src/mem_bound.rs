@@ -12,7 +12,7 @@
 use crate::{BroadcastMethod, MethodDescriptor, MethodProgram, MethodUnavailable, World};
 use spair_broadcast::{BroadcastCycle, QueryStats};
 use spair_core::netcodec::{decode_payload, encode_nodes_with_borders, ReceivedGraph};
-use spair_core::query::{AirClient, Query, QueryError, QueryOutcome};
+use spair_core::query::{Query, QueryError, QueryOutcome};
 use spair_core::{BorderPrecomputation, MemoryBoundProcessor};
 use spair_partition::{KdTreePartition, Partitioning};
 use spair_roadnet::{NodeId, QueuePolicy};
@@ -58,10 +58,6 @@ impl MethodProgram for MemBoundProgram {
             method: DESCRIPTOR.name,
             reference: "nr",
         })
-    }
-
-    fn make_client(&self, _queue: QueuePolicy) -> Result<Box<dyn AirClient>, MethodUnavailable> {
-        Err(MethodUnavailable::NotAirClient(DESCRIPTOR.name))
     }
 
     fn local_answer(

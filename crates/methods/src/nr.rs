@@ -48,12 +48,6 @@ impl MethodProgram for NrMethodProgram {
         Ok(self.program.cycle())
     }
 
-    fn make_client(&self, queue: QueuePolicy) -> Result<Box<dyn AirClient>, MethodUnavailable> {
-        Ok(Box::new(
-            NrClient::new(self.program.summary()).with_queue_policy(queue),
-        ))
-    }
-
     fn client_bootstrap(&self) -> ClientBootstrap {
         ClientBootstrap {
             num_regions: self.program.summary().num_regions,

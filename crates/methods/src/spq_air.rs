@@ -50,10 +50,6 @@ impl MethodProgram for SpqMethodProgram {
         Ok(self.program.cycle())
     }
 
-    fn make_client(&self, _queue: QueuePolicy) -> Result<Box<dyn AirClient>, MethodUnavailable> {
-        Ok(Box::new(SpqClient::new(self.program.bbox())))
-    }
-
     fn client_bootstrap(&self) -> ClientBootstrap {
         ClientBootstrap {
             num_regions: 0,

@@ -5,8 +5,7 @@
 //!
 //! ```text
 //! serve_client --addr HOST:PORT --method nr [--transport udp|tcp]
-//!              [--offset N] [--queue heap|bucket|auto]
-//!              [--max-wait-ms N] [--frame-pause-us N]
+//!              [--offset N] [--max-wait-ms N]
 //!              [--query SRC DST SX SY TX TY]
 //! ```
 //!
@@ -15,7 +14,7 @@
 //! 1 session failure (typed reason on stderr), 2 usage error.
 
 use spair_core::query::Query;
-use spair_roadnet::{Point, QueuePolicy};
+use spair_roadnet::Point;
 use spair_serve::client::{fetch_cycle, run_query, SessionConfig, Transport};
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -25,9 +24,7 @@ struct Args {
     method: String,
     transport: Transport,
     offset: u64,
-    queue: QueuePolicy,
     max_wait_ms: u64,
-    frame_pause_us: u64,
     query: Option<Query>,
 }
 
@@ -38,9 +35,7 @@ impl Default for Args {
             method: "nr".into(),
             transport: Transport::Udp,
             offset: 0,
-            queue: QueuePolicy::Heap,
             max_wait_ms: 30_000,
-            frame_pause_us: 0,
             query: None,
         }
     }
@@ -68,23 +63,10 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--offset: {e}"))?
             }
-            "--queue" => {
-                args.queue = match val("--queue")?.as_str() {
-                    "heap" => QueuePolicy::Heap,
-                    "bucket" => QueuePolicy::Bucket,
-                    "auto" => QueuePolicy::Auto,
-                    other => return Err(format!("unknown queue policy {other}")),
-                }
-            }
             "--max-wait-ms" => {
                 args.max_wait_ms = val("--max-wait-ms")?
                     .parse()
                     .map_err(|e| format!("--max-wait-ms: {e}"))?
-            }
-            "--frame-pause-us" => {
-                args.frame_pause_us = val("--frame-pause-us")?
-                    .parse()
-                    .map_err(|e| format!("--frame-pause-us: {e}"))?
             }
             "--query" => {
                 let mut f = |name: &str| -> Result<f64, String> {
@@ -125,9 +107,7 @@ fn main() {
         method: args.method.clone(),
         transport: args.transport,
         offset: args.offset,
-        queue: args.queue,
         max_wait: Duration::from_millis(args.max_wait_ms),
-        frame_pause: Duration::from_micros(args.frame_pause_us),
     };
 
     match args.query {

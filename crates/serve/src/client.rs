@@ -14,7 +14,8 @@
 //! session's late datagrams reaching a reused port) is counted and
 //! dropped. A UDP datagram carries several frames, each with its own
 //! CRC; a damaged one ends its datagram, and the checked frames before
-//! it are still filed.
+//! it are still filed. A daemon `Close` fails a UDP session only if the
+//! datagrams already queued in its socket leave the table incomplete.
 
 use crate::frame::{
     self, Close, CloseReason, DataFrame, Frame, FrameError, Hello, RejectReason, StreamDecoder,
@@ -64,13 +65,8 @@ pub struct SessionConfig {
     pub transport: Transport,
     /// Absolute tune-in offset (the session's position in the cycle).
     pub offset: u64,
-    /// Priority-queue policy for the rebuilt client.
-    pub queue: QueuePolicy,
     /// Overall deadline for collecting the cycle.
     pub max_wait: Duration,
-    /// Artificial per-frame processing pause — the slow-consumer
-    /// injection knob for contention cells. Zero for honest clients.
-    pub frame_pause: Duration,
 }
 
 impl SessionConfig {
@@ -81,9 +77,7 @@ impl SessionConfig {
             method: method.to_string(),
             transport,
             offset: 0,
-            queue: QueuePolicy::Heap,
             max_wait: Duration::from_secs(30),
-            frame_pause: Duration::ZERO,
         }
     }
 }
@@ -329,7 +323,6 @@ pub fn fetch_cycle(
             &mut dec,
             deadline,
             &mut rx,
-            config,
             &mut table,
             &mut metrics,
         )?,
@@ -338,7 +331,6 @@ pub fn fetch_cycle(
             &mut dec,
             &sock,
             deadline,
-            config,
             &mut table,
             &mut metrics,
         )?,
@@ -351,19 +343,27 @@ pub fn fetch_cycle(
 
 /// Files one data frame of the admitted session; a frame of any other
 /// session is counted and dropped.
-fn ingest_data(
-    d: DataFrame,
-    config: &SessionConfig,
-    table: &mut SlotTable,
-    metrics: &mut SessionMetrics,
-) {
+fn ingest_data(d: DataFrame, table: &mut SlotTable, metrics: &mut SessionMetrics) {
     if d.session != metrics.session {
         metrics.foreign_frames += 1;
         return;
     }
     table.ingest(d.slot, d.packet, metrics);
-    if !config.frame_pause.is_zero() {
-        std::thread::sleep(config.frame_pause);
+}
+
+/// Files the data frames of one datagram until the table is full.
+fn ingest_datagram(bytes: &[u8], table: &mut SlotTable, metrics: &mut SessionMetrics) {
+    for f in frame::decode_datagram(bytes) {
+        if table.complete() {
+            break;
+        }
+        match f {
+            Ok(Frame::Data(d)) => ingest_data(d, table, metrics),
+            // A corrupt frame is indistinguishable from line noise:
+            // typed, counted, skipped — its slot, and those after it in
+            // the datagram, heal on a later lap.
+            Ok(_) | Err(_) => metrics.bad_frames += 1,
+        }
     }
 }
 
@@ -372,13 +372,12 @@ fn collect_tcp(
     dec: &mut StreamDecoder,
     deadline: Instant,
     rx: &mut [u8],
-    config: &SessionConfig,
     table: &mut SlotTable,
     metrics: &mut SessionMetrics,
 ) -> Result<(), SessionFailure> {
     while !table.complete() {
         match next_control_frame(control, dec, deadline, rx)? {
-            Frame::Data(d) => ingest_data(d, config, table, metrics),
+            Frame::Data(d) => ingest_data(d, table, metrics),
             Frame::Close(c) => return Err(close_to_failure(c.reason)),
             _ => return Err(SessionFailure::Frame(FrameError::UnknownKind(0xFE))),
         }
@@ -391,7 +390,6 @@ fn collect_udp(
     dec: &mut StreamDecoder,
     sock: &UdpSocket,
     deadline: Instant,
-    config: &SessionConfig,
     table: &mut SlotTable,
     metrics: &mut SessionMetrics,
 ) -> Result<(), SessionFailure> {
@@ -405,21 +403,7 @@ fn collect_udp(
             return Err(SessionFailure::Timeout);
         }
         match sock.recv_from(&mut dgram) {
-            Ok((n, _peer)) => {
-                for f in frame::decode_datagram(&dgram[..n]) {
-                    if table.complete() {
-                        break;
-                    }
-                    match f {
-                        Ok(Frame::Data(d)) => ingest_data(d, config, table, metrics),
-                        // A corrupt frame is indistinguishable from line
-                        // noise: typed, counted, skipped — its slot, and
-                        // those after it in the datagram, heal on a later
-                        // lap.
-                        Ok(_) | Err(_) => metrics.bad_frames += 1,
-                    }
-                }
-            }
+            Ok((n, _peer)) => ingest_datagram(&dgram[..n], table, metrics),
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
             Err(e) => {
                 control.set_nonblocking(false)?;
@@ -438,7 +422,16 @@ fn collect_udp(
         }
         while let Some(f) = dec.next_frame().map_err(SessionFailure::Frame)? {
             if let Frame::Close(c) = f {
+                // The daemon sent the Close after the lap's datagrams,
+                // which may still wait in the socket: file them first.
+                sock.set_nonblocking(true)?;
+                while let Ok((n, _peer)) = sock.recv_from(&mut dgram) {
+                    ingest_datagram(&dgram[..n], table, metrics);
+                }
                 control.set_nonblocking(false)?;
+                if table.complete() {
+                    return Ok(());
+                }
                 return Err(close_to_failure(c.reason));
             }
         }
@@ -460,7 +453,7 @@ pub fn run_query(
         .get(&config.method)
         .map_err(|e| SessionFailure::Query(e.to_string()))?;
     let mut client = registry
-        .remote_client(id, &bootstrap, config.queue)
+        .remote_client(id, &bootstrap, QueuePolicy::Heap)
         .map_err(|e| SessionFailure::Query(e.to_string()))?;
     let mut channel = BroadcastChannel::tune_in(
         &cycle,

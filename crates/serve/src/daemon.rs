@@ -370,6 +370,31 @@ impl SessionCtx<'_> {
         }
         self.shared.events.emit(ev);
     }
+
+    /// Adds a lap's tally to the session and daemon counters, logging one
+    /// `packet_dropped` event per cause that dropped frames.
+    fn account(&mut self, lap: u32, tally: &LapTally) {
+        self.frames_sent += tally.sent;
+        self.injected += tally.injected;
+        self.backpressure += tally.backpressure;
+        let c = &self.shared.counters;
+        for (cause, count, total) in [
+            ("injected", tally.injected, &c.injected_drops),
+            ("backpressure", tally.backpressure, &c.backpressure_drops),
+        ] {
+            if count == 0 {
+                continue;
+            }
+            total.fetch_add(count, Ordering::SeqCst);
+            self.shared.events.emit(
+                Event::new("packet_dropped")
+                    .u64("session", u64::from(self.session))
+                    .u64("lap", u64::from(lap))
+                    .u64("count", count)
+                    .str("cause", cause),
+            );
+        }
+    }
 }
 
 fn run_session(mut stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
@@ -463,11 +488,29 @@ fn run_session(mut stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
         injected: 0,
         backpressure: 0,
     };
-    if hello.transport == 1 {
-        stream_udp(&mut ctx, &stream, &mut dec, peer, &hello, &cycle);
+    let sink = if hello.transport == 1 {
+        let Ok(sock) = UdpSocket::bind("127.0.0.1:0") else {
+            send_close(&stream, session, CloseReason::ProtocolError);
+            ctx.close_event("udp_bind_failed", None);
+            return;
+        };
+        let _ = sock.set_nonblocking(true);
+        Sink::Udp {
+            sock,
+            dest: SocketAddr::new(peer.ip(), hello.udp_port),
+            dgram: Datagram::new(),
+        }
     } else {
-        stream_tcp(&mut ctx, &mut stream, &mut dec, &hello, &cycle);
-    }
+        let _ = stream.set_write_timeout(Some(shared.opts.stall));
+        Sink::Tcp {
+            stream: &stream,
+            batch: Vec::with_capacity(TCP_BATCH + 2 + frame::MAX_FRAME),
+            queued: 0,
+        }
+    };
+    // Injected drops model datagram loss, so they apply to UDP only.
+    let plan = shared.opts.drop_plan.filter(|_| hello.transport == 1);
+    stream_laps(&mut ctx, &stream, &mut dec, &hello, &cycle, sink, plan);
 }
 
 impl Shared {
@@ -491,125 +534,106 @@ fn send_close(stream: &TcpStream, session: u32, reason: CloseReason) {
     })));
 }
 
-/// Streams the cycle over the control TCP connection itself, one write
-/// per [`TCP_BATCH`] bytes of frames and one at lap end. The kernel send
-/// buffer is the per-client queue; a write that stalls past
-/// `opts.stall` evicts the consumer.
-fn stream_tcp(
-    ctx: &mut SessionCtx<'_>,
-    stream: &mut TcpStream,
-    dec: &mut StreamDecoder,
-    hello: &Hello,
-    cycle: &BroadcastCycle,
-) {
-    let shared = ctx.shared;
-    let opts = &shared.opts;
-    let _ = stream.set_write_timeout(Some(opts.stall));
-    let len = cycle.len() as u64;
-    let mut batch = Vec::with_capacity(TCP_BATCH + 2 + frame::MAX_FRAME);
-    for lap in 0..opts.max_laps {
-        if shared.stop.load(Ordering::SeqCst) {
-            send_close(stream, ctx.session, CloseReason::DaemonShutdown);
-            ctx.close_event("daemon_shutdown", None);
-            return;
-        }
-        shared.events.emit(
-            Event::new("cycle_started")
-                .u64("session", u64::from(ctx.session))
-                .u64("lap", u64::from(lap)),
-        );
-        let mut batched = 0;
-        for i in 0..len {
-            let slot = hello.offset + u64::from(lap) * len + i;
-            let pos = (slot % len) as usize;
-            frame::encode_stream_into(
-                &Frame::Data(DataFrame {
-                    session: ctx.session,
-                    slot,
-                    packet: cycle.packet(pos).clone(),
-                }),
-                &mut batch,
-            );
-            batched += 1;
-            if batch.len() < TCP_BATCH && i + 1 < len {
-                continue;
-            }
-            let written = stream.write_all(&batch);
-            batch.clear();
-            match written {
-                Ok(()) => ctx.frames_sent += std::mem::take(&mut batched),
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    // The consumer drained nothing for a full stall
-                    // window: evict it.
-                    shared.counters.evictions.fetch_add(1, Ordering::SeqCst);
-                    shared.events.emit(
-                        Event::new("client_evicted")
-                            .u64("session", u64::from(ctx.session))
-                            .u64("stall_ms", opts.stall.as_millis() as u64)
-                            .u64("slot", slot),
-                    );
-                    send_close(stream, ctx.session, CloseReason::EvictedSlowConsumer);
-                    ctx.close_event(CloseReason::EvictedSlowConsumer.label(), None);
-                    return;
-                }
-                Err(_) => {
-                    // Peer hung up; whatever it sent first (normally a
-                    // typed Close) is still readable.
-                    let client = poll_close(stream, dec).ok().flatten();
-                    let reason = if client.is_some() {
-                        "done"
-                    } else {
-                        "connection_lost"
-                    };
-                    ctx.close_event(reason, client);
-                    return;
-                }
-            }
-        }
-        match poll_close(stream, dec) {
-            Ok(Some(c)) => {
-                ctx.close_event(c.reason.label(), Some(c));
-                return;
-            }
-            Ok(None) => {}
-            Err(e) => {
-                shared
-                    .dead
-                    .record(&format!("session {} control", ctx.session), &e, &[]);
-                send_close(stream, ctx.session, CloseReason::ProtocolError);
-                ctx.close_event(CloseReason::ProtocolError.label(), None);
-                return;
-            }
-        }
-    }
-    send_close(stream, ctx.session, CloseReason::Expired);
-    ctx.close_event(CloseReason::Expired.label(), None);
+/// Where a session's data frames go. Both sinks queue frames and send
+/// them in batches; only a TCP write can fail, and its error ends the
+/// session.
+enum Sink<'a> {
+    /// Length-prefixed frames on the control connection itself, written
+    /// once per [`TCP_BATCH`] bytes and at lap end. The kernel send
+    /// buffer is the per-client queue; a write that stalls past
+    /// `opts.stall` evicts the consumer.
+    Tcp {
+        stream: &'a TcpStream,
+        batch: Vec<u8>,
+        queued: u64,
+    },
+    /// Datagrams of consecutive slots to the client's UDP port, the TCP
+    /// connection staying the control plane.
+    Udp {
+        sock: UdpSocket,
+        dest: SocketAddr,
+        dgram: Datagram,
+    },
 }
 
-/// Streams the cycle to the client's UDP port in datagrams of
-/// consecutive slots, keeping the TCP connection as the control plane.
-fn stream_udp(
+/// What one lap got out, and what it dropped by cause.
+#[derive(Default)]
+struct LapTally {
+    sent: u64,
+    injected: u64,
+    backpressure: u64,
+}
+
+impl Sink<'_> {
+    /// Queues one frame, sending what is queued once the batch or
+    /// datagram is full.
+    fn push(&mut self, data: &Frame, tally: &mut LapTally) -> std::io::Result<()> {
+        match self {
+            Sink::Tcp { batch, queued, .. } => {
+                frame::encode_stream_into(data, batch);
+                *queued += 1;
+                if batch.len() >= TCP_BATCH {
+                    self.flush(tally)?;
+                }
+            }
+            Sink::Udp { dgram, .. } => {
+                if !dgram.push(data) {
+                    // Any frame fits the emptied datagram.
+                    self.flush(tally)?;
+                    return self.push(data, tally);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Sends whatever is queued. A datagram goes out as one send, after
+    /// which the thread yields so the receiver can drain its socket
+    /// buffer; a failed send (the loopback send buffer is full, or the
+    /// peer is gone) drops every frame in it, as UDP does.
+    fn flush(&mut self, tally: &mut LapTally) -> std::io::Result<()> {
+        match self {
+            Sink::Tcp {
+                stream,
+                batch,
+                queued,
+            } if !batch.is_empty() => {
+                let written = stream.write_all(batch);
+                batch.clear();
+                written?;
+                tally.sent += std::mem::take(queued);
+            }
+            Sink::Udp { sock, dest, dgram } if !dgram.is_empty() => {
+                let frames = dgram.frames() as u64;
+                match sock.send_to(dgram.as_bytes(), *dest) {
+                    Ok(_) => tally.sent += frames,
+                    Err(_) => tally.backpressure += frames,
+                }
+                dgram.clear();
+                std::thread::yield_now();
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+}
+
+/// Streams the cycle lap after lap into `sink` until the client closes,
+/// a write ends the session, the daemon stops or the lap budget runs
+/// out, leaving out the slots `plan` drops. The control stream is polled
+/// for the client's `Close` at every lap end.
+fn stream_laps(
     ctx: &mut SessionCtx<'_>,
     control: &TcpStream,
     dec: &mut StreamDecoder,
-    peer: SocketAddr,
     hello: &Hello,
     cycle: &BroadcastCycle,
+    mut sink: Sink<'_>,
+    plan: Option<DropPlan>,
 ) {
     let shared = ctx.shared;
     let opts = &shared.opts;
-    let sock = match UdpSocket::bind("127.0.0.1:0") {
-        Ok(s) => s,
-        Err(_) => {
-            send_close(control, ctx.session, CloseReason::ProtocolError);
-            ctx.close_event("udp_bind_failed", None);
-            return;
-        }
-    };
-    let _ = sock.set_nonblocking(true);
-    let dest = SocketAddr::new(peer.ip(), hello.udp_port);
     let len = cycle.len() as u64;
-    let mut dgram = Datagram::new();
     for lap in 0..opts.max_laps {
         if shared.stop.load(Ordering::SeqCst) {
             send_close(control, ctx.session, CloseReason::DaemonShutdown);
@@ -621,57 +645,52 @@ fn stream_udp(
                 .u64("session", u64::from(ctx.session))
                 .u64("lap", u64::from(lap)),
         );
-        let mut lap_injected = 0u64;
-        let mut lap_backpressure = 0u64;
-        for i in 0..len {
-            let slot = hello.offset + u64::from(lap) * len + i;
-            if let Some(plan) = opts.drop_plan {
-                if plan.drops(ctx.session, slot, lap) {
-                    lap_injected += 1;
-                    continue;
+        let mut tally = LapTally::default();
+        let mut last = hello.offset;
+        let sent = (0..len)
+            .try_for_each(|i| {
+                let slot = hello.offset + u64::from(lap) * len + i;
+                if plan.is_some_and(|p| p.drops(ctx.session, slot, lap)) {
+                    tally.injected += 1;
+                    return Ok(());
                 }
+                last = slot;
+                let data = Frame::Data(DataFrame {
+                    session: ctx.session,
+                    slot,
+                    packet: cycle.packet((slot % len) as usize).clone(),
+                });
+                sink.push(&data, &mut tally)
+            })
+            .and_then(|()| sink.flush(&mut tally));
+        ctx.account(lap, &tally);
+        match sent {
+            Ok(()) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                // The consumer drained nothing for a full stall window.
+                shared.counters.evictions.fetch_add(1, Ordering::SeqCst);
+                shared.events.emit(
+                    Event::new("client_evicted")
+                        .u64("session", u64::from(ctx.session))
+                        .u64("stall_ms", opts.stall.as_millis() as u64)
+                        .u64("slot", last),
+                );
+                send_close(control, ctx.session, CloseReason::EvictedSlowConsumer);
+                ctx.close_event(CloseReason::EvictedSlowConsumer.label(), None);
+                return;
             }
-            let pos = (slot % len) as usize;
-            let data = Frame::Data(DataFrame {
-                session: ctx.session,
-                slot,
-                packet: cycle.packet(pos).clone(),
-            });
-            if !dgram.push(&data) {
-                send_datagram(&sock, dest, &mut dgram, ctx, &mut lap_backpressure);
-                assert!(dgram.push(&data), "a frame fits an empty datagram");
+            Err(_) => {
+                // The peer hung up; whatever it sent before hanging up (normally a
+                // typed Close) is still readable.
+                let client = poll_close(control, dec).ok().flatten();
+                let reason = if client.is_some() {
+                    "done"
+                } else {
+                    "connection_lost"
+                };
+                ctx.close_event(reason, client);
+                return;
             }
-        }
-        if !dgram.is_empty() {
-            send_datagram(&sock, dest, &mut dgram, ctx, &mut lap_backpressure);
-        }
-        if lap_injected > 0 {
-            ctx.injected += lap_injected;
-            shared
-                .counters
-                .injected_drops
-                .fetch_add(lap_injected, Ordering::SeqCst);
-            shared.events.emit(
-                Event::new("packet_dropped")
-                    .u64("session", u64::from(ctx.session))
-                    .u64("lap", u64::from(lap))
-                    .u64("count", lap_injected)
-                    .str("cause", "injected"),
-            );
-        }
-        if lap_backpressure > 0 {
-            ctx.backpressure += lap_backpressure;
-            shared
-                .counters
-                .backpressure_drops
-                .fetch_add(lap_backpressure, Ordering::SeqCst);
-            shared.events.emit(
-                Event::new("packet_dropped")
-                    .u64("session", u64::from(ctx.session))
-                    .u64("lap", u64::from(lap))
-                    .u64("count", lap_backpressure)
-                    .str("cause", "backpressure"),
-            );
         }
         match poll_close(control, dec) {
             Ok(Some(c)) => {
@@ -691,27 +710,6 @@ fn stream_udp(
     }
     send_close(control, ctx.session, CloseReason::Expired);
     ctx.close_event(CloseReason::Expired.label(), None);
-}
-
-/// Sends one packed datagram and empties it, then yields the thread so
-/// the receiver can drain its socket buffer before the next one. A
-/// failed send (the loopback send buffer is full, or the peer is gone)
-/// drops every frame in the datagram, as UDP does; they are counted
-/// into `dropped`.
-fn send_datagram(
-    sock: &UdpSocket,
-    dest: SocketAddr,
-    dgram: &mut Datagram,
-    ctx: &mut SessionCtx<'_>,
-    dropped: &mut u64,
-) {
-    let frames = dgram.frames() as u64;
-    match sock.send_to(dgram.as_bytes(), dest) {
-        Ok(_) => ctx.frames_sent += frames,
-        Err(_) => *dropped += frames,
-    }
-    dgram.clear();
-    std::thread::yield_now();
 }
 
 #[cfg(test)]

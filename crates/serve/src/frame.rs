@@ -25,7 +25,7 @@
 
 use spair_broadcast::packet::{crc32, Packet, PACKET_SIZE, PAYLOAD_CAPACITY};
 use spair_methods::ClientBootstrap;
-use spair_roadnet::{Point, QueuePolicy};
+use spair_roadnet::Point;
 
 /// Frame magic: `"SP"`.
 pub const MAGIC: [u8; 2] = *b"SP";
@@ -651,25 +651,6 @@ impl StreamDecoder {
     /// Bytes buffered but not yet framed.
     pub fn pending(&self) -> usize {
         self.buf.len() - self.start
-    }
-}
-
-/// The wire tag for a queue policy carried in worker job specs.
-pub fn queue_to_u8(q: QueuePolicy) -> u8 {
-    match q {
-        QueuePolicy::Heap => 0,
-        QueuePolicy::Bucket => 1,
-        QueuePolicy::Auto => 2,
-    }
-}
-
-/// Inverse of [`queue_to_u8`]; unknown tags fall back to `Heap`, the
-/// always-applicable policy.
-pub fn queue_from_u8(b: u8) -> QueuePolicy {
-    match b {
-        1 => QueuePolicy::Bucket,
-        2 => QueuePolicy::Auto,
-        _ => QueuePolicy::Heap,
     }
 }
 

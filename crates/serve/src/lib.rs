@@ -6,9 +6,10 @@
 //! method's assembled [`spair_broadcast::BroadcastCycle`] and streams it
 //! over real loopback transports — UDP (datagrams of up to nine
 //! length-prefixed, CRC-framed packets) and TCP (a stream of the same
-//! length-prefixed frames, written in ~64 KiB batches) — to client
-//! *processes* that reconstruct the cycle from the wire and run the
-//! unmodified method clients over it.
+//! length-prefixed frames, written in ~64 KiB batches) — to clients
+//! that hold no program: they reconstruct the cycle from the wire and
+//! run the registry's method clients, built from the admission
+//! bootstrap alone, over it.
 //!
 //! The layering mirrors a real broadcast station:
 //!
@@ -22,8 +23,9 @@
 //!   `packet_dropped`, `client_evicted`, `session_closed`) plus a
 //!   dead-letter file for undecodable inbound frames.
 //! * [`daemon`] — session admission over a TCP control connection,
-//!   per-session streamer threads that batch their sends (UDP streamers
-//!   yield after every datagram so receivers keep up), per-client
+//!   per-session streamer threads running one lap loop over a TCP or
+//!   UDP sink that batches its sends (the UDP sink yields after every
+//!   datagram so receivers keep up), per-client
 //!   backpressure (TCP write stalls evict slow consumers; failed UDP
 //!   sends and the deterministic injected [`daemon::DropPlan`] drop
 //!   frames), and graceful shutdown that closes every session with a

@@ -10,7 +10,9 @@ use spair_roadnet::generators::small_grid;
 use spair_roadnet::QueuePolicy;
 use spair_serve::client::{fetch_cycle, run_query, SessionConfig, SessionFailure, Transport};
 use spair_serve::daemon::{DropPlan, ServeDaemon, ServeOptions, ServeWorld};
-use spair_serve::frame::{encode_stream, Admit, DataFrame, Datagram, Frame, Hello, StreamDecoder};
+use spair_serve::frame::{
+    encode_stream, Admit, Close, CloseReason, DataFrame, Datagram, Frame, Hello, StreamDecoder,
+};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream, UdpSocket};
 use std::path::PathBuf;
@@ -262,6 +264,82 @@ fn foreign_session_frames_are_dropped() {
             m.foreign_frames > 0,
             "{}: no forged frame arrived",
             transport.name()
+        );
+    }
+}
+
+/// A daemon's `Close` ends a UDP session only if the table is still
+/// incomplete once the datagrams sent before it are filed. A scripted
+/// daemon sends one whole lap, then `Admit` and `Close(Expired)` in one
+/// write, all before the client collects: the queued lap must complete
+/// the session.
+#[test]
+fn udp_datagrams_queued_before_a_close_complete_the_session() {
+    let programs = build_programs(6, 6, 4, 5);
+    let program = programs.ensure(MethodRegistry::standard().get("dj").unwrap());
+    let cycle = program.cycle().expect("cycle").clone();
+    let bootstrap = program.client_bootstrap();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let lap = cycle.clone();
+    let daemon = std::thread::spawn(move || {
+        let (mut control, _) = listener.accept().expect("accept");
+        let mut dec = StreamDecoder::new();
+        let mut buf = [0u8; 1024];
+        let hello = loop {
+            if let Some(Frame::Hello(h)) = dec.next_frame().expect("client frame") {
+                break h;
+            }
+            let n = control.read(&mut buf).expect("read hello");
+            assert!(n > 0, "client hung up before its hello");
+            dec.push(&buf[..n]);
+        };
+        let udp = UdpSocket::bind("127.0.0.1:0").expect("bind udp");
+        let dest = ("127.0.0.1", hello.udp_port);
+        let mut dgram = Datagram::new();
+        let mut datagrams = 0;
+        for slot in 0..lap.len() as u64 {
+            let data = Frame::Data(DataFrame {
+                session: 7,
+                slot,
+                packet: lap.packet(slot as usize).clone(),
+            });
+            if !dgram.push(&data) {
+                udp.send_to(dgram.as_bytes(), dest).expect("send lap");
+                datagrams += 1;
+                dgram.clear();
+                assert!(dgram.push(&data), "a frame fits an empty datagram");
+            }
+        }
+        udp.send_to(dgram.as_bytes(), dest).expect("send lap");
+        datagrams += 1;
+        let mut reply = encode_stream(&Frame::Admit(Admit {
+            session: 7,
+            cycle_len: lap.len() as u64,
+            bootstrap,
+        }));
+        reply.extend(encode_stream(&Frame::Close(Close {
+            session: 7,
+            reason: CloseReason::Expired,
+            drops: 0,
+            laps: 0,
+        })));
+        control.write_all(&reply).expect("admit and close");
+        // Hold the connection open until the client is done with it.
+        let _ = control.read(&mut buf);
+        datagrams
+    });
+    let config = SessionConfig::new(addr, "dj", Transport::Udp);
+    let fetched = fetch_cycle(&config);
+    let datagrams = daemon.join().expect("scripted daemon");
+    assert!(datagrams > 1, "the lap must span several datagrams");
+    let (fetched, _boot, m) = fetched.expect("the queued lap completes the session");
+    assert_eq!(m.laps, 1);
+    for i in 0..cycle.len() {
+        assert_eq!(
+            fetched.packet(i).to_wire(),
+            cycle.packet(i).to_wire(),
+            "slot {i}"
         );
     }
 }
