@@ -102,7 +102,6 @@ pub fn receive_whole_cycle(
 /// serving many sessions allocates its decode/search buffers once.
 #[derive(Debug, Clone, Default)]
 pub struct DjClient {
-    queue: QueuePolicy,
     store: ReceivedGraph,
 }
 
@@ -112,10 +111,8 @@ impl DjClient {
         Self::default()
     }
 
-    /// Selects the queue driving the client-side Dijkstra over the
-    /// received network. Distances are identical under every policy.
-    pub fn with_queue_policy(mut self, queue: QueuePolicy) -> Self {
-        self.queue = queue;
+    /// Returns the client unchanged; the [`QueuePolicy`] is ignored.
+    pub fn with_queue_policy(self, _queue: QueuePolicy) -> Self {
         self
     }
 }
@@ -149,8 +146,7 @@ impl AirClient for DjClient {
             }
         })?;
         mem.alloc(store.num_nodes() * 24);
-        let queue = self.queue;
-        let (res, settled) = cpu.time(|| store.shortest_path_with(q.source, q.target, queue));
+        let (res, settled) = cpu.time(|| store.shortest_path(q.source, q.target));
         let stats = QueryStats {
             tuning_packets: ch.tuned(),
             latency_packets: ch.elapsed(),

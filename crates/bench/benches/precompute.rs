@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the precomputation pipeline and the
 //! search kernels it rests on: serial vs parallel border-pair
-//! precomputation, heap- vs bucket-queue Dijkstra, and the parallel
+//! precomputation, point-to-point Dijkstra, and the parallel
 //! ArcFlag build. Complements `src/bin/bench_precompute.rs`, which runs
 //! the acceptance-grade serial/parallel comparison and records it in
 //! `BENCH_precompute.json`.
@@ -11,7 +11,7 @@ use spair_core::BorderPrecomputation;
 use spair_partition::KdTreePartition;
 use spair_roadnet::dijkstra::{dijkstra_with_options, DijkstraOptions};
 use spair_roadnet::parallel;
-use spair_roadnet::{NetworkPreset, QueuePolicy};
+use spair_roadnet::NetworkPreset;
 
 fn bench_precompute_parallel(c: &mut Criterion) {
     let g = NetworkPreset::Milan.scaled_config(2, 0.05).generate();
@@ -31,29 +31,26 @@ fn bench_precompute_parallel(c: &mut Criterion) {
     });
 }
 
-fn bench_queue_policies(c: &mut Criterion) {
+fn bench_point_to_point(c: &mut Criterion) {
     let g = NetworkPreset::Germany.scaled_config(1, 0.1).generate();
     let target = (g.num_nodes() / 2) as u32;
-    for (name, queue) in [("heap", QueuePolicy::Heap), ("bucket", QueuePolicy::Bucket)] {
-        c.bench_function(&format!("dijkstra/point_to_point_{name}"), |b| {
-            b.iter(|| {
-                dijkstra_with_options(
-                    &g,
-                    0,
-                    DijkstraOptions {
-                        target: Some(target),
-                        bound: None,
-                        queue,
-                    },
-                )
-            })
-        });
-    }
+    c.bench_function("dijkstra/point_to_point_heap", |b| {
+        b.iter(|| {
+            dijkstra_with_options(
+                &g,
+                0,
+                DijkstraOptions {
+                    target: Some(target),
+                    bound: None,
+                },
+            )
+        })
+    });
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_precompute_parallel, bench_queue_policies
+    targets = bench_precompute_parallel, bench_point_to_point
 }
 criterion_main!(benches);

@@ -10,7 +10,7 @@ use crate::query::{AirClient, Query, QueryError, QueryOutcome};
 use spair_broadcast::packet::PacketKind;
 use spair_broadcast::{BroadcastChannel, CpuMeter, MemoryMeter, QueryStats, Received};
 use spair_partition::{KdLocator, RegionId};
-use spair_roadnet::{QueuePolicy, DIST_INF};
+use spair_roadnet::DIST_INF;
 
 /// The EB client. One instance can serve many queries; between queries it
 /// holds the method summary plus the last session's received arena (the
@@ -18,7 +18,6 @@ use spair_roadnet::{QueuePolicy, DIST_INF};
 #[derive(Debug, Clone)]
 pub struct EbClient {
     summary: EbSummary,
-    queue: QueuePolicy,
     /// Last session's received arena.
     store: ReceivedGraph,
     /// Regions the last session received data from, ascending.
@@ -30,17 +29,9 @@ impl EbClient {
     pub fn new(summary: EbSummary) -> Self {
         Self {
             summary,
-            queue: QueuePolicy::default(),
             store: ReceivedGraph::new(),
             held: Vec::new(),
         }
-    }
-
-    /// Selects the queue driving the final client-side Dijkstra over the
-    /// received regions. Distances are identical under every policy.
-    pub fn with_queue_policy(mut self, queue: QueuePolicy) -> Self {
-        self.queue = queue;
-        self
     }
 
     /// Receives one full index copy starting at `index_offset`, ingesting
@@ -258,7 +249,7 @@ impl AirClient for EbClient {
         // Phase 4: Dijkstra over the union of received regions (§4.2
         // guarantees the answer is correct for the whole network).
         mem.alloc(store.num_nodes() * 24); // dist/parent search state
-        let (res, settled) = cpu.time(|| store.shortest_path_with(q.source, q.target, self.queue));
+        let (res, settled) = cpu.time(|| store.shortest_path(q.source, q.target));
         self.held = {
             let mut h: Vec<u16> = needed.to_vec();
             h.sort_unstable();

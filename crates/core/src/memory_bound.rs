@@ -41,8 +41,7 @@
 use crate::netcodec::ReceivedGraph;
 use crate::query::decoded_node_bytes;
 use spair_broadcast::{CpuMeter, MemoryMeter};
-use spair_roadnet::bucket_queue::AUTO_BUCKET_MAX_WEIGHT;
-use spair_roadnet::{BucketQueue, DijkstraQueue, Distance, MinHeap, NodeId, QueuePolicy, Weight};
+use spair_roadnet::{Distance, MinHeap, NodeId, Weight};
 use std::collections::HashMap;
 
 /// One edge of the contracted graph `G'`.
@@ -81,9 +80,6 @@ pub struct MemoryBoundProcessor {
     edge_to: Vec<u32>,
     edge_payload: Vec<GEdge>,
     edge_next: Vec<u32>,
-    /// Slots whose adjacency list is non-empty (sizes the bucket queue the
-    /// way the former map's `len()` did).
-    adj_nodes: usize,
     /// Stamped scratch shared by the contraction and `G'` Dijkstras.
     dist: Vec<Distance>,
     parent: Vec<u32>,
@@ -97,10 +93,6 @@ pub struct MemoryBoundProcessor {
     touched: Vec<u32>,
     paths: Vec<Vec<NodeId>>,
     keep_paths: bool,
-    queue: QueuePolicy,
-    /// Largest edge cost inserted into `G'` (super-edges can span whole
-    /// regions, so this can exceed any raw network weight).
-    max_cost: Distance,
     /// Peak/current memory of the retained state (G' plus the region
     /// currently being contracted).
     pub mem: MemoryMeter,
@@ -121,15 +113,6 @@ impl MemoryBoundProcessor {
             keep_paths: true,
             ..Self::default()
         }
-    }
-
-    /// Selects the queue driving the final `G'` Dijkstra. `Auto` resolves
-    /// against the largest super-edge cost seen; when that cost exceeds
-    /// the bucket-friendly range the heap is used regardless (a bucket
-    /// array cannot be sized for unbounded super-edges).
-    pub fn with_queue_policy(mut self, queue: QueuePolicy) -> Self {
-        self.queue = queue;
-        self
     }
 
     /// Slot of `v`, if seen.
@@ -185,7 +168,6 @@ impl MemoryBoundProcessor {
         let f = from as usize;
         if self.adj_head[f] == NO_SLOT {
             self.adj_head[f] = idx;
-            self.adj_nodes += 1;
         } else {
             self.edge_next[self.adj_tail[f] as usize] = idx;
         }
@@ -255,10 +237,6 @@ impl MemoryBoundProcessor {
         self.cpu = cpu;
         self.mem.alloc(path_bytes + new_edges.len() * 16);
         for (from, to, e) in new_edges {
-            self.max_cost = self.max_cost.max(match &e {
-                GEdge::Raw(w) => *w as Distance,
-                GEdge::Super(d, _) => *d,
-            });
             self.push_edge(from, to, e);
         }
 
@@ -342,28 +320,13 @@ impl MemoryBoundProcessor {
         bytes
     }
 
-    /// Final Dijkstra over `G'` followed by super-edge expansion, on the
-    /// queue selected via [`Self::with_queue_policy`].
+    /// Final Dijkstra over `G'` followed by super-edge expansion.
     pub fn shortest_path(
         &mut self,
         source: NodeId,
         target: NodeId,
     ) -> Option<(Distance, Vec<NodeId>)> {
-        let bucket_ok = self.max_cost <= AUTO_BUCKET_MAX_WEIGHT as Distance;
-        let resolved = if bucket_ok {
-            let expected = Some(self.adj_nodes.div_ceil(2));
-            self.queue.resolve_for(self.max_cost as Weight, expected)
-        } else {
-            QueuePolicy::Heap
-        };
-        let (t_slot, spidx) = match resolved {
-            QueuePolicy::Bucket => self.gprime_search(
-                source,
-                target,
-                &mut BucketQueue::new(self.max_cost as Weight),
-            ),
-            _ => self.gprime_search(source, target, &mut MinHeap::new()),
-        };
+        let (t_slot, spidx) = self.gprime_search(source, target);
         let t_slot = t_slot?;
         let d = self.dist[t_slot as usize];
         // Expand: walk parents, splicing super-edge paths back in.
@@ -389,14 +352,12 @@ impl MemoryBoundProcessor {
         Some((d, path))
     }
 
-    /// The `G'` Dijkstra itself, generic over the driving queue. Returns
-    /// the settled target slot (scratch holds dist/parent) plus each
-    /// slot's reaching super-edge path index.
-    fn gprime_search<Q: DijkstraQueue>(
+    /// The `G'` Dijkstra itself. Returns the settled target slot (scratch
+    /// holds dist/parent) plus each slot's reaching super-edge path index.
+    fn gprime_search(
         &mut self,
         source: NodeId,
         target: NodeId,
-        queue: &mut Q,
     ) -> (Option<u32>, Vec<Option<usize>>) {
         let s_slot = self.ensure_slot(source);
         let t_slot = self.slot_lookup(target).unwrap_or(NO_SLOT);
@@ -411,8 +372,10 @@ impl MemoryBoundProcessor {
             self.dist[s_slot as usize] = 0;
             self.parent[s_slot as usize] = NO_SLOT;
             self.stamp[s_slot as usize] = search;
-            queue.push(0, s_slot);
-            while let Some((key, v)) = queue.pop() {
+            let mut heap = MinHeap::new();
+            heap.push(0, s_slot);
+            while let Some(e) = heap.pop() {
+                let (key, v) = (e.key, e.item);
                 let vi = v as usize;
                 if self.stamp[vi] != search || self.dist[vi] != key {
                     continue;
@@ -436,7 +399,7 @@ impl MemoryBoundProcessor {
                         self.parent[ui] = v;
                         self.stamp[ui] = search;
                         spidx[ui] = pidx;
-                        queue.push(cand, u);
+                        heap.push(cand, u);
                     }
                     e = self.edge_next[ei];
                 }
@@ -510,26 +473,21 @@ mod tests {
     }
 
     #[test]
-    fn distances_identical_under_every_queue_policy() {
+    fn distances_match_dijkstra_on_a_second_grid() {
         let g = small_grid(9, 9, 6);
         let (store, by_region) = received_world(&g, 8);
         for &(s, t) in &[(0u32, 80u32), (10, 71)] {
-            let mut got = Vec::new();
-            for policy in [QueuePolicy::Heap, QueuePolicy::Bucket, QueuePolicy::Auto] {
-                let mut proc = MemoryBoundProcessor::with_paths().with_queue_policy(policy);
-                for nodes in &by_region {
-                    let terminals: Vec<NodeId> = [s, t]
-                        .iter()
-                        .copied()
-                        .filter(|v| nodes.contains(v))
-                        .collect();
-                    proc.add_region(&store, nodes, &terminals);
-                }
-                got.push(proc.shortest_path(s, t).map(|(d, _)| d));
+            let mut proc = MemoryBoundProcessor::with_paths();
+            for nodes in &by_region {
+                let terminals: Vec<NodeId> = [s, t]
+                    .iter()
+                    .copied()
+                    .filter(|v| nodes.contains(v))
+                    .collect();
+                proc.add_region(&store, nodes, &terminals);
             }
-            assert_eq!(got[0], dijkstra_distance(&g, s, t));
-            assert_eq!(got[0], got[1]);
-            assert_eq!(got[0], got[2]);
+            let got = proc.shortest_path(s, t).map(|(d, _)| d);
+            assert_eq!(got, dijkstra_distance(&g, s, t));
         }
     }
 

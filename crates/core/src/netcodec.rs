@@ -16,7 +16,7 @@
 use crate::query::decoded_node_bytes;
 use bytes::Bytes;
 use spair_broadcast::codec::{PayloadReader, RecordBuf, RecordWriter};
-use spair_roadnet::{BucketQueue, DijkstraQueue, NodeId, Point, QueuePolicy, RoadNetwork, Weight};
+use spair_roadnet::{MinHeap, NodeId, Point, QueuePolicy, RoadNetwork, Weight};
 
 /// Maximum adjacency entries per record so the record fits a payload:
 /// header 14 bytes + k×8 ≤ 123 → k ≤ 13.
@@ -168,9 +168,6 @@ pub struct ReceivedGraph {
     target_slots: Vec<u32>,
     /// Materialized (received) node count.
     live: usize,
-    /// Largest edge weight received so far (sizes the bucket queue when a
-    /// [`QueuePolicy`] resolves to `Bucket`).
-    max_weight: Weight,
     /// Version-stamped search scratch, reused across searches.
     dist: Vec<u64>,
     parent: Vec<u32>,
@@ -196,7 +193,6 @@ impl ReceivedGraph {
         self.edges.clear();
         self.target_slots.clear();
         self.live = 0;
-        self.max_weight = 0;
     }
 
     /// Slot of `v`, if seen.
@@ -277,7 +273,6 @@ impl ReceivedGraph {
                 }
             }
             for &(t, w) in &rec.edges {
-                self.max_weight = self.max_weight.max(w);
                 let ts = self.ensure_slot(t);
                 self.edges.push((t, w));
                 self.target_slots.push(ts);
@@ -352,7 +347,6 @@ impl ReceivedGraph {
                 for _ in 0..count {
                     let t = r.read_u32()?;
                     let w = r.read_u32()?;
-                    self.max_weight = self.max_weight.max(w);
                     let ts = self.ensure_slot(t);
                     self.edges.push((t, w));
                     self.target_slots.push(ts);
@@ -438,18 +432,11 @@ impl ReceivedGraph {
         }
     }
 
-    /// Largest edge weight received so far.
-    pub fn max_weight(&self) -> Weight {
-        self.max_weight
-    }
-
     /// Applies one delta-broadcast weight update to the received arena.
     ///
     /// Updates **every** stored `(from, to)` entry — §6.2 re-reception can
     /// legitimately duplicate an adjacency entry inside a run, and a patch
     /// must not leave a stale copy behind for the search to pick up.
-    /// `max_weight` only ever grows: a lowered weight leaves the bucket
-    /// queue oversized, which stays correct.
     pub fn apply_weight(&mut self, from: NodeId, to: NodeId, w: Weight) -> PatchApply {
         let s = match self.live_slot(from) {
             Some(s) => s as usize,
@@ -465,73 +452,24 @@ impl ReceivedGraph {
             }
         }
         if hit {
-            self.max_weight = self.max_weight.max(w);
             PatchApply::Applied
         } else {
             PatchApply::MissingEdge
         }
     }
 
-    /// Dijkstra from `source` to `target` over the received subgraph on
-    /// the default queue policy. Returns `(distance, path)` if `target`
-    /// is reachable, plus settled node count.
+    /// Dijkstra from `source` to `target` over the received subgraph.
+    /// Returns `(distance, path)` if `target` is reachable, plus settled
+    /// node count.
+    ///
+    /// Takes `&mut self` only for the version-stamped scratch arrays the
+    /// search runs on; the received data is untouched. Settle order and
+    /// counts match the map-based reference store that
+    /// `tests/netcodec_differential.rs` keeps.
     pub fn shortest_path(
         &mut self,
         source: NodeId,
         target: NodeId,
-    ) -> (Option<(u64, Vec<NodeId>)>, usize) {
-        self.shortest_path_with(source, target, QueuePolicy::default())
-    }
-
-    /// [`Self::shortest_path`] driven by an explicit [`QueuePolicy`].
-    /// `Auto` resolves against the maximum *received* weight and the
-    /// store's node count (the search terminates at `target`, so the
-    /// expected settle depth is about half the received nodes). Distances
-    /// are identical under every policy.
-    ///
-    /// Takes `&mut self` only for the version-stamped scratch arrays the
-    /// search runs on; the received data is untouched.
-    pub fn shortest_path_with(
-        &mut self,
-        source: NodeId,
-        target: NodeId,
-        queue: QueuePolicy,
-    ) -> (Option<(u64, Vec<NodeId>)>, usize) {
-        let expected = Some(self.live.div_ceil(2));
-        match queue.resolve_for(self.max_weight, expected) {
-            QueuePolicy::Bucket => {
-                self.search(source, target, &mut BucketQueue::new(self.max_weight))
-            }
-            _ => self.search(source, target, &mut spair_roadnet::MinHeap::new()),
-        }
-    }
-
-    /// Bumps the scratch version, sizing the arrays for the current slot
-    /// count (and refilling the stamps on the rare wrap-around).
-    fn fresh_scratch(&mut self) {
-        let n = self.ids.len();
-        if self.stamp.len() < n {
-            self.dist.resize(n, 0);
-            self.parent.resize(n, NO_SLOT);
-            self.stamp.resize(n, self.cur_stamp);
-        }
-        self.cur_stamp = self.cur_stamp.wrapping_add(1);
-        if self.cur_stamp == 0 {
-            self.stamp.fill(0);
-            self.cur_stamp = 1;
-        }
-    }
-
-    /// The slot-indexed Dijkstra. The queue holds slots; keys, relaxation
-    /// order and the lazy stale-pop rule are identical to the former
-    /// map-based search, so settle order and counts are preserved under
-    /// both queues (heap ties are structural — keys only — and bucket
-    /// ties are LIFO).
-    fn search<Q: DijkstraQueue>(
-        &mut self,
-        source: NodeId,
-        target: NodeId,
-        queue: &mut Q,
     ) -> (Option<(u64, Vec<NodeId>)>, usize) {
         let s_slot = self.ensure_slot(source);
         let t_slot = self.slot_lookup(target).unwrap_or(NO_SLOT);
@@ -541,8 +479,10 @@ impl ReceivedGraph {
         self.dist[s_slot as usize] = 0;
         self.parent[s_slot as usize] = NO_SLOT;
         self.stamp[s_slot as usize] = stamp;
-        queue.push(0, s_slot);
-        while let Some((key, v)) = queue.pop() {
+        let mut heap = MinHeap::new();
+        heap.push(0, s_slot);
+        while let Some(e) = heap.pop() {
+            let (key, v) = (e.key, e.item);
             let vi = v as usize;
             if self.stamp[vi] != stamp || self.dist[vi] != key {
                 continue;
@@ -567,14 +507,40 @@ impl ReceivedGraph {
                     self.dist[ui] = cand;
                     self.parent[ui] = v;
                     self.stamp[ui] = stamp;
-                    queue.push(cand, u);
+                    heap.push(cand, u);
                 }
             }
         }
         (None, settled)
     }
 
-    /// [`Self::shortest_path_with`] plus a certification bit for stores
+    /// [`Self::shortest_path`]; the [`QueuePolicy`] is ignored.
+    pub fn shortest_path_with(
+        &mut self,
+        source: NodeId,
+        target: NodeId,
+        _queue: QueuePolicy,
+    ) -> (Option<(u64, Vec<NodeId>)>, usize) {
+        self.shortest_path(source, target)
+    }
+
+    /// Bumps the scratch version, sizing the arrays for the current slot
+    /// count (and refilling the stamps on the rare wrap-around).
+    fn fresh_scratch(&mut self) {
+        let n = self.ids.len();
+        if self.stamp.len() < n {
+            self.dist.resize(n, 0);
+            self.parent.resize(n, NO_SLOT);
+            self.stamp.resize(n, self.cur_stamp);
+        }
+        self.cur_stamp = self.cur_stamp.wrapping_add(1);
+        if self.cur_stamp == 0 {
+            self.stamp.fill(0);
+            self.cur_stamp = 1;
+        }
+    }
+
+    /// [`Self::shortest_path`] plus a certification bit for stores
     /// that hold only *part* of the network (an anchored method's patched
     /// arena). The search may label and pop unmaterialized slots (nodes
     /// referenced as edge targets but never received); such a slot has no
@@ -584,30 +550,13 @@ impl ReceivedGraph {
     /// shorter true path would have to leave the held subgraph through
     /// such a pop); an unreachable verdict is certified iff no
     /// unmaterialized slot popped at all. An uncertified result tells the
-    /// caller to fall back to a full re-tune.
+    /// caller to fall back to a full re-tune. The [`QueuePolicy`] is
+    /// ignored.
     pub fn shortest_path_checked(
         &mut self,
         source: NodeId,
         target: NodeId,
-        queue: QueuePolicy,
-    ) -> (Option<(u64, Vec<NodeId>)>, usize, bool) {
-        let expected = Some(self.live.div_ceil(2));
-        match queue.resolve_for(self.max_weight, expected) {
-            QueuePolicy::Bucket => {
-                self.search_checked(source, target, &mut BucketQueue::new(self.max_weight))
-            }
-            _ => self.search_checked(source, target, &mut spair_roadnet::MinHeap::new()),
-        }
-    }
-
-    /// The certified sibling of [`Self::search`]: identical queue
-    /// discipline, plus tracking of the first (minimum) valid pop of an
-    /// unmaterialized slot.
-    fn search_checked<Q: DijkstraQueue>(
-        &mut self,
-        source: NodeId,
-        target: NodeId,
-        queue: &mut Q,
+        _queue: QueuePolicy,
     ) -> (Option<(u64, Vec<NodeId>)>, usize, bool) {
         let s_slot = self.ensure_slot(source);
         let t_slot = self.slot_lookup(target).unwrap_or(NO_SLOT);
@@ -618,8 +567,10 @@ impl ReceivedGraph {
         self.dist[s_slot as usize] = 0;
         self.parent[s_slot as usize] = NO_SLOT;
         self.stamp[s_slot as usize] = stamp;
-        queue.push(0, s_slot);
-        while let Some((key, v)) = queue.pop() {
+        let mut heap = MinHeap::new();
+        heap.push(0, s_slot);
+        while let Some(e) = heap.pop() {
+            let (key, v) = (e.key, e.item);
             let vi = v as usize;
             if self.stamp[vi] != stamp || self.dist[vi] != key {
                 continue;
@@ -651,7 +602,7 @@ impl ReceivedGraph {
                     self.dist[ui] = cand;
                     self.parent[ui] = v;
                     self.stamp[ui] = stamp;
-                    queue.push(cand, u);
+                    heap.push(cand, u);
                 }
             }
         }
@@ -747,7 +698,7 @@ mod tests {
     }
 
     #[test]
-    fn received_subgraph_same_distance_under_every_queue_policy() {
+    fn received_subgraph_distances_match_dijkstra() {
         let g = small_grid(8, 8, 3);
         let nodes: Vec<NodeId> = g.node_ids().collect();
         let mut store = ReceivedGraph::new();
@@ -756,15 +707,9 @@ mod tests {
                 store.ingest(rec);
             }
         }
-        assert!(store.max_weight() > 0);
         for (s, t) in [(0u32, 63u32), (7, 56), (12, 50)] {
-            let (heap, _) = store.shortest_path_with(s, t, QueuePolicy::Heap);
-            let (bucket, _) = store.shortest_path_with(s, t, QueuePolicy::Bucket);
-            let (auto, _) = store.shortest_path_with(s, t, QueuePolicy::Auto);
-            let want = dijkstra_distance(&g, s, t);
-            assert_eq!(heap.as_ref().map(|(d, _)| *d), want);
-            assert_eq!(bucket.map(|(d, _)| d), want);
-            assert_eq!(auto.map(|(d, _)| d), want);
+            let (heap, _) = store.shortest_path(s, t);
+            assert_eq!(heap.map(|(d, _)| d), dijkstra_distance(&g, s, t));
         }
     }
 
@@ -823,7 +768,6 @@ mod tests {
         }
         assert_eq!(store.apply_weight(0, 3, 1), PatchApply::MissingEdge);
         assert_eq!(store.apply_weight(42, 1, 1), PatchApply::NotHeld);
-        assert_eq!(store.max_weight(), 9);
     }
 
     #[test]
@@ -836,7 +780,7 @@ mod tests {
                 full.ingest(rec);
             }
         }
-        let (res, _, certified) = full.shortest_path_checked(0, 35, QueuePolicy::Auto);
+        let (res, _, certified) = full.shortest_path_checked(0, 35, QueuePolicy::default());
         assert!(certified);
         assert_eq!(res.map(|(d, _)| d), dijkstra_distance(&g, 0, 35));
 
@@ -849,7 +793,7 @@ mod tests {
                 part.ingest(rec);
             }
         }
-        let (_, _, certified) = part.shortest_path_checked(0, 17, QueuePolicy::Auto);
+        let (_, _, certified) = part.shortest_path_checked(0, 17, QueuePolicy::default());
         assert!(!certified, "escape through an unheld node went unnoticed");
     }
 
@@ -864,8 +808,8 @@ mod tests {
             }
         }
         for &(s, t) in &[(0u32, 48u32), (5, 44), (20, 2)] {
-            let (a, sa) = store.shortest_path_with(s, t, QueuePolicy::Heap);
-            let (b, sb, cert) = store.shortest_path_checked(s, t, QueuePolicy::Heap);
+            let (a, sa) = store.shortest_path(s, t);
+            let (b, sb, cert) = store.shortest_path_checked(s, t, QueuePolicy::default());
             assert_eq!(a, b);
             assert_eq!(sa, sb);
             assert!(cert);

@@ -10,13 +10,11 @@ use crate::query::{AirClient, Query, QueryError, QueryOutcome};
 use spair_broadcast::packet::PacketKind;
 use spair_broadcast::{BroadcastChannel, CpuMeter, MemoryMeter, QueryStats, Received};
 use spair_partition::{KdLocator, RegionId};
-use spair_roadnet::QueuePolicy;
 
 /// The NR client.
 #[derive(Debug, Clone)]
 pub struct NrClient {
     summary: NrSummary,
-    queue: QueuePolicy,
     /// Last session's received arena, retained for [`AirClient::export_arena`]
     /// (dynamic worlds patch it in place instead of re-tuning).
     store: ReceivedGraph,
@@ -40,17 +38,9 @@ impl NrClient {
     pub fn new(summary: NrSummary) -> Self {
         Self {
             summary,
-            queue: QueuePolicy::default(),
             store: ReceivedGraph::new(),
             held: Vec::new(),
         }
-    }
-
-    /// Selects the queue driving the final client-side Dijkstra over the
-    /// received regions. Distances are identical under every policy.
-    pub fn with_queue_policy(mut self, queue: QueuePolicy) -> Self {
-        self.queue = queue;
-        self
     }
 
     /// Receives one local-index copy starting at (or inside) the current
@@ -441,7 +431,7 @@ impl AirClient for NrClient {
         }
 
         mem.alloc(store.num_nodes() * 24);
-        let (res, settled) = cpu.time(|| store.shortest_path_with(q.source, q.target, self.queue));
+        let (res, settled) = cpu.time(|| store.shortest_path(q.source, q.target));
         self.held = received
             .iter()
             .enumerate()

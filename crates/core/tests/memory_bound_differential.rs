@@ -2,8 +2,8 @@
 //! [`MemoryBoundProcessor`] against the original HashMap-per-node
 //! contractor, reimplemented here verbatim as the test oracle.
 //!
-//! The rewrite claims: identical distances for every query and queue
-//! policy (the super-edge *set* is unchanged; only the emission order
+//! The rewrite claims: identical distances for every query (the
+//! super-edge *set* is unchanged; only the emission order
 //! became deterministic), identical memory charges at every step (the
 //! §6.1 saving is the observable being measured, so the accounting must
 //! not drift), and valid full-node expansion paths in `keep_paths` mode.
@@ -17,11 +17,8 @@ use spair_core::precompute::BorderPrecomputation;
 use spair_core::query::decoded_node_bytes;
 use spair_core::MemoryBoundProcessor;
 use spair_partition::{KdTreePartition, Partitioning};
-use spair_roadnet::bucket_queue::AUTO_BUCKET_MAX_WEIGHT;
 use spair_roadnet::generators::small_grid;
-use spair_roadnet::{
-    BucketQueue, DijkstraQueue, Distance, MinHeap, NodeId, Point, QueuePolicy, RoadNetwork, Weight,
-};
+use spair_roadnet::{Distance, MinHeap, NodeId, Point, RoadNetwork, Weight};
 use std::collections::{HashMap, HashSet};
 
 // ---------------------------------------------------------------------
@@ -41,8 +38,6 @@ struct LegacyProcessor {
     gprime: HashMap<NodeId, Vec<(NodeId, GEdge)>>,
     paths: Vec<Vec<NodeId>>,
     keep_paths: bool,
-    queue: QueuePolicy,
-    max_cost: Distance,
     mem: MemoryMeter,
     cpu: CpuMeter,
 }
@@ -53,11 +48,6 @@ impl LegacyProcessor {
             keep_paths: true,
             ..Self::default()
         }
-    }
-
-    fn with_queue_policy(mut self, queue: QueuePolicy) -> Self {
-        self.queue = queue;
-        self
     }
 
     fn add_region(&mut self, store: &ReceivedGraph, region_nodes: &[NodeId], terminals: &[NodeId]) {
@@ -105,31 +95,13 @@ impl LegacyProcessor {
         });
         self.mem.alloc(path_bytes + new_edges.len() * 16);
         for (from, to, e) in new_edges {
-            self.max_cost = self.max_cost.max(match &e {
-                GEdge::Raw(w) => *w as Distance,
-                GEdge::Super(d, _) => *d,
-            });
             self.gprime.entry(from).or_default().push((to, e));
         }
         self.mem.free(raw_bytes);
     }
 
     fn shortest_path(&mut self, source: NodeId, target: NodeId) -> Option<(Distance, Vec<NodeId>)> {
-        let bucket_ok = self.max_cost <= AUTO_BUCKET_MAX_WEIGHT as Distance;
-        let resolved = if bucket_ok {
-            let expected = Some(self.gprime.len().div_ceil(2));
-            self.queue.resolve_for(self.max_cost as Weight, expected)
-        } else {
-            QueuePolicy::Heap
-        };
-        let (dist, parent) = match resolved {
-            QueuePolicy::Bucket => self.gprime_search(
-                source,
-                target,
-                &mut BucketQueue::new(self.max_cost as Weight),
-            ),
-            _ => self.gprime_search(source, target, &mut MinHeap::new()),
-        };
+        let (dist, parent) = self.gprime_search(source, target);
         let d = *dist.get(&target)?;
         let mut path = vec![target];
         let mut cur = target;
@@ -151,11 +123,10 @@ impl LegacyProcessor {
     }
 
     #[allow(clippy::type_complexity)]
-    fn gprime_search<Q: DijkstraQueue>(
+    fn gprime_search(
         &mut self,
         source: NodeId,
         target: NodeId,
-        queue: &mut Q,
     ) -> (
         HashMap<NodeId, Distance>,
         HashMap<NodeId, (NodeId, Option<usize>)>,
@@ -164,9 +135,11 @@ impl LegacyProcessor {
         let result = self.cpu.time(|| {
             let mut dist: HashMap<NodeId, Distance> = HashMap::new();
             let mut parent: HashMap<NodeId, (NodeId, Option<usize>)> = HashMap::new();
+            let mut heap = MinHeap::new();
             dist.insert(source, 0);
-            queue.push(0, source);
-            while let Some((key, v)) = queue.pop() {
+            heap.push(0, source);
+            while let Some(e) = heap.pop() {
+                let (key, v) = (e.key, e.item);
                 if dist.get(&v) != Some(&key) {
                     continue;
                 }
@@ -182,7 +155,7 @@ impl LegacyProcessor {
                     if dist.get(u).is_none_or(|&d| cand < d) {
                         dist.insert(*u, cand);
                         parent.insert(*u, (v, pidx));
-                        queue.push(cand, *u);
+                        heap.push(cand, *u);
                     }
                 }
             }
@@ -307,57 +280,51 @@ fn assert_valid_shortest_walk(
     assert_eq!(total, d, "walk cost");
 }
 
-const POLICIES: [QueuePolicy; 3] = [QueuePolicy::Auto, QueuePolicy::Heap, QueuePolicy::Bucket];
-
 /// Feeds the same region stream to the oracle and the flat processor,
 /// checking memory charges after every region and distances (plus
 /// expansion-path validity in `keep_paths` mode) for the `(s, t)` query.
 fn run_differential(store: &ReceivedGraph, region_nodes: &[Vec<NodeId>], s: NodeId, t: NodeId) {
-    for policy in POLICIES {
-        for keep_paths in [false, true] {
-            let mut legacy = if keep_paths {
-                LegacyProcessor::with_paths()
-            } else {
-                LegacyProcessor::default()
-            }
-            .with_queue_policy(policy);
-            let mut flat = if keep_paths {
-                MemoryBoundProcessor::with_paths()
-            } else {
-                MemoryBoundProcessor::new()
-            }
-            .with_queue_policy(policy);
-            for nodes in region_nodes {
-                legacy.add_region(store, nodes, &[s, t]);
-                flat.add_region(store, nodes, &[s, t]);
-                assert_eq!(
-                    legacy.mem.current(),
-                    flat.mem.current(),
-                    "retained bytes after a region ({policy:?}, keep_paths={keep_paths})"
-                );
-                assert_eq!(
-                    legacy.mem.peak(),
-                    flat.mem.peak(),
-                    "peak bytes after a region ({policy:?}, keep_paths={keep_paths})"
-                );
-            }
-            let want = legacy.shortest_path(s, t);
-            let got = flat.shortest_path(s, t);
+    for keep_paths in [false, true] {
+        let mut legacy = if keep_paths {
+            LegacyProcessor::with_paths()
+        } else {
+            LegacyProcessor::default()
+        };
+        let mut flat = if keep_paths {
+            MemoryBoundProcessor::with_paths()
+        } else {
+            MemoryBoundProcessor::new()
+        };
+        for nodes in region_nodes {
+            legacy.add_region(store, nodes, &[s, t]);
+            flat.add_region(store, nodes, &[s, t]);
             assert_eq!(
-                want.as_ref().map(|(d, _)| *d),
-                got.as_ref().map(|(d, _)| *d),
-                "distance {s}->{t} ({policy:?}, keep_paths={keep_paths})"
+                legacy.mem.current(),
+                flat.mem.current(),
+                "retained bytes after a region (keep_paths={keep_paths})"
             );
-            if keep_paths {
-                // Hash-ordered legacy emission and ascending flat emission
-                // may pick different — equally short — expansions under
-                // ties, so pin each path to validity, not to the other.
-                if let Some((d, path)) = &want {
-                    assert_valid_shortest_walk(store, s, t, *d, path);
-                }
-                if let Some((d, path)) = &got {
-                    assert_valid_shortest_walk(store, s, t, *d, path);
-                }
+            assert_eq!(
+                legacy.mem.peak(),
+                flat.mem.peak(),
+                "peak bytes after a region (keep_paths={keep_paths})"
+            );
+        }
+        let want = legacy.shortest_path(s, t);
+        let got = flat.shortest_path(s, t);
+        assert_eq!(
+            want.as_ref().map(|(d, _)| *d),
+            got.as_ref().map(|(d, _)| *d),
+            "distance {s}->{t} (keep_paths={keep_paths})"
+        );
+        if keep_paths {
+            // Hash-ordered legacy emission and ascending flat emission
+            // may pick different — equally short — expansions under
+            // ties, so pin each path to validity, not to the other.
+            if let Some((d, path)) = &want {
+                assert_valid_shortest_walk(store, s, t, *d, path);
+            }
+            if let Some((d, path)) = &got {
+                assert_valid_shortest_walk(store, s, t, *d, path);
             }
         }
     }

@@ -5,8 +5,8 @@
 //! The CSR rewrite claims byte-identical observable behavior: same
 //! per-ingest memory charges, same accessor results, same search results
 //! — distances, **paths** (which pin the settle order through zero-weight
-//! and equal-key ties) and settled-node counts — under every
-//! [`QueuePolicy`]. These tests check that claim on random record
+//! and equal-key ties) and settled-node counts. These tests check that
+//! claim on random record
 //! streams (dense and spill-range ids, duplicate chunks, zero weights),
 //! on encoded payload streams from grid and germany-class preset
 //! networks, and on the fused [`ReceivedGraph::ingest_payload`] path
@@ -22,9 +22,7 @@ use spair_core::patch::{
 };
 use spair_core::query::decoded_node_bytes;
 use spair_roadnet::generators::{small_grid, NetworkPreset};
-use spair_roadnet::{
-    BucketQueue, DijkstraQueue, MinHeap, NodeId, Point, QueuePolicy, RoadNetwork, Weight,
-};
+use spair_roadnet::{MinHeap, NodeId, Point, RoadNetwork, Weight};
 use std::collections::HashMap;
 
 /// The pre-CSR store, copied from the original implementation: one
@@ -35,7 +33,6 @@ type LegacyNode = (Point, bool, Vec<(NodeId, Weight)>);
 #[derive(Default)]
 struct LegacyStore {
     nodes: HashMap<NodeId, LegacyNode>,
-    max_weight: Weight,
 }
 
 impl LegacyStore {
@@ -46,9 +43,6 @@ impl LegacyStore {
             .or_insert_with(|| (rec.point, rec.border, Vec::new()));
         entry.1 |= rec.border;
         let added = rec.edges.len();
-        for &(_, w) in &rec.edges {
-            self.max_weight = self.max_weight.max(w);
-        }
         entry.2.extend(rec.edges);
         let fresh_node = if entry.2.len() == added {
             decoded_node_bytes(0)
@@ -79,33 +73,15 @@ impl LegacyStore {
         }
     }
 
-    fn shortest_path_with(
-        &self,
-        source: NodeId,
-        target: NodeId,
-        queue: QueuePolicy,
-    ) -> (Option<(u64, Vec<NodeId>)>, usize) {
-        let expected = Some(self.nodes.len().div_ceil(2));
-        match queue.resolve_for(self.max_weight, expected) {
-            QueuePolicy::Bucket => {
-                self.search(source, target, &mut BucketQueue::new(self.max_weight))
-            }
-            _ => self.search(source, target, &mut MinHeap::new()),
-        }
-    }
-
-    fn search<Q: DijkstraQueue>(
-        &self,
-        source: NodeId,
-        target: NodeId,
-        queue: &mut Q,
-    ) -> (Option<(u64, Vec<NodeId>)>, usize) {
+    fn shortest_path(&self, source: NodeId, target: NodeId) -> (Option<(u64, Vec<NodeId>)>, usize) {
         let mut dist: HashMap<NodeId, u64> = HashMap::new();
         let mut parent: HashMap<NodeId, NodeId> = HashMap::new();
         let mut settled = 0usize;
+        let mut heap = MinHeap::new();
         dist.insert(source, 0);
-        queue.push(0, source);
-        while let Some((key, v)) = queue.pop() {
+        heap.push(0, source);
+        while let Some(e) = heap.pop() {
+            let (key, v) = (e.key, e.item);
             if dist.get(&v) != Some(&key) {
                 continue;
             }
@@ -125,7 +101,7 @@ impl LegacyStore {
                 if dist.get(&u).is_none_or(|&d| cand < d) {
                     dist.insert(u, cand);
                     parent.insert(u, v);
-                    queue.push(cand, u);
+                    heap.push(cand, u);
                 }
             }
         }
@@ -133,12 +109,9 @@ impl LegacyStore {
     }
 }
 
-const POLICIES: [QueuePolicy; 3] = [QueuePolicy::Auto, QueuePolicy::Heap, QueuePolicy::Bucket];
-
 /// Asserts every observable accessor of the new store matches the oracle.
 fn assert_state_matches(legacy: &LegacyStore, new: &ReceivedGraph) {
     assert_eq!(legacy.nodes.len(), new.num_nodes(), "num_nodes");
-    assert_eq!(legacy.max_weight, new.max_weight(), "max_weight");
     assert_eq!(legacy.retained_bytes(), new.retained_bytes(), "retained");
     let mut legacy_ids: Vec<NodeId> = legacy.nodes.keys().copied().collect();
     legacy_ids.sort_unstable();
@@ -154,15 +127,13 @@ fn assert_state_matches(legacy: &LegacyStore, new: &ReceivedGraph) {
     }
 }
 
-/// Asserts search equality for every policy and (source, target) pair —
-/// distance, full path (the settle-order witness) and settled count.
+/// Asserts search equality for every (source, target) pair — distance,
+/// full path (the settle-order witness) and settled count.
 fn assert_searches_match(legacy: &LegacyStore, new: &mut ReceivedGraph, pairs: &[(u32, u32)]) {
     for &(s, t) in pairs {
-        for policy in POLICIES {
-            let want = legacy.shortest_path_with(s, t, policy);
-            let got = new.shortest_path_with(s, t, policy);
-            assert_eq!(want, got, "search {s}->{t} under {policy:?}");
-        }
+        let want = legacy.shortest_path(s, t);
+        let got = new.shortest_path(s, t);
+        assert_eq!(want, got, "search {s}->{t}");
     }
 }
 
@@ -228,7 +199,7 @@ proptest! {
     }
 
     /// Zero-weight-heavy streams: equal keys everywhere, so paths and
-    /// settle counts pin the queues' tie-breaking exactly.
+    /// settle counts pin the heap's tie-breaking exactly.
     #[test]
     fn zero_weight_ties_match_legacy(records in record_stream(12, 1)) {
         let pairs: Vec<(u32, u32)> = vec![(0, 11), (4, 9), (1, 10)];
@@ -401,7 +372,7 @@ proptest! {
     /// A full-coverage arena patched through an arbitrary chain of
     /// versions must equal a `ReceivedGraph` rebuilt from scratch off
     /// the final-version network — node set, points, borders, every
-    /// adjacency list, and searches under each explicit queue policy.
+    /// adjacency list, and searches.
     #[test]
     fn patched_arena_equals_rebuilt_store(seed in 0u64..500, chain in version_chain(), offset in 0usize..64) {
         let g = small_grid(7, 7, seed);
@@ -459,18 +430,13 @@ proptest! {
             prop_assert_eq!(patched.point(v), rebuilt.point(v));
             prop_assert_eq!(patched.is_border(v), rebuilt.is_border(v));
         }
-        // Explicit policies only: the stores may disagree on max_weight
-        // (patching never lowers the running maximum), which Auto uses
-        // to pick a queue — results must match under a pinned queue.
         let n = g.num_nodes() as u32;
         for (s, t) in [(0, n - 1), (n / 3, n / 2)] {
-            for policy in [QueuePolicy::Heap, QueuePolicy::Bucket] {
-                prop_assert_eq!(
-                    patched.shortest_path_with(s, t, policy),
-                    rebuilt.shortest_path_with(s, t, policy),
-                    "search {}->{} under {:?}", s, t, policy
-                );
-            }
+            prop_assert_eq!(
+                patched.shortest_path(s, t),
+                rebuilt.shortest_path(s, t),
+                "search {}->{}", s, t
+            );
         }
     }
 

@@ -85,7 +85,7 @@ fn air_cycle(ctx: &ScenarioContext, method: MethodId) -> &BroadcastCycle {
 
 /// A fresh client device of a validated cell's method.
 fn device(ctx: &ScenarioContext, method: MethodId) -> Device {
-    Device::new(program(ctx, method), ctx.spec.queue).expect("air methods have air clients")
+    Device::new(program(ctx, method)).expect("air methods have air clients")
 }
 
 /// One real client session's measurements, recorded at a class

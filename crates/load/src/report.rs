@@ -2,7 +2,7 @@
 //! (scenario × method) cell, digest-certified like the conformance
 //! matrix.
 
-use spair_roadnet::certify::{cells_json, Certified};
+use spair_roadnet::certify::{cells_json, counts_json, Certified};
 
 /// Percentiles and exact extremes of one cost dimension over a client
 /// population, read off a streaming histogram.
@@ -69,15 +69,10 @@ pub struct LoadFaultSummary {
 
 impl LoadFaultSummary {
     fn json(&self) -> String {
-        let classes: Vec<String> = self
-            .failure_classes
-            .iter()
-            .map(|(c, n)| format!("\"{c}\": {n}"))
-            .collect();
         format!(
             "{{ \"fault\": \"{}\", \"typed_failures\": {}, \"failure_rate\": {:.6}, \
              \"budget_violations\": {}, \"attempts\": {}, \"max_attempts\": {}, \
-             \"retried\": {}, \"recovery_packets\": {}, \"failure_classes\": {{{}}} }}",
+             \"retried\": {}, \"recovery_packets\": {}, \"failure_classes\": {} }}",
             self.fault,
             self.typed_failures,
             self.failure_rate,
@@ -86,7 +81,7 @@ impl LoadFaultSummary {
             self.max_attempts,
             self.retried,
             self.recovery.json(),
-            classes.join(", "),
+            counts_json(&self.failure_classes),
         )
     }
 }

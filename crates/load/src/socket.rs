@@ -31,14 +31,14 @@ use spair_core::query::Query;
 use spair_core::{BorderPrecomputation, RecoveryBudget};
 use spair_methods::{MethodRegistry, ProgramSet, World};
 use spair_partition::KdTreePartition;
-use spair_roadnet::certify::{cells_json, Fnv1a};
+use spair_roadnet::certify::{cells_json, counts_json, Fnv1a};
 use spair_roadnet::generators::small_grid;
-use spair_roadnet::{dijkstra_distance, NodeId, QueuePolicy};
+use spair_roadnet::{dijkstra_distance, NodeId};
 use spair_serve::client::{run_query, SessionConfig, SessionFailure, Transport};
 use spair_serve::daemon::{DropPlan, ServeDaemon, ServeOptions, ServeSummary, ServeWorld};
 use spair_serve::frame::{encode_stream, Frame, Hello};
 use spair_sim::{drive, Device, Tune, Verdict, WorkItem};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -195,7 +195,7 @@ pub fn in_process_answers(programs: &ProgramSet, jobs: &[SessionJob]) -> Vec<Ses
         .map(|job| {
             let id = registry.get(&job.method).expect("scheduled method");
             let program = programs.ensure(id);
-            let mut device = Device::new(program, QueuePolicy::Heap).expect("air client");
+            let mut device = Device::new(program).expect("air client");
             let (s, t) = (job.query.source, job.query.target);
             let oracle = dijkstra_distance(g, s, t).expect("scheduled queries are reachable");
             let item = WorkItem::P2p {
@@ -322,6 +322,15 @@ pub struct SocketCellReport {
 }
 
 impl SocketCellReport {
+    /// Failures per [`SessionFailure::label`], sorted by label.
+    pub fn failure_classes(&self) -> Vec<(&'static str, usize)> {
+        let mut classes = BTreeMap::new();
+        for (_, f) in &self.failures {
+            *classes.entry(f.label()).or_insert(0) += 1;
+        }
+        classes.into_iter().collect()
+    }
+
     fn admission_json(&self) -> String {
         let h = &self.admission_us;
         format!(
@@ -358,8 +367,8 @@ impl SocketReport {
 
     /// FNV-1a over the deterministic columns only: cell identity,
     /// population, answer digests and digest verdicts. Timing,
-    /// contention counters and daemon totals are excluded, so the
-    /// digest is invariant across worker counts.
+    /// failures, contention counters and daemon totals are excluded, so
+    /// the digest is invariant across worker counts.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::default();
         for c in self.cells.iter().filter(|c| c.kind == "lossless") {
@@ -383,7 +392,7 @@ impl SocketReport {
                  \"population\": {}, \"completed\": {}, \
                  \"answers_digest\": \"{:016x}\", \"expected_digest\": \"{:016x}\", \
                  \"digest_match\": {}, \"wrong_answers\": {}, \"failures\": {}, \
-                 \"observed_drops\": {}, \"drops_injected\": {}, \
+                 \"failure_classes\": {}, \"observed_drops\": {}, \"drops_injected\": {}, \
                  \"backpressure_drops\": {}, \"evictions\": {}, \
                  \"admission_us\": {}, \"wall_secs\": {:.6}",
                 c.method,
@@ -396,6 +405,7 @@ impl SocketReport {
                 c.digest_match,
                 c.wrong_answers,
                 c.failures.len(),
+                counts_json(&c.failure_classes()),
                 c.observed_drops,
                 c.drops_injected,
                 c.backpressure_drops,
@@ -444,6 +454,9 @@ fn collate_cell(
     expected: &[SessionAnswer],
     wall_secs: f64,
 ) -> SocketCellReport {
+    for (index, failure) in &failures {
+        eprintln!("  cell {method}/{transport}/{kind} session {index} failed: {failure}");
+    }
     let mut admission = admission_hist();
     let mut observed_drops = 0u64;
     for a in &answers {
@@ -681,5 +694,44 @@ mod tests {
         let mut changed = fwd.clone();
         changed[1].distance += 1;
         assert_ne!(answers_digest(&fwd), answers_digest(&changed));
+    }
+
+    #[test]
+    fn cells_name_their_failures_outside_the_digest() {
+        let report = |failures: Vec<JobFailure>| SocketReport {
+            scenario: socket_scenario(true),
+            threads: 1,
+            cells: vec![SocketCellReport {
+                method: "nr".to_string(),
+                transport: "udp",
+                kind: "lossless",
+                population: 4,
+                completed: 4 - failures.len(),
+                answers_digest: 7,
+                expected_digest: 7,
+                digest_match: true,
+                wrong_answers: 0,
+                failures,
+                observed_drops: 0,
+                drops_injected: 0,
+                backpressure_drops: 0,
+                evictions: 0,
+                admission_us: admission_hist(),
+                wall_secs: 0.0,
+            }],
+            daemon: ServeSummary::default(),
+        };
+        let failed = report(vec![
+            (3, SessionFailure::Timeout),
+            (1, SessionFailure::Expired),
+        ]);
+        let json = failed.cells_json();
+        assert!(
+            json.contains("\"failures\": 2, \"failure_classes\": {\"expired\": 1, \"timeout\": 1}"),
+            "{json}"
+        );
+        let clean = report(Vec::new());
+        assert!(clean.cells_json().contains("\"failure_classes\": {}"));
+        assert_eq!(failed.digest(), clean.digest());
     }
 }

@@ -1,7 +1,7 @@
 //! Load-harness specifications and canned matrices.
 //!
 //! A [`LoadSpec`] is a [`ScenarioSpec`] (graph, partitioner, loss model,
-//! channel rate, queue policy, seed — everything one simulated world
+//! channel rate, seed — everything one simulated world
 //! varies) plus the two load-specific knobs: how many clients tune in to
 //! the shared air cycle, and which client methods serve them. The
 //! scenario's `point_to_point` workload count doubles as the size of the
@@ -10,7 +10,7 @@
 
 use spair_broadcast::{ChannelRate, DeviceProfile};
 use spair_methods::{MethodId, MethodRegistry, MethodUnavailable};
-use spair_roadnet::{NetworkPreset, QueuePolicy};
+use spair_roadnet::NetworkPreset;
 use spair_sim::{
     FaultSpec, GraphSpec, LossSpec, PartitionerKind, ScenarioSpec, TuneInSpec, WorkloadMix,
 };
@@ -158,7 +158,6 @@ fn base_scenario(name: &str, seed: u64) -> ScenarioSpec {
         rate: ChannelRate::MOVING_3G,
         heap_budget_bytes: DeviceProfile::J2ME_PHONE.heap_bytes,
         workload: WorkloadMix::p2p(12),
-        queue: QueuePolicy::Auto,
         seed,
     }
 }

@@ -9,7 +9,6 @@ use spair_baselines::{ArcFlagClient, ArcFlagProgram, ArcFlagServer};
 use spair_broadcast::BroadcastCycle;
 use spair_core::query::AirClient;
 use spair_partition::{KdTreePartition, Partitioning};
-use spair_roadnet::QueuePolicy;
 
 /// AF's descriptor.
 pub const DESCRIPTOR: MethodDescriptor = MethodDescriptor {
@@ -106,7 +105,6 @@ impl BroadcastMethod for ArcFlag {
     fn make_remote_client(
         &self,
         bootstrap: &ClientBootstrap,
-        _queue: QueuePolicy,
     ) -> Result<Box<dyn AirClient>, MethodUnavailable> {
         if bootstrap.num_regions == 0 {
             return Err(MethodUnavailable::BadBootstrap(DESCRIPTOR.name));

@@ -38,7 +38,7 @@ use spair_core::netcodec::ReceivedGraph;
 use spair_core::patch::{ClientArena, Coverage};
 use spair_core::query::{AirClient, Query, QueryError, QueryOutcome};
 use spair_roadnet::astar::{astar_search, LowerBound};
-use spair_roadnet::{Distance, NodeId, Point, QueuePolicy, RoadNetwork};
+use spair_roadnet::{Distance, NodeId, Point, RoadNetwork};
 
 /// The A*-on-air descriptor.
 pub const DESCRIPTOR: MethodDescriptor = MethodDescriptor {
@@ -91,7 +91,6 @@ impl BroadcastMethod for AstarAir {
     fn make_remote_client(
         &self,
         _bootstrap: &ClientBootstrap,
-        _queue: QueuePolicy,
     ) -> Result<Box<dyn AirClient>, MethodUnavailable> {
         Ok(Box::new(AstarAirClient::default()))
     }

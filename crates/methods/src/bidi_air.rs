@@ -20,7 +20,7 @@ use spair_broadcast::{BroadcastChannel, BroadcastCycle, CpuMeter, MemoryMeter, Q
 use spair_core::netcodec::ReceivedGraph;
 use spair_core::patch::{ClientArena, Coverage};
 use spair_core::query::{AirClient, Query, QueryError, QueryOutcome};
-use spair_roadnet::{bidirectional_search_paths, QueuePolicy};
+use spair_roadnet::bidirectional_search_paths;
 
 /// The bidirectional-on-air descriptor.
 pub const DESCRIPTOR: MethodDescriptor = MethodDescriptor {
@@ -73,7 +73,6 @@ impl BroadcastMethod for BidiAir {
     fn make_remote_client(
         &self,
         _bootstrap: &ClientBootstrap,
-        _queue: QueuePolicy,
     ) -> Result<Box<dyn AirClient>, MethodUnavailable> {
         Ok(Box::new(BidiAirClient::default()))
     }

@@ -7,7 +7,6 @@ use crate::{
 use spair_baselines::{DjClient, DjProgram, DjServer};
 use spair_broadcast::BroadcastCycle;
 use spair_core::query::AirClient;
-use spair_roadnet::QueuePolicy;
 
 /// DJ's descriptor.
 pub const DESCRIPTOR: MethodDescriptor = MethodDescriptor {
@@ -67,8 +66,7 @@ impl BroadcastMethod for Dj {
     fn make_remote_client(
         &self,
         _bootstrap: &ClientBootstrap,
-        queue: QueuePolicy,
     ) -> Result<Box<dyn AirClient>, MethodUnavailable> {
-        Ok(Box::new(DjClient::new().with_queue_policy(queue)))
+        Ok(Box::new(DjClient::new()))
     }
 }

@@ -7,7 +7,6 @@ use crate::{
 use spair_broadcast::BroadcastCycle;
 use spair_core::query::AirClient;
 use spair_core::{EbClient, EbProgram, EbServer, EbSummary};
-use spair_roadnet::QueuePolicy;
 
 /// EB's descriptor.
 pub const DESCRIPTOR: MethodDescriptor = MethodDescriptor {
@@ -80,13 +79,9 @@ impl BroadcastMethod for Eb {
     fn make_remote_client(
         &self,
         bootstrap: &ClientBootstrap,
-        queue: QueuePolicy,
     ) -> Result<Box<dyn AirClient>, MethodUnavailable> {
-        Ok(Box::new(
-            EbClient::new(EbSummary {
-                num_regions: bootstrap.num_regions,
-            })
-            .with_queue_policy(queue),
-        ))
+        Ok(Box::new(EbClient::new(EbSummary {
+            num_regions: bootstrap.num_regions,
+        })))
     }
 }

@@ -8,7 +8,6 @@ use crate::{
 use spair_baselines::{HiTiAirClient, HiTiAirServer, HiTiIndex, HiTiProgram};
 use spair_broadcast::BroadcastCycle;
 use spair_core::query::AirClient;
-use spair_roadnet::QueuePolicy;
 
 /// HiTi's descriptor.
 pub const DESCRIPTOR: MethodDescriptor = MethodDescriptor {
@@ -80,7 +79,6 @@ impl BroadcastMethod for HiTiAir {
     fn make_remote_client(
         &self,
         _bootstrap: &ClientBootstrap,
-        _queue: QueuePolicy,
     ) -> Result<Box<dyn AirClient>, MethodUnavailable> {
         Ok(Box::new(HiTiAirClient::new()))
     }

@@ -8,7 +8,6 @@ use spair_baselines::landmark::LandmarkIndex;
 use spair_baselines::{LandmarkClient, LandmarkProgram, LandmarkServer};
 use spair_broadcast::BroadcastCycle;
 use spair_core::query::AirClient;
-use spair_roadnet::QueuePolicy;
 
 /// LD's descriptor.
 pub const DESCRIPTOR: MethodDescriptor = MethodDescriptor {
@@ -76,7 +75,6 @@ impl BroadcastMethod for Landmark {
     fn make_remote_client(
         &self,
         _bootstrap: &ClientBootstrap,
-        _queue: QueuePolicy,
     ) -> Result<Box<dyn AirClient>, MethodUnavailable> {
         Ok(Box::new(LandmarkClient::new()))
     }

@@ -422,10 +422,13 @@ pub trait MethodProgram: Send + Sync {
     /// [`BroadcastMethod::make_remote_client`] from
     /// [`MethodProgram::client_bootstrap`] alone, so an in-process client
     /// knows nothing a remote one could not. `Err(NotAirClient)` for
-    /// methods not driven through the [`AirClient`] interface.
-    fn make_client(&self, queue: QueuePolicy) -> Result<Box<dyn AirClient>, MethodUnavailable> {
+    /// methods not driven through the [`AirClient`] interface. The
+    /// [`QueuePolicy`] is ignored.
+    fn make_client(&self, _queue: QueuePolicy) -> Result<Box<dyn AirClient>, MethodUnavailable> {
         let id = MethodId(self.descriptor());
-        MethodRegistry::standard().remote_client(id, &self.client_bootstrap(), queue)
+        MethodRegistry::standard()
+            .method(id)
+            .make_remote_client(&self.client_bootstrap())
     }
 
     /// A fresh kNN client. `Err(NotKnn)` unless the method answers the
@@ -445,12 +448,8 @@ pub trait MethodProgram: Send + Sync {
     /// Channel-free local answer for methods that re-process another
     /// method's data instead of tuning in (§6.1 memory-bound
     /// contraction). `None` for everything else.
-    fn local_answer(
-        &self,
-        query: &Query,
-        queue: QueuePolicy,
-    ) -> Option<Result<QueryOutcome, QueryError>> {
-        let _ = (query, queue);
+    fn local_answer(&self, query: &Query) -> Option<Result<QueryOutcome, QueryError>> {
+        let _ = query;
         None
     }
 
@@ -483,9 +482,8 @@ pub trait BroadcastMethod: Send + Sync {
     fn make_remote_client(
         &self,
         bootstrap: &ClientBootstrap,
-        queue: QueuePolicy,
     ) -> Result<Box<dyn AirClient>, MethodUnavailable> {
-        let _ = (bootstrap, queue);
+        let _ = bootstrap;
         Err(MethodUnavailable::NotAirClient(self.descriptor().name))
     }
 }
@@ -620,15 +618,16 @@ impl MethodRegistry {
         self.methods[id.ordinal() as usize].as_ref()
     }
 
-    /// A client for `id` from its bootstrap — the lookup every client,
-    /// in-process or behind a socket, goes through.
+    /// A client for `id` from its bootstrap, by
+    /// [`BroadcastMethod::make_remote_client`]. The [`QueuePolicy`] is
+    /// ignored.
     pub fn remote_client(
         &self,
         id: MethodId,
         bootstrap: &ClientBootstrap,
-        queue: QueuePolicy,
+        _queue: QueuePolicy,
     ) -> Result<Box<dyn AirClient>, MethodUnavailable> {
-        self.method(id).make_remote_client(bootstrap, queue)
+        self.method(id).make_remote_client(bootstrap)
     }
 }
 

@@ -15,7 +15,7 @@ use spair_core::netcodec::{decode_payload, encode_nodes_with_borders, ReceivedGr
 use spair_core::query::{Query, QueryError, QueryOutcome};
 use spair_core::{BorderPrecomputation, MemoryBoundProcessor};
 use spair_partition::{KdTreePartition, Partitioning};
-use spair_roadnet::{NodeId, QueuePolicy};
+use spair_roadnet::NodeId;
 use std::sync::Arc;
 
 /// The memory-bound runner's descriptor.
@@ -60,14 +60,10 @@ impl MethodProgram for MemBoundProgram {
         })
     }
 
-    fn local_answer(
-        &self,
-        q: &Query,
-        queue: QueuePolicy,
-    ) -> Option<Result<QueryOutcome, QueryError>> {
+    fn local_answer(&self, q: &Query) -> Option<Result<QueryOutcome, QueryError>> {
         let rs = self.part.region_of(q.source);
         let rt = self.part.region_of(q.target);
-        let mut proc = MemoryBoundProcessor::with_paths().with_queue_policy(queue);
+        let mut proc = MemoryBoundProcessor::with_paths();
         for r in self.pre.needed_regions(rs, rt).iter() {
             let nodes = &self.part.nodes_by_region()[r as usize];
             let terminals: Vec<NodeId> = [q.source, q.target]

@@ -7,7 +7,6 @@ use crate::{
 use spair_broadcast::BroadcastCycle;
 use spair_core::query::AirClient;
 use spair_core::{NrClient, NrProgram, NrServer, NrSummary};
-use spair_roadnet::QueuePolicy;
 
 /// NR's descriptor.
 pub const DESCRIPTOR: MethodDescriptor = MethodDescriptor {
@@ -79,13 +78,9 @@ impl BroadcastMethod for Nr {
     fn make_remote_client(
         &self,
         bootstrap: &ClientBootstrap,
-        queue: QueuePolicy,
     ) -> Result<Box<dyn AirClient>, MethodUnavailable> {
-        Ok(Box::new(
-            NrClient::new(NrSummary {
-                num_regions: bootstrap.num_regions,
-            })
-            .with_queue_policy(queue),
-        ))
+        Ok(Box::new(NrClient::new(NrSummary {
+            num_regions: bootstrap.num_regions,
+        })))
     }
 }

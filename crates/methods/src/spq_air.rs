@@ -8,7 +8,6 @@ use crate::{
 use spair_baselines::{SpqAirServer, SpqClient, SpqIndex, SpqProgram};
 use spair_broadcast::BroadcastCycle;
 use spair_core::query::AirClient;
-use spair_roadnet::QueuePolicy;
 
 /// SPQ's descriptor.
 pub const DESCRIPTOR: MethodDescriptor = MethodDescriptor {
@@ -91,7 +90,6 @@ impl BroadcastMethod for SpqAir {
     fn make_remote_client(
         &self,
         bootstrap: &ClientBootstrap,
-        _queue: QueuePolicy,
     ) -> Result<Box<dyn AirClient>, MethodUnavailable> {
         let bbox = bootstrap
             .bbox

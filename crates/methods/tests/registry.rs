@@ -173,7 +173,7 @@ fn built_programs_honor_their_capability_flags() {
             }
             Err(e) => panic!("{}: unexpected error {e}", d.name),
         }
-        match program.make_client(QueuePolicy::Auto) {
+        match program.make_client(QueuePolicy::default()) {
             Ok(_) => assert!(d.air_client, "{}: client despite air_client=false", d.name),
             Err(MethodUnavailable::NotAirClient(name)) => {
                 assert!(!d.air_client, "{}: typed error on a real client", d.name);
@@ -201,7 +201,7 @@ fn mem_bound_local_answer_is_exact_and_air_methods_have_none() {
     let oracle = dijkstra_distance(&g, 0, 63).unwrap();
     for m in reg.all() {
         let program = reg.method(m).build_program(&world);
-        match program.local_answer(&q, QueuePolicy::Auto) {
+        match program.local_answer(&q) {
             Some(res) => {
                 assert_eq!(m.name(), "nr_mem_bound");
                 assert_eq!(res.unwrap().distance, oracle);
@@ -222,7 +222,7 @@ fn astar_and_bidi_air_answer_exactly_over_the_channel() {
         let m = reg.get(name).unwrap();
         let program = reg.method(m).build_program(&world);
         let cycle = program.cycle().unwrap();
-        let mut client = program.make_client(QueuePolicy::Auto).unwrap();
+        let mut client = program.make_client(QueuePolicy::default()).unwrap();
         for (i, &(s, t)) in [(0u32, 63u32), (7, 56), (12, 50), (63, 0), (5, 5)]
             .iter()
             .enumerate()
@@ -277,7 +277,7 @@ fn new_methods_do_less_work_than_a_full_sweep() {
         let m = reg.get(name).unwrap();
         let program = reg.method(m).build_program(&world);
         let cycle = program.cycle().unwrap();
-        let mut client = program.make_client(QueuePolicy::Auto).unwrap();
+        let mut client = program.make_client(QueuePolicy::default()).unwrap();
         let mut ch = BroadcastChannel::tune_in(cycle, 0, LossModel::Lossless);
         let out = client.query(&mut ch, &q).unwrap();
         assert!(

@@ -206,7 +206,6 @@ pub fn bidirectional_search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bucket_queue::QueuePolicy;
     use crate::dijkstra::{dijkstra_distance, dijkstra_with_options, DijkstraOptions};
     use crate::generators::{small_grid, GeneratorConfig};
     use crate::graph::{GraphBuilder, Point};
@@ -260,7 +259,6 @@ mod tests {
             DijkstraOptions {
                 target: Some(t),
                 bound: None,
-                queue: QueuePolicy::default(),
             },
         );
         assert!(

@@ -351,6 +351,16 @@ pub fn object(fields: &[(&str, String)]) -> String {
     format!("{{ {} }}", body.join(", "))
 }
 
+/// An inline `{"label": count, …}` breakdown, in the given order (`{}`
+/// when empty).
+pub fn counts_json<L: std::fmt::Display, N: std::fmt::Display>(counts: &[(L, N)]) -> String {
+    let body: Vec<String> = counts
+        .iter()
+        .map(|(l, n)| format!("\"{l}\": {n}"))
+        .collect();
+    format!("{{{}}}", body.join(", "))
+}
+
 /// The `host` object: detected parallelism and the worker count used.
 pub fn host_json(threads: usize) -> String {
     let available = std::thread::available_parallelism().map_or(1, |n| n.get());

@@ -5,14 +5,14 @@
 //!   bounds);
 //! * [`dijkstra_to_target`] / [`dijkstra_distance`] — early-terminating
 //!   point-to-point queries, as run by the simulated clients;
-//! * [`dijkstra_filtered`] / [`dijkstra_filtered_with`] — search restricted
-//!   to a node predicate, used by the clients that only downloaded a subset
-//!   of regions and by ArcFlag's flag-pruned search (via an edge predicate
-//!   variant); the `_with` form chooses the queue via [`QueuePolicy`];
+//! * [`dijkstra_filtered`] — search restricted to a node predicate, used
+//!   by the clients that only downloaded a subset of regions and by
+//!   ArcFlag's flag-pruned search (via an edge predicate variant);
 //! * [`DijkstraWorkspace`] — allocation-free repeated searches for
 //!   server-side precomputation, with version-stamped visited marks.
+//!
+//! Every variant runs on the lazy 4-ary [`MinHeap`].
 
-use crate::bucket_queue::{BucketQueue, DijkstraQueue, QueuePolicy};
 use crate::graph::{NodeId, RoadNetwork};
 use crate::heap::MinHeap;
 use crate::sptree::{ShortestPathTree, NO_PARENT};
@@ -34,11 +34,18 @@ pub struct DijkstraOptions {
     pub target: Option<NodeId>,
     /// Do not settle nodes farther than this bound.
     pub bound: Option<Distance>,
-    /// Priority queue to drive the search with. `Heap` is always valid;
-    /// `Bucket`/`Auto` exploit the bounded `u32` weights (Dial's
-    /// algorithm). Distances are identical under every policy; settle
-    /// order may differ among equal-distance nodes.
-    pub queue: QueuePolicy,
+}
+
+/// The one Dijkstra queue, the lazy 4-ary [`MinHeap`]. This one-value
+/// type stays only so that the external benchmark's calls keep compiling:
+/// `MethodProgram::make_client`, `MethodRegistry::remote_client`,
+/// `ReceivedGraph::shortest_path_with`, `ReceivedGraph::shortest_path_checked`
+/// and `DjClient::with_queue_policy` take it and ignore it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum QueuePolicy {
+    /// The 4-ary [`MinHeap`].
+    #[default]
+    Heap,
 }
 
 /// Counters describing the work a search performed. The client simulator
@@ -149,30 +156,16 @@ pub fn dijkstra_with_options(
     source: NodeId,
     opts: DijkstraOptions,
 ) -> (ShortestPathTree, SearchStats) {
-    // Targeted searches terminate early; feed `Auto` the expected settle
-    // count (~half the nodes for a uniformly random pair) so it can keep
-    // the heap where the bucket cursor scan would not amortize.
-    let expected = opts.target.map(|_| g.num_nodes().div_ceil(2));
-    match opts.queue.resolve_for_search(g, expected) {
-        QueuePolicy::Bucket => options_loop(g, source, opts, &mut BucketQueue::for_graph(g)),
-        _ => options_loop(g, source, opts, &mut MinHeap::with_capacity(64)),
-    }
-}
-
-fn options_loop<Q: DijkstraQueue>(
-    g: &RoadNetwork,
-    source: NodeId,
-    opts: DijkstraOptions,
-    queue: &mut Q,
-) -> (ShortestPathTree, SearchStats) {
     let n = g.num_nodes();
     let mut dist = vec![DIST_INF; n];
     let mut parent = vec![NO_PARENT; n];
     let mut order = Vec::new();
     let mut stats = SearchStats::default();
+    let mut heap = MinHeap::with_capacity(64);
     dist[source as usize] = 0;
-    queue.push(0, source);
-    while let Some((key, v)) = queue.pop() {
+    heap.push(0, source);
+    while let Some(e) = heap.pop() {
+        let (key, v) = (e.key, e.item);
         if key != dist[v as usize] {
             continue;
         }
@@ -192,7 +185,7 @@ fn options_loop<Q: DijkstraQueue>(
             if cand < dist[u as usize] {
                 dist[u as usize] = cand;
                 parent[u as usize] = v;
-                queue.push(cand, u);
+                heap.push(cand, u);
             }
         }
     }
@@ -201,51 +194,23 @@ fn options_loop<Q: DijkstraQueue>(
 
 /// Point-to-point Dijkstra restricted to nodes for which `allowed` returns
 /// true (source and target are always allowed). This is the search the
-/// simulated clients run over the union of downloaded regions. Runs on the
-/// default queue policy; see [`dijkstra_filtered_with`] to choose.
+/// simulated clients run over the union of downloaded regions.
 pub fn dijkstra_filtered(
     g: &RoadNetwork,
     source: NodeId,
     target: NodeId,
     allowed: impl Fn(NodeId) -> bool,
 ) -> (Option<(Distance, Vec<NodeId>)>, SearchStats) {
-    dijkstra_filtered_with(g, source, target, allowed, QueuePolicy::default())
-}
-
-/// [`dijkstra_filtered`] driven by an explicit [`QueuePolicy`]. Distances
-/// are identical under every policy; only the settle order of
-/// equal-distance nodes may differ.
-pub fn dijkstra_filtered_with(
-    g: &RoadNetwork,
-    source: NodeId,
-    target: NodeId,
-    allowed: impl Fn(NodeId) -> bool,
-    queue: QueuePolicy,
-) -> (Option<(Distance, Vec<NodeId>)>, SearchStats) {
-    let expected = Some(g.num_nodes().div_ceil(2));
-    match queue.resolve_for_search(g, expected) {
-        QueuePolicy::Bucket => {
-            filtered_loop(g, source, target, allowed, &mut BucketQueue::for_graph(g))
-        }
-        _ => filtered_loop(g, source, target, allowed, &mut MinHeap::with_capacity(64)),
-    }
-}
-
-fn filtered_loop<Q: DijkstraQueue>(
-    g: &RoadNetwork,
-    source: NodeId,
-    target: NodeId,
-    allowed: impl Fn(NodeId) -> bool,
-    queue: &mut Q,
-) -> (Option<(Distance, Vec<NodeId>)>, SearchStats) {
     let n = g.num_nodes();
     let mut dist = vec![DIST_INF; n];
     let mut parent = vec![NO_PARENT; n];
     let mut stats = SearchStats::default();
+    let mut heap = MinHeap::with_capacity(64);
     dist[source as usize] = 0;
-    queue.push(0, source);
+    heap.push(0, source);
     let mut found = false;
-    while let Some((key, v)) = queue.pop() {
+    while let Some(e) = heap.pop() {
+        let (key, v) = (e.key, e.item);
         if key != dist[v as usize] {
             continue;
         }
@@ -263,7 +228,7 @@ fn filtered_loop<Q: DijkstraQueue>(
             if cand < dist[u as usize] {
                 dist[u as usize] = cand;
                 parent[u as usize] = v;
-                queue.push(cand, u);
+                heap.push(cand, u);
             }
         }
     }
@@ -288,42 +253,20 @@ pub struct DijkstraWorkspace {
     version: Vec<u32>,
     order: Vec<NodeId>,
     current: u32,
-    queue: WorkspaceQueue,
-}
-
-/// The workspace's owned queue, fixed at construction.
-#[derive(Debug)]
-enum WorkspaceQueue {
-    Heap(MinHeap<NodeId>),
-    Bucket(BucketQueue),
+    heap: MinHeap<NodeId>,
 }
 
 impl DijkstraWorkspace {
-    /// Creates a workspace for graphs with `n` nodes, driven by the
-    /// 4-ary heap (the historical default; settle order is identical to
-    /// [`dijkstra_full`]).
+    /// Creates a workspace for graphs with `n` nodes (settle order is
+    /// identical to [`dijkstra_full`]).
     pub fn new(n: usize) -> Self {
-        Self::with_queue(n, WorkspaceQueue::Heap(MinHeap::with_capacity(64)))
-    }
-
-    /// Creates a workspace for `g` with the queue `policy` selects.
-    /// `Auto`/`Bucket` size the bucket array for `g`'s maximum weight.
-    pub fn for_graph(g: &RoadNetwork, policy: QueuePolicy) -> Self {
-        let queue = match policy.resolve(g) {
-            QueuePolicy::Bucket => WorkspaceQueue::Bucket(BucketQueue::for_graph(g)),
-            _ => WorkspaceQueue::Heap(MinHeap::with_capacity(64)),
-        };
-        Self::with_queue(g.num_nodes(), queue)
-    }
-
-    fn with_queue(n: usize, queue: WorkspaceQueue) -> Self {
         Self {
             dist: vec![DIST_INF; n],
             parent: vec![NO_PARENT; n],
             version: vec![0; n],
             order: Vec::with_capacity(n),
             current: 0,
-            queue,
+            heap: MinHeap::with_capacity(64),
         }
     }
 
@@ -342,28 +285,12 @@ impl DijkstraWorkspace {
             self.current = 1;
         }
         self.order.clear();
-        // Split borrows: the queue moves out of `self` views so the loop
-        // can relax against dist/parent/version without aliasing it.
-        let mut queue = std::mem::replace(&mut self.queue, WorkspaceQueue::Heap(MinHeap::new()));
-        match &mut queue {
-            WorkspaceQueue::Heap(q) => self.run_loop(g, source, dir, q),
-            WorkspaceQueue::Bucket(q) => self.run_loop(g, source, dir, q),
-        }
-        self.queue = queue;
-    }
-
-    fn run_loop<Q: DijkstraQueue>(
-        &mut self,
-        g: &RoadNetwork,
-        source: NodeId,
-        dir: Direction,
-        queue: &mut Q,
-    ) {
-        queue.clear();
+        self.heap.clear();
         self.touch(source);
         self.dist[source as usize] = 0;
-        queue.push(0, source);
-        while let Some((key, v)) = queue.pop() {
+        self.heap.push(0, source);
+        while let Some(e) = self.heap.pop() {
+            let (key, v) = (e.key, e.item);
             if key != self.dist[v as usize] {
                 continue;
             }
@@ -371,12 +298,12 @@ impl DijkstraWorkspace {
             match dir {
                 Direction::Forward => {
                     for (u, w) in g.out_edges(v) {
-                        self.relax(queue, v, u, key + w as Distance);
+                        self.relax(v, u, key + w as Distance);
                     }
                 }
                 Direction::Reverse => {
                     for (u, w) in g.in_edges(v) {
-                        self.relax(queue, v, u, key + w as Distance);
+                        self.relax(v, u, key + w as Distance);
                     }
                 }
             }
@@ -393,12 +320,12 @@ impl DijkstraWorkspace {
     }
 
     #[inline]
-    fn relax<Q: DijkstraQueue>(&mut self, queue: &mut Q, from: NodeId, to: NodeId, cand: Distance) {
+    fn relax(&mut self, from: NodeId, to: NodeId, cand: Distance) {
         self.touch(to);
         if cand < self.dist[to as usize] {
             self.dist[to as usize] = cand;
             self.parent[to as usize] = from;
-            queue.push(cand, to);
+            self.heap.push(cand, to);
         }
     }
 
@@ -541,7 +468,6 @@ mod tests {
             DijkstraOptions {
                 target: Some(42),
                 bound: None,
-                queue: QueuePolicy::default(),
             },
         );
         let reference = reference_distances(&g, 0);
@@ -560,7 +486,6 @@ mod tests {
             DijkstraOptions {
                 target: None,
                 bound: Some(bound),
-                queue: QueuePolicy::default(),
             },
         );
         for &v in tree.settle_order() {
@@ -574,21 +499,6 @@ mod tests {
         let plain = dijkstra_distance(&g, 3, 60);
         let (filtered, _) = dijkstra_filtered(&g, 3, 60, |_| true);
         assert_eq!(plain, filtered.map(|(d, _)| d));
-    }
-
-    #[test]
-    fn filtered_search_same_distances_under_every_queue_policy() {
-        let g = random_graph(13, 80, 60);
-        for s in [0u32, 11, 37] {
-            for t in [5u32, 42, 79] {
-                let (heap, _) = dijkstra_filtered_with(&g, s, t, |v| v % 7 != 3, QueuePolicy::Heap);
-                let (bucket, _) =
-                    dijkstra_filtered_with(&g, s, t, |v| v % 7 != 3, QueuePolicy::Bucket);
-                let (auto, _) = dijkstra_filtered_with(&g, s, t, |v| v % 7 != 3, QueuePolicy::Auto);
-                assert_eq!(heap.as_ref().map(|(d, _)| *d), bucket.map(|(d, _)| d));
-                assert_eq!(heap.map(|(d, _)| d), auto.map(|(d, _)| d));
-            }
-        }
     }
 
     #[test]

@@ -39,9 +39,8 @@
 //! Any consumer that compares colors against a freshly run
 //! `dijkstra_full` (the SPQ differential tests do) must drive the sweep
 //! from a search sharing this rule — the forward [`SourceTree`] of
-//! [`crate::peel`] does; a bucket-queue search settles equal-distance
-//! nodes in a different order and may pick different (equally shortest)
-//! parents.
+//! [`crate::peel`] does; a search that settles equal-distance nodes in a
+//! different order may pick different (equally shortest) parents.
 
 use crate::graph::{NodeId, RoadNetwork};
 use crate::peel::SourceTree;

@@ -62,14 +62,11 @@ pub struct RoadNetwork {
     in_offsets: Vec<u32>,
     in_sources: Vec<NodeId>,
     in_weights: Vec<Weight>,
-    /// Largest edge weight (0 for edgeless graphs). Cached at build time
-    /// so queue selection (`QueuePolicy::Auto`) is O(1).
-    max_weight: Weight,
 }
 
 impl RoadNetwork {
     /// Builds a network directly from forward-CSR parts, computing the
-    /// reverse adjacency and cached maximum weight here. Produces exactly
+    /// reverse adjacency here. Produces exactly
     /// the graph [`GraphBuilder::finish`] would for the same edges fed in
     /// source-major CSR order — per-node edge order is preserved, and
     /// reverse edges are laid out in global (source-major) order — but
@@ -111,7 +108,6 @@ impl RoadNetwork {
             }
         }
 
-        let max_weight = out_weights.iter().copied().max().unwrap_or(0);
         Self {
             points,
             out_offsets,
@@ -120,7 +116,6 @@ impl RoadNetwork {
             in_offsets,
             in_sources,
             in_weights,
-            max_weight,
         }
     }
 
@@ -204,12 +199,6 @@ impl RoadNetwork {
     #[inline]
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
         0..self.num_nodes() as NodeId
-    }
-
-    /// Largest edge weight in the graph (0 if there are no edges).
-    #[inline]
-    pub fn max_weight(&self) -> Weight {
-        self.max_weight
     }
 
     /// Looks up the weight of edge `(u, v)`, if present.
@@ -350,7 +339,6 @@ impl GraphBuilder {
             cursor[to as usize] += 1;
         }
 
-        let max_weight = self.edges.iter().map(|&(_, _, w)| w).max().unwrap_or(0);
         RoadNetwork {
             points: self.points,
             out_offsets,
@@ -359,7 +347,6 @@ impl GraphBuilder {
             in_offsets,
             in_sources,
             in_weights,
-            max_weight,
         }
     }
 }

@@ -24,7 +24,6 @@
 pub mod astar;
 pub mod bench_out;
 pub mod bidirectional;
-pub mod bucket_queue;
 pub mod certify;
 pub mod dijkstra;
 pub mod first_hop;
@@ -40,10 +39,9 @@ pub mod sptree;
 
 pub use astar::{astar_distance, ZeroBound};
 pub use bidirectional::{bidirectional_distance, bidirectional_search, bidirectional_search_paths};
-pub use bucket_queue::{BucketQueue, DijkstraQueue, QueuePolicy};
 pub use dijkstra::{
-    dijkstra_distance, dijkstra_filtered, dijkstra_filtered_with, dijkstra_full,
-    dijkstra_to_target, DijkstraOptions, SearchStats,
+    dijkstra_distance, dijkstra_filtered, dijkstra_full, dijkstra_to_target, DijkstraOptions,
+    QueuePolicy, SearchStats,
 };
 pub use first_hop::{first_hops_from_source_tree, first_hops_from_tree, NO_FIRST_HOP};
 pub use generators::{GeneratorConfig, NetworkPreset};

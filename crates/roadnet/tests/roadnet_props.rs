@@ -176,7 +176,7 @@ proptest! {
 
     /// `from_csr` reproduces the builder graph exactly: adjacency in both
     /// directions, then — the behavioral part — identical settle order,
-    /// distances, parents and first-hop colors under every queue policy.
+    /// distances, parents and first-hop colors.
     #[test]
     fn from_csr_is_indistinguishable_from_builder(
         g in arb_network(),
@@ -184,7 +184,6 @@ proptest! {
     ) {
         use spair_roadnet::dijkstra::{DijkstraWorkspace, Direction};
         use spair_roadnet::peel::{Peel, SourceTree};
-        use spair_roadnet::QueuePolicy;
 
         // Reference: a builder fed the same edges in source-major order
         // (the order `receive_network` feeds `from_csr`). The original
@@ -205,7 +204,6 @@ proptest! {
         let c = rebuild_via_csr(&g);
         prop_assert_eq!(g.num_nodes(), c.num_nodes());
         prop_assert_eq!(g.num_edges(), c.num_edges());
-        prop_assert_eq!(g.max_weight(), c.max_weight());
         for v in g.node_ids() {
             prop_assert_eq!(g.point(v).x, c.point(v).x);
             prop_assert_eq!(g.point(v).y, c.point(v).y);
@@ -218,21 +216,19 @@ proptest! {
         }
 
         let s = (pick % g.num_nodes()) as NodeId;
-        for policy in [QueuePolicy::Auto, QueuePolicy::Heap, QueuePolicy::Bucket] {
-            for dir in [Direction::Forward, Direction::Reverse] {
-                let mut wg = DijkstraWorkspace::for_graph(&g, policy);
-                let mut wc = DijkstraWorkspace::for_graph(&c, policy);
-                wg.run(&g, s, dir);
-                wc.run(&c, s, dir);
-                prop_assert_eq!(
-                    wg.settle_order(),
-                    wc.settle_order(),
-                    "settle order from {} under {:?}/{:?}", s, policy, dir
-                );
-                for v in g.node_ids() {
-                    prop_assert_eq!(wg.distance(v), wc.distance(v));
-                    prop_assert_eq!(wg.parent(v), wc.parent(v));
-                }
+        for dir in [Direction::Forward, Direction::Reverse] {
+            let mut wg = DijkstraWorkspace::new(g.num_nodes());
+            let mut wc = DijkstraWorkspace::new(c.num_nodes());
+            wg.run(&g, s, dir);
+            wc.run(&c, s, dir);
+            prop_assert_eq!(
+                wg.settle_order(),
+                wc.settle_order(),
+                "settle order from {} under {:?}", s, dir
+            );
+            for v in g.node_ids() {
+                prop_assert_eq!(wg.distance(v), wc.distance(v));
+                prop_assert_eq!(wg.parent(v), wc.parent(v));
             }
         }
         let (peel_g, peel_c) = (Peel::new(&g, Direction::Forward), Peel::new(&c, Direction::Forward));
@@ -247,14 +243,14 @@ proptest! {
     }
 
     /// Zero-weight edges create equal-key ties; the CSR rebuild must
-    /// break them exactly like the builder graph under every policy.
+    /// break them exactly like the builder graph.
     #[test]
     fn from_csr_preserves_zero_weight_tie_breaks(
         edges in proptest::collection::vec((0u32..14, 0u32..14, 0u32..3u32), 1..60),
         source in 0u32..14,
     ) {
         use spair_roadnet::dijkstra::{DijkstraWorkspace, Direction};
-        use spair_roadnet::{GraphBuilder, QueuePolicy};
+        use spair_roadnet::GraphBuilder;
 
         let mut b = GraphBuilder::new();
         for i in 0..14u32 {
@@ -265,16 +261,14 @@ proptest! {
         }
         let g = b.finish();
         let c = rebuild_via_csr(&g);
-        for policy in [QueuePolicy::Auto, QueuePolicy::Heap, QueuePolicy::Bucket] {
-            let mut wg = DijkstraWorkspace::for_graph(&g, policy);
-            let mut wc = DijkstraWorkspace::for_graph(&c, policy);
-            wg.run(&g, source, Direction::Forward);
-            wc.run(&c, source, Direction::Forward);
-            prop_assert_eq!(wg.settle_order(), wc.settle_order(), "{:?}", policy);
-            for v in g.node_ids() {
-                prop_assert_eq!(wg.distance(v), wc.distance(v));
-                prop_assert_eq!(wg.parent(v), wc.parent(v));
-            }
+        let mut wg = DijkstraWorkspace::new(g.num_nodes());
+        let mut wc = DijkstraWorkspace::new(c.num_nodes());
+        wg.run(&g, source, Direction::Forward);
+        wc.run(&c, source, Direction::Forward);
+        prop_assert_eq!(wg.settle_order(), wc.settle_order());
+        for v in g.node_ids() {
+            prop_assert_eq!(wg.distance(v), wc.distance(v));
+            prop_assert_eq!(wg.parent(v), wc.parent(v));
         }
     }
 }

@@ -23,7 +23,6 @@ use crate::frame::{
 use spair_broadcast::{BroadcastChannel, BroadcastCycle, LossModel, Packet};
 use spair_core::query::{Query, QueryOutcome};
 use spair_methods::{ClientBootstrap, MethodRegistry};
-use spair_roadnet::QueuePolicy;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, UdpSocket};
 use std::time::{Duration, Instant};
@@ -142,6 +141,23 @@ impl std::fmt::Display for SessionFailure {
             SessionFailure::Frame(e) => write!(f, "stream framing error: {e}"),
             SessionFailure::Io(e) => write!(f, "socket error: {e}"),
             SessionFailure::Query(e) => write!(f, "client error: {e}"),
+        }
+    }
+}
+
+impl SessionFailure {
+    /// Stable snake-case class label, one per variant (the key of a
+    /// report's `failure_classes` breakdown).
+    pub fn label(&self) -> &'static str {
+        match self {
+            SessionFailure::Rejected(_) => "rejected",
+            SessionFailure::Evicted => "evicted",
+            SessionFailure::DaemonShutdown => "daemon_shutdown",
+            SessionFailure::Expired => "expired",
+            SessionFailure::Timeout => "timeout",
+            SessionFailure::Frame(_) => "frame",
+            SessionFailure::Io(_) => "io",
+            SessionFailure::Query(_) => "query",
         }
     }
 }
@@ -453,7 +469,8 @@ pub fn run_query(
         .get(&config.method)
         .map_err(|e| SessionFailure::Query(e.to_string()))?;
     let mut client = registry
-        .remote_client(id, &bootstrap, QueuePolicy::Heap)
+        .method(id)
+        .make_remote_client(&bootstrap)
         .map_err(|e| SessionFailure::Query(e.to_string()))?;
     let mut channel = BroadcastChannel::tune_in(
         &cycle,

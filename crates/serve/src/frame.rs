@@ -74,8 +74,6 @@ pub enum FrameError {
     BadText,
     /// Unknown transport tag in a Hello.
     BadTransport(u8),
-    /// Unknown queue-policy tag in a Hello.
-    BadQueue(u8),
     /// An enum-valued field carries an undefined tag.
     BadTag(u8),
     /// A `u16` length prefix on the stream is outside frame bounds —
@@ -98,7 +96,6 @@ impl std::fmt::Display for FrameError {
             FrameError::BadPacket => f.write_str("embedded packet image undecodable"),
             FrameError::BadText => f.write_str("method name is not UTF-8"),
             FrameError::BadTransport(t) => write!(f, "unknown transport tag {t}"),
-            FrameError::BadQueue(q) => write!(f, "unknown queue tag {q}"),
             FrameError::BadTag(t) => write!(f, "undefined field tag {t}"),
             FrameError::BadStreamLength(n) => write!(f, "stream length prefix {n} out of bounds"),
         }
@@ -123,7 +120,6 @@ impl FrameError {
             FrameError::BadPacket => "bad_packet",
             FrameError::BadText => "bad_text",
             FrameError::BadTransport(_) => "bad_transport",
-            FrameError::BadQueue(_) => "bad_queue",
             FrameError::BadTag(_) => "bad_tag",
             FrameError::BadStreamLength(_) => "bad_stream_length",
         }

@@ -81,7 +81,7 @@ fn socket_answers_match_in_process() {
                 config.offset = offset;
                 let (outcome, metrics) = run_query(&config, q).expect("socket query");
 
-                let mut baseline_client = program.make_client(QueuePolicy::Heap).unwrap();
+                let mut baseline_client = program.make_client(QueuePolicy::default()).unwrap();
                 let mut ch = BroadcastChannel::tune_in(
                     cycle,
                     (offset % cycle.len() as u64) as usize,
@@ -137,7 +137,7 @@ fn udp_drops_delay_but_do_not_corrupt() {
     let registry = MethodRegistry::standard();
     let program = programs.ensure(registry.get("nr").unwrap());
     let cycle = program.cycle().unwrap();
-    let mut baseline_client = program.make_client(QueuePolicy::Heap).unwrap();
+    let mut baseline_client = program.make_client(QueuePolicy::default()).unwrap();
     let mut ch = BroadcastChannel::lossless(cycle);
     let baseline = baseline_client.query(&mut ch, &q).unwrap();
     assert_eq!(outcome.distance, baseline.distance);

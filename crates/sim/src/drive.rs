@@ -119,20 +119,20 @@ pub enum Device {
     /// The §8 kNN client.
     Knn(Box<dyn KnnAirClient>),
     /// No channel: the program answers locally (§6.1 memory-bound
-    /// contraction) with this queue policy.
-    Local(QueuePolicy),
+    /// contraction).
+    Local,
 }
 
 impl Device {
     /// The device the program's descriptor calls for.
-    pub fn new(program: &dyn MethodProgram, queue: QueuePolicy) -> Result<Self, MethodUnavailable> {
+    pub fn new(program: &dyn MethodProgram) -> Result<Self, MethodUnavailable> {
         let d = program.descriptor();
         Ok(if d.knn {
             Device::Knn(program.make_knn_client()?)
         } else if d.air_client {
-            Device::Air(program.make_client(queue)?)
+            Device::Air(program.make_client(QueuePolicy::default())?)
         } else {
-            Device::Local(queue)
+            Device::Local
         })
     }
 
@@ -141,7 +141,7 @@ impl Device {
     pub fn export_arena(&mut self) -> Option<ClientArena> {
         match self {
             Device::Air(client) => client.export_arena(),
-            Device::Knn(_) | Device::Local(_) => None,
+            Device::Knn(_) | Device::Local => None,
         }
     }
 }
@@ -296,14 +296,13 @@ pub fn drive(
             // by its first give-up); otherwise no path was found.
             answer.map_err(|_| failure)
         }
-        (Device::Local(queue), WorkItem::P2p { .. } | WorkItem::OnEdge { .. }, _) => {
-            let queue = *queue;
+        (Device::Local, WorkItem::P2p { .. } | WorkItem::OnEdge { .. }, _) => {
             let single = RecoveryBudget::single();
             let s = supervise(single, 1, |_| {
                 let answer = answer_paths(g, item, |q| {
                     d.queries += 1;
                     program
-                        .local_answer(q, queue)
+                        .local_answer(q)
                         .unwrap_or(Err(QueryError::Aborted("method answers no local queries")))
                 });
                 (answer, AttemptReport::default())

@@ -44,8 +44,8 @@ use spair_core::patch::{build_patch_cycle, receive_patch, ClientArena, PatchErro
 use spair_core::{BorderPrecomputation, Query, RecoveryBudget};
 use spair_methods::{MethodId, MethodRegistry, ProgramSet, SessionShape, Tuning, World};
 use spair_partition::{KdTreePartition, Partitioning};
-use spair_roadnet::certify::{cells_json, Certified};
-use spair_roadnet::{dijkstra_distance, Distance, NetworkPreset, NodeId, RoadNetwork};
+use spair_roadnet::certify::{cells_json, counts_json, Certified};
+use spair_roadnet::{dijkstra_distance, Distance, NetworkPreset, NodeId, QueuePolicy, RoadNetwork};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -242,8 +242,7 @@ impl DynamicContext {
         seed: u64,
     ) -> (Driven, Device) {
         let program = self.worlds[v].ensure(method);
-        let mut device =
-            Device::new(program, self.spec.base.queue).expect("dynamic methods are air clients");
+        let mut device = Device::new(program).expect("dynamic methods are air clients");
         let (query, oracles) = &self.queries[qi];
         let item = WorkItem::P2p {
             query: *query,
@@ -323,17 +322,12 @@ impl DynamicCellReport {
     }
 
     fn json_fields(&self) -> String {
-        let classes: Vec<String> = self
-            .fallback_classes
-            .iter()
-            .map(|(c, n)| format!("\"{c}\": {n}"))
-            .collect();
         format!(
             "\"scenario\": \"{}\", \"traffic\": \"{}\", \"method\": \"{}\", \
              \"patches_incrementally\": {}, \"versions\": {}, \"queries\": {}, \
              \"answered\": {}, \"mismatches\": {}, \"typed_failures\": {}, \
              \"patch_sessions\": {}, \"fallback_retunes\": {}, \
-             \"fallback_classes\": {{{}}}, \"initial_tune_packets\": {}, \
+             \"fallback_classes\": {}, \"initial_tune_packets\": {}, \
              \"patch_packets\": {}, \"retune_packets\": {}, \"cycle_packets\": {}, \
              \"patch_cycle_packets\": {}, \"mean_update_packets_per_version\": {:.3}, \
              \"exact\": {}",
@@ -348,7 +342,7 @@ impl DynamicCellReport {
             self.typed_failures,
             self.patch_sessions,
             self.fallback_retunes,
-            classes.join(", "),
+            counts_json(&self.fallback_classes),
             self.initial_tune_packets,
             self.patch_packets,
             self.retune_packets,
@@ -555,7 +549,6 @@ fn patch_error_class(e: &PatchError) -> &'static str {
 /// oracle.
 pub fn run_dynamic_cell(ctx: &DynamicContext, method: MethodId) -> DynamicCellReport {
     let d = method.descriptor();
-    let queue = ctx.spec.base.queue;
     let tune = Tune::of(&ctx.spec.base);
     let single = RecoveryBudget::single();
     // The dynamic seed space is salted so it never collides with the
@@ -600,9 +593,11 @@ pub fn run_dynamic_cell(ctx: &DynamicContext, method: MethodId) -> DynamicCellRe
                 }
                 match patched {
                     Ok(_) => {
-                        let (res, _, certified) =
-                            ar.store
-                                .shortest_path_checked(query.source, query.target, queue);
+                        let (res, _, certified) = ar.store.shortest_path_checked(
+                            query.source,
+                            query.target,
+                            QueuePolicy::default(),
+                        );
                         if certified {
                             acc.patch_sessions += 1;
                             acc.count(res.is_some_and(|(dist, path)| {

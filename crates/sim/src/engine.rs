@@ -36,7 +36,7 @@ use spair_methods::{
 use spair_partition::KdTreePartition;
 use spair_roadnet::{
     dijkstra_distance, dijkstra_full, insert_positions, parallel, Distance, EdgePosition, NodeId,
-    Point, RoadNetwork, Weight,
+    Point, QueuePolicy, RoadNetwork, Weight,
 };
 
 /// The base seed of one channel session: a pure function of (scenario
@@ -159,7 +159,9 @@ impl ScenarioContext {
     /// an independent mobile client), or a typed error where the old
     /// dispatch had an `unreachable!` arm.
     pub fn client(&self, method: MethodId) -> Result<Box<dyn AirClient>, MethodUnavailable> {
-        self.programs.get(method)?.make_client(self.spec.queue)
+        self.programs
+            .get(method)?
+            .make_client(QueuePolicy::default())
     }
 
     /// Cycle length quoted in the method's cell reports (its own, or —
@@ -195,7 +197,7 @@ impl ScenarioContext {
         mut fold: impl FnMut(&WorkItem, Driven),
     ) {
         let program = self.program(method).ok();
-        let mut device = program.and_then(|p| Device::new(p, self.spec.queue).ok());
+        let mut device = program.and_then(|p| Device::new(p).ok());
         let knn = method.descriptor().knn;
         for (qi, item) in self.workload.iter().enumerate() {
             if matches!(item, WorkItem::Knn { .. }) != knn {

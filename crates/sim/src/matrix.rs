@@ -2,13 +2,12 @@
 //! `BENCH_scenarios.json` and the small CI smoke gate.
 
 use crate::spec::{GraphSpec, LossSpec, PartitionerKind, ScenarioSpec, WorkloadMix};
-use spair_roadnet::{NetworkPreset, QueuePolicy};
+use spair_roadnet::NetworkPreset;
 
 /// The default conformance matrix: eight scenarios covering all three
-/// loss models, both partitioners, three query kinds and all three queue
-/// policies, over grid-topology networks plus a scaled Milan preset
-/// (realistic weight distribution, which exercises the depth-aware
-/// `QueuePolicy::Auto` split).
+/// loss models, both partitioners and three query kinds, over
+/// grid-topology networks plus a scaled Milan preset (realistic weight
+/// distribution).
 pub fn default_matrix() -> Vec<ScenarioSpec> {
     let mut specs = Vec::new();
 
@@ -69,9 +68,10 @@ pub fn default_matrix() -> Vec<ScenarioSpec> {
         rate: 0.10,
         burst: 4.0,
     };
-    s.queue = QueuePolicy::Heap;
     specs.push(s);
 
+    // Named for the Dial bucket queue it once ran; the name stays so its
+    // cell identities, and with them the digests, stay comparable.
     s = ScenarioSpec::small("grid10-grid-bernoulli10-bucket", 108);
     s.graph = GraphSpec::Grid {
         width: 10,
@@ -79,7 +79,6 @@ pub fn default_matrix() -> Vec<ScenarioSpec> {
     };
     s.partitioner = PartitionerKind::UniformGrid;
     s.loss = LossSpec::Bernoulli { rate: 0.10 };
-    s.queue = QueuePolicy::Bucket;
     specs.push(s);
 
     specs

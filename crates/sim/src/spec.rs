@@ -2,15 +2,15 @@
 //!
 //! A [`ScenarioSpec`] names everything one simulated world varies: the
 //! graph, the partitioner, the channel noise, how clients tune in, the
-//! channel rate and device heap, the query workload mix, and the queue
-//! policy driving every client-side Dijkstra. Specs are plain data — the
+//! channel rate and device heap, and the query workload mix. Specs are
+//! plain data — the
 //! engine ([`crate::engine`]) turns a spec plus its seed into a fully
 //! deterministic run, so two runs of the same spec are byte-identical
 //! regardless of thread count.
 
 use spair_broadcast::{ChannelRate, DeviceProfile, FaultPlan, LossModel};
 use spair_roadnet::generators::small_grid;
-use spair_roadnet::{NetworkPreset, QueuePolicy, RoadNetwork};
+use spair_roadnet::{NetworkPreset, RoadNetwork};
 
 /// Which road network a scenario simulates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -312,8 +312,6 @@ pub struct ScenarioSpec {
     pub heap_budget_bytes: usize,
     /// Query workload mix.
     pub workload: WorkloadMix,
-    /// Queue policy handed to every client-side search.
-    pub queue: QueuePolicy,
     /// Master seed: graph generation, workload draws, tune-in offsets and
     /// loss-model streams all derive from it.
     pub seed: u64,
@@ -342,7 +340,6 @@ impl ScenarioSpec {
                 knn: 3,
                 k: 3,
             },
-            queue: QueuePolicy::Auto,
             seed,
         }
     }

@@ -118,7 +118,7 @@ proptest! {
         for &m in &methods {
             let cycle = ctx.cycle(m).expect("air program built");
             let program = ctx.program(m).expect("air program built");
-            let mut supervised = Device::new(program, ctx.spec.queue).expect("air client");
+            let mut supervised = Device::new(program).expect("air client");
             let mut raw = ctx.client(m).expect("air client");
             for (qi, item) in ctx.workload.iter().enumerate() {
                 let WorkItem::P2p { query, oracle } = item else { continue };

@@ -10,7 +10,7 @@
 #   scripts/digest_gate.sh --package spair-sim --bin bench_scenarios \
 #       --out /tmp/full.json --expect BENCH_scenarios.json
 #   scripts/digest_gate.sh --package spair-sim --bin bench_scenarios \
-#       --out /tmp/legacy9.json --expect 8a6f7c37dd620807 \
+#       --out /tmp/legacy9.json --expect 1cef0841b0e42909 \
 #       --methods nr,eb,dj,ld,af,spq_air,hiti_air,nr_mem_bound,knn_air
 #   scripts/digest_gate.sh --package spair-sim --bin bench_faults \
 #       --out /tmp/faults_t4.json --expect 45e913420811fb2d -- --smoke --threads 4

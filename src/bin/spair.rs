@@ -19,7 +19,7 @@
 
 use spair::core::RecoveryBudget;
 use spair::prelude::*;
-use spair::roadnet::{self, Distance, NodeId, QueuePolicy};
+use spair::roadnet::{self, Distance, NodeId};
 use spair_methods::{MethodId, MethodRegistry, ProgramSet, Tuning, World};
 use spair_sim::{
     drive, Device, Driven, FaultSource, LossSpec, Tune, TuneInSpec, Verdict, WorkItem,
@@ -235,7 +235,7 @@ fn run(
     seed: u64,
 ) -> Result<Driven, String> {
     let (program, g) = (programs.ensure(m), &programs.world().g);
-    let mut device = Device::new(program, QueuePolicy::default()).map_err(|e| e.to_string())?;
+    let mut device = Device::new(program).map_err(|e| e.to_string())?;
     let single = RecoveryBudget::single();
     let d = drive(program, &mut device, g, item, tune, single, |_| seed);
     match d.verdict {

@@ -1,18 +1,16 @@
-//! Property tests for the parallel kernels: bucket-queue Dijkstra, the
-//! queue-generic workspace, the parallel precomputation pipeline and the
-//! SPQ first-hop/quadtree fast path must all agree exactly with their
+//! Property tests for the parallel kernels: the reusable Dijkstra
+//! workspace, the parallel precomputation pipeline and the SPQ
+//! first-hop/quadtree fast path must all agree exactly with their
 //! serial / naive references on random generated networks.
 
 use proptest::prelude::*;
 use spair::prelude::*;
 use spair_core::BorderPrecomputation;
-use spair_roadnet::dijkstra::{
-    dijkstra_with_options, DijkstraOptions, DijkstraWorkspace, Direction,
-};
+use spair_roadnet::dijkstra::{DijkstraWorkspace, Direction};
 use spair_roadnet::first_hop::{first_hops_from_source_tree, first_hops_from_tree, NO_FIRST_HOP};
 use spair_roadnet::generators::GeneratorConfig;
 use spair_roadnet::peel::{Peel, SourceTree};
-use spair_roadnet::{dijkstra_full, NodeId, QueuePolicy, Weight};
+use spair_roadnet::{dijkstra_full, NodeId, Weight};
 
 fn arb_network() -> impl Strategy<Value = RoadNetwork> {
     (30usize..160, 0u64..1000, 0.05f64..0.6).prop_map(|(nodes, seed, extra)| {
@@ -60,64 +58,21 @@ fn arb_tie_network() -> impl Strategy<Value = RoadNetwork> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Bucket-queue Dijkstra settles every node at exactly the heap
-    /// distances — full single-source trees from several sources.
+    /// The reusable workspace reproduces fresh `dijkstra_full` trees —
+    /// distances, parents and settle order — across consecutive runs on
+    /// one workspace (version-stamp reuse).
     #[test]
-    fn bucket_queue_dijkstra_matches_heap(g in arb_network(), src in 0usize..10_000) {
-        let s = (src % g.num_nodes()) as NodeId;
-        let heap = dijkstra_with_options(&g, s, DijkstraOptions {
-            target: None,
-            bound: None,
-            queue: QueuePolicy::Heap,
-        }).0;
-        let bucket = dijkstra_with_options(&g, s, DijkstraOptions {
-            target: None,
-            bound: None,
-            queue: QueuePolicy::Bucket,
-        }).0;
-        for v in g.node_ids() {
-            prop_assert_eq!(heap.distance(v), bucket.distance(v), "node {}", v);
-        }
-        // Both settle the same node set (ties may reorder it).
-        prop_assert_eq!(heap.settle_order().len(), bucket.settle_order().len());
-    }
-
-    /// Early-terminating point-to-point search agrees across policies,
-    /// including `Auto` (which resolves to buckets on these weights).
-    #[test]
-    fn bucket_point_to_point_matches_heap(
-        g in arb_network(),
-        pair in (0usize..10_000, 0usize..10_000),
-    ) {
-        let s = (pair.0 % g.num_nodes()) as NodeId;
-        let t = (pair.1 % g.num_nodes()) as NodeId;
-        let reference = dijkstra_with_options(&g, s, DijkstraOptions {
-            target: Some(t),
-            bound: None,
-            queue: QueuePolicy::Heap,
-        }).0.distance(t);
-        for queue in [QueuePolicy::Bucket, QueuePolicy::Auto] {
-            let got = dijkstra_with_options(&g, s, DijkstraOptions {
-                target: Some(t),
-                bound: None,
-                queue,
-            }).0.distance(t);
-            prop_assert_eq!(reference, got);
-        }
-    }
-
-    /// The reusable workspace produces heap-identical distances when
-    /// driven by the bucket queue, across repeated runs (stamp reuse).
-    #[test]
-    fn bucket_workspace_matches_fresh_runs(g in arb_network(), seed in 0usize..10_000) {
-        let mut ws = DijkstraWorkspace::for_graph(&g, QueuePolicy::Bucket);
+    fn heap_workspace_matches_fresh_runs(g in arb_network(), seed in 0usize..10_000) {
+        let mut ws = DijkstraWorkspace::new(g.num_nodes());
         for step in 0..3usize {
             let s = ((seed + step * 41) % g.num_nodes()) as NodeId;
             ws.run(&g, s, Direction::Forward);
             let fresh = dijkstra_full(&g, s);
             for v in g.node_ids() {
                 prop_assert_eq!(ws.distance(v), fresh.distance(v), "src {} node {}", s, v);
+                prop_assert_eq!(ws.parent(v), fresh.parent(v), "src {} node {}", s, v);
             }
+            prop_assert_eq!(ws.settle_order(), fresh.settle_order(), "src {}", s);
         }
     }
 
