@@ -1,191 +1,101 @@
-//! Criterion micro-benchmarks: index construction, cycle assembly and
-//! client query processing for every method, on a moderate network.
+//! Criterion micro-benchmarks: program builds and client sessions for
+//! every registered method, on a moderate network.
 //!
 //! These complement the table/figure runners in `src/bin/experiments.rs`
 //! (which print the paper's rows); the micro-benchmarks track the cost of
 //! the individual building blocks so regressions are visible in isolation.
+//! Every program comes from the registry's `ProgramSet`, and every
+//! session runs through `spair_sim::drive` over the scenario's workload.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use spair_bench::{random_queries, Method, Programs, World, PER_QUERY_METHODS};
-use spair_broadcast::{BroadcastChannel, LossModel};
-use spair_partition::{KdTreePartition, Partitioning};
-use spair_roadnet::{dijkstra_full, dijkstra_to_target, NetworkPreset};
+use criterion::{criterion_group, criterion_main, Criterion};
+use spair_core::RecoveryBudget;
+use spair_methods::{MethodRegistry, ProgramSet};
+use spair_partition::KdTreePartition;
+use spair_roadnet::NetworkPreset;
+use spair_sim::{
+    drive, Device, GraphSpec, LossSpec, ScenarioContext, ScenarioSpec, Tune, WorkItem, WorkloadMix,
+};
 
-fn bench_world() -> World {
-    World::build(NetworkPreset::Milan, 0.05, 16, 42)
+/// Milan at 5% scale in 16 kd regions, with point-to-point, on-edge and
+/// kNN items and every registered method's program.
+fn bench_context() -> ScenarioContext {
+    let spec = ScenarioSpec {
+        graph: GraphSpec::Preset {
+            preset: NetworkPreset::Milan,
+            scale: 0.05,
+        },
+        regions: 16,
+        workload: WorkloadMix {
+            point_to_point: 16,
+            on_edge: 4,
+            knn: 4,
+            k: 4,
+        },
+        ..ScenarioSpec::small("bench", 42)
+    };
+    ScenarioContext::build(&spec, &MethodRegistry::standard().all())
 }
 
-fn bench_dijkstra(c: &mut Criterion) {
-    let g = NetworkPreset::Germany.scaled_config(1, 0.1).generate();
-    c.bench_function("dijkstra/full_tree", |b| b.iter(|| dijkstra_full(&g, 0)));
-    c.bench_function("dijkstra/point_to_point", |b| {
-        b.iter(|| dijkstra_to_target(&g, 0, (g.num_nodes() / 2) as u32))
-    });
-}
-
-fn bench_precompute(c: &mut Criterion) {
+fn bench_partition(c: &mut Criterion) {
     let g = NetworkPreset::Milan.scaled_config(2, 0.05).generate();
     c.bench_function("server/kd_partition_32", |b| {
         b.iter(|| KdTreePartition::build(&g, 32))
     });
-    let part = KdTreePartition::build(&g, 16);
-    c.bench_function("server/border_precompute_16", |b| {
-        b.iter(|| spair_core::BorderPrecomputation::run(&g, &part))
-    });
 }
 
 fn bench_program_builds(c: &mut Criterion) {
-    let world = bench_world();
-    c.bench_function("server/eb_program", |b| {
-        b.iter(|| spair_core::EbServer::new(&world.g, &world.part, &world.pre).build_program())
-    });
-    c.bench_function("server/nr_program", |b| {
-        b.iter(|| spair_core::NrServer::new(&world.g, &world.part, &world.pre).build_program())
-    });
-}
-
-fn bench_clients(c: &mut Criterion) {
-    let world = bench_world();
-    let programs = Programs::build_tuned(&world, 8, 4);
-    let queries = random_queries(&world.g, 16, 7);
-    for m in PER_QUERY_METHODS {
-        c.bench_function(&format!("client/{}", m.label()), |b| {
-            let cycle = programs.cycle(m);
-            let mut i = 0usize;
-            b.iter_batched(
-                || {
-                    let q = queries[i % queries.len()];
-                    i += 1;
-                    (programs.client(m), q)
-                },
-                |(mut client, q)| {
-                    let mut ch = BroadcastChannel::tune_in(cycle, 0, LossModel::Lossless);
-                    client.query(&mut ch, &q).unwrap()
-                },
-                BatchSize::SmallInput,
-            )
+    let ctx = bench_context();
+    for m in MethodRegistry::standard().all() {
+        c.bench_function(&format!("server/{}_program", m.name()), |b| {
+            b.iter(|| {
+                let set = ProgramSet::new(ctx.world().clone());
+                set.ensure(m);
+                set
+            })
         });
     }
 }
 
-fn bench_lossy_client(c: &mut Criterion) {
-    let world = bench_world();
-    let programs = Programs::build_tuned(&world, 8, 4);
-    let q = random_queries(&world.g, 1, 11)[0];
-    c.bench_function("client/NR_loss_5pct", |b| {
-        let cycle = programs.cycle(Method::NR);
-        let mut seed = 0u64;
-        b.iter_batched(
-            || {
-                seed += 1;
-                (
-                    programs.client(Method::NR),
-                    LossModel::bernoulli(0.05, seed),
-                )
-            },
-            |(mut client, loss)| {
-                let mut ch = BroadcastChannel::tune_in(cycle, 0, loss);
-                client.query(&mut ch, &q).unwrap()
-            },
-            BatchSize::SmallInput,
-        )
-    });
-}
-
-fn bench_heavy_baselines(c: &mut Criterion) {
-    use spair_baselines::hiti::HiTiIndex;
-    use spair_baselines::hiti_air::{HiTiAirClient, HiTiAirServer};
-    use spair_baselines::spq::SpqIndex;
-    use spair_baselines::spq_air::{SpqAirServer, SpqClient};
-    use spair_core::query::AirClient;
-
-    let world = bench_world();
-    c.bench_function("server/hiti_hierarchy", |b| {
-        b.iter(|| HiTiIndex::build(&world.g, 8, 3))
-    });
-    let hiti = HiTiIndex::build(&world.g, 8, 3);
-    c.bench_function("server/hiti_program", |b| {
-        b.iter(|| HiTiAirServer::new(&world.g, &hiti).build_program())
-    });
-    let hiti_program = HiTiAirServer::new(&world.g, &hiti)
-        .build_program()
-        .expect("encode");
-    let q = random_queries(&world.g, 1, 5)[0];
-    c.bench_function("client/HiTi", |b| {
-        b.iter(|| {
-            let mut ch = BroadcastChannel::lossless(hiti_program.cycle());
-            HiTiAirClient::new().query(&mut ch, &q).unwrap()
-        })
-    });
-
-    let spq = SpqIndex::build(&world.g);
-    c.bench_function("server/spq_program", |b| {
-        b.iter(|| SpqAirServer::new(&world.g, &spq).build_program())
-    });
-    let spq_program = SpqAirServer::new(&world.g, &spq)
-        .build_program()
-        .expect("encode");
-    c.bench_function("client/SPQ", |b| {
-        b.iter(|| {
-            let mut ch = BroadcastChannel::lossless(spq_program.cycle());
-            SpqClient::new(spq_program.bbox())
-                .query(&mut ch, &q)
-                .unwrap()
-        })
-    });
-}
-
-fn bench_extensions(c: &mut Criterion) {
-    use spair_core::{on_edge_query, KnnClient, KnnServer, OnEdgePoint};
-
-    let world = bench_world();
-    let programs = Programs::build_tuned(&world, 8, 4);
-
-    // On-air kNN.
-    let pois: Vec<u32> = world.g.node_ids().step_by(20).collect();
-    let knn_program = KnnServer::new(&world.g, &world.part, &world.pre, &pois)
-        .build_program()
-        .expect("encode");
-    c.bench_function("client/knn_k4", |b| {
-        b.iter(|| {
-            let mut ch = BroadcastChannel::lossless(knn_program.cycle());
-            KnnClient::new(world.part.num_regions())
-                .query(&mut ch, 0, world.g.point(0), 4)
-                .unwrap()
-        })
-    });
-
-    // On-edge queries through the NR client.
-    let (u, v, w) = world
-        .g
-        .node_ids()
-        .find_map(|x| {
-            world
-                .g
-                .out_edges(x)
-                .find(|&(y, wt)| wt >= 4 && world.g.weight_between(y, x) == Some(wt))
-                .map(|(y, wt)| (x, y, wt))
-        })
-        .expect("splittable arc");
-    let src = OnEdgePoint::on_undirected(&world.g, u, v, w / 2);
-    let q = random_queries(&world.g, 1, 23)[0];
-    let dst = OnEdgePoint::at_node(&world.g, q.target);
-    c.bench_function("client/on_edge_via_nr", |b| {
-        b.iter(|| {
-            let mut client = programs.client(Method::NR);
-            on_edge_query(&src, &dst, |q| {
-                let mut ch = BroadcastChannel::lossless(programs.cycle(Method::NR));
-                client.query(&mut ch, q)
+/// Drives each method through its portion of the workload (its kNN items
+/// for the kNN method, every other item otherwise), one item per
+/// iteration on one reused device, tuned in at the cycle's start.
+fn bench_clients(c: &mut Criterion) {
+    let ctx = bench_context();
+    let lossy = Tune {
+        loss: LossSpec::Bernoulli { rate: 0.05 },
+        ..Tune::at(0)
+    };
+    let nr = [("nr_loss_5pct", spair_methods::MethodId::NR, lossy)];
+    let lossless = MethodRegistry::standard()
+        .all()
+        .into_iter()
+        .map(|m| (m.name(), m, Tune::at(0)));
+    for (name, m, tune) in lossless.chain(nr) {
+        let program = ctx.program(m).expect("built for every method");
+        let mut device = Device::new(program).expect("every method has a device");
+        let knn = m.descriptor().knn;
+        let items: Vec<&WorkItem> = ctx
+            .workload
+            .iter()
+            .filter(|item| matches!(item, WorkItem::Knn { .. }) == knn)
+            .collect();
+        let mut i = 0u64;
+        c.bench_function(&format!("client/{name}"), |b| {
+            b.iter(|| {
+                let item = items[i as usize % items.len()];
+                i += 1;
+                let single = RecoveryBudget::single();
+                drive(program, &mut device, ctx.g(), item, &tune, single, |sub| {
+                    i ^ sub as u64
+                })
             })
-            .unwrap()
-        })
-    });
+        });
+    }
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_dijkstra, bench_precompute, bench_program_builds, bench_clients,
-        bench_lossy_client, bench_heavy_baselines, bench_extensions
+    targets = bench_partition, bench_program_builds, bench_clients
 }
 criterion_main!(benches);

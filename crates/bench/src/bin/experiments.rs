@@ -16,19 +16,59 @@
 //!        --list-methods  print the registry's air methods and exit
 //! ```
 //!
+//! Every experiment follows the paper's §7 protocol: a road network (one
+//! of the five presets, scaled by `--scale` to keep single-core runtimes
+//! sane; `--full` restores paper scale), fine-tuned partitionings (AF 16,
+//! EB and NR 32 regions; LD 4 landmarks on the default network), and N
+//! shortest-path queries between uniformly random node pairs, each posed
+//! at a uniformly random tune-in instant.
+//!
+//! Programs come from the method registry's [`ProgramSet`], and every
+//! session runs through [`spair_sim::drive()`] in one unsupervised attempt
+//! and is checked against a Dijkstra oracle: the distance and a valid
+//! path for point-to-point queries, the distance list for kNN. Each
+//! experiment prints one tally line (exact / wrong / failed by class);
+//! any wrong or failed session makes the run exit 1.
+//!
 //! Numbers are expected to reproduce the paper's *shape* (who wins, by
 //! roughly what factor, where crossovers fall), not its absolute values:
 //! the networks are synthetic with the paper's sizes, and the host is not
 //! a 2010 J2ME handset.
 
-use spair_bench::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use spair_broadcast::{ChannelRate, DeviceProfile, EnergyModel};
 use spair_core::memory_bound::MemoryBoundProcessor;
-use spair_core::netcodec::{decode_payload, encode_nodes_with_borders, ReceivedGraph};
-use spair_core::Query;
-use spair_partition::{Partitioning, RegionId};
+use spair_core::netcodec::{
+    decode_payload, encode_nodes_with_borders, packet_count, ReceivedGraph,
+};
+use spair_core::{BorderPrecomputation, EbProgram, Query, RecoveryBudget};
+use spair_methods::eb::EbMethodProgram;
+use spair_methods::{MethodId as Method, MethodRegistry, ProgramSet, Tuning, World};
+use spair_partition::{KdTreePartition, Partitioning};
 use spair_roadnet::certify::{Cli, UsageError};
-use spair_roadnet::{NetworkPreset, NodeId};
+use spair_roadnet::{dijkstra_full, Distance, NetworkPreset, NodeId, RoadNetwork};
+use spair_sim::{
+    drive, knn_item, p2p_item, Device, Driven, FaultSource, LossSpec, Tune, TuneInSpec, Verdict,
+    WorkItem,
+};
+use std::collections::BTreeMap;
+use std::fmt;
+
+/// Default scale factor for experiment networks (the evaluation host is a
+/// single core; `--full` restores 1.0).
+const DEFAULT_SCALE: f64 = 0.2;
+/// EB's (and NR's) fine-tuned region count (§7).
+const EB_REGIONS: usize = 32;
+/// ArcFlag's fine-tuned region count.
+const AF_REGIONS: usize = 16;
+/// Landmark's fine-tuned anchor count.
+const LD_LANDMARKS: usize = 4;
+/// Queries per experiment in the paper.
+const PAPER_QUERIES: usize = 400;
+
+/// The methods of the paper's per-query experiments, in chart order.
+const PER_QUERY_METHODS: [Method; 5] = [Method::NR, Method::EB, Method::DJ, Method::LD, Method::AF];
 
 struct Opts {
     cmd: String,
@@ -42,8 +82,9 @@ struct Opts {
     methods: Vec<Method>,
 }
 
-/// One table or figure of the paper.
-type Experiment = fn(&Opts);
+/// One table or figure of the paper; its sessions' verdicts fold into
+/// the tally.
+type Experiment = fn(&Opts, &mut Tally);
 
 /// The experiment subcommands, in `all` order.
 const EXPERIMENTS: [(&str, Experiment); 9] = [
@@ -115,11 +156,216 @@ fn main() {
         },
         opts.seed
     );
+    let mut clean = true;
     for (name, run) in EXPERIMENTS {
         if opts.cmd == "all" || opts.cmd == name {
-            run(&opts);
+            let mut tally = Tally::default();
+            run(&opts, &mut tally);
+            println!("tally {name}: {tally}");
+            clean &= tally.clean();
         }
     }
+    if !clean {
+        eprintln!("experiments: some sessions were wrong or failed");
+        std::process::exit(1);
+    }
+}
+
+/// One experiment's answer verdicts.
+#[derive(Debug, Default)]
+struct Tally {
+    exact: usize,
+    wrong: usize,
+    /// Typed give-ups by root-cause class.
+    failed: BTreeMap<&'static str, usize>,
+}
+
+impl Tally {
+    fn push(&mut self, verdict: Verdict) {
+        match verdict {
+            Verdict::Exact => self.exact += 1,
+            Verdict::Wrong => self.wrong += 1,
+            Verdict::Failed(class) => *self.failed.entry(class).or_default() += 1,
+        }
+    }
+
+    fn clean(&self) -> bool {
+        self.wrong == 0 && self.failed.is_empty()
+    }
+}
+
+impl fmt::Display for Tally {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let failed: usize = self.failed.values().sum();
+        write!(
+            f,
+            "{} exact / {} wrong / {failed} failed",
+            self.exact, self.wrong
+        )?;
+        if failed > 0 {
+            write!(f, " {:?}", self.failed)?;
+        }
+        Ok(())
+    }
+}
+
+/// Averaged measurements over the answered sessions of a run.
+#[derive(Debug, Clone, Copy, Default)]
+struct Averages {
+    /// Mean tuning time in packets.
+    tuning: f64,
+    /// Mean access latency in packets.
+    latency: f64,
+    /// Peak client memory in bytes over all sessions.
+    peak_memory: usize,
+    /// Mean client CPU per query in milliseconds.
+    cpu_ms: f64,
+    /// Sessions aggregated.
+    count: usize,
+}
+
+impl Averages {
+    /// Folds one session in; a session without an answer adds nothing.
+    fn push(&mut self, d: &Driven) {
+        let Some(s) = &d.stats else { return };
+        let n = self.count as f64;
+        self.tuning = (self.tuning * n + s.tuning_packets as f64) / (n + 1.0);
+        self.latency = (self.latency * n + s.latency_packets as f64) / (n + 1.0);
+        self.peak_memory = self.peak_memory.max(s.peak_memory_bytes);
+        self.cpu_ms = (self.cpu_ms * n + s.cpu.as_secs_f64() * 1000.0) / (n + 1.0);
+        self.count += 1;
+    }
+
+    fn of(results: &[Driven]) -> Self {
+        let mut avg = Self::default();
+        for d in results {
+            avg.push(d);
+        }
+        avg
+    }
+}
+
+/// A world's registry programs, with AF's region count and LD's landmark
+/// count fine-tuned as in §7.
+fn programs(world: World, af_regions: usize, landmarks: usize) -> ProgramSet {
+    ProgramSet::new(world.with_tuning(Tuning {
+        af_regions: Some(af_regions),
+        ld_landmarks: landmarks,
+        ..Tuning::default()
+    }))
+}
+
+/// `n` point-to-point items with their oracle distances.
+fn p2p_items(g: &RoadNetwork, n: usize, seed: u64) -> Vec<WorkItem> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n).map(|_| p2p_item(g, &mut rng)).collect()
+}
+
+/// The query and oracle distance of a point-to-point item.
+fn p2p(item: &WorkItem) -> (&Query, Distance) {
+    match item {
+        WorkItem::P2p { query, oracle } => (query, *oracle),
+        _ => unreachable!("experiments draw point-to-point items"),
+    }
+}
+
+/// A fault-free session under `loss` at a uniform tune-in instant.
+fn uniform(loss: LossSpec) -> Tune {
+    Tune {
+        tune_in: TuneInSpec::Uniform,
+        loss,
+        faults: FaultSource::None,
+    }
+}
+
+/// A lossless [`uniform`] session, whatever the item.
+fn lossless(_: usize) -> Tune {
+    uniform(LossSpec::Lossless)
+}
+
+/// Drives `items` through one method's program on one device, each in a
+/// single unsupervised attempt: item `i` tunes in by `tune(i)` and draws
+/// its session streams from `seed + i`. Folds every verdict into `tally`.
+fn run(
+    programs: &ProgramSet,
+    m: Method,
+    items: &[WorkItem],
+    tune: impl Fn(usize) -> Tune,
+    seed: u64,
+    tally: &mut Tally,
+) -> Vec<Driven> {
+    let program = programs.ensure(m);
+    let mut device = Device::new(program).ok();
+    let g = &programs.world().g;
+    items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| {
+            let d = match device.as_mut() {
+                Some(dev) => drive(
+                    program,
+                    dev,
+                    g,
+                    item,
+                    &tune(i),
+                    RecoveryBudget::single(),
+                    |_| seed.wrapping_add(i as u64),
+                ),
+                None => Driven::default(),
+            };
+            tally.push(d.verdict);
+            d
+        })
+        .collect()
+}
+
+/// Cycle length of a method that broadcasts its own cycle.
+fn cycle_len(programs: &ProgramSet, m: Method) -> usize {
+    programs
+        .ensure(m)
+        .cycle()
+        .map(|c| c.len())
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The concrete EB program (replication / index-packet ablations).
+fn eb(programs: &ProgramSet) -> &EbProgram {
+    programs
+        .ensure(Method::EB)
+        .as_any()
+        .downcast_ref::<EbMethodProgram>()
+        .expect("EB slot holds the EB program")
+        .program()
+}
+
+/// Approximate network diameter by a double sweep (for Figure 10's length
+/// buckets).
+fn approx_diameter(g: &RoadNetwork) -> Distance {
+    let t0 = dijkstra_full(g, 0);
+    let far = g
+        .node_ids()
+        .filter(|&v| t0.reachable(v))
+        .max_by_key(|&v| t0.distance(v))
+        .unwrap_or(0);
+    let t1 = dijkstra_full(g, far);
+    g.node_ids()
+        .filter(|&v| t1.reachable(v))
+        .map(|v| t1.distance(v))
+        .max()
+        .unwrap_or(0)
+}
+
+/// Formats a count with thousands separators.
+fn fmt_thousands(v: usize) -> String {
+    let s = v.to_string();
+    let mut out = String::new();
+    for (i, c) in s.chars().enumerate() {
+        if i > 0 && (s.len() - i).is_multiple_of(3) {
+            out.push(',');
+        }
+        out.push(c);
+    }
+    out
 }
 
 fn default_world(opts: &Opts) -> World {
@@ -135,28 +381,23 @@ fn queries_or(opts: &Opts, default: usize) -> usize {
 }
 
 /// Table 1: broadcast cycle length per method on the default network.
-fn table1(opts: &Opts) {
+fn table1(opts: &Opts, _: &mut Tally) {
     println!(
         "\n== Table 1: Broadcast cycle length (Germany @ {:.2}) ==",
         opts.scale
     );
-    let world = default_world(opts);
-    let programs = Programs::build(&world);
-    let registry = MethodRegistry::standard();
+    let programs = programs(default_world(opts), AF_REGIONS, LD_LANDMARKS);
     eprintln!("  building HiTi hierarchy...");
-    let hiti = registry.get("hiti_air").expect("registered");
-    let hiti_len = programs.cycle(hiti).len();
+    let hiti_len = cycle_len(&programs, Method::HITI_AIR);
     eprintln!("  building SPQ quadtrees (one shortest-path tree per node)...");
-    let spq = registry.get("spq_air").expect("registered");
-    let spq_len = programs.cycle(spq).len();
-    let dj_len = programs.cycle(Method::DJ).len();
+    let spq_len = cycle_len(&programs, Method::SPQ_AIR);
 
     let rows: Vec<(&str, usize)> = vec![
-        ("Dijkstra (DJ)", dj_len),
-        ("NR", programs.cycle(Method::NR).len()),
-        ("EB", programs.cycle(Method::EB).len()),
-        ("Landmark (LD)", programs.cycle(Method::LD).len()),
-        ("ArcFlag (AF)", programs.cycle(Method::AF).len()),
+        ("Dijkstra (DJ)", cycle_len(&programs, Method::DJ)),
+        ("NR", cycle_len(&programs, Method::NR)),
+        ("EB", cycle_len(&programs, Method::EB)),
+        ("Landmark (LD)", cycle_len(&programs, Method::LD)),
+        ("ArcFlag (AF)", cycle_len(&programs, Method::AF)),
         ("SPQ", spq_len),
         ("HiTi", hiti_len),
     ];
@@ -176,7 +417,7 @@ fn table1(opts: &Opts) {
 }
 
 /// Table 2: method applicability per network against the (scaled) heap.
-fn table2(opts: &Opts) {
+fn table2(opts: &Opts, tally: &mut Tally) {
     println!("\n== Table 2: Method applicability per network ==");
     let heap = (DeviceProfile::J2ME_PHONE.heap_bytes as f64 * opts.scale) as usize;
     println!(
@@ -190,23 +431,20 @@ fn table2(opts: &Opts) {
     let n_queries = queries_or(opts, 20);
     for preset in NetworkPreset::ALL {
         let world = World::build(preset, opts.scale, EB_REGIONS, opts.seed);
-        let programs = Programs::build(&world);
-        let queries = random_queries(&world.g, n_queries, opts.seed + 1);
+        let (nodes, edges) = (world.g.num_nodes(), world.g.num_edges() / 2);
+        let programs = programs(world, AF_REGIONS, LD_LANDMARKS);
+        let items = p2p_items(&programs.world().g, n_queries, opts.seed + 1);
         let mut marks = Vec::new();
         for m in [Method::AF, Method::LD, Method::DJ, Method::EB, Method::NR] {
-            let results = run_method(&programs, m, &queries, 0.0, opts.seed + 2);
-            let peak = results
-                .iter()
-                .map(|(_, s)| s.peak_memory_bytes)
-                .max()
-                .unwrap_or(0);
+            let results = run(&programs, m, &items, lossless, opts.seed + 2, tally);
+            let peak = Averages::of(&results).peak_memory;
             marks.push(if peak <= heap { "ok" } else { "--" });
         }
         println!(
             "{:<14} {:>8} {:>8}   {:>3} {:>3} {:>3} {:>3} {:>3}",
             preset.name(),
-            fmt_thousands(world.g.num_nodes()),
-            fmt_thousands(world.g.num_edges() / 2),
+            fmt_thousands(nodes),
+            fmt_thousands(edges),
             marks[0],
             marks[1],
             marks[2],
@@ -221,51 +459,31 @@ fn table2(opts: &Opts) {
     // the smallest network instead of asserting it.
     println!("\n-- extension: measured HiTi/SPQ peak memory on Milan --");
     let world = World::build(NetworkPreset::Milan, opts.scale, EB_REGIONS, opts.seed);
-    let programs = Programs::build(&world);
-    let queries = random_queries(&world.g, 5, opts.seed + 3);
-    let registry = MethodRegistry::standard();
-    let mut rows = Vec::new();
-    for (name, method) in [("HiTi", "hiti_air"), ("SPQ", "spq_air")] {
-        let m = registry.get(method).expect("registered");
-        let cycle = programs.cycle(m);
-        let mut client = programs.client(m);
-        rows.push((name, run_air_client(client.as_mut(), cycle, &queries)));
-    }
+    let programs = programs(world, AF_REGIONS, LD_LANDMARKS);
+    let items = p2p_items(&programs.world().g, 5, opts.seed + 3);
     let mb = |bytes: usize| bytes as f64 / (1024.0 * 1024.0);
-    for (name, peak) in rows {
-        match peak {
-            Ok(peak) => println!(
-                "{name:<6} peak {:>8.3} MB vs heap {:>8.3} MB  -> {}",
-                mb(peak),
-                mb(heap),
-                if peak <= heap { "ok" } else { "exceeds heap" },
-            ),
-            Err(e) => println!("{name:<6} FAILED ({e}) vs heap {:>8.3} MB", mb(heap)),
-        }
+    for (name, m) in [("HiTi", Method::HITI_AIR), ("SPQ", Method::SPQ_AIR)] {
+        let len = cycle_len(&programs, m);
+        let at = |i: usize| Tune::at((i * 131) % len);
+        let results = run(&programs, m, &items, at, 0, tally);
+        let peak = Averages::of(&results).peak_memory;
+        let fit = if results.iter().any(|d| d.verdict != Verdict::Exact) {
+            "not exact, see the tally"
+        } else if peak <= heap {
+            "ok"
+        } else {
+            "exceeds heap"
+        };
+        println!(
+            "{name:<6} peak {:>8.3} MB vs heap {:>8.3} MB  -> {fit}",
+            mb(peak),
+            mb(heap),
+        );
     }
-}
-
-/// Peak memory of an air client over a query set (lossless), or the
-/// first query that failed.
-fn run_air_client(
-    client: &mut dyn spair_core::query::AirClient,
-    cycle: &spair_broadcast::BroadcastCycle,
-    queries: &[Query],
-) -> Result<usize, String> {
-    use spair_broadcast::{BroadcastChannel, LossModel};
-    let mut peak = 0;
-    for (i, q) in queries.iter().enumerate() {
-        let mut ch = BroadcastChannel::tune_in(cycle, (i * 131) % cycle.len(), LossModel::Lossless);
-        let out = client
-            .query(&mut ch, q)
-            .map_err(|e| format!("query {i}: {e}"))?;
-        peak = peak.max(out.stats.peak_memory_bytes);
-    }
-    Ok(peak)
 }
 
 /// Table 3: server precomputation time per network.
-fn table3(opts: &Opts) {
+fn table3(opts: &Opts, _: &mut Tally) {
     println!("\n== Table 3: Pre-computation time (sec) ==");
     println!(
         "{:<14} {:>10} {:>10} {:>10}",
@@ -273,45 +491,47 @@ fn table3(opts: &Opts) {
     );
     for preset in NetworkPreset::ALL {
         let world = World::build(preset, opts.scale, EB_REGIONS, opts.seed);
-        let programs = Programs::build(&world);
+        let programs = programs(world, AF_REGIONS, LD_LANDMARKS);
         println!(
             "{:<14} {:>10.3} {:>10.3} {:>10.3}",
             preset.name(),
-            world.pre.precompute_secs,
-            programs.precompute_secs(Method::AF),
-            programs.precompute_secs(Method::LD),
+            programs.world().pre.precompute_secs,
+            programs.ensure(Method::AF).precompute_secs(),
+            programs.ensure(Method::LD).precompute_secs(),
         );
     }
 }
 
 /// Figure 10: tuning / memory / latency / CPU vs shortest-path length.
-fn fig10(opts: &Opts) {
+fn fig10(opts: &Opts, tally: &mut Tally) {
     println!(
         "\n== Figure 10: Effect of shortest path length (Germany @ {:.2}) ==",
         opts.scale
     );
-    let world = default_world(opts);
-    let programs = Programs::build(&world);
+    let programs = programs(default_world(opts), AF_REGIONS, LD_LANDMARKS);
+    let g = &programs.world().g;
     let n_queries = queries_or(opts, PAPER_QUERIES);
-    let queries = random_queries(&world.g, n_queries, opts.seed + 10);
-    let diameter = approx_diameter(&world.g);
+    let items = p2p_items(g, n_queries, opts.seed + 10);
+    let diameter = approx_diameter(g);
     println!(
         "(diameter ~{}, {} queries, 4 length buckets)",
         fmt_thousands(diameter as usize),
         n_queries
     );
 
-    // Per method: run all queries, bucket by resulting distance.
+    // Per method: run all queries, bucket by the oracle distance.
     let bucket_of = |d: u64| -> usize { ((4 * d) / (diameter + 1)).min(3) as usize };
     let mut per_method: Vec<[Averages; 4]> = Vec::new();
     let mut energy: Vec<f64> = Vec::new();
     for &m in &opts.methods {
-        let results = run_method(&programs, m, &queries, 0.0, opts.seed + 11);
+        let results = run(&programs, m, &items, lossless, opts.seed + 11, tally);
         let mut buckets = [Averages::default(); 4];
         let mut joules = 0.0;
-        for (d, s) in &results {
-            buckets[bucket_of(*d)].push(s);
-            joules += EnergyModel::WAVELAN_ARM.joules(s, ChannelRate::MOVING_3G);
+        for (item, d) in items.iter().zip(&results) {
+            buckets[bucket_of(p2p(item).1)].push(d);
+            if let Some(s) = &d.stats {
+                joules += EnergyModel::WAVELAN_ARM.joules(s, ChannelRate::MOVING_3G);
+            }
         }
         per_method.push(buckets);
         energy.push(joules / results.len() as f64);
@@ -338,7 +558,17 @@ fn fig10(opts: &Opts) {
             "Method", "Q1", "Q2", "Q3", "Q4"
         );
         for (mi, m) in opts.methods.iter().enumerate() {
-            let row: Vec<String> = per_method[mi].iter().map(f).collect();
+            // An empty length bucket has no average to show.
+            let row: Vec<String> = per_method[mi]
+                .iter()
+                .map(|a| {
+                    if a.count == 0 {
+                        format!("{:>10}", "-")
+                    } else {
+                        f(a)
+                    }
+                })
+                .collect();
             println!("{:<10} {}", m.label(), row.join(" "));
         }
     }
@@ -349,7 +579,7 @@ fn fig10(opts: &Opts) {
 }
 
 /// Figure 11: fine-tuning regions (AF/EB/NR) and landmarks (LD).
-fn fig11(opts: &Opts) {
+fn fig11(opts: &Opts, tally: &mut Tally) {
     println!("\n== Figure 11: Fine-tuning (regions/landmarks) ==");
     let n_queries = queries_or(opts, 100);
     let configs = [(16usize, 2usize), (32, 4), (64, 8), (128, 16)];
@@ -361,17 +591,14 @@ fn fig11(opts: &Opts) {
         let world = World::build(NetworkPreset::Germany, opts.scale, regions, opts.seed);
         // ArcFlag is only feasible at 16 regions in the paper; we build it
         // everywhere but it simply shows its (growing) cost.
-        let programs = Programs::build_tuned(&world, regions.min(64), landmarks);
-        let queries = random_queries(&world.g, n_queries, opts.seed + 20);
+        let programs = programs(world, regions.min(64), landmarks);
+        let items = p2p_items(&programs.world().g, n_queries, opts.seed + 20);
         for &m in &opts.methods {
             if m == Method::AF && regions > 16 {
                 continue; // paper: heap-infeasible beyond 16
             }
-            let results = run_method(&programs, m, &queries, 0.0, opts.seed + 21);
-            let mut avg = Averages::default();
-            for (_, s) in &results {
-                avg.push(s);
-            }
+            let results = run(&programs, m, &items, lossless, opts.seed + 21, tally);
+            let avg = Averages::of(&results);
             // Only the region-partitioned methods vary with the region
             // count; LD varies with landmarks; everything else (DJ and
             // any registry extra) shows its flat baseline.
@@ -395,7 +622,7 @@ fn fig11(opts: &Opts) {
 }
 
 /// Figure 12: performance across the five networks.
-fn fig12(opts: &Opts) {
+fn fig12(opts: &Opts, tally: &mut Tally) {
     println!("\n== Figure 12: Different networks ==");
     let heap = (DeviceProfile::J2ME_PHONE.heap_bytes as f64 * opts.scale) as usize;
     let n_queries = queries_or(opts, 100);
@@ -405,14 +632,11 @@ fn fig12(opts: &Opts) {
     );
     for preset in NetworkPreset::ALL {
         let world = World::build(preset, opts.scale, EB_REGIONS, opts.seed);
-        let programs = Programs::build(&world);
-        let queries = random_queries(&world.g, n_queries, opts.seed + 30);
+        let programs = programs(world, AF_REGIONS, LD_LANDMARKS);
+        let items = p2p_items(&programs.world().g, n_queries, opts.seed + 30);
         for &m in &opts.methods {
-            let results = run_method(&programs, m, &queries, 0.0, opts.seed + 31);
-            let mut avg = Averages::default();
-            for (_, s) in &results {
-                avg.push(s);
-            }
+            let results = run(&programs, m, &items, lossless, opts.seed + 31, tally);
+            let avg = Averages::of(&results);
             let oom = if avg.peak_memory > heap {
                 "  [exceeds heap]"
             } else {
@@ -433,15 +657,16 @@ fn fig12(opts: &Opts) {
 }
 
 /// Figure 13: client-side super-edge precomputation (§6.1) — memory & CPU
-/// with and without, for EB and NR.
-fn fig13(opts: &Opts) {
+/// with and without, for EB and NR. Both answers of every query are
+/// checked against its oracle.
+fn fig13(opts: &Opts, tally: &mut Tally) {
     println!(
         "\n== Figure 13: Memory-bound processing (Germany @ {:.2}) ==",
         opts.scale
     );
     let world = default_world(opts);
     let n_queries = queries_or(opts, 50);
-    let queries = random_queries(&world.g, n_queries, opts.seed + 40);
+    let items = p2p_items(&world.g, n_queries, opts.seed + 40);
 
     // Region data as the client would decode it (with border flags).
     let mut store = ReceivedGraph::new();
@@ -456,37 +681,24 @@ fn fig13(opts: &Opts) {
         }
     }
 
-    let needed_for = |q: &Query, eb: bool| -> Vec<RegionId> {
-        let rs = world.part.region_of(q.source);
-        let rt = world.part.region_of(q.target);
-        if eb {
-            // EB's pruning rule.
-            let ub = world.pre.minmax(rs, rt).max;
-            (0..world.part.num_regions() as RegionId)
-                .filter(|&r| {
-                    r == rs || r == rt || {
-                        let a = world.pre.minmax(rs, r);
-                        let b = world.pre.minmax(r, rt);
-                        !a.is_empty() && !b.is_empty() && a.min + b.min <= ub
-                    }
-                })
-                .collect()
-        } else {
-            world.pre.needed_regions(rs, rt).iter().collect()
-        }
-    };
-
     for (label, eb) in [("NR", false), ("EB", true)] {
         let mut with_mem = 0f64;
         let mut without_mem = 0f64;
         let mut with_cpu = 0f64;
         let mut without_cpu = 0f64;
-        for q in &queries {
-            let regions = needed_for(q, eb);
+        for item in &items {
+            let (q, oracle) = p2p(item);
+            let rs = world.part.region_of(q.source);
+            let rt = world.part.region_of(q.target);
+            let regions = if eb {
+                world.pre.eb_candidates(rs, rt)
+            } else {
+                world.pre.needed_regions(rs, rt)
+            };
             // Without §6.1: hold every needed region + search state.
             let raw: usize = regions
                 .iter()
-                .flat_map(|&r| world.part.nodes_by_region()[r as usize].iter())
+                .flat_map(|r| world.part.nodes_by_region()[r as usize].iter())
                 .map(|&v| 16 + 8 * store.out_edges(v).len())
                 .sum();
             let t0 = std::time::Instant::now();
@@ -496,7 +708,7 @@ fn fig13(opts: &Opts) {
 
             // With §6.1: contract region by region.
             let mut proc = MemoryBoundProcessor::new();
-            for &r in &regions {
+            for r in regions.iter() {
                 let nodes = &world.part.nodes_by_region()[r as usize];
                 let terminals: Vec<NodeId> = [q.source, q.target]
                     .iter()
@@ -506,15 +718,18 @@ fn fig13(opts: &Opts) {
                 proc.add_region(&store, nodes, &terminals);
             }
             let contracted = proc.shortest_path(q.source, q.target);
-            assert_eq!(
-                contracted.as_ref().map(|(d, _)| *d),
-                plain.as_ref().map(|(d, _)| *d),
-                "distance must be unchanged"
-            );
+            let exact = [plain.map(|(d, _)| d), contracted.map(|(d, _)| d)]
+                .iter()
+                .all(|&d| d == Some(oracle));
+            tally.push(if exact {
+                Verdict::Exact
+            } else {
+                Verdict::Wrong
+            });
             with_mem = with_mem.max(proc.mem.peak() as f64);
             with_cpu += proc.cpu.total().as_secs_f64() * 1000.0;
         }
-        let n = queries.len() as f64;
+        let n = items.len() as f64;
         println!(
             "{label} (w/ precomp):  memory {:>8.3} MB   cpu {:>8.3} ms",
             with_mem / (1024.0 * 1024.0),
@@ -528,50 +743,82 @@ fn fig13(opts: &Opts) {
     }
 }
 
+/// Mean NR and EB candidate-region counts over `items` under one
+/// partition.
+fn mean_candidates(
+    part: &KdTreePartition,
+    pre: &BorderPrecomputation,
+    items: &[WorkItem],
+) -> (f64, f64) {
+    let (mut nr, mut eb) = (0, 0);
+    for item in items {
+        let (q, _) = p2p(item);
+        let (rs, rt) = (part.region_of(q.source), part.region_of(q.target));
+        nr += pre.needed_regions(rs, rt).len();
+        eb += pre.eb_candidates(rs, rt).len();
+    }
+    let n = items.len() as f64;
+    (nr as f64 / n, eb as f64 / n)
+}
+
 /// Ablations of the design choices DESIGN.md calls out:
 /// (a) EB's cross-border/local region-data split (§4.1; the paper credits
 ///     it ~20% of tuning time);
 /// (b) the (1,m) replication degree for EB's global index (latency vs
 ///     cycle-length trade-off around the optimal m);
 /// (c) NR's pruning tightness versus EB's elliptic candidate set (the
-///     mechanism behind Figure 10a).
-fn ablations(opts: &Opts) {
+///     mechanism behind Figure 10a);
+/// (d) kd-tree median splits versus a uniform grid of the same region
+///     count (§4.1);
+/// (e) on-air kNN over EB's index (§8).
+fn ablations(opts: &Opts, tally: &mut Tally) {
     println!("\n== Ablations (Germany @ {:.2}) ==", opts.scale);
     let world = default_world(opts);
+    let mut rng_pois = StdRng::seed_from_u64(opts.seed + 70);
+    let mut pois: Vec<NodeId> = (0..world.g.num_nodes() / 50)
+        .map(|_| rng_pois.gen_range(0..world.g.num_nodes()) as NodeId)
+        .collect();
+    pois.sort_unstable();
+    pois.dedup();
+    let programs = programs(world.with_pois(pois), AF_REGIONS, LD_LANDMARKS);
+    let world = programs.world();
     let n_queries = queries_or(opts, 100);
-    let queries = random_queries(&world.g, n_queries, opts.seed + 60);
+    let items = p2p_items(&world.g, n_queries, opts.seed + 60);
+    let n = items.len() as f64;
 
     // (a) cross-border split: actual EB tuning vs tuning had the client
     // received the local segments of non-terminal regions too.
-    let programs = Programs::build(&world);
-    let results = run_method(&programs, Method::EB, &queries, 0.0, opts.seed + 61);
+    let results = run(
+        &programs,
+        Method::EB,
+        &items,
+        lossless,
+        opts.seed + 61,
+        tally,
+    );
     let mut with_split = 0f64;
     let mut without_split = 0f64;
-    for (q, (_, s)) in queries.iter().zip(&results) {
-        with_split += s.tuning_packets as f64;
+    for (item, d) in items.iter().zip(&results) {
+        let tuning = d.stats.map_or(0, |s| s.tuning_packets) as usize;
+        with_split += tuning as f64;
+        let (q, _) = p2p(item);
         let rs = world.part.region_of(q.source);
         let rt = world.part.region_of(q.target);
-        let ub = world.pre.minmax(rs, rt).max;
         let mut extra = 0usize;
-        for r in 0..world.part.num_regions() as RegionId {
+        for r in world.pre.eb_candidates(rs, rt).iter() {
             if r == rs || r == rt {
                 continue;
             }
-            let a = world.pre.minmax(rs, r);
-            let b = world.pre.minmax(r, rt);
-            if !a.is_empty() && !b.is_empty() && a.min + b.min <= ub {
-                // Local-segment packets this region would add.
-                let locals: Vec<_> = world.part.nodes_by_region()[r as usize]
-                    .iter()
-                    .copied()
-                    .filter(|&v| !world.pre.is_cross_border(v))
-                    .collect();
-                extra += spair_core::netcodec::packet_count(&world.g, &locals);
-            }
+            // Local-segment packets this region would add.
+            let locals: Vec<_> = world.part.nodes_by_region()[r as usize]
+                .iter()
+                .copied()
+                .filter(|&v| !world.pre.is_cross_border(v))
+                .collect();
+            extra += packet_count(&world.g, &locals);
         }
-        without_split += (s.tuning_packets as usize + extra) as f64;
+        without_split += (tuning + extra) as f64;
     }
-    let n = queries.len() as f64;
     println!(
         "a) EB cross-border split: tuning {:.0} with vs {:.0} without ({:.1}% saved; paper ~20%)",
         with_split / n,
@@ -581,8 +828,9 @@ fn ablations(opts: &Opts) {
 
     // (b) (1,m) replication sweep for EB-style cycles.
     println!("b) (1,m) sweep: cycle length grows with m, wait-for-index shrinks");
-    let eb_index = programs.eb().index_packets();
-    let data = programs.cycle(Method::EB).len() - programs.eb().replication() * eb_index;
+    let eb = eb(&programs);
+    let eb_index = eb.index_packets();
+    let data = eb.cycle().len() - eb.replication() * eb_index;
     for m in [1usize, 2, 4, 8, 16, 32] {
         let cycle = data + m * eb_index;
         let mean_wait = cycle as f64 / (2.0 * m as f64);
@@ -590,7 +838,7 @@ fn ablations(opts: &Opts) {
             "   m={m:>2}: cycle {:>7} packets, mean wait for index {:>8.0} packets{}",
             fmt_thousands(cycle),
             mean_wait,
-            if m == programs.eb().replication() {
+            if m == eb.replication() {
                 "   <- optimal m used"
             } else {
                 ""
@@ -599,167 +847,194 @@ fn ablations(opts: &Opts) {
     }
 
     // (c) candidate-set sizes: NR's traversed regions vs EB's ellipse.
-    let mut nr_sizes = 0usize;
-    let mut eb_sizes = 0usize;
-    for q in &queries {
-        let rs = world.part.region_of(q.source);
-        let rt = world.part.region_of(q.target);
-        nr_sizes += world.pre.needed_regions(rs, rt).len();
-        let ub = world.pre.minmax(rs, rt).max;
-        eb_sizes += (0..world.part.num_regions() as RegionId)
-            .filter(|&r| {
-                r == rs || r == rt || {
-                    let a = world.pre.minmax(rs, r);
-                    let b = world.pre.minmax(r, rt);
-                    !a.is_empty() && !b.is_empty() && a.min + b.min <= ub
-                }
-            })
-            .count();
-    }
+    let (kd_nr, kd_eb) = mean_candidates(&world.part, &world.pre, &items);
     println!(
         "c) mean candidate regions of {}: NR {:.1} vs EB {:.1} (NR is the subset, §5)",
         world.part.num_regions(),
-        nr_sizes as f64 / n,
-        eb_sizes as f64 / n
+        kd_nr,
+        kd_eb
     );
 
-    // (d) §4.1's partitioning claim: kd-tree median splits vs a regular
-    // grid of the same region count. The grid leaves cells empty/overfull,
-    // which loosens both pruning rules.
-    let regions = world.part.num_regions();
-    let grid = spair_partition::GridPartition::build_square(&world.g, regions);
-    let grid_pre = spair_core::BorderPrecomputation::run(&world.g, &grid);
-    let mut grid_nr = 0usize;
-    let mut grid_eb = 0usize;
-    use spair_partition::Partitioning as _;
-    for q in &queries {
-        let rs = grid.region_of(q.source);
-        let rt = grid.region_of(q.target);
-        grid_nr += grid_pre.needed_regions(rs, rt).len();
-        let ub = grid_pre.minmax(rs, rt).max;
-        grid_eb += (0..grid.num_regions() as RegionId)
-            .filter(|&r| {
-                r == rs || r == rt || {
-                    let a = grid_pre.minmax(rs, r);
-                    let b = grid_pre.minmax(r, rt);
-                    !a.is_empty() && !b.is_empty() && a.min + b.min <= ub
-                }
-            })
-            .count();
-    }
+    // (d) §4.1's partitioning claim: kd-tree median splits vs a uniform
+    // grid of the same region count. A grid can leave cells empty or
+    // overfull, which would loosen both pruning rules.
+    let grid = KdTreePartition::build_uniform(&world.g, world.part.num_regions());
+    let grid_pre = BorderPrecomputation::run(&world.g, &grid);
+    let (grid_nr, grid_eb) = mean_candidates(&grid, &grid_pre, &items);
     let empties = grid
         .nodes_by_region()
         .iter()
         .filter(|nodes| nodes.is_empty())
         .count();
     println!(
-        "d) kd vs regular grid ({} regions, {} empty grid cells): \
+        "d) kd vs uniform grid ({} regions, {} empty grid cells): \
          mean candidates NR {:.1} (kd) vs {:.1} (grid), EB {:.1} (kd) vs {:.1} (grid)",
         grid.num_regions(),
         empties,
-        nr_sizes as f64 / n,
-        grid_nr as f64 / n,
-        eb_sizes as f64 / n,
-        grid_eb as f64 / n,
+        kd_nr,
+        grid_nr,
+        kd_eb,
+        grid_eb,
     );
 
     // (e) §8 future work: on-air kNN built on EB's index. Report pruning
     // (tuning vs cycle length) for a POI workload.
-    let mut rng_pois = {
-        use rand::SeedableRng;
-        rand::rngs::StdRng::seed_from_u64(opts.seed + 70)
-    };
-    use rand::Rng as _;
-    let mut pois: Vec<spair_roadnet::NodeId> = (0..world.g.num_nodes() / 50)
-        .map(|_| rng_pois.gen_range(0..world.g.num_nodes()) as spair_roadnet::NodeId)
+    let knn_items: Vec<WorkItem> = items
+        .iter()
+        .take(25)
+        .map(|item| knn_item(&world.g, &world.pois, p2p(item).0.source, 4))
         .collect();
-    pois.sort_unstable();
-    pois.dedup();
-    let knn_program = spair_core::KnnServer::new(&world.g, &world.part, &world.pre, &pois)
-        .build_program()
-        .expect("encode");
-    let mut knn_client = spair_core::KnnClient::new(world.part.num_regions());
-    let mut tuned = 0u64;
-    let knn_queries = 25.min(n_queries);
-    for (i, q) in queries.iter().take(knn_queries).enumerate() {
-        let mut ch = spair_broadcast::BroadcastChannel::tune_in(
-            knn_program.cycle(),
-            (i * 97) % knn_program.cycle().len(),
-            spair_broadcast::LossModel::Lossless,
-        );
-        let out = knn_client
-            .query(&mut ch, q.source, q.source_pt, 4)
-            .expect("knn");
-        tuned += out.stats.tuning_packets;
-    }
+    let len = cycle_len(&programs, Method::KNN_AIR);
+    let at = |i: usize| Tune::at((i * 97) % len);
+    let results = run(&programs, Method::KNN_AIR, &knn_items, at, 0, tally);
     println!(
         "e) on-air 4-NN over {} POIs (extension, §8): mean tuning {:.0} packets \
          vs cycle {} — EB-style min-bound pruning generalizes to kNN",
-        pois.len(),
-        tuned as f64 / knn_queries as f64,
-        fmt_thousands(knn_program.cycle().len()),
+        world.pois.len(),
+        Averages::of(&results).tuning,
+        fmt_thousands(len),
     );
 }
 
-/// Figure 14: robustness to packet loss — tuning time and access latency.
-fn fig14(opts: &Opts) {
-    println!(
-        "\n== Figure 14: Effect of packet loss (Germany @ {:.2}) ==",
-        opts.scale
-    );
-    let world = default_world(opts);
-    let programs = Programs::build(&world);
-    let n_queries = queries_or(opts, 50);
-    let queries = random_queries(&world.g, n_queries, opts.seed + 50);
-    let rates = [0.001, 0.005, 0.01, 0.05, 0.10];
-    for (title, pick) in [
-        ("a) Tuning time (packets)", 0usize),
-        ("b) Access latency (packets)", 1usize),
-    ] {
-        println!("\n-- {title} --");
-        print!("{:<10}", "Method");
-        for r in rates {
-            print!(" {:>9.1}%", r * 100.0);
-        }
-        println!();
-        for &m in &opts.methods {
-            print!("{:<10}", m.label());
-            for rate in rates {
-                let results = run_method(&programs, m, &queries, rate, opts.seed + 51);
-                let mut avg = Averages::default();
-                for (_, s) in &results {
-                    avg.push(s);
-                }
-                let v = if pick == 0 { avg.tuning } else { avg.latency };
-                print!(" {:>10.0}", v);
-            }
-            println!();
-        }
-    }
-
-    // Extension: bursty (Gilbert–Elliott) loss at the same stationary
-    // rates, mean burst length 8 packets. Bursts can wipe a contiguous
-    // index copy, which stresses the §6.2 recovery paths harder than
-    // i.i.d. noise; answers stay exact either way.
-    println!("\n-- extension: tuning under bursty loss (mean burst 8 packets) --");
+/// Prints one row per method of a per-loss-rate table: `pick` of the
+/// method's averages at each rate.
+fn rate_table(
+    title: &str,
+    rates: &[f64],
+    sweep: &[(&str, Vec<Averages>)],
+    pick: fn(&Averages) -> f64,
+) {
+    println!("\n-- {title} --");
     print!("{:<10}", "Method");
     for r in rates {
         print!(" {:>9.1}%", r * 100.0);
     }
     println!();
-    for &m in &opts.methods {
-        print!("{:<10}", m.label());
-        for rate in rates {
-            let seed = opts.seed + 52;
-            let results = run_method_with_loss(&programs, m, &queries, seed, |i| {
-                spair_broadcast::LossModel::bursty(rate, 8.0, seed.wrapping_add(i as u64))
-            });
-            let mut avg = Averages::default();
-            for (_, s) in &results {
-                avg.push(s);
-            }
-            print!(" {:>10.0}", avg.tuning);
+    for (label, avgs) in sweep {
+        print!("{label:<10}");
+        for a in avgs {
+            print!(" {:>10.0}", pick(a));
         }
         println!();
+    }
+}
+
+/// Figure 14: robustness to packet loss — tuning time and access latency.
+fn fig14(opts: &Opts, tally: &mut Tally) {
+    println!(
+        "\n== Figure 14: Effect of packet loss (Germany @ {:.2}) ==",
+        opts.scale
+    );
+    let programs = programs(default_world(opts), AF_REGIONS, LD_LANDMARKS);
+    let n_queries = queries_or(opts, 50);
+    let items = p2p_items(&programs.world().g, n_queries, opts.seed + 50);
+    let rates = [0.001, 0.005, 0.01, 0.05, 0.10];
+    // Per method, the averages at each rate under `loss(rate)`.
+    let mut sweep = |loss: fn(f64) -> LossSpec, seed: u64| -> Vec<(&'static str, Vec<Averages>)> {
+        opts.methods
+            .iter()
+            .map(|&m| {
+                let avgs = rates
+                    .iter()
+                    .map(|&rate| {
+                        let tune = |_| uniform(loss(rate));
+                        Averages::of(&run(&programs, m, &items, tune, seed, tally))
+                    })
+                    .collect();
+                (m.label(), avgs)
+            })
+            .collect()
+    };
+    let bernoulli = sweep(|rate| LossSpec::Bernoulli { rate }, opts.seed + 51);
+    // Extension: bursty (Gilbert–Elliott) loss at the same stationary
+    // rates, mean burst length 8 packets. Bursts can wipe a contiguous
+    // index copy, which stresses the §6.2 recovery paths harder than
+    // i.i.d. noise; answers stay exact either way.
+    let bursty = sweep(|rate| LossSpec::Bursty { rate, burst: 8.0 }, opts.seed + 52);
+    rate_table("a) Tuning time (packets)", &rates, &bernoulli, |a| a.tuning);
+    rate_table("b) Access latency (packets)", &rates, &bernoulli, |a| {
+        a.latency
+    });
+    rate_table(
+        "extension: tuning under bursty loss (mean burst 8 packets)",
+        &rates,
+        &bursty,
+        |a| a.tuning,
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spair_broadcast::QueryStats;
+
+    fn tiny_world() -> World {
+        let g = spair_roadnet::generators::small_grid(10, 10, 7);
+        let part = KdTreePartition::build(&g, 8);
+        let pre = BorderPrecomputation::run(&g, &part);
+        World::from_parts(g, part, pre)
+    }
+
+    #[test]
+    fn eb_downcast_exposes_the_concrete_program() {
+        let programs = programs(tiny_world(), 4, 2);
+        let eb = eb(&programs);
+        assert!(eb.replication() >= 1);
+        assert!(eb.index_packets() > 0);
+        assert_eq!(eb.cycle().len(), cycle_len(&programs, Method::EB));
+    }
+
+    #[test]
+    fn averages_skip_unanswered_sessions() {
+        let mk = |t: u64, mem: usize| Driven {
+            verdict: Verdict::Exact,
+            stats: Some(QueryStats {
+                tuning_packets: t,
+                latency_packets: 2 * t,
+                sleep_packets: t,
+                peak_memory_bytes: mem,
+                cpu: std::time::Duration::from_millis(10),
+                settled_nodes: 1,
+            }),
+            ..Driven::default()
+        };
+        let a = Averages::of(&[mk(100, 5), Driven::default(), mk(200, 9)]);
+        assert_eq!(a.count, 2);
+        assert!((a.tuning - 150.0).abs() < 1e-9);
+        assert!((a.latency - 300.0).abs() < 1e-9);
+        assert_eq!(a.peak_memory, 9);
+    }
+
+    #[test]
+    fn tally_counts_failures_by_class() {
+        let mut t = Tally::default();
+        t.push(Verdict::Exact);
+        assert!(t.clean());
+        t.push(Verdict::Failed("client_aborted"));
+        t.push(Verdict::Failed("client_aborted"));
+        assert!(!t.clean());
+        assert_eq!(
+            t.to_string(),
+            "1 exact / 0 wrong / 2 failed {\"client_aborted\": 2}"
+        );
+    }
+
+    #[test]
+    fn diameter_is_positive_and_bounded() {
+        let world = tiny_world();
+        let d = approx_diameter(&world.g);
+        assert!(d > 0);
+        // The double sweep is at worst a 0.5-approximation.
+        for item in p2p_items(&world.g, 10, 5) {
+            assert!(p2p(&item).1 <= 2 * d);
+        }
+    }
+
+    #[test]
+    fn thousands_formatting() {
+        assert_eq!(fmt_thousands(0), "0");
+        assert_eq!(fmt_thousands(999), "999");
+        assert_eq!(fmt_thousands(14019), "14,019");
+        assert_eq!(fmt_thousands(1234567), "1,234,567");
     }
 }

@@ -236,6 +236,24 @@ impl BorderPrecomputation {
         set
     }
 
+    /// EB's candidate regions for a query from `rs` to `rt` (§4): both
+    /// terminal regions, plus every `r` whose min-max entries from `rs`
+    /// and to `rt` are both non-empty with
+    /// `min(rs, r) + min(r, rt) <= max(rs, rt)`.
+    pub fn eb_candidates(&self, rs: RegionId, rt: RegionId) -> RegionSet {
+        let ub = self.minmax(rs, rt).max;
+        let mut set = RegionSet::new(self.num_regions);
+        set.insert(rs);
+        set.insert(rt);
+        for r in 0..self.num_regions as RegionId {
+            let (a, b) = (self.minmax(rs, r), self.minmax(r, rt));
+            if !a.is_empty() && !b.is_empty() && a.min + b.min <= ub {
+                set.insert(r);
+            }
+        }
+        set
+    }
+
     /// Whether `v` lies on some inter-region border-pair shortest path.
     #[inline]
     pub fn is_cross_border(&self, v: NodeId) -> bool {
@@ -441,6 +459,9 @@ mod tests {
             for rt in 0..4u16 {
                 let needed = pre.needed_regions(rs, rt);
                 assert!(needed.contains(rs) && needed.contains(rt));
+                // NR's regions are a subset of EB's candidates (§5).
+                let eb = pre.eb_candidates(rs, rt);
+                assert!(needed.iter().all(|r| eb.contains(r)));
             }
         }
     }

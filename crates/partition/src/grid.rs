@@ -54,12 +54,6 @@ impl GridPartition {
         this
     }
 
-    /// Builds a roughly square grid with approximately `target` cells.
-    pub fn build_square(g: &RoadNetwork, target: usize) -> Self {
-        let side = (target as f64).sqrt().round().max(1.0) as usize;
-        Self::build(g, side, target.div_ceil(side))
-    }
-
     /// Grid dimensions `(cols, rows)`.
     pub fn dims(&self) -> (usize, usize) {
         (self.cols, self.rows)
@@ -179,15 +173,6 @@ mod tests {
         assert_eq!(r, 0);
         let r = part.locate(Point::new(max.x + 100.0, max.y + 100.0));
         assert_eq!(r as usize, part.num_regions() - 1);
-    }
-
-    #[test]
-    fn square_builder_hits_target_roughly() {
-        let g = small_grid(8, 8, 0);
-        let part = GridPartition::build_square(&g, 16);
-        assert_eq!(part.num_regions(), 16);
-        let part = GridPartition::build_square(&g, 10);
-        assert!(part.num_regions() >= 10 && part.num_regions() <= 12);
     }
 
     #[test]

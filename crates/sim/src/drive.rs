@@ -7,8 +7,9 @@
 //! channel-less local answer — under [`supervise`] and returns one
 //! [`Driven`]: the verdict (exact, wrong, or a typed failure class) plus
 //! the session's cost. The conformance engine, the chaos and dynamic
-//! matrices, the load harness, the socket bench's in-process reference
-//! and the `spair` CLI are folds of [`Driven`] into their own rows.
+//! matrices, the load harness, the socket bench's in-process reference,
+//! the `spair` CLI and the paper's `experiments` are folds of [`Driven`]
+//! into their own rows.
 //!
 //! Under [`RecoveryBudget::single`] on a fault-free channel the driver is
 //! a transparent pass-through: one attempt, the client's result mapped

@@ -43,7 +43,7 @@ use spair_broadcast::{splitmix64, BroadcastCycle};
 use spair_core::patch::{build_patch_cycle, receive_patch, ClientArena, PatchError};
 use spair_core::{BorderPrecomputation, Query, RecoveryBudget};
 use spair_methods::{MethodId, MethodRegistry, ProgramSet, SessionShape, Tuning, World};
-use spair_partition::{KdTreePartition, Partitioning};
+use spair_partition::Partitioning;
 use spair_roadnet::certify::{cells_json, counts_json, Certified};
 use spair_roadnet::{dijkstra_distance, Distance, NetworkPreset, NodeId, QueuePolicy, RoadNetwork};
 use std::collections::BTreeMap;
@@ -86,13 +86,7 @@ impl DynamicContext {
         assert!(spec.versions >= 2, "a dynamic world needs >= 2 versions");
         let s = &spec.base;
         let g0 = s.graph.build(s.seed);
-        let part = match s.partitioner {
-            crate::spec::PartitionerKind::KdMedian => KdTreePartition::build(&g0, s.regions),
-            crate::spec::PartitionerKind::UniformGrid => {
-                KdTreePartition::build_uniform(&g0, s.regions)
-            }
-        };
-        let part = Arc::new(part);
+        let part = Arc::new(s.partitioner.build(&g0, s.regions));
 
         // Per-version worlds. Coordinates never change, so the partition
         // is shared; border precomputation re-runs per version (it reads

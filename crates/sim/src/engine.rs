@@ -24,7 +24,7 @@
 
 use crate::drive::{drive, Device, Driven, Tune, Verdict};
 use crate::report::{CellReport, ConformanceMatrix};
-use crate::spec::{PartitionerKind, ScenarioSpec};
+use crate::spec::ScenarioSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spair_broadcast::{splitmix64, BroadcastCycle, EnergyModel, QueryStats};
@@ -33,7 +33,6 @@ use spair_core::{BorderPrecomputation, OnEdgePoint, Query, RecoveryBudget};
 use spair_methods::{
     MethodId, MethodProgram, MethodRegistry, MethodUnavailable, ProgramSet, World,
 };
-use spair_partition::KdTreePartition;
 use spair_roadnet::{
     dijkstra_distance, dijkstra_full, insert_positions, parallel, Distance, EdgePosition, NodeId,
     Point, QueuePolicy, RoadNetwork, Weight,
@@ -99,10 +98,7 @@ impl ScenarioContext {
     /// where the spec's workload gives them work to do).
     pub fn build(spec: &ScenarioSpec, methods: &[MethodId]) -> Self {
         let g = spec.graph.build(spec.seed);
-        let part = match spec.partitioner {
-            PartitionerKind::KdMedian => KdTreePartition::build(&g, spec.regions),
-            PartitionerKind::UniformGrid => KdTreePartition::build_uniform(&g, spec.regions),
-        };
+        let part = spec.partitioner.build(&g, spec.regions);
         let pre = BorderPrecomputation::run(&g, &part);
         let (workload, pois) = generate_workload(spec, &g);
         let programs = ProgramSet::new(World::from_parts(g, part, pre).with_pois(pois));
@@ -221,22 +217,7 @@ fn generate_workload(spec: &ScenarioSpec, g: &RoadNetwork) -> (Vec<WorkItem>, Ve
     let mut items = Vec::new();
 
     for _ in 0..spec.workload.point_to_point {
-        // Reachable pair (generated networks are connected, but a guard
-        // keeps degenerate specs from spinning).
-        let mut found = None;
-        for _ in 0..64 {
-            let s = rng.gen_range(0..n) as NodeId;
-            let mut t = rng.gen_range(0..n) as NodeId;
-            while t == s {
-                t = rng.gen_range(0..n) as NodeId;
-            }
-            if let Some(d) = dijkstra_distance(g, s, t) {
-                found = Some((Query::for_nodes(g, s, t), d));
-                break;
-            }
-        }
-        let (query, oracle) = found.expect("no reachable query pair in 64 draws");
-        items.push(WorkItem::P2p { query, oracle });
+        items.push(p2p_item(g, &mut rng));
     }
 
     if spec.workload.on_edge > 0 {
@@ -306,24 +287,49 @@ fn generate_workload(spec: &ScenarioSpec, g: &RoadNetwork) -> (Vec<WorkItem>, Ve
         pois.sort_unstable();
         for _ in 0..spec.workload.knn {
             let source = rng.gen_range(0..n) as NodeId;
-            let tree = dijkstra_full(g, source);
-            let mut dists: Vec<Distance> = pois
-                .iter()
-                .copied()
-                .filter(|&p| tree.reachable(p))
-                .map(|p| tree.distance(p))
-                .collect();
-            dists.sort_unstable();
-            dists.truncate(spec.workload.k);
-            items.push(WorkItem::Knn {
-                source,
-                source_pt: g.point(source),
-                k: spec.workload.k,
-                oracle: dists,
-            });
+            items.push(knn_item(g, &pois, source, spec.workload.k));
         }
     }
     (items, pois)
+}
+
+/// One point-to-point item: a random pair of distinct nodes drawn from
+/// `rng` and its serial-Dijkstra distance. Unreachable pairs are redrawn
+/// (generated networks are connected, but a guard keeps degenerate
+/// graphs from spinning).
+pub fn p2p_item(g: &RoadNetwork, rng: &mut StdRng) -> WorkItem {
+    let n = g.num_nodes();
+    for _ in 0..64 {
+        let s = rng.gen_range(0..n) as NodeId;
+        let mut t = rng.gen_range(0..n) as NodeId;
+        while t == s {
+            t = rng.gen_range(0..n) as NodeId;
+        }
+        if let Some(oracle) = dijkstra_distance(g, s, t) {
+            let query = Query::for_nodes(g, s, t);
+            return WorkItem::P2p { query, oracle };
+        }
+    }
+    panic!("no reachable query pair in 64 draws")
+}
+
+/// The kNN item at `source`: its oracle is the `k` smallest distances
+/// from `source` to the reachable nodes of `pois`, ascending.
+pub fn knn_item(g: &RoadNetwork, pois: &[NodeId], source: NodeId, k: usize) -> WorkItem {
+    let tree = dijkstra_full(g, source);
+    let mut oracle: Vec<Distance> = pois
+        .iter()
+        .filter(|&&p| tree.reachable(p))
+        .map(|&p| tree.distance(p))
+        .collect();
+    oracle.sort_unstable();
+    oracle.truncate(k);
+    WorkItem::Knn {
+        source,
+        source_pt: g.point(source),
+        k,
+        oracle,
+    }
 }
 
 /// Per-cell accumulation state.

@@ -20,9 +20,9 @@
 //! matrix column with zero edits here.
 //!
 //! Every session — here, in the chaos and dynamic matrices, in the load
-//! harness and in the `spair` CLI — runs through one driver, [`drive()`]:
-//! it tunes a channel in, supervises the attempts and returns one
-//! oracle verdict with the session's cost.
+//! harness, in the `spair` CLI and in `experiments` — runs through one
+//! driver, [`drive()`]: it tunes a channel in, supervises the attempts
+//! and returns one oracle verdict with the session's cost.
 //!
 //! Results aggregate into a [`ConformanceMatrix`] of (scenario × method)
 //! cells carrying the §3.1 cost factors plus a radio energy figure. The
@@ -53,7 +53,7 @@ pub use dynamic::{
     dynamic_matrix, dynamic_methods, nightly_dynamic_matrix, run_dynamic_cell, run_dynamic_matrix,
     smoke_dynamic_matrix, DynamicCellReport, DynamicContext, DynamicMatrix, DynamicSpec,
 };
-pub use engine::{run_cell, run_matrix, ScenarioContext, WorkItem};
+pub use engine::{knn_item, p2p_item, run_cell, run_matrix, ScenarioContext, WorkItem};
 pub use faults::{
     fault_matrix, nightly_fault_matrix, run_fault_cell, run_fault_matrix, smoke_fault_matrix,
     FaultCellReport, FaultMatrix,

@@ -9,6 +9,7 @@
 //! regardless of thread count.
 
 use spair_broadcast::{ChannelRate, DeviceProfile, FaultPlan, LossModel};
+use spair_partition::KdTreePartition;
 use spair_roadnet::generators::small_grid;
 use spair_roadnet::{NetworkPreset, RoadNetwork};
 
@@ -87,6 +88,14 @@ impl PartitionerKind {
         match self {
             PartitionerKind::KdMedian => "kd",
             PartitionerKind::UniformGrid => "grid",
+        }
+    }
+
+    /// Splits `g` into `regions` regions.
+    pub fn build(&self, g: &RoadNetwork, regions: usize) -> KdTreePartition {
+        match self {
+            PartitionerKind::KdMedian => KdTreePartition::build(g, regions),
+            PartitionerKind::UniformGrid => KdTreePartition::build_uniform(g, regions),
         }
     }
 }

@@ -80,21 +80,11 @@ proptest! {
         let s = (pair.0 % g.num_nodes()) as NodeId;
         let t = (pair.1 % g.num_nodes()) as NodeId;
         prop_assume!(s != t);
-        let rs = part.region_of(s);
-        let rt = part.region_of(t);
-        let ub = pre.minmax(rs, rt).max;
+        let candidates = pre.eb_candidates(part.region_of(s), part.region_of(t));
         if let Some((_, path)) = spair_roadnet::dijkstra_to_target(&g, s, t) {
             for &v in &path {
                 let r = part.region_of(v);
-                if r == rs || r == rt {
-                    continue;
-                }
-                let a = pre.minmax(rs, r);
-                let b = pre.minmax(r, rt);
-                prop_assert!(
-                    !a.is_empty() && !b.is_empty() && a.min + b.min <= ub,
-                    "region {r} on the path would be pruned (ub {ub})"
-                );
+                prop_assert!(candidates.contains(r), "region {r} on the path would be pruned");
             }
         }
     }
