@@ -31,6 +31,23 @@
 //! super-edges, the terminal cells contribute raw adjacency, and
 //! cross-cell edges stitch everything together. Super-edges on the answer
 //! are expanded through their materialized path views.
+//!
+//! The client owns three arenas and reuses them across sessions; each
+//! session clears them and keeps their capacity. The decoded index holds
+//! cells and super-edges in tables indexed by their ids, every path view
+//! as a run of one shared `via` pool (SEPATH chunks that arrive before
+//! their SE record after a lossy retry still reassemble), and the
+//! super-edges bucketed by `(level, group)`. The terminal cells' raw data
+//! lands in a [`ReceivedGraph`]. G′ is built per session as a CSR over
+//! compact node slots from the selected groups' buckets only, and the
+//! search runs on dense distance and parent arrays. Each node's arcs are
+//! its selected super-edges by ascending id, then its cross-cell edges in
+//! arrival order, then, for a received terminal-cell node, its raw arcs.
+//! So heap pushes, tie-breaks, paths and settle counts equal the former
+//! hash-map client's, which the tests keep as a differential oracle. No wire value sizes an allocation
+//! unchecked: super-edge and cell ids are capped by what the index's
+//! `total` packets can carry, and node ids past the slot table's cap are
+//! compacted by sorting.
 
 use crate::hiti::HiTiIndex;
 use bytes::Bytes;
@@ -41,12 +58,10 @@ use spair_broadcast::{
     BroadcastChannel, BroadcastCycle, CpuMeter, MemoryMeter, QueryStats, Received,
 };
 use spair_core::client_common::{find_next_index, receive_segment_reliable, MAX_RETRY_CYCLES};
-use spair_core::netcodec::{decode_payload, encode_nodes, ReceivedGraph};
+use spair_core::netcodec::{encode_nodes, ReceivedGraph};
 use spair_core::query::{decoded_node_bytes, AirClient, Query, QueryError, QueryOutcome};
 use spair_partition::{GridLocator, RegionId};
 use spair_roadnet::{Distance, MinHeap, NodeId, RoadNetwork, Weight};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 const MAGIC: u8 = 0xA7;
 // magic (u8) + seq (u32) + total (u32). The counters are u32 because a
@@ -248,35 +263,166 @@ impl<'a> HiTiAirServer<'a> {
 fn sepath_start(ci: usize) -> Result<u16, EncodeError> {
     u16_of(ci * PATH_CHUNK, "hiti se path start")
 }
+/// "No entry" in the client's id-indexed tables; also the `se` of a raw
+/// arc of G′.
+const NONE: u32 = u32::MAX;
 
-/// One decoded super-edge of the catalog.
-#[derive(Debug, Clone)]
-struct DecodedSe {
+/// Index bytes one packet carries after its header.
+const INDEX_BODY: usize = PAYLOAD_CAPACITY - HEADER_LEN;
+/// Wire length of an SE record. An index of `total` packets holds at
+/// most `total * INDEX_BODY / SE_RECORD_LEN` of them, which caps the
+/// super-edge ids.
+const SE_RECORD_LEN: usize = 26;
+/// Wire length of a CELL record, which caps the cell ids likewise.
+const CELL_RECORD_LEN: usize = 9;
+/// Largest node id the slot table indexes directly (as in
+/// [`ReceivedGraph`]); larger ids are compacted by sorting.
+const DIRECT_NODE_CAP: usize = 1 << 22;
+
+/// One super-edge of the decoded catalog, at its id in
+/// [`IndexArena::ses`].
+#[derive(Debug, Clone, Copy)]
+struct SeEntry {
     level: u8,
     group: u16,
     from: NodeId,
     to: NodeId,
     cost: Distance,
-    via: Vec<NodeId>,
+    /// An SE or SEPATH record for this id arrived this session.
+    seen: bool,
+    /// Path-view length declared by an SE record that arrived before
+    /// any chunk of its view; chunks can only lengthen the view.
+    declared: u16,
+    /// The path view: `(start, len)` in [`IndexArena::via`].
+    via: (usize, usize),
 }
 
-/// The decoded global index.
-#[derive(Debug, Default)]
-struct DecodedIndex {
+impl SeEntry {
+    /// An id no record has named yet; a SEPATH-first id keeps this
+    /// metadata until its SE record arrives.
+    const UNSEEN: SeEntry = SeEntry {
+        level: 0,
+        group: 0,
+        from: NodeId::MAX,
+        to: NodeId::MAX,
+        cost: 0,
+        seen: false,
+        declared: 0,
+        via: (0, 0),
+    };
+}
+
+/// One SEPATH chunk as it arrived; its nodes sit at `at` in
+/// [`IndexArena::via`].
+#[derive(Debug, Clone, Copy)]
+struct Chunk {
+    id: u32,
+    start: u16,
+    count: u8,
+    at: usize,
+}
+
+impl Chunk {
+    /// One past the last view position the chunk writes (0 if empty).
+    fn end(&self) -> usize {
+        if self.count == 0 {
+            0
+        } else {
+            self.start as usize + self.count as usize
+        }
+    }
+}
+
+/// The decoded global index, reused across sessions. Cells and
+/// super-edges sit in tables indexed by their ids, every path view is a
+/// run of one shared `via` pool, and [`Self::bucket`] groups the
+/// super-edges by `(level, group)`. Every table is capped by what the
+/// session's `total` index packets can carry.
+#[derive(Debug, Clone, Default)]
+struct IndexArena {
     locator: Option<GridLocator>,
     levels: usize,
-    cells: HashMap<u16, (u32, u16)>,
-    ses: HashMap<u32, DecodedSe>,
+    /// `(offset, packets)` per cell id.
+    cells: Vec<Option<(u32, u16)>>,
+    /// Distinct cell ids received.
+    cell_count: usize,
+    ses: Vec<SeEntry>,
+    /// Path-view nodes: the chunks as they arrived, then the views
+    /// [`Self::finish`] had to assemble.
+    via: Vec<NodeId>,
+    chunks: Vec<Chunk>,
     bedges: Vec<(NodeId, NodeId, Weight)>,
+    /// Bucket `b` holds the super-edge ids
+    /// `bucket_ids[bucket_start[b]..bucket_start[b + 1]]`, ascending;
+    /// level `l`'s groups start at bucket `level_base[l]`.
+    bucket_start: Vec<usize>,
+    bucket_ids: Vec<u32>,
+    level_base: Vec<usize>,
+    max_ses: usize,
+    max_cells: usize,
+    /// Path-view nodes the index can carry; also the size cap of the
+    /// G′ slot table.
+    max_via: usize,
 }
 
-impl DecodedIndex {
-    /// Decoded size charged to the client's memory meter.
-    fn retained_bytes(&self) -> usize {
-        let se_bytes: usize = self.ses.values().map(|se| 24 + 4 * se.via.len()).sum();
-        48 + self.cells.len() * 8 + se_bytes + self.bedges.len() * 12
+impl IndexArena {
+    /// Starts a session, keeping every allocation.
+    fn clear(&mut self) {
+        self.locator = None;
+        self.levels = 0;
+        self.cells.clear();
+        self.cell_count = 0;
+        self.ses.clear();
+        self.via.clear();
+        self.chunks.clear();
+        self.bedges.clear();
+        self.set_total(0);
     }
 
+    /// Caps the tables by what `total` index packets can carry.
+    fn set_total(&mut self, total: usize) {
+        let bytes = total.saturating_mul(INDEX_BODY);
+        self.max_ses = (bytes / SE_RECORD_LEN).min(NONE as usize);
+        self.max_cells = (bytes / CELL_RECORD_LEN).min(1 << 16);
+        self.max_via = bytes / 4;
+    }
+
+    /// Super-edge `id`'s entry, growing the table; `None` past the cap.
+    fn se_mut(&mut self, id: u32) -> Option<&mut SeEntry> {
+        let i = id as usize;
+        if i >= self.max_ses {
+            return None;
+        }
+        if i >= self.ses.len() {
+            self.ses.resize(i + 1, SeEntry::UNSEEN);
+        }
+        Some(&mut self.ses[i])
+    }
+
+    /// `(offset, packets)` of cell `c`, if received.
+    fn cell(&self, c: RegionId) -> Option<(u32, u16)> {
+        self.cells.get(c as usize).copied().flatten()
+    }
+
+    /// Super-edge `id`'s path view.
+    fn view(&self, id: u32) -> &[NodeId] {
+        let (start, len) = self.ses[id as usize].via;
+        &self.via[start..start + len]
+    }
+
+    /// Decoded size charged to the client's memory meter.
+    fn retained_bytes(&self) -> usize {
+        let se_bytes: usize = self
+            .ses
+            .iter()
+            .filter(|se| se.seen)
+            .map(|se| 24 + 4 * se.via.1)
+            .sum();
+        48 + self.cell_count * 8 + se_bytes + self.bedges.len() * 12
+    }
+
+    /// Files one index packet's records; `false` on a malformed packet or
+    /// an id past the caps.
     fn ingest(&mut self, payload: &[u8]) -> bool {
         let mut r = PayloadReader::new(payload);
         let Some(MAGIC) = r.read_u8() else {
@@ -311,7 +457,16 @@ impl DecodedIndex {
                     else {
                         return false;
                     };
-                    self.cells.insert(cell, (off, len));
+                    let c = cell as usize;
+                    if c >= self.max_cells {
+                        return false;
+                    }
+                    if c >= self.cells.len() {
+                        self.cells.resize(c + 1, None);
+                    }
+                    if self.cells[c].replace((off, len)).is_none() {
+                        self.cell_count += 1;
+                    }
                 }
                 TAG_SE => {
                     let (Some(id), Some(level), Some(group)) =
@@ -324,25 +479,18 @@ impl DecodedIndex {
                     else {
                         return false;
                     };
-                    let via = match self.ses.entry(id) {
-                        Entry::Occupied(e) => {
-                            // SEPATH records for this id arrived first;
-                            // keep the path, fix the metadata.
-                            e.remove().via
-                        }
-                        Entry::Vacant(_) => vec![NodeId::MAX; via_total as usize],
+                    let Some(se) = self.se_mut(id) else {
+                        return false;
                     };
-                    self.ses.insert(
-                        id,
-                        DecodedSe {
-                            level,
-                            group,
-                            from,
-                            to,
-                            cost,
-                            via,
-                        },
-                    );
+                    if !se.seen {
+                        se.seen = true;
+                        se.declared = via_total;
+                    }
+                    se.level = level;
+                    se.group = group;
+                    se.from = from;
+                    se.to = to;
+                    se.cost = cost;
                 }
                 TAG_SEPATH => {
                     let (Some(id), Some(start), Some(count)) =
@@ -350,22 +498,21 @@ impl DecodedIndex {
                     else {
                         return false;
                     };
-                    let se = self.ses.entry(id).or_insert_with(|| DecodedSe {
-                        level: 0,
-                        group: 0,
-                        from: NodeId::MAX,
-                        to: NodeId::MAX,
-                        cost: 0,
-                        via: Vec::new(),
-                    });
-                    for k in 0..count as usize {
+                    let Some(se) = self.se_mut(id) else {
+                        return false;
+                    };
+                    se.seen = true;
+                    let at = self.via.len();
+                    for _ in 0..count {
                         let Some(v) = r.read_u32() else { return false };
-                        let idx = start as usize + k;
-                        if se.via.len() <= idx {
-                            se.via.resize(idx + 1, NodeId::MAX);
-                        }
-                        se.via[idx] = v;
+                        self.via.push(v);
                     }
+                    self.chunks.push(Chunk {
+                        id,
+                        start,
+                        count,
+                        at,
+                    });
                 }
                 TAG_BEDGE => {
                     let (Some(v), Some(u), Some(wt)) = (r.read_u32(), r.read_u32(), r.read_u32())
@@ -379,6 +526,124 @@ impl DecodedIndex {
         }
         true
     }
+
+    /// Gives every super-edge its path view once the index is in. A view
+    /// is as long as its SE record declared (when that record came first)
+    /// or as its furthest chunk reaches; positions no chunk wrote stay
+    /// `NodeId::MAX`, and a later chunk overwrites an earlier one. A view
+    /// whose chunks arrived in order and back to back stays where they
+    /// landed; any other is assembled at the pool's tail, within the
+    /// index's capacity. `false` if the views exceed it.
+    fn finish(&mut self) -> bool {
+        let Self {
+            ses,
+            via,
+            chunks,
+            max_via,
+            ..
+        } = self;
+        // Stable: a view's chunks stay in arrival order.
+        if !chunks.is_sorted_by_key(|c| c.id) {
+            chunks.sort_by_key(|c| c.id);
+        }
+        let mut assembled = 0usize;
+        let mut k = 0;
+        for (id, se) in ses.iter_mut().enumerate() {
+            let lo = k;
+            while k < chunks.len() && chunks[k].id as usize == id {
+                k += 1;
+            }
+            if !se.seen {
+                continue;
+            }
+            let mine = &chunks[lo..k];
+            let len = mine
+                .iter()
+                .map(Chunk::end)
+                .max()
+                .unwrap_or(0)
+                .max(se.declared as usize);
+            let mut next = 0;
+            let tiled = mine.iter().all(|c| {
+                let fits = c.start as usize == next && c.at == mine[0].at + next;
+                next += c.count as usize;
+                fits
+            });
+            se.via = if len == 0 {
+                (0, 0)
+            } else if tiled && next == len {
+                (mine[0].at, len)
+            } else {
+                assembled += len;
+                if assembled > *max_via {
+                    return false;
+                }
+                let start = via.len();
+                via.resize(start + len, NodeId::MAX);
+                for c in mine {
+                    let dst = start + c.start as usize;
+                    via.copy_within(c.at..c.at + c.count as usize, dst);
+                }
+                (start, len)
+            };
+        }
+        true
+    }
+
+    /// Buckets the super-edges by `(level, group)` for a `side`×`side`
+    /// grid of `levels` levels; ids whose group does not exist are left
+    /// out, as no selection can name them.
+    fn bucket(&mut self, side: usize, levels: usize) {
+        self.level_base.clear();
+        let mut buckets = 0;
+        for level in 0..levels {
+            self.level_base.push(buckets);
+            let cells = side >> level;
+            buckets += cells * cells;
+        }
+        let base = &self.level_base;
+        let keyed = self.ses.iter().enumerate().filter_map(|(id, se)| {
+            let level = se.level as usize;
+            let cells = side.checked_shr(level as u32).unwrap_or(0);
+            let group = se.group as usize;
+            (se.seen && level < levels && group < cells * cells)
+                .then(|| (base[level] + group, id as u32))
+        });
+        group_by_key(buckets, keyed, &mut self.bucket_start, &mut self.bucket_ids);
+    }
+
+    /// Super-edge ids of bucket `(level, group)`.
+    fn bucket_ids(&self, level: u8, group: u16) -> &[u32] {
+        let b = self.level_base[level as usize] + group as usize;
+        &self.bucket_ids[self.bucket_start[b]..self.bucket_start[b + 1]]
+    }
+}
+
+/// Stable counting sort of `(key, item)` pairs with keys below `keys`:
+/// key `k`'s items land in `out[start[k]..start[k + 1]]`, in input order.
+fn group_by_key<T: Copy + Default>(
+    keys: usize,
+    pairs: impl Iterator<Item = (usize, T)> + Clone,
+    start: &mut Vec<usize>,
+    out: &mut Vec<T>,
+) {
+    start.clear();
+    start.resize(keys + 1, 0);
+    for (k, _) in pairs.clone() {
+        start[k + 1] += 1;
+    }
+    for k in 0..keys {
+        start[k + 1] += start[k];
+    }
+    out.clear();
+    out.resize(start[keys], T::default());
+    for (k, item) in pairs {
+        out[start[k]] = item;
+        start[k] += 1;
+    }
+    // Each `start[k]` now holds its key's end, the next key's start.
+    start.copy_within(0..keys, 1);
+    start[0] = 0;
 }
 
 /// Coarsest disjoint groups avoiding both terminal cells: descend the
@@ -416,14 +681,204 @@ fn select_groups(cs: RegionId, ct: RegionId, side: usize, levels: usize) -> Vec<
     out
 }
 
-/// The HiTi client.
+/// One arc of G′: a raw arc, or a super-edge (`se` ≠ [`NONE`]) to expand
+/// through its path view.
+#[derive(Debug, Clone, Copy, Default)]
+struct GArc {
+    to: u32,
+    w: Distance,
+    se: u32,
+}
+
+/// The session's contraction G′ as a CSR over compact node slots, with
+/// the search scratch; reused across sessions.
 #[derive(Debug, Clone, Default)]
-pub struct HiTiAirClient;
+struct Contraction {
+    /// Slot per node id below `direct_cap` ([`NONE`] if not in G′).
+    slot_of: Vec<u32>,
+    direct_cap: usize,
+    /// Ids at or past `direct_cap`, sorted; slot `spill_base + rank`.
+    spill: Vec<NodeId>,
+    spill_base: usize,
+    /// Node id per slot.
+    ids: Vec<NodeId>,
+    /// Selected super-edge ids, ascending.
+    selected: Vec<u32>,
+    /// G′'s edges in insertion order: `(from, to, w, se)`, endpoints as
+    /// node ids, then as slots.
+    staged: Vec<(u32, u32, Distance, u32)>,
+    /// Slot `v`'s arcs are `arcs[first[v]..first[v + 1]]`.
+    first: Vec<usize>,
+    arcs: Vec<GArc>,
+    dist: Vec<Distance>,
+    /// `(parent slot, super-edge id or NONE)` per reached slot.
+    parent: Vec<(u32, u32)>,
+    heap: MinHeap<u32>,
+}
+
+impl Contraction {
+    /// Gives `v` a slot unless it has one; ids at or past the direct
+    /// table's cap are queued for the sorted spill.
+    fn assign(&mut self, v: NodeId) {
+        let i = v as usize;
+        if i >= self.direct_cap {
+            self.spill.push(v);
+            return;
+        }
+        if i >= self.slot_of.len() {
+            let len = (i + 1).next_power_of_two().min(self.direct_cap);
+            self.slot_of.resize(len, NONE);
+        }
+        if self.slot_of[i] == NONE {
+            self.slot_of[i] = self.ids.len() as u32;
+            self.ids.push(v);
+        }
+    }
+
+    /// Slot of an assigned `v`.
+    fn slot(&self, v: NodeId) -> u32 {
+        if (v as usize) < self.direct_cap {
+            self.slot_of[v as usize]
+        } else {
+            let rank = self
+                .spill
+                .binary_search(&v)
+                .expect("spilled ids are sorted in");
+            (self.spill_base + rank) as u32
+        }
+    }
+
+    /// Builds G′ for `s → t`: each node's arcs are its selected
+    /// super-edges by ascending id, then its cross-cell edges in arrival
+    /// order, then its raw arcs if it is a received terminal-cell node —
+    /// the order that fixes heap pushes, tie-breaks and settle counts.
+    /// Returns the slots of `s` and `t`.
+    fn build(
+        &mut self,
+        index: &IndexArena,
+        selected: &[(u8, u16)],
+        store: &ReceivedGraph,
+        s: NodeId,
+        t: NodeId,
+    ) -> (u32, u32) {
+        for &v in &self.ids {
+            if let Some(slot) = self.slot_of.get_mut(v as usize) {
+                *slot = NONE;
+            }
+        }
+        self.ids.clear();
+        self.spill.clear();
+        self.staged.clear();
+        self.direct_cap = index.max_via.min(DIRECT_NODE_CAP);
+
+        self.selected.clear();
+        for &(level, group) in selected {
+            self.selected
+                .extend_from_slice(index.bucket_ids(level, group));
+        }
+        self.selected.sort_unstable();
+        for &id in &self.selected {
+            let se = &index.ses[id as usize];
+            self.staged.push((se.from, se.to, se.cost, id));
+        }
+        for &(v, u, w) in &index.bedges {
+            self.staged.push((v, u, w as Distance, NONE));
+        }
+        for v in store.node_ids() {
+            for &(u, w) in store.out_edges(v) {
+                self.staged.push((v, u, w as Distance, NONE));
+            }
+        }
+
+        self.assign(s);
+        self.assign(t);
+        for i in 0..self.staged.len() {
+            let (from, to, _, _) = self.staged[i];
+            self.assign(from);
+            self.assign(to);
+        }
+        self.spill.sort_unstable();
+        self.spill.dedup();
+        self.spill_base = self.ids.len();
+        self.ids.extend_from_slice(&self.spill);
+        for i in 0..self.staged.len() {
+            let (from, to, _, _) = self.staged[i];
+            self.staged[i].0 = self.slot(from);
+            self.staged[i].1 = self.slot(to);
+        }
+        let pairs = self
+            .staged
+            .iter()
+            .map(|&(from, to, w, se)| (from as usize, GArc { to, w, se }));
+        group_by_key(self.ids.len(), pairs, &mut self.first, &mut self.arcs);
+        (self.slot(s), self.slot(t))
+    }
+
+    /// Dijkstra over G′ from slot `s` to slot `t`, expanding super-edges
+    /// on the returned path. Returns `(result, settled_count)`.
+    fn search(
+        &mut self,
+        index: &IndexArena,
+        s: u32,
+        t: u32,
+    ) -> (Option<(Distance, Vec<NodeId>)>, usize) {
+        let n = self.ids.len();
+        self.dist.clear();
+        self.dist.resize(n, Distance::MAX);
+        self.parent.clear();
+        self.parent.resize(n, (NONE, NONE));
+        self.heap.clear();
+        self.dist[s as usize] = 0;
+        self.heap.push(0, s);
+        let mut settled = 0usize;
+        while let Some(e) = self.heap.pop() {
+            let v = e.item as usize;
+            if self.dist[v] != e.key {
+                continue;
+            }
+            settled += 1;
+            if e.item == t {
+                // Reconstruct, expanding super-edges through their views.
+                let mut path = vec![self.ids[v]];
+                let mut cur = e.item;
+                while cur != s {
+                    let (p, se) = self.parent[cur as usize];
+                    if se != NONE {
+                        path.extend(index.view(se).iter().rev());
+                    }
+                    path.push(self.ids[p as usize]);
+                    cur = p;
+                }
+                path.reverse();
+                return (Some((e.key, path)), settled);
+            }
+            for a in &self.arcs[self.first[v]..self.first[v + 1]] {
+                let cand = e.key.saturating_add(a.w);
+                if cand < self.dist[a.to as usize] {
+                    self.dist[a.to as usize] = cand;
+                    self.parent[a.to as usize] = (e.item, a.se);
+                    self.heap.push(cand, a.to);
+                }
+            }
+        }
+        (None, settled)
+    }
+}
+
+/// The HiTi client. It owns the decoded index, the terminal cells'
+/// store and G′ with its search scratch, and reuses all three across
+/// sessions.
+#[derive(Debug, Clone, Default)]
+pub struct HiTiAirClient {
+    index: IndexArena,
+    store: ReceivedGraph,
+    contraction: Contraction,
+}
 
 impl HiTiAirClient {
     /// New client.
     pub fn new() -> Self {
-        Self
+        Self::default()
     }
 
     /// Receives the entire global index reliably starting at `start`. The
@@ -432,12 +887,14 @@ impl HiTiAirClient {
     /// later cycles (§6.2 — HiTi's index is not replicated, so a loss in
     /// it costs a cycle-long wait, which Figure 14 would show).
     fn receive_index(
-        &self,
+        &mut self,
         ch: &mut BroadcastChannel<'_>,
         start: usize,
-    ) -> Result<DecodedIndex, QueryError> {
+    ) -> Result<(), QueryError> {
+        const UNDECODABLE: QueryError = QueryError::Aborted("undecodable HiTi index packet");
         let len = ch.cycle_len();
-        let mut dec = DecodedIndex::default();
+        let dec = &mut self.index;
+        dec.clear();
         let mut total: Option<usize> = None;
         let mut received: Vec<bool> = Vec::new();
         for _round in 0..MAX_RETRY_CYCLES {
@@ -471,11 +928,14 @@ impl HiTiAirClient {
                         if seq >= tot || tot > len || total.is_some_and(|t| t != tot) {
                             return Err(QueryError::Aborted("inconsistent HiTi index header"));
                         }
+                        if total.is_none() {
+                            dec.set_total(tot);
+                        }
                         total = Some(tot);
                         received.resize(tot, false);
                         if !received[seq] {
                             if !dec.ingest(p.payload()) {
-                                return Err(QueryError::Aborted("undecodable HiTi index packet"));
+                                return Err(UNDECODABLE);
                             }
                             received[seq] = true;
                         }
@@ -501,7 +961,7 @@ impl HiTiAirClient {
                     match ch.receive() {
                         Received::Packet(p) => {
                             if !dec.ingest(p.payload()) {
-                                return Err(QueryError::Aborted("undecodable HiTi index packet"));
+                                return Err(UNDECODABLE);
                             }
                             received[i] = true;
                         }
@@ -510,7 +970,11 @@ impl HiTiAirClient {
                 }
                 missing = still;
             }
-            return Ok(dec);
+            return if dec.finish() {
+                Ok(())
+            } else {
+                Err(UNDECODABLE)
+            };
         }
         Err(QueryError::Aborted("HiTi index reception never completed"))
     }
@@ -540,45 +1004,55 @@ impl AirClient for HiTiAirClient {
         let Some(start) = find_next_index(ch, 10_000) else {
             return Err(QueryError::Aborted("no index on channel"));
         };
-        let index = self.receive_index(ch, start)?;
+        self.receive_index(ch, start)?;
+        let index = &mut self.index;
         mem.alloc(index.retained_bytes());
         let Some(locator) = index.locator else {
             return Err(QueryError::Aborted("HiTi index lacks geometry"));
         };
+        // A grid the index could not list the cells of, or a hierarchy
+        // deeper than a grid side's bits, is no usable geometry.
+        let side = locator.cols;
+        let levels = index.levels.max(1);
+        if side == 0 || side * side > index.max_cells || levels > usize::BITS as usize {
+            return Err(QueryError::Aborted("HiTi index lacks geometry"));
+        }
 
         // 2. Terminal cells and needed groups.
         let cs = locator.locate(q.source_pt);
         let ct = locator.locate(q.target_pt);
-        let side = locator.cols;
-        let selected = cpu.time(|| select_groups(cs, ct, side, index.levels.max(1)));
+        let selected = cpu.time(|| select_groups(cs, ct, side, levels));
 
         // 3. Selective tuning: only the two terminal cells' raw data.
-        let mut store = ReceivedGraph::new();
+        let store = &mut self.store;
+        store.clear();
         let mut cells_needed = vec![cs];
         if ct != cs {
             cells_needed.push(ct);
         }
         // Receive in broadcast order to stay within one pass.
-        cells_needed.sort_by_key(|&c| index.cells.get(&c).map(|&(off, _)| off).unwrap_or(0));
+        cells_needed.sort_by_key(|&c| index.cell(c).map(|(off, _)| off).unwrap_or(0));
         for cell in cells_needed {
-            let Some(&(off, len)) = index.cells.get(&cell) else {
+            let Some((off, len)) = index.cell(cell) else {
                 return Err(QueryError::Aborted("cell offset missing from index"));
             };
             let payloads =
                 receive_segment_reliable(ch, off as usize, len as usize, MAX_RETRY_CYCLES)
                     .ok_or(QueryError::Aborted("cell data reception never completed"))?;
             for payload in &payloads {
-                if let Some(records) = decode_payload(payload) {
-                    for rec in records {
-                        mem.alloc(store.ingest(rec));
-                    }
+                if let Some(bytes) = store.ingest_payload(payload) {
+                    mem.alloc(bytes);
                 }
             }
         }
 
         // 4. Dijkstra over the hierarchical contraction G'.
-        let (res, settled) =
-            cpu.time(|| hierarchical_search(&index, &selected, &store, q.source, q.target));
+        let g = &mut self.contraction;
+        let (res, settled) = cpu.time(|| {
+            index.bucket(side, levels);
+            let (s, t) = g.build(index, &selected, store, q.source, q.target);
+            g.search(index, s, t)
+        });
         mem.alloc(settled * decoded_node_bytes(0));
         let stats = QueryStats {
             tuning_packets: ch.tuned(),
@@ -599,98 +1073,10 @@ impl AirClient for HiTiAirClient {
     }
 }
 
-/// Edge of the contraction: either a raw arc or a super-edge id to expand.
-#[derive(Debug, Clone, Copy)]
-enum GEdge {
-    Raw(NodeId, Distance),
-    Super(NodeId, Distance, u32),
-}
-
-/// Dijkstra over the hierarchical contraction, expanding super-edges on
-/// the returned path. Returns `(result, settled_count)`.
-fn hierarchical_search(
-    index: &DecodedIndex,
-    selected: &[(u8, u16)],
-    store: &ReceivedGraph,
-    s: NodeId,
-    t: NodeId,
-) -> (Option<(Distance, Vec<NodeId>)>, usize) {
-    let mut adj: HashMap<NodeId, Vec<GEdge>> = HashMap::new();
-    let selset: std::collections::HashSet<(u8, u16)> = selected.iter().copied().collect();
-    // Iterate the hash-keyed structures in sorted order so the adjacency
-    // push order — and with it the tie-break among equal-distance paths
-    // and the settled count — is identical on every run.
-    let mut se_ids: Vec<u32> = index.ses.keys().copied().collect();
-    se_ids.sort_unstable();
-    for id in se_ids {
-        let se = &index.ses[&id];
-        if selset.contains(&(se.level, se.group)) {
-            adj.entry(se.from)
-                .or_default()
-                .push(GEdge::Super(se.to, se.cost, id));
-        }
-    }
-    for &(v, u, w) in &index.bedges {
-        adj.entry(v).or_default().push(GEdge::Raw(u, w as Distance));
-    }
-    let mut received: Vec<NodeId> = store.node_ids().collect();
-    received.sort_unstable();
-    for v in received {
-        for &(u, w) in store.out_edges(v) {
-            adj.entry(v).or_default().push(GEdge::Raw(u, w as Distance));
-        }
-    }
-
-    let mut dist: HashMap<NodeId, Distance> = HashMap::new();
-    let mut parent: HashMap<NodeId, (NodeId, Option<u32>)> = HashMap::new();
-    let mut heap = MinHeap::new();
-    dist.insert(s, 0);
-    heap.push(0, s);
-    let mut settled = 0usize;
-    while let Some(e) = heap.pop() {
-        let v = e.item;
-        if dist.get(&v) != Some(&e.key) {
-            continue;
-        }
-        settled += 1;
-        if v == t {
-            // Reconstruct, expanding super-edges through their views.
-            let mut path = vec![t];
-            let mut cur = t;
-            while cur != s {
-                let &(p, se) = parent.get(&cur).expect("settled nodes have parents");
-                if let Some(id) = se {
-                    let view = &index.ses[&id].via;
-                    for &x in view.iter().rev() {
-                        path.push(x);
-                    }
-                }
-                path.push(p);
-                cur = p;
-            }
-            path.reverse();
-            return (Some((e.key, path)), settled);
-        }
-        for edge in adj.get(&v).map(Vec::as_slice).unwrap_or(&[]) {
-            let (u, w, se) = match *edge {
-                GEdge::Raw(u, w) => (u, w, None),
-                GEdge::Super(u, w, id) => (u, w, Some(id)),
-            };
-            let cand = e.key + w;
-            if dist.get(&u).is_none_or(|&d| cand < d) {
-                dist.insert(u, cand);
-                parent.insert(u, (v, se));
-                heap.push(cand, u);
-            }
-        }
-    }
-    (None, settled)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spair_broadcast::{LossModel, Packet};
+    use spair_broadcast::{FaultPlan, LossModel, Packet};
     use spair_roadnet::dijkstra_distance;
     use spair_roadnet::generators::small_grid;
 
@@ -849,6 +1235,423 @@ mod tests {
         assert!(sepath_start(last_ok + 1).is_err());
     }
 
+    /// The client this module shipped before its flat arenas, kept
+    /// verbatim as the differential oracle: it decodes the index into
+    /// hash maps and rebuilds G′'s adjacency as a hash map per query.
+    mod oracle {
+        use super::super::*;
+        use spair_core::netcodec::decode_payload;
+        use std::collections::hash_map::Entry;
+        use std::collections::HashMap;
+
+        /// One decoded super-edge of the catalog.
+        #[derive(Debug, Clone)]
+        struct DecodedSe {
+            level: u8,
+            group: u16,
+            from: NodeId,
+            to: NodeId,
+            cost: Distance,
+            via: Vec<NodeId>,
+        }
+
+        /// The decoded global index.
+        #[derive(Debug, Default)]
+        struct DecodedIndex {
+            locator: Option<GridLocator>,
+            levels: usize,
+            cells: HashMap<u16, (u32, u16)>,
+            ses: HashMap<u32, DecodedSe>,
+            bedges: Vec<(NodeId, NodeId, Weight)>,
+        }
+
+        impl DecodedIndex {
+            /// Decoded size charged to the client's memory meter.
+            fn retained_bytes(&self) -> usize {
+                let se_bytes: usize = self.ses.values().map(|se| 24 + 4 * se.via.len()).sum();
+                48 + self.cells.len() * 8 + se_bytes + self.bedges.len() * 12
+            }
+
+            fn ingest(&mut self, payload: &[u8]) -> bool {
+                let mut r = PayloadReader::new(payload);
+                let Some(MAGIC) = r.read_u8() else {
+                    return false;
+                };
+                let (Some(_seq), Some(_total)) = (r.read_u32(), r.read_u32()) else {
+                    return false;
+                };
+                while let Some(tag) = r.read_u8() {
+                    match tag {
+                        TAG_GEOM => {
+                            let (Some(minx), Some(miny), Some(cw), Some(chh)) =
+                                (r.read_f64(), r.read_f64(), r.read_f64(), r.read_f64())
+                            else {
+                                return false;
+                            };
+                            let (Some(side), Some(levels)) = (r.read_u16(), r.read_u8()) else {
+                                return false;
+                            };
+                            self.locator = Some(GridLocator {
+                                min: spair_roadnet::Point::new(minx, miny),
+                                cell_w: cw,
+                                cell_h: chh,
+                                cols: side as usize,
+                                rows: side as usize,
+                            });
+                            self.levels = levels as usize;
+                        }
+                        TAG_CELL => {
+                            let (Some(cell), Some(off), Some(len)) =
+                                (r.read_u16(), r.read_u32(), r.read_u16())
+                            else {
+                                return false;
+                            };
+                            self.cells.insert(cell, (off, len));
+                        }
+                        TAG_SE => {
+                            let (Some(id), Some(level), Some(group)) =
+                                (r.read_u32(), r.read_u8(), r.read_u16())
+                            else {
+                                return false;
+                            };
+                            let (Some(from), Some(to), Some(cost), Some(via_total)) =
+                                (r.read_u32(), r.read_u32(), r.read_u64(), r.read_u16())
+                            else {
+                                return false;
+                            };
+                            let via = match self.ses.entry(id) {
+                                Entry::Occupied(e) => {
+                                    // SEPATH records for this id arrived first;
+                                    // keep the path, fix the metadata.
+                                    e.remove().via
+                                }
+                                Entry::Vacant(_) => vec![NodeId::MAX; via_total as usize],
+                            };
+                            self.ses.insert(
+                                id,
+                                DecodedSe {
+                                    level,
+                                    group,
+                                    from,
+                                    to,
+                                    cost,
+                                    via,
+                                },
+                            );
+                        }
+                        TAG_SEPATH => {
+                            let (Some(id), Some(start), Some(count)) =
+                                (r.read_u32(), r.read_u16(), r.read_u8())
+                            else {
+                                return false;
+                            };
+                            let se = self.ses.entry(id).or_insert_with(|| DecodedSe {
+                                level: 0,
+                                group: 0,
+                                from: NodeId::MAX,
+                                to: NodeId::MAX,
+                                cost: 0,
+                                via: Vec::new(),
+                            });
+                            for k in 0..count as usize {
+                                let Some(v) = r.read_u32() else { return false };
+                                let idx = start as usize + k;
+                                if se.via.len() <= idx {
+                                    se.via.resize(idx + 1, NodeId::MAX);
+                                }
+                                se.via[idx] = v;
+                            }
+                        }
+                        TAG_BEDGE => {
+                            let (Some(v), Some(u), Some(wt)) =
+                                (r.read_u32(), r.read_u32(), r.read_u32())
+                            else {
+                                return false;
+                            };
+                            self.bedges.push((v, u, wt));
+                        }
+                        _ => return false,
+                    }
+                }
+                true
+            }
+        }
+
+        /// The HiTi client.
+        #[derive(Debug, Clone, Default)]
+        pub(super) struct LegacyClient;
+
+        impl LegacyClient {
+            /// Receives the entire global index reliably starting at `start`. The
+            /// copy length is learned from the first intact packet header (each
+            /// packet carries `seq`/`total`); lost packets are re-received in
+            /// later cycles (§6.2 — HiTi's index is not replicated, so a loss in
+            /// it costs a cycle-long wait, which Figure 14 would show).
+            fn receive_index(
+                &self,
+                ch: &mut BroadcastChannel<'_>,
+                start: usize,
+            ) -> Result<DecodedIndex, QueryError> {
+                let len = ch.cycle_len();
+                let mut dec = DecodedIndex::default();
+                let mut total: Option<usize> = None;
+                let mut received: Vec<bool> = Vec::new();
+                for _round in 0..MAX_RETRY_CYCLES {
+                    ch.sleep_to_offset(start);
+                    let mut pos = 0usize;
+                    loop {
+                        if let Some(t) = total {
+                            if pos >= t {
+                                break;
+                            }
+                        }
+                        match ch.receive() {
+                            Received::Packet(p) => {
+                                if p.kind() != PacketKind::Index {
+                                    // Overran the copy without learning its
+                                    // length (only possible when `total` is still
+                                    // unknown, i.e. every index packet was lost).
+                                    break;
+                                }
+                                let mut r = PayloadReader::new(p.payload());
+                                if r.read_u8() != Some(MAGIC) {
+                                    return Err(QueryError::Aborted(
+                                        "channel does not carry a HiTi index",
+                                    ));
+                                }
+                                let (Some(seq), Some(tot)) = (r.read_u32(), r.read_u32()) else {
+                                    return Err(QueryError::Aborted("malformed HiTi index header"));
+                                };
+                                // Bound the header before it sizes or indexes
+                                // anything: the copy fits in one cycle, and every
+                                // packet of it agrees on its length.
+                                let (seq, tot) = (seq as usize, tot as usize);
+                                if seq >= tot || tot > len || total.is_some_and(|t| t != tot) {
+                                    return Err(QueryError::Aborted(
+                                        "inconsistent HiTi index header",
+                                    ));
+                                }
+                                total = Some(tot);
+                                received.resize(tot, false);
+                                if !received[seq] {
+                                    if !dec.ingest(p.payload()) {
+                                        return Err(QueryError::Aborted(
+                                            "undecodable HiTi index packet",
+                                        ));
+                                    }
+                                    received[seq] = true;
+                                }
+                                pos = seq + 1;
+                            }
+                            Received::Lost | Received::Corrupted => pos += 1,
+                        }
+                    }
+                    let Some(t) = total else {
+                        continue; // nothing intact this cycle; try the next one
+                    };
+                    // Targeted retries for the holes.
+                    let mut missing: Vec<usize> = (0..t).filter(|&i| !received[i]).collect();
+                    let mut rounds = 0;
+                    while !missing.is_empty() {
+                        rounds += 1;
+                        if rounds > MAX_RETRY_CYCLES {
+                            return Err(QueryError::Aborted(
+                                "HiTi index reception never completed",
+                            ));
+                        }
+                        let mut still = Vec::new();
+                        for i in missing {
+                            ch.sleep_to_offset((start + i) % len);
+                            match ch.receive() {
+                                Received::Packet(p) => {
+                                    if !dec.ingest(p.payload()) {
+                                        return Err(QueryError::Aborted(
+                                            "undecodable HiTi index packet",
+                                        ));
+                                    }
+                                    received[i] = true;
+                                }
+                                Received::Lost | Received::Corrupted => still.push(i),
+                            }
+                        }
+                        missing = still;
+                    }
+                    return Ok(dec);
+                }
+                Err(QueryError::Aborted("HiTi index reception never completed"))
+            }
+        }
+
+        impl AirClient for LegacyClient {
+            fn method_name(&self) -> &'static str {
+                "HiTi"
+            }
+
+            fn query(
+                &mut self,
+                ch: &mut BroadcastChannel<'_>,
+                q: &Query,
+            ) -> Result<QueryOutcome, QueryError> {
+                let mut mem = MemoryMeter::new();
+                let mut cpu = CpuMeter::new();
+                if q.source == q.target {
+                    return Ok(QueryOutcome {
+                        distance: 0,
+                        path: vec![q.source],
+                        stats: QueryStats::default(),
+                    });
+                }
+
+                // 1. Entire index ("the client should receive the entire index").
+                let Some(start) = find_next_index(ch, 10_000) else {
+                    return Err(QueryError::Aborted("no index on channel"));
+                };
+                let index = self.receive_index(ch, start)?;
+                mem.alloc(index.retained_bytes());
+                let Some(locator) = index.locator else {
+                    return Err(QueryError::Aborted("HiTi index lacks geometry"));
+                };
+
+                // 2. Terminal cells and needed groups.
+                let cs = locator.locate(q.source_pt);
+                let ct = locator.locate(q.target_pt);
+                let side = locator.cols;
+                let selected = cpu.time(|| select_groups(cs, ct, side, index.levels.max(1)));
+
+                // 3. Selective tuning: only the two terminal cells' raw data.
+                let mut store = ReceivedGraph::new();
+                let mut cells_needed = vec![cs];
+                if ct != cs {
+                    cells_needed.push(ct);
+                }
+                // Receive in broadcast order to stay within one pass.
+                cells_needed
+                    .sort_by_key(|&c| index.cells.get(&c).map(|&(off, _)| off).unwrap_or(0));
+                for cell in cells_needed {
+                    let Some(&(off, len)) = index.cells.get(&cell) else {
+                        return Err(QueryError::Aborted("cell offset missing from index"));
+                    };
+                    let payloads =
+                        receive_segment_reliable(ch, off as usize, len as usize, MAX_RETRY_CYCLES)
+                            .ok_or(QueryError::Aborted("cell data reception never completed"))?;
+                    for payload in &payloads {
+                        if let Some(records) = decode_payload(payload) {
+                            for rec in records {
+                                mem.alloc(store.ingest(rec));
+                            }
+                        }
+                    }
+                }
+
+                // 4. Dijkstra over the hierarchical contraction G'.
+                let (res, settled) =
+                    cpu.time(|| hierarchical_search(&index, &selected, &store, q.source, q.target));
+                mem.alloc(settled * decoded_node_bytes(0));
+                let stats = QueryStats {
+                    tuning_packets: ch.tuned(),
+                    latency_packets: ch.elapsed(),
+                    sleep_packets: ch.slept(),
+                    peak_memory_bytes: mem.peak(),
+                    cpu: cpu.total(),
+                    settled_nodes: settled as u64,
+                };
+                match res {
+                    Some((distance, path)) => Ok(QueryOutcome {
+                        distance,
+                        path,
+                        stats,
+                    }),
+                    None => Err(QueryError::Unreachable),
+                }
+            }
+        }
+
+        /// Edge of the contraction: either a raw arc or a super-edge id to expand.
+        #[derive(Debug, Clone, Copy)]
+        enum GEdge {
+            Raw(NodeId, Distance),
+            Super(NodeId, Distance, u32),
+        }
+
+        /// Dijkstra over the hierarchical contraction, expanding super-edges on
+        /// the returned path. Returns `(result, settled_count)`.
+        fn hierarchical_search(
+            index: &DecodedIndex,
+            selected: &[(u8, u16)],
+            store: &ReceivedGraph,
+            s: NodeId,
+            t: NodeId,
+        ) -> (Option<(Distance, Vec<NodeId>)>, usize) {
+            let mut adj: HashMap<NodeId, Vec<GEdge>> = HashMap::new();
+            let selset: std::collections::HashSet<(u8, u16)> = selected.iter().copied().collect();
+            let mut se_ids: Vec<u32> = index.ses.keys().copied().collect();
+            se_ids.sort_unstable();
+            for id in se_ids {
+                let se = &index.ses[&id];
+                if selset.contains(&(se.level, se.group)) {
+                    adj.entry(se.from)
+                        .or_default()
+                        .push(GEdge::Super(se.to, se.cost, id));
+                }
+            }
+            for &(v, u, w) in &index.bedges {
+                adj.entry(v).or_default().push(GEdge::Raw(u, w as Distance));
+            }
+            let mut received: Vec<NodeId> = store.node_ids().collect();
+            received.sort_unstable();
+            for v in received {
+                for &(u, w) in store.out_edges(v) {
+                    adj.entry(v).or_default().push(GEdge::Raw(u, w as Distance));
+                }
+            }
+
+            let mut dist: HashMap<NodeId, Distance> = HashMap::new();
+            let mut parent: HashMap<NodeId, (NodeId, Option<u32>)> = HashMap::new();
+            let mut heap = MinHeap::new();
+            dist.insert(s, 0);
+            heap.push(0, s);
+            let mut settled = 0usize;
+            while let Some(e) = heap.pop() {
+                let v = e.item;
+                if dist.get(&v) != Some(&e.key) {
+                    continue;
+                }
+                settled += 1;
+                if v == t {
+                    // Reconstruct, expanding super-edges through their views.
+                    let mut path = vec![t];
+                    let mut cur = t;
+                    while cur != s {
+                        let &(p, se) = parent.get(&cur).expect("settled nodes have parents");
+                        if let Some(id) = se {
+                            let view = &index.ses[&id].via;
+                            for &x in view.iter().rev() {
+                                path.push(x);
+                            }
+                        }
+                        path.push(p);
+                        cur = p;
+                    }
+                    path.reverse();
+                    return (Some((e.key, path)), settled);
+                }
+                for edge in adj.get(&v).map(Vec::as_slice).unwrap_or(&[]) {
+                    let (u, w, se) = match *edge {
+                        GEdge::Raw(u, w) => (u, w, None),
+                        GEdge::Super(u, w, id) => (u, w, Some(id)),
+                    };
+                    let cand = e.key + w;
+                    if dist.get(&u).is_none_or(|&d| cand < d) {
+                        dist.insert(u, cand);
+                        parent.insert(u, (v, se));
+                        heap.push(cand, u);
+                    }
+                }
+            }
+            (None, settled)
+        }
+    }
+
     /// Decoder panic audit: every payload — random, truncated, or
     /// bit-flipped — must yield a typed reject or a partial decode,
     /// never a panic.
@@ -869,6 +1672,131 @@ mod tests {
             })
         }
 
+        /// The 12×12 grid world the hostile cycles are cut from.
+        fn world() -> &'static (RoadNetwork, HiTiProgram) {
+            static WORLD: OnceLock<(RoadNetwork, HiTiProgram)> = OnceLock::new();
+            WORLD.get_or_init(|| setup(4, 4, 3))
+        }
+
+        /// Decodes one payload into an arena sized for a 64-packet index.
+        fn decode(payload: &[u8]) {
+            let mut dec = IndexArena::default();
+            dec.set_total(64);
+            let _ = dec.ingest(payload);
+            let _ = dec.finish();
+            let _ = dec.retained_bytes();
+        }
+
+        /// A well-formed index record.
+        #[derive(Debug, Clone)]
+        enum Rec {
+            Geom(f64, u16, u8),
+            Cell(u16, u32, u16),
+            Se(u32, u8, u16, NodeId, NodeId, u64, u16),
+            SePath(u32, u16, Vec<NodeId>),
+            Bedge(NodeId, NodeId, Weight),
+        }
+
+        impl Rec {
+            fn encode(&self, rec: &mut RecordBuf) {
+                rec.clear();
+                match self {
+                    Rec::Geom(cell_w, side, levels) => {
+                        rec.put_u8(TAG_GEOM)
+                            .put_f64(0.0)
+                            .put_f64(0.0)
+                            .put_f64(*cell_w)
+                            .put_f64(*cell_w)
+                            .put_u16(*side)
+                            .put_u8(*levels);
+                    }
+                    Rec::Cell(cell, off, len) => {
+                        rec.put_u8(TAG_CELL)
+                            .put_u16(*cell)
+                            .put_u32(*off)
+                            .put_u16(*len);
+                    }
+                    &Rec::Se(id, level, group, from, to, cost, via) => {
+                        rec.put_u8(TAG_SE)
+                            .put_u32(id)
+                            .put_u8(level)
+                            .put_u16(group)
+                            .put_u32(from)
+                            .put_u32(to)
+                            .put_u64(cost)
+                            .put_u16(via);
+                    }
+                    Rec::SePath(id, start, nodes) => {
+                        rec.put_u8(TAG_SEPATH)
+                            .put_u32(*id)
+                            .put_u16(*start)
+                            .put_u8(nodes.len() as u8);
+                        for &v in nodes {
+                            rec.put_u32(v);
+                        }
+                    }
+                    &Rec::Bedge(v, u, w) => {
+                        rec.put_u8(TAG_BEDGE).put_u32(v).put_u32(u).put_u32(w);
+                    }
+                }
+            }
+        }
+
+        /// Small ids, or ids at the top of the `u32` wire field.
+        fn edge_u32() -> impl Strategy<Value = u32> {
+            prop_oneof![0u32..160, (u32::MAX - 160)..=u32::MAX]
+        }
+
+        /// Small values, or values at the top of the `u16` wire field.
+        fn edge_u16() -> impl Strategy<Value = u16> {
+            prop_oneof![0u16..64, (u16::MAX - 64)..=u16::MAX]
+        }
+
+        fn record() -> impl Strategy<Value = Rec> {
+            prop_oneof![
+                (any::<f64>(), edge_u16(), any::<u8>()).prop_map(|(w, s, l)| Rec::Geom(w, s, l)),
+                (edge_u16(), 0u32..4096, 0u16..4).prop_map(|(c, o, l)| Rec::Cell(c, o, l)),
+                (
+                    (edge_u32(), 0u8..4, edge_u16()),
+                    (edge_u32(), edge_u32(), any::<u64>(), edge_u16())
+                )
+                    .prop_map(|((i, l, g), (f, t, c, v))| Rec::Se(i, l, g, f, t, c, v)),
+                (
+                    edge_u32(),
+                    edge_u16(),
+                    proptest::collection::vec(edge_u32(), 0..=PATH_CHUNK)
+                )
+                    .prop_map(|(i, s, n)| Rec::SePath(i, s, n)),
+                (edge_u32(), edge_u32(), any::<u32>()).prop_map(|(v, u, w)| Rec::Bedge(v, u, w)),
+            ]
+        }
+
+        /// Bytes the client's index and G′ arenas hold (capacity, not
+        /// length).
+        fn arena_bytes(client: &HiTiAirClient) -> usize {
+            fn cap<T>(v: &Vec<T>) -> usize {
+                v.capacity() * std::mem::size_of::<T>()
+            }
+            let (i, g) = (&client.index, &client.contraction);
+            cap(&i.cells)
+                + cap(&i.ses)
+                + cap(&i.via)
+                + cap(&i.chunks)
+                + cap(&i.bedges)
+                + cap(&i.bucket_start)
+                + cap(&i.bucket_ids)
+                + cap(&i.level_base)
+                + cap(&g.slot_of)
+                + cap(&g.spill)
+                + cap(&g.ids)
+                + cap(&g.selected)
+                + cap(&g.staged)
+                + cap(&g.first)
+                + cap(&g.arcs)
+                + cap(&g.dist)
+                + cap(&g.parent)
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -880,9 +1808,7 @@ mod tests {
                 if force_magic && !payload.is_empty() {
                     payload[0] = MAGIC;
                 }
-                let mut dec = DecodedIndex::default();
-                let _ = dec.ingest(&payload);
-                let _ = dec.retained_bytes();
+                decode(&payload);
             }
 
             #[test]
@@ -893,14 +1819,11 @@ mod tests {
             ) {
                 let payloads = real_payloads();
                 let payload = &payloads[which % payloads.len()];
-                let mut dec = DecodedIndex::default();
-                let _ = dec.ingest(&payload[..cut.min(payload.len())]);
+                decode(&payload[..cut.min(payload.len())]);
                 let mut flipped = payload.clone();
                 let b = bit % (flipped.len() * 8);
                 flipped[b / 8] ^= 1 << (b % 8);
-                let mut dec = DecodedIndex::default();
-                let _ = dec.ingest(&flipped);
-                let _ = dec.retained_bytes();
+                decode(&flipped);
             }
 
             /// Runs of index headers with arbitrary sequence numbers and
@@ -913,6 +1836,58 @@ mod tests {
                 let cycle = index_cycle(&headers);
                 let mut ch = BroadcastChannel::lossless(&cycle);
                 let _ = HiTiAirClient::new().receive_index(&mut ch, 0);
+            }
+
+            /// Well-formed records whose super-edge, SEPATH and node ids
+            /// sit near `u32::MAX` and whose cell ids and grid side sit
+            /// near `u16::MAX` replace every `stride`-th packet of a real
+            /// index. The client answers with a path between the
+            /// terminals or a typed error, its arenas stay within a fixed
+            /// multiple of the index bytes, and the same client then
+            /// answers the intact cycle exactly.
+            #[test]
+            fn arbitrary_hostile_ids_never_panic(
+                records in proptest::collection::vec(record(), 1..24),
+                stride in 1usize..4,
+                s in 0u32..144,
+                t in 0u32..144,
+            ) {
+                let (g, program) = world();
+                let cycle = program.cycle();
+                let mut w = RecordWriter::with_capacity(INDEX_BODY);
+                let mut rec = RecordBuf::new();
+                for r in &records {
+                    r.encode(&mut rec);
+                    w.push_record(rec.as_slice());
+                }
+                let bodies = w.finish();
+                let mut hostile = bodies.iter().cycle();
+                let packets = (0..cycle.len())
+                    .map(|i| {
+                        let p = cycle.packet(i);
+                        if p.kind() != PacketKind::Index || i % stride != 0 {
+                            return p.clone();
+                        }
+                        let mut payload = p.payload()[..HEADER_LEN].to_vec();
+                        payload.extend_from_slice(hostile.next().expect("non-empty"));
+                        Packet::new(PacketKind::Index, p.next_index(), payload.into())
+                    })
+                    .collect();
+                let damaged = BroadcastCycle::from_packets(packets);
+                let mut client = HiTiAirClient::new();
+                let q = Query::for_nodes(g, s, t);
+                if let Ok(out) = client.query(&mut BroadcastChannel::lossless(&damaged), &q) {
+                    prop_assert_eq!(out.path.first(), Some(&s));
+                    prop_assert_eq!(out.path.last(), Some(&t));
+                }
+                let index_bytes = program.index_packets() * PAYLOAD_CAPACITY;
+                prop_assert!(
+                    arena_bytes(&client) <= 64 * index_bytes,
+                    "arenas hold {} bytes for a {index_bytes}-byte index",
+                    arena_bytes(&client)
+                );
+                let out = client.query(&mut BroadcastChannel::lossless(cycle), &q);
+                prop_assert_eq!(out.ok().map(|o| o.distance), dijkstra_distance(g, s, t));
             }
         }
     }
@@ -952,5 +1927,152 @@ mod tests {
         let cycle = index_cycle(&[(0, 2), (1, 2)]);
         let mut ch = BroadcastChannel::lossless(&cycle);
         assert!(HiTiAirClient::new().receive_index(&mut ch, 0).is_ok());
+    }
+
+    fn sans_cpu(r: Result<QueryOutcome, QueryError>) -> Result<QueryOutcome, QueryError> {
+        r.map(|mut o| {
+            o.stats.cpu = Default::default();
+            o
+        })
+    }
+
+    /// Runs every query over lossless, Bernoulli, bursty and
+    /// duplicating channels at spread tune-in offsets, asserting that
+    /// `client` (reused across all calls) returns exactly what a fresh
+    /// oracle session returns: distance, path, every counter but CPU, or
+    /// the same error. Returns the sessions in which a super-edge's path
+    /// view arrived before its SE record.
+    fn assert_matches_oracle(
+        client: &mut HiTiAirClient,
+        g: &RoadNetwork,
+        program: &HiTiProgram,
+        queries: &[(NodeId, NodeId)],
+        seed: u64,
+    ) -> usize {
+        let cycle = program.cycle();
+        let len = cycle.len();
+        let mut sepath_first = 0;
+        for (i, &(s, t)) in queries.iter().enumerate() {
+            let q = Query::for_nodes(g, s, t);
+            let k = seed.wrapping_mul(7919).wrapping_add(i as u64);
+            for variant in 0..7 {
+                let at = (i * 7919 + variant * len / 7 + seed as usize) % len;
+                let channel = || {
+                    let loss = match variant {
+                        2 | 6 => LossModel::bernoulli(0.1, k),
+                        3 => LossModel::bernoulli(0.3, k),
+                        4 => LossModel::bursty(0.1, 4.0, k),
+                        _ => LossModel::Lossless,
+                    };
+                    let plan = match variant {
+                        5 | 6 => FaultPlan::duplication(0.05, k),
+                        _ => FaultPlan::none(),
+                    };
+                    BroadcastChannel::tune_in_with_faults(cycle, at, loss, plan)
+                };
+                let want = sans_cpu(oracle::LegacyClient.query(&mut channel(), &q));
+                let got = sans_cpu(client.query(&mut channel(), &q));
+                assert_eq!(got, want, "{s}->{t}, variant {variant}, offset {at}");
+                if s != t
+                    && client
+                        .index
+                        .ses
+                        .iter()
+                        .any(|se| se.seen && se.declared == 0 && se.via.1 > 0)
+                {
+                    sepath_first += 1;
+                }
+            }
+        }
+        sepath_first
+    }
+
+    /// A 12×12 lattice of unit-weight roads: equal-length paths abound,
+    /// so any change in G′'s arc order moves paths or settle counts.
+    fn unit_lattice() -> RoadNetwork {
+        let mut b = spair_roadnet::GraphBuilder::new();
+        for y in 0..12 {
+            for x in 0..12 {
+                b.add_node(spair_roadnet::Point::new(x as f64, y as f64));
+            }
+        }
+        for v in 0..144u32 {
+            if v % 12 < 11 {
+                b.add_undirected_edge(v, v + 1, 1);
+            }
+            if v < 132 {
+                b.add_undirected_edge(v, v + 12, 1);
+            }
+        }
+        b.finish()
+    }
+
+    /// The flat client against the oracle on 12×12 random grids and unit
+    /// lattices cut into 2×2, 4×4 and 8×8 cells with one to three levels,
+    /// with one client reused across every world, query and channel.
+    #[test]
+    fn client_matches_oracle_on_grids() {
+        let queries = [
+            (0, 143),
+            (5, 77),
+            (130, 2),
+            (60, 61),
+            (143, 0),
+            (13, 14),
+            (70, 71),
+            (7, 7),
+        ];
+        let mut client = HiTiAirClient::new();
+        let mut sepath_first = 0;
+        for (side, levels) in [
+            (2, 1),
+            (2, 2),
+            (4, 1),
+            (4, 2),
+            (4, 3),
+            (8, 1),
+            (8, 2),
+            (8, 3),
+        ] {
+            let seed = (side * 10 + levels) as u64;
+            for g in [small_grid(12, 12, seed), unit_lattice()] {
+                let index = HiTiIndex::build(&g, side, levels);
+                let program = HiTiAirServer::new(&g, &index)
+                    .build_program()
+                    .expect("encode");
+                sepath_first += assert_matches_oracle(&mut client, &g, &program, &queries, seed);
+            }
+        }
+        assert!(
+            sepath_first > 0,
+            "no session saw a path view before its SE record"
+        );
+    }
+
+    /// The oracle check on the end-to-end benchmark's `whole_cycle` map:
+    /// a 6 000-node germany-class network on an 8×8 grid of 3 levels.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "germany-class world; run with --release")]
+    fn client_matches_oracle_on_germany_class_world() {
+        let g = spair_roadnet::generators::NetworkPreset::Germany
+            .config_for_nodes(7, 6_000)
+            .generate();
+        let index = HiTiIndex::build(&g, 8, 3);
+        let program = HiTiAirServer::new(&g, &index)
+            .build_program()
+            .expect("encode");
+        let n = g.num_nodes() as u64;
+        let queries: Vec<(NodeId, NodeId)> = (0..24u64)
+            .map(|i| {
+                let x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                ((x % n) as NodeId, ((x >> 32) % n) as NodeId)
+            })
+            .collect();
+        let mut client = HiTiAirClient::new();
+        let sepath_first = assert_matches_oracle(&mut client, &g, &program, &queries, 1);
+        assert!(
+            sepath_first > 0,
+            "no session saw a path view before its SE record"
+        );
     }
 }

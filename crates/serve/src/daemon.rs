@@ -621,7 +621,8 @@ impl Sink<'_> {
 /// Streams the cycle lap after lap into `sink` until the client closes,
 /// a write ends the session, the daemon stops or the lap budget runs
 /// out, leaving out the slots `plan` drops. The control stream is polled
-/// for the client's `Close` at every lap end.
+/// for the client's `Close` at every lap end, and for one stall window
+/// after the last lap.
 fn stream_laps(
     ctx: &mut SessionCtx<'_>,
     control: &TcpStream,
@@ -692,24 +693,41 @@ fn stream_laps(
                 return;
             }
         }
-        match poll_close(control, dec) {
-            Ok(Some(c)) => {
-                ctx.close_event(c.reason.label(), Some(c));
-                return;
-            }
-            Ok(None) => {}
-            Err(e) => {
-                shared
-                    .dead
-                    .record(&format!("session {} control", ctx.session), &e, &[]);
-                send_close(control, ctx.session, CloseReason::ProtocolError);
-                ctx.close_event(CloseReason::ProtocolError.label(), None);
-                return;
-            }
+        if client_closed(ctx, control, dec) {
+            return;
         }
     }
-    send_close(control, ctx.session, CloseReason::Expired);
-    ctx.close_event(CloseReason::Expired.label(), None);
+    // The last laps may still sit in socket buffers, unread: give the
+    // client one stall window to send its `Close` before expiring.
+    let deadline = Instant::now() + opts.stall;
+    while !client_closed(ctx, control, dec) {
+        if Instant::now() >= deadline || shared.stop.load(Ordering::SeqCst) {
+            send_close(control, ctx.session, CloseReason::Expired);
+            ctx.close_event(CloseReason::Expired.label(), None);
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Ends the session if the client's `Close` has arrived on the control
+/// stream, or the stream carries a malformed frame; `true` if it ended.
+fn client_closed(ctx: &SessionCtx<'_>, control: &TcpStream, dec: &mut StreamDecoder) -> bool {
+    match poll_close(control, dec) {
+        Ok(Some(c)) => {
+            ctx.close_event(c.reason.label(), Some(c));
+            true
+        }
+        Ok(None) => false,
+        Err(e) => {
+            ctx.shared
+                .dead
+                .record(&format!("session {} control", ctx.session), &e, &[]);
+            send_close(control, ctx.session, CloseReason::ProtocolError);
+            ctx.close_event(CloseReason::ProtocolError.label(), None);
+            true
+        }
+    }
 }
 
 #[cfg(test)]
