@@ -31,8 +31,9 @@ use spair_partition::{BorderInfo, KdLocator, KdTreePartition, Partitioning, Regi
 use spair_roadnet::dijkstra::Direction;
 use spair_roadnet::parallel;
 use spair_roadnet::peel::{Peel, SourceTree};
-use spair_roadnet::{Distance, MinHeap, NodeId, RoadNetwork, DIST_INF};
+use spair_roadnet::{Distance, NodeId, RoadNetwork, DIST_INF};
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 const AUX_MAGIC: u8 = 0xAF;
@@ -363,43 +364,15 @@ impl AirClient for ArcFlagClient {
         };
 
         mem.alloc(store.num_nodes() * 24);
-        let (res, settled) = cpu.time(|| {
-            // Flag-pruned Dijkstra over the received store.
-            let mut dist: HashMap<NodeId, Distance> = HashMap::new();
-            let mut parent: HashMap<NodeId, NodeId> = HashMap::new();
-            let mut heap = MinHeap::new();
-            let mut settled = 0usize;
-            dist.insert(q.source, 0);
-            heap.push(0, q.source);
-            while let Some(e) = heap.pop() {
-                let v = e.item;
-                if dist.get(&v) != Some(&e.key) {
-                    continue;
-                }
-                settled += 1;
-                if v == q.target {
-                    let mut path = vec![v];
-                    let mut cur = v;
-                    while let Some(&p) = parent.get(&cur) {
-                        path.push(p);
-                        cur = p;
-                    }
-                    path.reverse();
-                    return (Some((e.key, path)), settled);
-                }
-                for &(u, w) in store.out_edges(v) {
-                    if !allowed(v, u) {
-                        continue;
-                    }
-                    let cand = e.key + w as Distance;
-                    if dist.get(&u).is_none_or(|&d| cand < d) {
-                        dist.insert(u, cand);
-                        parent.insert(u, v);
-                        heap.push(cand, u);
-                    }
-                }
-            }
-            (None, settled)
+        // Flag-pruned Dijkstra over the received store.
+        let (res, settled, _) = cpu.time(|| {
+            store.search(
+                q.source,
+                Some(q.target),
+                |_, _| 0,
+                allowed,
+                |_, _, _| ControlFlow::Continue(()),
+            )
         });
         let stats = QueryStats {
             tuning_packets: ch.tuned(),
@@ -424,8 +397,8 @@ impl AirClient for ArcFlagClient {
 mod tests {
     use super::*;
     use spair_broadcast::LossModel;
-    use spair_roadnet::dijkstra_distance;
     use spair_roadnet::generators::small_grid;
+    use spair_roadnet::{dijkstra_distance, MinHeap};
 
     fn setup(seed: u64, regions: usize) -> (RoadNetwork, ArcFlagProgram) {
         let g = small_grid(9, 9, seed);

@@ -95,6 +95,26 @@ pub fn receive_whole_cycle(
     Ok(())
 }
 
+/// Clears `store` and receives one whole cycle of data packets into it
+/// (§6.2 re-reception included), charging the meter each payload's
+/// decoded-node bytes. The receive step of every client that searches the
+/// whole received network: DJ here, A* and bidirectional in
+/// `spair-methods`.
+pub fn receive_network_data(
+    ch: &mut BroadcastChannel<'_>,
+    mem: &mut MemoryMeter,
+    store: &mut ReceivedGraph,
+) -> Result<(), QueryError> {
+    store.clear();
+    receive_whole_cycle(ch, mem, |kind, payload, mem| {
+        if kind == PacketKind::Data {
+            if let Some(charged) = store.ingest_payload(payload) {
+                mem.alloc(charged);
+            }
+        }
+    })
+}
+
 /// The DJ client.
 ///
 /// The client owns its received-network store and search scratch, reused
@@ -137,14 +157,7 @@ impl AirClient for DjClient {
             });
         }
         let store = &mut self.store;
-        store.clear();
-        receive_whole_cycle(ch, &mut mem, |kind, payload, mem| {
-            if kind == PacketKind::Data {
-                if let Some(charged) = store.ingest_payload(payload) {
-                    mem.alloc(charged);
-                }
-            }
-        })?;
+        receive_network_data(ch, &mut mem, store)?;
         mem.alloc(store.num_nodes() * 24);
         let (res, settled) = cpu.time(|| store.shortest_path(q.source, q.target));
         let stats = QueryStats {

@@ -53,7 +53,7 @@ use crate::hiti::HiTiIndex;
 use bytes::Bytes;
 use spair_broadcast::codec::{u16_of, u8_of, EncodeError, PayloadReader, RecordBuf, RecordWriter};
 use spair_broadcast::cycle::{CycleBuilder, SegmentKind};
-use spair_broadcast::packet::{PacketKind, PAYLOAD_CAPACITY};
+use spair_broadcast::packet::{Packet, PacketKind, PAYLOAD_CAPACITY};
 use spair_broadcast::{
     BroadcastChannel, BroadcastCycle, CpuMeter, MemoryMeter, QueryStats, Received,
 };
@@ -959,13 +959,13 @@ impl HiTiAirClient {
                 for i in missing {
                     ch.sleep_to_offset((start + i) % len);
                     match ch.receive() {
-                        Received::Packet(p) => {
+                        Received::Packet(p) if is_index_packet(p, i, t) => {
                             if !dec.ingest(p.payload()) {
                                 return Err(UNDECODABLE);
                             }
                             received[i] = true;
                         }
-                        Received::Lost | Received::Corrupted => still.push(i),
+                        _ => still.push(i),
                     }
                 }
                 missing = still;
@@ -978,6 +978,18 @@ impl HiTiAirClient {
         }
         Err(QueryError::Aborted("HiTi index reception never completed"))
     }
+}
+
+/// Whether `p` is packet `seq` of an index copy `total` packets long. A
+/// targeted retry files only that packet: any other frame in its slot (a
+/// duplicate of the previous slot, a stale or data frame) leaves the slot
+/// missing.
+fn is_index_packet(p: &Packet, seq: usize, total: usize) -> bool {
+    let mut r = PayloadReader::new(p.payload());
+    p.kind() == PacketKind::Index
+        && r.read_u8() == Some(MAGIC)
+        && r.read_u32().map(|v| v as usize) == Some(seq)
+        && r.read_u32().map(|v| v as usize) == Some(total)
 }
 
 impl AirClient for HiTiAirClient {
@@ -1076,7 +1088,7 @@ impl AirClient for HiTiAirClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spair_broadcast::{FaultPlan, LossModel, Packet};
+    use spair_broadcast::{FaultPlan, LossModel};
     use spair_roadnet::dijkstra_distance;
     use spair_roadnet::generators::small_grid;
 
@@ -1463,7 +1475,7 @@ mod tests {
                         for i in missing {
                             ch.sleep_to_offset((start + i) % len);
                             match ch.receive() {
-                                Received::Packet(p) => {
+                                Received::Packet(p) if is_index_packet(p, i, t) => {
                                     if !dec.ingest(p.payload()) {
                                         return Err(QueryError::Aborted(
                                             "undecodable HiTi index packet",
@@ -1471,7 +1483,7 @@ mod tests {
                                     }
                                     received[i] = true;
                                 }
-                                Received::Lost | Received::Corrupted => still.push(i),
+                                _ => still.push(i),
                             }
                         }
                         missing = still;
@@ -2047,6 +2059,45 @@ mod tests {
             sepath_first > 0,
             "no session saw a path view before its SE record"
         );
+    }
+
+    /// Under duplication, a retried index slot can deliver the previous
+    /// slot's frame. Filing it in place of the missing packet left that
+    /// packet unreceived, so the index decoded without its geometry or a
+    /// cell's offset, or not at all. 120 sessions of one reused client on
+    /// 40 random 12×12 grids (4×4 cells, 3 levels) under 5% Bernoulli
+    /// loss and 5% duplication end in no index-decode abort.
+    #[test]
+    fn duplicated_frames_never_fill_a_retried_index_slot() {
+        let mut client = HiTiAirClient::new();
+        let mut aborts = Vec::new();
+        for seed in 0..40u64 {
+            let g = small_grid(12, 12, seed);
+            let index = HiTiIndex::build(&g, 4, 3);
+            let program = HiTiAirServer::new(&g, &index)
+                .build_program()
+                .expect("encode");
+            let len = program.cycle().len();
+            for i in 0..3u64 {
+                let k = spair_broadcast::splitmix64(seed * 3 + i);
+                let (s, t) = ((k % 144) as NodeId, ((k >> 16) % 144) as NodeId);
+                let mut ch = BroadcastChannel::tune_in_with_faults(
+                    program.cycle(),
+                    (k >> 32) as usize % len,
+                    LossModel::bernoulli(0.05, k),
+                    FaultPlan::duplication(0.05, k),
+                );
+                if let Err(QueryError::Aborted(
+                    why @ ("HiTi index lacks geometry"
+                    | "cell offset missing from index"
+                    | "undecodable HiTi index packet"),
+                )) = client.query(&mut ch, &Query::for_nodes(&g, s, t))
+                {
+                    aborts.push((seed, s, t, why));
+                }
+            }
+        }
+        assert!(aborts.is_empty(), "index-decode aborts: {aborts:?}");
     }
 
     /// The oracle check on the end-to-end benchmark's `whole_cycle` map:

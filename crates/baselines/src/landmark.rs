@@ -18,8 +18,9 @@ use spair_broadcast::{
 use spair_core::netcodec::{decode_payload, encode_nodes, ReceivedGraph};
 use spair_core::query::{AirClient, Query, QueryError, QueryOutcome};
 use spair_roadnet::dijkstra::{DijkstraWorkspace, Direction};
-use spair_roadnet::{Distance, MinHeap, NodeId, RoadNetwork, DIST_INF};
+use spair_roadnet::{Distance, NodeId, RoadNetwork, DIST_INF};
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 const AUX_MAGIC: u8 = 0x1D;
@@ -281,10 +282,11 @@ impl AirClient for LandmarkClient {
             _ => {}
         })?;
 
-        // ALT bound: max over landmarks of the two triangle inequalities.
-        // A lost vector (§6.2) degrades the bound to 0.
-        let lb = |v: NodeId, t: NodeId| -> Distance {
-            let (Some(vv), Some(tv)) = (vectors.get(&v), vectors.get(&t)) else {
+        // ALT bound to the target: max over landmarks of the two
+        // triangle inequalities. A lost vector (§6.2) degrades it to 0.
+        let target_vector = vectors.get(&q.target);
+        let lb = |v: NodeId| -> Distance {
+            let (Some(vv), Some(tv)) = (vectors.get(&v), target_vector) else {
                 return 0;
             };
             let mut best = 0;
@@ -300,7 +302,17 @@ impl AirClient for LandmarkClient {
         };
 
         mem.alloc(store.num_nodes() * 24);
-        let (res, settled) = cpu.time(|| astar_over_store(&store, q.source, q.target, lb));
+        // A* with reopening: §6.2 losses leave the bound admissible but
+        // possibly inconsistent.
+        let (res, settled, _) = cpu.time(|| {
+            store.search(
+                q.source,
+                Some(q.target),
+                |v, _| lb(v),
+                |_, _| true,
+                |_, _, _| ControlFlow::Continue(()),
+            )
+        });
         let stats = QueryStats {
             tuning_packets: ch.tuned(),
             latency_packets: ch.elapsed(),
@@ -318,54 +330,6 @@ impl AirClient for LandmarkClient {
             None => Err(QueryError::Unreachable),
         }
     }
-}
-
-/// A* over the received store with a callable lower bound.
-///
-/// Uses lazy deletion keyed on `g + h` and allows node reopening, which
-/// keeps the search optimal even when the heuristic is admissible but not
-/// consistent — exactly the situation §6.2 creates when some distance
-/// vectors were lost and degrade to 0.
-fn astar_over_store(
-    store: &ReceivedGraph,
-    source: NodeId,
-    target: NodeId,
-    lb: impl Fn(NodeId, NodeId) -> Distance,
-) -> (Option<(Distance, Vec<NodeId>)>, usize) {
-    let mut dist: HashMap<NodeId, Distance> = HashMap::new();
-    let mut parent: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut heap = MinHeap::new();
-    let mut settled = 0usize;
-    dist.insert(source, 0);
-    heap.push(lb(source, target), source);
-    while let Some(e) = heap.pop() {
-        let v = e.item;
-        // Stale entry: a cheaper g-value for v was queued later.
-        if e.key != dist[&v] + lb(v, target) {
-            continue;
-        }
-        settled += 1;
-        if v == target {
-            let mut path = vec![v];
-            let mut cur = v;
-            while let Some(&p) = parent.get(&cur) {
-                path.push(p);
-                cur = p;
-            }
-            path.reverse();
-            return (Some((dist[&v], path)), settled);
-        }
-        let dv = dist[&v];
-        for &(u, w) in store.out_edges(v) {
-            let cand = dv + w as Distance;
-            if dist.get(&u).is_none_or(|&d| cand < d) {
-                dist.insert(u, cand);
-                parent.insert(u, v);
-                heap.push(cand + lb(u, target), u);
-            }
-        }
-    }
-    (None, settled)
 }
 
 #[cfg(test)]

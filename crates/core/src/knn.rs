@@ -35,7 +35,8 @@ use spair_broadcast::interleave::{interleave_1m, optimal_m, DataChunk};
 use spair_broadcast::packet::PacketKind;
 use spair_broadcast::{BroadcastChannel, BroadcastCycle, CpuMeter, MemoryMeter, QueryStats};
 use spair_partition::{KdLocator, KdTreePartition, Partitioning, RegionId};
-use spair_roadnet::{Distance, MinHeap, NodeId, Point, RoadNetwork};
+use spair_roadnet::{Distance, NodeId, Point, RoadNetwork};
+use std::ops::ControlFlow;
 
 const POI_MAGIC: u8 = 0x90;
 
@@ -398,7 +399,7 @@ impl KnnClient {
                 missing = still;
             }
             // Re-run the expansion over everything received so far.
-            found = cpu.time(|| knn_over_store(&store, source, &is_poi, cutoff));
+            found = cpu.time(|| expand_over_store(&mut store, source, &is_poi, cutoff));
         }
 
         mem.alloc(store.num_nodes() * 24);
@@ -436,51 +437,41 @@ fn decode_pois(payload: &[u8]) -> Option<Vec<NodeId>> {
     Some(out)
 }
 
-/// Dijkstra over the received subgraph collecting POIs up to the cutoff.
-fn knn_over_store(
-    store: &ReceivedGraph,
+/// Dijkstra over the received subgraph collecting POIs up to the cutoff:
+/// the store's search with a settle visitor that stops past the radius,
+/// or once `k` POIs are found and no equal-distance tie remains queued.
+fn expand_over_store(
+    store: &mut ReceivedGraph,
     source: NodeId,
     is_poi: &std::collections::HashSet<NodeId>,
     cutoff: Cutoff,
 ) -> Vec<Neighbor> {
-    use std::collections::HashMap;
-    let mut dist: HashMap<NodeId, Distance> = HashMap::new();
-    let mut heap = MinHeap::new();
     let mut out = Vec::new();
-    dist.insert(source, 0);
-    heap.push(0, source);
-    while let Some(e) = heap.pop() {
-        let v = e.item;
-        if dist.get(&v) != Some(&e.key) {
-            continue;
-        }
-        if let Cutoff::Radius(d) = cutoff {
-            if e.key > d {
-                break;
+    store.search(
+        source,
+        None,
+        |_, _| 0,
+        |_, _| true,
+        |v, d, next_key| {
+            if let Cutoff::Radius(r) = cutoff {
+                if d > r {
+                    return ControlFlow::Break(());
+                }
             }
-        }
-        if is_poi.contains(&v) {
-            out.push(Neighbor {
-                node: v,
-                distance: e.key,
-            });
-            if let Cutoff::Nearest(k) = cutoff {
-                if out.len() >= k {
-                    // Keep going only while equal-distance ties remain.
-                    if heap.peek_key().is_none_or(|kk| kk > e.key) {
-                        break;
+            if is_poi.contains(&v) {
+                out.push(Neighbor {
+                    node: v,
+                    distance: d,
+                });
+                if let Cutoff::Nearest(k) = cutoff {
+                    if out.len() >= k && next_key.is_none_or(|kk| kk > d) {
+                        return ControlFlow::Break(());
                     }
                 }
             }
-        }
-        for &(u, w) in store.out_edges(v) {
-            let cand = e.key + w as Distance;
-            if dist.get(&u).is_none_or(|&d| cand < d) {
-                dist.insert(u, cand);
-                heap.push(cand, u);
-            }
-        }
-    }
+            ControlFlow::Continue(())
+        },
+    );
     out
 }
 
@@ -650,5 +641,99 @@ mod tests {
         let out = client.query(&mut ch, s, g.point(s), 1).unwrap();
         assert_eq!(out.neighbors[0].node, s);
         assert_eq!(out.neighbors[0].distance, 0);
+    }
+
+    /// The expansion loop `expand_over_store` replaced, kept verbatim
+    /// (as `knn_over_store`) as the oracle of the store's search.
+    fn knn_over_store(
+        store: &ReceivedGraph,
+        source: NodeId,
+        is_poi: &std::collections::HashSet<NodeId>,
+        cutoff: Cutoff,
+    ) -> Vec<Neighbor> {
+        use spair_roadnet::MinHeap;
+        use std::collections::HashMap;
+        let mut dist: HashMap<NodeId, Distance> = HashMap::new();
+        let mut heap = MinHeap::new();
+        let mut out = Vec::new();
+        dist.insert(source, 0);
+        heap.push(0, source);
+        while let Some(e) = heap.pop() {
+            let v = e.item;
+            if dist.get(&v) != Some(&e.key) {
+                continue;
+            }
+            if let Cutoff::Radius(d) = cutoff {
+                if e.key > d {
+                    break;
+                }
+            }
+            if is_poi.contains(&v) {
+                out.push(Neighbor {
+                    node: v,
+                    distance: e.key,
+                });
+                if let Cutoff::Nearest(k) = cutoff {
+                    if out.len() >= k {
+                        // Keep going only while equal-distance ties remain.
+                        if heap.peek_key().is_none_or(|kk| kk > e.key) {
+                            break;
+                        }
+                    }
+                }
+            }
+            for &(u, w) in store.out_edges(v) {
+                let cand = e.key + w as Distance;
+                if dist.get(&u).is_none_or(|&d| cand < d) {
+                    dist.insert(u, cand);
+                    heap.push(cand, u);
+                }
+            }
+        }
+        out
+    }
+
+    /// A random received store over ids `0..n`: `(id, edges)` records
+    /// (repeats model re-reception; targets may never arrive).
+    fn random_store(records: &[(u32, Vec<(u32, u32)>)]) -> ReceivedGraph {
+        let mut store = ReceivedGraph::new();
+        for (id, edges) in records {
+            store.ingest(crate::netcodec::NodeRecord {
+                id: *id,
+                point: Point::new(0.0, 0.0),
+                more: false,
+                border: false,
+                edges: edges.clone(),
+            });
+        }
+        store
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The expansion over the store's search returns exactly the
+        /// neighbour list of the former loop, for k-nearest and radius
+        /// cutoffs. Weights of 0 to 2 put many POIs at one distance, so
+        /// ties at the k-th candidate and at the radius are common.
+        #[test]
+        fn expansion_matches_the_former_loop(
+            records in proptest::collection::vec(
+                (0u32..16, proptest::collection::vec((0u32..20, 0u32..=2), 0..5)),
+                1..40,
+            ),
+            pois in proptest::collection::vec(0u32..20, 0..10),
+            source in 0u32..20,
+            k in 1usize..5,
+            radius in 0u64..6,
+        ) {
+            let pois: std::collections::HashSet<NodeId> = pois.into_iter().collect();
+            let mut store = random_store(&records);
+            for cutoff in [Cutoff::Nearest(k), Cutoff::Radius(radius)] {
+                let want = knn_over_store(&store, source, &pois, cutoff);
+                let got = expand_over_store(&mut store, source, &pois, cutoff);
+                proptest::prop_assert_eq!(got, want, "{:?}", cutoff);
+            }
+        }
     }
 }

@@ -16,7 +16,8 @@
 use crate::query::decoded_node_bytes;
 use bytes::Bytes;
 use spair_broadcast::codec::{PayloadReader, RecordBuf, RecordWriter};
-use spair_roadnet::{MinHeap, NodeId, Point, QueuePolicy, RoadNetwork, Weight};
+use spair_roadnet::{Distance, MinHeap, NodeId, Point, QueuePolicy, RoadNetwork, Weight};
+use std::ops::ControlFlow;
 
 /// Maximum adjacency entries per record so the record fits a payload:
 /// header 14 bytes + k×8 ≤ 123 → k ≤ 13.
@@ -471,47 +472,8 @@ impl ReceivedGraph {
         source: NodeId,
         target: NodeId,
     ) -> (Option<(u64, Vec<NodeId>)>, usize) {
-        let s_slot = self.ensure_slot(source);
-        let t_slot = self.slot_lookup(target).unwrap_or(NO_SLOT);
-        self.fresh_scratch();
-        let stamp = self.cur_stamp;
-        let mut settled = 0usize;
-        self.dist[s_slot as usize] = 0;
-        self.parent[s_slot as usize] = NO_SLOT;
-        self.stamp[s_slot as usize] = stamp;
-        let mut heap = MinHeap::new();
-        heap.push(0, s_slot);
-        while let Some(e) = heap.pop() {
-            let (key, v) = (e.key, e.item);
-            let vi = v as usize;
-            if self.stamp[vi] != stamp || self.dist[vi] != key {
-                continue;
-            }
-            settled += 1;
-            if v == t_slot {
-                let mut path = vec![self.ids[vi]];
-                let mut cur = vi;
-                while self.parent[cur] != NO_SLOT {
-                    cur = self.parent[cur] as usize;
-                    path.push(self.ids[cur]);
-                }
-                path.reverse();
-                return (Some((key, path)), settled);
-            }
-            let (start, len) = self.runs[vi];
-            let (lo, hi) = (start as usize, start as usize + len as usize);
-            for (&(_, w), &u) in self.edges[lo..hi].iter().zip(&self.target_slots[lo..hi]) {
-                let cand = key + w as u64;
-                let ui = u as usize;
-                if self.stamp[ui] != stamp || cand < self.dist[ui] {
-                    self.dist[ui] = cand;
-                    self.parent[ui] = v;
-                    self.stamp[ui] = stamp;
-                    heap.push(cand, u);
-                }
-            }
-        }
-        (None, settled)
+        let (res, settled, _) = self.shortest_path_checked(source, target, QueuePolicy::Heap);
+        (res, settled)
     }
 
     /// [`Self::shortest_path`]; the [`QueuePolicy`] is ignored.
@@ -540,17 +502,10 @@ impl ReceivedGraph {
         }
     }
 
-    /// [`Self::shortest_path`] plus a certification bit for stores
-    /// that hold only *part* of the network (an anchored method's patched
-    /// arena). The search may label and pop unmaterialized slots (nodes
-    /// referenced as edge targets but never received); such a slot has no
-    /// out-edges here, yet in the real network it does. The answer is
-    /// **certified** iff no unmaterialized slot validly popped strictly
-    /// below the target's distance (pop keys are non-decreasing, so any
-    /// shorter true path would have to leave the held subgraph through
-    /// such a pop); an unreachable verdict is certified iff no
-    /// unmaterialized slot popped at all. An uncertified result tells the
-    /// caller to fall back to a full re-tune. The [`QueuePolicy`] is
+    /// [`Self::shortest_path`] plus the certification bit of
+    /// [`Self::search`], for stores that hold only *part* of the network
+    /// (an anchored method's patched arena). An uncertified result tells
+    /// the caller to fall back to a full re-tune. The [`QueuePolicy`] is
     /// ignored.
     pub fn shortest_path_checked(
         &mut self,
@@ -558,51 +513,104 @@ impl ReceivedGraph {
         target: NodeId,
         _queue: QueuePolicy,
     ) -> (Option<(u64, Vec<NodeId>)>, usize, bool) {
+        self.search(
+            source,
+            Some(target),
+            |_, _| 0,
+            |_, _| true,
+            |_, _, _| ControlFlow::Continue(()),
+        )
+    }
+
+    /// The one search over the received store: a lazy-deletion A* from
+    /// `source` that every client's final step runs.
+    ///
+    /// * `h(v, point)` is a lower bound on the distance from `v` to the
+    ///   goal; `point` is `v`'s received position (`None` for a slot only
+    ///   referenced as an edge target). An entry is pushed with key
+    ///   `g + h`, and a pop is stale unless its key equals `dist(v) +
+    ///   h(v)`, so a node whose distance drops after it popped is pushed
+    ///   and settled again: the search stays exact under a bound that is
+    ///   admissible but not consistent. With `h ≡ 0` this is Dijkstra.
+    /// * `keep(from, to)` filters arcs; a dropped arc is never relaxed.
+    /// * `visit(v, dist, next_key)` sees every settled node with the
+    ///   smallest key still queued (stale entries included) and may stop
+    ///   the search.
+    ///
+    /// Returns `(distance, path)` once `target` settles, the settle count
+    /// (reopened nodes count again), and a certification bit for partial
+    /// stores. The search may label and pop unmaterialized slots (nodes
+    /// referenced as edge targets but never received); such a slot has no
+    /// out-edges here, yet in the real network it does. With `h ≡ 0` the
+    /// answer is **certified** iff no unmaterialized slot validly popped
+    /// strictly below the target's distance (pop keys are then
+    /// non-decreasing, so any shorter true path would have to leave the
+    /// held subgraph through such a pop); a search that ends without the
+    /// target is certified iff no unmaterialized slot popped at all.
+    pub fn search(
+        &mut self,
+        source: NodeId,
+        target: Option<NodeId>,
+        h: impl Fn(NodeId, Option<Point>) -> Distance,
+        keep: impl Fn(NodeId, NodeId) -> bool,
+        mut visit: impl FnMut(NodeId, Distance, Option<Distance>) -> ControlFlow<()>,
+    ) -> (Option<(Distance, Vec<NodeId>)>, usize, bool) {
         let s_slot = self.ensure_slot(source);
-        let t_slot = self.slot_lookup(target).unwrap_or(NO_SLOT);
+        let t_slot = target.and_then(|t| self.slot_lookup(t)).unwrap_or(NO_SLOT);
         self.fresh_scratch();
         let stamp = self.cur_stamp;
+        let bound = |g: &Self, s: usize| -> Distance {
+            let received = g.flags[s] & SLOT_MATERIALIZED != 0;
+            h(g.ids[s], received.then(|| g.points[s]))
+        };
         let mut settled = 0usize;
-        let mut min_unmat: Option<u64> = None;
+        let mut min_unmat: Option<Distance> = None;
         self.dist[s_slot as usize] = 0;
         self.parent[s_slot as usize] = NO_SLOT;
         self.stamp[s_slot as usize] = stamp;
         let mut heap = MinHeap::new();
-        heap.push(0, s_slot);
+        heap.push(bound(self, s_slot as usize), s_slot);
         while let Some(e) = heap.pop() {
             let (key, v) = (e.key, e.item);
             let vi = v as usize;
-            if self.stamp[vi] != stamp || self.dist[vi] != key {
+            if self.stamp[vi] != stamp || self.dist[vi] + bound(self, vi) != key {
                 continue;
             }
             settled += 1;
+            let (v_id, dv) = (self.ids[vi], self.dist[vi]);
+            if visit(v_id, dv, heap.peek_key()).is_break() {
+                break;
+            }
             if v == t_slot {
-                let mut path = vec![self.ids[vi]];
+                let mut path = vec![v_id];
                 let mut cur = vi;
                 while self.parent[cur] != NO_SLOT {
                     cur = self.parent[cur] as usize;
                     path.push(self.ids[cur]);
                 }
                 path.reverse();
-                // A tie (min_unmat == key) cannot hide a shorter path:
+                // A tie (min_unmat == dv) cannot hide a shorter path:
                 // leaving the held subgraph there costs at least one more
                 // positive-weight edge.
-                let certified = min_unmat.is_none_or(|m| m >= key);
-                return (Some((key, path)), settled, certified);
+                let certified = min_unmat.is_none_or(|m| m >= dv);
+                return (Some((dv, path)), settled, certified);
             }
             if self.flags[vi] & SLOT_MATERIALIZED == 0 && min_unmat.is_none() {
-                min_unmat = Some(key);
+                min_unmat = Some(dv);
             }
             let (start, len) = self.runs[vi];
             let (lo, hi) = (start as usize, start as usize + len as usize);
-            for (&(_, w), &u) in self.edges[lo..hi].iter().zip(&self.target_slots[lo..hi]) {
-                let cand = key + w as u64;
+            for (&(to, w), &u) in self.edges[lo..hi].iter().zip(&self.target_slots[lo..hi]) {
+                if !keep(v_id, to) {
+                    continue;
+                }
+                let cand = dv + w as Distance;
                 let ui = u as usize;
                 if self.stamp[ui] != stamp || cand < self.dist[ui] {
                     self.dist[ui] = cand;
                     self.parent[ui] = v;
                     self.stamp[ui] = stamp;
-                    heap.push(cand, u);
+                    heap.push(cand + bound(self, ui), u);
                 }
             }
         }

@@ -11,6 +11,14 @@
 //! on encoded payload streams from grid and germany-class preset
 //! networks, and on the fused [`ReceivedGraph::ingest_payload`] path
 //! against decode-then-ingest.
+//!
+//! The store's one search, [`ReceivedGraph::search`], replaced five
+//! loops over received stores. Each is kept here verbatim as an oracle
+//! (ArcFlag's flag-pruned loop, Landmark's `astar_over_store`, the former
+//! `shortest_path_checked`, and `spair_roadnet`'s closed-set A* over a
+//! dense rebuild of the store; the kNN loop is kept in `knn.rs`'s tests),
+//! and the search must reproduce each one's distance, path, settle count
+//! and certification bit.
 
 use proptest::prelude::*;
 use spair_broadcast::cycle::SegmentKind;
@@ -22,8 +30,9 @@ use spair_core::patch::{
 };
 use spair_core::query::decoded_node_bytes;
 use spair_roadnet::generators::{small_grid, NetworkPreset};
-use spair_roadnet::{MinHeap, NodeId, Point, RoadNetwork, Weight};
+use spair_roadnet::{Distance, MinHeap, NodeId, Point, RoadNetwork, Weight, DIST_INF};
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 /// The pre-CSR store, copied from the original implementation: one
 /// `HashMap` entry per received node, per-node edge `Vec`s, and a
@@ -497,4 +506,473 @@ fn malformed_payload_is_all_or_nothing() {
     after_nodes.sort_unstable();
     assert_eq!(before_nodes, after_nodes, "no partial node ingest");
     assert_eq!(before_bytes, store.retained_bytes(), "no partial charge");
+}
+
+/// A search result: `(distance, path)` if the target settled, and the
+/// settle count.
+type Searched = (Option<(Distance, Vec<NodeId>)>, usize);
+
+/// ArcFlag's flag-pruned Dijkstra, as it ran inline in the ArcFlag
+/// client.
+fn af_loop(
+    store: &ReceivedGraph,
+    source: NodeId,
+    target: NodeId,
+    allowed: impl Fn(NodeId, NodeId) -> bool,
+) -> Searched {
+    let mut dist: HashMap<NodeId, Distance> = HashMap::new();
+    let mut parent: HashMap<NodeId, NodeId> = HashMap::new();
+    let mut heap = MinHeap::new();
+    let mut settled = 0usize;
+    dist.insert(source, 0);
+    heap.push(0, source);
+    while let Some(e) = heap.pop() {
+        let v = e.item;
+        if dist.get(&v) != Some(&e.key) {
+            continue;
+        }
+        settled += 1;
+        if v == target {
+            let mut path = vec![v];
+            let mut cur = v;
+            while let Some(&p) = parent.get(&cur) {
+                path.push(p);
+                cur = p;
+            }
+            path.reverse();
+            return (Some((e.key, path)), settled);
+        }
+        for &(u, w) in store.out_edges(v) {
+            if !allowed(v, u) {
+                continue;
+            }
+            let cand = e.key + w as Distance;
+            if dist.get(&u).is_none_or(|&d| cand < d) {
+                dist.insert(u, cand);
+                parent.insert(u, v);
+                heap.push(cand, u);
+            }
+        }
+    }
+    (None, settled)
+}
+
+/// Landmark's A* over the received store: lazy deletion keyed on
+/// `g + h`, with node reopening.
+fn astar_over_store(
+    store: &ReceivedGraph,
+    source: NodeId,
+    target: NodeId,
+    lb: impl Fn(NodeId, NodeId) -> Distance,
+) -> Searched {
+    let mut dist: HashMap<NodeId, Distance> = HashMap::new();
+    let mut parent: HashMap<NodeId, NodeId> = HashMap::new();
+    let mut heap = MinHeap::new();
+    let mut settled = 0usize;
+    dist.insert(source, 0);
+    heap.push(lb(source, target), source);
+    while let Some(e) = heap.pop() {
+        let v = e.item;
+        // Stale entry: a cheaper g-value for v was queued later.
+        if e.key != dist[&v] + lb(v, target) {
+            continue;
+        }
+        settled += 1;
+        if v == target {
+            let mut path = vec![v];
+            let mut cur = v;
+            while let Some(&p) = parent.get(&cur) {
+                path.push(p);
+                cur = p;
+            }
+            path.reverse();
+            return (Some((dist[&v], path)), settled);
+        }
+        let dv = dist[&v];
+        for &(u, w) in store.out_edges(v) {
+            let cand = dv + w as Distance;
+            if dist.get(&u).is_none_or(|&d| cand < d) {
+                dist.insert(u, cand);
+                parent.insert(u, v);
+                heap.push(cand + lb(u, target), u);
+            }
+        }
+    }
+    (None, settled)
+}
+
+/// The former `ReceivedGraph::shortest_path_checked`, over maps: a node
+/// the store holds no record of is an unmaterialized slot.
+fn checked_loop(
+    store: &ReceivedGraph,
+    source: NodeId,
+    target: NodeId,
+) -> (Option<(Distance, Vec<NodeId>)>, usize, bool) {
+    let mut dist: HashMap<NodeId, Distance> = HashMap::new();
+    let mut parent: HashMap<NodeId, NodeId> = HashMap::new();
+    let mut heap = MinHeap::new();
+    let mut settled = 0usize;
+    let mut min_unmat: Option<u64> = None;
+    dist.insert(source, 0);
+    heap.push(0, source);
+    while let Some(e) = heap.pop() {
+        let (key, v) = (e.key, e.item);
+        if dist.get(&v) != Some(&key) {
+            continue;
+        }
+        settled += 1;
+        if v == target {
+            let mut path = vec![v];
+            let mut cur = v;
+            while let Some(&p) = parent.get(&cur) {
+                path.push(p);
+                cur = p;
+            }
+            path.reverse();
+            let certified = min_unmat.is_none_or(|m| m >= key);
+            return (Some((key, path)), settled, certified);
+        }
+        if !store.contains(v) && min_unmat.is_none() {
+            min_unmat = Some(key);
+        }
+        for &(u, w) in store.out_edges(v) {
+            let cand = key + w as u64;
+            if dist.get(&u).is_none_or(|&d| cand < d) {
+                dist.insert(u, cand);
+                parent.insert(u, v);
+                heap.push(cand, u);
+            }
+        }
+    }
+    (None, settled, min_unmat.is_none())
+}
+
+/// `spair_roadnet`'s closed-set A* (each node settles once), as the
+/// A*-on-air client ran it on a dense rebuild of its store.
+fn closed_set_astar(
+    g: &RoadNetwork,
+    source: NodeId,
+    target: NodeId,
+    lb: impl Fn(NodeId) -> Distance,
+) -> Searched {
+    let n = g.num_nodes();
+    let mut dist = vec![DIST_INF; n];
+    let mut parent = vec![NodeId::MAX; n];
+    let mut settled = vec![false; n];
+    let mut heap = MinHeap::with_capacity(64);
+    let mut count = 0usize;
+    dist[source as usize] = 0;
+    heap.push(lb(source), source);
+    while let Some(e) = heap.pop() {
+        let v = e.item;
+        if settled[v as usize] {
+            continue;
+        }
+        settled[v as usize] = true;
+        count += 1;
+        if v == target {
+            let mut path = vec![v];
+            let mut cur = v;
+            while parent[cur as usize] != NodeId::MAX {
+                cur = parent[cur as usize];
+                path.push(cur);
+            }
+            path.reverse();
+            return (Some((dist[v as usize], path)), count);
+        }
+        let dv = dist[v as usize];
+        for (u, w) in g.out_edges(v) {
+            let cand = dv + w as Distance;
+            if cand < dist[u as usize] {
+                dist[u as usize] = cand;
+                parent[u as usize] = v;
+                heap.push(cand + lb(u), u);
+            }
+        }
+    }
+    (None, count)
+}
+
+/// The A*-on-air client's former dense rebuild: received nodes in
+/// ascending id order, edges to nodes never received dropped.
+fn dense_rebuild(store: &ReceivedGraph) -> (RoadNetwork, Vec<NodeId>) {
+    let mut to_orig: Vec<NodeId> = store.node_ids().collect();
+    to_orig.sort_unstable();
+    let mut points = Vec::new();
+    let mut offsets = vec![0u32];
+    let mut targets = Vec::new();
+    let mut weights = Vec::new();
+    for &v in &to_orig {
+        points.push(store.point(v).expect("listed node"));
+        for &(u, w) in store.out_edges(v) {
+            if let Ok(du) = to_orig.binary_search(&u) {
+                targets.push(du as NodeId);
+                weights.push(w);
+            }
+        }
+        offsets.push(targets.len() as u32);
+    }
+    (
+        RoadNetwork::from_csr(points, offsets, targets, weights),
+        to_orig,
+    )
+}
+
+/// The A*-on-air bound `max(ceil(c · |p, target|) - 1, 0)`, with `c` the
+/// smallest weight-to-length ratio over edges between received nodes
+/// (shrunk against round-off): consistent, so A* settles each node once.
+fn measured_bound(store: &ReceivedGraph, target: Point) -> impl Fn(Point) -> Distance {
+    let mut c = f64::INFINITY;
+    for v in store.node_ids() {
+        let pv = store.point(v).expect("listed node");
+        for &(u, w) in store.out_edges(v) {
+            if let Some(pu) = store.point(u) {
+                let d = pv.euclidean(&pu);
+                if d > 1e-12 {
+                    c = c.min(w as f64 / d);
+                }
+            }
+        }
+    }
+    let c = if c.is_finite() {
+        (c * (1.0 - 1e-6)).max(0.0)
+    } else {
+        0.0
+    };
+    move |p: Point| ((c * p.euclidean(&target)).ceil() as Distance).saturating_sub(1)
+}
+
+fn store_of(records: &[RawRecord]) -> ReceivedGraph {
+    let mut store = ReceivedGraph::new();
+    for raw in records {
+        store.ingest(to_record(raw));
+    }
+    store
+}
+
+/// The store's search with no bound and no filter.
+fn plain(
+    store: &mut ReceivedGraph,
+    source: NodeId,
+    target: NodeId,
+) -> (Option<(Distance, Vec<NodeId>)>, usize, bool) {
+    store.search(
+        source,
+        Some(target),
+        |_, _| 0,
+        |_, _| true,
+        |_, _, _| ControlFlow::Continue(()),
+    )
+}
+
+/// A pseudo-random arc filter, as ArcFlag's flags are to the search.
+fn flag(seed: u64, u: NodeId, v: NodeId) -> bool {
+    !spair_broadcast::splitmix64(seed ^ ((u as u64) << 32 | v as u64)).is_multiple_of(4)
+}
+
+/// An admissible bound that is mostly not consistent: a random share of
+/// each node's true distance to `target` (distances from the plain
+/// search), or a random value where `target` is out of reach.
+fn shaky_bound(store: &mut ReceivedGraph, target: NodeId, seed: u64) -> HashMap<NodeId, Distance> {
+    let mut ids: Vec<NodeId> = store.node_ids().collect();
+    ids.extend(
+        store
+            .node_ids()
+            .flat_map(|v| store.out_edges(v).iter().map(|e| e.0))
+            .collect::<Vec<_>>(),
+    );
+    let mut h = HashMap::new();
+    for v in ids {
+        let r = spair_broadcast::splitmix64(seed ^ v as u64);
+        let bound = match plain(store, v, target).0 {
+            Some((d, _)) => d * (r % 5) / 4,
+            None => r % 100,
+        };
+        h.insert(v, bound);
+    }
+    h
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// With an arc filter, the search is ArcFlag's former loop: same
+    /// distance, path and settle count. Random record streams carry
+    /// edges to slots that never materialize.
+    #[test]
+    fn filtered_search_matches_arcflag_loop(records in record_stream(24, 50), seed in any::<u64>()) {
+        let mut store = store_of(&records);
+        for (s, t) in [(0, 23), (5, 12), (7, 7), (3, 22), (30, 1)] {
+            let want = af_loop(&store, s, t, |u, v| flag(seed, u, v));
+            let (res, settled, _) = store.search(
+                s,
+                Some(t),
+                |_, _| 0,
+                |u, v| flag(seed, u, v),
+                |_, _, _| ControlFlow::Continue(()),
+            );
+            prop_assert_eq!((res, settled), want, "search {}->{}", s, t);
+        }
+    }
+
+    /// Zero-weight ties pin the heap's tie-breaking: the unfiltered and
+    /// filtered searches still match their former loops pop for pop.
+    #[test]
+    fn zero_weight_searches_match_former_loops(records in record_stream(12, 1), seed in any::<u64>()) {
+        let mut store = store_of(&records);
+        for (s, t) in [(0, 11), (4, 9), (1, 10)] {
+            prop_assert_eq!(plain(&mut store, s, t), checked_loop(&store, s, t));
+            let want = af_loop(&store, s, t, |u, v| flag(seed, u, v));
+            let (res, settled, _) = store.search(
+                s,
+                Some(t),
+                |_, _| 0,
+                |u, v| flag(seed, u, v),
+                |_, _, _| ControlFlow::Continue(()),
+            );
+            prop_assert_eq!((res, settled), want);
+        }
+    }
+
+    /// The patched-arena check: distance, path, settle count and
+    /// certification bit equal the former checked search's, on stores
+    /// with edges into slots that never materialized and from sources
+    /// the store never saw.
+    #[test]
+    fn checked_search_matches_former_checked_loop(records in record_stream(24, 20)) {
+        let mut store = store_of(&records);
+        for (s, t) in [(0, 23), (5, 12), (7, 7), (3, 22), (40, 3), (2, 40)] {
+            let want = checked_loop(&store, s, t);
+            prop_assert_eq!(store.shortest_path_checked(s, t, Default::default()), want.clone());
+            prop_assert_eq!(store.shortest_path(s, t), (want.0, want.1));
+        }
+    }
+
+    /// Under an admissible but inconsistent bound, nodes reopen: the
+    /// search matches Landmark's former A* pop for pop, settle count
+    /// (reopenings included) and all, and stays exact.
+    #[test]
+    fn reopening_search_matches_landmark_loop(records in record_stream(16, 20), seed in any::<u64>()) {
+        let mut store = store_of(&records);
+        for (s, t) in [(0, 15), (3, 12), (9, 2)] {
+            let h = shaky_bound(&mut store, t, seed);
+            let lb = |v: NodeId, _t: NodeId| h.get(&v).copied().unwrap_or(0);
+            let want = astar_over_store(&store, s, t, lb);
+            let (res, settled, _) = store.search(
+                s,
+                Some(t),
+                |v, _| lb(v, t),
+                |_, _| true,
+                |_, _, _| ControlFlow::Continue(()),
+            );
+            prop_assert_eq!(
+                res.as_ref().map(|r| r.0),
+                plain(&mut store, s, t).0.map(|r| r.0),
+                "exact under the inconsistent bound"
+            );
+            prop_assert_eq!((res, settled), want, "search {}->{}", s, t);
+        }
+    }
+
+    /// Under the consistent measured bound, the search equals the
+    /// closed-set A* the A*-on-air client ran on its dense rebuild: same
+    /// distance, path (mapped back to broadcast ids) and settle count.
+    /// Edges to nodes never received are filtered out, as the rebuild
+    /// dropped them.
+    #[test]
+    fn consistent_search_matches_closed_set_astar(records in record_stream(24, 50)) {
+        let mut store = store_of(&records);
+        let held: std::collections::HashSet<NodeId> = store.node_ids().collect();
+        let (g, to_orig) = dense_rebuild(&store);
+        for (s, t) in [(0, 23), (5, 12), (3, 22), (17, 4)] {
+            let (Ok(ds), Ok(dt)) = (to_orig.binary_search(&s), to_orig.binary_search(&t)) else {
+                continue;
+            };
+            let bound = measured_bound(&store, store.point(t).unwrap());
+            let (res, settled) = closed_set_astar(&g, ds as NodeId, dt as NodeId, |v| bound(g.point(v)));
+            let want = (
+                res.map(|(d, p)| (d, p.iter().map(|&v| to_orig[v as usize]).collect::<Vec<_>>())),
+                settled,
+            );
+            let (res, settled, _) = store.search(
+                s,
+                Some(t),
+                |_, p| p.map_or(0, &bound),
+                |_, u| held.contains(&u),
+                |_, _, _| ControlFlow::Continue(()),
+            );
+            prop_assert_eq!((res, settled), want, "search {}->{}", s, t);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The consistent-bound equality on the encoded payloads of grid
+    /// networks, whose geometry makes the measured bound prune.
+    #[test]
+    fn consistent_search_matches_closed_set_astar_on_grids(seed in 0u64..500) {
+        let g0 = small_grid(9, 9, seed);
+        let mut store = full_store(&g0);
+        let (g, to_orig) = dense_rebuild(&store);
+        let n = g0.num_nodes() as u32;
+        for (s, t) in [(0, n - 1), (n / 3, n / 2), (n - 1, 4)] {
+            let bound = measured_bound(&store, store.point(t).unwrap());
+            let (ds, dt) = (
+                to_orig.binary_search(&s).unwrap() as NodeId,
+                to_orig.binary_search(&t).unwrap() as NodeId,
+            );
+            let (res, settled) = closed_set_astar(&g, ds, dt, |v| bound(g.point(v)));
+            let want = (
+                res.map(|(d, p)| (d, p.iter().map(|&v| to_orig[v as usize]).collect::<Vec<_>>())),
+                settled,
+            );
+            let (res, settled, _) = store.search(
+                s,
+                Some(t),
+                |_, p| p.map_or(0, &bound),
+                |_, _| true,
+                |_, _, _| ControlFlow::Continue(()),
+            );
+            prop_assert_eq!(&(res, settled), &want, "search {}->{}", s, t);
+            prop_assert!(want.1 <= plain(&mut store, s, t).1, "the bound prunes");
+        }
+    }
+}
+
+/// A node that settles before its shortest path is known must settle
+/// again: s→a→b→t is 7, but the bound at `a` (5) sends the search to `b`
+/// through s→b (3) first. A closed set would keep b's 3 and answer 8.
+#[test]
+fn inconsistent_bound_reopens_a_settled_node() {
+    let edges = |id: NodeId, edges: Vec<(NodeId, Weight)>| NodeRecord {
+        id,
+        point: Point::new(0.0, 0.0),
+        more: false,
+        border: false,
+        edges,
+    };
+    let mut store = ReceivedGraph::new();
+    store.ingest(edges(0, vec![(1, 1), (2, 3)]));
+    store.ingest(edges(1, vec![(2, 1)]));
+    store.ingest(edges(2, vec![(3, 5)]));
+    store.ingest(edges(3, vec![]));
+    let lb = |v: NodeId, _t: NodeId| if v == 1 { 5 } else { 0 };
+    let want = astar_over_store(&store, 0, 3, lb);
+    assert_eq!(want, (Some((7, vec![0, 1, 2, 3])), 5), "b settles twice");
+    let (res, settled, _) = store.search(
+        0,
+        Some(3),
+        |v, _| lb(v, 3),
+        |_, _| true,
+        |_, _, _| ControlFlow::Continue(()),
+    );
+    assert_eq!((res, settled), want);
+    let (g, _) = dense_rebuild(&store);
+    assert_eq!(
+        closed_set_astar(&g, 0, 3, |v| lb(v, 3)).0.map(|r| r.0),
+        Some(8),
+        "the closed set answers wrong here"
+    );
 }

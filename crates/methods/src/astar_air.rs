@@ -1,8 +1,9 @@
 //! A* on air: goal-directed search over the received network.
 //!
 //! Same broadcast program as DJ — the raw network data, the shortest
-//! possible cycle — but the client runs `spair_roadnet::astar` instead
-//! of Dijkstra, with a geometric lower bound derived **from the received
+//! possible cycle — and the same received store, but the client searches
+//! it with A* ([`ReceivedGraph::search`] under a lower bound) instead of
+//! Dijkstra, with a geometric lower bound derived **from the received
 //! data itself**: the paper dismisses a-priori A* bounds for road
 //! networks (§2.1), yet once the whole network is on the device the
 //! client can *measure* the tightest admissible scale factor
@@ -24,21 +25,22 @@
 //! edge) `c` still degrades to 0 and the search degenerates to plain
 //! Dijkstra, still exact.
 //!
-//! Tuning time and latency are DJ's (the whole cycle either way); the
-//! win is client CPU — fewer settled nodes per query.
+//! Tuning time, latency and memory are DJ's (the whole cycle either way,
+//! into the same store with the same search scratch); the win is client
+//! CPU — fewer settled nodes per query.
 
-use crate::received::receive_network;
 use crate::{
     BroadcastMethod, ClientBootstrap, MethodDescriptor, MethodProgram, MethodUnavailable,
     SessionShape, World,
 };
+use spair_baselines::dj::receive_network_data;
 use spair_baselines::{DjProgram, DjServer};
 use spair_broadcast::{BroadcastChannel, BroadcastCycle, CpuMeter, MemoryMeter, QueryStats};
 use spair_core::netcodec::ReceivedGraph;
 use spair_core::patch::{ClientArena, Coverage};
 use spair_core::query::{AirClient, Query, QueryError, QueryOutcome};
-use spair_roadnet::astar::{astar_search, LowerBound};
-use spair_roadnet::{Distance, NodeId, Point, RoadNetwork};
+use spair_roadnet::{Distance, Point};
+use std::ops::ControlFlow;
 
 /// The A*-on-air descriptor.
 pub const DESCRIPTOR: MethodDescriptor = MethodDescriptor {
@@ -99,22 +101,22 @@ impl BroadcastMethod for AstarAir {
 /// The measured geometric bound: `max(ceil(c · euclid(v, target)) - 1, 0)`.
 struct MeasuredBound {
     c: f64,
-    points: Vec<Point>,
     target_pt: Point,
 }
 
 impl MeasuredBound {
-    /// Measures the scale factor over the received edges. The safety
-    /// shrink counters f64 round-off in the ratio computation and keeps
-    /// the ceiling-based bound strictly inside its consistency margin;
-    /// the `- 1` lives in [`LowerBound::lower_bound`], not here, so
-    /// weight-1 edges no longer zero the factor.
-    fn measure(g: &RoadNetwork) -> f64 {
+    /// Measures the scale factor over the received edges between
+    /// received nodes. The safety shrink counters f64 round-off in the
+    /// ratio computation and keeps the ceiling-based bound strictly
+    /// inside its consistency margin; the `- 1` lives in [`Self::at`],
+    /// not here, so weight-1 edges no longer zero the factor.
+    fn measure(store: &ReceivedGraph) -> f64 {
         let mut c = f64::INFINITY;
-        for v in g.node_ids() {
-            let pv = g.point(v);
-            for (u, w) in g.out_edges(v) {
-                let d = pv.euclidean(&g.point(u));
+        for v in store.node_ids() {
+            let pv = store.point(v).expect("listed node");
+            for &(u, w) in store.out_edges(v) {
+                let Some(pu) = store.point(u) else { continue };
+                let d = pv.euclidean(&pu);
                 if d > 1e-12 {
                     c = c.min(w as f64 / d);
                 }
@@ -126,11 +128,10 @@ impl MeasuredBound {
             0.0
         }
     }
-}
 
-impl LowerBound for MeasuredBound {
-    fn lower_bound(&self, v: NodeId, _target: NodeId) -> Distance {
-        let x = self.c * self.points[v as usize].euclidean(&self.target_pt);
+    /// The bound at a received node's position.
+    fn at(&self, p: Point) -> Distance {
+        let x = self.c * p.euclidean(&self.target_pt);
         (x.ceil() as Distance).saturating_sub(1)
     }
 }
@@ -161,31 +162,40 @@ impl AirClient for AstarAirClient {
                 stats: QueryStats::default(),
             });
         }
-        let net = receive_network(ch, &mut mem, &mut self.store)?;
-        let (Some(s), Some(t)) = (net.dense(q.source), net.dense(q.target)) else {
+        let store = &mut self.store;
+        receive_network_data(ch, &mut mem, store)?;
+        let Some(target_pt) = store.point(q.target).filter(|_| store.contains(q.source)) else {
             return Err(QueryError::Unreachable);
         };
-        let (res, stats) = cpu.time(|| {
+        mem.alloc(store.num_nodes() * 24);
+        let (res, settled, _) = cpu.time(|| {
             let bound = MeasuredBound {
-                c: MeasuredBound::measure(&net.g),
-                points: net.g.node_ids().map(|v| net.g.point(v)).collect(),
-                target_pt: net.g.point(t),
+                c: MeasuredBound::measure(store),
+                target_pt,
             };
-            astar_search(&net.g, s, t, &bound)
+            // A slot only referenced as an edge target is a dead end
+            // here; 0 bounds it admissibly.
+            store.search(
+                q.source,
+                Some(q.target),
+                |_, p| p.map_or(0, |p| bound.at(p)),
+                |_, _| true,
+                |_, _, _| ControlFlow::Continue(()),
+            )
         });
-        let stats_out = QueryStats {
+        let stats = QueryStats {
             tuning_packets: ch.tuned(),
             latency_packets: ch.elapsed(),
             sleep_packets: ch.slept(),
             peak_memory_bytes: mem.peak(),
             cpu: cpu.total(),
-            settled_nodes: stats.settled as u64,
+            settled_nodes: settled as u64,
         };
         match res {
             Some((distance, path)) => Ok(QueryOutcome {
                 distance,
-                path: net.path_to_orig(&path),
-                stats: stats_out,
+                path,
+                stats,
             }),
             None => Err(QueryError::Unreachable),
         }

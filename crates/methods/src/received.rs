@@ -1,11 +1,11 @@
-//! Shared client-side plumbing for whole-cycle methods that search the
-//! *received* network with a `spair_roadnet` algorithm: receive the
-//! data-only cycle into a [`ReceivedGraph`], then rebuild a dense
-//! [`RoadNetwork`] the library searches run on, with an id mapping back
-//! to the broadcast node ids.
+//! The client-side rebuild `bidi_air` searches: receive the data-only
+//! cycle into a [`ReceivedGraph`], then rebuild a dense [`RoadNetwork`]
+//! for `spair_roadnet::bidirectional_search_paths`, which needs in-edges
+//! the store does not keep, with an id mapping back to the broadcast
+//! node ids. Every other whole-cycle client searches its store directly
+//! with [`ReceivedGraph::search`].
 
-use spair_baselines::dj::receive_whole_cycle;
-use spair_broadcast::packet::PacketKind;
+use spair_baselines::dj::receive_network_data;
 use spair_broadcast::{BroadcastChannel, MemoryMeter};
 use spair_core::netcodec::ReceivedGraph;
 use spair_core::query::QueryError;
@@ -31,14 +31,7 @@ pub(crate) fn receive_network(
     mem: &mut MemoryMeter,
     store: &mut ReceivedGraph,
 ) -> Result<ReceivedNetwork, QueryError> {
-    store.clear();
-    receive_whole_cycle(ch, mem, |kind, payload, mem| {
-        if kind == PacketKind::Data {
-            if let Some(charged) = store.ingest_payload(payload) {
-                mem.alloc(charged);
-            }
-        }
-    })?;
+    receive_network_data(ch, mem, store)?;
 
     let mut to_orig: Vec<NodeId> = store.node_ids().collect();
     to_orig.sort_unstable();

@@ -12,8 +12,11 @@
 //! 2. on the conformance suite's grid-class networks, A* must settle
 //!    strictly fewer nodes than both `dj` and `bidi_air` aggregated over
 //!    a query batch, while staying exact.
+//!
+//! A third test pins its memory: A* searches the store DJ receives, with
+//! DJ's search scratch, so it pays exactly DJ's peak memory.
 
-use spair_broadcast::BroadcastChannel;
+use spair_broadcast::{BroadcastChannel, LossModel};
 use spair_core::query::Query;
 use spair_core::BorderPrecomputation;
 use spair_methods::{MethodRegistry, World};
@@ -104,6 +107,46 @@ fn grid_networks_settle_strictly_below_dj_and_bidi() {
         assert!(
             astar < bidi,
             "grid {w}x{h} seed {seed}: astar {astar} >= bidi {bidi}"
+        );
+    }
+}
+
+/// Per-query `peak_memory_bytes` of `method` on `g`, each query tuned in
+/// at its own offset under 5% Bernoulli loss (so §6.2 re-reception runs).
+fn peak_memory(g: &RoadNetwork, method: &str, queries: &[(u32, u32)]) -> Vec<usize> {
+    let reg = MethodRegistry::standard();
+    let part = KdTreePartition::build(g, 8);
+    let pre = BorderPrecomputation::run(g, &part);
+    let world = World::from_parts(g.clone(), part, pre);
+    let program = reg.method(reg.get(method).unwrap()).build_program(&world);
+    let cycle = program.cycle().unwrap();
+    let mut client = program.make_client(Default::default()).unwrap();
+    queries
+        .iter()
+        .enumerate()
+        .map(|(i, &(s, t))| {
+            let at = (i * 37) % cycle.len();
+            let mut ch = BroadcastChannel::tune_in(cycle, at, LossModel::bernoulli(0.05, i as u64));
+            let out = client.query(&mut ch, &Query::for_nodes(g, s, t)).unwrap();
+            assert_eq!(Some(out.distance), dijkstra_distance(g, s, t), "{method}");
+            out.stats.peak_memory_bytes
+        })
+        .collect()
+}
+
+#[test]
+fn astar_pays_exactly_dj_memory() {
+    for (w, h, seed) in [(12usize, 12usize, 3u64), (16, 16, 11)] {
+        let g = small_grid(w, h, seed);
+        let n = g.num_nodes() as u32;
+        let queries: Vec<(u32, u32)> = (0..6u32)
+            .map(|i| ((i * 7919) % n, (i * 104_729 + n / 2) % n))
+            .filter(|(s, t)| s != t)
+            .collect();
+        assert_eq!(
+            peak_memory(&g, "astar_air", &queries),
+            peak_memory(&g, "dj", &queries),
+            "grid {w}x{h} seed {seed}"
         );
     }
 }

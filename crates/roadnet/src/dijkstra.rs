@@ -5,9 +5,10 @@
 //!   bounds);
 //! * [`dijkstra_to_target`] / [`dijkstra_distance`] — early-terminating
 //!   point-to-point queries, as run by the simulated clients;
-//! * [`dijkstra_filtered`] — search restricted to a node predicate, used
-//!   by the clients that only downloaded a subset of regions and by
-//!   ArcFlag's flag-pruned search (via an edge predicate variant);
+//! * [`dijkstra_filtered`] — search restricted to a node predicate, the
+//!   reference that tests hold region-restricted answers against (the
+//!   clients search their received data with
+//!   `spair_core::netcodec::ReceivedGraph::search`);
 //! * [`DijkstraWorkspace`] — allocation-free repeated searches for
 //!   server-side precomputation, with version-stamped visited marks.
 //!

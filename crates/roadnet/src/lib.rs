@@ -7,7 +7,7 @@
 //! * [`RoadNetwork`] — a compact CSR (compressed sparse row) representation
 //!   with forward and reverse adjacency, built through [`GraphBuilder`];
 //! * shortest-path machinery: [`dijkstra`] (full / target-pruned / bounded /
-//!   subgraph-restricted), [`astar`] with pluggable lower bounds, and
+//!   subgraph-restricted), [`bidirectional`] search, and
 //!   [`ShortestPathTree`] utilities for path extraction and tree DP;
 //! * [`generators`] — synthetic road networks with road-like topology and
 //!   presets matching the five networks evaluated in the paper;
@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod astar;
 pub mod bench_out;
 pub mod bidirectional;
 pub mod certify;
@@ -37,7 +36,6 @@ pub mod snap;
 pub mod split;
 pub mod sptree;
 
-pub use astar::{astar_distance, ZeroBound};
 pub use bidirectional::{bidirectional_distance, bidirectional_search, bidirectional_search_paths};
 pub use dijkstra::{
     dijkstra_distance, dijkstra_filtered, dijkstra_full, dijkstra_to_target, DijkstraOptions,

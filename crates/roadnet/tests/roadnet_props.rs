@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 use spair_roadnet::generators::GeneratorConfig;
 use spair_roadnet::{
-    astar_distance, bidirectional_distance, dijkstra_distance, dijkstra_full, dijkstra_to_target,
-    insert_positions, io, EdgePosition, NodeId, NodeLocator, Point, RoadNetwork, ZeroBound,
+    bidirectional_distance, dijkstra_distance, dijkstra_full, dijkstra_to_target, insert_positions,
+    io, EdgePosition, NodeId, NodeLocator, Point, RoadNetwork,
 };
 
 fn arb_network() -> impl Strategy<Value = RoadNetwork> {
@@ -43,17 +43,6 @@ proptest! {
         let s = (pair.0 % g.num_nodes()) as NodeId;
         let t = (pair.1 % g.num_nodes()) as NodeId;
         prop_assert_eq!(bidirectional_distance(&g, s, t), dijkstra_distance(&g, s, t));
-    }
-
-    /// A* with the zero bound degenerates to Dijkstra.
-    #[test]
-    fn astar_zero_bound_matches_dijkstra(
-        g in arb_network(),
-        pair in (0usize..10_000, 0usize..10_000),
-    ) {
-        let s = (pair.0 % g.num_nodes()) as NodeId;
-        let t = (pair.1 % g.num_nodes()) as NodeId;
-        prop_assert_eq!(astar_distance(&g, s, t, &ZeroBound), dijkstra_distance(&g, s, t));
     }
 
     /// Returned paths are real paths: consecutive edges exist and their

@@ -13,7 +13,7 @@
 #       --out /tmp/legacy9.json --expect 1cef0841b0e42909 \
 #       --methods nr,eb,dj,ld,af,spq_air,hiti_air,nr_mem_bound,knn_air
 #   scripts/digest_gate.sh --package spair-sim --bin bench_faults \
-#       --out /tmp/faults_t4.json --expect 45e913420811fb2d -- --smoke --threads 4
+#       --out /tmp/faults_t4.json --expect 3e09da641c35c3dd -- --smoke --threads 4
 #
 # Flags after `--` pass through to the binary unchanged (e.g. --smoke,
 # --threads N). The thread-stability pattern is two invocations with the
