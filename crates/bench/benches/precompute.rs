@@ -1,8 +1,11 @@
 //! Criterion micro-benchmarks for the precomputation pipeline and the
 //! search kernels it rests on: serial vs parallel border-pair
-//! precomputation, point-to-point Dijkstra, and the parallel
-//! ArcFlag build. Complements `src/bin/bench_precompute.rs`, which runs
-//! the acceptance-grade serial/parallel comparison and records it in
+//! precomputation, serial border precompute on the 8 000-node
+//! germany-class map of the benchmark's `updates` workload (most of its
+//! border nodes sit in dangling trees and share their attachment's
+//! search), point-to-point Dijkstra, and the parallel ArcFlag build.
+//! Complements `src/bin/bench_precompute.rs`, which runs the
+//! acceptance-grade serial/parallel comparison and records it in
 //! `BENCH_precompute.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -31,6 +34,14 @@ fn bench_precompute_parallel(c: &mut Criterion) {
     });
 }
 
+fn bench_precompute_germany(c: &mut Criterion) {
+    let g = NetworkPreset::Germany.config_for_nodes(7, 8_000).generate();
+    let part = KdTreePartition::build(&g, 64);
+    c.bench_function("precompute/border_serial_germany8k", |b| {
+        b.iter(|| BorderPrecomputation::run_serial(&g, &part))
+    });
+}
+
 fn bench_point_to_point(c: &mut Criterion) {
     let g = NetworkPreset::Germany.scaled_config(1, 0.1).generate();
     let target = (g.num_nodes() / 2) as u32;
@@ -51,6 +62,6 @@ fn bench_point_to_point(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_precompute_parallel, bench_point_to_point
+    targets = bench_precompute_parallel, bench_precompute_germany, bench_point_to_point
 }
 criterion_main!(benches);

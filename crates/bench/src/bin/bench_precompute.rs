@@ -17,8 +17,16 @@
 //!    records the kernel's deterministic counters (`core_nodes`: the
 //!    2-core every source searches; `branch_nodes`: the core nodes
 //!    outside degree-2 chains, which the heap settles;
-//!    `tie_fallback_sources`: sources recomputed over the whole graph
-//!    after a double tie),
+//!    `kept_peeled_nodes`: the peeled nodes with a border node below
+//!    them, the only ones each search fills; `search_roots`: the core
+//!    border nodes and dangling-tree attachments searched from;
+//!    `shared_sources`: border nodes inside dangling trees folded from
+//!    their attachment's search; `tie_fallback_sources`: sources
+//!    recomputed over the whole graph after a double tie), then does the
+//!    same in the `germany` object on a fixed germany-class map
+//!    (`NetworkPreset::Germany.config_for_nodes(7, 8_000)`, 64 kd
+//!    regions, the benchmark's `updates` map), where most border nodes
+//!    sit in dangling trees,
 //! 3. repeats the exercise for the SPQ all-pairs build on a
 //!    `--spq-side`-sized grid (`SpqIndex::build_serial` vs
 //!    `build_with_threads`, gated on `same_trees`) — the per-node
@@ -47,7 +55,14 @@ use spair_core::BorderPrecomputation;
 use spair_partition::KdTreePartition;
 use spair_roadnet::certify::{self, host_json, object, Cli, Envelope};
 use spair_roadnet::generators::small_grid;
+use spair_roadnet::{NetworkPreset, RoadNetwork};
 use std::time::Instant;
+
+/// The fixed germany-class border precompute: seed, nodes and kd regions
+/// of the benchmark's `updates` map.
+const GERMANY_SEED: u64 = 7;
+const GERMANY_NODES: usize = 8_000;
+const GERMANY_REGIONS: usize = 64;
 
 /// The problem sizes of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,6 +140,46 @@ impl Stage {
     }
 }
 
+/// Border precompute on `g` under `regions` kd regions, serial vs
+/// `threads` workers, with the graph's fields and the kernel's counters.
+fn border_stage(
+    label: &str,
+    g: &RoadNetwork,
+    regions: usize,
+    threads: usize,
+    repeat: usize,
+) -> (Stage, Vec<(&'static str, String)>) {
+    let part = KdTreePartition::build(g, regions);
+    eprintln!(
+        "{label}graph: {} nodes, {} edges; partition: {regions} regions; threads: {threads}",
+        g.num_nodes(),
+        g.num_edges(),
+    );
+    let (stage, pre) = Stage::measure(
+        label,
+        repeat,
+        || BorderPrecomputation::run_serial(g, &part),
+        || BorderPrecomputation::run_with_threads(g, &part, threads),
+        BorderPrecomputation::same_tables,
+    );
+    let fields = vec![
+        ("nodes", g.num_nodes().to_string()),
+        ("edges", g.num_edges().to_string()),
+        ("border_nodes", pre.borders().count().to_string()),
+        ("regions", regions.to_string()),
+        ("core_nodes", pre.core_nodes().to_string()),
+        ("branch_nodes", pre.branch_nodes().to_string()),
+        ("kept_peeled_nodes", pre.kept_peeled_nodes().to_string()),
+        ("search_roots", pre.search_roots().to_string()),
+        ("shared_sources", pre.shared_sources().to_string()),
+        (
+            "tie_fallback_sources",
+            pre.tie_fallback_sources().to_string(),
+        ),
+    ];
+    (stage, fields)
+}
+
 fn best_of<T>(repeat: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
     let mut out = None;
@@ -160,20 +215,12 @@ fn main() {
     let (threads, repeat) = (args.threads, sizes.repeat);
 
     let g = small_grid(sizes.side, sizes.side, 42);
-    let part = KdTreePartition::build(&g, sizes.regions);
-    eprintln!(
-        "graph: {} nodes, {} edges; partition: {} regions; threads: {threads}",
-        g.num_nodes(),
-        g.num_edges(),
-        sizes.regions,
-    );
-    let (border, serial) = Stage::measure(
-        "",
-        repeat,
-        || BorderPrecomputation::run_serial(&g, &part),
-        || BorderPrecomputation::run_with_threads(&g, &part, threads),
-        BorderPrecomputation::same_tables,
-    );
+    let (border, graph_fields) = border_stage("", &g, sizes.regions, threads, repeat);
+    let germany_graph = NetworkPreset::Germany
+        .config_for_nodes(GERMANY_SEED, GERMANY_NODES)
+        .generate();
+    let (germany, germany_fields) =
+        border_stage("germany ", &germany_graph, GERMANY_REGIONS, threads, repeat);
 
     // SPQ all-pairs build: one shortest-path tree (searched, or derived
     // inside a dangling tree) and one quadtree per node. Its own
@@ -233,21 +280,7 @@ fn main() {
         ("index_packets", hiti_index.index_packets().to_string()),
     ];
     let mut json = Envelope::new("border_precompute_serial_vs_parallel")
-        .field(
-            "graph",
-            object(&[
-                ("nodes", g.num_nodes().to_string()),
-                ("edges", g.num_edges().to_string()),
-                ("border_nodes", serial.borders().count().to_string()),
-                ("regions", sizes.regions.to_string()),
-                ("core_nodes", serial.core_nodes().to_string()),
-                ("branch_nodes", serial.branch_nodes().to_string()),
-                (
-                    "tie_fallback_sources",
-                    serial.tie_fallback_sources().to_string(),
-                ),
-            ]),
-        )
+        .field("graph", object(&graph_fields))
         .field("host", host_json(threads))
         .field("repeat", repeat);
     for (key, value) in border.fields() {
@@ -256,8 +289,13 @@ fn main() {
     let json = json
         .field("spq", object(&[&spq_fields[..], &spq.fields()].concat()))
         .field("hiti", object(&[&hiti_fields[..], &hiti.fields()].concat()))
+        .field(
+            "germany",
+            object(&[&germany_fields[..], &germany.fields()].concat()),
+        )
         .finish();
-    let bit_identical = border.bit_identical && spq.bit_identical && hiti.bit_identical;
+    let bit_identical =
+        border.bit_identical && germany.bit_identical && spq.bit_identical && hiti.bit_identical;
     std::process::exit(certify::publish(&out, &json, Ok(()), bit_identical));
 }
 

@@ -13,21 +13,47 @@
 //!   border-pair shortest path (§4.1's region-data split that cuts ~20% of
 //!   tuning time).
 //!
-//! Per source the three are extracted in O(V · n/64) by dynamic programs
-//! over the shortest-path tree instead of walking each of the O(B²) pair
-//! paths: region sets propagate parent→child in settle order, and the
+//! Per source the three are extracted by dynamic programs over the
+//! shortest-path tree instead of walking each of the O(B²) pair paths:
+//! region sets propagate parent→child in settle order, and the
 //! on-a-border-path marks propagate child→parent in reverse settle order.
 //! Any parents-first order of the tree serves both.
 //!
-//! Each source's tree comes from the all-sources kernel of
-//! [`spair_roadnet::peel`]: it searches only the branch nodes of the
-//! graph's 2-core and fills the degree-2 chains and the dangling trees
-//! around them, with exactly the parents of one
-//! whole-graph [`DijkstraWorkspace::run`](spair_roadnet::dijkstra::DijkstraWorkspace::run)
-//! per border node. So the tables equal that whole-graph fold on every
-//! graph; [`BorderPrecomputation::tie_fallback_sources`] counts the
-//! sources the kernel recomputed over the whole graph after a double
-//! tie.
+//! The trees come from the all-sources kernel of [`spair_roadnet::peel`]:
+//! it searches only the branch nodes of the graph's 2-core and fills the
+//! degree-2 chains and the dangling trees around them, with exactly the
+//! parents of one whole-graph
+//! [`DijkstraWorkspace::run`](spair_roadnet::dijkstra::DijkstraWorkspace::run)
+//! per source. Its fill is pruned to the border nodes
+//! ([`Peel::pruned`]): a peeled node with no border node in its dangling
+//! subtree lies on no border-pair path, so neither the tables nor the
+//! DPs read it.
+//!
+//! **One search per attachment.** The pass searches from *roots*: every
+//! border node in the 2-core, and every core node `a` that a dangling
+//! tree holding border nodes attaches at. A border node `s` inside a
+//! dangling tree is folded from its attachment's search. Let `T` be the
+//! dangling subtree below `a` that holds `s`; its only link to the rest
+//! of the graph is one edge each way between its top node and `a`, both
+//! of positive weight. Then:
+//!
+//! * Outside `T`, `s`'s tree is `a`'s tree shifted by the walk length
+//!   `d(s, a)`. The kernel's search from `s` walks up to `a` and runs the
+//!   core search from there at `d(s, a)`, and that search is invariant
+//!   under the shift: every comparison it makes, the double-tie checks
+//!   included, is between two distances offset by the same amount. So a
+//!   target `t` outside `T` gets distance `d(s, a) + d(a, t)` and region
+//!   set `R(walk) ∪ PR_a(t)`, and the nodes on paths to such targets are
+//!   `a`'s marks outside `T` plus the walk and `a`.
+//! * Inside `T`, paths run up the walk and down the tree without leaving
+//!   `T`: each source recomputes distances, region sets and marks over
+//!   the kept part of `T` alone, in time proportional to it.
+//! * If `a`'s search meets a double tie, whole-graph searches from `a`
+//!   and from `s` may break it differently, so each source under `a`
+//!   falls back to its own search and fold; it meets the same tie, and
+//!   [`BorderPrecomputation::tie_fallback_sources`] counts it as before.
+//!
+//! So the tables equal the whole-graph fold on every graph.
 
 use crate::regionset::{RegionSet, RegionSetMatrix};
 use spair_partition::{BorderInfo, Partitioning, RegionId};
@@ -57,6 +83,13 @@ impl MinMax {
     pub fn is_empty(&self) -> bool {
         self.min == DIST_INF
     }
+
+    /// Widens the range to cover `d`.
+    #[inline]
+    fn cover(&mut self, d: Distance) {
+        self.min = self.min.min(d);
+        self.max = self.max.max(d);
+    }
 }
 
 /// Output of the precomputation pass, shared by EB and NR (the paper notes
@@ -78,19 +111,71 @@ pub struct BorderPrecomputation {
     core_nodes: usize,
     /// Core nodes outside the degree-2 chains, the ones the heap settles.
     branch_nodes: usize,
+    /// Peeled nodes with a border node in their dangling subtree.
+    kept_peeled_nodes: usize,
+    /// Kernel searches from roots: core border nodes and attachments.
+    search_roots: usize,
+    /// Border nodes inside dangling trees folded from their attachment's
+    /// search.
+    shared_sources: usize,
     /// Sources recomputed over the whole graph after a double tie.
     tie_fallback_sources: usize,
     /// Wall-clock cost of the pass (Table 3).
     pub precompute_secs: f64,
 }
 
-/// Reusable per-worker buffers for the per-source searches and DPs.
+/// A search root: a core node that is a border node, or that dangling
+/// trees holding border nodes attach at, or both.
+struct Root {
+    node: NodeId,
+    /// Whether `node` is a border node, a source of its own.
+    border: bool,
+    /// The dangling subtrees below `node` that hold border nodes.
+    subtrees: Vec<Subtree>,
+}
+
+/// A dangling subtree directly below its attachment.
+struct Subtree {
+    /// Its top node, the attachment's neighbour.
+    top: NodeId,
+    /// Its border nodes, ascending: the sources the attachment's search
+    /// serves, and the targets inside the subtree.
+    borders: Vec<NodeId>,
+    /// Its nodes with a border node below them, parents first.
+    kept: Vec<NodeId>,
+}
+
+/// What every worker reads: the peeled graph, the regions and the roots.
+struct Pass<'g> {
+    peel: Peel<'g>,
+    borders: BorderInfo,
+    region_of: Vec<RegionId>,
+    regions: usize,
+    words: usize,
+    roots: Vec<Root>,
+    /// Per kept peeled node, the top of its subtree; `NO_PARENT` for
+    /// every other node.
+    top: Vec<NodeId>,
+}
+
+/// Reusable per-worker buffers for the searches and DPs.
 struct SourceScratch {
     tree: SourceTree,
     /// Flat parent→child DP buffer: region set of the tree path to v.
     path_regions: Vec<u64>,
     /// Child→parent marks: v lies on a path towards some border target.
     on_path: Vec<bool>,
+    /// A subtree source's tree over its own subtree: the nodes parents
+    /// first (its walk to the top first), their distances and path
+    /// region sets, and the walk's marks.
+    local_order: Vec<NodeId>,
+    local_dist: Vec<Distance>,
+    local_regions: Vec<u64>,
+    on_walk: Vec<bool>,
+    /// Per target region, over the border targets outside the current
+    /// subtree: min/max distance and path regions from the attachment.
+    outside: Vec<MinMax>,
+    outside_regions: Vec<u64>,
 }
 
 /// One worker's contribution, merged cell-wise. Every combining
@@ -102,6 +187,7 @@ struct SourcePartial {
     minmax: Vec<MinMax>,
     traversed: RegionSetMatrix,
     cross_border: Vec<bool>,
+    shared_sources: usize,
     tie_fallbacks: usize,
 }
 
@@ -128,31 +214,34 @@ impl BorderPrecomputation {
         let start = Instant::now();
         let n = part.num_regions();
         let nn = g.num_nodes();
-        let borders = BorderInfo::compute(g, part);
-        let region_of: Vec<RegionId> = g.node_ids().map(|v| part.region_of(v)).collect();
-        let words = n.div_ceil(64);
-        let peel = Peel::new(g, Direction::Forward);
+        let pass = Pass::new(g, part);
+        let words = pass.words;
 
         let merged = parallel::map_reduce_chunked(
-            borders.all(),
+            &pass.roots,
             threads,
             4,
             || SourceScratch {
-                tree: SourceTree::new(&peel),
+                tree: SourceTree::new(&pass.peel),
                 path_regions: vec![0u64; nn * words],
                 on_path: vec![false; nn],
+                local_order: Vec::new(),
+                local_dist: vec![0; nn],
+                local_regions: vec![0u64; nn * words],
+                on_walk: vec![false; nn],
+                outside: vec![MinMax::EMPTY; n],
+                outside_regions: vec![0u64; n * words],
             },
             || SourcePartial {
                 minmax: vec![MinMax::EMPTY; n * n],
                 traversed: RegionSetMatrix::new(n),
                 cross_border: vec![false; nn],
+                shared_sources: 0,
                 tie_fallbacks: 0,
             },
-            |scratch, partial, sources, _base| {
-                for &b in sources {
-                    process_source(
-                        &peel, part, &borders, &region_of, words, scratch, partial, b,
-                    );
+            |scratch, partial, roots, _base| {
+                for root in roots {
+                    pass.fold_root(scratch, partial, root);
                 }
             },
             |acc, p| {
@@ -164,35 +253,38 @@ impl BorderPrecomputation {
                 for (a, b) in acc.cross_border.iter_mut().zip(&p.cross_border) {
                     *a |= b;
                 }
+                acc.shared_sources += p.shared_sources;
                 acc.tie_fallbacks += p.tie_fallbacks;
             },
         );
-        let (mut minmax, traversed, mut cross_border, tie_fallback_sources) = match merged {
-            Some(p) => (p.minmax, p.traversed, p.cross_border, p.tie_fallbacks),
+        let partial = merged.unwrap_or_else(|| SourcePartial {
             // A one-region partitioning has no border nodes at all.
-            None => (
-                vec![MinMax::EMPTY; n * n],
-                RegionSetMatrix::new(n),
-                vec![false; nn],
-                0,
-            ),
-        };
+            minmax: vec![MinMax::EMPTY; n * n],
+            traversed: RegionSetMatrix::new(n),
+            cross_border: vec![false; nn],
+            shared_sources: 0,
+            tie_fallbacks: 0,
+        });
+        let (mut minmax, mut cross_border) = (partial.minmax, partial.cross_border);
         for r in 0..n {
             minmax[r * n + r].min = 0;
         }
-        for &b in borders.all() {
+        for &b in pass.borders.all() {
             cross_border[b as usize] = true;
         }
 
         Self {
             num_regions: n,
             minmax,
-            traversed,
+            traversed: partial.traversed,
             cross_border,
-            borders,
-            core_nodes: peel.core_nodes().len(),
-            branch_nodes: peel.branch_nodes().len(),
-            tie_fallback_sources,
+            core_nodes: pass.peel.core_nodes().len(),
+            branch_nodes: pass.peel.branch_nodes().len(),
+            kept_peeled_nodes: pass.peel.fill_order().len(),
+            search_roots: pass.roots.len(),
+            shared_sources: partial.shared_sources,
+            tie_fallback_sources: partial.tie_fallbacks,
+            borders: pass.borders,
             precompute_secs: start.elapsed().as_secs_f64(),
         }
     }
@@ -277,6 +369,25 @@ impl BorderPrecomputation {
         self.branch_nodes
     }
 
+    /// Peeled nodes with a border node in their dangling subtree: the
+    /// only peeled nodes each search fills.
+    pub fn kept_peeled_nodes(&self) -> usize {
+        self.kept_peeled_nodes
+    }
+
+    /// Kernel searches the pass runs from roots: the core border nodes
+    /// and the core nodes that dangling trees holding border nodes
+    /// attach at (a node that is both counts once).
+    pub fn search_roots(&self) -> usize {
+        self.search_roots
+    }
+
+    /// Border nodes inside dangling trees folded from their attachment's
+    /// search rather than searched on their own.
+    pub fn shared_sources(&self) -> usize {
+        self.shared_sources
+    }
+
     /// Border sources whose core search met a double tie and were
     /// recomputed over the whole graph.
     pub fn tie_fallback_sources(&self) -> usize {
@@ -284,95 +395,352 @@ impl BorderPrecomputation {
     }
 }
 
-/// Folds one border-node source into a partial: its shortest-path tree
-/// from the kernel, then the three tree DPs of the module docs. Depends only on `b`'s own search
-/// tree, never on other sources' results — the independence the
-/// parallel fan-out rests on.
-#[allow(clippy::too_many_arguments)]
-fn process_source(
-    peel: &Peel,
-    part: &(impl Partitioning + Sync),
-    borders: &BorderInfo,
-    region_of: &[RegionId],
-    words: usize,
-    scratch: &mut SourceScratch,
-    partial: &mut SourcePartial,
-    b: NodeId,
-) {
-    let n = part.num_regions();
-    let rb = part.region_of(b);
-    let SourceScratch {
-        tree,
-        path_regions,
-        on_path,
-    } = scratch;
-    partial.tie_fallbacks += usize::from(tree.search(peel, b));
-    let (order, dist, parent) = (tree.order(), tree.distances(), tree.parents());
+impl<'g> Pass<'g> {
+    /// Peels `g` pruned to its border nodes and groups the sources into
+    /// roots, ascending by node.
+    fn new(g: &'g RoadNetwork, part: &impl Partitioning) -> Self {
+        let nn = g.num_nodes();
+        let regions = part.num_regions();
+        let borders = BorderInfo::compute(g, part);
+        let peel = Peel::pruned(g, Direction::Forward, borders.all());
+        let attachment = |top: NodeId| peel.tree_parent(top).expect("a peeled top");
+        let mut top = vec![NO_PARENT; nn];
+        for &v in peel.fill_order() {
+            let p = peel.tree_parent(v).expect("a peeled node");
+            top[v as usize] = match peel.tree_parent(p) {
+                None => v,
+                Some(_) => top[p as usize],
+            };
+        }
+        // Per core node, its root's index (`u32::MAX`: not a root); per
+        // top node, its subtree's index among its root's.
+        let mut root_of = vec![u32::MAX; nn];
+        for &b in borders.all() {
+            let t = top[b as usize];
+            root_of[if t == NO_PARENT { b } else { attachment(t) } as usize] = 0;
+        }
+        let mut roots = Vec::new();
+        for &v in peel.core_nodes() {
+            if root_of[v as usize] != u32::MAX {
+                root_of[v as usize] = roots.len() as u32;
+                roots.push(Root {
+                    node: v,
+                    border: borders.is_border(v),
+                    subtrees: Vec::new(),
+                });
+            }
+        }
+        let mut slot = vec![u32::MAX; nn];
+        for &b in borders.all() {
+            let t = top[b as usize];
+            if t == NO_PARENT {
+                continue;
+            }
+            let root = &mut roots[root_of[attachment(t) as usize] as usize];
+            if slot[t as usize] == u32::MAX {
+                slot[t as usize] = root.subtrees.len() as u32;
+                root.subtrees.push(Subtree {
+                    top: t,
+                    borders: Vec::new(),
+                    kept: Vec::new(),
+                });
+            }
+            root.subtrees[slot[t as usize] as usize].borders.push(b);
+        }
+        for &v in peel.fill_order() {
+            let t = top[v as usize];
+            let root = &mut roots[root_of[attachment(t) as usize] as usize];
+            root.subtrees[slot[t as usize] as usize].kept.push(v);
+        }
+        Self {
+            region_of: g.node_ids().map(|v| part.region_of(v)).collect(),
+            regions,
+            words: regions.div_ceil(64),
+            peel,
+            borders,
+            roots,
+            top,
+        }
+    }
 
-    // Forward DP: regions of the path b -> v.
-    for &v in order.iter() {
-        let vi = v as usize * words;
-        match parent[v as usize] {
-            NO_PARENT => path_regions[vi..vi + words].iter_mut().for_each(|w| *w = 0),
-            p => {
-                let pi = p as usize * words;
-                for k in 0..words {
-                    path_regions[vi + k] = path_regions[pi + k];
+    /// Folds a root's search into `partial`: the root as a source, if it
+    /// is a border node, and every source in the subtrees below it (see
+    /// the module docs). Depends only on the root's own searches, never
+    /// on other roots' results — the independence the parallel fan-out
+    /// rests on.
+    fn fold_root(&self, scratch: &mut SourceScratch, partial: &mut SourcePartial, root: &Root) {
+        let a = root.node;
+        let tied = scratch.tree.search(&self.peel, a);
+        self.path_regions(scratch);
+        if root.border {
+            partial.tie_fallbacks += usize::from(tied);
+            self.fold_targets(scratch, partial, a);
+            self.mark_paths(scratch, partial, a, |_| false);
+        } else if !tied {
+            // The root's marks as its subtrees' sources see them: outside
+            // each one's own subtree, and never on the root itself
+            // (`fold_subtree` marks it when some path runs through it).
+            let lone = match root.subtrees.as_slice() {
+                [only] => Some(only.top),
+                _ => None,
+            };
+            self.mark_paths(scratch, partial, a, |v| {
+                v == a || lone == Some(self.top[v as usize])
+            });
+        }
+        if tied {
+            // Ties may break differently from each source: fold each
+            // from its own search.
+            for &s in root.subtrees.iter().flat_map(|t| &t.borders) {
+                partial.tie_fallbacks += usize::from(scratch.tree.search(&self.peel, s));
+                self.path_regions(scratch);
+                self.fold_targets(scratch, partial, s);
+                self.mark_paths(scratch, partial, s, |_| false);
+            }
+        } else {
+            for subtree in &root.subtrees {
+                self.fold_subtree(scratch, partial, a, subtree);
+                partial.shared_sources += subtree.borders.len();
+            }
+        }
+    }
+
+    /// The forward DP over the current tree: the regions of the path
+    /// from its source to every node in its order.
+    fn path_regions(&self, scratch: &mut SourceScratch) {
+        let words = self.words;
+        let SourceScratch {
+            tree, path_regions, ..
+        } = scratch;
+        let parent = tree.parents();
+        for &v in tree.order() {
+            let vi = v as usize * words;
+            match parent[v as usize] {
+                NO_PARENT => path_regions[vi..vi + words].fill(0),
+                p => path_regions.copy_within(p as usize * words..p as usize * words + words, vi),
+            }
+            let r = self.region_of[v as usize] as usize;
+            path_regions[vi + r / 64] |= 1u64 << (r % 64);
+        }
+    }
+
+    /// Folds the current tree, rooted at border node `b`, into min/max
+    /// and traversed sets towards every other border node (different
+    /// *or same* region — the diagonal serves same-region queries).
+    fn fold_targets(&self, scratch: &SourceScratch, partial: &mut SourcePartial, b: NodeId) {
+        let (n, words) = (self.regions, self.words);
+        let rb = self.region_of[b as usize];
+        let dist = scratch.tree.distances();
+        for &t in self.borders.all() {
+            let d = dist[t as usize];
+            if t == b || d == DIST_INF {
+                continue;
+            }
+            let rt = self.region_of[t as usize];
+            partial.minmax[rb as usize * n + rt as usize].cover(d);
+            let ti = t as usize * words;
+            partial
+                .traversed
+                .get_mut(rb, rt)
+                .union_words(&scratch.path_regions[ti..ti + words]);
+        }
+    }
+
+    /// The reverse DP over the current tree from `source`: marks every
+    /// node on a path to a border node other than the source, except
+    /// the nodes `skip` names.
+    ///
+    /// §4.1 defines cross-border nodes via paths between border nodes of
+    /// *different* regions, but same-region border pairs must be included
+    /// too: a query with Rs == Rt whose shortest path detours through a
+    /// neighbouring region R' travels over nodes of R' that lie only on
+    /// same-region border-pair paths, and EB ships only the cross-border
+    /// segment of R'. (Extension of the paper's definition, required for
+    /// correctness of same-region queries; the diagonal of matrix A is
+    /// the matching extension on the pruning side.)
+    ///
+    /// `on_path` marks from a previous tree are only ever read for nodes
+    /// in the *current* order, which is cleared first, so the buffer
+    /// carries over between trees without a full reset.
+    fn mark_paths(
+        &self,
+        scratch: &mut SourceScratch,
+        partial: &mut SourcePartial,
+        source: NodeId,
+        skip: impl Fn(NodeId) -> bool,
+    ) {
+        let SourceScratch { tree, on_path, .. } = scratch;
+        let (order, dist, parent) = (tree.order(), tree.distances(), tree.parents());
+        for &v in order {
+            on_path[v as usize] = false;
+        }
+        for &t in self.borders.all() {
+            if t != source && dist[t as usize] != DIST_INF {
+                on_path[t as usize] = true;
+            }
+        }
+        for &v in order.iter().rev() {
+            if on_path[v as usize] {
+                if !skip(v) {
+                    partial.cross_border[v as usize] = true;
+                }
+                let p = parent[v as usize];
+                if p != NO_PARENT {
+                    on_path[p as usize] = true;
                 }
             }
         }
-        let r = region_of[v as usize] as usize;
-        path_regions[vi + r / 64] |= 1u64 << (r % 64);
     }
 
-    // Collect min/max and traversed sets towards every other border node
-    // (different *or same* region — the diagonal serves same-region
-    // queries).
-    for &t in borders.all() {
-        if t == b {
-            continue;
+    /// Folds the sources of `subtree` from the tree of `a`, the core node
+    /// it attaches at (current, with its path regions).
+    fn fold_subtree(
+        &self,
+        scratch: &mut SourceScratch,
+        partial: &mut SourcePartial,
+        a: NodeId,
+        subtree: &Subtree,
+    ) {
+        let words = self.words;
+        // Targets outside the subtree, per region, as `a` reaches them.
+        scratch.outside.fill(MinMax::EMPTY);
+        scratch.outside_regions.fill(0);
+        let mut reach_out = false;
+        let dist = scratch.tree.distances();
+        for &t in self.borders.all() {
+            let d = dist[t as usize];
+            if d == DIST_INF || self.top[t as usize] == subtree.top {
+                continue;
+            }
+            reach_out = true;
+            let rt = self.region_of[t as usize] as usize;
+            scratch.outside[rt].cover(d);
+            let (ti, ri) = (t as usize * words, rt * words);
+            for k in 0..words {
+                scratch.outside_regions[ri + k] |= scratch.path_regions[ti + k];
+            }
         }
-        let d = dist[t as usize];
-        if d == DIST_INF {
-            continue;
+        if reach_out {
+            partial.cross_border[a as usize] = true;
         }
-        let rt = part.region_of(t);
-        let cell = &mut partial.minmax[rb as usize * n + rt as usize];
-        cell.min = cell.min.min(d);
-        cell.max = cell.max.max(d);
-        let ti = t as usize * words;
-        partial
-            .traversed
-            .get_mut(rb, rt)
-            .union_words(&path_regions[ti..ti + words]);
+        for &s in &subtree.borders {
+            self.fold_subtree_source(scratch, partial, a, subtree, s, reach_out);
+        }
     }
 
-    // Reverse DP: mark ancestors of all border targets. §4.1 defines
-    // cross-border nodes via paths between border nodes of *different*
-    // regions, but same-region border pairs must be included too: a query
-    // with Rs == Rt whose shortest path detours through a neighbouring
-    // region R' travels over nodes of R' that lie only on same-region
-    // border-pair paths, and EB ships only the cross-border segment of
-    // R'. (Extension of the paper's definition, required for correctness
-    // of same-region queries; the diagonal of matrix A is the matching
-    // extension on the pruning side.)
-    //
-    // `on_path` marks from a previous source are only ever read for
-    // nodes in the *current* order, which is cleared first, so the
-    // buffer carries over between sources without a full reset.
-    for &v in order.iter() {
-        on_path[v as usize] = false;
-    }
-    for &t in borders.all() {
-        if t != b && dist[t as usize] != DIST_INF {
-            on_path[t as usize] = true;
+    /// Folds border node `s` of `subtree`, below `a`: its tree over the
+    /// kept part of the subtree, and through `a` the targets outside
+    /// (`reach_out`: some are reachable), from `scratch.outside`.
+    fn fold_subtree_source(
+        &self,
+        scratch: &mut SourceScratch,
+        partial: &mut SourcePartial,
+        a: NodeId,
+        subtree: &Subtree,
+        s: NodeId,
+        reach_out: bool,
+    ) {
+        let (n, words, peel) = (self.regions, self.words, &self.peel);
+        let rs = self.region_of[s as usize];
+        let SourceScratch {
+            on_path,
+            local_order: order,
+            local_dist: dist,
+            local_regions: regions,
+            on_walk,
+            outside,
+            outside_regions,
+            ..
+        } = scratch;
+        let bit = |v: NodeId| {
+            let r = self.region_of[v as usize] as usize;
+            (r / 64, 1u64 << (r % 64))
+        };
+        // The walk up to the top, each node the parent of the one after.
+        order.clear();
+        let (mut v, mut d) = (s, 0);
+        loop {
+            let vi = v as usize * words;
+            match order.last() {
+                None => regions[vi..vi + words].fill(0),
+                Some(&c) => regions.copy_within(c as usize * words..c as usize * words + words, vi),
+            }
+            let (k, m) = bit(v);
+            regions[vi + k] |= m;
+            dist[v as usize] = d;
+            on_walk[v as usize] = true;
+            order.push(v);
+            if v == subtree.top {
+                break;
+            }
+            d += peel.up_weight(v) as Distance;
+            v = peel.tree_parent(v).expect("a peeled node");
         }
-    }
-    for &v in order.iter().rev() {
-        if on_path[v as usize] {
-            partial.cross_border[v as usize] = true;
-            let p = parent[v as usize];
-            if p != NO_PARENT {
+        let walk = order.len();
+        let to_a = d + peel.up_weight(subtree.top) as Distance;
+        // The rest of the kept subtree, from the tree parents.
+        for &u in &subtree.kept {
+            if !on_walk[u as usize] {
+                let p = peel.tree_parent(u).expect("a peeled node");
+                dist[u as usize] = dist[p as usize] + peel.down_weight(u) as Distance;
+                let (ui, pi) = (u as usize * words, p as usize * words);
+                regions.copy_within(pi..pi + words, ui);
+                let (k, m) = bit(u);
+                regions[ui + k] |= m;
+                order.push(u);
+            }
+        }
+        for &u in &order[..walk] {
+            on_walk[u as usize] = false;
+        }
+
+        for &t in &subtree.borders {
+            if t != s {
+                let rt = self.region_of[t as usize];
+                partial.minmax[rs as usize * n + rt as usize].cover(dist[t as usize]);
+                let ti = t as usize * words;
+                partial
+                    .traversed
+                    .get_mut(rs, rt)
+                    .union_words(&regions[ti..ti + words]);
+            }
+        }
+        if reach_out {
+            // The walk's regions: up to the top, and `a`'s.
+            let ti = subtree.top as usize * words;
+            for (rt, o) in outside.iter().enumerate() {
+                if o.is_empty() {
+                    continue;
+                }
+                let cell = &mut partial.minmax[rs as usize * n + rt];
+                cell.cover(to_a + o.min);
+                cell.cover(to_a + o.max);
+                let set = partial.traversed.get_mut(rs, rt as RegionId);
+                set.union_words(&outside_regions[rt * words..rt * words + words]);
+                set.union_words(&regions[ti..ti + words]);
+                set.insert(self.region_of[a as usize]);
+            }
+        }
+
+        // Marks: the paths to the subtree's other border nodes, and the
+        // whole walk when a path leaves through `a`.
+        for &v in order.iter() {
+            on_path[v as usize] = false;
+        }
+        for &t in &subtree.borders {
+            on_path[t as usize] = t != s;
+        }
+        if reach_out {
+            on_path[subtree.top as usize] = true;
+        }
+        for (i, &v) in order.iter().enumerate().rev() {
+            if on_path[v as usize] {
+                partial.cross_border[v as usize] = true;
+                let p = match i {
+                    0 => continue,
+                    _ if i < walk => order[i - 1],
+                    _ => peel.tree_parent(v).expect("a peeled node"),
+                };
                 on_path[p as usize] = true;
             }
         }

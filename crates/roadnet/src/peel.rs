@@ -41,6 +41,17 @@
 //! whole graph: when a super-edge is the parent of a branch node, the
 //! chain's interiors enter the order right before that node.
 //!
+//! **Pruned fill.** A build that reads the tree only at a fixed set of
+//! targets and on the paths to them (border precompute) peels with
+//! [`Peel::pruned`]. Step 4 then fills only the peeled nodes with a
+//! target in their dangling subtree (themselves included); the walk of
+//! step 1 is filled as before. Every other peeled node is left out of
+//! [`SourceTree::order`], and its `dist` and `parent` are unspecified:
+//! they may hold a previous search's values. No path from the source to
+//! a filled node passes through such a node, so the filled part is still
+//! a parents-first tree with exactly the whole-graph search's distances
+//! and parents. [`Peel::new`] fills every node; SPQ and arc flags use it.
+//!
 //! **Why the parents equal a whole-graph search's.** A whole-graph
 //! lazy-heap Dijkstra makes the parent of `u` the first settled of its
 //! tight predecessors (`p` with `d(p) + w(p, u) = d(u)`). Nodes settle
@@ -132,8 +143,13 @@ pub struct Peel<'g> {
     tree_parent: Vec<NodeId>,
     up_weight: Vec<Weight>,
     down_weight: Vec<Weight>,
-    /// Peeled nodes, every tree parent before its children.
+    /// The peeled nodes step 4 fills, every tree parent before its
+    /// children: all of them, or for [`Peel::pruned`] those with a target
+    /// below them.
     fill_order: Vec<NodeId>,
+    /// For [`Peel::pruned`]: per node, whether it is a core node or in
+    /// `fill_order`. `None` when every node is filled.
+    filled: Option<Vec<bool>>,
 }
 
 impl<'g> Peel<'g> {
@@ -264,7 +280,26 @@ impl<'g> Peel<'g> {
             up_weight,
             down_weight,
             fill_order,
+            filled: None,
         }
+    }
+
+    /// [`Peel::new`] with the fill pruned to `targets` (see the module
+    /// docs): searches fill the core, the walk from the source, and the
+    /// peeled nodes with a target in their dangling subtree.
+    pub fn pruned(g: &'g RoadNetwork, dir: Direction, targets: &[NodeId]) -> Self {
+        let mut peel = Self::new(g, dir);
+        let mut filled: Vec<bool> = peel.tree_parent.iter().map(|&p| p == NO_PARENT).collect();
+        for &t in targets {
+            let mut v = t;
+            while !filled[v as usize] {
+                filled[v as usize] = true;
+                v = peel.tree_parent[v as usize];
+            }
+        }
+        peel.fill_order.retain(|&v| filled[v as usize]);
+        peel.filled = Some(filled);
+        peel
     }
 
     /// The nodes of the 2-core, ascending.
@@ -283,9 +318,33 @@ impl<'g> Peel<'g> {
         Some(self.tree_parent[v as usize]).filter(|&p| p != NO_PARENT)
     }
 
-    /// The peeled nodes, every tree parent before its children.
+    /// The peeled nodes a search fills, every tree parent before its
+    /// children: all of them, or for [`Peel::pruned`] those with a
+    /// target below them.
     pub fn fill_order(&self) -> &[NodeId] {
         &self.fill_order
+    }
+
+    /// Sets `marks` to `on` along the walk from `source` up to (not
+    /// including) the core node its tree attaches at.
+    fn mark_walk(&self, marks: &mut [bool], source: NodeId, on: bool) {
+        let mut v = source;
+        while self.tree_parent[v as usize] != NO_PARENT {
+            marks[v as usize] = on;
+            v = self.tree_parent[v as usize];
+        }
+    }
+
+    /// The weight a search pays to step from peeled node `v` up to its
+    /// tree parent (0 for core nodes).
+    pub fn up_weight(&self, v: NodeId) -> Weight {
+        self.up_weight[v as usize]
+    }
+
+    /// The weight a search pays to step from `v`'s tree parent down to
+    /// peeled node `v` (0 for core nodes).
+    pub fn down_weight(&self, v: NodeId) -> Weight {
+        self.down_weight[v as usize]
     }
 }
 
@@ -560,8 +619,9 @@ impl Tree {
 /// One source's shortest-path tree over the whole graph, and the
 /// per-worker buffers that build it. `order` holds the reachable nodes
 /// parents first, starting with the source; `dist`/`parent` are indexed
-/// by node (`DIST_INF`/`NO_PARENT` where unreachable). Results are valid
-/// until the next search.
+/// by node (`DIST_INF`/`NO_PARENT` where unreachable). Over a
+/// [`Peel::pruned`] peel, all three cover only the nodes the fill
+/// keeps (see the module docs). Results are valid until the next search.
 #[derive(Debug)]
 pub struct SourceTree {
     tree: Tree,
@@ -614,8 +674,9 @@ impl SourceTree {
 
     /// The shortest-path tree from `source` in `peel`'s direction, with
     /// exactly the distances, parents and reachable set of
-    /// [`DijkstraWorkspace::run`]. Returns true when a double tie made
-    /// the kernel recompute the source over the whole graph.
+    /// [`DijkstraWorkspace::run`] (on the nodes a pruned peel fills).
+    /// Returns true when a double tie made the kernel recompute the
+    /// source over the whole graph.
     pub fn search(&mut self, peel: &Peel, source: NodeId) -> bool {
         if self.run(peel, source, true) {
             return false;
@@ -627,7 +688,18 @@ impl SourceTree {
         ws.run(g, source, peel.dir);
         let tree = &mut self.tree;
         tree.order.clear();
-        tree.order.extend_from_slice(ws.settle_order());
+        match &peel.filled {
+            None => tree.order.extend_from_slice(ws.settle_order()),
+            // The filled nodes and the walk are closed under parents, so
+            // keeping them keeps the order parents first.
+            Some(filled) => {
+                let on_walk = &mut self.on_walk;
+                peel.mark_walk(on_walk, source, true);
+                let kept = |v: &&NodeId| filled[**v as usize] || on_walk[**v as usize];
+                tree.order.extend(ws.settle_order().iter().filter(kept));
+                peel.mark_walk(on_walk, source, false);
+            }
+        }
         for v in g.node_ids() {
             tree.dist[v as usize] = ws.distance(v);
             tree.parent[v as usize] = ws.parent(v).unwrap_or(NO_PARENT);

@@ -417,32 +417,40 @@ fn build(family: Family, seed: u64) -> RoadNetwork {
     gen.b.finish()
 }
 
-/// Regions by node-id hash: most nodes, deep tree nodes included, get a
-/// neighbour in another region and so become border sources.
-struct HashPartition {
+/// Regions from a per-node table: given, or by node-id hash, where most
+/// nodes, deep tree nodes included, get a neighbour in another region and
+/// so become border sources.
+struct TablePartition {
     region_of: Vec<RegionId>,
     by_region: Vec<Vec<NodeId>>,
 }
 
-impl HashPartition {
-    fn build(g: &RoadNetwork, regions: usize) -> Self {
-        let region_of: Vec<RegionId> = g
-            .node_ids()
-            .map(|v| ((v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize % regions)
-            .map(|r| r as RegionId)
-            .collect();
+impl TablePartition {
+    fn new(region_of: Vec<RegionId>) -> Self {
+        let regions = region_of.iter().max().map_or(1, |&r| r as usize + 1);
         let mut by_region = vec![Vec::new(); regions];
-        for v in g.node_ids() {
-            by_region[region_of[v as usize] as usize].push(v);
+        for (v, &r) in region_of.iter().enumerate() {
+            by_region[r as usize].push(v as NodeId);
         }
         Self {
             region_of,
             by_region,
         }
     }
+
+    fn hashed(g: &RoadNetwork, regions: usize) -> Self {
+        let mut part = Self::new(
+            g.node_ids()
+                .map(|v| ((v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize % regions)
+                .map(|r| r as RegionId)
+                .collect(),
+        );
+        part.by_region.resize(regions, Vec::new());
+        part
+    }
 }
 
-impl Partitioning for HashPartition {
+impl Partitioning for TablePartition {
     fn num_regions(&self) -> usize {
         self.by_region.len()
     }
@@ -460,11 +468,28 @@ impl Partitioning for HashPartition {
     }
 }
 
-/// Runs the kernel at 1, 2 and 5 threads and checks each against the
-/// legacy fold and against each other.
+/// The border sources whose own kernel search meets a double tie: what
+/// `tie_fallback_sources` counted when every source ran its own search.
+fn per_source_tie_fallbacks(g: &RoadNetwork, part: &impl Partitioning) -> usize {
+    let peel = Peel::new(g, Direction::Forward);
+    let mut tree = SourceTree::new(&peel);
+    BorderInfo::compute(g, part)
+        .all()
+        .iter()
+        .filter(|&&b| tree.search(&peel, b))
+        .count()
+}
+
+/// Runs the pass at 1, 2 and 5 threads and checks each against the
+/// legacy fold, against each other, and its tie count against one
+/// search per source.
 fn check(g: &RoadNetwork, part: &(impl Partitioning + Sync)) -> Result<(), TestCaseError> {
     let legacy = legacy_fold(g, part);
     let serial = BorderPrecomputation::run_with_threads(g, part, 1);
+    prop_assert_eq!(
+        serial.tie_fallback_sources(),
+        per_source_tie_fallbacks(g, part)
+    );
     for threads in [1, 2, 5] {
         let pre = BorderPrecomputation::run_with_threads(g, part, threads);
         if let Err(what) = matches_legacy(&pre, &legacy) {
@@ -475,6 +500,8 @@ fn check(g: &RoadNetwork, part: &(impl Partitioning + Sync)) -> Result<(), TestC
         prop_assert!(serial.same_tables(&pre), "threads={}", threads);
         prop_assert_eq!(serial.core_nodes(), pre.core_nodes());
         prop_assert_eq!(serial.tie_fallback_sources(), pre.tie_fallback_sources());
+        prop_assert_eq!(serial.search_roots(), pre.search_roots());
+        prop_assert_eq!(serial.shared_sources(), pre.shared_sources());
     }
     Ok(())
 }
@@ -497,7 +524,7 @@ proptest! {
         match kind {
             0 => check(&g, &KdTreePartition::build(&g, regions.next_power_of_two())),
             1 => check(&g, &GridPartition::build(&g, 1, 1)),
-            _ => check(&g, &HashPartition::build(&g, regions)),
+            _ => check(&g, &TablePartition::hashed(&g, regions)),
         }?;
     }
 }
@@ -533,6 +560,82 @@ fn check_kernel(g: &RoadNetwork, dir: Direction) -> Result<(), TestCaseError> {
         prop_assert_eq!(tree.order().len(), ws.settle_order().len());
         seen.fill(false);
         for &v in tree.order() {
+            prop_assert!(!seen[v as usize], "{} twice", v);
+            let p = tree.parents()[v as usize];
+            prop_assert!(v == s || seen[p as usize], "{} before its parent", v);
+            seen[v as usize] = true;
+        }
+    }
+    Ok(())
+}
+
+/// The kernel over a peel pruned to `targets`, from every source: every
+/// core node, every node with a target in its dangling subtree and the
+/// walk from the source get the whole-graph search's distance and
+/// parent, and the order holds exactly those of them that are
+/// reachable, parents first. The unpruned peel fills every peeled node.
+fn check_pruned_kernel(
+    g: &RoadNetwork,
+    dir: Direction,
+    targets: &[NodeId],
+) -> Result<(), TestCaseError> {
+    let full = Peel::new(g, dir);
+    prop_assert_eq!(
+        full.fill_order().len() + full.core_nodes().len(),
+        g.num_nodes()
+    );
+    let peel = Peel::pruned(g, dir, targets);
+    // A node is kept when it is a target or a tree ancestor of one, or
+    // in the core.
+    let mut kept: Vec<bool> = g
+        .node_ids()
+        .map(|v| full.tree_parent(v).is_none())
+        .collect();
+    for &t in targets {
+        let mut v = Some(t);
+        while let Some(u) = v {
+            kept[u as usize] = true;
+            v = full.tree_parent(u);
+        }
+    }
+    let kept_peeled = g
+        .node_ids()
+        .filter(|&v| kept[v as usize] && full.tree_parent(v).is_some());
+    prop_assert_eq!(peel.fill_order().len(), kept_peeled.count());
+    let mut tree = SourceTree::new(&peel);
+    let mut ws = DijkstraWorkspace::new(g.num_nodes());
+    let mut seen = vec![false; g.num_nodes()];
+    for s in g.node_ids() {
+        ws.run(g, s, dir);
+        tree.search(&peel, s);
+        let mut filled = kept.clone();
+        let mut v = Some(s);
+        while let Some(u) = v {
+            filled[u as usize] = true;
+            v = full.tree_parent(u);
+        }
+        for v in g.node_ids().filter(|&v| filled[v as usize]) {
+            prop_assert_eq!(tree.distances()[v as usize], ws.distance(v), "{}->{}", s, v);
+            let want = ws.parent(v).unwrap_or(NO_PARENT);
+            prop_assert_eq!(
+                tree.parents()[v as usize],
+                want,
+                "parent of {} from {}",
+                v,
+                s
+            );
+        }
+        let want = ws
+            .settle_order()
+            .iter()
+            .filter(|&&v| filled[v as usize])
+            .count();
+        prop_assert_eq!(tree.order().len(), want, "order from {}", s);
+        prop_assert_eq!(tree.order().first(), Some(&s));
+        seen.fill(false);
+        for &v in tree.order() {
+            prop_assert!(filled[v as usize], "{} filled from {}", v, s);
+            prop_assert!(ws.distance(v) != DIST_INF, "{} unreachable from {}", v, s);
             prop_assert!(!seen[v as usize], "{} twice", v);
             let p = tree.parents()[v as usize];
             prop_assert!(v == s || seen[p as usize], "{} before its parent", v);
@@ -592,6 +695,25 @@ proptest! {
         check_kernel(&g, Direction::Reverse)?;
     }
 
+    /// Over a peel pruned to a random target set (from none to all
+    /// nodes), the kernel fills exactly the core, the targets' tree
+    /// ancestors and the walk, each as a whole-graph search would.
+    #[test]
+    fn pruned_kernel_fills_exactly_the_kept_nodes(
+        family in 0usize..7,
+        seed in any::<u64>(),
+        density in 0u32..5,
+    ) {
+        let g = build(FAMILIES[family], seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let targets: Vec<NodeId> = g
+            .node_ids()
+            .filter(|_| rng.gen_range(0..4u32) < density)
+            .collect();
+        check_pruned_kernel(&g, Direction::Forward, &targets)?;
+        check_pruned_kernel(&g, Direction::Reverse, &targets)?;
+    }
+
     /// SPQ trees equal the recursive reference's on every family.
     #[test]
     fn spq_same_trees_as_the_reference(family in 0usize..7, seed in any::<u64>()) {
@@ -615,7 +737,7 @@ proptest! {
 fn pure_trees_keep_one_core_node_per_component() {
     for seed in 0..20 {
         let g = build(Family::PureTrees, seed);
-        let part = HashPartition::build(&g, 3);
+        let part = TablePartition::hashed(&g, 3);
         let pre = BorderPrecomputation::run(&g, &part);
         assert_eq!(pre.core_nodes(), 1, "seed {seed}");
         assert_eq!(pre.tie_fallback_sources(), 0, "seed {seed}");
@@ -638,7 +760,7 @@ fn odd_spur_edges_stay_in_the_core() {
     b.add_undirected_edge(3, 4, 1);
     b.add_edge(3, 4, 5);
     let g = b.finish();
-    let part = HashPartition::build(&g, 2);
+    let part = TablePartition::hashed(&g, 2);
     let pre = BorderPrecomputation::run(&g, &part);
     assert_eq!(pre.core_nodes(), 5);
     assert!(matches_legacy(&pre, &legacy_fold(&g, &part)).is_ok());
@@ -653,7 +775,7 @@ fn unit_lattices_fall_back_on_every_source() {
         };
         gen.lattice(3 + seed as usize % 4, 4);
         let g = gen.b.finish();
-        let part = HashPartition::build(&g, 4);
+        let part = TablePartition::hashed(&g, 4);
         let pre = BorderPrecomputation::run(&g, &part);
         assert!(pre.borders().count() > 0);
         assert_eq!(pre.tie_fallback_sources(), pre.borders().count());
@@ -676,7 +798,7 @@ fn zero_weight_spur_edges_stay_in_the_core() {
     b.add_edge(1, 2, 0);
     b.add_edge(2, 1, 7);
     let g = b.finish();
-    let part = HashPartition::build(&g, 3);
+    let part = TablePartition::hashed(&g, 3);
     let pre = BorderPrecomputation::run(&g, &part);
     // Nodes 3 and 4 are isolated core nodes; 0, 1, 2, 5, 6 stay too.
     assert_eq!(pre.core_nodes(), 7);
@@ -760,4 +882,192 @@ fn tree_root_behind_a_one_way_bridge_leaves_unreachable_nodes_uncolored() {
     for t in [0, 1, 2, 3, 4, 5, 6, 8, 9] {
         assert_eq!(spq_color(&g, &index, 7, t), 0, "7 -> {t}");
     }
+}
+
+// ---------------------------------------------------------------------
+// Border sources inside dangling trees, folded from their attachment's
+// search.
+// ---------------------------------------------------------------------
+
+/// A graph of `n` nodes with both directions of each `both` edge and the
+/// `one_way` edges.
+fn net(n: usize, both: &[(NodeId, NodeId, u32)], one_way: &[(NodeId, NodeId, u32)]) -> RoadNetwork {
+    let mut b = GraphBuilder::new();
+    for i in 0..n {
+        b.add_node(Point::new(i as f64, (i * i % 7) as f64));
+    }
+    for &(u, v, w) in both {
+        b.add_undirected_edge(u, v, w);
+    }
+    for &(u, v, w) in one_way {
+        b.add_edge(u, v, w);
+    }
+    b.finish()
+}
+
+/// Checks the pass under `regions` against the legacy fold (and its tie
+/// count against one search per source) at 1, 2 and 5 threads, and
+/// returns the serial run.
+fn check_regions(g: &RoadNetwork, regions: &[RegionId]) -> BorderPrecomputation {
+    let part = TablePartition::new(regions.to_vec());
+    if let Err(e) = check(g, &part) {
+        panic!("{e}");
+    }
+    BorderPrecomputation::run_serial(g, &part)
+}
+
+/// A square core 0-1-2-3 whose node 0 is a border node only when
+/// `border_at_0`; node 2 is in region 1, so 1, 2 and 3 are border nodes.
+const SQUARE: [(NodeId, NodeId, u32); 4] = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 0, 6)];
+
+#[test]
+fn one_tree_with_border_nodes_at_several_depths() {
+    // The tree hangs off 0: 4 below it, siblings 5 and 6 below 4, then
+    // 5 - 7 - 8 and 6 - 9. Nodes 5, 6 and 7 are in region 1 and 8 in
+    // region 2, so 4, 5, 6, 7 and 8 are border nodes at depths 1 to 4;
+    // 9 has no border node below it.
+    let g = net(
+        10,
+        &[
+            SQUARE[0],
+            SQUARE[1],
+            SQUARE[2],
+            SQUARE[3],
+            (0, 4, 2),
+            (4, 5, 3),
+            (4, 6, 1),
+            (5, 7, 4),
+            (7, 8, 2),
+            (6, 9, 5),
+        ],
+        &[],
+    );
+    let pre = check_regions(&g, &[0, 0, 1, 0, 0, 1, 1, 1, 2, 1]);
+    assert_eq!(pre.borders().all(), &[1, 2, 3, 4, 5, 6, 7, 8]);
+    assert_eq!(pre.shared_sources(), 5);
+    assert_eq!(pre.kept_peeled_nodes(), 5);
+    // The core border nodes, and 0 where the tree attaches.
+    assert_eq!(pre.search_roots(), 4);
+    assert!(!pre.is_cross_border(9));
+}
+
+#[test]
+fn two_border_trees_under_one_attachment() {
+    // Trees 0 - 4 - 5 and 0 - 6 - 7 both hold border nodes (5 and 7 are
+    // in region 2); each tree's sources reach the other's through 0. A
+    // third tree 0 - 8 holds none.
+    let g = net(
+        9,
+        &[
+            SQUARE[0],
+            SQUARE[1],
+            SQUARE[2],
+            SQUARE[3],
+            (0, 4, 2),
+            (4, 5, 3),
+            (0, 6, 4),
+            (6, 7, 1),
+            (0, 8, 7),
+        ],
+        &[],
+    );
+    let pre = check_regions(&g, &[0, 0, 1, 0, 0, 2, 0, 2, 0]);
+    assert_eq!(pre.borders().all(), &[1, 2, 3, 4, 5, 6, 7]);
+    assert_eq!((pre.shared_sources(), pre.search_roots()), (4, 4));
+    assert!(
+        pre.is_cross_border(0),
+        "0 lies on the paths between the trees"
+    );
+    assert!(!pre.is_cross_border(8));
+}
+
+#[test]
+fn attachments_at_a_border_node_and_at_a_chain_interior() {
+    // Branch nodes 0 and 1 joined by an edge and the chains 0 - 2 - 3 - 1
+    // and 0 - 4 - 1. The tree 3 - 5 - 6 hangs off the interior 3, the
+    // tree 0 - 7 - 8 off 0, which node 4 (region 1) makes a border node.
+    let g = net(
+        9,
+        &[
+            (0, 1, 9),
+            (0, 2, 3),
+            (2, 3, 1),
+            (3, 1, 5),
+            (0, 4, 2),
+            (4, 1, 7),
+            (3, 5, 2),
+            (5, 6, 1),
+            (0, 7, 3),
+            (7, 8, 2),
+        ],
+        &[],
+    );
+    let peel = Peel::new(&g, Direction::Forward);
+    assert_eq!(peel.branch_nodes(), &[0, 1]);
+    assert!(peel.core_nodes().contains(&3));
+    let pre = check_regions(&g, &[0, 0, 0, 0, 1, 0, 1, 0, 2]);
+    assert_eq!(pre.borders().all(), &[0, 1, 4, 5, 6, 7, 8]);
+    // Roots: the core border nodes 0, 1 and 4, and the interior 3.
+    assert_eq!((pre.shared_sources(), pre.search_roots()), (4, 4));
+}
+
+#[test]
+fn unit_lattice_attachments_double_tie() {
+    // A 3 x 3 unit lattice with unit-weight trees off a corner and the
+    // centre; every search over the lattice meets a double tie, so each
+    // tree's sources fall back to their own searches.
+    let mut both = Vec::new();
+    for y in 0..3 {
+        for x in 0..3 {
+            let v = y * 3 + x;
+            if x < 2 {
+                both.push((v, v + 1, 1));
+            }
+            if y < 2 {
+                both.push((v, v + 3, 1));
+            }
+        }
+    }
+    both.extend([(0, 9, 1), (9, 10, 1), (9, 11, 1), (4, 12, 1), (12, 13, 1)]);
+    let g = net(14, &both, &[]);
+    let mut regions = vec![0; 14];
+    for v in [2, 5, 8, 10, 13] {
+        regions[v] = 1;
+    }
+    let pre = check_regions(&g, &regions);
+    let part = TablePartition::new(regions);
+    assert_eq!(pre.shared_sources(), 0);
+    assert!(pre.tie_fallback_sources() >= 5);
+    assert_eq!(
+        pre.tie_fallback_sources(),
+        per_source_tie_fallbacks(&g, &part)
+    );
+}
+
+#[test]
+fn one_way_bridge_leaves_targets_unreachable_from_the_attachment() {
+    // Triangles 0-1-2 and 3-4-5 joined by the one-way bridge 2 -> 3.
+    // Tree 0 - 6 - 7 reaches every border node; tree 3 - 8 - 9 lies
+    // beyond the bridge, where no border node outside it is reachable.
+    let g = net(
+        10,
+        &[
+            (0, 1, 2),
+            (1, 2, 3),
+            (2, 0, 4),
+            (3, 4, 2),
+            (4, 5, 3),
+            (5, 3, 4),
+            (0, 6, 1),
+            (6, 7, 2),
+            (3, 8, 3),
+            (8, 9, 1),
+        ],
+        &[(2, 3, 5)],
+    );
+    let pre = check_regions(&g, &[0, 2, 0, 0, 0, 0, 0, 1, 0, 1]);
+    assert_eq!(pre.borders().all(), &[0, 1, 2, 6, 7, 8, 9]);
+    assert_eq!((pre.shared_sources(), pre.search_roots()), (4, 4));
+    let (near, far) = (pre.minmax(1, 0), pre.minmax(0, 1));
+    assert!(!near.is_empty() && !far.is_empty());
 }
