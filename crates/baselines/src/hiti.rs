@@ -13,17 +13,17 @@
 //! the size and precompute-time experiments) and provides an exact local
 //! query over the level-0 contraction to validate the construction.
 //!
-//! The build path is fully flattened: group bucketing is a counting sort
-//! into one CSR node array, the per-border restricted Dijkstras run over
-//! stamp-versioned dense `dist`/`parent`/membership arrays reused across
-//! every search a worker performs, and materialized path views live in
-//! one shared `via` pool per level addressed by `(offset, len)` instead
-//! of one heap `Vec` per super-edge. Output is bit-identical to the old
-//! `HashMap`-based build (pinned by `tests/hiti_differential.rs`).
+//! Group bucketing is a counting sort into one CSR node array. A group's
+//! border-pair searches are [`ReceivedGraph::contract`], the §6.1
+//! processor's contraction too, over the network staged into the shared
+//! slot arena once per build, with a stamped membership filter. Path
+//! views live in one `via` pool per level. Output is bit-identical to the
+//! old `HashMap`-based build (pinned by `tests/hiti_differential.rs`).
 
+use spair_core::netcodec::{ReceivedGraph, SearchScratch, RAW_ARC};
 use spair_partition::{GridPartition, Partitioning, RegionId};
 use spair_roadnet::parallel;
-use spair_roadnet::{Distance, MinHeap, NodeId, RoadNetwork};
+use spair_roadnet::{Distance, NodeId, RoadNetwork};
 use std::time::Instant;
 
 /// One precomputed border-pair shortest path (a super-edge). The interior
@@ -103,43 +103,33 @@ struct LevelPartial {
     via_pool: Vec<NodeId>,
 }
 
-/// Reusable per-worker search state: stamp-versioned dense arrays, so
-/// starting a new group or a new border search is O(1) instead of
-/// clearing (or reallocating) node-sized maps.
+/// Reusable per-worker state: search scratch and stamped membership, so
+/// a new group or border search costs O(1).
+#[derive(Default)]
 struct GroupScratch {
-    /// Tentative distance; live iff `stamp[v] == search`.
-    dist: Vec<Distance>,
-    /// Dijkstra parent; live iff `stamp[v] == search` and `v` != source.
-    parent: Vec<NodeId>,
-    stamp: Vec<u64>,
+    search: SearchScratch,
     /// Node is inside the current group iff `member[v] == group`.
     member: Vec<u64>,
     /// Node is a border of the current group iff `border[v] == group`.
     border: Vec<u64>,
-    search: u64,
     group: u64,
-    heap: MinHeap<NodeId>,
     /// Borders of the current group, in ascending node order.
     borders: Vec<NodeId>,
-    /// Nodes reached by the current search, sorted ascending after it.
-    touched: Vec<NodeId>,
 }
 
-impl GroupScratch {
-    fn new(n: usize) -> Self {
-        Self {
-            dist: vec![0; n],
-            parent: vec![0; n],
-            stamp: vec![0; n],
-            member: vec![0; n],
-            border: vec![0; n],
-            search: 0,
-            group: 0,
-            heap: MinHeap::new(),
-            borders: Vec::new(),
-            touched: Vec::new(),
+/// Stages `g`'s arcs that pass `keep` into `arena`, in `g`'s order, and
+/// builds it.
+fn stage_network(
+    arena: &mut ReceivedGraph,
+    g: &RoadNetwork,
+    keep: impl Fn(NodeId, NodeId) -> bool,
+) {
+    for v in g.node_ids() {
+        for (u, w) in g.out_edges(v).filter(|&(u, _)| keep(v, u)) {
+            arena.stage_arc(v, u, w as Distance, RAW_ARC);
         }
     }
+    arena.build_staged();
 }
 
 impl HiTiIndex {
@@ -168,6 +158,8 @@ impl HiTiIndex {
         let base = GridPartition::build(g, side, side);
         let base_cell: Vec<RegionId> = g.node_ids().map(|v| base.region_of(v)).collect();
         let n = g.num_nodes();
+        let mut arena = ReceivedGraph::new();
+        stage_network(&mut arena, g, |_, _| true);
 
         let mut levels = Vec::with_capacity(num_levels);
         for level in 0..num_levels {
@@ -208,11 +200,15 @@ impl HiTiIndex {
                 &group_list,
                 threads,
                 2,
-                || GroupScratch::new(n),
+                || GroupScratch {
+                    member: vec![0; n],
+                    border: vec![0; n],
+                    ..GroupScratch::default()
+                },
                 LevelPartial::default,
                 |scratch, partial, chunk, _base| {
                     for nodes in chunk {
-                        build_group_super_edges(g, nodes, scratch, partial);
+                        build_group_super_edges(g, &arena, nodes, scratch, partial);
                     }
                 },
                 |acc, p| {
@@ -297,77 +293,17 @@ impl HiTiIndex {
     /// of `s` and `t` stay raw, every other cell contributes only its
     /// super-edges, plus all cross-cell edges. Validates the construction.
     pub fn query(&self, g: &RoadNetwork, s: NodeId, t: NodeId) -> Option<Distance> {
-        let n = g.num_nodes();
-        let cs = self.base_cell[s as usize];
-        let ct = self.base_cell[t as usize];
-        // Adjacency of G' as a CSR: super-edges of non-terminal cells +
-        // raw edges of terminal cells + all cross-cell edges. Two passes
-        // (degree count, then fill) keep it one flat allocation; per-node
-        // arc order matches the old per-node push order (super-edges
-        // first, then raw edges).
-        let level0 = &self.levels[0];
-        let keeps_se = |se: &SuperEdge| {
-            let c = self.base_cell[se.from as usize];
-            c != cs && c != ct
-        };
-        let keeps_raw = |v: NodeId, u: NodeId| {
-            let cv = self.base_cell[v as usize];
-            self.base_cell[u as usize] != cv || cv == cs || cv == ct
-        };
-        let mut deg = vec![0u32; n + 1];
-        for se in &level0.super_edges {
-            if keeps_se(se) {
-                deg[se.from as usize + 1] += 1;
+        let cell = |v: NodeId| self.base_cell[v as usize];
+        let raw = |v: NodeId| cell(v) == cell(s) || cell(v) == cell(t);
+        // Each node's kept super-edges first, then its kept raw edges.
+        let mut gp = ReceivedGraph::new();
+        for (i, se) in self.levels[0].super_edges.iter().enumerate() {
+            if !raw(se.from) {
+                gp.stage_arc(se.from, se.to, se.cost, i as u32);
             }
         }
-        for v in g.node_ids() {
-            for (u, _) in g.out_edges(v) {
-                if keeps_raw(v, u) {
-                    deg[v as usize + 1] += 1;
-                }
-            }
-        }
-        for i in 0..n {
-            deg[i + 1] += deg[i];
-        }
-        let mut arcs = vec![(0 as NodeId, 0 as Distance); deg[n] as usize];
-        let mut cursor: Vec<u32> = deg[..n].to_vec();
-        for se in &level0.super_edges {
-            if keeps_se(se) {
-                arcs[cursor[se.from as usize] as usize] = (se.to, se.cost);
-                cursor[se.from as usize] += 1;
-            }
-        }
-        for v in g.node_ids() {
-            for (u, w) in g.out_edges(v) {
-                if keeps_raw(v, u) {
-                    arcs[cursor[v as usize] as usize] = (u, w as Distance);
-                    cursor[v as usize] += 1;
-                }
-            }
-        }
-        // Dijkstra over G' on a dense distance array.
-        let mut dist = vec![Distance::MAX; n];
-        let mut heap = MinHeap::new();
-        dist[s as usize] = 0;
-        heap.push(0, s);
-        while let Some(e) = heap.pop() {
-            let v = e.item;
-            if dist[v as usize] != e.key {
-                continue;
-            }
-            if v == t {
-                return Some(e.key);
-            }
-            for &(u, c) in &arcs[deg[v as usize] as usize..deg[v as usize + 1] as usize] {
-                let cand = e.key + c;
-                if cand < dist[u as usize] {
-                    dist[u as usize] = cand;
-                    heap.push(cand, u);
-                }
-            }
-        }
-        None
+        stage_network(&mut gp, g, |v, u| raw(v) || cell(u) != cell(v));
+        gp.shortest_path(s, t).0.map(|(d, _)| d)
     }
 }
 
@@ -375,6 +311,7 @@ impl HiTiIndex {
 /// shortest paths) into `out`, ordered by source border then target id.
 fn build_group_super_edges(
     g: &RoadNetwork,
+    arena: &ReceivedGraph,
     nodes: &[NodeId],
     scratch: &mut GroupScratch,
     out: &mut LevelPartial,
@@ -392,74 +329,30 @@ fn build_group_super_edges(
             scratch.border[v as usize] = group;
         }
     }
-    for bi in 0..scratch.borders.len() {
-        let b = scratch.borders[bi];
-        restricted_dijkstra(g, b, scratch);
-        for ti in 0..scratch.touched.len() {
-            let t = scratch.touched[ti];
-            if t == b || scratch.border[t as usize] != group {
-                continue;
-            }
-            // Interior nodes by walking parents back (excludes both
-            // endpoints), written straight into the shared pool.
-            let via_off = out.via_pool.len();
-            let mut cur = t;
-            while cur != b {
-                let p = scratch.parent[cur as usize];
-                if p == b {
-                    break;
-                }
-                out.via_pool.push(p);
-                cur = p;
-            }
-            out.via_pool[via_off..].reverse();
+    // Ascending targets per border: the order the parallel merge relies on.
+    let GroupScratch {
+        search,
+        member,
+        border,
+        borders,
+        ..
+    } = scratch;
+    arena.contract(
+        search,
+        borders,
+        |u| member[u as usize] == group,
+        |t| border[t as usize] == group,
+        Some(&mut out.via_pool),
+        |from, to, cost, via| {
             out.edges.push(SuperEdge {
-                from: b,
-                to: t,
-                cost: scratch.dist[t as usize],
-                via_off: via_off as u32,
-                via_len: (out.via_pool.len() - via_off) as u32,
-            });
-        }
-    }
-}
-
-/// Dijkstra from `source` restricted to the current group, leaving
-/// distances/parents in the stamped arrays and the reached set in
-/// `scratch.touched`, sorted ascending (the deterministic order the
-/// parallel build's merge relies on).
-fn restricted_dijkstra(g: &RoadNetwork, source: NodeId, scratch: &mut GroupScratch) {
-    scratch.search += 1;
-    let s = scratch.search;
-    scratch.touched.clear();
-    scratch.dist[source as usize] = 0;
-    scratch.stamp[source as usize] = s;
-    scratch.touched.push(source);
-    scratch.heap.clear();
-    scratch.heap.push(0, source);
-    while let Some(e) = scratch.heap.pop() {
-        let v = e.item;
-        if scratch.dist[v as usize] != e.key {
-            continue;
-        }
-        for (u, w) in g.out_edges(v) {
-            if scratch.member[u as usize] != scratch.group {
-                continue;
-            }
-            let cand = e.key + w as Distance;
-            let seen = scratch.stamp[u as usize] == s;
-            if !seen || cand < scratch.dist[u as usize] {
-                if !seen {
-                    scratch.stamp[u as usize] = s;
-                    scratch.touched.push(u);
-                }
-                scratch.dist[u as usize] = cand;
-                scratch.parent[u as usize] = v;
-                scratch.heap.push(cand, u);
-            }
-        }
-    }
-    scratch.touched.sort_unstable();
+                from,
+                to,
+                cost,
+                via_off: via.start as u32,
+                via_len: via.len() as u32,
+            })
+        },
+    );
 }
 
 #[cfg(test)]

@@ -32,22 +32,23 @@
 //! cross-cell edges stitch everything together. Super-edges on the answer
 //! are expanded through their materialized path views.
 //!
-//! The client owns three arenas and reuses them across sessions; each
+//! The client owns its arenas and reuses them across sessions; each
 //! session clears them and keeps their capacity. The decoded index holds
 //! cells and super-edges in tables indexed by their ids, every path view
 //! as a run of one shared `via` pool (SEPATH chunks that arrive before
 //! their SE record after a lossy retry still reassemble), and the
 //! super-edges bucketed by `(level, group)`. The terminal cells' raw data
-//! lands in a [`ReceivedGraph`]. G′ is built per session as a CSR over
-//! compact node slots from the selected groups' buckets only, and the
-//! search runs on dense distance and parent arrays. Each node's arcs are
+//! lands in a [`ReceivedGraph`], and so does G′: the shared slot arena
+//! stages each session's arcs and builds them into a CSR, and its one
+//! search ([`ReceivedGraph::search_with`]) runs over them, expanding each
+//! super-edge on the answer through its path view. Each node's arcs are
 //! its selected super-edges by ascending id, then its cross-cell edges in
 //! arrival order, then, for a received terminal-cell node, its raw arcs.
 //! So heap pushes, tie-breaks, paths and settle counts equal the former
-//! hash-map client's, which the tests keep as a differential oracle. No wire value sizes an allocation
-//! unchecked: super-edge and cell ids are capped by what the index's
-//! `total` packets can carry, and node ids past the slot table's cap are
-//! compacted by sorting.
+//! hash-map client's, which the tests keep as a differential oracle. No
+//! wire value sizes an allocation unchecked: super-edge and cell ids are
+//! capped by what the index's `total` packets can carry, and so is G′'s
+//! direct slot table; node ids past it spill.
 
 use crate::hiti::HiTiIndex;
 use bytes::Bytes;
@@ -58,10 +59,11 @@ use spair_broadcast::{
     BroadcastChannel, BroadcastCycle, CpuMeter, MemoryMeter, QueryStats, Received,
 };
 use spair_core::client_common::{find_next_index, receive_segment_reliable, MAX_RETRY_CYCLES};
-use spair_core::netcodec::{encode_nodes, ReceivedGraph};
+use spair_core::netcodec::{encode_nodes, group_by_key, ReceivedGraph, SearchScratch, RAW_ARC};
 use spair_core::query::{decoded_node_bytes, AirClient, Query, QueryError, QueryOutcome};
 use spair_partition::{GridLocator, RegionId};
-use spair_roadnet::{Distance, MinHeap, NodeId, RoadNetwork, Weight};
+use spair_roadnet::{Distance, NodeId, RoadNetwork, Weight};
+use std::ops::ControlFlow;
 
 const MAGIC: u8 = 0xA7;
 // magic (u8) + seq (u32) + total (u32). The counters are u32 because a
@@ -263,8 +265,7 @@ impl<'a> HiTiAirServer<'a> {
 fn sepath_start(ci: usize) -> Result<u16, EncodeError> {
     u16_of(ci * PATH_CHUNK, "hiti se path start")
 }
-/// "No entry" in the client's id-indexed tables; also the `se` of a raw
-/// arc of G′.
+/// "No entry" in the client's id-indexed tables.
 const NONE: u32 = u32::MAX;
 
 /// Index bytes one packet carries after its header.
@@ -275,9 +276,6 @@ const INDEX_BODY: usize = PAYLOAD_CAPACITY - HEADER_LEN;
 const SE_RECORD_LEN: usize = 26;
 /// Wire length of a CELL record, which caps the cell ids likewise.
 const CELL_RECORD_LEN: usize = 9;
-/// Largest node id the slot table indexes directly (as in
-/// [`ReceivedGraph`]); larger ids are compacted by sorting.
-const DIRECT_NODE_CAP: usize = 1 << 22;
 
 /// One super-edge of the decoded catalog, at its id in
 /// [`IndexArena::ses`].
@@ -360,8 +358,8 @@ struct IndexArena {
     level_base: Vec<usize>,
     max_ses: usize,
     max_cells: usize,
-    /// Path-view nodes the index can carry; also the size cap of the
-    /// G′ slot table.
+    /// Path-view nodes the index can carry; also the id cap of G′'s
+    /// direct slot table.
     max_via: usize,
 }
 
@@ -619,33 +617,6 @@ impl IndexArena {
     }
 }
 
-/// Stable counting sort of `(key, item)` pairs with keys below `keys`:
-/// key `k`'s items land in `out[start[k]..start[k + 1]]`, in input order.
-fn group_by_key<T: Copy + Default>(
-    keys: usize,
-    pairs: impl Iterator<Item = (usize, T)> + Clone,
-    start: &mut Vec<usize>,
-    out: &mut Vec<T>,
-) {
-    start.clear();
-    start.resize(keys + 1, 0);
-    for (k, _) in pairs.clone() {
-        start[k + 1] += 1;
-    }
-    for k in 0..keys {
-        start[k + 1] += start[k];
-    }
-    out.clear();
-    out.resize(start[keys], T::default());
-    for (k, item) in pairs {
-        out[start[k]] = item;
-        start[k] += 1;
-    }
-    // Each `start[k]` now holds its key's end, the next key's start.
-    start.copy_within(0..keys, 1);
-    start[0] = 0;
-}
-
 /// Coarsest disjoint groups avoiding both terminal cells: descend the
 /// 2×2 group hierarchy from the top level, splitting only groups that
 /// contain `cs` or `ct`. Returns `(level, group)` pairs.
@@ -681,198 +652,15 @@ fn select_groups(cs: RegionId, ct: RegionId, side: usize, levels: usize) -> Vec<
     out
 }
 
-/// One arc of G′: a raw arc, or a super-edge (`se` ≠ [`NONE`]) to expand
-/// through its path view.
-#[derive(Debug, Clone, Copy, Default)]
-struct GArc {
-    to: u32,
-    w: Distance,
-    se: u32,
-}
-
-/// The session's contraction G′ as a CSR over compact node slots, with
-/// the search scratch; reused across sessions.
-#[derive(Debug, Clone, Default)]
-struct Contraction {
-    /// Slot per node id below `direct_cap` ([`NONE`] if not in G′).
-    slot_of: Vec<u32>,
-    direct_cap: usize,
-    /// Ids at or past `direct_cap`, sorted; slot `spill_base + rank`.
-    spill: Vec<NodeId>,
-    spill_base: usize,
-    /// Node id per slot.
-    ids: Vec<NodeId>,
-    /// Selected super-edge ids, ascending.
-    selected: Vec<u32>,
-    /// G′'s edges in insertion order: `(from, to, w, se)`, endpoints as
-    /// node ids, then as slots.
-    staged: Vec<(u32, u32, Distance, u32)>,
-    /// Slot `v`'s arcs are `arcs[first[v]..first[v + 1]]`.
-    first: Vec<usize>,
-    arcs: Vec<GArc>,
-    dist: Vec<Distance>,
-    /// `(parent slot, super-edge id or NONE)` per reached slot.
-    parent: Vec<(u32, u32)>,
-    heap: MinHeap<u32>,
-}
-
-impl Contraction {
-    /// Gives `v` a slot unless it has one; ids at or past the direct
-    /// table's cap are queued for the sorted spill.
-    fn assign(&mut self, v: NodeId) {
-        let i = v as usize;
-        if i >= self.direct_cap {
-            self.spill.push(v);
-            return;
-        }
-        if i >= self.slot_of.len() {
-            let len = (i + 1).next_power_of_two().min(self.direct_cap);
-            self.slot_of.resize(len, NONE);
-        }
-        if self.slot_of[i] == NONE {
-            self.slot_of[i] = self.ids.len() as u32;
-            self.ids.push(v);
-        }
-    }
-
-    /// Slot of an assigned `v`.
-    fn slot(&self, v: NodeId) -> u32 {
-        if (v as usize) < self.direct_cap {
-            self.slot_of[v as usize]
-        } else {
-            let rank = self
-                .spill
-                .binary_search(&v)
-                .expect("spilled ids are sorted in");
-            (self.spill_base + rank) as u32
-        }
-    }
-
-    /// Builds G′ for `s → t`: each node's arcs are its selected
-    /// super-edges by ascending id, then its cross-cell edges in arrival
-    /// order, then its raw arcs if it is a received terminal-cell node —
-    /// the order that fixes heap pushes, tie-breaks and settle counts.
-    /// Returns the slots of `s` and `t`.
-    fn build(
-        &mut self,
-        index: &IndexArena,
-        selected: &[(u8, u16)],
-        store: &ReceivedGraph,
-        s: NodeId,
-        t: NodeId,
-    ) -> (u32, u32) {
-        for &v in &self.ids {
-            if let Some(slot) = self.slot_of.get_mut(v as usize) {
-                *slot = NONE;
-            }
-        }
-        self.ids.clear();
-        self.spill.clear();
-        self.staged.clear();
-        self.direct_cap = index.max_via.min(DIRECT_NODE_CAP);
-
-        self.selected.clear();
-        for &(level, group) in selected {
-            self.selected
-                .extend_from_slice(index.bucket_ids(level, group));
-        }
-        self.selected.sort_unstable();
-        for &id in &self.selected {
-            let se = &index.ses[id as usize];
-            self.staged.push((se.from, se.to, se.cost, id));
-        }
-        for &(v, u, w) in &index.bedges {
-            self.staged.push((v, u, w as Distance, NONE));
-        }
-        for v in store.node_ids() {
-            for &(u, w) in store.out_edges(v) {
-                self.staged.push((v, u, w as Distance, NONE));
-            }
-        }
-
-        self.assign(s);
-        self.assign(t);
-        for i in 0..self.staged.len() {
-            let (from, to, _, _) = self.staged[i];
-            self.assign(from);
-            self.assign(to);
-        }
-        self.spill.sort_unstable();
-        self.spill.dedup();
-        self.spill_base = self.ids.len();
-        self.ids.extend_from_slice(&self.spill);
-        for i in 0..self.staged.len() {
-            let (from, to, _, _) = self.staged[i];
-            self.staged[i].0 = self.slot(from);
-            self.staged[i].1 = self.slot(to);
-        }
-        let pairs = self
-            .staged
-            .iter()
-            .map(|&(from, to, w, se)| (from as usize, GArc { to, w, se }));
-        group_by_key(self.ids.len(), pairs, &mut self.first, &mut self.arcs);
-        (self.slot(s), self.slot(t))
-    }
-
-    /// Dijkstra over G′ from slot `s` to slot `t`, expanding super-edges
-    /// on the returned path. Returns `(result, settled_count)`.
-    fn search(
-        &mut self,
-        index: &IndexArena,
-        s: u32,
-        t: u32,
-    ) -> (Option<(Distance, Vec<NodeId>)>, usize) {
-        let n = self.ids.len();
-        self.dist.clear();
-        self.dist.resize(n, Distance::MAX);
-        self.parent.clear();
-        self.parent.resize(n, (NONE, NONE));
-        self.heap.clear();
-        self.dist[s as usize] = 0;
-        self.heap.push(0, s);
-        let mut settled = 0usize;
-        while let Some(e) = self.heap.pop() {
-            let v = e.item as usize;
-            if self.dist[v] != e.key {
-                continue;
-            }
-            settled += 1;
-            if e.item == t {
-                // Reconstruct, expanding super-edges through their views.
-                let mut path = vec![self.ids[v]];
-                let mut cur = e.item;
-                while cur != s {
-                    let (p, se) = self.parent[cur as usize];
-                    if se != NONE {
-                        path.extend(index.view(se).iter().rev());
-                    }
-                    path.push(self.ids[p as usize]);
-                    cur = p;
-                }
-                path.reverse();
-                return (Some((e.key, path)), settled);
-            }
-            for a in &self.arcs[self.first[v]..self.first[v + 1]] {
-                let cand = e.key.saturating_add(a.w);
-                if cand < self.dist[a.to as usize] {
-                    self.dist[a.to as usize] = cand;
-                    self.parent[a.to as usize] = (e.item, a.se);
-                    self.heap.push(cand, a.to);
-                }
-            }
-        }
-        (None, settled)
-    }
-}
-
 /// The HiTi client. It owns the decoded index, the terminal cells'
-/// store and G′ with its search scratch, and reuses all three across
+/// store and G′ with its search scratch, and reuses them across
 /// sessions.
 #[derive(Debug, Clone, Default)]
 pub struct HiTiAirClient {
     index: IndexArena,
     store: ReceivedGraph,
-    contraction: Contraction,
+    gprime: ReceivedGraph,
+    scratch: SearchScratch,
 }
 
 impl HiTiAirClient {
@@ -1058,12 +846,40 @@ impl AirClient for HiTiAirClient {
             }
         }
 
-        // 4. Dijkstra over the hierarchical contraction G'.
-        let g = &mut self.contraction;
+        // 4. Dijkstra over the hierarchical contraction G', its arcs staged
+        // in the order the module docs give.
+        let (g, scratch) = (&mut self.gprime, &mut self.scratch);
         let (res, settled) = cpu.time(|| {
             index.bucket(side, levels);
-            let (s, t) = g.build(index, &selected, store, q.source, q.target);
-            g.search(index, s, t)
+            g.clear_with_id_cap(index.max_via);
+            let mut ids = Vec::new();
+            for &(level, group) in &selected {
+                ids.extend_from_slice(index.bucket_ids(level, group));
+            }
+            ids.sort_unstable();
+            for id in ids {
+                let se = &index.ses[id as usize];
+                g.stage_arc(se.from, se.to, se.cost, id);
+            }
+            for &(v, u, w) in &index.bedges {
+                g.stage_arc(v, u, w as Distance, RAW_ARC);
+            }
+            for v in store.node_ids() {
+                for &(u, w) in store.out_edges(v) {
+                    g.stage_arc(v, u, w as Distance, RAW_ARC);
+                }
+            }
+            g.build_staged();
+            let (d, settled, _) = g.search_with(
+                scratch,
+                q.source,
+                Some(q.target),
+                |_, _| 0,
+                |_, _| true,
+                |_, _, _| ControlFlow::Continue(()),
+            );
+            let path = |d| (d, g.path_to(scratch, q.target, |se| index.view(se)));
+            (d.map(path), settled)
         });
         mem.alloc(settled * decoded_node_bytes(0));
         let stats = QueryStats {
@@ -1253,6 +1069,7 @@ mod tests {
     mod oracle {
         use super::super::*;
         use spair_core::netcodec::decode_payload;
+        use spair_roadnet::MinHeap;
         use std::collections::hash_map::Entry;
         use std::collections::HashMap;
 
@@ -1789,7 +1606,7 @@ mod tests {
             fn cap<T>(v: &Vec<T>) -> usize {
                 v.capacity() * std::mem::size_of::<T>()
             }
-            let (i, g) = (&client.index, &client.contraction);
+            let i = &client.index;
             cap(&i.cells)
                 + cap(&i.ses)
                 + cap(&i.via)
@@ -1798,15 +1615,8 @@ mod tests {
                 + cap(&i.bucket_start)
                 + cap(&i.bucket_ids)
                 + cap(&i.level_base)
-                + cap(&g.slot_of)
-                + cap(&g.spill)
-                + cap(&g.ids)
-                + cap(&g.selected)
-                + cap(&g.staged)
-                + cap(&g.first)
-                + cap(&g.arcs)
-                + cap(&g.dist)
-                + cap(&g.parent)
+                + client.gprime.allocated_bytes()
+                + client.scratch.allocated_bytes()
         }
 
         proptest! {

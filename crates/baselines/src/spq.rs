@@ -25,7 +25,7 @@
 //!   edge, and its subtree takes the child-edge colors in one pass over
 //!   the kernel's fill order (reachability comes from the search of the
 //!   core node the tree hangs off);
-//! * per-root quadtrees are built by walking a [`QuadTemplate`] — the
+//! * per-root quadtrees are built by walking a `QuadTemplate` — the
 //!   node coordinates are quadrant-sorted **once per graph**, so a root's
 //!   tree costs one color scan over the shared order instead of
 //!   re-bucketing every point at every recursion level;
@@ -389,7 +389,7 @@ impl SpqIndex {
     }
 
     /// The naive builder: a fresh full Dijkstra and a recursive
-    /// [`build_tree`] per root. Quadratic allocations and re-bucketing —
+    /// `build_tree` per root. Quadratic allocations and re-bucketing —
     /// kept (and exercised by the test battery) as the differential
     /// oracle the fast path must match tree-for-tree.
     pub fn build_reference(g: &RoadNetwork) -> Self {

@@ -27,71 +27,34 @@
 //! to their border count — exactly the road-network regime (a few percent
 //! of a kd region's nodes are border nodes at paper scale).
 //!
-//! Internally `G'` is a flat slot arena rather than a per-node map, the
-//! same layout [`crate::netcodec::ReceivedGraph`] uses: every broadcast id
-//! seen gets a dense `u32` slot (direct-index table below
-//! [`DIRECT_ID_CAP`], spill map above), per-slot adjacency is an intrusive
-//! list inside one shared edge arena, and both Dijkstras (the per-region
-//! contraction and the final `G'` search) run over stamp-versioned dense
-//! scratch arrays that regions reuse without reallocating. Distances and
-//! memory charges are identical to the former map-based processor; unlike
-//! it, super-edge emission order is deterministic (ascending reached id)
-//! rather than hash-iteration order.
+//! Both searches run on the shared slot arena's one search,
+//! [`ReceivedGraph::search_with`]: a region's contraction is
+//! [`ReceivedGraph::contract`] over the received store (the HiTi build's
+//! border-pair searches too), and `G'` is itself a [`ReceivedGraph`]
+//! whose arcs regions stage (a super-edge tagged with its path's index)
+//! and the final search builds into a CSR. Distances and memory charges
+//! are identical to the former map-based processor; super-edges are
+//! emitted in ascending reached id.
 
-use crate::netcodec::ReceivedGraph;
+use crate::netcodec::{ReceivedGraph, SearchScratch, RAW_ARC};
 use crate::query::decoded_node_bytes;
 use spair_broadcast::{CpuMeter, MemoryMeter};
-use spair_roadnet::{Distance, MinHeap, NodeId, Weight};
-use std::collections::HashMap;
-
-/// One edge of the contracted graph `G'`.
-#[derive(Debug, Clone, Copy)]
-enum GEdge {
-    /// A raw network edge retained as-is (border/cross edges).
-    Raw(Weight),
-    /// A super-edge abbreviating an intra-region path (index into the
-    /// stored path table).
-    Super(Distance, usize),
-}
-
-/// Sentinel for "no slot" / "no parent" / "end of adjacency list".
-const NO_SLOT: u32 = u32::MAX;
-
-/// Largest broadcast id served by the direct-index slot table; ids beyond
-/// it go to the spill map so a hostile id space cannot balloon the table.
-const DIRECT_ID_CAP: usize = 1 << 22;
+use spair_roadnet::{Distance, NodeId};
+use std::ops::ControlFlow;
 
 /// Incremental §6.1 contractor.
 #[derive(Debug, Default)]
 pub struct MemoryBoundProcessor {
-    /// Broadcast id -> slot for ids below [`DIRECT_ID_CAP`] (`NO_SLOT` =
-    /// unseen), grown on demand.
-    slot_table: Vec<u32>,
-    /// Slots of outlandish ids (≥ [`DIRECT_ID_CAP`]).
-    slot_spill: HashMap<NodeId, u32>,
-    /// Broadcast id per slot.
-    ids: Vec<NodeId>,
-    /// Head of each slot's adjacency list in the edge arena.
-    adj_head: Vec<u32>,
-    /// Tail of each slot's adjacency list (appends preserve edge order).
-    adj_tail: Vec<u32>,
-    /// Edge arena: target slot + payload; `edge_next` links same-source
-    /// edges in insertion order.
-    edge_to: Vec<u32>,
-    edge_payload: Vec<GEdge>,
-    edge_next: Vec<u32>,
-    /// Stamped scratch shared by the contraction and `G'` Dijkstras.
-    dist: Vec<Distance>,
-    parent: Vec<u32>,
-    stamp: Vec<u64>,
-    search: u64,
-    /// Region-membership / anchor stamps for the current `add_region`.
-    member: Vec<u64>,
-    anchor: Vec<u64>,
-    region_epoch: u64,
-    /// Slots touched by the current search, in first-touch order.
-    touched: Vec<u32>,
-    paths: Vec<Vec<NodeId>>,
+    /// `G'`: super-edges and raw cross-region edges, staged as regions
+    /// arrive.
+    gprime: ReceivedGraph,
+    /// Scratch of the contraction searches and the final `G'` search.
+    scratch: SearchScratch,
+    /// Interior nodes of every kept super-edge path, back to back; a
+    /// super-edge's tag indexes its `(start, len)` in `views` (empty in a
+    /// costs-only processor).
+    via: Vec<NodeId>,
+    views: Vec<(usize, usize)>,
     keep_paths: bool,
     /// Peak/current memory of the retained state (G' plus the region
     /// currently being contracted).
@@ -115,65 +78,6 @@ impl MemoryBoundProcessor {
         }
     }
 
-    /// Slot of `v`, if seen.
-    #[inline]
-    fn slot_lookup(&self, v: NodeId) -> Option<u32> {
-        if (v as usize) < self.slot_table.len() {
-            let s = self.slot_table[v as usize];
-            if s != NO_SLOT {
-                Some(s)
-            } else {
-                None
-            }
-        } else if (v as usize) < DIRECT_ID_CAP {
-            None
-        } else {
-            self.slot_spill.get(&v).copied()
-        }
-    }
-
-    /// Slot of `v`, creating one if unseen. New slots get empty adjacency
-    /// and already-expired scratch stamps.
-    fn ensure_slot(&mut self, v: NodeId) -> u32 {
-        if let Some(s) = self.slot_lookup(v) {
-            return s;
-        }
-        let s = self.ids.len() as u32;
-        if (v as usize) < DIRECT_ID_CAP {
-            if (v as usize) >= self.slot_table.len() {
-                let new_len = ((v as usize + 1).next_power_of_two()).min(DIRECT_ID_CAP);
-                self.slot_table.resize(new_len, NO_SLOT);
-            }
-            self.slot_table[v as usize] = s;
-        } else {
-            self.slot_spill.insert(v, s);
-        }
-        self.ids.push(v);
-        self.adj_head.push(NO_SLOT);
-        self.adj_tail.push(NO_SLOT);
-        self.dist.push(0);
-        self.parent.push(NO_SLOT);
-        self.stamp.push(0);
-        self.member.push(0);
-        self.anchor.push(0);
-        s
-    }
-
-    /// Appends one `G'` edge `from -> to` at the end of `from`'s list.
-    fn push_edge(&mut self, from: u32, to: u32, e: GEdge) {
-        let idx = self.edge_to.len() as u32;
-        self.edge_to.push(to);
-        self.edge_payload.push(e);
-        self.edge_next.push(NO_SLOT);
-        let f = from as usize;
-        if self.adj_head[f] == NO_SLOT {
-            self.adj_head[f] = idx;
-        } else {
-            self.edge_next[self.adj_tail[f] as usize] = idx;
-        }
-        self.adj_tail[f] = idx;
-    }
-
     /// Contracts one fully received region.
     ///
     /// `region_nodes` are the node ids of the region with their adjacency
@@ -194,130 +98,59 @@ impl MemoryBoundProcessor {
             .sum();
         self.mem.alloc(raw_bytes);
 
-        self.region_epoch += 1;
-        let epoch = self.region_epoch;
-        let mut anchors: Vec<u32> = Vec::new();
-        for &v in region_nodes {
-            let s = self.ensure_slot(v);
-            self.member[s as usize] = epoch;
-            if store.is_border(v).unwrap_or(false) {
-                self.anchor[s as usize] = epoch;
-                anchors.push(s);
-            }
-        }
+        let mut members = region_nodes.to_vec();
+        members.sort_unstable();
+        let member = |v: NodeId| members.binary_search(&v).is_ok();
+        let mut anchors: Vec<NodeId> = region_nodes
+            .iter()
+            .copied()
+            .filter(|&v| store.is_border(v).unwrap_or(false))
+            .collect();
         for &t in terminals {
-            if let Some(s) = self.slot_lookup(t) {
-                let si = s as usize;
-                if self.member[si] == epoch && self.anchor[si] != epoch {
-                    self.anchor[si] = epoch;
-                    anchors.push(s);
-                }
+            if member(t) && !anchors.contains(&t) {
+                anchors.push(t);
             }
         }
+        let mut anchor_set = anchors.clone();
+        anchor_set.sort_unstable();
 
-        let mut new_edges: Vec<(u32, u32, GEdge)> = Vec::new();
-        let mut path_bytes = 0usize;
-        // Meter taken out for the duration so the closure can borrow the
-        // rest of `self` mutably.
-        let mut cpu = std::mem::take(&mut self.cpu);
-        cpu.time(|| {
-            for &a in &anchors {
-                path_bytes += self.contract_from(store, a, &mut new_edges);
-            }
+        let (mut arcs, mut path_bytes) = (0usize, 0usize);
+        self.cpu.time(|| {
+            // A super-edge from each anchor to every other anchor its
+            // region-restricted Dijkstra settles. Costs only: an empty
+            // view keeps the answer path anchor-level.
+            let keep_paths = self.keep_paths;
+            store.contract(
+                &mut self.scratch,
+                &anchors,
+                member,
+                |v| anchor_set.binary_search(&v).is_ok(),
+                keep_paths.then_some(&mut self.via),
+                |a, b, d, via| {
+                    if keep_paths {
+                        path_bytes += 4 * (via.len() + 2); // endpoints included
+                    }
+                    self.views.push((via.start, via.len()));
+                    self.gprime
+                        .stage_arc(a, b, d, (self.views.len() - 1) as u32);
+                    arcs += 1;
+                },
+            );
             // Keep raw cross-region edges of border nodes (border edges).
             for &a in &anchors {
-                for &(u, w) in store.out_edges(self.ids[a as usize]) {
-                    let us = self.ensure_slot(u);
-                    if self.member[us as usize] != epoch {
-                        new_edges.push((a, us, GEdge::Raw(w)));
+                for &(u, w) in store.out_edges(a) {
+                    if !member(u) {
+                        self.gprime.stage_arc(a, u, w as Distance, RAW_ARC);
+                        arcs += 1;
                     }
                 }
             }
         });
-        self.cpu = cpu;
-        self.mem.alloc(path_bytes + new_edges.len() * 16);
-        for (from, to, e) in new_edges {
-            self.push_edge(from, to, e);
-        }
+        self.mem.alloc(path_bytes + arcs * 16);
 
         // Release the raw region data (§6.1: "the region data can be
         // discarded").
         self.mem.free(raw_bytes);
-    }
-
-    /// Region-restricted Dijkstra from anchor slot `a`; appends
-    /// super-edges to every other anchor reached, in ascending reached-id
-    /// order. Returns the bytes of stored paths.
-    fn contract_from(
-        &mut self,
-        store: &ReceivedGraph,
-        a: u32,
-        out: &mut Vec<(u32, u32, GEdge)>,
-    ) -> usize {
-        let epoch = self.region_epoch;
-        self.search += 1;
-        let search = self.search;
-        self.touched.clear();
-        let mut heap = MinHeap::new();
-        self.dist[a as usize] = 0;
-        self.parent[a as usize] = NO_SLOT;
-        self.stamp[a as usize] = search;
-        self.touched.push(a);
-        heap.push(0, self.ids[a as usize]);
-        while let Some(e) = heap.pop() {
-            let v = e.item;
-            // Popped ids were stamped when pushed; the slot exists.
-            let vs = self.slot_lookup(v).expect("queued node has a slot");
-            if self.dist[vs as usize] != e.key {
-                continue;
-            }
-            for &(u, w) in store.out_edges(v) {
-                let us = self.ensure_slot(u) as usize;
-                if self.member[us] != epoch {
-                    continue;
-                }
-                let cand = e.key + w as Distance;
-                let seen = self.stamp[us] == search;
-                if !seen || cand < self.dist[us] {
-                    self.dist[us] = cand;
-                    self.parent[us] = vs;
-                    if !seen {
-                        self.stamp[us] = search;
-                        self.touched.push(us as u32);
-                    }
-                    heap.push(cand, u);
-                }
-            }
-        }
-        // The former map-based processor iterated its distance map in hash
-        // order here; ascending reached-id order is deterministic and
-        // emits the same super-edge *set*.
-        let mut touched = std::mem::take(&mut self.touched);
-        touched.sort_unstable_by_key(|&s| self.ids[s as usize]);
-        let mut bytes = 0usize;
-        for &bs in &touched {
-            let bi = bs as usize;
-            if bs == a || self.anchor[bi] != epoch {
-                continue;
-            }
-            let idx = if self.keep_paths {
-                let mut path = vec![self.ids[bi]];
-                let mut cur = bi;
-                while self.parent[cur] != NO_SLOT {
-                    cur = self.parent[cur] as usize;
-                    path.push(self.ids[cur]);
-                }
-                path.reverse();
-                bytes += 4 * path.len();
-                self.paths.push(path);
-                self.paths.len() - 1
-            } else {
-                usize::MAX // contracted marker: answer path stays anchor-level
-            };
-            out.push((a, bs, GEdge::Super(self.dist[bi], idx)));
-        }
-        self.touched = touched;
-        bytes
     }
 
     /// Final Dijkstra over `G'` followed by super-edge expansion.
@@ -326,91 +159,23 @@ impl MemoryBoundProcessor {
         source: NodeId,
         target: NodeId,
     ) -> Option<(Distance, Vec<NodeId>)> {
-        let (t_slot, spidx) = self.gprime_search(source, target);
-        let t_slot = t_slot?;
-        let d = self.dist[t_slot as usize];
-        // Expand: walk parents, splicing super-edge paths back in.
-        let mut path = vec![self.ids[t_slot as usize]];
-        let mut cur = t_slot as usize;
-        while self.parent[cur] != NO_SLOT {
-            let p = self.parent[cur] as usize;
-            match spidx[cur] {
-                None | Some(usize::MAX) => path.push(self.ids[p]),
-                Some(i) => {
-                    // Stored path runs p -> cur; splice reversed interior.
-                    let sp = &self.paths[i];
-                    debug_assert_eq!(sp.first(), Some(&self.ids[p]));
-                    debug_assert_eq!(sp.last(), Some(&self.ids[cur]));
-                    for &node in sp.iter().rev().skip(1) {
-                        path.push(node);
-                    }
-                }
-            }
-            cur = p;
-        }
-        path.reverse();
-        Some((d, path))
-    }
-
-    /// The `G'` Dijkstra itself. Returns the settled target slot (scratch
-    /// holds dist/parent) plus each slot's reaching super-edge path index.
-    fn gprime_search(
-        &mut self,
-        source: NodeId,
-        target: NodeId,
-    ) -> (Option<u32>, Vec<Option<usize>>) {
-        let s_slot = self.ensure_slot(source);
-        let t_slot = self.slot_lookup(target).unwrap_or(NO_SLOT);
-        let mut spidx: Vec<Option<usize>> = vec![None; self.ids.len()];
-        let mut reached_target = false;
-        // Meter taken out for the duration so the closure can borrow the
-        // rest of `self` mutably.
-        let mut cpu = std::mem::take(&mut self.cpu);
-        cpu.time(|| {
-            self.search += 1;
-            let search = self.search;
-            self.dist[s_slot as usize] = 0;
-            self.parent[s_slot as usize] = NO_SLOT;
-            self.stamp[s_slot as usize] = search;
-            let mut heap = MinHeap::new();
-            heap.push(0, s_slot);
-            while let Some(e) = heap.pop() {
-                let (key, v) = (e.key, e.item);
-                let vi = v as usize;
-                if self.stamp[vi] != search || self.dist[vi] != key {
-                    continue;
-                }
-                if v == t_slot {
-                    reached_target = true;
-                    break;
-                }
-                let mut e = self.adj_head[vi];
-                while e != NO_SLOT {
-                    let ei = e as usize;
-                    let u = self.edge_to[ei];
-                    let (cost, pidx) = match self.edge_payload[ei] {
-                        GEdge::Raw(w) => (w as Distance, None),
-                        GEdge::Super(d, i) => (d, Some(i)),
-                    };
-                    let cand = key + cost;
-                    let ui = u as usize;
-                    if self.stamp[ui] != search || cand < self.dist[ui] {
-                        self.dist[ui] = cand;
-                        self.parent[ui] = v;
-                        self.stamp[ui] = search;
-                        spidx[ui] = pidx;
-                        heap.push(cand, u);
-                    }
-                    e = self.edge_next[ei];
-                }
-            }
+        let d = self.cpu.time(|| {
+            self.gprime.build_staged();
+            let found = self.gprime.search_with(
+                &mut self.scratch,
+                source,
+                Some(target),
+                |_, _| 0,
+                |_, _| true,
+                |_, _, _| ControlFlow::Continue(()),
+            );
+            found.0
+        })?;
+        let path = self.gprime.path_to(&self.scratch, target, |tag| {
+            let (start, len) = self.views[tag as usize];
+            &self.via[start..start + len]
         });
-        self.cpu = cpu;
-        if reached_target {
-            (Some(t_slot), spidx)
-        } else {
-            (None, spidx)
-        }
+        Some((d, path))
     }
 }
 
@@ -583,9 +348,9 @@ mod tests {
 
     #[test]
     fn spill_range_node_ids_use_the_spill_map() {
-        // A two-region chain whose ids straddle DIRECT_ID_CAP exercises
-        // both halves of the slot table.
-        let base = (super::DIRECT_ID_CAP as NodeId) - 2;
+        // A two-region chain whose ids straddle the arena's direct-table
+        // cap exercises both halves of the slot table.
+        let base = (crate::netcodec::DIRECT_ID_CAP as NodeId) - 2;
         let ids: Vec<NodeId> = (0..6).map(|i| base + i).collect();
         let mut store = ReceivedGraph::new();
         for (k, &id) in ids.iter().enumerate() {
@@ -618,6 +383,5 @@ mod tests {
         let (d, path) = proc.shortest_path(s, t).expect("reachable");
         assert_eq!(d, 35);
         assert_eq!(path, ids);
-        assert!(!proc.slot_spill.is_empty(), "ids above the cap must spill");
     }
 }

@@ -14,7 +14,7 @@
 //! The [`supervise`] driver enforces the graceful-degradation rule:
 //!
 //! 1. run the client session; read the channel's
-//!    [`FaultTelemetry`](spair_broadcast::FaultTelemetry) afterwards;
+//!    [`FaultTelemetry`] afterwards;
 //! 2. if any *silently-corrupting* fault occurred
 //!    ([`FaultTelemetry::tainted`]), discard the result — answer or not —
 //!    and re-tune from scratch on a fresh attempt;

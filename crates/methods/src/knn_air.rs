@@ -1,6 +1,6 @@
 //! The §8 on-air kNN client behind the [`BroadcastMethod`] trait.
 //!
-//! Not an [`AirClient`]: its query
+//! Not an [`AirClient`](spair_core::query::AirClient): its query
 //! signature differs (source position, `k`), so it runs the `knn`
 //! portion of a workload through [`crate::KnnAirClient`].
 

@@ -354,7 +354,8 @@ fn answer_paths(
 
 /// True iff `path` is a real `source -> target` walk of `query` in `g`
 /// whose weights sum to `distance` — the conformance check behind "exact
-/// shortest paths", not just matching lengths.
+/// shortest paths", not just matching lengths. Each step costs the
+/// lightest of its parallel edges, the one a shortest path takes.
 pub(crate) fn path_is_valid(
     g: &RoadNetwork,
     query: &Query,
@@ -366,10 +367,11 @@ pub(crate) fn path_is_valid(
     }
     let mut acc: Distance = 0;
     for w in path.windows(2) {
-        match g.weight_between(w[0], w[1]) {
-            Some(wt) => acc += wt as Distance,
-            None => return false,
-        }
+        let parallel = g.out_edges(w[0]).filter(|&(t, _)| t == w[1]);
+        let Some(wt) = parallel.map(|(_, wt)| wt).min() else {
+            return false;
+        };
+        acc += wt as Distance;
     }
     acc == distance
 }
@@ -503,5 +505,18 @@ mod tests {
             assert_eq!(d.queries, 1, "{name}");
             assert!(!d.over_budget, "{name}");
         }
+    }
+
+    #[test]
+    fn path_is_valid_takes_the_lightest_parallel_edge() {
+        let mut b = spair_roadnet::GraphBuilder::new();
+        b.add_node(spair_roadnet::Point::new(0.0, 0.0));
+        b.add_node(spair_roadnet::Point::new(1.0, 0.0));
+        b.add_edge(0, 1, 5);
+        b.add_edge(0, 1, 3);
+        let g = b.finish();
+        let q = Query::for_nodes(&g, 0, 1);
+        assert!(path_is_valid(&g, &q, 3, &[0, 1]));
+        assert!(!path_is_valid(&g, &q, 5, &[0, 1]));
     }
 }
