@@ -25,7 +25,7 @@ use spair_broadcast::packet::PacketKind;
 use spair_broadcast::{
     BroadcastChannel, BroadcastCycle, CpuMeter, CycleBuilder, MemoryMeter, QueryStats,
 };
-use spair_core::netcodec::{decode_payload, encode_nodes, ReceivedGraph};
+use spair_core::netcodec::{encode_nodes, ReceivedGraph};
 use spair_core::query::{AirClient, Query, QueryError, QueryOutcome};
 use spair_partition::{BorderInfo, KdLocator, KdTreePartition, Partitioning, RegionId};
 use spair_roadnet::dijkstra::Direction;
@@ -327,10 +327,8 @@ impl AirClient for ArcFlagClient {
         let mut splits: Vec<Option<f64>> = Vec::new();
         crate::dj::receive_whole_cycle(ch, &mut mem, |kind, payload, mem| match kind {
             PacketKind::Data => {
-                if let Some(records) = decode_payload(payload) {
-                    for rec in records {
-                        mem.alloc(store.ingest(rec));
-                    }
+                if let Some(charged) = store.ingest_payload(payload) {
+                    mem.alloc(charged);
                 }
             }
             PacketKind::Aux => {

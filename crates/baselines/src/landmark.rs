@@ -15,7 +15,7 @@ use spair_broadcast::packet::PacketKind;
 use spair_broadcast::{
     BroadcastChannel, BroadcastCycle, CpuMeter, CycleBuilder, MemoryMeter, QueryStats,
 };
-use spair_core::netcodec::{decode_payload, encode_nodes, ReceivedGraph};
+use spair_core::netcodec::{encode_nodes, ReceivedGraph};
 use spair_core::query::{AirClient, Query, QueryError, QueryOutcome};
 use spair_roadnet::dijkstra::{DijkstraWorkspace, Direction};
 use spair_roadnet::{Distance, NodeId, RoadNetwork, DIST_INF};
@@ -259,10 +259,8 @@ impl AirClient for LandmarkClient {
         let mut vectors: HashMap<NodeId, Vec<(Distance, Distance)>> = HashMap::new();
         crate::dj::receive_whole_cycle(ch, &mut mem, |kind, payload, mem| match kind {
             PacketKind::Data => {
-                if let Some(records) = decode_payload(payload) {
-                    for rec in records {
-                        mem.alloc(store.ingest(rec));
-                    }
+                if let Some(charged) = store.ingest_payload(payload) {
+                    mem.alloc(charged);
                 }
             }
             PacketKind::Aux => {

@@ -39,9 +39,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spair_broadcast::{ChannelRate, DeviceProfile, EnergyModel};
 use spair_core::memory_bound::MemoryBoundProcessor;
-use spair_core::netcodec::{
-    decode_payload, encode_nodes_with_borders, packet_count, ReceivedGraph,
-};
+use spair_core::netcodec::{encode_nodes_with_borders, packet_count, ReceivedGraph};
 use spair_core::{BorderPrecomputation, EbProgram, Query, RecoveryBudget};
 use spair_methods::eb::EbMethodProgram;
 use spair_methods::{MethodId as Method, MethodRegistry, ProgramSet, Tuning, World};
@@ -675,9 +673,7 @@ fn fig13(opts: &Opts, tally: &mut Tally) {
         for payload in
             encode_nodes_with_borders(&world.g, nodes, |v| world.pre.borders().is_border(v))
         {
-            for rec in decode_payload(&payload).unwrap() {
-                store.ingest(rec);
-            }
+            store.ingest_payload(&payload).unwrap();
         }
     }
 

@@ -133,6 +133,10 @@ impl RecordWriter {
 }
 
 /// Little-endian read cursor over one payload.
+///
+/// Every accessor is `#[inline]`: the clients that decode with it live in
+/// other crates, and without LTO a non-generic method is not inlined
+/// across a crate boundary, which left each field read a call.
 #[derive(Debug)]
 pub struct PayloadReader<'a> {
     buf: &'a [u8],
@@ -141,21 +145,25 @@ pub struct PayloadReader<'a> {
 
 impl<'a> PayloadReader<'a> {
     /// Wraps a payload.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
     /// Bytes left to read.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// True when the payload is exhausted.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
 
     /// Takes the next `n` raw bytes.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         if self.remaining() < n {
             return None;
@@ -178,31 +186,37 @@ impl<'a> PayloadReader<'a> {
     }
 
     /// Reads a `u8`.
+    #[inline]
     pub fn read_u8(&mut self) -> Option<u8> {
         self.take(1).map(|s| s[0])
     }
 
     /// Reads a little-endian `u16`.
+    #[inline]
     pub fn read_u16(&mut self) -> Option<u16> {
         self.take_array().map(u16::from_le_bytes)
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn read_u32(&mut self) -> Option<u32> {
         self.take_array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn read_u64(&mut self) -> Option<u64> {
         self.take_array().map(u64::from_le_bytes)
     }
 
     /// Reads a little-endian `f32`.
+    #[inline]
     pub fn read_f32(&mut self) -> Option<f32> {
         self.take_array().map(f32::from_le_bytes)
     }
 
     /// Reads a little-endian `f64`.
+    #[inline]
     pub fn read_f64(&mut self) -> Option<f64> {
         self.take_array().map(f64::from_le_bytes)
     }

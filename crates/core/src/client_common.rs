@@ -2,8 +2,9 @@
 //! discipline: "missing any needed adjacency data still requires waiting
 //! for the next cycle".
 
+use crate::netcodec::ReceivedGraph;
 use bytes::Bytes;
-use spair_broadcast::{BroadcastChannel, Received};
+use spair_broadcast::{BroadcastChannel, MemoryMeter, Received};
 
 /// Receives the `len` packets starting at cycle offset `offset`, sleeping
 /// to the start first. Lost packets yield `None` at their position.
@@ -18,6 +19,31 @@ pub fn receive_segment(
         out.push(ch.receive().ok().map(|p| p.payload().clone()));
     }
     out
+}
+
+/// Receives the `len` data packets starting at cycle offset `offset`,
+/// sleeping to the start first, and ingests each into `store` as it
+/// arrives, charging `mem` once per packet. The offset of a lost or
+/// malformed packet goes on `missing`.
+pub fn ingest_segment(
+    ch: &mut BroadcastChannel<'_>,
+    offset: usize,
+    len: usize,
+    store: &mut ReceivedGraph,
+    mem: &mut MemoryMeter,
+    missing: &mut Vec<usize>,
+) {
+    ch.sleep_to_offset(offset);
+    for i in 0..len {
+        match ch
+            .receive()
+            .ok()
+            .and_then(|p| store.ingest_payload(p.payload()))
+        {
+            Some(charged) => mem.alloc(charged),
+            None => missing.push((offset + i) % ch.cycle_len()),
+        }
+    }
 }
 
 /// Receives a segment reliably: lost packets are re-received in subsequent

@@ -1,10 +1,10 @@
 //! Client-side EB query processing (§4.2, Algorithm 1) with the §6.2 loss
 //! recovery rules.
 
-use crate::client_common::{find_next_index, receive_segment, MAX_RETRY_CYCLES};
+use crate::client_common::{find_next_index, ingest_segment, MAX_RETRY_CYCLES};
 use crate::eb::index::EbIndexDecoder;
 use crate::eb::server::EbSummary;
-use crate::netcodec::{decode_payload, ReceivedGraph};
+use crate::netcodec::ReceivedGraph;
 use crate::patch::{ClientArena, Coverage};
 use crate::query::{AirClient, Query, QueryError, QueryOutcome};
 use spair_broadcast::packet::PacketKind;
@@ -211,17 +211,8 @@ impl AirClient for EbClient {
             } else {
                 e.cross_packets as usize // §4.1: skip the local segment
             };
-            let got = receive_segment(ch, e.data_offset as usize, take);
-            for (i, slot) in got.into_iter().enumerate() {
-                match slot.and_then(|p| decode_payload(&p)) {
-                    Some(records) => {
-                        for rec in records {
-                            mem.alloc(store.ingest(rec));
-                        }
-                    }
-                    None => missing.push((e.data_offset as usize + i) % len),
-                }
-            }
+            let offset = e.data_offset as usize;
+            ingest_segment(ch, offset, take, &mut store, &mut mem, &mut missing);
         }
         // §6.2: lost region data must be received in a later cycle.
         let mut rounds = 0;
@@ -234,12 +225,12 @@ impl AirClient for EbClient {
             let mut still = Vec::new();
             for off in missing {
                 ch.sleep_to_offset(off);
-                match ch.receive().ok().and_then(|p| decode_payload(p.payload())) {
-                    Some(records) => {
-                        for rec in records {
-                            mem.alloc(store.ingest(rec));
-                        }
-                    }
+                match ch
+                    .receive()
+                    .ok()
+                    .and_then(|p| store.ingest_payload(p.payload()))
+                {
+                    Some(charged) => mem.alloc(charged),
                     None => still.push(off),
                 }
             }

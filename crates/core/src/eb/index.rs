@@ -266,19 +266,30 @@ impl EbIndexDecoder {
                     else {
                         return false;
                     };
-                    for i in 0..si as usize {
-                        for j in 0..sj as usize {
-                            let (Some(min), Some(max)) = (r.read_u32(), r.read_u32()) else {
-                                return false;
+                    // The whole cells of the square that arrived, row by
+                    // row; cells past the matrix are dropped.
+                    let (si, sj) = (si as usize, sj as usize);
+                    let whole = (si * sj).min(r.remaining() / 8);
+                    let cells = r.take(whole * 8).unwrap_or_default();
+                    if sj > 0 {
+                        for (i, row) in cells.chunks(sj * 8).enumerate() {
+                            let start = (i0 as usize + i) * n + j0 as usize;
+                            let Some(dst) = self.minmax.get_mut(start..) else {
+                                continue;
                             };
-                            let idx = (i0 as usize + i) * n + j0 as usize + j;
-                            if let Some(slot) = self.minmax.get_mut(idx) {
+                            for (slot, c) in dst.iter_mut().zip(row.chunks_exact(8)) {
+                                let word = |at: usize| {
+                                    u32::from_le_bytes([c[at], c[at + 1], c[at + 2], c[at + 3]])
+                                };
                                 *slot = Some(MinMax {
-                                    min: decode_dist(min),
-                                    max: decode_dist(max),
+                                    min: decode_dist(word(0)),
+                                    max: decode_dist(word(4)),
                                 });
                             }
                         }
+                    }
+                    if whole < si * sj {
+                        return false;
                     }
                 }
                 TAG_REGION => {
@@ -459,6 +470,134 @@ mod tests {
         let mut dec = EbIndexDecoder::new();
         dec.ingest(&idx.encode().unwrap()[0]);
         assert_eq!(dec.retained_bytes(), 7 * 8 + 64 * 16 + 8 * 8);
+    }
+
+    /// The former `ingest`, kept verbatim as the oracle of the one that
+    /// copies each square's cells in one pass.
+    fn oracle_ingest(dec: &mut EbIndexDecoder, payload: &[u8]) -> bool {
+        let mut r = PayloadReader::new(payload);
+        let Some(MAGIC) = r.read_u8() else {
+            return false;
+        };
+        let (Some(_seq), Some(total), Some(n)) = (r.read_u16(), r.read_u16(), r.read_u16()) else {
+            return false;
+        };
+        let n = n as usize;
+        if n == 0 || n > crate::nr::MAX_WIRE_REGIONS {
+            return false;
+        }
+        if dec.num_regions.is_none() {
+            dec.num_regions = Some(n);
+            dec.splits = vec![None; n - 1];
+            dec.minmax = vec![None; n * n];
+            dec.regions = vec![None; n];
+        }
+        if total > 0 {
+            dec.total_packets = Some(total);
+        }
+        while let Some(tag) = r.read_u8() {
+            match tag {
+                TAG_SPLITS => {
+                    let (Some(start), Some(count)) = (r.read_u16(), r.read_u8()) else {
+                        return false;
+                    };
+                    for k in 0..count as usize {
+                        let Some(v) = r.read_f64() else { return false };
+                        if let Some(slot) = dec.splits.get_mut(start as usize + k) {
+                            *slot = Some(v);
+                        }
+                    }
+                }
+                TAG_SQUARE => {
+                    let (Some(i0), Some(j0), Some(si), Some(sj)) =
+                        (r.read_u16(), r.read_u16(), r.read_u8(), r.read_u8())
+                    else {
+                        return false;
+                    };
+                    for i in 0..si as usize {
+                        for j in 0..sj as usize {
+                            let (Some(min), Some(max)) = (r.read_u32(), r.read_u32()) else {
+                                return false;
+                            };
+                            let idx = (i0 as usize + i) * n + j0 as usize + j;
+                            if let Some(slot) = dec.minmax.get_mut(idx) {
+                                *slot = Some(MinMax {
+                                    min: decode_dist(min),
+                                    max: decode_dist(max),
+                                });
+                            }
+                        }
+                    }
+                }
+                TAG_REGION => {
+                    let (Some(reg), Some(off), Some(cross), Some(local)) =
+                        (r.read_u16(), r.read_u32(), r.read_u16(), r.read_u16())
+                    else {
+                        return false;
+                    };
+                    if let Some(slot) = dec.regions.get_mut(reg as usize) {
+                        *slot = Some(EbRegionEntry {
+                            data_offset: off,
+                            cross_packets: cross,
+                            local_packets: local,
+                        });
+                    }
+                }
+                _ => return false,
+            }
+        }
+        true
+    }
+
+    mod square_copy_matches_oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Packet by packet, whole, cut short, bit-flipped or with
+            /// an arbitrary body behind the header, the decoder keeps the
+            /// oracle's return value and every table entry.
+            #[test]
+            fn squares_decode_as_the_former_loop(
+                n in 1usize..=40,
+                picks in proptest::collection::vec(
+                    (0usize..1024, 0u8..4, 0usize..2048, proptest::collection::vec(any::<u8>(), 0..120)),
+                    1..24,
+                ),
+            ) {
+                let mut idx = sample_index(n);
+                idx.minmax[n * n - 1].min = DIST_INF;
+                let payloads = idx.encode().unwrap();
+                let (mut dec, mut oracle) = (EbIndexDecoder::new(), EbIndexDecoder::new());
+                for (pick, mode, at, junk) in &picks {
+                    let mut p = payloads[pick % payloads.len()].to_vec();
+                    match mode {
+                        0 => {}
+                        1 => p.truncate(at % (p.len() + 1)),
+                        2 => {
+                            let b = at % (p.len() * 8);
+                            p[b / 8] ^= 1 << (b % 8);
+                        }
+                        _ => {
+                            p.truncate(7);
+                            p.extend_from_slice(junk);
+                        }
+                    }
+                    prop_assert_eq!(dec.ingest(&p), oracle_ingest(&mut oracle, &p));
+                    prop_assert_eq!(dec.total_packets, oracle.total_packets);
+                    prop_assert_eq!(dec.num_regions, oracle.num_regions);
+                    // Flipped bits can make a split NaN: compare bits.
+                    let bits = |v: &[Option<f64>]| -> Vec<Option<u64>> {
+                        v.iter().map(|s| s.map(f64::to_bits)).collect()
+                    };
+                    prop_assert_eq!(bits(&dec.splits), bits(&oracle.splits));
+                    prop_assert_eq!(&dec.minmax, &oracle.minmax);
+                    prop_assert_eq!(&dec.regions, &oracle.regions);
+                }
+            }
+        }
     }
 
     /// Decoder panic audit: every payload — random, truncated, or

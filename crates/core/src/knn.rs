@@ -23,10 +23,10 @@
 //! Range queries (`all POIs within distance d`) fall out of the same scan
 //! with the cut-off fixed at `d` instead of the k-th candidate.
 
-use crate::client_common::{find_next_index, receive_segment, MAX_RETRY_CYCLES};
+use crate::client_common::{find_next_index, ingest_segment, MAX_RETRY_CYCLES};
 use crate::eb::index::EbIndexDecoder;
 use crate::eb::{EbIndex, EbRegionEntry};
-use crate::netcodec::{decode_payload, encode_nodes_with_borders, ReceivedGraph};
+use crate::netcodec::{encode_nodes_with_borders, ReceivedGraph};
 use crate::precompute::BorderPrecomputation;
 use bytes::Bytes;
 use spair_broadcast::codec::{EncodeError, PayloadReader, RecordBuf, RecordWriter};
@@ -362,17 +362,8 @@ impl KnnClient {
                     .ok_or(crate::query::QueryError::Aborted(
                         "kNN region entry missing",
                     ))?;
-                let got = receive_segment(ch, e.data_offset as usize, e.cross_packets as usize);
-                for (i, slot) in got.into_iter().enumerate() {
-                    match slot.and_then(|p| decode_payload(&p)) {
-                        Some(records) => {
-                            for rec in records {
-                                mem.alloc(store.ingest(rec));
-                            }
-                        }
-                        None => missing.push((e.data_offset as usize + i) % len),
-                    }
-                }
+                let (offset, take) = (e.data_offset as usize, e.cross_packets as usize);
+                ingest_segment(ch, offset, take, &mut store, &mut mem, &mut missing);
             }
             // §6.2: recover losses before searching over the batch.
             let mut rounds = 0;
@@ -387,12 +378,12 @@ impl KnnClient {
                 let mut still = Vec::new();
                 for off in missing {
                     ch.sleep_to_offset(off);
-                    match ch.receive().ok().and_then(|p| decode_payload(p.payload())) {
-                        Some(records) => {
-                            for rec in records {
-                                mem.alloc(store.ingest(rec));
-                            }
-                        }
+                    match ch
+                        .receive()
+                        .ok()
+                        .and_then(|p| store.ingest_payload(p.payload()))
+                    {
+                        Some(charged) => mem.alloc(charged),
                         None => still.push(off),
                     }
                 }

@@ -16,6 +16,7 @@
 use crate::query::decoded_node_bytes;
 use bytes::Bytes;
 use spair_broadcast::codec::{PayloadReader, RecordBuf, RecordWriter};
+use spair_roadnet::heap::HeapEntry;
 use spair_roadnet::{Distance, MinHeap, NodeId, Point, QueuePolicy, RoadNetwork, Weight};
 use std::ops::ControlFlow;
 
@@ -81,6 +82,12 @@ pub fn encode_nodes_with_borders(
 
 /// Decodes all node records in one payload. Returns `None` on a malformed
 /// payload (which clients treat like a lost packet).
+///
+/// This is the allocating reference decoder: a `Vec` of records, each
+/// with its own `Vec` of arcs. Clients ingest payloads with
+/// [`ReceivedGraph::ingest_payload`], which parses the same bytes in
+/// place; this decoder is kept for tests, which check the two against
+/// each other, and for the benchmark's decode replay.
 pub fn decode_payload(payload: &[u8]) -> Option<Vec<NodeRecord>> {
     let mut r = PayloadReader::new(payload);
     let mut out = Vec::new();
@@ -109,6 +116,31 @@ fn read_record<'a>(r: &mut PayloadReader<'a>) -> Option<(NodeId, Point, u8, &'a 
         return None;
     }
     Some((id, point, flags, r.take(count * 8)?))
+}
+
+/// Bytes of a node record's header: id, x, y, count and flags.
+const RECORD_HEADER: usize = 14;
+
+/// Length of the node record at the head of `bytes`, if a whole,
+/// well-formed one is there: the header check of [`read_record`] alone.
+#[inline]
+fn record_len(bytes: &[u8]) -> Option<usize> {
+    if bytes.len() < RECORD_HEADER {
+        return None;
+    }
+    let count = bytes[12] as usize;
+    let len = RECORD_HEADER + count * 8;
+    (count <= MAX_EDGES_PER_RECORD && len <= bytes.len()).then_some(len)
+}
+
+/// The fields of one whole record ([`record_len`] bytes): id, point,
+/// flags and adjacency bytes, as [`read_record`] reads them.
+#[inline]
+fn parse_record(rec: &[u8]) -> (NodeId, Point, u8, &[u8]) {
+    let word = |at: usize| u32::from_le_bytes([rec[at], rec[at + 1], rec[at + 2], rec[at + 3]]);
+    let x = f32::from_bits(word(4)) as f64;
+    let y = f32::from_bits(word(8)) as f64;
+    (word(0), Point::new(x, y), rec[13], &rec[RECORD_HEADER..])
 }
 
 /// The `(target, weight)` entries of a record's adjacency bytes.
@@ -232,9 +264,12 @@ pub struct SearchScratch {
 }
 
 impl SearchScratch {
-    /// Heap bytes held (the vectors' capacities).
+    /// Heap bytes held (the vectors' and the heap's capacities).
     pub fn allocated_bytes(&self) -> usize {
-        vec_bytes(&self.dist) + vec_bytes(&self.parent) + vec_bytes(&self.stamp)
+        vec_bytes(&self.dist)
+            + vec_bytes(&self.parent)
+            + vec_bytes(&self.stamp)
+            + self.heap.capacity() * std::mem::size_of::<HeapEntry<u32>>()
     }
 }
 
@@ -291,8 +326,20 @@ impl ReceivedGraph {
         }
     }
 
-    /// Slot of `v`, creating an unmaterialized one if unseen.
+    /// Slot of `v`, creating an unmaterialized one if unseen. The
+    /// direct-table hit, nearly every call, is inline; the rest is not.
+    #[inline]
     fn ensure_slot(&mut self, v: NodeId) -> u32 {
+        match self.slot_table.get(v as usize) {
+            Some(&s) if s != NO_SLOT => s,
+            _ => self.ensure_slot_slow(v),
+        }
+    }
+
+    /// [`Self::ensure_slot`] past the direct-table hit: a spilled id, or
+    /// a new slot.
+    #[inline(never)]
+    fn ensure_slot_slow(&mut self, v: NodeId) -> u32 {
         if let Some(s) = self.slot_lookup(v) {
             return s;
         }
@@ -333,21 +380,26 @@ impl ReceivedGraph {
         self.append(rec.id, rec.point, rec.border, rec.edges.into_iter())
     }
 
-    /// Ingests every record of one payload straight from the wire bytes —
+    /// Ingests every record of one payload straight from the wire bytes:
     /// [`decode_payload`] + [`Self::ingest`] fused, with no intermediate
     /// record allocations. Returns the total bytes newly retained, or
     /// `None` on a malformed payload (in which case, like
     /// [`decode_payload`], nothing is ingested).
     pub fn ingest_payload(&mut self, payload: &[u8]) -> Option<usize> {
-        // Validate the whole payload first: ingestion is all-or-nothing.
-        let mut r = PayloadReader::new(payload);
-        while !r.is_empty() {
-            read_record(&mut r)?;
+        // Ingestion is all-or-nothing: one scan over the record headers
+        // validates the whole payload first.
+        let mut rest = payload;
+        while !rest.is_empty() {
+            rest = &rest[record_len(rest)?..];
         }
-        let mut r = PayloadReader::new(payload);
+        let mut rest = payload;
         let mut charged = 0usize;
-        while let Some((id, point, flags, adjacency)) = read_record(&mut r) {
+        while !rest.is_empty() {
+            // Validated above: the header is whole and its count in range.
+            let (rec, tail) = rest.split_at(RECORD_HEADER + rest[12] as usize * 8);
+            let (id, point, flags, adjacency) = parse_record(rec);
             charged += self.append(id, point, flags & 2 != 0, entries(adjacency));
+            rest = tail;
         }
         Some(charged)
     }
@@ -381,6 +433,8 @@ impl ReceivedGraph {
                 self.hops.extend_from_within(run);
             }
             self.runs[s].0 = (self.edges.len() - before as usize) as u32;
+            self.edges.reserve(added);
+            self.hops.reserve(added);
             for (t, w) in edges {
                 let slot = self.ensure_slot(t);
                 self.edges.push((t, w));
@@ -493,6 +547,7 @@ impl ReceivedGraph {
             + vec_bytes(&self.runs)
             + vec_bytes(&self.edges)
             + vec_bytes(&self.hops)
+            + vec_bytes(&self.costs)
             + vec_bytes(&self.staged)
             + vec_bytes(&self.starts)
             + self.scratch.allocated_bytes()
@@ -1158,6 +1213,37 @@ mod tests {
         g.build_staged();
         assert_eq!(g.out_edges(0), &[(1, 4), (4, 4), (5, 4), (6, 1)]);
         assert_eq!(g.shortest_path(2, 6).0, Some((3, vec![2, 0, 6])));
+    }
+
+    /// `allocated_bytes` counts every allocation the arena holds: the
+    /// staged-cost arena and the search heap included.
+    #[test]
+    fn allocated_bytes_counts_the_cost_arena_and_the_heap() {
+        let mut g = ReceivedGraph::new();
+        for v in 0..64u32 {
+            g.stage_arc(v, (v + 1) % 64, 3, 1);
+            g.stage_arc(v, (v + 7) % 64, 5, RAW_ARC);
+        }
+        g.build_staged();
+        g.shortest_path(0, 63);
+        assert!(g.costs.capacity() > 0 && g.scratch.heap.capacity() > 0);
+        let heap_bytes = g.scratch.heap.capacity() * std::mem::size_of::<HeapEntry<u32>>();
+        let want = vec_bytes(&g.slot_table)
+            + g.slot_spill.capacity() * std::mem::size_of::<(NodeId, u32)>()
+            + vec_bytes(&g.ids)
+            + vec_bytes(&g.points)
+            + vec_bytes(&g.flags)
+            + vec_bytes(&g.runs)
+            + vec_bytes(&g.edges)
+            + vec_bytes(&g.hops)
+            + vec_bytes(&g.costs)
+            + vec_bytes(&g.staged)
+            + vec_bytes(&g.starts)
+            + vec_bytes(&g.scratch.dist)
+            + vec_bytes(&g.scratch.parent)
+            + vec_bytes(&g.scratch.stamp)
+            + heap_bytes;
+        assert_eq!(g.allocated_bytes(), want);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Client-side NR query processing (§5.2, Algorithm 2) with the §6.2 loss
 //! recovery rules.
 
-use crate::client_common::{find_next_index, MAX_RETRY_CYCLES};
-use crate::netcodec::{decode_payload, ReceivedGraph};
+use crate::client_common::{find_next_index, ingest_segment, MAX_RETRY_CYCLES};
+use crate::netcodec::ReceivedGraph;
 use crate::nr::index::{parse_header, NrIndexDecoder, NrSharedState, NO_NEXT};
 use crate::nr::server::NrSummary;
 use crate::patch::{ClientArena, Coverage};
@@ -20,6 +20,8 @@ pub struct NrClient {
     store: ReceivedGraph,
     /// Regions the last session received data from, ascending.
     held: Vec<u16>,
+    /// The local-index decoder every hop of every session reuses.
+    index: NrIndexDecoder,
 }
 
 /// What [`NrClient::receive_local_index`] ran into after the copy.
@@ -40,24 +42,25 @@ impl NrClient {
             summary,
             store: ReceivedGraph::new(),
             held: Vec::new(),
+            index: NrIndexDecoder::new(),
         }
     }
 
     /// Receives one local-index copy starting at (or inside) the current
-    /// offset. Uses the per-packet `seq`/`total` header to know when the
-    /// copy ends even when tuning in mid-copy or losing packets.
+    /// offset into `dec`. Uses the per-packet `seq`/`total` header to know
+    /// when the copy ends even when tuning in mid-copy or losing packets.
     fn receive_local_index(
-        &self,
         ch: &mut BroadcastChannel<'_>,
+        dec: &mut NrIndexDecoder,
         shared: &mut NrSharedState,
         missing: &mut Vec<usize>,
-    ) -> (NrIndexDecoder, Overrun) {
-        let mut dec = NrIndexDecoder::new();
+    ) -> Overrun {
+        dec.reset();
         let mut remaining: Option<usize> = None;
         let mut blind = 0usize;
         loop {
             if remaining == Some(0) {
-                return (dec, Overrun::None);
+                return Overrun::None;
             }
             let off = ch.offset();
             match ch.receive() {
@@ -70,7 +73,7 @@ impl NrClient {
                         }
                     }
                     // Ran past the index into region data.
-                    return (dec, Overrun::DataPacket(off, Some(p.payload().clone())));
+                    return Overrun::DataPacket(off, Some(p.payload().clone()));
                 }
                 Received::Lost | Received::Corrupted => {
                     match remaining.as_mut() {
@@ -83,7 +86,7 @@ impl NrClient {
                             missing.push(off);
                             blind += 1;
                             if blind > 32 {
-                                return (dec, Overrun::Unknown);
+                                return Overrun::Unknown;
                             }
                         }
                     }
@@ -94,20 +97,20 @@ impl NrClient {
 
     /// Loss fallback: listen packet-by-packet (ingesting any intact data
     /// records on the way) until a local-index packet starts, then receive
-    /// that index.
+    /// that index into `dec`. `false` if no index started.
     fn crawl_to_next_index(
-        &self,
         ch: &mut BroadcastChannel<'_>,
+        dec: &mut NrIndexDecoder,
         store: &mut ReceivedGraph,
         shared: &mut NrSharedState,
         mem: &mut MemoryMeter,
         missing: &mut Vec<usize>,
-    ) -> Option<NrIndexDecoder> {
+    ) -> bool {
         for _ in 0..2 * ch.cycle_len().max(64) {
             let off = ch.offset();
             match ch.receive() {
                 Received::Packet(p) if p.kind() == PacketKind::LocalIndex => {
-                    let mut dec = NrIndexDecoder::new();
+                    dec.reset();
                     let mut remaining = match parse_header(p.payload()) {
                         Some(h) => {
                             dec.ingest(p.payload(), shared);
@@ -129,20 +132,18 @@ impl NrClient {
                         }
                         remaining -= 1;
                     }
-                    return Some(dec);
+                    return true;
                 }
                 Received::Packet(p) if p.kind() == PacketKind::Data => {
-                    if let Some(records) = decode_payload(p.payload()) {
-                        for rec in records {
-                            mem.alloc(store.ingest(rec));
-                        }
+                    if let Some(charged) = store.ingest_payload(p.payload()) {
+                        mem.alloc(charged);
                     }
                 }
                 Received::Lost | Received::Corrupted => missing.push(off),
                 _ => {}
             }
         }
-        None
+        false
     }
 
     /// Receives region `r`'s data given its offset entry; lost packets are
@@ -155,9 +156,7 @@ impl NrClient {
     /// when `include_local` (terminal regions, §4.1) — otherwise the
     /// client sleeps over it and wakes at the next local index. Either
     /// way the channel ends positioned at the local index that follows.
-    #[allow(clippy::too_many_arguments)]
     fn receive_region_data(
-        &self,
         ch: &mut BroadcastChannel<'_>,
         entry: &crate::nr::index::NrOffsetEntry,
         include_local: bool,
@@ -179,17 +178,7 @@ impl NrClient {
             start = (offset + 1) % len;
             count = packets.saturating_sub(1);
         }
-        ch.sleep_to_offset(start);
-        for i in 0..count {
-            match ch.receive().ok().and_then(|p| decode_payload(p.payload())) {
-                Some(records) => {
-                    for rec in records {
-                        mem.alloc(store.ingest(rec));
-                    }
-                }
-                None => missing.push((start + i) % len),
-            }
-        }
+        ingest_segment(ch, start, count, store, mem, missing);
         if !include_local {
             ch.sleep_to_offset((offset + entry.data_packets()) % len);
         }
@@ -206,12 +195,8 @@ fn drain_overrun(
 ) -> Option<usize> {
     match std::mem::replace(overrun, Overrun::None) {
         Overrun::DataPacket(off, payload) => {
-            match payload.and_then(|p| decode_payload(&p)) {
-                Some(records) => {
-                    for rec in records {
-                        mem.alloc(store.ingest(rec));
-                    }
-                }
+            match payload.and_then(|p| store.ingest_payload(&p)) {
+                Some(charged) => mem.alloc(charged),
                 None => missing.push(off),
             }
             Some(off)
@@ -255,7 +240,8 @@ impl AirClient for NrClient {
             return Err(QueryError::Aborted("no index on channel"));
         };
         ch.sleep_to_offset(first_off);
-        let (mut current, mut overrun) = self.receive_local_index(ch, &mut shared, &mut missing);
+        let mut current = std::mem::take(&mut self.index);
+        let mut overrun = Self::receive_local_index(ch, &mut current, &mut shared, &mut missing);
 
         // First region the cell chain named (Algorithm 2's `first_region`).
         let mut chain_first: Option<RegionId> = None;
@@ -302,7 +288,7 @@ impl AirClient for NrClient {
                                 // their local segment.
                                 let terminal =
                                     rs_rt.is_none_or(|(rs, rt)| next == rs || next == rt);
-                                self.receive_region_data(
+                                Self::receive_region_data(
                                     ch,
                                     &e,
                                     terminal,
@@ -321,30 +307,28 @@ impl AirClient for NrClient {
                                 );
                             }
                             // The next local index follows contiguously.
-                            let (dec, ovr) =
-                                self.receive_local_index(ch, &mut shared, &mut missing);
-                            current = dec;
-                            overrun = ovr;
+                            overrun = Self::receive_local_index(
+                                ch,
+                                &mut current,
+                                &mut shared,
+                                &mut missing,
+                            );
                         }
                         None => {
                             // Offset entry lost: crawl to the next index,
                             // healing the table from its copy.
                             drain_overrun(&mut overrun, &mut store, &mut mem, &mut missing);
-                            match self.crawl_to_next_index(
+                            if !Self::crawl_to_next_index(
                                 ch,
+                                &mut current,
                                 &mut store,
                                 &mut shared,
                                 &mut mem,
                                 &mut missing,
                             ) {
-                                Some(dec) => {
-                                    current = dec;
-                                    overrun = Overrun::None;
-                                }
-                                None => {
-                                    return Err(QueryError::Aborted("NR crawl failed"));
-                                }
+                                return Err(QueryError::Aborted("NR crawl failed"));
                             }
+                            overrun = Overrun::None;
                         }
                     }
                 }
@@ -366,7 +350,7 @@ impl AirClient for NrClient {
                                 drain_overrun(&mut overrun, &mut store, &mut mem, &mut missing);
                             // Conservative under loss: take the local
                             // segment too (the region might be terminal).
-                            self.receive_region_data(
+                            Self::receive_region_data(
                                 ch,
                                 &e,
                                 true,
@@ -376,26 +360,26 @@ impl AirClient for NrClient {
                                 &mut missing,
                             );
                             received[m as usize] = true;
-                            let (dec, ovr) =
-                                self.receive_local_index(ch, &mut shared, &mut missing);
-                            current = dec;
-                            overrun = ovr;
+                            overrun = Self::receive_local_index(
+                                ch,
+                                &mut current,
+                                &mut shared,
+                                &mut missing,
+                            );
                         }
                         None => {
                             drain_overrun(&mut overrun, &mut store, &mut mem, &mut missing);
-                            match self.crawl_to_next_index(
+                            if !Self::crawl_to_next_index(
                                 ch,
+                                &mut current,
                                 &mut store,
                                 &mut shared,
                                 &mut mem,
                                 &mut missing,
                             ) {
-                                Some(dec) => {
-                                    current = dec;
-                                    overrun = Overrun::None;
-                                }
-                                None => return Err(QueryError::Aborted("NR crawl failed")),
+                                return Err(QueryError::Aborted("NR crawl failed"));
                             }
+                            overrun = Overrun::None;
                         }
                     }
                 }
@@ -416,10 +400,8 @@ impl AirClient for NrClient {
                 ch.sleep_to_offset(off);
                 match ch.receive() {
                     Received::Packet(p) if p.kind() == PacketKind::Data => {
-                        if let Some(records) = decode_payload(p.payload()) {
-                            for rec in records {
-                                mem.alloc(store.ingest(rec));
-                            }
+                        if let Some(charged) = store.ingest_payload(p.payload()) {
+                            mem.alloc(charged);
                         }
                     }
                     // Turned out to be an index packet: nothing to recover.
@@ -438,6 +420,7 @@ impl AirClient for NrClient {
             .filter_map(|(r, &got)| got.then_some(r as u16))
             .collect();
         self.store = store;
+        self.index = current;
         let stats = QueryStats {
             tuning_packets: ch.tuned(),
             latency_packets: ch.elapsed(),

@@ -184,9 +184,17 @@ pub fn parse_header(payload: &[u8]) -> Option<NrHeader> {
     })
 }
 
+/// Cell value of [`NrIndexDecoder`]'s table for a cell whose packet has
+/// not arrived: above every `u16` a cell carries on the wire, [`NO_NEXT`]
+/// included.
+const NOT_ARRIVED: u32 = u32::MAX;
+
 /// Loss-tolerant decoder for one local-index copy, with shared state for
 /// the structures that are identical across copies (splits, offsets).
-#[derive(Debug)]
+///
+/// One decoder serves copy after copy: [`Self::reset`] forgets the copy
+/// and keeps the cell table's allocation.
+#[derive(Debug, Default, Clone)]
 pub struct NrIndexDecoder {
     /// Owner region of the copy being decoded.
     pub region: Option<RegionId>,
@@ -194,29 +202,28 @@ pub struct NrIndexDecoder {
     pub total_packets: Option<u16>,
     /// Region count.
     pub num_regions: Option<usize>,
-    /// The query's cell, if its packet arrived (set via [`Self::cell`]).
-    next_cells: Vec<Option<u16>>,
-}
-
-impl Default for NrIndexDecoder {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Row-major `n × n` next-region cells of this copy ([`Self::cell`]),
+    /// [`NOT_ARRIVED`] where no packet carried the cell yet.
+    cells: Vec<u32>,
 }
 
 impl NrIndexDecoder {
     /// Fresh decoder for one copy.
     pub fn new() -> Self {
-        Self {
-            region: None,
-            total_packets: None,
-            num_regions: None,
-            next_cells: Vec::new(),
-        }
+        Self::default()
+    }
+
+    /// Readies the decoder for the next copy, keeping its cell table's
+    /// allocation.
+    pub fn reset(&mut self) {
+        self.region = None;
+        self.total_packets = None;
+        self.num_regions = None;
     }
 
     /// Ingests one packet payload, merging splits/offsets into `shared`.
     /// Returns `false` for payloads that are not NR local-index packets.
+    /// A payload that breaks off keeps what it carried before the break.
     pub fn ingest(&mut self, payload: &[u8], shared: &mut NrSharedState) -> bool {
         let mut r = PayloadReader::new(payload);
         let Some(MAGIC) = r.read_u8() else {
@@ -241,10 +248,11 @@ impl NrIndexDecoder {
         }
         if self.num_regions.is_none() {
             self.num_regions = Some(n);
-            self.next_cells = vec![None; n * n];
+            self.cells.clear();
+            self.cells.resize(n * n, NOT_ARRIVED);
         }
         shared.ensure(n);
-        let wide = n > 255;
+        let width = if n > 255 { 2 } else { 1 };
         while let Some(tag) = r.read_u8() {
             match tag {
                 TAG_SPLITS => {
@@ -278,22 +286,24 @@ impl NrIndexDecoder {
                     else {
                         return false;
                     };
-                    for k in 0..count as usize {
-                        let v = if wide {
-                            let Some(v) = r.read_u16() else { return false };
-                            v
-                        } else {
-                            let Some(v) = r.read_u8() else { return false };
-                            if v == 255 {
-                                NO_NEXT
-                            } else {
-                                v as u16
+                    // The whole cells of the run that arrived, copied in
+                    // one pass; cells past the table are dropped.
+                    let whole = (count as usize).min(r.remaining() / width);
+                    let run = r.take(whole * width).unwrap_or_default();
+                    let start = i as usize * n + j0 as usize;
+                    if let Some(dst) = self.cells.get_mut(start..) {
+                        if width == 1 {
+                            for (c, &v) in dst.iter_mut().zip(run) {
+                                *c = if v == 255 { NO_NEXT as u32 } else { v as u32 };
                             }
-                        };
-                        let idx = i as usize * n + j0 as usize + k;
-                        if let Some(slot) = self.next_cells.get_mut(idx) {
-                            *slot = Some(v);
+                        } else {
+                            for (c, v) in dst.iter_mut().zip(run.chunks_exact(2)) {
+                                *c = u16::from_le_bytes([v[0], v[1]]) as u32;
+                            }
                         }
+                    }
+                    if whole < count as usize {
+                        return false;
                     }
                 }
                 _ => return false,
@@ -305,7 +315,8 @@ impl NrIndexDecoder {
     /// The `(from, to)` cell of this copy, if its packet arrived.
     pub fn cell(&self, from: RegionId, to: RegionId) -> Option<u16> {
         let n = self.num_regions?;
-        self.next_cells[from as usize * n + to as usize]
+        let c = self.cells[from as usize * n + to as usize];
+        (c != NOT_ARRIVED).then_some(c as u16)
     }
 }
 
@@ -451,6 +462,230 @@ mod tests {
         let idx = sample(0, 32);
         let count = idx.encode().unwrap().len();
         assert!(count <= 20, "local index unexpectedly large: {count}");
+    }
+
+    /// The former decoder, kept verbatim as the oracle of the flat one:
+    /// a fresh `Vec<Option<u16>>` per copy, one cell read at a time.
+    mod oracle {
+        use super::super::*;
+
+        #[derive(Debug, Default)]
+        pub struct OracleDecoder {
+            pub region: Option<RegionId>,
+            pub total_packets: Option<u16>,
+            pub num_regions: Option<usize>,
+            next_cells: Vec<Option<u16>>,
+        }
+
+        impl OracleDecoder {
+            pub fn ingest(&mut self, payload: &[u8], shared: &mut NrSharedState) -> bool {
+                let mut r = PayloadReader::new(payload);
+                let Some(MAGIC) = r.read_u8() else {
+                    return false;
+                };
+                let (Some(region), Some(_seq), Some(total), Some(n)) =
+                    (r.read_u16(), r.read_u16(), r.read_u16(), r.read_u16())
+                else {
+                    return false;
+                };
+                let n = n as usize;
+                if n == 0 || n > MAX_WIRE_REGIONS {
+                    return false;
+                }
+                self.region = Some(region);
+                if total > 0 {
+                    self.total_packets = Some(total);
+                }
+                if self.num_regions.is_none() {
+                    self.num_regions = Some(n);
+                    self.next_cells = vec![None; n * n];
+                }
+                shared.ensure(n);
+                let wide = n > 255;
+                while let Some(tag) = r.read_u8() {
+                    match tag {
+                        TAG_SPLITS => {
+                            let (Some(start), Some(count)) = (r.read_u16(), r.read_u8()) else {
+                                return false;
+                            };
+                            for k in 0..count as usize {
+                                let Some(v) = r.read_f64() else { return false };
+                                if let Some(slot) = shared.splits.get_mut(start as usize + k) {
+                                    *slot = Some(v);
+                                }
+                            }
+                        }
+                        TAG_OFFSET => {
+                            let (Some(reg), Some(off), Some(cross), Some(local)) =
+                                (r.read_u16(), r.read_u32(), r.read_u16(), r.read_u16())
+                            else {
+                                return false;
+                            };
+                            if let Some(slot) = shared.offsets.get_mut(reg as usize) {
+                                *slot = Some(NrOffsetEntry {
+                                    data_offset: off,
+                                    cross_packets: cross,
+                                    local_packets: local,
+                                });
+                            }
+                        }
+                        TAG_NEXT => {
+                            let (Some(i), Some(j0), Some(count)) =
+                                (r.read_u16(), r.read_u16(), r.read_u8())
+                            else {
+                                return false;
+                            };
+                            for k in 0..count as usize {
+                                let v = if wide {
+                                    let Some(v) = r.read_u16() else { return false };
+                                    v
+                                } else {
+                                    let Some(v) = r.read_u8() else { return false };
+                                    if v == 255 {
+                                        NO_NEXT
+                                    } else {
+                                        v as u16
+                                    }
+                                };
+                                let idx = i as usize * n + j0 as usize + k;
+                                if let Some(slot) = self.next_cells.get_mut(idx) {
+                                    *slot = Some(v);
+                                }
+                            }
+                        }
+                        _ => return false,
+                    }
+                }
+                true
+            }
+
+            pub fn cell(&self, from: RegionId, to: RegionId) -> Option<u16> {
+                let n = self.num_regions?;
+                self.next_cells[from as usize * n + to as usize]
+            }
+        }
+    }
+
+    /// The flat decoder against the oracle, packet by packet, on narrow
+    /// and wide copies whose packets arrive whole, cut short, bit-flipped
+    /// or replaced by arbitrary bytes behind a plausible header. The flat
+    /// decoder is reused across two copies, as the client reuses it
+    /// across hops; the oracle starts fresh for each.
+    mod flat_matches_oracle {
+        use super::oracle::OracleDecoder;
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A local index of `n` regions whose cells, splits and offsets
+        /// are a hash of `seed`; about one cell in seven is [`NO_NEXT`].
+        fn hashed(region: RegionId, n: usize, seed: u64) -> NrLocalIndex {
+            let h = |k: u64| {
+                let mut z = seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z ^ (z >> 31)
+            };
+            NrLocalIndex {
+                region,
+                num_regions: n,
+                splits: (0..n - 1).map(|i| h(i as u64) as f64 / 7.0).collect(),
+                next: (0..n * n)
+                    .map(|k| match h(k as u64 + 1_000_000) {
+                        v if v % 7 == 0 => NO_NEXT,
+                        v => (v % n as u64) as u16,
+                    })
+                    .collect(),
+                offsets: (0..n)
+                    .map(|r| NrOffsetEntry {
+                        data_offset: h(r as u64 + 5_000_000) as u32,
+                        cross_packets: r as u16,
+                        local_packets: (r / 3) as u16,
+                    })
+                    .collect(),
+            }
+        }
+
+        /// What happens to one packet: arrives whole, cut at a byte,
+        /// with a bit flipped, or its body replaced by arbitrary bytes.
+        fn mangled(payload: &[u8], mode: u8, at: usize, junk: &[u8]) -> Vec<u8> {
+            let mut p = payload.to_vec();
+            match mode {
+                0 => {}
+                1 => p.truncate(at % (p.len() + 1)),
+                2 => {
+                    let b = at % (p.len() * 8);
+                    p[b / 8] ^= 1 << (b % 8);
+                }
+                _ => {
+                    p.truncate(HEADER_LEN);
+                    p.extend_from_slice(junk);
+                }
+            }
+            p
+        }
+
+        fn assert_same(flat: &NrIndexDecoder, oracle: &OracleDecoder) {
+            assert_eq!(flat.region, oracle.region, "region");
+            assert_eq!(flat.total_packets, oracle.total_packets, "total");
+            assert_eq!(flat.num_regions, oracle.num_regions, "region count");
+            let n = oracle.num_regions.unwrap_or(0) as RegionId;
+            for i in 0..n {
+                for j in 0..n {
+                    assert_eq!(flat.cell(i, j), oracle.cell(i, j), "cell ({i}, {j})");
+                }
+            }
+        }
+
+        /// Feeds `picks` packets of two copies to both decoders.
+        fn run(n: usize, seed: u64, picks: &[(usize, u8, usize, Vec<u8>)]) {
+            let mut flat = NrIndexDecoder::new();
+            let mut flat_shared = NrSharedState::default();
+            let mut oracle_shared = NrSharedState::default();
+            for copy in 0..2u16 {
+                let payloads = hashed(copy, n, seed ^ copy as u64).encode().unwrap();
+                flat.reset();
+                let mut oracle = OracleDecoder::default();
+                for (pick, mode, at, junk) in picks {
+                    let p = mangled(&payloads[pick % payloads.len()], *mode, *at, junk);
+                    let want = oracle.ingest(&p, &mut oracle_shared);
+                    assert_eq!(flat.ingest(&p, &mut flat_shared), want, "accepted");
+                    assert_same(&flat, &oracle);
+                    // Flipped bits can make a split NaN: compare bits.
+                    let bits = |v: &[Option<f64>]| -> Vec<Option<u64>> {
+                        v.iter().map(|s| s.map(f64::to_bits)).collect()
+                    };
+                    assert_eq!(bits(&flat_shared.splits), bits(&oracle_shared.splits));
+                    assert_eq!(flat_shared.offsets, oracle_shared.offsets, "offsets");
+                }
+            }
+        }
+
+        fn picks(max: usize) -> impl Strategy<Value = Vec<(usize, u8, usize, Vec<u8>)>> {
+            let pick = (
+                0usize..4096,
+                0u8..4,
+                0usize..2048,
+                proptest::collection::vec(any::<u8>(), 0..118),
+            );
+            proptest::collection::vec(pick, 1..max)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn narrow_copies(n in 1usize..=255, seed in any::<u64>(), picks in picks(24)) {
+                run(n, seed, &picks);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            #[test]
+            fn wide_copies(n in 256usize..=300, seed in any::<u64>(), picks in picks(10)) {
+                run(n, seed, &picks);
+            }
+        }
     }
 
     /// Decoder panic audit: every payload — random, truncated, or

@@ -10,7 +10,8 @@
 //! streams (dense and spill-range ids, duplicate chunks, zero weights),
 //! on encoded payload streams from grid and germany-class preset
 //! networks, and on the fused [`ReceivedGraph::ingest_payload`] path
-//! against decode-then-ingest.
+//! against decode-then-ingest, on whole, truncated, bit-flipped and
+//! arbitrary payloads.
 //!
 //! The store's one search, [`ReceivedGraph::search`], replaced five
 //! loops over received stores. Each is kept here verbatim as an oracle
@@ -506,6 +507,107 @@ fn malformed_payload_is_all_or_nothing() {
     after_nodes.sort_unstable();
     assert_eq!(before_nodes, after_nodes, "no partial node ingest");
     assert_eq!(before_bytes, store.retained_bytes(), "no partial charge");
+}
+
+/// One payload of the validation-scan test: a real payload whole, cut
+/// short or with one bit flipped, arbitrary bytes, or forged records
+/// `(id, count, flags)` with counts up to 15, cut at a byte.
+#[derive(Debug, Clone)]
+enum Mangle {
+    Whole,
+    Cut(usize),
+    Flip(usize),
+    Arbitrary(Vec<u8>),
+    Forged(Vec<(u32, u8, u8)>, usize),
+}
+
+impl Mangle {
+    fn apply(&self, payload: &[u8]) -> Vec<u8> {
+        let mut p = payload.to_vec();
+        match self {
+            Mangle::Whole => {}
+            Mangle::Cut(at) => p.truncate(*at % (p.len() + 1)),
+            Mangle::Flip(bit) => {
+                let b = bit % (p.len() * 8);
+                p[b / 8] ^= 1 << (b % 8);
+            }
+            Mangle::Arbitrary(bytes) => p.clone_from(bytes),
+            Mangle::Forged(records, cut) => {
+                p.clear();
+                for &(id, count, flags) in records {
+                    p.extend(id.to_le_bytes());
+                    p.extend(1.5f32.to_le_bytes());
+                    p.extend((id as f32).to_le_bytes());
+                    p.extend([count, flags]);
+                    for k in 0..count as u32 {
+                        p.extend((id + k + 1).to_le_bytes());
+                        p.extend(k.to_le_bytes());
+                    }
+                }
+                p.truncate(*cut);
+            }
+        }
+        p
+    }
+}
+
+fn mangles() -> impl Strategy<Value = Vec<Mangle>> {
+    let one = prop_oneof![
+        Just(Mangle::Whole),
+        (0usize..130).prop_map(Mangle::Cut),
+        (0usize..1040).prop_map(Mangle::Flip),
+        proptest::collection::vec(any::<u8>(), 0..130).prop_map(Mangle::Arbitrary),
+        (
+            proptest::collection::vec((0u32..200, 0u8..16, any::<u8>()), 0..4),
+            0usize..400,
+        )
+            .prop_map(|(records, cut)| Mangle::Forged(records, cut)),
+    ];
+    proptest::collection::vec(one, 1..48)
+}
+
+/// Asserts two stores hold the same nodes, points, border flags, arcs
+/// and retained bytes.
+fn assert_stores_equal(want: &ReceivedGraph, got: &ReceivedGraph) {
+    assert_eq!(want.num_nodes(), got.num_nodes(), "num_nodes");
+    assert_eq!(want.retained_bytes(), got.retained_bytes(), "retained");
+    let mut ids: Vec<NodeId> = want.node_ids().collect();
+    ids.sort_unstable();
+    let mut got_ids: Vec<NodeId> = got.node_ids().collect();
+    got_ids.sort_unstable();
+    assert_eq!(ids, got_ids, "node id set");
+    for &v in &ids {
+        // Bit-flipped coordinates can be NaN, so compare their bits.
+        let bits = |p: Option<Point>| p.map(|p| (p.x.to_bits(), p.y.to_bits()));
+        assert_eq!(bits(want.point(v)), bits(got.point(v)), "point of {v}");
+        assert_eq!(want.is_border(v), got.is_border(v), "border of {v}");
+        assert_eq!(want.out_edges(v), got.out_edges(v), "edges of {v}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The fused path's one validation scan accepts exactly the payloads
+    /// [`decode_payload`] accepts, whole, truncated, bit-flipped or
+    /// arbitrary, and an accepted payload leaves the store, and charges
+    /// it, as decoding it and ingesting each record would.
+    #[test]
+    fn validation_scan_matches_the_reference_decoder(seed in 0u64..500, mangles in mangles()) {
+        let g = NetworkPreset::Germany.config_for_nodes(seed, 120).generate();
+        let nodes: Vec<NodeId> = g.node_ids().collect();
+        let payloads = encode_nodes(&g, &nodes);
+        let mut fused = ReceivedGraph::new();
+        let mut stepwise = ReceivedGraph::new();
+        for (k, m) in mangles.iter().enumerate() {
+            let p = m.apply(&payloads[(seed as usize + 7 * k) % payloads.len()]);
+            let want = decode_payload(&p)
+                .map(|recs| recs.into_iter().map(|r| stepwise.ingest(r)).sum::<usize>());
+            let got = fused.ingest_payload(&p);
+            prop_assert_eq!(want, got, "acceptance and charge of {:?}", m);
+            assert_stores_equal(&stepwise, &fused);
+        }
+    }
 }
 
 /// A search result: `(distance, path)` if the target settled, and the

@@ -11,7 +11,7 @@
 
 use crate::{BroadcastMethod, MethodDescriptor, MethodProgram, MethodUnavailable, World};
 use spair_broadcast::{BroadcastCycle, QueryStats};
-use spair_core::netcodec::{decode_payload, encode_nodes_with_borders, ReceivedGraph};
+use spair_core::netcodec::{encode_nodes_with_borders, ReceivedGraph};
 use spair_core::query::{Query, QueryError, QueryOutcome};
 use spair_core::{BorderPrecomputation, MemoryBoundProcessor};
 use spair_partition::{KdTreePartition, Partitioning};
@@ -106,9 +106,9 @@ impl BroadcastMethod for NrMemBound {
             for payload in
                 encode_nodes_with_borders(&world.g, nodes, |v| world.pre.borders().is_border(v))
             {
-                for rec in decode_payload(&payload).expect("server-encoded payload") {
-                    store.ingest(rec);
-                }
+                store
+                    .ingest_payload(&payload)
+                    .expect("server-encoded payload");
             }
         }
         Box::new(MemBoundProgram {

@@ -54,6 +54,12 @@ impl<T: Copy> MinHeap<T> {
         self.slots.is_empty()
     }
 
+    /// Entries the heap can hold without reallocating.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.slots.capacity()
+    }
+
     /// Removes all entries, keeping the allocation.
     #[inline]
     pub fn clear(&mut self) {
