@@ -160,6 +160,7 @@ fn run_socket_main(args: &BenchArgs, o: &Overrides, events: Option<String>) -> i
                 ("evictions", d.evictions.to_string()),
                 ("injected_drops", d.injected_drops.to_string()),
                 ("backpressure_drops", d.backpressure_drops.to_string()),
+                ("frames_sent", d.frames_sent.to_string()),
                 ("dead_letters", d.dead_letters.to_string()),
                 ("events", d.events.to_string()),
             ]),

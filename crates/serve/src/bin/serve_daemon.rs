@@ -158,12 +158,13 @@ fn main() {
         Ok(s) => {
             println!(
                 "stopped sessions={} rejections={} evictions={} injected_drops={} \
-                 backpressure_drops={} dead_letters={} events={}",
+                 backpressure_drops={} frames_sent={} dead_letters={} events={}",
                 s.sessions,
                 s.rejections,
                 s.evictions,
                 s.injected_drops,
                 s.backpressure_drops,
+                s.frames_sent,
                 s.dead_letters,
                 s.events
             );

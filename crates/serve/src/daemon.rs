@@ -12,6 +12,15 @@
 //! shuts down — each end typed as a [`CloseReason`] in both the wire
 //! `Close` frame and the `session_closed` event.
 //!
+//! Each channel's data frames are encoded once, at [`ServeDaemon::start`]:
+//! every cycle position keeps its frame tail (payload length and packet
+//! image) and the tail's CRC as a [`DataTail`]. A streamer only writes
+//! its session's 16-byte head in front and combines the two CRCs, so a
+//! session costs the daemon its head bytes, not a packet encode. The
+//! streamer reads the control stream for the client's `Close` after
+//! every TCP batch and every 8 UDP datagrams, so a stream stops within
+//! a batch of the client's `Close` rather than at lap end.
+//!
 //! Backpressure is transport-shaped, never answer-shaped (the PR 6
 //! contract — late or typed, never wrong):
 //!
@@ -32,12 +41,13 @@
 
 use crate::events::{DeadLetter, Event, EventLog};
 use crate::frame::{
-    self, Close, CloseReason, DataFrame, Datagram, Frame, Hello, RejectReason, StreamDecoder,
+    self, Close, CloseReason, DataTail, Datagram, Frame, FrameError, Hello, RejectReason,
+    StreamDecoder,
 };
 use spair_broadcast::{splitmix64, BroadcastCycle};
 use spair_methods::{ClientBootstrap, MethodId, MethodRegistry, ProgramSet};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -97,9 +107,26 @@ impl ServeWorld {
     pub fn channels(&self) -> &[ServeChannel] {
         &self.channels
     }
+}
 
-    fn find(&self, name: &str) -> Option<&ServeChannel> {
-        self.channels.iter().find(|c| c.name == name)
+/// A served channel as its streamers read it: the cycle's data frames,
+/// encoded once.
+struct Channel {
+    name: String,
+    bootstrap: ClientBootstrap,
+    /// One encoded data frame per cycle position.
+    frames: Vec<DataTail>,
+}
+
+impl Channel {
+    fn encode(c: ServeChannel) -> Self {
+        Self {
+            frames: (0..c.cycle.len())
+                .map(|i| DataTail::new(c.cycle.packet(i)))
+                .collect(),
+            name: c.name,
+            bootstrap: c.bootstrap,
+        }
     }
 }
 
@@ -159,8 +186,13 @@ impl ServeOptions {
 }
 
 /// Bytes of TCP data frames gathered before one write; the rest of a lap
-/// is written at its end.
+/// is written at its end. The control stream is read for the client's
+/// `Close` after every write.
 pub const TCP_BATCH: usize = 64 * 1024;
+
+/// UDP datagrams sent between two reads of the control stream for the
+/// client's `Close`.
+const UDP_POLL_DATAGRAMS: u32 = 8;
 
 /// Monotonic counters the daemon exposes after shutdown.
 #[derive(Debug, Clone, Copy, Default)]
@@ -175,6 +207,9 @@ pub struct ServeSummary {
     pub injected_drops: u64,
     /// Data frames dropped with a datagram that failed to send.
     pub backpressure_drops: u64,
+    /// Data frames sent, summed over sessions (each session's
+    /// `session_closed` event logs its own share).
+    pub frames_sent: u64,
     /// Dead-letter entries recorded.
     pub dead_letters: u64,
     /// Event-log lines emitted.
@@ -187,10 +222,11 @@ struct Counters {
     evictions: AtomicU64,
     injected_drops: AtomicU64,
     backpressure_drops: AtomicU64,
+    frames_sent: AtomicU64,
 }
 
 struct Shared {
-    world: ServeWorld,
+    channels: Vec<Channel>,
     opts: ServeOptions,
     stop: AtomicBool,
     next_session: AtomicU32,
@@ -208,22 +244,23 @@ pub struct ServeDaemon {
 }
 
 impl ServeDaemon {
-    /// Binds, starts the accept loop, and returns the running daemon.
+    /// Binds, encodes every channel's data frames, starts the accept
+    /// loop, and returns the running daemon.
     pub fn start(world: ServeWorld, opts: ServeOptions) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&opts.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let events = EventLog::create(&opts.events_path)?;
         let dead = DeadLetter::create(&opts.dead_letter_path)?;
+        let channels: Vec<Channel> = world.channels.into_iter().map(Channel::encode).collect();
         let mut started = Event::new("daemon_started")
             .str("addr", &addr.to_string())
-            .u64("channels", world.channels.len() as u64);
-        for c in &world.channels {
-            started = started.u64(&format!("cycle_len_{}", c.name), c.cycle.len() as u64);
+            .u64("channels", channels.len() as u64);
+        for c in &channels {
+            started = started.u64(&format!("cycle_len_{}", c.name), c.frames.len() as u64);
         }
         events.emit(started);
         let shared = Arc::new(Shared {
-            world,
+            channels,
             opts,
             stop: AtomicBool::new(false),
             next_session: AtomicU32::new(1),
@@ -235,6 +272,7 @@ impl ServeDaemon {
                 evictions: AtomicU64::new(0),
                 injected_drops: AtomicU64::new(0),
                 backpressure_drops: AtomicU64::new(0),
+                frames_sent: AtomicU64::new(0),
             },
         });
         let accept_shared = Arc::clone(&shared);
@@ -262,6 +300,16 @@ impl ServeDaemon {
     pub fn shutdown(mut self) -> std::io::Result<ServeSummary> {
         self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.take() {
+            // Wake the blocked `accept`; the loop sees `stop` and starts
+            // no session for this connection.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(wake);
             let _ = h.join();
         }
         let c = &self.shared.counters;
@@ -271,6 +319,7 @@ impl ServeDaemon {
             evictions: c.evictions.load(Ordering::SeqCst),
             injected_drops: c.injected_drops.load(Ordering::SeqCst),
             backpressure_drops: c.backpressure_drops.load(Ordering::SeqCst),
+            frames_sent: c.frames_sent.load(Ordering::SeqCst),
             dead_letters: self.shared.dead.recorded(),
             events: 0,
         };
@@ -281,6 +330,7 @@ impl ServeDaemon {
                 .u64("evictions", summary.evictions)
                 .u64("injected_drops", summary.injected_drops)
                 .u64("backpressure_drops", summary.backpressure_drops)
+                .u64("frames_sent", summary.frames_sent)
                 .u64("dead_letters", summary.dead_letters),
         );
         self.shared.events.flush_sync()?;
@@ -292,59 +342,29 @@ impl ServeDaemon {
     }
 }
 
+/// Admits connections as they arrive: `accept` blocks, and
+/// [`ServeDaemon::shutdown`] wakes it with a connection of its own after
+/// setting `stop`.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let mut sessions: Vec<JoinHandle<()>> = Vec::new();
     loop {
-        match listener.accept() {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, peer)) => {
                 let s = Arc::clone(&shared);
                 sessions.push(std::thread::spawn(move || run_session(stream, peer, s)));
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // A failed accept (say, out of descriptors) must not spin.
+            Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
         sessions.retain(|h| !h.is_finished());
     }
     for h in sessions {
         let _ = h.join();
     }
-}
-
-/// Reads frames currently available on the control stream without
-/// blocking; returns the first `Close` seen, or an error for a poisoned
-/// stream.
-fn poll_close(
-    stream: &TcpStream,
-    dec: &mut StreamDecoder,
-) -> Result<Option<Close>, frame::FrameError> {
-    let mut buf = [0u8; 1024];
-    let mut s = stream;
-    let _ = stream.set_nonblocking(true);
-    loop {
-        match s.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => dec.push(&buf[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(_) => break,
-        }
-    }
-    let _ = stream.set_nonblocking(false);
-    while let Some(f) = dec.next_frame()? {
-        if let Frame::Close(c) = f {
-            return Ok(Some(c));
-        }
-    }
-    Ok(None)
 }
 
 struct SessionCtx<'a> {
@@ -371,6 +391,21 @@ impl SessionCtx<'_> {
         self.shared.events.emit(ev);
     }
 
+    /// Ends the session on what the control stream carried: the client's
+    /// `Close`, or a malformed frame.
+    fn end_by_control(&self, control: &TcpStream, got: Result<Close, FrameError>) {
+        match got {
+            Ok(c) => self.close_event(c.reason.label(), Some(c)),
+            Err(e) => {
+                self.shared
+                    .dead
+                    .record(&format!("session {} control", self.session), &e, &[]);
+                send_close(control, self.session, CloseReason::ProtocolError);
+                self.close_event(CloseReason::ProtocolError.label(), None);
+            }
+        }
+    }
+
     /// Adds a lap's tally to the session and daemon counters, logging one
     /// `packet_dropped` event per cause that dropped frames.
     fn account(&mut self, lap: u32, tally: &LapTally) {
@@ -378,6 +413,7 @@ impl SessionCtx<'_> {
         self.injected += tally.injected;
         self.backpressure += tally.backpressure;
         let c = &self.shared.counters;
+        c.frames_sent.fetch_add(tally.sent, Ordering::SeqCst);
         for (cause, count, total) in [
             ("injected", tally.injected, &c.injected_drops),
             ("backpressure", tally.backpressure, &c.backpressure_drops),
@@ -438,7 +474,7 @@ fn run_session(mut stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
     };
 
     // --- Resolve the channel. ---
-    let Some(channel) = shared.world.find(&hello.method) else {
+    let Some(channel) = shared.channels.iter().find(|c| c.name == hello.method) else {
         let known = MethodRegistry::standard().get(&hello.method).is_ok();
         let reason = if known {
             RejectReason::NotServed
@@ -452,8 +488,7 @@ fn run_session(mut stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
 
     let session = shared.next_session.fetch_add(1, Ordering::SeqCst);
     shared.counters.sessions.fetch_add(1, Ordering::SeqCst);
-    let cycle = Arc::clone(&channel.cycle);
-    let cycle_len = cycle.len() as u64;
+    let cycle_len = channel.frames.len() as u64;
     let transport = if hello.transport == 1 { "udp" } else { "tcp" };
     shared.events.emit(
         Event::new("session_admitted")
@@ -495,10 +530,14 @@ fn run_session(mut stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
             return;
         };
         let _ = sock.set_nonblocking(true);
+        // Nothing else writes to the control stream while datagrams
+        // stream, so it stays nonblocking until `send_close`.
+        let _ = stream.set_nonblocking(true);
         Sink::Udp {
             sock,
             dest: SocketAddr::new(peer.ip(), hello.udp_port),
             dgram: Datagram::new(),
+            unpolled: 0,
         }
     } else {
         let _ = stream.set_write_timeout(Some(shared.opts.stall));
@@ -510,7 +549,8 @@ fn run_session(mut stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
     };
     // Injected drops model datagram loss, so they apply to UDP only.
     let plan = shared.opts.drop_plan.filter(|_| hello.transport == 1);
-    stream_laps(&mut ctx, &stream, &mut dec, &hello, &cycle, sink, plan);
+    let frames = &channel.frames;
+    stream_laps(&mut ctx, &stream, &mut dec, &hello, frames, sink, plan);
 }
 
 impl Shared {
@@ -525,6 +565,7 @@ impl Shared {
 }
 
 fn send_close(stream: &TcpStream, session: u32, reason: CloseReason) {
+    let _ = stream.set_nonblocking(false);
     let mut stream = stream;
     let _ = stream.write_all(&frame::encode_stream(&Frame::Close(Close {
         session,
@@ -553,6 +594,8 @@ enum Sink<'a> {
         sock: UdpSocket,
         dest: SocketAddr,
         dgram: Datagram,
+        /// Datagrams sent since the control stream was last due a read.
+        unpolled: u32,
     },
 }
 
@@ -564,34 +607,52 @@ struct LapTally {
     backpressure: u64,
 }
 
+/// Why a stream stopped before its lap budget ran out.
+enum Halt {
+    /// A TCP write failed: the consumer stalled or hung up.
+    Io(std::io::Error),
+    /// The control stream carried the client's `Close`, or a malformed
+    /// frame.
+    Control(Result<Close, FrameError>),
+}
+
 impl Sink<'_> {
-    /// Queues one frame, sending what is queued once the batch or
-    /// datagram is full.
-    fn push(&mut self, data: &Frame, tally: &mut LapTally) -> std::io::Result<()> {
-        match self {
+    /// Queues the data frame `tail` stamps for `session` and `slot`,
+    /// sending what is queued once the batch or datagram is full. `true`
+    /// when the control stream is due a read (see [`Sink::flush`]).
+    fn push(
+        &mut self,
+        tail: &DataTail,
+        session: u32,
+        slot: u64,
+        tally: &mut LapTally,
+    ) -> std::io::Result<bool> {
+        let full = match self {
             Sink::Tcp { batch, queued, .. } => {
-                frame::encode_stream_into(data, batch);
+                tail.stream_into(session, slot, batch);
                 *queued += 1;
-                if batch.len() >= TCP_BATCH {
-                    self.flush(tally)?;
-                }
+                batch.len() >= TCP_BATCH
             }
-            Sink::Udp { dgram, .. } => {
-                if !dgram.push(data) {
-                    // Any frame fits the emptied datagram.
-                    self.flush(tally)?;
-                    return self.push(data, tally);
-                }
-            }
+            Sink::Udp { dgram, .. } => !dgram.push_data(tail, session, slot),
+        };
+        if !full {
+            return Ok(false);
         }
-        Ok(())
+        let due = self.flush(tally)?;
+        if let Sink::Udp { dgram, .. } = self {
+            // Any frame fits the emptied datagram.
+            dgram.push_data(tail, session, slot);
+        }
+        Ok(due)
     }
 
-    /// Sends whatever is queued. A datagram goes out as one send, after
-    /// which the thread yields so the receiver can drain its socket
-    /// buffer; a failed send (the loopback send buffer is full, or the
-    /// peer is gone) drops every frame in it, as UDP does.
-    fn flush(&mut self, tally: &mut LapTally) -> std::io::Result<()> {
+    /// Sends whatever is queued; `true` when the control stream is due a
+    /// read: after every TCP write, and after every
+    /// [`UDP_POLL_DATAGRAMS`]-th datagram. A datagram goes out as one
+    /// send, after which the thread yields so the receiver can drain its
+    /// socket buffer; a failed send (the loopback send buffer is full,
+    /// or the peer is gone) drops every frame in it, as UDP does.
+    fn flush(&mut self, tally: &mut LapTally) -> std::io::Result<bool> {
         match self {
             Sink::Tcp {
                 stream,
@@ -602,8 +663,14 @@ impl Sink<'_> {
                 batch.clear();
                 written?;
                 tally.sent += std::mem::take(queued);
+                Ok(true)
             }
-            Sink::Udp { sock, dest, dgram } if !dgram.is_empty() => {
+            Sink::Udp {
+                sock,
+                dest,
+                dgram,
+                unpolled,
+            } if !dgram.is_empty() => {
                 let frames = dgram.frames() as u64;
                 match sock.send_to(dgram.as_bytes(), *dest) {
                     Ok(_) => tally.sent += frames,
@@ -611,30 +678,65 @@ impl Sink<'_> {
                 }
                 dgram.clear();
                 std::thread::yield_now();
+                *unpolled += 1;
+                let due = *unpolled == UDP_POLL_DATAGRAMS;
+                if due {
+                    *unpolled = 0;
+                }
+                Ok(due)
             }
-            _ => {}
+            _ => Ok(false),
+        }
+    }
+
+    /// Reads what the client has sent on the control stream without
+    /// blocking; `Halt::Control` once it holds the client's `Close` or a
+    /// malformed frame. A UDP session's control stream is already
+    /// nonblocking; a TCP session's also carries the data writes, which
+    /// block, so it turns nonblocking for this read alone.
+    fn poll(&self, control: &TcpStream, dec: &mut StreamDecoder) -> Result<(), Halt> {
+        let tcp = matches!(self, Sink::Tcp { .. });
+        if tcp {
+            let _ = control.set_nonblocking(true);
+        }
+        let mut buf = [0u8; 1024];
+        let mut s = control;
+        loop {
+            match s.read(&mut buf) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => dec.push(&buf[..n]),
+            }
+        }
+        if tcp {
+            let _ = control.set_nonblocking(false);
+        }
+        while let Some(f) = dec.next_frame().map_err(|e| Halt::Control(Err(e)))? {
+            if let Frame::Close(c) = f {
+                return Err(Halt::Control(Ok(c)));
+            }
         }
         Ok(())
     }
 }
 
-/// Streams the cycle lap after lap into `sink` until the client closes,
-/// a write ends the session, the daemon stops or the lap budget runs
-/// out, leaving out the slots `plan` drops. The control stream is polled
-/// for the client's `Close` at every lap end, and for one stall window
-/// after the last lap.
+/// Streams the channel's frames lap after lap into `sink` until the
+/// client closes, a write ends the session, the daemon stops or the lap
+/// budget runs out, leaving out the slots `plan` drops. The control
+/// stream is read for the client's `Close` whenever the sink is due (see
+/// [`Sink::flush`]), at every lap end, and for one stall window after
+/// the last lap.
 fn stream_laps(
     ctx: &mut SessionCtx<'_>,
     control: &TcpStream,
     dec: &mut StreamDecoder,
     hello: &Hello,
-    cycle: &BroadcastCycle,
+    frames: &[DataTail],
     mut sink: Sink<'_>,
     plan: Option<DropPlan>,
 ) {
     let shared = ctx.shared;
     let opts = &shared.opts;
-    let len = cycle.len() as u64;
+    let len = frames.len() as u64;
     for lap in 0..opts.max_laps {
         if shared.stop.load(Ordering::SeqCst) {
             send_close(control, ctx.session, CloseReason::DaemonShutdown);
@@ -648,26 +750,32 @@ fn stream_laps(
         );
         let mut tally = LapTally::default();
         let mut last = hello.offset;
-        let sent = (0..len)
+        let session = ctx.session;
+        let halted = (0..len)
             .try_for_each(|i| {
                 let slot = hello.offset + u64::from(lap) * len + i;
-                if plan.is_some_and(|p| p.drops(ctx.session, slot, lap)) {
+                if plan.is_some_and(|p| p.drops(session, slot, lap)) {
                     tally.injected += 1;
                     return Ok(());
                 }
                 last = slot;
-                let data = Frame::Data(DataFrame {
-                    session: ctx.session,
-                    slot,
-                    packet: cycle.packet((slot % len) as usize).clone(),
-                });
-                sink.push(&data, &mut tally)
+                let tail = &frames[(slot % len) as usize];
+                let due = sink.push(tail, session, slot, &mut tally);
+                if due.map_err(Halt::Io)? {
+                    sink.poll(control, dec)?;
+                }
+                Ok(())
             })
-            .and_then(|()| sink.flush(&mut tally));
+            .and_then(|()| sink.flush(&mut tally).map_err(Halt::Io))
+            .and_then(|_| sink.poll(control, dec));
         ctx.account(lap, &tally);
-        match sent {
+        match halted {
             Ok(()) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            Err(Halt::Control(got)) => {
+                ctx.end_by_control(control, got);
+                return;
+            }
+            Err(Halt::Io(e)) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 // The consumer drained nothing for a full stall window.
                 shared.counters.evictions.fetch_add(1, Ordering::SeqCst);
                 shared.events.emit(
@@ -680,53 +788,31 @@ fn stream_laps(
                 ctx.close_event(CloseReason::EvictedSlowConsumer.label(), None);
                 return;
             }
-            Err(_) => {
+            Err(Halt::Io(_)) => {
                 // The peer hung up; whatever it sent before hanging up (normally a
                 // typed Close) is still readable.
-                let client = poll_close(control, dec).ok().flatten();
-                let reason = if client.is_some() {
-                    "done"
-                } else {
-                    "connection_lost"
-                };
-                ctx.close_event(reason, client);
+                match sink.poll(control, dec) {
+                    Err(Halt::Control(Ok(c))) => ctx.close_event("done", Some(c)),
+                    _ => ctx.close_event("connection_lost", None),
+                }
                 return;
             }
-        }
-        if client_closed(ctx, control, dec) {
-            return;
         }
     }
     // The last laps may still sit in socket buffers, unread: give the
     // client one stall window to send its `Close` before expiring.
     let deadline = Instant::now() + opts.stall;
-    while !client_closed(ctx, control, dec) {
+    loop {
+        if let Err(Halt::Control(got)) = sink.poll(control, dec) {
+            ctx.end_by_control(control, got);
+            return;
+        }
         if Instant::now() >= deadline || shared.stop.load(Ordering::SeqCst) {
             send_close(control, ctx.session, CloseReason::Expired);
             ctx.close_event(CloseReason::Expired.label(), None);
             return;
         }
         std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
-/// Ends the session if the client's `Close` has arrived on the control
-/// stream, or the stream carries a malformed frame; `true` if it ended.
-fn client_closed(ctx: &SessionCtx<'_>, control: &TcpStream, dec: &mut StreamDecoder) -> bool {
-    match poll_close(control, dec) {
-        Ok(Some(c)) => {
-            ctx.close_event(c.reason.label(), Some(c));
-            true
-        }
-        Ok(None) => false,
-        Err(e) => {
-            ctx.shared
-                .dead
-                .record(&format!("session {} control", ctx.session), &e, &[]);
-            send_close(control, ctx.session, CloseReason::ProtocolError);
-            ctx.close_event(CloseReason::ProtocolError.label(), None);
-            true
-        }
     }
 }
 

@@ -392,6 +392,112 @@ pub fn encode_stream(frame: &Frame) -> Vec<u8> {
     out
 }
 
+/// Bytes of a data frame body before its tail: magic, version, kind,
+/// session and slot — the only bytes that differ between sessions.
+const DATA_HEAD: usize = 16;
+
+/// Bytes of a data frame's tail: the `u16` payload length and the
+/// 128-byte packet image, the same for every session and lap.
+const DATA_TAIL: usize = 2 + PACKET_SIZE;
+
+/// Bytes of a data frame body: head, tail and CRC.
+const DATA_FRAME: usize = DATA_HEAD + DATA_TAIL + 4;
+
+/// Advances a CRC-32 register through [`DATA_TAIL`] zero bytes, one
+/// table per register byte: the operator is linear, so a register's
+/// shift is the XOR of its bytes' shifts. Each table entry is the XOR of
+/// the shifted basis bits its byte sets; a basis bit is shifted one zero
+/// bit at a time.
+const TAIL_SHIFT: [[u32; 256]; 4] = {
+    let mut basis = [0u32; 32];
+    let mut j = 0;
+    while j < 32 {
+        let mut c = 1u32 << j;
+        let mut bit = 0;
+        while bit < 8 * DATA_TAIL {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        basis[j] = c;
+        j += 1;
+    }
+    let mut t = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            let mut v = 0;
+            let mut j = 0;
+            while j < 8 {
+                if b & (1 << j) != 0 {
+                    v ^= basis[8 * k + j];
+                }
+                j += 1;
+            }
+            t[k][b] = v;
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// `crc32(H ‖ T)` from `crc32(H)` and `crc32(T)` for any `T` of
+/// [`DATA_TAIL`] bytes: zlib's `crc32_combine` at a fixed length.
+fn combine_tail(head: u32, tail: u32) -> u32 {
+    let [b0, b1, b2, b3] = head.to_le_bytes();
+    TAIL_SHIFT[0][b0 as usize]
+        ^ TAIL_SHIFT[1][b1 as usize]
+        ^ TAIL_SHIFT[2][b2 as usize]
+        ^ TAIL_SHIFT[3][b3 as usize]
+        ^ tail
+}
+
+/// One cycle packet's data frame, encoded once and stamped per session:
+/// the frame's tail (payload length and packet image) and its CRC. A
+/// streamer writes the 16-byte head of its session and slot in front
+/// and combines the two CRCs, so the bytes equal
+/// [`encode_stream_into`] of the same [`Frame::Data`] without encoding
+/// the packet again.
+#[derive(Debug, Clone)]
+pub struct DataTail {
+    bytes: [u8; DATA_TAIL],
+    crc: u32,
+}
+
+impl DataTail {
+    /// Encodes `packet`'s tail.
+    pub fn new(packet: &Packet) -> Self {
+        let mut bytes = [0u8; DATA_TAIL];
+        bytes[..2].copy_from_slice(&(packet.payload().len() as u16).to_le_bytes());
+        bytes[2..].copy_from_slice(&packet.to_wire());
+        Self {
+            crc: crc32(&bytes),
+            bytes,
+        }
+    }
+
+    /// Appends the length-prefixed data frame of `session` and `slot`.
+    pub fn stream_into(&self, session: u32, slot: u64, out: &mut Vec<u8>) {
+        let mut head = [0u8; DATA_HEAD];
+        head[..2].copy_from_slice(&MAGIC);
+        head[2] = VERSION;
+        head[3] = KIND_DATA;
+        head[4..8].copy_from_slice(&session.to_le_bytes());
+        head[8..].copy_from_slice(&slot.to_le_bytes());
+        let crc = combine_tail(crc32(&head), self.crc);
+        out.reserve(2 + DATA_FRAME);
+        out.extend_from_slice(&(DATA_FRAME as u16).to_le_bytes());
+        out.extend_from_slice(&head);
+        out.extend_from_slice(&self.bytes);
+        out.extend_from_slice(&crc.to_le_bytes());
+    }
+}
+
 /// A UDP datagram being packed: length-prefixed frames, never more than
 /// [`MAX_DATAGRAM`] bytes. Reuse one across sends with
 /// [`Datagram::clear`]; packing never allocates.
@@ -426,6 +532,17 @@ impl Datagram {
             self.buf.truncate(at);
             return false;
         }
+        self.frames += 1;
+        true
+    }
+
+    /// [`Datagram::push`] of the data frame `tail` stamps for `session`
+    /// and `slot`.
+    pub fn push_data(&mut self, tail: &DataTail, session: u32, slot: u64) -> bool {
+        if self.buf.len() + 2 + DATA_FRAME > MAX_DATAGRAM {
+            return false;
+        }
+        tail.stream_into(session, slot, &mut self.buf);
         self.frames += 1;
         true
     }
@@ -803,6 +920,31 @@ mod tests {
         assert_eq!(slots, (0..9).collect::<Vec<_>>());
         d.clear();
         assert!(d.is_empty() && d.as_bytes().is_empty());
+    }
+
+    #[test]
+    fn tail_shift_combines_crcs() {
+        let mut state = 0x5350_u64;
+        let mut byte = || {
+            state = spair_broadcast::splitmix64(state);
+            state as u8
+        };
+        for head_len in [0, 1, 7, DATA_HEAD, 33] {
+            for _ in 0..16 {
+                let whole: Vec<u8> = (0..head_len + DATA_TAIL).map(|_| byte()).collect();
+                let (head, tail) = whole.split_at(head_len);
+                assert_eq!(
+                    combine_tail(crc32(head), crc32(tail)),
+                    crc32(&whole),
+                    "head of {head_len} bytes"
+                );
+            }
+        }
+        let zeros = [0u8; DATA_HEAD + DATA_TAIL];
+        assert_eq!(
+            combine_tail(crc32(&zeros[..DATA_HEAD]), crc32(&zeros[DATA_HEAD..])),
+            crc32(&zeros)
+        );
     }
 
     #[test]

@@ -6,30 +6,47 @@
 use proptest::prelude::*;
 use spair_broadcast::{Packet, PacketKind, PAYLOAD_CAPACITY};
 use spair_serve::frame::{
-    self, decode, decode_datagram, encode, encode_stream, Close, CloseReason, DataFrame, Datagram,
-    Frame, Hello, StreamDecoder, MAX_DATAGRAM,
+    self, decode, decode_datagram, encode, encode_stream, encode_stream_into, Close, CloseReason,
+    DataFrame, DataTail, Datagram, Frame, Hello, StreamDecoder, MAX_DATAGRAM,
 };
+
+/// A packet of any kind with a payload of 0 to [`PAYLOAD_CAPACITY`]
+/// bytes.
+fn arb_packet() -> impl Strategy<Value = Packet> {
+    (
+        0u8..=4,
+        prop_oneof![Just(0u32), Just(u32::MAX), any::<u32>()],
+        proptest::collection::vec(any::<u8>(), 0..=PAYLOAD_CAPACITY),
+    )
+        .prop_map(|(kind, next, payload)| {
+            Packet::new(
+                PacketKind::from_u8(kind).unwrap(),
+                next,
+                bytes::Bytes::from(payload),
+            )
+        })
+}
+
+/// A data frame's packet, session and slot, the extremes included.
+fn arb_data() -> impl Strategy<Value = (Packet, u32, u64)> {
+    (
+        arb_packet(),
+        prop_oneof![Just(0u32), Just(u32::MAX), any::<u32>()],
+        prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>()],
+    )
+}
+
+fn data_frame((packet, session, slot): &(Packet, u32, u64)) -> Frame {
+    Frame::Data(DataFrame {
+        session: *session,
+        slot: *slot,
+        packet: packet.clone(),
+    })
+}
 
 fn arb_frame() -> impl Strategy<Value = Frame> {
     prop_oneof![
-        (
-            any::<u32>(),
-            any::<u64>(),
-            0u8..=4,
-            any::<u32>(),
-            proptest::collection::vec(any::<u8>(), 0..=PAYLOAD_CAPACITY)
-        )
-            .prop_map(|(session, slot, kind, next, payload)| {
-                Frame::Data(DataFrame {
-                    session,
-                    slot,
-                    packet: Packet::new(
-                        PacketKind::from_u8(kind).unwrap(),
-                        next,
-                        bytes::Bytes::from(payload),
-                    ),
-                })
-            }),
+        arb_data().prop_map(|d| data_frame(&d)),
         (
             proptest::collection::vec(b'a'..=b'z', 0..24)
                 .prop_map(|v| String::from_utf8(v).unwrap()),
@@ -59,21 +76,27 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
     ]
 }
 
-/// Packs `frames` in order into as few datagrams as the cap allows.
-fn pack(frames: &[Frame]) -> Vec<Vec<u8>> {
+/// Packs `items` in order into as few datagrams as the cap allows,
+/// `push` packing one item.
+fn pack_by<T>(items: &[T], push: impl Fn(&mut Datagram, &T) -> bool) -> Vec<Vec<u8>> {
     let mut out = Vec::new();
     let mut d = Datagram::new();
-    for f in frames {
-        if !d.push(f) {
+    for item in items {
+        if !push(&mut d, item) {
             out.push(d.as_bytes().to_vec());
             d.clear();
-            assert!(d.push(f), "a frame fits an empty datagram");
+            assert!(push(&mut d, item), "a frame fits an empty datagram");
         }
     }
     if !d.is_empty() {
         out.push(d.as_bytes().to_vec());
     }
     out
+}
+
+/// Packs `frames` with [`Datagram::push`].
+fn pack(frames: &[Frame]) -> Vec<Vec<u8>> {
+    pack_by(frames, |d, f| d.push(f))
 }
 
 /// Frames compare by their encoding (`Frame` holds packets, which have
@@ -257,5 +280,41 @@ proptest! {
                 .collect();
             prop_assert_eq!(&bodies(&got), expected);
         }
+    }
+
+    /// A data frame stamped from its encoded tail is byte for byte the
+    /// codec's, appended after whatever the buffer held, and decodes
+    /// back to the same session, slot and packet.
+    #[test]
+    fn encoded_data_frames_match_the_codec(
+        data in arb_data(),
+        lead in proptest::collection::vec(any::<u8>(), 0..4),
+    ) {
+        let (packet, session, slot) = &data;
+        let mut oracle = lead.clone();
+        encode_stream_into(&data_frame(&data), &mut oracle);
+        let mut stamped = lead.clone();
+        DataTail::new(packet).stream_into(*session, *slot, &mut stamped);
+        prop_assert_eq!(&stamped, &oracle);
+        match decode(&stamped[lead.len() + 2..]) {
+            Ok(Frame::Data(d)) => {
+                prop_assert_eq!((d.session, d.slot), (*session, *slot));
+                prop_assert_eq!(d.packet.kind(), packet.kind());
+                prop_assert_eq!(d.packet.next_index(), packet.next_index());
+                prop_assert_eq!(d.packet.payload(), packet.payload());
+            }
+            other => prop_assert!(false, "stamped frame decoded to {:?}", other),
+        }
+    }
+
+    /// Datagrams packed from encoded tails are the datagrams
+    /// `Datagram::push` packs from the same frames.
+    #[test]
+    fn datagrams_of_encoded_frames_match(data in proptest::collection::vec(arb_data(), 1..30)) {
+        let frames: Vec<Frame> = data.iter().map(data_frame).collect();
+        let stamped = pack_by(&data, |d, (packet, session, slot)| {
+            d.push_data(&DataTail::new(packet), *session, *slot)
+        });
+        prop_assert_eq!(stamped, pack(&frames));
     }
 }

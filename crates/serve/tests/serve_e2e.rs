@@ -9,9 +9,10 @@ use spair_partition::KdTreePartition;
 use spair_roadnet::generators::small_grid;
 use spair_roadnet::QueuePolicy;
 use spair_serve::client::{fetch_cycle, run_query, SessionConfig, SessionFailure, Transport};
-use spair_serve::daemon::{DropPlan, ServeDaemon, ServeOptions, ServeWorld};
+use spair_serve::daemon::{DropPlan, ServeDaemon, ServeOptions, ServeWorld, TCP_BATCH};
 use spair_serve::frame::{
     encode_stream, Admit, Close, CloseReason, DataFrame, Datagram, Frame, Hello, StreamDecoder,
+    MAX_DATAGRAM,
 };
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream, UdpSocket};
@@ -342,6 +343,74 @@ fn udp_datagrams_queued_before_a_close_complete_the_session() {
             "slot {i}"
         );
     }
+}
+
+/// A client that sends its `Close` with its `Hello`, before any data,
+/// stops the stream within one TCP batch, or within eight UDP datagrams,
+/// of frames: the daemon reads the control stream while it streams, not
+/// only at lap end. The cycle spans several batches, so a stream that
+/// ran to lap end would send a whole lap.
+#[test]
+fn a_close_sent_with_the_hello_stops_the_stream_within_a_batch() {
+    let dir = test_dir("early_close");
+    let programs = build_programs(64, 64, 16, 13);
+    let daemon = start_daemon(&programs, &["dj"], &dir, None);
+    let cycle = programs
+        .ensure(MethodRegistry::standard().get("dj").unwrap())
+        .cycle()
+        .expect("cycle");
+    let frame_len = encode_stream(&Frame::Data(DataFrame {
+        session: 0,
+        slot: 0,
+        packet: cycle.packet(0).clone(),
+    }))
+    .len();
+    let batch = TCP_BATCH.div_ceil(frame_len);
+    let datagrams = 8 * (MAX_DATAGRAM / frame_len);
+    assert!(cycle.len() > 2 * batch, "cycle of {} frames", cycle.len());
+
+    let udp = UdpSocket::bind("127.0.0.1:0").expect("bind udp");
+    for transport in [0, 1] {
+        let mut raw = TcpStream::connect(daemon.local_addr()).expect("connect");
+        let mut hello = encode_stream(&Frame::Hello(Hello {
+            method: "dj".into(),
+            transport,
+            udp_port: udp.local_addr().unwrap().port(),
+            offset: 0,
+        }));
+        hello.extend(encode_stream(&Frame::Close(Close {
+            session: 0,
+            reason: CloseReason::Done,
+            drops: 0,
+            laps: 0,
+        })));
+        raw.write_all(&hello).unwrap();
+        // The daemon hangs up once it has read the Close.
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let _ = raw.read_to_end(&mut Vec::new());
+    }
+
+    let summary = daemon.shutdown().unwrap();
+    let events = std::fs::read_to_string(dir.join("serve.events.jsonl")).unwrap();
+    let closed: Vec<&str> = events
+        .lines()
+        .filter(|l| l.contains("\"event\":\"session_closed\""))
+        .collect();
+    assert_eq!(closed.len(), 2, "{events}");
+    let mut total = 0;
+    for (line, bound) in closed.iter().zip([batch, datagrams]) {
+        assert!(line.contains("\"reason\":\"done\""), "{line}");
+        let sent: usize = line
+            .split("\"frames_sent\":")
+            .nth(1)
+            .and_then(|rest| rest.split(',').next())
+            .and_then(|n| n.parse().ok())
+            .expect("frames_sent field");
+        assert!(sent <= bound, "{sent} frames sent, bound {bound}: {line}");
+        total += sent as u64;
+    }
+    assert_eq!(summary.frames_sent, total);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Unknown methods are refused with a typed reason, and garbage instead
