@@ -47,11 +47,9 @@ use spair_partition::{KdTreePartition, Partitioning};
 use spair_roadnet::certify::{Cli, UsageError};
 use spair_roadnet::{dijkstra_full, Distance, NetworkPreset, NodeId, RoadNetwork};
 use spair_sim::{
-    drive, knn_item, p2p_item, Device, Driven, FaultSource, LossSpec, Tune, TuneInSpec, Verdict,
-    WorkItem,
+    drive, knn_item, p2p_item, Device, Driven, FaultSource, LossSpec, Tally, Tune, TuneInSpec,
+    Verdict, WorkItem,
 };
-use std::collections::BTreeMap;
-use std::fmt;
 
 /// Default scale factor for experiment networks (the evaluation host is a
 /// single core; `--full` restores 1.0).
@@ -159,8 +157,8 @@ fn main() {
         if opts.cmd == "all" || opts.cmd == name {
             let mut tally = Tally::default();
             run(&opts, &mut tally);
-            println!("tally {name}: {tally}");
-            clean &= tally.clean();
+            println!("tally {name}: {}", summary(&tally));
+            clean &= tally.exact == tally.items;
         }
     }
     if !clean {
@@ -169,78 +167,48 @@ fn main() {
     }
 }
 
-/// One experiment's answer verdicts.
-#[derive(Debug, Default)]
-struct Tally {
-    exact: usize,
-    wrong: usize,
-    /// Typed give-ups by root-cause class.
-    failed: BTreeMap<&'static str, usize>,
+/// An experiment's tally line: exact, wrong and failed sessions, and
+/// the failures by class.
+fn summary(t: &Tally) -> String {
+    let mut line = format!(
+        "{} exact / {} wrong / {} failed",
+        t.exact,
+        t.wrong,
+        t.typed()
+    );
+    if !t.classes.is_empty() {
+        line.push_str(&format!(" {:?}", t.classes));
+    }
+    line
 }
 
-impl Tally {
-    fn push(&mut self, verdict: Verdict) {
-        match verdict {
-            Verdict::Exact => self.exact += 1,
-            Verdict::Wrong => self.wrong += 1,
-            Verdict::Failed(class) => *self.failed.entry(class).or_default() += 1,
-        }
+/// The fold of a run's sessions.
+fn fold(results: &[Driven]) -> Tally {
+    let mut t = Tally::default();
+    for d in results {
+        t.fold(d);
     }
-
-    fn clean(&self) -> bool {
-        self.wrong == 0 && self.failed.is_empty()
-    }
+    t
 }
 
-impl fmt::Display for Tally {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let failed: usize = self.failed.values().sum();
-        write!(
-            f,
-            "{} exact / {} wrong / {failed} failed",
-            self.exact, self.wrong
-        )?;
-        if failed > 0 {
-            write!(f, " {:?}", self.failed)?;
-        }
-        Ok(())
-    }
+/// Mean tuning time in packets over the answered sessions.
+fn tuning(t: &Tally) -> f64 {
+    t.stats.tuning_packets as f64 / t.answered.max(1) as f64
 }
 
-/// Averaged measurements over the answered sessions of a run.
-#[derive(Debug, Clone, Copy, Default)]
-struct Averages {
-    /// Mean tuning time in packets.
-    tuning: f64,
-    /// Mean access latency in packets.
-    latency: f64,
-    /// Peak client memory in bytes over all sessions.
-    peak_memory: usize,
-    /// Mean client CPU per query in milliseconds.
-    cpu_ms: f64,
-    /// Sessions aggregated.
-    count: usize,
+/// Mean access latency in packets over the answered sessions.
+fn latency(t: &Tally) -> f64 {
+    t.stats.latency_packets as f64 / t.answered.max(1) as f64
 }
 
-impl Averages {
-    /// Folds one session in; a session without an answer adds nothing.
-    fn push(&mut self, d: &Driven) {
-        let Some(s) = &d.stats else { return };
-        let n = self.count as f64;
-        self.tuning = (self.tuning * n + s.tuning_packets as f64) / (n + 1.0);
-        self.latency = (self.latency * n + s.latency_packets as f64) / (n + 1.0);
-        self.peak_memory = self.peak_memory.max(s.peak_memory_bytes);
-        self.cpu_ms = (self.cpu_ms * n + s.cpu.as_secs_f64() * 1000.0) / (n + 1.0);
-        self.count += 1;
-    }
+/// Mean client CPU per answered session in milliseconds.
+fn cpu_ms(t: &Tally) -> f64 {
+    t.stats.cpu.as_secs_f64() * 1000.0 / t.answered.max(1) as f64
+}
 
-    fn of(results: &[Driven]) -> Self {
-        let mut avg = Self::default();
-        for d in results {
-            avg.push(d);
-        }
-        avg
-    }
+/// Peak client memory over all sessions, in MB.
+fn peak_mb(t: &Tally) -> f64 {
+    t.stats.peak_memory_bytes as f64 / (1024.0 * 1024.0)
 }
 
 /// A world's registry programs, with AF's region count and LD's landmark
@@ -311,7 +279,7 @@ fn run(
                 ),
                 None => Driven::default(),
             };
-            tally.push(d.verdict);
+            tally.fold(&d);
             d
         })
         .collect()
@@ -435,7 +403,7 @@ fn table2(opts: &Opts, tally: &mut Tally) {
         let mut marks = Vec::new();
         for m in [Method::AF, Method::LD, Method::DJ, Method::EB, Method::NR] {
             let results = run(&programs, m, &items, lossless, opts.seed + 2, tally);
-            let peak = Averages::of(&results).peak_memory;
+            let peak = fold(&results).stats.peak_memory_bytes;
             marks.push(if peak <= heap { "ok" } else { "--" });
         }
         println!(
@@ -464,7 +432,7 @@ fn table2(opts: &Opts, tally: &mut Tally) {
         let len = cycle_len(&programs, m);
         let at = |i: usize| Tune::at((i * 131) % len);
         let results = run(&programs, m, &items, at, 0, tally);
-        let peak = Averages::of(&results).peak_memory;
+        let peak = fold(&results).stats.peak_memory_bytes;
         let fit = if results.iter().any(|d| d.verdict != Verdict::Exact) {
             "not exact, see the tally"
         } else if peak <= heap {
@@ -519,14 +487,14 @@ fn fig10(opts: &Opts, tally: &mut Tally) {
 
     // Per method: run all queries, bucket by the oracle distance.
     let bucket_of = |d: u64| -> usize { ((4 * d) / (diameter + 1)).min(3) as usize };
-    let mut per_method: Vec<[Averages; 4]> = Vec::new();
+    let mut per_method: Vec<[Tally; 4]> = Vec::new();
     let mut energy: Vec<f64> = Vec::new();
     for &m in &opts.methods {
         let results = run(&programs, m, &items, lossless, opts.seed + 11, tally);
-        let mut buckets = [Averages::default(); 4];
+        let mut buckets: [Tally; 4] = Default::default();
         let mut joules = 0.0;
         for (item, d) in items.iter().zip(&results) {
-            buckets[bucket_of(p2p(item).1)].push(d);
+            buckets[bucket_of(p2p(item).1)].fold(d);
             if let Some(s) = &d.stats {
                 joules += EnergyModel::WAVELAN_ARM.joules(s, ChannelRate::MOVING_3G);
             }
@@ -538,16 +506,16 @@ fn fig10(opts: &Opts, tally: &mut Tally) {
     for (title, f) in [
         (
             "a) Tuning time (packets)",
-            &(|a: &Averages| format!("{:>10.0}", a.tuning)) as &dyn Fn(&Averages) -> String,
+            &(|a: &Tally| format!("{:>10.0}", tuning(a))) as &dyn Fn(&Tally) -> String,
         ),
-        ("b) Peak memory (MB)", &|a: &Averages| {
-            format!("{:>10.3}", a.peak_memory as f64 / (1024.0 * 1024.0))
+        ("b) Peak memory (MB)", &|a: &Tally| {
+            format!("{:>10.3}", peak_mb(a))
         }),
-        ("c) Access latency (packets)", &|a: &Averages| {
-            format!("{:>10.0}", a.latency)
+        ("c) Access latency (packets)", &|a: &Tally| {
+            format!("{:>10.0}", latency(a))
         }),
-        ("d) CPU time (ms)", &|a: &Averages| {
-            format!("{:>10.3}", a.cpu_ms)
+        ("d) CPU time (ms)", &|a: &Tally| {
+            format!("{:>10.3}", cpu_ms(a))
         }),
     ] {
         println!("\n-- {title} --");
@@ -560,7 +528,7 @@ fn fig10(opts: &Opts, tally: &mut Tally) {
             let row: Vec<String> = per_method[mi]
                 .iter()
                 .map(|a| {
-                    if a.count == 0 {
+                    if a.answered == 0 {
                         format!("{:>10}", "-")
                     } else {
                         f(a)
@@ -596,7 +564,7 @@ fn fig11(opts: &Opts, tally: &mut Tally) {
                 continue; // paper: heap-infeasible beyond 16
             }
             let results = run(&programs, m, &items, lossless, opts.seed + 21, tally);
-            let avg = Averages::of(&results);
+            let avg = fold(&results);
             // Only the region-partitioned methods vary with the region
             // count; LD varies with landmarks; everything else (DJ and
             // any registry extra) shows its flat baseline.
@@ -610,10 +578,10 @@ fn fig11(opts: &Opts, tally: &mut Tally) {
             println!(
                 "{:<22} {:>10.0} {:>12.3} {:>10.0} {:>10.3}",
                 label,
-                avg.tuning,
-                avg.peak_memory as f64 / (1024.0 * 1024.0),
-                avg.latency,
-                avg.cpu_ms,
+                tuning(&avg),
+                peak_mb(&avg),
+                latency(&avg),
+                cpu_ms(&avg),
             );
         }
     }
@@ -634,8 +602,8 @@ fn fig12(opts: &Opts, tally: &mut Tally) {
         let items = p2p_items(&programs.world().g, n_queries, opts.seed + 30);
         for &m in &opts.methods {
             let results = run(&programs, m, &items, lossless, opts.seed + 31, tally);
-            let avg = Averages::of(&results);
-            let oom = if avg.peak_memory > heap {
+            let avg = fold(&results);
+            let oom = if avg.stats.peak_memory_bytes > heap {
                 "  [exceeds heap]"
             } else {
                 ""
@@ -644,10 +612,10 @@ fn fig12(opts: &Opts, tally: &mut Tally) {
                 "{:<14} {:<10} {:>10.0} {:>12.3} {:>10.0} {:>10.3}{}",
                 preset.name(),
                 m.label(),
-                avg.tuning,
-                avg.peak_memory as f64 / (1024.0 * 1024.0),
-                avg.latency,
-                avg.cpu_ms,
+                tuning(&avg),
+                peak_mb(&avg),
+                latency(&avg),
+                cpu_ms(&avg),
                 oom,
             );
         }
@@ -717,10 +685,13 @@ fn fig13(opts: &Opts, tally: &mut Tally) {
             let exact = [plain.map(|(d, _)| d), contracted.map(|(d, _)| d)]
                 .iter()
                 .all(|&d| d == Some(oracle));
-            tally.push(if exact {
-                Verdict::Exact
-            } else {
-                Verdict::Wrong
+            tally.fold(&Driven {
+                verdict: if exact {
+                    Verdict::Exact
+                } else {
+                    Verdict::Wrong
+                },
+                ..Driven::default()
             });
             with_mem = with_mem.max(proc.mem.peak() as f64);
             with_cpu += proc.cpu.total().as_secs_f64() * 1000.0;
@@ -887,19 +858,14 @@ fn ablations(opts: &Opts, tally: &mut Tally) {
         "e) on-air 4-NN over {} POIs (extension, §8): mean tuning {:.0} packets \
          vs cycle {} — EB-style min-bound pruning generalizes to kNN",
         world.pois.len(),
-        Averages::of(&results).tuning,
+        tuning(&fold(&results)),
         fmt_thousands(len),
     );
 }
 
 /// Prints one row per method of a per-loss-rate table: `pick` of the
 /// method's averages at each rate.
-fn rate_table(
-    title: &str,
-    rates: &[f64],
-    sweep: &[(&str, Vec<Averages>)],
-    pick: fn(&Averages) -> f64,
-) {
+fn rate_table(title: &str, rates: &[f64], sweep: &[(&str, Vec<Tally>)], pick: fn(&Tally) -> f64) {
     println!("\n-- {title} --");
     print!("{:<10}", "Method");
     for r in rates {
@@ -926,7 +892,7 @@ fn fig14(opts: &Opts, tally: &mut Tally) {
     let items = p2p_items(&programs.world().g, n_queries, opts.seed + 50);
     let rates = [0.001, 0.005, 0.01, 0.05, 0.10];
     // Per method, the averages at each rate under `loss(rate)`.
-    let mut sweep = |loss: fn(f64) -> LossSpec, seed: u64| -> Vec<(&'static str, Vec<Averages>)> {
+    let mut sweep = |loss: fn(f64) -> LossSpec, seed: u64| -> Vec<(&'static str, Vec<Tally>)> {
         opts.methods
             .iter()
             .map(|&m| {
@@ -934,7 +900,7 @@ fn fig14(opts: &Opts, tally: &mut Tally) {
                     .iter()
                     .map(|&rate| {
                         let tune = |_| uniform(loss(rate));
-                        Averages::of(&run(&programs, m, &items, tune, seed, tally))
+                        fold(&run(&programs, m, &items, tune, seed, tally))
                     })
                     .collect();
                 (m.label(), avgs)
@@ -947,15 +913,13 @@ fn fig14(opts: &Opts, tally: &mut Tally) {
     // index copy, which stresses the §6.2 recovery paths harder than
     // i.i.d. noise; answers stay exact either way.
     let bursty = sweep(|rate| LossSpec::Bursty { rate, burst: 8.0 }, opts.seed + 52);
-    rate_table("a) Tuning time (packets)", &rates, &bernoulli, |a| a.tuning);
-    rate_table("b) Access latency (packets)", &rates, &bernoulli, |a| {
-        a.latency
-    });
+    rate_table("a) Tuning time (packets)", &rates, &bernoulli, tuning);
+    rate_table("b) Access latency (packets)", &rates, &bernoulli, latency);
     rate_table(
         "extension: tuning under bursty loss (mean burst 8 packets)",
         &rates,
         &bursty,
-        |a| a.tuning,
+        tuning,
     );
 }
 
@@ -994,23 +958,26 @@ mod tests {
             }),
             ..Driven::default()
         };
-        let a = Averages::of(&[mk(100, 5), Driven::default(), mk(200, 9)]);
-        assert_eq!(a.count, 2);
-        assert!((a.tuning - 150.0).abs() < 1e-9);
-        assert!((a.latency - 300.0).abs() < 1e-9);
-        assert_eq!(a.peak_memory, 9);
+        let a = fold(&[mk(100, 5), Driven::default(), mk(200, 9)]);
+        assert_eq!(a.answered, 2);
+        assert!((tuning(&a) - 150.0).abs() < 1e-9);
+        assert!((latency(&a) - 300.0).abs() < 1e-9);
+        assert_eq!(a.stats.peak_memory_bytes, 9);
     }
 
     #[test]
     fn tally_counts_failures_by_class() {
-        let mut t = Tally::default();
-        t.push(Verdict::Exact);
-        assert!(t.clean());
-        t.push(Verdict::Failed("client_aborted"));
-        t.push(Verdict::Failed("client_aborted"));
-        assert!(!t.clean());
+        let session = |verdict| Driven {
+            verdict,
+            ..Driven::default()
+        };
+        let mut t = fold(&[session(Verdict::Exact)]);
+        assert!(t.exact == t.items);
+        t.fold(&session(Verdict::Failed("client_aborted")));
+        t.fold(&session(Verdict::Failed("client_aborted")));
+        assert!(t.exact != t.items);
         assert_eq!(
-            t.to_string(),
+            summary(&t),
             "1 exact / 0 wrong / 2 failed {\"client_aborted\": 2}"
         );
     }

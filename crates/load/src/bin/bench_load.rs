@@ -230,11 +230,14 @@ fn run_channel_main(args: &BenchArgs, o: &Overrides) -> Result<i32, UsageError> 
         .field("scale", format!("{:.3}", o.scale))
         .field("scenarios", specs.len())
         .field("cells", report.cells.len())
-        .field("population_total", report.total_population())
+        .field("population_total", report.total(|c| c.population))
         .field("profile_sessions", prep.profile_sessions())
-        .field("mismatches", report.total_mismatches())
-        .field("typed_failures", report.total_typed_failures())
-        .field("all_exact", report.all_exact())
+        .field("mismatches", report.total(|c| c.tally.wrong + c.failures()))
+        .field(
+            "typed_failures",
+            report.total(|c| c.fault.as_ref().map_or(0, |_| c.tally.typed())),
+        )
+        .field("all_exact", report.passes())
         .certificate(cert.digest, cert.bit_identical, args.threads)
         .secs("prepare_secs", prepare_secs)
         .secs("serve_secs", cert.secs)

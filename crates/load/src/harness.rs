@@ -45,10 +45,9 @@ use spair_core::RecoveryBudget;
 use spair_methods::{MethodId, MethodProgram, SessionShape};
 use spair_roadnet::parallel;
 use spair_sim::{
-    drive, Device, Driven, FaultSource, ScenarioContext, Tune, TuneInSpec, Verdict, WorkItem,
-    FAULT_BUDGET,
+    drive, Device, Driven, FaultSource, ScenarioContext, Tally, Tune, TuneInSpec, Verdict,
+    WorkItem, FAULT_BUDGET,
 };
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// A cell's seed: every client's (query, offset, loss seed) is a pure
@@ -88,21 +87,35 @@ fn device(ctx: &ScenarioContext, method: MethodId) -> Device {
     Device::new(program(ctx, method)).expect("air methods have air clients")
 }
 
-/// One real client session's measurements, recorded at a class
-/// representative offset and replayed across the population.
+/// One real client session, recorded at a class representative offset
+/// and replayed across the population.
 #[derive(Debug, Clone, Copy)]
 struct SessionProfile {
-    tuning: u64,
-    latency: u64,
-    peak_memory_bytes: usize,
+    /// The session's verdict against the oracle.
+    verdict: Verdict,
+    /// The answer's measurements; `None` when no answer came back.
+    stats: Option<QueryStats>,
     /// Measured CPU milliseconds of this real session (timing-only —
     /// never digested; replayed cells report the per-profile mean).
     cpu_ms: f64,
-    /// Distance matched the serial-Dijkstra oracle.
-    exact: bool,
-    /// The session returned an error (never expected; counted, not
-    /// replayed into the histograms).
-    failed: bool,
+}
+
+impl SessionProfile {
+    /// The session of a client whose tune-in packet points `delta`
+    /// packets further ahead than the probe's: the same answer, `delta`
+    /// packets later.
+    fn replay(&self, delta: u64) -> Driven {
+        Driven {
+            verdict: self.verdict,
+            stats: self.stats.map(|s| QueryStats {
+                latency_packets: s.latency_packets + delta,
+                sleep_packets: s.sleep_packets + delta,
+                ..s
+            }),
+            queries: 1,
+            ..Driven::default()
+        }
+    }
 }
 
 enum CellMode {
@@ -246,15 +259,10 @@ fn probe_session(
         single,
         |_| 0,
     );
-    let cpu_ms = start.elapsed().as_secs_f64() * 1000.0;
-    let stats = d.stats.unwrap_or_default();
     SessionProfile {
-        tuning: stats.tuning_packets,
-        latency: stats.latency_packets,
-        peak_memory_bytes: stats.peak_memory_bytes,
-        cpu_ms,
-        exact: d.verdict == Verdict::Exact,
-        failed: d.stats.is_none(),
+        verdict: d.verdict,
+        stats: d.stats,
+        cpu_ms: start.elapsed().as_secs_f64() * 1000.0,
     }
 }
 
@@ -408,76 +416,27 @@ impl PreparedLoad {
         };
         let (ci, delta) = resolve_class(*shape, anchors, cycle, offset)?;
         let p = &profiles[query * class_count(*shape, anchors) + ci];
-        if p.failed {
-            return None;
-        }
-        let latency = p.latency + delta;
-        Some((p.tuning, latency, latency - p.tuning))
-    }
-}
-
-/// Fault/recovery aggregate of a supervised flash-crowd cell — the
-/// streaming counterpart of the fault matrix's per-cell accumulator.
-struct FaultAgg {
-    typed_failures: u64,
-    budget_violations: u64,
-    attempts: u64,
-    max_attempts: u32,
-    retried: u64,
-    recovery: StreamingHistogram,
-    classes: BTreeMap<&'static str, u64>,
-}
-
-impl FaultAgg {
-    fn new(cycle_len: usize) -> Self {
-        Self {
-            typed_failures: 0,
-            budget_violations: 0,
-            attempts: 0,
-            max_attempts: 0,
-            retried: 0,
-            recovery: StreamingHistogram::with_bound((cycle_len as u64).max(1) * 64, HIST_BUCKETS),
-            classes: BTreeMap::new(),
-        }
-    }
-
-    /// Folds one supervised session's cost in.
-    fn session(&mut self, d: &Driven) {
-        self.attempts += u64::from(d.attempts);
-        self.max_attempts = self.max_attempts.max(d.attempts);
-        self.retried += u64::from(d.attempts > 1);
-        self.recovery.record(d.recovery_packets);
-        self.budget_violations += u64::from(d.over_budget);
-    }
-
-    fn failed(&mut self, class: &'static str) {
-        self.typed_failures += 1;
-        *self.classes.entry(class).or_insert(0) += 1;
-    }
-
-    fn absorb(&mut self, other: FaultAgg) {
-        self.typed_failures += other.typed_failures;
-        self.budget_violations += other.budget_violations;
-        self.attempts += other.attempts;
-        self.max_attempts = self.max_attempts.max(other.max_attempts);
-        self.retried += other.retried;
-        self.recovery.merge(&other.recovery);
-        for (class, n) in other.classes {
-            *self.classes.entry(class).or_insert(0) += n;
-        }
+        let s = p.replay(delta).stats?;
+        Some((
+            s.tuning_packets,
+            s.latency_packets,
+            s.latency_packets - s.tuning_packets,
+        ))
     }
 }
 
 /// Streaming per-cell aggregate — the map-reduce partial. O(buckets)
 /// memory regardless of population.
 struct CellMetrics {
+    rate: ChannelRate,
     latency: StreamingHistogram,
     tuning: StreamingHistogram,
     energy_uj: StreamingHistogram,
-    mismatches: u64,
-    failures: u64,
-    peak_memory_bytes: usize,
-    fault: Option<FaultAgg>,
+    /// Every session's recovery latency, answered or not — supervised
+    /// flash cells only.
+    recovery: Option<StreamingHistogram>,
+    /// Every client's session, folded.
+    tally: Tally,
     /// Measured CPU milliseconds summed over this worker's real client
     /// sessions (full-session cells only; timing-only, never digested).
     session_cpu_ms: f64,
@@ -493,46 +452,96 @@ impl CellMetrics {
         // supervised ones stretch by retry cycles and re-tunes. Values
         // beyond the bound stay exact in count/sum/max and fall into the
         // overflow bucket.
+        let cycle = (cycle_len as u64).max(1);
         let factor = if full_sessions { 24 } else { 4 };
-        let latency_bound = (cycle_len as u64).max(1) * factor;
-        let tuning_bound = (cycle_len as u64).max(1) * if full_sessions { 24 } else { 2 };
+        let latency_bound = cycle * factor;
+        let tuning_bound = cycle * if full_sessions { 24 } else { 2 };
         let energy_bound = radio_uj(rate, tuning_bound, latency_bound);
         Self {
+            rate,
             latency: StreamingHistogram::with_bound(latency_bound, HIST_BUCKETS),
             tuning: StreamingHistogram::with_bound(tuning_bound, HIST_BUCKETS),
             energy_uj: StreamingHistogram::with_bound(energy_bound, HIST_BUCKETS),
-            mismatches: 0,
-            failures: 0,
-            peak_memory_bytes: 0,
-            fault: supervised.then(|| FaultAgg::new(cycle_len)),
+            recovery: supervised.then(|| StreamingHistogram::with_bound(cycle * 64, HIST_BUCKETS)),
+            tally: Tally::default(),
             session_cpu_ms: 0.0,
             cpu_sessions: 0,
         }
     }
 
-    fn record(&mut self, rate: ChannelRate, tuning: u64, latency: u64, peak: usize, exact: bool) {
-        if !exact {
-            self.mismatches += 1;
+    /// Folds one client's session in. An answered session enters the
+    /// cost histograms; a supervised one is charged its packets over
+    /// every attempt.
+    fn serve(&mut self, d: &Driven) {
+        self.tally.fold(d);
+        if let Some(recovery) = self.recovery.as_mut() {
+            recovery.record(d.recovery_packets);
         }
+        let Some(stats) = &d.stats else {
+            return;
+        };
+        let (tuning, latency) = if self.recovery.is_some() {
+            (d.tuned_packets, d.recovery_packets)
+        } else {
+            (stats.tuning_packets, stats.latency_packets)
+        };
         self.latency.record(latency);
         self.tuning.record(tuning);
         self.energy_uj
-            .record(radio_uj(rate, tuning, latency - tuning));
-        self.peak_memory_bytes = self.peak_memory_bytes.max(peak);
+            .record(radio_uj(self.rate, tuning, latency - tuning));
     }
 
     fn absorb(&mut self, other: CellMetrics) {
         self.latency.merge(&other.latency);
         self.tuning.merge(&other.tuning);
         self.energy_uj.merge(&other.energy_uj);
-        self.mismatches += other.mismatches;
-        self.failures += other.failures;
-        self.peak_memory_bytes = self.peak_memory_bytes.max(other.peak_memory_bytes);
-        if let (Some(a), Some(b)) = (self.fault.as_mut(), other.fault) {
-            a.absorb(b);
+        if let (Some(a), Some(b)) = (self.recovery.as_mut(), other.recovery) {
+            a.merge(&b);
         }
+        self.tally.merge(&other.tally);
         self.session_cpu_ms += other.session_cpu_ms;
         self.cpu_sessions += other.cpu_sessions;
+    }
+
+    /// The cell's row.
+    fn report(
+        self,
+        spec: &LoadSpec,
+        cell: &PreparedCell,
+        query_pool: usize,
+        cycle_packets: usize,
+        cpu_ms: f64,
+    ) -> LoadCellReport {
+        // Mean measured CPU per real client session: the profile table
+        // for replayed cells (their served clients are O(1) replays), the
+        // served sessions themselves otherwise.
+        let client_cpu_ms = match &cell.mode {
+            CellMode::Replay { profiles, .. } => {
+                let n = profiles.len().max(1);
+                profiles.iter().map(|p| p.cpu_ms).sum::<f64>() / n as f64
+            }
+            CellMode::Full { .. } => self.session_cpu_ms / self.cpu_sessions.max(1) as f64,
+        };
+        LoadCellReport {
+            scenario: spec.scenario.name.clone(),
+            method: cell.method.name(),
+            population: cell.population,
+            query_pool,
+            replayed: matches!(cell.mode, CellMode::Replay { .. }),
+            profile_sessions: cell.profile_sessions(),
+            tally: self.tally,
+            cycle_packets,
+            latency: summarize(&self.latency),
+            tuning: summarize(&self.tuning),
+            energy_uj: summarize(&self.energy_uj),
+            radio_energy_joules_total: self.energy_uj.sum() as f64 / 1e6,
+            fault: self.recovery.map(|recovery| LoadFaultSummary {
+                fault: spec.scenario.fault.label(),
+                recovery: summarize(&recovery),
+            }),
+            cpu_ms,
+            client_cpu_ms,
+        }
     }
 }
 
@@ -602,23 +611,15 @@ fn run_cell(prep: &PreparedLoad, cell: &PreparedCell, threads: usize) -> LoadCel
                         anchors,
                         profiles,
                     } => {
-                        let Some((ci, delta)) = resolve_class(*shape, anchors, cycle, offset)
-                        else {
-                            partial.failures += 1;
-                            continue;
-                        };
-                        let p = &profiles[qi * class_count(*shape, anchors) + ci];
-                        if p.failed {
-                            partial.failures += 1;
-                        } else {
-                            partial.record(
-                                rate,
-                                p.tuning,
-                                p.latency + delta,
-                                p.peak_memory_bytes,
-                                p.exact,
-                            );
-                        }
+                        // Without an anchor to replay from, no session
+                        // could serve the client.
+                        let d = resolve_class(*shape, anchors, cycle, offset).map_or_else(
+                            Driven::default,
+                            |(ci, delta)| {
+                                profiles[qi * class_count(*shape, anchors) + ci].replay(delta)
+                            },
+                        );
+                        partial.serve(&d);
                         continue;
                     }
                     // Re-tunes draw fresh offsets and loss streams; a
@@ -647,85 +648,14 @@ fn run_cell(prep: &PreparedLoad, cell: &PreparedCell, threads: usize) -> LoadCel
                 );
                 partial.session_cpu_ms += t0.elapsed().as_secs_f64() * 1000.0;
                 partial.cpu_sessions += 1;
-                let Some(fault) = partial.fault.as_mut() else {
-                    match d.stats {
-                        Some(stats) => partial.record(
-                            rate,
-                            stats.tuning_packets,
-                            stats.latency_packets,
-                            stats.peak_memory_bytes,
-                            d.verdict == Verdict::Exact,
-                        ),
-                        None => partial.failures += 1,
-                    }
-                    continue;
-                };
-                fault.session(&d);
-                match (d.stats, d.verdict) {
-                    (Some(stats), verdict) => partial.record(
-                        rate,
-                        d.tuned_packets,
-                        d.recovery_packets,
-                        stats.peak_memory_bytes,
-                        verdict == Verdict::Exact,
-                    ),
-                    (None, Verdict::Failed(class)) => fault.failed(class),
-                    // The pool is oracle-backed — every query is
-                    // reachable — so a trusted negative is wrong.
-                    (None, _) => partial.mismatches += 1,
-                }
+                partial.serve(&d);
             }
         },
         |a, b| a.absorb(b),
     )
     .unwrap_or_else(|| CellMetrics::new(cycle_len, full_sessions, supervised, rate));
-
-    let fault = metrics.fault.map(|agg| LoadFaultSummary {
-        fault: spec.scenario.fault.label(),
-        typed_failures: agg.typed_failures,
-        failure_rate: agg.typed_failures as f64 / (cell.population.max(1)) as f64,
-        budget_violations: agg.budget_violations,
-        attempts: agg.attempts,
-        max_attempts: agg.max_attempts,
-        retried: agg.retried,
-        recovery: summarize(&agg.recovery),
-        failure_classes: agg
-            .classes
-            .into_iter()
-            .map(|(c, n)| (c.to_string(), n))
-            .collect(),
-    });
-
-    // Mean measured CPU per real client session: the profile table for
-    // replayed cells (their served clients are O(1) replays), the served
-    // sessions themselves otherwise.
-    let client_cpu_ms = match &cell.mode {
-        CellMode::Replay { profiles, .. } => {
-            let n = profiles.len().max(1);
-            profiles.iter().map(|p| p.cpu_ms).sum::<f64>() / n as f64
-        }
-        CellMode::Full { .. } => metrics.session_cpu_ms / metrics.cpu_sessions.max(1) as f64,
-    };
-
-    LoadCellReport {
-        scenario: spec.scenario.name.clone(),
-        method: cell.method.name(),
-        population: cell.population,
-        query_pool: pool.len(),
-        replayed: !full_sessions,
-        profile_sessions: cell.profile_sessions(),
-        mismatches: metrics.mismatches,
-        failures: metrics.failures,
-        cycle_packets: cycle_len,
-        peak_memory_bytes: metrics.peak_memory_bytes,
-        latency: summarize(&metrics.latency),
-        tuning: summarize(&metrics.tuning),
-        energy_uj: summarize(&metrics.energy_uj),
-        radio_energy_joules_total: metrics.energy_uj.sum() as f64 / 1e6,
-        fault,
-        cpu_ms: start.elapsed().as_secs_f64() * 1000.0,
-        client_cpu_ms,
-    }
+    let cpu_ms = start.elapsed().as_secs_f64() * 1000.0;
+    metrics.report(spec, cell, pool.len(), cycle_len, cpu_ms)
 }
 
 /// Serves every prepared cell's population across `threads` workers and
@@ -745,6 +675,7 @@ pub fn run(prep: &PreparedLoad, threads: usize) -> LoadReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spair_sim::Row;
 
     #[test]
     fn cell_seeds_differ_per_method_and_seed() {
@@ -762,6 +693,152 @@ mod tests {
         // the registry's air set is exactly the servable set.
         for m in spair_methods::MethodRegistry::standard().air_methods() {
             let _ = session_shape(m); // must not panic
+        }
+    }
+
+    /// The replayed, lossy and flash rows of cells whose four clients'
+    /// sessions each fold as `d`.
+    fn rows(d: &Driven) -> [LoadCellReport; 3] {
+        let specs = crate::spec::smoke_load_matrix();
+        let modes = [
+            CellMode::Replay {
+                shape: SessionShape::WholeCycle,
+                anchors: Vec::new(),
+                profiles: Vec::new(),
+            },
+            CellMode::Full {
+                faults: FaultSource::None,
+                budget: RecoveryBudget::single(),
+            },
+            CellMode::Full {
+                faults: FaultSource::None,
+                budget: FAULT_BUDGET,
+            },
+        ];
+        let mut rows = modes.into_iter().zip(&specs).map(|(mode, spec)| {
+            let (full, flash) = (spec.scenario.loss.is_lossy() || spec.flash, spec.flash);
+            let mut m = CellMetrics::new(100, full, flash, spec.scenario.rate);
+            for _ in 0..4 {
+                m.serve(d);
+            }
+            let cell = PreparedCell {
+                scenario_idx: 0,
+                method: MethodId::NR,
+                population: 4,
+                mode,
+                profile_secs: 0.0,
+            };
+            m.report(spec, &cell, 4, 100, 0.0)
+        });
+        [(); 3].map(|_| rows.next().expect("three smoke specs"))
+    }
+
+    fn sample(verdict: Verdict, answered: bool) -> Driven {
+        let stats = QueryStats {
+            tuning_packets: 10,
+            latency_packets: 30,
+            sleep_packets: 20,
+            peak_memory_bytes: 100,
+            ..QueryStats::default()
+        };
+        let attempts = if matches!(verdict, Verdict::Failed(_)) {
+            3
+        } else {
+            1
+        };
+        Driven {
+            verdict,
+            stats: answered.then_some(stats),
+            queries: 1,
+            attempts,
+            max_attempts: attempts,
+            recovery_packets: 30,
+            max_recovery_packets: 30,
+            tuned_packets: 10,
+            ..Driven::default()
+        }
+    }
+
+    /// Asserts that `row` renders the verdict columns `columns`.
+    fn renders(row: &LoadCellReport, columns: &str) {
+        let json = row.json_fields(false);
+        assert!(json.contains(columns), "{columns} not in {json}");
+    }
+
+    #[test]
+    fn an_exact_session_counts_as_exact() {
+        let [replayed, lossy, flash] = rows(&sample(Verdict::Exact, true));
+        for r in [&replayed, &lossy, &flash] {
+            renders(
+                r,
+                "\"mismatches\": 0, \"failures\": 0, \"exact\": true, \
+                        \"cycle_packets\": 100, \"peak_memory_bytes\": 100",
+            );
+            assert_eq!(r.latency.max, 30);
+        }
+        assert!(replayed.replayed && !lossy.replayed && !flash.replayed);
+        assert!(replayed.fault.is_none() && lossy.fault.is_none());
+        renders(
+            &flash,
+            "\"typed_failures\": 0, \"failure_rate\": 0.000000, \
+                         \"budget_violations\": 0, \"attempts\": 4, \"max_attempts\": 1, \
+                         \"retried\": 0",
+        );
+    }
+
+    #[test]
+    fn a_wrong_answer_counts_as_a_mismatch() {
+        for r in rows(&sample(Verdict::Wrong, true)) {
+            renders(
+                &r,
+                "\"mismatches\": 4, \"failures\": 0, \"exact\": false, \
+                         \"cycle_packets\": 100, \"peak_memory_bytes\": 100",
+            );
+        }
+    }
+
+    #[test]
+    fn a_trusted_unreachable_counts_as_a_mismatch() {
+        for r in rows(&sample(Verdict::Wrong, false)) {
+            renders(
+                &r,
+                "\"mismatches\": 4, \"failures\": 0, \"exact\": false, \
+                         \"cycle_packets\": 100, \"peak_memory_bytes\": 0",
+            );
+            assert_eq!(r.latency.max, 0, "no answer enters the cost histograms");
+        }
+    }
+
+    #[test]
+    fn a_typed_give_up_counts_as_a_failure_or_in_the_fault_summary() {
+        let [replayed, lossy, flash] = rows(&sample(Verdict::Failed("corrupted"), false));
+        for r in [&replayed, &lossy] {
+            renders(r, "\"mismatches\": 0, \"failures\": 4, \"exact\": false");
+        }
+        // Typed give-ups are certified degradation in a flash cell.
+        renders(
+            &flash,
+            "\"mismatches\": 0, \"failures\": 0, \"exact\": true",
+        );
+        renders(
+            &flash,
+            "\"typed_failures\": 4, \"failure_rate\": 1.000000, \
+                         \"budget_violations\": 0, \"attempts\": 12, \"max_attempts\": 3, \
+                         \"retried\": 4",
+        );
+        renders(&flash, "\"failure_classes\": {\"corrupted\": 4}");
+        let f = flash.fault.expect("flash cells carry a fault summary");
+        assert_eq!(f.recovery.max, 30, "recovery covers failed sessions too");
+    }
+
+    #[test]
+    fn an_unserved_client_counts_as_a_mismatch() {
+        for r in rows(&Driven::default()) {
+            renders(
+                &r,
+                "\"mismatches\": 4, \"failures\": 0, \"exact\": false, \
+                         \"cycle_packets\": 100, \"peak_memory_bytes\": 0",
+            );
         }
     }
 

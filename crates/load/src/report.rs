@@ -1,8 +1,9 @@
 //! Load-harness reports: streaming percentile summaries per
-//! (scenario × method) cell, digest-certified like the conformance
-//! matrix.
+//! (scenario × method) cell, rows of the same certified
+//! [`Matrix`] as the conformance matrix.
 
-use spair_roadnet::certify::{cells_json, counts_json, Certified};
+use spair_roadnet::certify::counts_json;
+use spair_sim::{Gate, Matrix, Row, Tally};
 
 /// Percentiles and exact extremes of one cost dimension over a client
 /// population, read off a streaming histogram.
@@ -35,53 +36,38 @@ impl PercentileSummary {
     }
 }
 
-/// Fault and recovery summary of a flash-crowd cell, where every client
-/// runs a full bounded-recovery supervised session against a shared
-/// correlated fault plan. Present only on flash cells — non-flash cells
-/// serialize without it, byte-for-byte as before.
+/// The flash-crowd part of a cell, where every client runs a full
+/// bounded-recovery supervised session against a shared correlated fault
+/// plan. Present only on flash cells — non-flash cells serialize without
+/// it, byte-for-byte as before. Its JSON object adds the cell's typed
+/// give-ups (`typed_failures`, their `failure_rate` over the population
+/// and `failure_classes` by root class), `budget_violations`, `attempts`,
+/// `max_attempts` and `retried` sessions from the cell's tally.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadFaultSummary {
     /// Fault-spec label of the scenario (e.g. `chaos1.0%@16.0c`).
     pub fault: String,
-    /// Sessions that gave up with a typed `SessionError` (never a wrong
-    /// answer — those count as mismatches and fail the gate).
-    pub typed_failures: u64,
-    /// `typed_failures / population`.
-    pub failure_rate: f64,
-    /// Sessions that blew the attempt budget or the packet ceiling.
-    /// The gate requires 0.
-    pub budget_violations: u64,
-    /// Supervised attempts across the population.
-    pub attempts: u64,
-    /// Worst single session's attempt count.
-    pub max_attempts: u32,
-    /// Sessions that needed more than one attempt (re-tuned after a
-    /// silently-corrupting fault).
-    pub retried: u64,
     /// Recovery latency (total packets elapsed across every attempt of a
     /// session — what the user waits) over the whole population,
     /// answered and failed sessions alike.
     pub recovery: PercentileSummary,
-    /// Root-cause failure-class breakdown (`class → count`), sorted by
-    /// class label.
-    pub failure_classes: Vec<(String, u64)>,
 }
 
 impl LoadFaultSummary {
-    fn json(&self) -> String {
+    fn json(&self, t: &Tally, population: usize) -> String {
         format!(
             "{{ \"fault\": \"{}\", \"typed_failures\": {}, \"failure_rate\": {:.6}, \
              \"budget_violations\": {}, \"attempts\": {}, \"max_attempts\": {}, \
              \"retried\": {}, \"recovery_packets\": {}, \"failure_classes\": {} }}",
             self.fault,
-            self.typed_failures,
-            self.failure_rate,
-            self.budget_violations,
-            self.attempts,
-            self.max_attempts,
-            self.retried,
+            t.typed(),
+            t.typed() as f64 / population.max(1) as f64,
+            t.over_budget,
+            t.attempts,
+            t.max_attempts,
+            t.retried,
             self.recovery.json(),
-            counts_json(&self.failure_classes),
+            counts_json(&t.class_counts()),
         )
     }
 }
@@ -103,14 +89,14 @@ pub struct LoadCellReport {
     /// Real sessions run to build the profile table (0 when not
     /// replayed).
     pub profile_sessions: usize,
-    /// Sessions whose distance diverged from the oracle. Green iff 0.
-    pub mismatches: u64,
-    /// Sessions that returned an error (never expected).
-    pub failures: u64,
+    /// Every client's session, folded: `mismatches` counts the wrong
+    /// ones (a wrong answer, a trusted unreachability verdict on the
+    /// reachable pool, or a client no session could serve), `failures`
+    /// the typed give-ups outside flash cells, and `peak_memory_bytes`
+    /// is the worst client heap.
+    pub tally: Tally,
     /// Shared broadcast cycle length, in packets.
     pub cycle_packets: usize,
-    /// Worst client heap across the population.
-    pub peak_memory_bytes: usize,
     /// Access latency (packets) over the population.
     pub latency: PercentileSummary,
     /// Tuning time (packets) over the population.
@@ -133,16 +119,75 @@ pub struct LoadCellReport {
 }
 
 impl LoadCellReport {
-    /// Whether every served session matched the oracle and none failed
-    /// untyped or out of budget. Flash cells may report typed give-ups —
-    /// those are the certified degradation mode, not a gate failure.
+    /// Whether the cell passes its gate: every session exact in a
+    /// replayed or lossy cell; in a flash cell, no wrong answer and no
+    /// budget violation, since typed give-ups are the certified
+    /// degradation mode there.
     pub fn exact(&self) -> bool {
-        self.mismatches == 0
-            && self.failures == 0
-            && self.fault.as_ref().is_none_or(|f| f.budget_violations == 0)
+        self.passes()
     }
 
-    fn json_fields(&self, include_timings: bool) -> String {
+    /// Typed give-ups outside a flash cell, whose fault summary counts
+    /// its own.
+    pub fn failures(&self) -> usize {
+        match self.fault {
+            Some(_) => 0,
+            None => self.tally.typed(),
+        }
+    }
+}
+
+impl Row for LoadCellReport {
+    const FAILURE: &'static str = "LOAD CONFORMANCE FAILURE";
+
+    fn header() -> String {
+        format!(
+            "{:<26} {:<9} {:>8} {:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8}\n",
+            "Scenario",
+            "Method",
+            "Clients",
+            "OK",
+            "Lat p50",
+            "Lat p99",
+            "Tune p50",
+            "Tune p99",
+            "Cycle",
+            "Joules"
+        )
+    }
+
+    fn line(&self) -> String {
+        let mut out = format!(
+            "{:<26} {:<9} {:>8} {:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8.1}\n",
+            self.scenario,
+            self.method,
+            self.population,
+            if self.exact() { "yes" } else { "NO" },
+            self.latency.p50,
+            self.latency.p99,
+            self.tuning.p50,
+            self.tuning.p99,
+            self.cycle_packets,
+            self.radio_energy_joules_total,
+        );
+        if let Some(f) = &self.fault {
+            let t = &self.tally;
+            out.push_str(&format!(
+                "  └ {}: {} typed failures ({:.3}%), {} retried, \
+                 recovery p99 {} pkts (max {}), {} budget violations\n",
+                f.fault,
+                t.typed(),
+                t.typed() as f64 / self.population.max(1) as f64 * 100.0,
+                t.retried,
+                f.recovery.p99,
+                f.recovery.max,
+                t.over_budget,
+            ));
+        }
+        out
+    }
+
+    fn json_fields(&self, timings: bool) -> String {
         let mut s = format!(
             "\"scenario\": \"{}\", \"method\": \"{}\", \"population\": {}, \
              \"query_pool\": {}, \"replayed\": {}, \"profile_sessions\": {}, \
@@ -156,20 +201,21 @@ impl LoadCellReport {
             self.query_pool,
             self.replayed,
             self.profile_sessions,
-            self.mismatches,
-            self.failures,
+            self.tally.wrong,
+            self.failures(),
             self.exact(),
             self.cycle_packets,
-            self.peak_memory_bytes,
+            self.tally.stats.peak_memory_bytes,
             self.latency.json(),
             self.tuning.json(),
             self.energy_uj.json(),
             self.radio_energy_joules_total,
         );
         if let Some(fault) = &self.fault {
-            s.push_str(&format!(", \"fault\": {}", fault.json()));
+            let json = fault.json(&self.tally, self.population);
+            s.push_str(&format!(", \"fault\": {json}"));
         }
-        if include_timings {
+        if timings {
             s.push_str(&format!(
                 ", \"cpu_ms\": {:.3}, \"client_cpu_ms\": {:.4}",
                 self.cpu_ms, self.client_cpu_ms
@@ -177,119 +223,29 @@ impl LoadCellReport {
         }
         s
     }
-}
 
-/// The full report of one load run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadReport {
-    /// Every (scenario × method) cell, in scenario-major order.
-    pub cells: Vec<LoadCellReport>,
-}
-
-impl LoadReport {
-    /// Whether every cell is exact — the load conformance gate.
-    pub fn all_exact(&self) -> bool {
-        self.cells.iter().all(LoadCellReport::exact)
+    fn tally(&self) -> &Tally {
+        &self.tally
     }
 
-    /// Total oracle mismatches plus failed sessions.
-    pub fn total_mismatches(&self) -> usize {
-        self.cells
-            .iter()
-            .map(|c| (c.mismatches + c.failures) as usize)
-            .sum()
-    }
-
-    /// Clients served across all cells.
-    pub fn total_population(&self) -> usize {
-        self.cells.iter().map(|c| c.population).sum()
-    }
-
-    /// Typed give-ups across every flash-crowd cell.
-    pub fn total_typed_failures(&self) -> u64 {
-        self.cells
-            .iter()
-            .filter_map(|c| c.fault.as_ref())
-            .map(|f| f.typed_failures)
-            .sum()
-    }
-
-    /// A fixed-width text table (one row per cell) for terminal output.
-    pub fn render_table(&self) -> String {
-        let mut out = format!(
-            "{:<26} {:<9} {:>8} {:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8}\n",
-            "Scenario",
-            "Method",
-            "Clients",
-            "OK",
-            "Lat p50",
-            "Lat p99",
-            "Tune p50",
-            "Tune p99",
-            "Cycle",
-            "Joules"
-        );
-        for c in &self.cells {
-            out.push_str(&format!(
-                "{:<26} {:<9} {:>8} {:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8.1}\n",
-                c.scenario,
-                c.method,
-                c.population,
-                if c.exact() { "yes" } else { "NO" },
-                c.latency.p50,
-                c.latency.p99,
-                c.tuning.p50,
-                c.tuning.p99,
-                c.cycle_packets,
-                c.radio_energy_joules_total,
-            ));
-            if let Some(f) = &c.fault {
-                out.push_str(&format!(
-                    "  └ {}: {} typed failures ({:.3}%), {} retried, \
-                     recovery p99 {} pkts (max {}), {} budget violations\n",
-                    f.fault,
-                    f.typed_failures,
-                    f.failure_rate * 100.0,
-                    f.retried,
-                    f.recovery.p99,
-                    f.recovery.max,
-                    f.budget_violations,
-                ));
-            }
-        }
-        out
-    }
-}
-
-impl Certified for LoadReport {
-    fn deterministic_json(&self) -> String {
-        cells_json(&self.cells, |c| c.json_fields(false))
-    }
-
-    fn artifact_json(&self) -> String {
-        cells_json(&self.cells, |c| c.json_fields(true))
-    }
-
-    fn cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    fn verdict(&self) -> Result<(), String> {
-        if self.all_exact() {
-            Ok(())
-        } else {
-            Err(format!(
-                "LOAD CONFORMANCE FAILURE: {} mismatched/failed sessions",
-                self.total_mismatches()
-            ))
+    /// A flash cell (the one kind with a fault summary) is never wrong;
+    /// every other cell is exact.
+    fn gate(&self) -> Gate {
+        match self.fault {
+            Some(_) => Gate::NeverWrong,
+            None => Gate::Exact,
         }
     }
 }
+
+/// The report of one load run: every (scenario × method) cell, in
+/// scenario-major order.
+pub type LoadReport = Matrix<LoadCellReport>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spair_roadnet::certify::fnv1a64;
+    use spair_roadnet::certify::{fnv1a64, Certified};
 
     fn summary() -> PercentileSummary {
         PercentileSummary {
@@ -303,7 +259,7 @@ mod tests {
         }
     }
 
-    fn cell(mismatches: u64) -> LoadCellReport {
+    fn cell(mismatches: usize) -> LoadCellReport {
         LoadCellReport {
             scenario: "s".to_string(),
             method: "nr",
@@ -311,10 +267,17 @@ mod tests {
             query_pool: 4,
             replayed: true,
             profile_sessions: 8,
-            mismatches,
-            failures: 0,
+            tally: Tally {
+                items: 100,
+                exact: 100 - mismatches,
+                wrong: mismatches,
+                stats: spair_broadcast::QueryStats {
+                    peak_memory_bytes: 1000,
+                    ..Default::default()
+                },
+                ..Tally::default()
+            },
             cycle_packets: 200,
-            peak_memory_bytes: 1000,
             latency: summary(),
             tuning: summary(),
             energy_uj: summary(),
@@ -325,18 +288,16 @@ mod tests {
         }
     }
 
-    fn fault_summary() -> LoadFaultSummary {
-        LoadFaultSummary {
+    /// `c` as a flash cell: three of its clients gave up typed.
+    fn flash(mut c: LoadCellReport) -> LoadCellReport {
+        c.fault = Some(LoadFaultSummary {
             fault: "chaos1.0%@16.0c".to_string(),
-            typed_failures: 3,
-            failure_rate: 0.03,
-            budget_violations: 0,
-            attempts: 110,
-            max_attempts: 3,
-            retried: 7,
             recovery: summary(),
-            failure_classes: vec![("cycle_aborted".to_string(), 3)],
-        }
+        });
+        c.tally.exact -= 3;
+        c.tally.classes.insert("cycle_aborted", 3);
+        (c.tally.attempts, c.tally.max_attempts, c.tally.retried) = (110, 3, 7);
+        c
     }
 
     #[test]
@@ -344,10 +305,11 @@ mod tests {
         let mut r = LoadReport {
             cells: vec![cell(0)],
         };
-        assert!(r.all_exact());
-        r.cells[0].failures = 1;
-        assert!(!r.all_exact());
-        assert_eq!(r.total_mismatches(), 1);
+        assert!(r.passes());
+        r.cells[0].tally.exact -= 1;
+        r.cells[0].tally.classes.insert("client_aborted", 1);
+        assert!(!r.passes());
+        assert_eq!(r.total(|c| c.tally.wrong + c.failures()), 1);
     }
 
     #[test]
@@ -384,22 +346,35 @@ mod tests {
         let plain = r.deterministic_json();
         assert!(!plain.contains("\"fault\""), "non-flash cells unchanged");
         let d0 = r.digest();
-        r.cells[0].fault = Some(fault_summary());
+        r.cells[0] = flash(cell(0));
         let with = r.deterministic_json();
         assert!(with.contains("\"fault\": {"));
         assert!(with.contains("\"failure_rate\": 0.030000"));
         assert!(with.contains("\"cycle_aborted\": 3"));
         assert_ne!(r.digest(), d0, "the summary is digest-covered");
-        assert_eq!(r.total_typed_failures(), 3);
+        assert_eq!(
+            r.total(|c| c.fault.as_ref().map_or(0, |_| c.tally.typed())),
+            3
+        );
         assert!(r.render_table().contains("recovery p99"));
     }
 
     #[test]
     fn budget_violations_fail_the_gate_but_typed_failures_do_not() {
-        let mut c = cell(0);
-        c.fault = Some(fault_summary());
+        let mut c = flash(cell(0));
         assert!(c.exact(), "typed give-ups are certified degradation");
-        c.fault.as_mut().unwrap().budget_violations = 1;
+        c.tally.over_budget = 1;
         assert!(!c.exact(), "budget violations fail the gate");
+    }
+
+    #[test]
+    fn a_lone_budget_violation_fails_the_gate_by_its_count() {
+        let mut c = flash(cell(0));
+        c.tally.over_budget = 1;
+        let r = LoadReport { cells: vec![c] };
+        assert_eq!(
+            r.verdict(),
+            Err("LOAD CONFORMANCE FAILURE: 1 budget violations".to_string())
+        );
     }
 }

@@ -123,11 +123,11 @@ fn smoke_matrix_serves_exactly_and_reports_percentiles() {
     override_population(&mut specs, 600);
     let report = run(&prepare(&specs, 2), 2);
     assert!(
-        report.all_exact(),
+        report.passes(),
         "{} mismatches",
-        report.total_mismatches()
+        report.total(|c| c.tally.wrong + c.failures())
     );
-    assert_eq!(report.total_population(), 600 * report.cells.len());
+    assert_eq!(report.total(|c| c.population), 600 * report.cells.len());
     for c in &report.cells {
         assert!(c.latency.p50 > 0, "{} {}", c.scenario, c.method);
         assert!(c.latency.p50 <= c.latency.p95);
@@ -136,7 +136,7 @@ fn smoke_matrix_serves_exactly_and_reports_percentiles() {
         assert!(c.tuning.max <= c.latency.max);
         assert!(c.energy_uj.p50 > 0);
         assert!(c.radio_energy_joules_total > 0.0);
-        assert!(c.peak_memory_bytes > 0);
+        assert!(c.tally.stats.peak_memory_bytes > 0);
     }
 }
 
@@ -168,11 +168,14 @@ fn peak_client_memory_never_regresses() {
             .find(|c| c.scenario == scenario && c.method == method)
             .unwrap_or_else(|| panic!("missing cell {scenario}/{method}"));
         assert!(
-            cell.peak_memory_bytes <= ceiling,
+            cell.tally.stats.peak_memory_bytes <= ceiling,
             "{scenario}/{method}: peak {} exceeds pre-CSR ceiling {ceiling}",
-            cell.peak_memory_bytes
+            cell.tally.stats.peak_memory_bytes
         );
-        assert!(cell.peak_memory_bytes > 0, "{scenario}/{method}: no charge");
+        assert!(
+            cell.tally.stats.peak_memory_bytes > 0,
+            "{scenario}/{method}: no charge"
+        );
     }
 }
 
@@ -189,34 +192,34 @@ fn flash_crowd_cells_certify_never_wrong() {
     override_population(&mut specs, 400);
     let report = run(&prepare(&specs, 2), 2);
     assert!(
-        report.all_exact(),
+        report.passes(),
         "{} mismatched/out-of-budget sessions",
-        report.total_mismatches()
+        report.total(|c| c.tally.wrong + c.failures())
     );
     for c in &report.cells {
         assert!(!c.replayed, "flash cells run full supervised sessions");
         let f = c.fault.as_ref().expect("flash cells carry a fault summary");
-        assert_eq!(f.budget_violations, 0, "{}", c.method);
-        assert!(f.attempts >= c.population as u64);
+        assert_eq!(c.tally.over_budget, 0, "{}", c.method);
+        assert!(c.tally.attempts >= c.population as u64);
         assert!(
             f.recovery.max >= c.latency.max,
             "{}: recovery covers all sessions, latency only answered ones",
             c.method
         );
         assert_eq!(
-            f.typed_failures,
-            f.failure_classes.iter().map(|(_, n)| n).sum::<u64>(),
+            c.tally.typed(),
+            c.tally.classes.values().sum::<usize>(),
             "every typed failure is classified"
         );
     }
     // The fault stream is shared, so a single method can luck into a
     // taint-free window — but across the cell set, chaos at this rate
     // must force some supervised re-tunes.
-    let retried: u64 = report
+    let retried: usize = report
         .cells
         .iter()
-        .filter_map(|c| c.fault.as_ref())
-        .map(|f| f.retried)
+        .filter(|c| c.fault.is_some())
+        .map(|c| c.tally.retried)
         .sum();
     assert!(retried > 0, "no client ever re-tuned under chaos");
 }
@@ -229,7 +232,7 @@ fn lossy_population_costs_more_latency_than_lossless() {
     lossy.scenario.name = "tiny-load-lossy".to_string();
     lossy.scenario.loss = LossSpec::Bernoulli { rate: 0.10 };
     let report = run(&prepare(&[lossless, lossy], 2), 2);
-    assert!(report.all_exact());
+    assert!(report.passes());
     let (a, b) = (&report.cells[0], &report.cells[1]);
     assert!(a.replayed && !b.replayed);
     // A 10% loss rate forces retry packets on most whole-cycle clients.

@@ -22,66 +22,32 @@
 //! methods. Flags, run order and exit codes are the shared ones of
 //! `spair_roadnet::certify`.
 
-use spair_roadnet::certify::{self, columns_partial, Certified, Cli, Envelope, Tier};
+use spair_roadnet::certify::Tier;
 use spair_sim::{
     dynamic_matrix, dynamic_methods, nightly_dynamic_matrix, run_dynamic_matrix,
-    smoke_dynamic_matrix, MethodRegistry,
+    smoke_dynamic_matrix, MatrixBench,
 };
 
 fn main() {
-    let full = dynamic_methods();
-    let mut methods = full.clone();
-    let mut cli = Cli::from_env(
-        "bench_dynamic",
-        "[--smoke | --nightly] [--threads N] [--methods a,b,c] [--out PATH]",
-    );
-    let args = cli.bench_args(&[Tier::Smoke, Tier::Nightly], |flag, cli| {
-        if flag != "--methods" {
-            return Ok(false);
-        }
-        methods = MethodRegistry::parse_list(&cli.value(flag)?, &full)?;
-        Ok(true)
-    });
-    let specs = match args.tier {
-        Tier::Smoke => smoke_dynamic_matrix(),
-        Tier::Nightly => nightly_dynamic_matrix(),
-        Tier::Default => dynamic_matrix(),
-    };
-    let out = args.out_path("BENCH_dynamic.json", columns_partial(&methods, &full));
-    eprintln!(
-        "# bench_dynamic — {} dynamic scenarios x {} methods, {} threads{}",
-        specs.len(),
-        methods.len(),
-        args.threads,
-        args.tier.suffix()
-    );
-
-    let cert = certify::certify(args.threads, |t| run_dynamic_matrix(&specs, &methods, t))
-        .unwrap_or_else(|e| cli.fail(e));
-    let matrix = &cert.report;
-    eprint!("{}", matrix.render_table());
-
-    let json = Envelope::new("dynamic_world_matrix")
-        .field("smoke", args.smoke())
-        .field("nightly", args.nightly())
-        .field("scenarios", specs.len())
-        .field("methods", methods.len())
-        .field("cells", matrix.cells.len())
-        .field("mismatches", matrix.total_mismatches())
-        .field("all_exact", matrix.all_exact())
-        .field(
-            "partial_tuning_advantage",
-            matrix.partial_tuning_advantage(),
-        )
-        .certificate(cert.digest, cert.bit_identical, args.threads)
-        .secs("parallel_secs", cert.secs)
-        .secs("serial_secs", cert.serial_secs)
-        .field("matrix", matrix.artifact_json())
-        .finish();
-    std::process::exit(certify::publish(
-        &out,
-        &json,
-        matrix.verdict(),
-        cert.bit_identical,
-    ));
+    MatrixBench {
+        bin: "bench_dynamic",
+        benchmark: "dynamic_world_matrix",
+        artifact: "BENCH_dynamic.json",
+        specs_noun: "dynamic scenarios",
+        methods: dynamic_methods(),
+        specs: |tier| match tier {
+            Tier::Smoke => smoke_dynamic_matrix(),
+            Tier::Nightly => nightly_dynamic_matrix(),
+            Tier::Default => dynamic_matrix(),
+        },
+        run: run_dynamic_matrix,
+        totals: |m, envelope| {
+            envelope
+                .field("mismatches", m.total(|c| c.tally.wrong))
+                .field("all_exact", m.passes())
+                .field("partial_tuning_advantage", m.partial_tuning_advantage())
+        },
+        list: None,
+    }
+    .main()
 }

@@ -20,9 +20,9 @@
 //! a gate. Flags, run order and exit codes are the shared ones of
 //! `spair_roadnet::certify`.
 
-use spair_roadnet::certify::{self, columns_partial, Certified, Cli, Envelope, Tier};
+use spair_roadnet::certify::Tier;
 use spair_sim::{
-    default_matrix, nightly_matrix, run_matrix, smoke_matrix, MethodId, MethodRegistry,
+    default_matrix, nightly_matrix, run_matrix, smoke_matrix, MatrixBench, MethodId, MethodRegistry,
 };
 
 fn list_methods(methods: &[MethodId]) -> String {
@@ -61,62 +61,26 @@ fn list_methods(methods: &[MethodId]) -> String {
 }
 
 fn main() {
-    let full = MethodRegistry::standard().all();
-    let mut methods = full.clone();
-    let mut cli = Cli::from_env(
-        "bench_scenarios",
-        "[--smoke | --nightly] [--threads N] [--methods a,b,c] [--list-methods] [--out PATH]",
-    );
-    let args = cli.bench_args(&[Tier::Smoke, Tier::Nightly], |flag, cli| {
-        match flag {
-            "--methods" => methods = MethodRegistry::parse_list(&cli.value(flag)?, &full)?,
-            "--list-methods" => {
-                print!("{}", list_methods(&full));
-                std::process::exit(0);
-            }
-            _ => return Ok(false),
-        }
-        Ok(true)
-    });
-    let specs = match args.tier {
-        Tier::Smoke => smoke_matrix(),
-        Tier::Nightly => nightly_matrix(),
-        Tier::Default => default_matrix(),
-    };
-    let out = args.out_path("BENCH_scenarios.json", columns_partial(&methods, &full));
-    eprintln!(
-        "# bench_scenarios — {} scenarios x {} methods, {} threads{}",
-        specs.len(),
-        methods.len(),
-        args.threads,
-        args.tier.suffix()
-    );
-    // The run's own column set (not the whole registry) — so restricted
-    // runs (`--methods`) stay self-documenting in the logs.
-    eprint!("{}", list_methods(&methods));
-
-    let cert = certify::certify(args.threads, |t| run_matrix(&specs, &methods, t))
-        .unwrap_or_else(|e| cli.fail(e));
-    let matrix = &cert.report;
-    eprint!("{}", matrix.render_table());
-
-    let json = Envelope::new("scenario_conformance_matrix")
-        .field("smoke", args.smoke())
-        .field("nightly", args.nightly())
-        .field("scenarios", specs.len())
-        .field("methods", methods.len())
-        .field("cells", matrix.cells.len())
-        .field("mismatches", matrix.total_mismatches())
-        .field("all_exact", matrix.all_exact())
-        .certificate(cert.digest, cert.bit_identical, args.threads)
-        .secs("parallel_secs", cert.secs)
-        .secs("serial_secs", cert.serial_secs)
-        .field("matrix", matrix.artifact_json())
-        .finish();
-    std::process::exit(certify::publish(
-        &out,
-        &json,
-        matrix.verdict(),
-        cert.bit_identical,
-    ));
+    MatrixBench {
+        bin: "bench_scenarios",
+        benchmark: "scenario_conformance_matrix",
+        artifact: "BENCH_scenarios.json",
+        specs_noun: "scenarios",
+        methods: MethodRegistry::standard().all(),
+        specs: |tier| match tier {
+            Tier::Smoke => smoke_matrix(),
+            Tier::Nightly => nightly_matrix(),
+            Tier::Default => default_matrix(),
+        },
+        run: run_matrix,
+        totals: |m, envelope| {
+            envelope
+                .field("mismatches", m.total(|c| c.mismatches()))
+                .field("all_exact", m.passes())
+        },
+        // The run's own column set is logged (not the whole registry), so
+        // restricted runs (`--methods`) stay self-documenting.
+        list: Some(list_methods),
+    }
+    .main()
 }

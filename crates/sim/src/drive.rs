@@ -7,9 +7,11 @@
 //! channel-less local answer — under [`supervise`] and returns one
 //! [`Driven`]: the verdict (exact, wrong, or a typed failure class) plus
 //! the session's cost. The conformance engine, the chaos and dynamic
-//! matrices, the load harness, the socket bench's in-process reference,
-//! the `spair` CLI and the paper's `experiments` are folds of [`Driven`]
-//! into their own rows.
+//! matrices, the load harness and the paper's `experiments` fold every
+//! [`Driven`] into a [`Tally`], whose [`Tally::fold`] is the one rule for
+//! what a verdict counts as; each matrix row carries its cell's tally.
+//! The socket bench's in-process reference and the `spair` CLI read one
+//! [`Driven`]'s verdict directly.
 //!
 //! Under [`RecoveryBudget::single`] on a fault-free channel the driver is
 //! a transparent pass-through: one attempt, the client's result mapped
@@ -29,6 +31,7 @@ use spair_core::{
 };
 use spair_methods::{KnnAirClient, MethodProgram, MethodUnavailable};
 use spair_roadnet::{Distance, NodeId, QueuePolicy, RoadNetwork};
+use std::collections::BTreeMap;
 
 /// The recovery budget of every supervised session: the chaos matrix,
 /// the dynamic fallbacks and the load harness's flash crowds.
@@ -190,6 +193,105 @@ pub struct Driven {
     /// Whether some session broke its budget
     /// (see [`SupervisedSession::within`]).
     pub over_budget: bool,
+}
+
+/// The fold of a cell's driven items: what every in-process matrix
+/// counts. Folding is the one rule for what a [`Verdict`] counts as, and
+/// [`Tally::merge`] is order-independent, so a tally folded across any
+/// chunking of the items is the same.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Tally {
+    /// Items folded.
+    pub items: usize,
+    /// Node-to-node queries posed.
+    pub queries: usize,
+    /// Items an answer came back for.
+    pub answered: usize,
+    /// Exact items.
+    pub exact: usize,
+    /// Wrong items: a wrong answer, a trusted unreachability verdict, or
+    /// no session at all (an unbuilt method's default [`Driven`]).
+    pub wrong: usize,
+    /// Typed give-ups by root class.
+    pub classes: BTreeMap<&'static str, usize>,
+    /// Supervised attempts over every session.
+    pub attempts: u64,
+    /// The worst single session's attempt count.
+    pub max_attempts: u32,
+    /// Items with a session that needed more than one attempt.
+    pub retried: usize,
+    /// Packets elapsed over every attempt.
+    pub recovery_packets: u64,
+    /// The worst single session's recovery packets.
+    pub max_recovery_packets: u64,
+    /// Packets received over every attempt.
+    pub tuned_packets: u64,
+    /// The worst single item's received packets.
+    pub max_tuned_packets: u64,
+    /// Items with a session that broke its budget.
+    pub over_budget: usize,
+    /// The answers' measurements, summed; `peak_memory_bytes` is the
+    /// peak.
+    pub stats: QueryStats,
+}
+
+impl Tally {
+    /// Folds one driven item in. `Exact` counts as exact; `Wrong` (a
+    /// wrong answer, a trusted unreachability verdict, an unbuilt
+    /// method's default) as wrong; `Failed(class)` as a typed give-up
+    /// under `class`.
+    pub fn fold(&mut self, d: &Driven) {
+        self.items += 1;
+        self.queries += d.queries;
+        match d.verdict {
+            Verdict::Exact => self.exact += 1,
+            Verdict::Wrong => self.wrong += 1,
+            Verdict::Failed(class) => *self.classes.entry(class).or_insert(0) += 1,
+        }
+        self.attempts += u64::from(d.attempts);
+        self.max_attempts = self.max_attempts.max(d.max_attempts);
+        self.retried += usize::from(d.max_attempts > 1);
+        self.recovery_packets += d.recovery_packets;
+        self.max_recovery_packets = self.max_recovery_packets.max(d.max_recovery_packets);
+        self.tuned_packets += d.tuned_packets;
+        self.max_tuned_packets = self.max_tuned_packets.max(d.tuned_packets);
+        self.over_budget += usize::from(d.over_budget);
+        if let Some(stats) = &d.stats {
+            self.answered += 1;
+            self.stats.add(stats);
+        }
+    }
+
+    /// Merges another cell portion's tally in.
+    pub fn merge(&mut self, other: &Tally) {
+        self.items += other.items;
+        self.queries += other.queries;
+        self.answered += other.answered;
+        self.exact += other.exact;
+        self.wrong += other.wrong;
+        for (&class, n) in &other.classes {
+            *self.classes.entry(class).or_insert(0) += n;
+        }
+        self.attempts += other.attempts;
+        self.max_attempts = self.max_attempts.max(other.max_attempts);
+        self.retried += other.retried;
+        self.recovery_packets += other.recovery_packets;
+        self.max_recovery_packets = self.max_recovery_packets.max(other.max_recovery_packets);
+        self.tuned_packets += other.tuned_packets;
+        self.max_tuned_packets = self.max_tuned_packets.max(other.max_tuned_packets);
+        self.over_budget += other.over_budget;
+        self.stats.add(&other.stats);
+    }
+
+    /// Typed give-ups over every class.
+    pub fn typed(&self) -> usize {
+        self.classes.values().sum()
+    }
+
+    /// The typed give-ups by class, sorted by class label.
+    pub fn class_counts(&self) -> Vec<(&'static str, usize)> {
+        self.classes.iter().map(|(&c, &n)| (c, n)).collect()
+    }
 }
 
 /// An answer's exactness, stats and nodes — or why there is none: `None`
@@ -379,6 +481,11 @@ pub(crate) fn path_is_valid(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynamic::{DynamicCellReport, DynamicContext, DynamicSpec, Patches};
+    use crate::faults::FaultCellReport;
+    use crate::report::{CellReport, Row};
+    use crate::spec::ScenarioSpec;
+    use proptest::prelude::*;
     use spair_methods::{MethodId, ProgramSet, World};
     use spair_roadnet::dijkstra_to_target;
     use spair_roadnet::generators::small_grid;
@@ -504,6 +611,278 @@ mod tests {
             assert_eq!(d.attempts, attempts, "{name}");
             assert_eq!(d.queries, 1, "{name}");
             assert!(!d.over_budget, "{name}");
+        }
+    }
+
+    /// One item of each fold class: answered items took 10 packets of
+    /// tuning and 30 of latency and peaked at 100 bytes; the give-up
+    /// took three attempts.
+    fn sample(verdict: Verdict, answered: bool) -> Driven {
+        let stats = QueryStats {
+            tuning_packets: 10,
+            latency_packets: 30,
+            sleep_packets: 20,
+            peak_memory_bytes: 100,
+            ..QueryStats::default()
+        };
+        let attempts = if matches!(verdict, Verdict::Failed(_)) {
+            3
+        } else {
+            1
+        };
+        Driven {
+            verdict,
+            stats: answered.then_some(stats),
+            queries: 1,
+            attempts,
+            max_attempts: attempts,
+            recovery_packets: 30,
+            max_recovery_packets: 30,
+            tuned_packets: 10,
+            ..Driven::default()
+        }
+    }
+
+    /// The JSON of the conformance, chaos and dynamic rows of a cell
+    /// whose every item folds as `d`: nine items, the dynamic world's
+    /// three queries at each of its three versions.
+    fn rows(d: &Driven) -> [String; 3] {
+        let mut base = ScenarioSpec::small("fold-dyn", 4);
+        base.graph = crate::GraphSpec::Grid {
+            width: 8,
+            height: 8,
+        };
+        base.workload = crate::WorkloadMix::p2p(3);
+        let dctx = DynamicContext::build(&DynamicSpec {
+            base,
+            traffic: crate::TrafficSpec::rush_hour(),
+            versions: 3,
+        });
+        let mut tally = Tally::default();
+        for _ in 0..9 {
+            tally.fold(d);
+        }
+        let conformance = CellReport {
+            scenario: "fold".to_string(),
+            method: "nr",
+            tally: tally.clone(),
+            max_p2p_latency_packets: 0,
+            max_onedge_latency_packets: 0,
+            max_knn_latency_packets: 0,
+            cycle_packets: 0,
+            within_memory_budget: true,
+            radio_energy_joules: 0.0,
+            cpu_ms: 0.0,
+        };
+        let chaos = FaultCellReport {
+            scenario: "fold".to_string(),
+            fault: "none".to_string(),
+            method: "nr",
+            tally: tally.clone(),
+        };
+        let dynamic = DynamicCellReport::new(&dctx, MethodId::NR, tally, Patches::default());
+        [
+            conformance.json_fields(false),
+            chaos.json_fields(false),
+            dynamic.json_fields(false),
+        ]
+    }
+
+    /// Asserts that `json` renders the columns `columns`.
+    fn renders(json: &str, columns: &str) {
+        assert!(json.contains(columns), "{columns} not in {json}");
+    }
+
+    #[test]
+    fn an_exact_item_counts_as_exact() {
+        let [c, f, d] = rows(&sample(Verdict::Exact, true));
+        renders(
+            &c,
+            "\"queries\": 9, \"air_queries\": 9, \"mismatches\": 0, \
+                     \"exact\": true, \"tuning_packets\": 90, \"latency_packets\": 270, \
+                     \"sleep_packets\": 180",
+        );
+        renders(&c, "\"peak_memory_bytes\": 100");
+        renders(
+            &f,
+            "\"queries\": 9, \"answered\": 9, \"wrong_answers\": 0, \
+                     \"typed_failures\": 0, \"failure_classes\": {}, \"attempts\": 9, \
+                     \"max_attempts\": 1, \"budget_violations\": 0",
+        );
+        renders(&f, "\"certified\": true");
+        renders(
+            &d,
+            "\"answered\": 9, \"mismatches\": 0, \"typed_failures\": 0",
+        );
+        renders(&d, "\"exact\": true");
+    }
+
+    #[test]
+    fn a_wrong_answer_counts_as_wrong_and_answered() {
+        let [c, f, d] = rows(&sample(Verdict::Wrong, true));
+        renders(
+            &c,
+            "\"mismatches\": 9, \"exact\": false, \"tuning_packets\": 90",
+        );
+        renders(
+            &f,
+            "\"answered\": 9, \"wrong_answers\": 9, \"typed_failures\": 0",
+        );
+        renders(&f, "\"certified\": false");
+        renders(
+            &d,
+            "\"answered\": 9, \"mismatches\": 9, \"typed_failures\": 0",
+        );
+        renders(&d, "\"exact\": false");
+    }
+
+    #[test]
+    fn a_trusted_unreachable_counts_as_wrong_without_an_answer() {
+        let [c, f, d] = rows(&sample(Verdict::Wrong, false));
+        renders(
+            &c,
+            "\"mismatches\": 9, \"exact\": false, \"tuning_packets\": 0",
+        );
+        renders(&c, "\"peak_memory_bytes\": 0");
+        renders(
+            &f,
+            "\"answered\": 0, \"wrong_answers\": 9, \"typed_failures\": 0",
+        );
+        renders(&f, "\"certified\": false");
+        renders(
+            &d,
+            "\"answered\": 0, \"mismatches\": 9, \"typed_failures\": 0",
+        );
+        renders(&d, "\"exact\": false");
+    }
+
+    #[test]
+    fn a_typed_give_up_counts_once_under_its_class() {
+        let [c, f, d] = rows(&sample(Verdict::Failed("corrupted"), false));
+        renders(
+            &c,
+            "\"mismatches\": 9, \"exact\": false, \"tuning_packets\": 0",
+        );
+        renders(
+            &f,
+            "\"answered\": 0, \"wrong_answers\": 0, \"typed_failures\": 9, \
+                     \"failure_classes\": {\"corrupted\": 9}, \"attempts\": 27, \
+                     \"max_attempts\": 3",
+        );
+        // Typed give-ups are certified degradation under chaos.
+        renders(&f, "\"certified\": true");
+        renders(
+            &d,
+            "\"answered\": 0, \"mismatches\": 0, \"typed_failures\": 9, \
+                     \"patch_sessions\": 0, \"fallback_retunes\": 0, \"fallback_classes\": {}",
+        );
+        // ...but not exact.
+        renders(&d, "\"exact\": false");
+    }
+
+    #[test]
+    fn an_unbuilt_methods_default_counts_as_wrong() {
+        let [c, f, d] = rows(&Driven::default());
+        renders(
+            &c,
+            "\"queries\": 9, \"air_queries\": 0, \"mismatches\": 9, \
+                     \"exact\": false",
+        );
+        renders(
+            &f,
+            "\"queries\": 9, \"answered\": 0, \"wrong_answers\": 9, \
+                     \"typed_failures\": 0, \"failure_classes\": {}, \"attempts\": 0",
+        );
+        renders(&f, "\"certified\": false");
+        renders(
+            &d,
+            "\"answered\": 0, \"mismatches\": 9, \"typed_failures\": 0",
+        );
+        renders(&d, "\"exact\": false");
+    }
+
+    fn arbitrary_driven() -> impl Strategy<Value = Driven> {
+        let verdicts = [
+            Verdict::Exact,
+            Verdict::Wrong,
+            Verdict::Failed("corrupted"),
+            Verdict::Failed("stale_index"),
+        ];
+        (
+            (
+                0usize..4,
+                any::<bool>(),
+                0u64..1_000,
+                0u64..1_000,
+                0usize..5_000,
+            ),
+            (0usize..4, 0u32..5, 0u64..9_000, 0u64..3_000, any::<bool>()),
+        )
+            .prop_map(
+                move |(
+                    (v, answered, tuning, sleep, peak),
+                    (queries, attempts, rec, tuned, over),
+                )| {
+                    Driven {
+                        verdict: verdicts[v],
+                        stats: answered.then_some(QueryStats {
+                            tuning_packets: tuning,
+                            latency_packets: tuning + sleep,
+                            sleep_packets: sleep,
+                            peak_memory_bytes: peak,
+                            cpu: std::time::Duration::from_micros(sleep),
+                            settled_nodes: tuning / 3,
+                        }),
+                        nodes: Vec::new(),
+                        queries,
+                        attempts: attempts * 2,
+                        max_attempts: attempts,
+                        recovery_packets: rec,
+                        max_recovery_packets: rec / 2,
+                        tuned_packets: tuned,
+                        over_budget: over,
+                    }
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The map-reduce a matrix runs is thread-invariant by
+        /// construction: folding the items in one pass equals merging the
+        /// tallies of any chunking of them, in either order.
+        #[test]
+        fn a_tally_is_the_same_for_any_chunking(
+            items in prop::collection::vec(arbitrary_driven(), 0..40),
+            cuts in prop::collection::vec(0usize..41, 0..6),
+        ) {
+            let mut whole = Tally::default();
+            for d in &items {
+                whole.fold(d);
+            }
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(items.len())).collect();
+            bounds.sort_unstable();
+            bounds.push(items.len());
+            let mut parts = Vec::new();
+            let mut start = 0;
+            for end in bounds {
+                let mut part = Tally::default();
+                for d in &items[start..end] {
+                    part.fold(d);
+                }
+                parts.push(part);
+                start = end;
+            }
+            let (mut forward, mut backward) = (Tally::default(), Tally::default());
+            for part in &parts {
+                forward.merge(part);
+            }
+            for part in parts.iter().rev() {
+                backward.merge(part);
+            }
+            prop_assert_eq!(&forward, &whole);
+            prop_assert_eq!(&backward, &whole);
         }
     }
 

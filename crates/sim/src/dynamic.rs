@@ -25,26 +25,29 @@
 //! * **Rebuild methods** (index-transforming: LD, AF, SPQ, HiTi): every
 //!   version is a fresh full session on that version's rebuilt program.
 //!
-//! Cells fan out with the same chunk-ordered map-reduce as the
-//! conformance and chaos matrices, so a [`DynamicMatrix`] — and its
-//! digest — is bit-identical for every thread count.
+//! Every (query × version) answer folds into the cell's [`Tally`] beside
+//! its patch counters. Cells fan out with the same chunk-ordered
+//! map-reduce as the conformance and chaos matrices, so a
+//! [`DynamicMatrix`] — and its digest — is bit-identical for every thread
+//! count.
 //!
 //! [`ReceivedGraph::shortest_path_checked`]: spair_core::netcodec::ReceivedGraph::shortest_path_checked
 
 use crate::drive::{
-    attempt_seed, drive, open, path_is_valid, Device, Driven, Tune, Verdict, FAULT_BUDGET,
+    attempt_seed, drive, open, path_is_valid, Device, Driven, Tally, Tune, Verdict, FAULT_BUDGET,
 };
 use crate::engine::{run_cells, session_seed, WorkItem};
+use crate::report::{Gate, Matrix, Row};
 use crate::spec::{GraphSpec, ScenarioSpec, WorkloadMix};
 use crate::traffic::{network_at, version_deltas, TrafficSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spair_broadcast::{splitmix64, BroadcastCycle};
+use spair_broadcast::{splitmix64, BroadcastCycle, QueryStats};
 use spair_core::patch::{build_patch_cycle, receive_patch, ClientArena, PatchError};
 use spair_core::{BorderPrecomputation, Query, RecoveryBudget};
 use spair_methods::{MethodId, MethodRegistry, ProgramSet, SessionShape, Tuning, World};
 use spair_partition::Partitioning;
-use spair_roadnet::certify::{cells_json, counts_json, Certified};
+use spair_roadnet::certify::counts_json;
 use spair_roadnet::{dijkstra_distance, Distance, NetworkPreset, NodeId, QueuePolicy, RoadNetwork};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -277,13 +280,12 @@ pub struct DynamicCellReport {
     pub versions: usize,
     /// Queries posed per version.
     pub queries: usize,
-    /// (query × version) answers produced and oracle-checked.
-    pub answered: usize,
-    /// Answers contradicting that version's oracle (distance or path).
-    /// The gate requires 0.
-    pub mismatches: usize,
-    /// Supervised sessions that gave up typed.
-    pub typed_failures: usize,
+    /// The (query × version) items, folded: `answered` counts the
+    /// answers that came back, `mismatches` those (or the trusted
+    /// unreachability verdicts) contradicting that version's oracle,
+    /// `typed_failures` the typed give-ups. The gate requires every item
+    /// exact.
+    pub tally: Tally,
     /// Patch sessions that applied cleanly and certified their search.
     pub patch_sessions: usize,
     /// Fallback full re-tunes (typed patch failure or uncertified
@@ -309,13 +311,89 @@ pub struct DynamicCellReport {
 }
 
 impl DynamicCellReport {
-    /// The per-cell certificate: every produced answer matched its
-    /// version's oracle.
+    /// The per-cell certificate: every (query × version) item exact.
     pub fn exact(&self) -> bool {
-        self.mismatches == 0
+        self.passes()
     }
 
-    fn json_fields(&self) -> String {
+    /// Builds the row from the cell's tally and patch counters.
+    pub(crate) fn new(ctx: &DynamicContext, method: MethodId, t: Tally, p: Patches) -> Self {
+        let versions = ctx.spec.versions;
+        let queries = ctx.queries.len();
+        let update_sessions = (queries * (versions - 1)) as f64;
+        DynamicCellReport {
+            scenario: ctx.spec.base.name.clone(),
+            traffic: ctx.spec.traffic.label(),
+            method: method.name(),
+            patches_incrementally: method.descriptor().patches_incrementally,
+            versions,
+            queries,
+            tally: t,
+            patch_sessions: p.sessions,
+            fallback_retunes: p.fallbacks.values().sum(),
+            fallback_classes: p
+                .fallbacks
+                .into_iter()
+                .map(|(c, n)| (c.to_string(), n))
+                .collect(),
+            initial_tune_packets: p.initial_packets,
+            patch_packets: p.patch_packets,
+            retune_packets: p.retune_packets,
+            cycle_packets: ctx.cycle(0, method).len(),
+            patch_cycle_packets: ctx.patch_cycles.iter().map(BroadcastCycle::len).sum(),
+            mean_update_packets_per_version: if update_sessions > 0.0 {
+                (p.patch_packets + p.retune_packets) as f64 / update_sessions
+            } else {
+                0.0
+            },
+        }
+    }
+}
+
+impl Row for DynamicCellReport {
+    const FAILURE: &'static str = "DYNAMIC ORACLE FAILURE";
+
+    fn header() -> String {
+        format!(
+            "{:<18} {:<13} {:>5} {:>4} {:>5} {:>6} {:>6} {:>8} {:>8} {:>10} {:>5}\n",
+            "Scenario",
+            "Method",
+            "Patch",
+            "Ans",
+            "Wrong",
+            "PatchS",
+            "Fallbk",
+            "PatchPk",
+            "RetunePk",
+            "MeanUpd/v",
+            "Exact"
+        )
+    }
+
+    fn line(&self) -> String {
+        format!(
+            "{:<18} {:<13} {:>5} {:>4} {:>5} {:>6} {:>6} {:>8} {:>8} {:>10.1} {:>5}\n",
+            self.scenario,
+            self.method,
+            if self.patches_incrementally {
+                "yes"
+            } else {
+                "no"
+            },
+            self.tally.answered,
+            self.tally.wrong,
+            self.patch_sessions,
+            self.fallback_retunes,
+            self.patch_packets,
+            self.retune_packets,
+            self.mean_update_packets_per_version,
+            if self.exact() { "yes" } else { "NO" },
+        )
+    }
+
+    /// Every field is a pure function of the scenario seeds, so the
+    /// artifact's cells are the digest input as they are.
+    fn json_fields(&self, _timings: bool) -> String {
         format!(
             "\"scenario\": \"{}\", \"traffic\": \"{}\", \"method\": \"{}\", \
              \"patches_incrementally\": {}, \"versions\": {}, \"queries\": {}, \
@@ -331,9 +409,9 @@ impl DynamicCellReport {
             self.patches_incrementally,
             self.versions,
             self.queries,
-            self.answered,
-            self.mismatches,
-            self.typed_failures,
+            self.tally.answered,
+            self.tally.wrong,
+            self.tally.typed(),
             self.patch_sessions,
             self.fallback_retunes,
             counts_json(&self.fallback_classes),
@@ -346,26 +424,21 @@ impl DynamicCellReport {
             self.exact(),
         )
     }
+
+    fn tally(&self) -> &Tally {
+        &self.tally
+    }
+
+    fn gate(&self) -> Gate {
+        Gate::Exact
+    }
 }
 
-/// The full dynamic matrix of one run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DynamicMatrix {
-    /// Every (scenario × method) cell, in scenario-major order.
-    pub cells: Vec<DynamicCellReport>,
-}
+/// The dynamic matrix of one run: every (scenario × method) cell, in
+/// scenario-major order.
+pub type DynamicMatrix = Matrix<DynamicCellReport>;
 
 impl DynamicMatrix {
-    /// Whether every cell certifies — the dynamic-conformance gate.
-    pub fn all_exact(&self) -> bool {
-        self.cells.iter().all(DynamicCellReport::exact)
-    }
-
-    /// Total oracle contradictions across the matrix.
-    pub fn total_mismatches(&self) -> usize {
-        self.cells.iter().map(|c| c.mismatches).sum()
-    }
-
     /// The headline claim of the dynamic axis: in every scenario, every
     /// anchored incremental method (NR, EB) stays current strictly
     /// cheaper per version (`mean_update_packets_per_version`) than
@@ -398,135 +471,23 @@ impl DynamicMatrix {
                 whole_min.get(scenario).is_none_or(|whole| anchored < whole)
             })
     }
-
-    /// A fixed-width text table (one row per cell) for terminal output.
-    pub fn render_table(&self) -> String {
-        let mut out = format!(
-            "{:<18} {:<13} {:>5} {:>4} {:>5} {:>6} {:>6} {:>8} {:>8} {:>10} {:>5}\n",
-            "Scenario",
-            "Method",
-            "Patch",
-            "Ans",
-            "Wrong",
-            "PatchS",
-            "Fallbk",
-            "PatchPk",
-            "RetunePk",
-            "MeanUpd/v",
-            "Exact"
-        );
-        for c in &self.cells {
-            out.push_str(&format!(
-                "{:<18} {:<13} {:>5} {:>4} {:>5} {:>6} {:>6} {:>8} {:>8} {:>10.1} {:>5}\n",
-                c.scenario,
-                c.method,
-                if c.patches_incrementally { "yes" } else { "no" },
-                c.answered,
-                c.mismatches,
-                c.patch_sessions,
-                c.fallback_retunes,
-                c.patch_packets,
-                c.retune_packets,
-                c.mean_update_packets_per_version,
-                if c.exact() { "yes" } else { "NO" },
-            ));
-        }
-        out
-    }
 }
 
-/// Every field is a pure function of the scenario seeds, so the
-/// artifact's cells are the digest input as they are.
-impl Certified for DynamicMatrix {
-    fn deterministic_json(&self) -> String {
-        cells_json(&self.cells, DynamicCellReport::json_fields)
-    }
-
-    fn artifact_json(&self) -> String {
-        self.deterministic_json()
-    }
-
-    fn cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    fn verdict(&self) -> Result<(), String> {
-        if self.all_exact() {
-            Ok(())
-        } else {
-            Err(format!(
-                "DYNAMIC ORACLE FAILURE: {} answers contradicted their version's oracle",
-                self.total_mismatches()
-            ))
-        }
-    }
-}
-
-/// Per-cell accumulation state.
+/// A dynamic cell's patch counters, kept beside its [`Tally`].
 #[derive(Default)]
-struct DynAcc {
-    answered: usize,
-    mismatches: usize,
-    typed_failures: usize,
-    patch_sessions: usize,
-    fallback_retunes: usize,
-    fallback_classes: BTreeMap<&'static str, usize>,
-    initial_tune_packets: u64,
+pub(crate) struct Patches {
+    /// Patch sessions that applied cleanly and certified their search.
+    sessions: usize,
+    /// Fallback full re-tunes by cause; each is one re-tune.
+    fallbacks: BTreeMap<&'static str, usize>,
+    initial_packets: u64,
     patch_packets: u64,
     retune_packets: u64,
 }
 
-impl DynAcc {
-    /// Counts one version's answer, exact or not.
-    fn count(&mut self, exact: bool) {
-        self.answered += 1;
-        self.mismatches += usize::from(!exact);
-    }
-
-    /// Counts a driven session's answer; a session that gave up counts
-    /// as a contradiction of that version's (reachable) oracle.
-    fn check(&mut self, d: &Driven) {
-        self.count(d.verdict == Verdict::Exact);
-    }
-
+impl Patches {
     fn fallback(&mut self, class: &'static str) {
-        self.fallback_retunes += 1;
-        *self.fallback_classes.entry(class).or_insert(0) += 1;
-    }
-
-    fn into_report(self, ctx: &DynamicContext, method: MethodId) -> DynamicCellReport {
-        let d = method.descriptor();
-        let versions = ctx.spec.versions;
-        let queries = ctx.queries.len();
-        let update_sessions = (queries * (versions - 1)) as f64;
-        DynamicCellReport {
-            scenario: ctx.spec.base.name.clone(),
-            traffic: ctx.spec.traffic.label(),
-            method: method.name(),
-            patches_incrementally: d.patches_incrementally,
-            versions,
-            queries,
-            answered: self.answered,
-            mismatches: self.mismatches,
-            typed_failures: self.typed_failures,
-            patch_sessions: self.patch_sessions,
-            fallback_retunes: self.fallback_retunes,
-            fallback_classes: self
-                .fallback_classes
-                .into_iter()
-                .map(|(c, n)| (c.to_string(), n))
-                .collect(),
-            initial_tune_packets: self.initial_tune_packets,
-            patch_packets: self.patch_packets,
-            retune_packets: self.retune_packets,
-            cycle_packets: ctx.cycle(0, method).len(),
-            patch_cycle_packets: ctx.patch_cycles.iter().map(BroadcastCycle::len).sum(),
-            mean_update_packets_per_version: if update_sessions > 0.0 {
-                (self.patch_packets + self.retune_packets) as f64 / update_sessions
-            } else {
-                0.0
-            },
-        }
+        *self.fallbacks.entry(class).or_insert(0) += 1;
     }
 }
 
@@ -548,14 +509,14 @@ pub fn run_dynamic_cell(ctx: &DynamicContext, method: MethodId) -> DynamicCellRe
     // The dynamic seed space is salted so it never collides with the
     // static engine's or the chaos harness's session streams.
     let seed = splitmix64(ctx.spec.base.seed ^ 0xDA_11_4C);
-    let mut acc = DynAcc::default();
+    let (mut t, mut p) = (Tally::default(), Patches::default());
 
     for (qi, (query, oracles)) in ctx.queries.iter().enumerate() {
         // Version 0: a plain full session on the base world's cycle.
         let (first, mut device) =
             ctx.session(0, method, qi, single, session_seed(seed, method, qi, 0));
-        acc.initial_tune_packets += first.tuned_packets;
-        acc.check(&first);
+        p.initial_packets += first.tuned_packets;
+        t.fold(&first);
         let mut arena: Option<ClientArena> = if first.stats.is_some() && d.patches_incrementally {
             device.export_arena()
         } else {
@@ -577,7 +538,7 @@ pub fn run_dynamic_cell(ctx: &DynamicContext, method: MethodId) -> DynamicCellRe
                 for k in 0..FAULT_BUDGET.max_attempts {
                     let mut pch = open(ctx.patch_cycle(v), &tune, attempt_seed(patch_base, k));
                     patched = receive_patch(&mut pch, v as u32 - 1, &ar.coverage, &mut ar.store);
-                    acc.patch_packets += pch.tuned();
+                    p.patch_packets += pch.tuned();
                     match &patched {
                         // A stale directory is not a reception fault:
                         // listening again cannot un-stale the arena.
@@ -587,28 +548,41 @@ pub fn run_dynamic_cell(ctx: &DynamicContext, method: MethodId) -> DynamicCellRe
                 }
                 match patched {
                     Ok(_) => {
-                        let (res, _, certified) = ar.store.shortest_path_checked(
+                        let (res, settled, certified) = ar.store.shortest_path_checked(
                             query.source,
                             query.target,
                             QueuePolicy::default(),
                         );
                         if certified {
-                            acc.patch_sessions += 1;
-                            acc.count(res.is_some_and(|(dist, path)| {
-                                dist == oracle && path_is_valid(ctx.g(v), query, dist, &path)
-                            }));
+                            p.sessions += 1;
+                            let exact = res.as_ref().is_some_and(|(dist, path)| {
+                                *dist == oracle && path_is_valid(ctx.g(v), query, *dist, path)
+                            });
+                            t.fold(&Driven {
+                                verdict: if exact {
+                                    Verdict::Exact
+                                } else {
+                                    Verdict::Wrong
+                                },
+                                stats: res.map(|_| QueryStats {
+                                    settled_nodes: settled as u64,
+                                    ..QueryStats::default()
+                                }),
+                                queries: 1,
+                                ..Driven::default()
+                            });
                             continue;
                         }
                         // The changed world routed the journey outside the
                         // arena's materialized set: re-tune.
-                        acc.fallback("uncertified_search");
+                        p.fallback("uncertified_search");
                     }
-                    Err(e) => acc.fallback(patch_error_class(&e)),
+                    Err(e) => p.fallback(patch_error_class(&e)),
                 }
                 arena = None;
             } else if d.patches_incrementally {
                 // The chain broke at an earlier version; re-establish it.
-                acc.fallback("no_arena");
+                p.fallback("no_arena");
             }
 
             if d.patches_incrementally {
@@ -617,26 +591,20 @@ pub fn run_dynamic_cell(ctx: &DynamicContext, method: MethodId) -> DynamicCellRe
                 // patching at v + 1.
                 let base = splitmix64(vseed ^ 0x7E71);
                 let (r, mut device) = ctx.session(v, method, qi, FAULT_BUDGET, base);
-                acc.retune_packets += r.tuned_packets;
-                match r.verdict {
-                    Verdict::Failed(class) => {
-                        acc.typed_failures += 1;
-                        *acc.fallback_classes.entry(class).or_insert(0) += 1;
-                    }
-                    _ => acc.check(&r),
-                }
+                p.retune_packets += r.tuned_packets;
+                t.fold(&r);
                 if r.stats.is_some() {
                     arena = device.export_arena();
                 }
             } else {
                 // Rebuild method: a fresh full session per version.
                 let (r, _) = ctx.session(v, method, qi, single, vseed);
-                acc.retune_packets += r.tuned_packets;
-                acc.check(&r);
+                p.retune_packets += r.tuned_packets;
+                t.fold(&r);
             }
         }
     }
-    acc.into_report(ctx, method)
+    DynamicCellReport::new(ctx, method, t, p)
 }
 
 /// Builds every dynamic context, then fans the independent
@@ -650,7 +618,7 @@ pub fn run_dynamic_matrix(
 ) -> DynamicMatrix {
     let contexts: Vec<DynamicContext> = specs.iter().map(DynamicContext::build).collect();
     let has_work = |_: &DynamicContext, m| exercises(m);
-    DynamicMatrix {
+    Matrix {
         cells: run_cells(&contexts, methods, threads, has_work, run_dynamic_cell),
     }
 }
@@ -729,7 +697,7 @@ pub fn nightly_dynamic_matrix() -> Vec<DynamicSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spair_roadnet::certify::fnv1a64;
+    use spair_roadnet::certify::{fnv1a64, Certified};
 
     fn quick_spec(seed: u64) -> DynamicSpec {
         let mut s = ScenarioSpec::small("dyn-test", seed);
@@ -750,9 +718,9 @@ mod tests {
         let ctx = DynamicContext::build(&quick_spec(61));
         for m in [MethodId::NR, MethodId::EB, MethodId::DJ] {
             let r = run_dynamic_cell(&ctx, m);
-            assert!(r.exact(), "{}: {} mismatches", m.name(), r.mismatches);
+            assert!(r.exact(), "{}: {} mismatches", m.name(), r.tally.wrong);
             assert!(r.patches_incrementally);
-            assert_eq!(r.answered, r.queries * r.versions);
+            assert_eq!(r.tally.answered, r.queries * r.versions);
             assert!(
                 r.patch_sessions > 0,
                 "{}: some version must be served by a patch",
@@ -766,7 +734,7 @@ mod tests {
         let ctx = DynamicContext::build(&quick_spec(62));
         for m in [MethodId::LD, MethodId::AF] {
             let r = run_dynamic_cell(&ctx, m);
-            assert!(r.exact(), "{}: {} mismatches", m.name(), r.mismatches);
+            assert!(r.exact(), "{}: {} mismatches", m.name(), r.tally.wrong);
             assert!(!r.patches_incrementally);
             assert_eq!(r.patch_sessions, 0);
             assert!(r.retune_packets >= (r.cycle_packets * r.queries * (r.versions - 1)) as u64);
@@ -814,6 +782,17 @@ mod tests {
             0x2016_08a1_2eb4_1a56,
             "dynamic digest moved"
         );
+    }
+
+    #[test]
+    fn every_fallback_has_one_class() {
+        for specs in [smoke_dynamic_matrix(), dynamic_matrix()] {
+            let m = run_dynamic_matrix(&specs, &dynamic_methods(), 0);
+            for c in &m.cells {
+                let classes: usize = c.fallback_classes.iter().map(|(_, n)| n).sum();
+                assert_eq!(classes, c.fallback_retunes, "{} {}", c.scenario, c.method);
+            }
+        }
     }
 
     #[test]

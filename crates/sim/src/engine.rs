@@ -22,12 +22,12 @@
 //! [`ConformanceMatrix`] bit-identical to a serial run for every thread
 //! count.
 
-use crate::drive::{drive, Device, Driven, Tune, Verdict};
-use crate::report::{CellReport, ConformanceMatrix};
+use crate::drive::{drive, Device, Driven, Tally, Tune};
+use crate::report::{CellReport, ConformanceMatrix, Matrix};
 use crate::spec::ScenarioSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spair_broadcast::{splitmix64, BroadcastCycle, EnergyModel, QueryStats};
+use spair_broadcast::{splitmix64, BroadcastCycle, EnergyModel};
 use spair_core::query::AirClient;
 use spair_core::{BorderPrecomputation, OnEdgePoint, Query, RecoveryBudget};
 use spair_methods::{
@@ -182,19 +182,21 @@ impl ScenarioContext {
 
     /// Drives every item of the method's portion of the workload (its kNN
     /// items for a kNN method, every other item otherwise) on one reused
-    /// device, handing each to `fold`. Sub-session `s` of item `qi` draws
-    /// from [`session_seed`]`(seed, method, qi, s)`. Without a program or
+    /// device under `tune` and `budget`, and folds it: the tally, and the
+    /// worst answered latency of each item kind (point-to-point, on-edge,
+    /// kNN). Sub-session `s` of item `qi` draws from
+    /// [`session_seed`]`(seed, method, qi, s)`. Without a program or
     /// device every item folds as the default [`Driven`].
-    pub(crate) fn drive_portion(
+    pub(crate) fn fold_portion(
         &self,
         method: MethodId,
         tune: &Tune,
         budget: RecoveryBudget,
-        mut fold: impl FnMut(&WorkItem, Driven),
-    ) {
+    ) -> (Tally, [u64; 3]) {
         let program = self.program(method).ok();
         let mut device = program.and_then(|p| Device::new(p).ok());
         let knn = method.descriptor().knn;
+        let (mut tally, mut worst) = (Tally::default(), [0u64; 3]);
         for (qi, item) in self.workload.iter().enumerate() {
             if matches!(item, WorkItem::Knn { .. }) != knn {
                 continue;
@@ -205,8 +207,17 @@ impl ScenarioContext {
                 }),
                 _ => Driven::default(),
             };
-            fold(item, d);
+            if let Some(stats) = &d.stats {
+                let kind = match item {
+                    WorkItem::P2p { .. } => 0,
+                    WorkItem::OnEdge { .. } => 1,
+                    WorkItem::Knn { .. } => 2,
+                };
+                worst[kind] = worst[kind].max(stats.latency_packets);
+            }
+            tally.fold(&d);
         }
+        (tally, worst)
     }
 }
 
@@ -332,60 +343,6 @@ pub fn knn_item(g: &RoadNetwork, pois: &[NodeId], source: NodeId, k: usize) -> W
     }
 }
 
-/// Per-cell accumulation state.
-#[derive(Default)]
-struct CellAcc {
-    queries: usize,
-    air_queries: usize,
-    mismatches: usize,
-    total: QueryStats,
-    max_p2p: u64,
-    max_onedge: u64,
-    max_knn: u64,
-}
-
-impl CellAcc {
-    fn fold(&mut self, item: &WorkItem, d: Driven) {
-        self.queries += 1;
-        self.air_queries += d.queries;
-        if d.verdict != Verdict::Exact {
-            self.mismatches += 1;
-        }
-        if let Some(stats) = &d.stats {
-            let max = match item {
-                WorkItem::P2p { .. } => &mut self.max_p2p,
-                WorkItem::OnEdge { .. } => &mut self.max_onedge,
-                WorkItem::Knn { .. } => &mut self.max_knn,
-            };
-            *max = (*max).max(stats.latency_packets);
-            self.total.add(stats);
-        }
-    }
-
-    fn into_report(self, ctx: &ScenarioContext, method: MethodId) -> CellReport {
-        let (rx, sleep, cpu) = EnergyModel::WAVELAN_ARM.breakdown(&self.total, ctx.spec.rate);
-        CellReport {
-            scenario: ctx.spec.name.clone(),
-            method: method.name(),
-            queries: self.queries,
-            air_queries: self.air_queries,
-            mismatches: self.mismatches,
-            tuning_packets: self.total.tuning_packets,
-            latency_packets: self.total.latency_packets,
-            sleep_packets: self.total.sleep_packets,
-            max_p2p_latency_packets: self.max_p2p,
-            max_onedge_latency_packets: self.max_onedge,
-            max_knn_latency_packets: self.max_knn,
-            cycle_packets: ctx.reported_cycle_packets(method),
-            peak_memory_bytes: self.total.peak_memory_bytes,
-            within_memory_budget: self.total.peak_memory_bytes <= ctx.spec.heap_budget_bytes,
-            settled_nodes: self.total.settled_nodes,
-            radio_energy_joules: rx + sleep,
-            cpu_ms: cpu / EnergyModel::WAVELAN_ARM.cpu_watts * 1000.0,
-        }
-    }
-}
-
 /// Runs one (scenario × method) cell: the method's portion of the
 /// workload (the kNN items for kNN methods, every other item otherwise),
 /// each item driven through [`drive`] on a fault-free channel in one
@@ -393,37 +350,48 @@ impl CellAcc {
 /// unavailable yields a fully failed cell (every item of its portion a
 /// mismatch) — surfacing the error in the matrix instead of panicking.
 pub fn run_cell(ctx: &ScenarioContext, method: MethodId) -> CellReport {
-    let mut acc = CellAcc::default();
-    let tune = Tune::of(&ctx.spec);
-    ctx.drive_portion(method, &tune, RecoveryBudget::single(), |item, d| {
-        acc.fold(item, d)
-    });
-    acc.into_report(ctx, method)
+    let single = RecoveryBudget::single();
+    let (tally, worst) = ctx.fold_portion(method, &Tune::of(&ctx.spec), single);
+    let (rx, sleep, cpu) = EnergyModel::WAVELAN_ARM.breakdown(&tally.stats, ctx.spec.rate);
+    CellReport {
+        scenario: ctx.spec.name.clone(),
+        method: method.name(),
+        max_p2p_latency_packets: worst[0],
+        max_onedge_latency_packets: worst[1],
+        max_knn_latency_packets: worst[2],
+        cycle_packets: ctx.reported_cycle_packets(method),
+        within_memory_budget: tally.stats.peak_memory_bytes <= ctx.spec.heap_budget_bytes,
+        radio_energy_joules: rx + sleep,
+        cpu_ms: cpu / EnergyModel::WAVELAN_ARM.cpu_watts * 1000.0,
+        tally,
+    }
 }
 
 /// Builds every scenario context, then fans the independent
-/// (scenario × method) cells across `threads` workers. The chunk-ordered
-/// merge of [`parallel::map_reduce_chunked`] keeps the cell order — and
-/// therefore the report bytes and digest — identical for every thread
-/// count.
+/// (scenario × method) cells across `threads` workers, each run by
+/// `run`.
+pub(crate) fn run_scenarios<R: Send>(
+    specs: &[ScenarioSpec],
+    methods: &[MethodId],
+    threads: usize,
+    run: fn(&ScenarioContext, MethodId) -> R,
+) -> Matrix<R> {
+    let contexts: Vec<ScenarioContext> = specs
+        .iter()
+        .map(|s| ScenarioContext::build(s, methods))
+        .collect();
+    Matrix {
+        cells: run_cells(&contexts, methods, threads, ScenarioContext::has_work, run),
+    }
+}
+
+/// The conformance matrix over `specs` × `methods`.
 pub fn run_matrix(
     specs: &[ScenarioSpec],
     methods: &[MethodId],
     threads: usize,
 ) -> ConformanceMatrix {
-    let contexts: Vec<ScenarioContext> = specs
-        .iter()
-        .map(|s| ScenarioContext::build(s, methods))
-        .collect();
-    ConformanceMatrix {
-        cells: run_cells(
-            &contexts,
-            methods,
-            threads,
-            ScenarioContext::has_work,
-            run_cell,
-        ),
-    }
+    run_scenarios(specs, methods, threads, run_cell)
 }
 
 /// Fans the (context × method) cells that `has_work` admits across
@@ -520,12 +488,12 @@ mod tests {
         let spec = ScenarioSpec::small("cell", 11);
         let ctx = ScenarioContext::build(&spec, &[MethodId::NR]);
         let report = run_cell(&ctx, MethodId::NR);
-        assert!(report.exact(), "mismatches: {}", report.mismatches);
+        assert!(report.exact(), "mismatches: {}", report.mismatches());
         assert_eq!(
-            report.queries,
+            report.tally.items,
             spec.workload.point_to_point + spec.workload.on_edge
         );
-        assert!(report.tuning_packets > 0);
+        assert!(report.tally.stats.tuning_packets > 0);
         assert!(report.radio_energy_joules > 0.0);
     }
 
@@ -535,9 +503,12 @@ mod tests {
         spec.loss = LossSpec::Bernoulli { rate: 0.05 };
         let ctx = ScenarioContext::build(&spec, &[MethodId::NR, MethodId::NR_MEM_BOUND]);
         let report = run_cell(&ctx, MethodId::NR_MEM_BOUND);
-        assert!(report.exact(), "mismatches: {}", report.mismatches);
-        assert_eq!(report.tuning_packets, 0, "no channel is simulated");
-        assert!(report.peak_memory_bytes > 0);
+        assert!(report.exact(), "mismatches: {}", report.mismatches());
+        assert_eq!(
+            report.tally.stats.tuning_packets, 0,
+            "no channel is simulated"
+        );
+        assert!(report.tally.stats.peak_memory_bytes > 0);
     }
 
     #[test]
@@ -548,7 +519,7 @@ mod tests {
         let spec = ScenarioSpec::small("mb-alone", 9);
         let m = run_matrix(&[spec], &[MethodId::NR_MEM_BOUND], 1);
         assert_eq!(m.cells.len(), 1);
-        assert!(m.all_exact());
+        assert!(m.passes());
         assert!(m.cells[0].cycle_packets > 0);
     }
 
@@ -587,10 +558,10 @@ mod tests {
         let report = run_cell(&ctx, MethodId::DJ);
         assert!(!report.exact());
         assert_eq!(
-            report.queries,
+            report.tally.items,
             spec.workload.point_to_point + spec.workload.on_edge
         );
-        assert_eq!(report.mismatches, report.queries);
+        assert_eq!(report.mismatches(), report.tally.items);
     }
 
     #[test]
@@ -600,6 +571,6 @@ mod tests {
         let m = run_matrix(&[spec], &[MethodId::DJ, MethodId::KNN_AIR], 1);
         assert_eq!(m.cells.len(), 1, "knn cell has no work and is skipped");
         assert_eq!(m.cells[0].method, "dj");
-        assert!(m.all_exact());
+        assert!(m.passes());
     }
 }

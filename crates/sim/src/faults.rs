@@ -18,16 +18,17 @@
 //!    budget, and total recovery latency stays under the packet ceiling
 //!    plus at most one attempt's overshoot (no livelock).
 //!
-//! Cells fan out across threads with the same chunk-ordered map-reduce
-//! the conformance matrix uses, so a [`FaultMatrix`] — and its digest —
-//! is bit-identical for every thread count.
+//! A cell folds its driven items into a [`Tally`] through the same body
+//! as a conformance cell, and cells fan out across threads with the same
+//! chunk-ordered map-reduce, so a [`FaultMatrix`] — and its digest — is
+//! bit-identical for every thread count.
 
-use crate::drive::{Driven, FaultSource, Tune, Verdict, FAULT_BUDGET};
-use crate::engine::{run_cells, ScenarioContext};
+use crate::drive::{FaultSource, Tally, Tune, FAULT_BUDGET};
+use crate::engine::{run_scenarios, ScenarioContext};
+use crate::report::{Gate, Matrix, Row};
 use crate::spec::{FaultSpec, GraphSpec, LossSpec, ScenarioSpec, WorkloadMix};
 use spair_methods::MethodId;
-use spair_roadnet::certify::{cells_json, Certified};
-use std::collections::BTreeMap;
+use spair_roadnet::certify::counts_json;
 
 /// Aggregated result of one (scenario × fault × method) cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,246 +39,117 @@ pub struct FaultCellReport {
     pub fault: String,
     /// Method name (matrix column).
     pub method: &'static str,
-    /// Work items run.
-    pub queries: usize,
-    /// Items answered — each provably from a taint-free session and
-    /// verified against the oracle.
-    pub answered: usize,
-    /// Answers (or unreachability verdicts) that contradicted the
-    /// oracle. The certificate requires 0.
-    pub wrong_answers: usize,
-    /// Items that ended in a typed [`SessionError`](spair_core::SessionError) give-up.
-    pub typed_failures: usize,
-    /// Root-cause failure-class breakdown (`class → count`), sorted by
-    /// class label.
-    pub failure_classes: Vec<(String, usize)>,
-    /// Supervised attempts across all sessions.
-    pub attempts: u64,
-    /// Worst single session's attempt count.
-    pub max_attempts: u32,
-    /// Work items with a session that blew the attempt budget or the
-    /// packet ceiling (with its one-attempt overshoot allowance). The
-    /// certificate requires 0.
-    pub budget_violations: usize,
-    /// Total packets elapsed across every attempt of every session —
-    /// the recovery latency a population would wait.
-    pub recovery_packets: u64,
-    /// Worst single session's recovery latency in packets.
-    pub max_recovery_packets: u64,
+    /// The cell's items, folded. The certificate requires no wrong item
+    /// (a wrong answer or a trusted unreachability verdict) and none over
+    /// budget: a session past the attempt budget or the packet ceiling,
+    /// with its one-attempt overshoot allowance. Every give-up is a typed
+    /// [`SessionError`](spair_core::SessionError), counted by root class.
+    pub tally: Tally,
 }
 
 impl FaultCellReport {
     /// The per-cell certificate: zero wrong answers, every failure typed
     /// (structural), every session within budget.
     pub fn certified(&self) -> bool {
-        self.wrong_answers == 0 && self.budget_violations == 0
+        self.passes()
+    }
+}
+
+impl Row for FaultCellReport {
+    const FAILURE: &'static str = "CHAOS CERTIFICATE FAILURE";
+
+    fn header() -> String {
+        format!(
+            "{:<24} {:<20} {:<13} {:>3} {:>4} {:>5} {:>5} {:>4} {:>9} {:>5}\n",
+            "Scenario", "Fault", "Method", "Q", "Ans", "Wrong", "Typed", "Att", "RecovPkts", "Cert"
+        )
     }
 
-    fn json_fields(&self) -> String {
-        let classes: Vec<String> = self
-            .failure_classes
-            .iter()
-            .map(|(c, n)| format!("\"{c}\": {n}"))
-            .collect();
+    fn line(&self) -> String {
+        format!(
+            "{:<24} {:<20} {:<13} {:>3} {:>4} {:>5} {:>5} {:>4} {:>9} {:>5}\n",
+            self.scenario,
+            self.fault,
+            self.method,
+            self.tally.items,
+            self.tally.answered,
+            self.tally.wrong,
+            self.tally.typed(),
+            self.tally.attempts,
+            self.tally.recovery_packets,
+            if self.certified() { "yes" } else { "NO" },
+        )
+    }
+
+    /// Every field is a pure function of the scenario seeds, so the
+    /// artifact's cells are the digest input as they are.
+    fn json_fields(&self, _timings: bool) -> String {
+        let t = &self.tally;
         format!(
             "\"scenario\": \"{}\", \"fault\": \"{}\", \"method\": \"{}\", \
              \"queries\": {}, \"answered\": {}, \"wrong_answers\": {}, \
-             \"typed_failures\": {}, \"failure_classes\": {{{}}}, \
+             \"typed_failures\": {}, \"failure_classes\": {}, \
              \"attempts\": {}, \"max_attempts\": {}, \"budget_violations\": {}, \
              \"recovery_packets\": {}, \"max_recovery_packets\": {}, \
              \"certified\": {}",
             self.scenario,
             self.fault,
             self.method,
-            self.queries,
-            self.answered,
-            self.wrong_answers,
-            self.typed_failures,
-            classes.join(", "),
-            self.attempts,
-            self.max_attempts,
-            self.budget_violations,
-            self.recovery_packets,
-            self.max_recovery_packets,
+            t.items,
+            t.answered,
+            t.wrong,
+            t.typed(),
+            counts_json(&t.class_counts()),
+            t.attempts,
+            t.max_attempts,
+            t.over_budget,
+            t.recovery_packets,
+            t.max_recovery_packets,
             self.certified(),
         )
     }
-}
 
-/// The full chaos matrix of one run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultMatrix {
-    /// Every (scenario × fault × method) cell, in scenario-major order.
-    pub cells: Vec<FaultCellReport>,
-}
-
-impl FaultMatrix {
-    /// Whether every cell certifies — the chaos gate.
-    pub fn all_certified(&self) -> bool {
-        self.cells.iter().all(FaultCellReport::certified)
+    fn tally(&self) -> &Tally {
+        &self.tally
     }
 
-    /// Total oracle contradictions across the matrix.
-    pub fn total_wrong(&self) -> usize {
-        self.cells.iter().map(|c| c.wrong_answers).sum()
-    }
-
-    /// Total typed give-ups across the matrix.
-    pub fn total_typed_failures(&self) -> usize {
-        self.cells.iter().map(|c| c.typed_failures).sum()
-    }
-
-    /// A fixed-width text table (one row per cell) for terminal output.
-    pub fn render_table(&self) -> String {
-        let mut out = format!(
-            "{:<24} {:<20} {:<13} {:>3} {:>4} {:>5} {:>5} {:>4} {:>9} {:>5}\n",
-            "Scenario", "Fault", "Method", "Q", "Ans", "Wrong", "Typed", "Att", "RecovPkts", "Cert"
-        );
-        for c in &self.cells {
-            out.push_str(&format!(
-                "{:<24} {:<20} {:<13} {:>3} {:>4} {:>5} {:>5} {:>4} {:>9} {:>5}\n",
-                c.scenario,
-                c.fault,
-                c.method,
-                c.queries,
-                c.answered,
-                c.wrong_answers,
-                c.typed_failures,
-                c.attempts,
-                c.recovery_packets,
-                if c.certified() { "yes" } else { "NO" },
-            ));
-        }
-        out
+    fn gate(&self) -> Gate {
+        Gate::NeverWrong
     }
 }
 
-/// Every field is a pure function of the scenario seeds, so the
-/// artifact's cells are the digest input as they are.
-impl Certified for FaultMatrix {
-    fn deterministic_json(&self) -> String {
-        cells_json(&self.cells, FaultCellReport::json_fields)
-    }
+/// The chaos matrix of one run: every (scenario × fault × method) cell,
+/// in scenario-major order.
+pub type FaultMatrix = Matrix<FaultCellReport>;
 
-    fn artifact_json(&self) -> String {
-        self.deterministic_json()
-    }
-
-    fn cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    fn verdict(&self) -> Result<(), String> {
-        if self.all_certified() {
-            Ok(())
-        } else {
-            Err(format!(
-                "CHAOS CERTIFICATE FAILURE: {} wrong answers / budget violations",
-                self.total_wrong()
-            ))
-        }
-    }
-}
-
-/// Per-cell accumulation state.
-#[derive(Default)]
-struct FaultAcc {
-    queries: usize,
-    answered: usize,
-    wrong_answers: usize,
-    typed_failures: usize,
-    classes: BTreeMap<&'static str, usize>,
-    attempts: u64,
-    max_attempts: u32,
-    budget_violations: usize,
-    recovery_packets: u64,
-    max_recovery_packets: u64,
-}
-
-impl FaultAcc {
-    /// Folds one driven item into the cell. An item counts as answered
-    /// when a trusted answer came back (right or wrong); a trusted
-    /// unreachability verdict is wrong without an answer.
-    fn fold(&mut self, d: Driven) {
-        self.queries += 1;
-        self.attempts += u64::from(d.attempts);
-        self.max_attempts = self.max_attempts.max(d.max_attempts);
-        self.recovery_packets += d.recovery_packets;
-        self.max_recovery_packets = self.max_recovery_packets.max(d.max_recovery_packets);
-        self.budget_violations += usize::from(d.over_budget);
-        self.answered += usize::from(d.stats.is_some());
-        match d.verdict {
-            Verdict::Exact => {}
-            Verdict::Wrong => self.wrong_answers += 1,
-            Verdict::Failed(class) => {
-                self.typed_failures += 1;
-                *self.classes.entry(class).or_insert(0) += 1;
-            }
-        }
-    }
-
-    fn into_report(self, ctx: &ScenarioContext, method: MethodId) -> FaultCellReport {
-        FaultCellReport {
-            scenario: ctx.spec.name.clone(),
-            fault: ctx.spec.fault.label(),
-            method: method.name(),
-            queries: self.queries,
-            answered: self.answered,
-            wrong_answers: self.wrong_answers,
-            typed_failures: self.typed_failures,
-            failure_classes: self
-                .classes
-                .into_iter()
-                .map(|(c, n)| (c.to_string(), n))
-                .collect(),
-            attempts: self.attempts,
-            max_attempts: self.max_attempts,
-            budget_violations: self.budget_violations,
-            recovery_packets: self.recovery_packets,
-            max_recovery_packets: self.max_recovery_packets,
-        }
-    }
-}
-
-/// Runs one (scenario × fault × method) cell: the method's portion of
-/// the workload through supervised sessions under [`FAULT_BUDGET`], each
-/// with its own fault plan, every answer verified against the oracle and
-/// every give-up classified. Channel-less methods see no channel faults;
-/// their local answers are still oracle-checked, so the never-wrong
-/// certificate covers every registry column. A method without a program
-/// counts every item of its portion as wrong.
+/// Runs one (scenario × fault × method) chaos cell: the method's portion
+/// of the workload through supervised sessions under [`FAULT_BUDGET`],
+/// each with its own fault plan, every answer verified against the oracle
+/// and every give-up classified. Channel-less methods see no channel
+/// faults; their local answers are still oracle-checked, so the
+/// never-wrong certificate covers every registry column. A method without
+/// a program counts every item of its portion as wrong.
 pub fn run_fault_cell(ctx: &ScenarioContext, method: MethodId) -> FaultCellReport {
-    let mut acc = FaultAcc::default();
     let tune = Tune {
         faults: FaultSource::PerSession(ctx.spec.fault),
         ..Tune::of(&ctx.spec)
     };
-    ctx.drive_portion(method, &tune, FAULT_BUDGET, |_, d| acc.fold(d));
-    acc.into_report(ctx, method)
+    FaultCellReport {
+        scenario: ctx.spec.name.clone(),
+        fault: ctx.spec.fault.label(),
+        method: method.name(),
+        tally: ctx.fold_portion(method, &tune, FAULT_BUDGET).0,
+    }
 }
 
-/// Builds every scenario context, then fans the independent
-/// (scenario × method) cells across `threads` workers with the same
-/// chunk-ordered merge as the conformance matrix — bit-identical for
-/// every thread count.
+/// The chaos matrix over `specs` × `methods`, bit-identical for every
+/// thread count like the conformance matrix.
 pub fn run_fault_matrix(
     specs: &[ScenarioSpec],
     methods: &[MethodId],
     threads: usize,
 ) -> FaultMatrix {
-    let contexts: Vec<ScenarioContext> = specs
-        .iter()
-        .map(|s| ScenarioContext::build(s, methods))
-        .collect();
-    FaultMatrix {
-        cells: run_cells(
-            &contexts,
-            methods,
-            threads,
-            ScenarioContext::has_work,
-            run_fault_cell,
-        ),
-    }
+    run_scenarios(specs, methods, threads, run_fault_cell)
 }
 
 fn fault_base(name: &str, seed: u64, fault: FaultSpec) -> ScenarioSpec {
@@ -422,7 +294,7 @@ mod tests {
     use super::*;
     use crate::engine::run_cell;
     use spair_methods::MethodRegistry;
-    use spair_roadnet::certify::fnv1a64;
+    use spair_roadnet::certify::{fnv1a64, Certified};
 
     #[test]
     fn matrices_cover_four_fault_classes_and_are_uniquely_named() {
@@ -456,10 +328,13 @@ mod tests {
         let ctx = ScenarioContext::build(&spec, &[MethodId::NR]);
         let r = run_fault_cell(&ctx, MethodId::NR);
         assert!(r.certified());
-        assert_eq!(r.typed_failures, 0);
-        assert_eq!(r.answered, r.queries);
-        assert!(r.attempts as usize >= r.queries, "on-edge items add subs");
-        assert_eq!(r.max_attempts, 1, "no faults, no retries");
+        assert_eq!(r.tally.typed(), 0);
+        assert_eq!(r.tally.answered, r.tally.items);
+        assert!(
+            r.tally.attempts as usize >= r.tally.items,
+            "on-edge items add subs"
+        );
+        assert_eq!(r.tally.max_attempts, 1, "no faults, no retries");
     }
 
     #[test]
@@ -469,11 +344,11 @@ mod tests {
         let r = run_fault_cell(&ctx, MethodId::DJ);
         assert!(!r.certified(), "an unbuilt method must not certify");
         assert_eq!(
-            r.queries,
+            r.tally.items,
             spec.workload.point_to_point + spec.workload.on_edge
         );
-        assert_eq!(r.wrong_answers, r.queries);
-        assert_eq!(r.answered, 0);
+        assert_eq!(r.tally.wrong, r.tally.items);
+        assert_eq!(r.tally.answered, 0);
     }
 
     #[test]
@@ -482,8 +357,11 @@ mod tests {
         let ctx = ScenarioContext::build(&spec, &[MethodId::NR, MethodId::EB]);
         for m in [MethodId::NR, MethodId::EB] {
             let r = run_fault_cell(&ctx, m);
-            assert!(r.certified(), "{}: wrong={}", m.name(), r.wrong_answers);
-            assert!(r.answered > 0, "corruption is loss-like; answers flow");
+            assert!(r.certified(), "{}: wrong={}", m.name(), r.tally.wrong);
+            assert!(
+                r.tally.answered > 0,
+                "corruption is loss-like; answers flow"
+            );
         }
     }
 
@@ -499,12 +377,12 @@ mod tests {
         );
         let ctx = ScenarioContext::build(&spec, &[MethodId::NR]);
         let r = run_fault_cell(&ctx, MethodId::NR);
-        assert!(r.certified(), "wrong={}", r.wrong_answers);
+        assert!(r.certified(), "wrong={}", r.tally.wrong);
         assert!(
-            r.attempts as usize > r.queries || r.typed_failures > 0,
+            r.tally.attempts as usize > r.tally.items || r.tally.typed() > 0,
             "a 3-cycle restart mean must disturb some session"
         );
-        for (class, _) in &r.failure_classes {
+        for class in r.tally.classes.keys() {
             assert!(
                 [
                     "corrupted",
@@ -513,7 +391,7 @@ mod tests {
                     "duplicate_delivery",
                     "client_aborted"
                 ]
-                .contains(&class.as_str()),
+                .contains(class),
                 "unexpected class {class}"
             );
         }
@@ -540,9 +418,9 @@ mod tests {
         let methods = MethodRegistry::standard().all();
         let m = run_fault_matrix(&specs, &methods, 0);
         assert!(
-            m.all_certified(),
+            m.passes(),
             "wrong answers: {}\n{}",
-            m.total_wrong(),
+            m.total(|c| c.tally.wrong),
             m.render_table()
         );
         // Every air/knn/local method appears (all have work here).
@@ -550,6 +428,28 @@ mod tests {
         cols.sort_unstable();
         cols.dedup();
         assert_eq!(cols.len(), methods.len());
+    }
+
+    #[test]
+    fn a_lone_budget_violation_fails_the_gate_by_its_count() {
+        let cell = FaultCellReport {
+            scenario: "s".to_string(),
+            fault: "none".to_string(),
+            method: "nr",
+            tally: Tally {
+                items: 4,
+                answered: 4,
+                exact: 4,
+                over_budget: 1,
+                ..Tally::default()
+            },
+        };
+        let m = FaultMatrix { cells: vec![cell] };
+        assert!(!m.passes());
+        assert_eq!(
+            m.verdict(),
+            Err("CHAOS CERTIFICATE FAILURE: 1 budget violations".to_string())
+        );
     }
 
     #[test]

@@ -22,14 +22,17 @@
 //! Every session — here, in the chaos and dynamic matrices, in the load
 //! harness, in the `spair` CLI and in `experiments` — runs through one
 //! driver, [`drive()`]: it tunes a channel in, supervises the attempts
-//! and returns one oracle verdict with the session's cost.
+//! and returns one oracle verdict with the session's cost. Every matrix
+//! cell folds its sessions into one [`Tally`].
 //!
 //! Results aggregate into a [`ConformanceMatrix`] of (scenario × method)
 //! cells carrying the §3.1 cost factors plus a radio energy figure. The
-//! independent cells fan out across threads via the deterministic
-//! chunk-ordered map-reduce of `spair_roadnet::parallel`, so a matrix is
-//! **bit-identical for every thread count** — certified by its
-//! [`Certified::digest`](spair_roadnet::certify::Certified::digest).
+//! conformance, chaos, dynamic and load reports are all one generic
+//! [`Matrix`] over their row types, which supplies the certificate, the
+//! totals and the gate. The independent cells fan out across threads via
+//! the deterministic chunk-ordered map-reduce of `spair_roadnet::parallel`,
+//! so a matrix is **bit-identical for every thread count** — certified by
+//! its [`Certified::digest`](spair_roadnet::certify::Certified::digest).
 //!
 //! ```text
 //! cargo run --release -p spair-sim --bin bench_scenarios
@@ -48,7 +51,7 @@ pub mod report;
 pub mod spec;
 pub mod traffic;
 
-pub use drive::{drive, open, Device, Driven, FaultSource, Tune, Verdict, FAULT_BUDGET};
+pub use drive::{drive, open, Device, Driven, FaultSource, Tally, Tune, Verdict, FAULT_BUDGET};
 pub use dynamic::{
     dynamic_matrix, dynamic_methods, nightly_dynamic_matrix, run_dynamic_cell, run_dynamic_matrix,
     smoke_dynamic_matrix, DynamicCellReport, DynamicContext, DynamicMatrix, DynamicSpec,
@@ -59,7 +62,7 @@ pub use faults::{
     FaultCellReport, FaultMatrix,
 };
 pub use matrix::{default_matrix, nightly_matrix, smoke_matrix};
-pub use report::{CellReport, ConformanceMatrix};
+pub use report::{CellReport, ConformanceMatrix, Gate, Matrix, MatrixBench, Row};
 pub use spair_methods::{
     MethodDescriptor, MethodId, MethodRegistry, MethodUnavailable, SessionShape,
 };

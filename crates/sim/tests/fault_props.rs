@@ -78,25 +78,26 @@ proptest! {
         let ctx = ScenarioContext::build(&chaos_spec(seed, fault), &methods);
         for &m in &methods {
             let r = run_fault_cell(&ctx, m);
+            let t = &r.tally;
             prop_assert_eq!(
-                r.wrong_answers, 0,
+                t.wrong, 0,
                 "{} contradicted the oracle under {}", m.name(), r.fault
             );
             prop_assert_eq!(
-                r.budget_violations, 0,
+                t.over_budget, 0,
                 "{} blew the recovery budget under {} (max {} attempts, {} pkts)",
-                m.name(), r.fault, r.max_attempts, r.max_recovery_packets
+                m.name(), r.fault, t.max_attempts, t.max_recovery_packets
             );
             prop_assert!(
-                r.max_attempts <= BUDGET.max_attempts,
-                "{}: {} attempts on one session", m.name(), r.max_attempts
+                t.max_attempts <= BUDGET.max_attempts,
+                "{}: {} attempts on one session", m.name(), t.max_attempts
             );
             // Every give-up is typed AND classified — nothing vanishes.
             prop_assert_eq!(
-                r.typed_failures,
-                r.failure_classes.iter().map(|(_, n)| n).sum::<usize>()
+                t.typed(),
+                t.classes.values().sum::<usize>()
             );
-            prop_assert_eq!(r.answered + r.typed_failures, r.queries);
+            prop_assert_eq!(t.answered + t.typed(), t.items);
         }
     }
 }
