@@ -161,6 +161,15 @@ fn run_socket_main(args: &BenchArgs, o: &Overrides, events: Option<String>) -> i
                 ("injected_drops", d.injected_drops.to_string()),
                 ("backpressure_drops", d.backpressure_drops.to_string()),
                 ("frames_sent", d.frames_sent.to_string()),
+                // Frames sent over slots owed: timing-dependent, so it
+                // stays out of the digest.
+                (
+                    "laps_sent",
+                    object(&[
+                        ("tcp", format!("{:.3}", d.tcp.laps_sent())),
+                        ("udp", format!("{:.3}", d.udp.laps_sent())),
+                    ]),
+                ),
                 ("dead_letters", d.dead_letters.to_string()),
                 ("events", d.events.to_string()),
             ]),

@@ -158,13 +158,16 @@ fn main() {
         Ok(s) => {
             println!(
                 "stopped sessions={} rejections={} evictions={} injected_drops={} \
-                 backpressure_drops={} frames_sent={} dead_letters={} events={}",
+                 backpressure_drops={} frames_sent={} laps_sent_tcp={:.3} laps_sent_udp={:.3} \
+                 dead_letters={} events={}",
                 s.sessions,
                 s.rejections,
                 s.evictions,
                 s.injected_drops,
                 s.backpressure_drops,
                 s.frames_sent,
+                s.tcp.laps_sent(),
+                s.udp.laps_sent(),
                 s.dead_letters,
                 s.events
             );

@@ -20,6 +20,7 @@
 use crate::frame::{
     self, Close, CloseReason, DataFrame, Frame, FrameError, Hello, RejectReason, StreamDecoder,
 };
+use crate::sockopt;
 use spair_broadcast::{BroadcastChannel, BroadcastCycle, LossModel, Packet};
 use spair_core::query::{Query, QueryOutcome};
 use spair_methods::{ClientBootstrap, MethodRegistry};
@@ -106,6 +107,9 @@ pub struct SessionMetrics {
     /// Laps spanned from the first filed slot to the slot that filled
     /// the table (1 for a session that lost nothing).
     pub laps: u32,
+    /// UDP receive buffer the kernel granted, in bytes (0 on TCP, and
+    /// off Linux). Below one lap's wire bytes, a burst can overrun it.
+    pub rcvbuf_bytes: u64,
 }
 
 /// Why a session did not produce a cycle.
@@ -290,6 +294,10 @@ pub fn fetch_cycle(
         Transport::Udp => {
             let s = UdpSocket::bind("127.0.0.1:0")?;
             s.set_read_timeout(Some(Duration::from_millis(100)))?;
+            // The daemon streams as soon as it admits, before the client
+            // has read the cycle length: until then the socket holds all
+            // the kernel allows, not the default that a burst overruns.
+            sockopt::set_recv_buffer(&s, usize::MAX);
             Some(s)
         }
         Transport::Tcp => None,
@@ -331,6 +339,13 @@ pub fn fetch_cycle(
         cycle_len,
         ..SessionMetrics::default()
     };
+    if let Some(sock) = &udp {
+        // Room for a whole lap, twice over for the kernel's per-datagram
+        // overhead, so a lap that arrives faster than it is read is not
+        // dropped in the socket, and no more.
+        let lap_bytes = cycle_len.saturating_mul(2 + frame::DATA_FRAME as u64);
+        metrics.rcvbuf_bytes = sockopt::set_recv_buffer(sock, lap_bytes.saturating_mul(2) as usize);
+    }
     let mut table = SlotTable::new(cycle_len);
 
     match udp {

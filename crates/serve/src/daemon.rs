@@ -18,26 +18,34 @@
 //! its session's 16-byte head in front and combines the two CRCs, so a
 //! session costs the daemon its head bytes, not a packet encode. The
 //! streamer reads the control stream for the client's `Close` after
-//! every TCP batch and every 8 UDP datagrams, so a stream stops within
-//! a batch of the client's `Close` rather than at lap end.
+//! every TCP batch and every 8 UDP datagrams of the first lap (every
+//! datagram after it), so a stream stops within a batch of the client's
+//! `Close` rather than at lap end.
 //!
 //! Backpressure is transport-shaped, never answer-shaped (the PR 6
 //! contract — late or typed, never wrong):
 //!
 //! * **TCP**: frames go out in batches of about [`TCP_BATCH`] bytes
-//!   from one reused buffer, and the kernel send buffer is the queue. A
-//!   write timeout is the stall detector: a consumer that drains nothing
-//!   for [`ServeOptions::stall`] is evicted (`client_evicted`, typed
-//!   `Close`).
+//!   from one reused buffer, and the kernel send buffer is the queue.
+//!   TCP loses nothing, so a stream sends one lap and then waits up to
+//!   [`ServeOptions::stall`] for the client's `Close`; a client that
+//!   sends none is streamed further laps. A write timeout is the stall
+//!   detector: a consumer that drains nothing for [`ServeOptions::stall`]
+//!   is evicted (`client_evicted`, typed `Close`).
 //! * **UDP**: consecutive slots are packed into datagrams of at most
-//!   [`frame::MAX_DATAGRAM`] bytes, and the streamer yields its thread
-//!   after every send so the receiver can drain its socket buffer. A
-//!   send that fails drops every frame in the datagram (counted per
+//!   [`frame::MAX_DATAGRAM`] bytes. The client's receive buffer is sized
+//!   to hold a lap, so the streamer yields its thread only once per read
+//!   of the control stream: every 8 datagrams of the first lap, and
+//!   every datagram after it, when the client may be done. A send that
+//!   fails drops every frame in the datagram (counted per
 //!   frame, `packet_dropped` with cause `backpressure`); a [`DropPlan`]
 //!   additionally leaves *deterministic* seeded slots out of the pack so
 //!   contention cells exercise gap recovery reproducibly. Dropped slots
 //!   re-arrive on a later lap — the client is delayed, its answer
 //!   unchanged.
+//!
+//! [`ServeSummary`] sets the frames sent on each transport against the
+//! slots its sessions were owed, one lap each ([`TransportSends`]).
 
 use crate::events::{DeadLetter, Event, EventLog};
 use crate::frame::{
@@ -161,7 +169,9 @@ pub struct ServeOptions {
     /// Laps streamed per session before the server closes it
     /// (`Expired`) — the bound that keeps abandoned sessions finite.
     pub max_laps: u32,
-    /// TCP write stall after which a consumer is evicted.
+    /// TCP write stall after which a consumer is evicted. It also bounds
+    /// how long a TCP stream waits for the client's `Close` after its
+    /// first lap, and after the last lap of any stream.
     pub stall: Duration,
     /// Deterministic injected drops (UDP data frames only).
     pub drop_plan: Option<DropPlan>,
@@ -191,8 +201,30 @@ impl ServeOptions {
 pub const TCP_BATCH: usize = 64 * 1024;
 
 /// UDP datagrams sent between two reads of the control stream for the
-/// client's `Close`.
+/// client's `Close` during a session's first lap; after it, the stream
+/// is read after every datagram.
 const UDP_POLL_DATAGRAMS: u32 = 8;
+
+/// One transport's sends, against what its sessions needed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TransportSends {
+    /// Data frames sent to the transport's sessions.
+    pub frames_sent: u64,
+    /// Cycle slots those sessions were owed: one lap each, the sum of
+    /// `cycle_len` over the admitted sessions.
+    pub slots_owed: u64,
+}
+
+impl TransportSends {
+    /// Laps sent per session: frames sent over slots owed (0 without
+    /// sessions). 1 means every session was sent exactly one lap.
+    pub fn laps_sent(&self) -> f64 {
+        if self.slots_owed == 0 {
+            return 0.0;
+        }
+        self.frames_sent as f64 / self.slots_owed as f64
+    }
+}
 
 /// Monotonic counters the daemon exposes after shutdown.
 #[derive(Debug, Clone, Copy, Default)]
@@ -210,6 +242,10 @@ pub struct ServeSummary {
     /// Data frames sent, summed over sessions (each session's
     /// `session_closed` event logs its own share).
     pub frames_sent: u64,
+    /// TCP sessions' sends.
+    pub tcp: TransportSends,
+    /// UDP sessions' sends.
+    pub udp: TransportSends,
     /// Dead-letter entries recorded.
     pub dead_letters: u64,
     /// Event-log lines emitted.
@@ -222,7 +258,10 @@ struct Counters {
     evictions: AtomicU64,
     injected_drops: AtomicU64,
     backpressure_drops: AtomicU64,
-    frames_sent: AtomicU64,
+    /// Frames sent and slots owed, indexed by the `Hello`'s transport tag
+    /// (0 TCP, 1 UDP).
+    frames_sent: [AtomicU64; 2],
+    slots_owed: [AtomicU64; 2],
 }
 
 struct Shared {
@@ -272,7 +311,8 @@ impl ServeDaemon {
                 evictions: AtomicU64::new(0),
                 injected_drops: AtomicU64::new(0),
                 backpressure_drops: AtomicU64::new(0),
-                frames_sent: AtomicU64::new(0),
+                frames_sent: Default::default(),
+                slots_owed: Default::default(),
             },
         });
         let accept_shared = Arc::clone(&shared);
@@ -313,13 +353,20 @@ impl ServeDaemon {
             let _ = h.join();
         }
         let c = &self.shared.counters;
+        let sends = |t: usize| TransportSends {
+            frames_sent: c.frames_sent[t].load(Ordering::SeqCst),
+            slots_owed: c.slots_owed[t].load(Ordering::SeqCst),
+        };
+        let (tcp, udp) = (sends(0), sends(1));
         let summary = ServeSummary {
             sessions: c.sessions.load(Ordering::SeqCst),
             rejections: c.rejections.load(Ordering::SeqCst),
             evictions: c.evictions.load(Ordering::SeqCst),
             injected_drops: c.injected_drops.load(Ordering::SeqCst),
             backpressure_drops: c.backpressure_drops.load(Ordering::SeqCst),
-            frames_sent: c.frames_sent.load(Ordering::SeqCst),
+            frames_sent: tcp.frames_sent + udp.frames_sent,
+            tcp,
+            udp,
             dead_letters: self.shared.dead.recorded(),
             events: 0,
         };
@@ -331,6 +378,10 @@ impl ServeDaemon {
                 .u64("injected_drops", summary.injected_drops)
                 .u64("backpressure_drops", summary.backpressure_drops)
                 .u64("frames_sent", summary.frames_sent)
+                .u64("frames_sent_tcp", tcp.frames_sent)
+                .u64("slots_owed_tcp", tcp.slots_owed)
+                .u64("frames_sent_udp", udp.frames_sent)
+                .u64("slots_owed_udp", udp.slots_owed)
                 .u64("dead_letters", summary.dead_letters),
         );
         self.shared.events.flush_sync()?;
@@ -370,6 +421,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 struct SessionCtx<'a> {
     shared: &'a Shared,
     session: u32,
+    /// The `Hello`'s transport tag, the index of its send counters.
+    transport: usize,
     frames_sent: u64,
     injected: u64,
     backpressure: u64,
@@ -413,7 +466,7 @@ impl SessionCtx<'_> {
         self.injected += tally.injected;
         self.backpressure += tally.backpressure;
         let c = &self.shared.counters;
-        c.frames_sent.fetch_add(tally.sent, Ordering::SeqCst);
+        c.frames_sent[self.transport].fetch_add(tally.sent, Ordering::SeqCst);
         for (cause, count, total) in [
             ("injected", tally.injected, &c.injected_drops),
             ("backpressure", tally.backpressure, &c.backpressure_drops),
@@ -487,9 +540,12 @@ fn run_session(mut stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
     };
 
     let session = shared.next_session.fetch_add(1, Ordering::SeqCst);
-    shared.counters.sessions.fetch_add(1, Ordering::SeqCst);
     let cycle_len = channel.frames.len() as u64;
-    let transport = if hello.transport == 1 { "udp" } else { "tcp" };
+    let udp = hello.transport == 1;
+    let c = &shared.counters;
+    c.sessions.fetch_add(1, Ordering::SeqCst);
+    c.slots_owed[usize::from(udp)].fetch_add(cycle_len, Ordering::SeqCst);
+    let transport = if udp { "udp" } else { "tcp" };
     shared.events.emit(
         Event::new("session_admitted")
             .u64("session", u64::from(session))
@@ -519,11 +575,12 @@ fn run_session(mut stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
     let mut ctx = SessionCtx {
         shared: &shared,
         session,
+        transport: usize::from(udp),
         frames_sent: 0,
         injected: 0,
         backpressure: 0,
     };
-    let sink = if hello.transport == 1 {
+    let sink = if udp {
         let Ok(sock) = UdpSocket::bind("127.0.0.1:0") else {
             send_close(&stream, session, CloseReason::ProtocolError);
             ctx.close_event("udp_bind_failed", None);
@@ -538,6 +595,7 @@ fn run_session(mut stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
             dest: SocketAddr::new(peer.ip(), hello.udp_port),
             dgram: Datagram::new(),
             unpolled: 0,
+            poll_every: UDP_POLL_DATAGRAMS,
         }
     } else {
         let _ = stream.set_write_timeout(Some(shared.opts.stall));
@@ -548,7 +606,7 @@ fn run_session(mut stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
         }
     };
     // Injected drops model datagram loss, so they apply to UDP only.
-    let plan = shared.opts.drop_plan.filter(|_| hello.transport == 1);
+    let plan = shared.opts.drop_plan.filter(|_| udp);
     let frames = &channel.frames;
     stream_laps(&mut ctx, &stream, &mut dec, &hello, frames, sink, plan);
 }
@@ -596,6 +654,10 @@ enum Sink<'a> {
         dgram: Datagram,
         /// Datagrams sent since the control stream was last due a read.
         unpolled: u32,
+        /// Datagrams between two reads: [`UDP_POLL_DATAGRAMS`] during
+        /// the first lap, which the client's receive buffer holds, and 1
+        /// after it, when the client may be done at any datagram.
+        poll_every: u32,
     },
 }
 
@@ -647,11 +709,12 @@ impl Sink<'_> {
     }
 
     /// Sends whatever is queued; `true` when the control stream is due a
-    /// read: after every TCP write, and after every
-    /// [`UDP_POLL_DATAGRAMS`]-th datagram. A datagram goes out as one
-    /// send, after which the thread yields so the receiver can drain its
-    /// socket buffer; a failed send (the loopback send buffer is full,
-    /// or the peer is gone) drops every frame in it, as UDP does.
+    /// read: after every TCP write, and after every `poll_every`-th
+    /// datagram. A datagram goes out as one send; a failed send (the
+    /// loopback send buffer is full, or the peer is gone) drops every
+    /// frame in it, as UDP does. The thread yields once per poll, not per
+    /// datagram, so the receiver drains its socket buffer (which the
+    /// client sizes to hold a lap) without a context switch per send.
     fn flush(&mut self, tally: &mut LapTally) -> std::io::Result<bool> {
         match self {
             Sink::Tcp {
@@ -670,6 +733,7 @@ impl Sink<'_> {
                 dest,
                 dgram,
                 unpolled,
+                poll_every,
             } if !dgram.is_empty() => {
                 let frames = dgram.frames() as u64;
                 match sock.send_to(dgram.as_bytes(), *dest) {
@@ -677,11 +741,11 @@ impl Sink<'_> {
                     Err(_) => tally.backpressure += frames,
                 }
                 dgram.clear();
-                std::thread::yield_now();
                 *unpolled += 1;
-                let due = *unpolled == UDP_POLL_DATAGRAMS;
+                let due = *unpolled >= *poll_every;
                 if due {
                     *unpolled = 0;
+                    std::thread::yield_now();
                 }
                 Ok(due)
             }
@@ -710,13 +774,49 @@ impl Sink<'_> {
         if tcp {
             let _ = control.set_nonblocking(false);
         }
-        while let Some(f) = dec.next_frame().map_err(|e| Halt::Control(Err(e)))? {
-            if let Frame::Close(c) = f {
-                return Err(Halt::Control(Ok(c)));
-            }
-        }
-        Ok(())
+        next_close(dec)
     }
+}
+
+/// `Halt::Control` once the decoded control stream holds the client's
+/// `Close` or a malformed frame; other frames are skipped.
+fn next_close(dec: &mut StreamDecoder) -> Result<(), Halt> {
+    while let Some(f) = dec.next_frame().map_err(|e| Halt::Control(Err(e)))? {
+        if let Frame::Close(c) = f {
+            return Err(Halt::Control(Ok(c)));
+        }
+    }
+    Ok(())
+}
+
+/// Waits for the client's `Close` with the control stream blocking, one
+/// read timeout at a time, until it arrives (`Halt::Control`), the client
+/// hangs up (`Halt::Io`), the daemon stops or `window` elapses (`Ok` in
+/// the last two cases).
+fn await_close(
+    control: &TcpStream,
+    dec: &mut StreamDecoder,
+    stop: &AtomicBool,
+    window: Duration,
+) -> Result<(), Halt> {
+    let _ = control.set_nonblocking(false);
+    let deadline = Instant::now() + window;
+    let mut buf = [0u8; 1024];
+    let mut s = control;
+    while Instant::now() < deadline && !stop.load(Ordering::SeqCst) {
+        match s.read(&mut buf) {
+            Ok(0) => return Err(Halt::Io(ErrorKind::UnexpectedEof.into())),
+            Ok(n) => dec.push(&buf[..n]),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
+            Err(e) => return Err(Halt::Io(e)),
+        }
+        next_close(dec)?;
+    }
+    Ok(())
 }
 
 /// Streams the channel's frames lap after lap into `sink` until the
@@ -725,6 +825,12 @@ impl Sink<'_> {
 /// stream is read for the client's `Close` whenever the sink is due (see
 /// [`Sink::flush`]), at every lap end, and for one stall window after
 /// the last lap.
+///
+/// TCP delivers every slot of a lap, so a TCP stream stops after its
+/// first lap and waits one stall window for the `Close`; only a client
+/// that sends none by then is streamed further laps, where the write
+/// stall detector and the lap budget bound it. A wait after every lap
+/// would let a consumer that never reads outlast the stall detector.
 fn stream_laps(
     ctx: &mut SessionCtx<'_>,
     control: &TcpStream,
@@ -767,8 +873,17 @@ fn stream_laps(
                 Ok(())
             })
             .and_then(|()| sink.flush(&mut tally).map_err(Halt::Io))
-            .and_then(|_| sink.poll(control, dec));
+            .and_then(|_| sink.poll(control, dec))
+            .and_then(|()| match sink {
+                Sink::Tcp { .. } if lap == 0 && opts.max_laps > 1 => {
+                    await_close(control, dec, &shared.stop, opts.stall)
+                }
+                _ => Ok(()),
+            });
         ctx.account(lap, &tally);
+        if let Sink::Udp { poll_every, .. } = &mut sink {
+            *poll_every = 1;
+        }
         match halted {
             Ok(()) => {}
             Err(Halt::Control(got)) => {
@@ -801,18 +916,12 @@ fn stream_laps(
     }
     // The last laps may still sit in socket buffers, unread: give the
     // client one stall window to send its `Close` before expiring.
-    let deadline = Instant::now() + opts.stall;
-    loop {
-        if let Err(Halt::Control(got)) = sink.poll(control, dec) {
-            ctx.end_by_control(control, got);
-            return;
-        }
-        if Instant::now() >= deadline || shared.stop.load(Ordering::SeqCst) {
+    match await_close(control, dec, &shared.stop, opts.stall) {
+        Err(Halt::Control(got)) => ctx.end_by_control(control, got),
+        _ => {
             send_close(control, ctx.session, CloseReason::Expired);
             ctx.close_event(CloseReason::Expired.label(), None);
-            return;
         }
-        std::thread::sleep(Duration::from_millis(1));
     }
 }
 

@@ -401,7 +401,7 @@ const DATA_HEAD: usize = 16;
 const DATA_TAIL: usize = 2 + PACKET_SIZE;
 
 /// Bytes of a data frame body: head, tail and CRC.
-const DATA_FRAME: usize = DATA_HEAD + DATA_TAIL + 4;
+pub const DATA_FRAME: usize = DATA_HEAD + DATA_TAIL + 4;
 
 /// Advances a CRC-32 register through [`DATA_TAIL`] zero bytes, one
 /// table per register byte: the operator is linear, so a register's

@@ -24,8 +24,9 @@
 //!   dead-letter file for undecodable inbound frames.
 //! * [`daemon`] — session admission over a TCP control connection,
 //!   per-session streamer threads running one lap loop over a TCP or
-//!   UDP sink that batches its sends (the UDP sink yields after every
-//!   datagram so receivers keep up), per-client
+//!   UDP sink that batches its sends (a TCP stream sends one lap and
+//!   waits for the client's `Close`; the UDP sink yields once per poll
+//!   of the control stream), per-client
 //!   backpressure (TCP write stalls evict slow consumers; failed UDP
 //!   sends and the deterministic injected [`daemon::DropPlan`] drop
 //!   frames), and graceful shutdown that closes every session with a
@@ -34,10 +35,14 @@
 //!   full cycle into a slot table (late datagrams fill on later laps —
 //!   drops only ever delay an answer, they never change it), rebuild
 //!   the cycle via [`spair_broadcast::BroadcastCycle::from_packets`]
-//!   and answer queries with the registry's remote clients.
-//! * [`signal`] — the SIGINT/SIGTERM shutdown flag for the bins (the
-//!   crate's one scoped `unsafe` block; the build is offline and has no
-//!   libc crate, so the handler registration is a local shim).
+//!   and answer queries with the registry's remote clients. A UDP
+//!   client asks for a receive buffer that holds a lap.
+//! * [`signal`] — the SIGINT/SIGTERM shutdown flag for the bins.
+//!
+//! The crate has two scoped `unsafe` modules, because the build is
+//! offline and has no libc crate: [`signal`] registers its handler, and
+//! the private `sockopt` sets and reads back a UDP socket's `SO_RCVBUF`,
+//! each through a local `extern "C"` declaration.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,10 +52,13 @@ pub mod daemon;
 pub mod events;
 pub mod frame;
 pub mod signal;
+mod sockopt;
 
 pub use client::{
     fetch_cycle, run_query, SessionConfig, SessionFailure, SessionMetrics, Transport,
 };
-pub use daemon::{DropPlan, ServeChannel, ServeDaemon, ServeOptions, ServeSummary, ServeWorld};
+pub use daemon::{
+    DropPlan, ServeChannel, ServeDaemon, ServeOptions, ServeSummary, ServeWorld, TransportSends,
+};
 pub use events::{DeadLetter, Event, EventLog};
 pub use frame::{CloseReason, Frame, FrameError, RejectReason, StreamDecoder};

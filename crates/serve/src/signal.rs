@@ -5,8 +5,8 @@
 //! close with a typed reason and the event log is flushed and fsynced
 //! before exit. The build is fully offline (no `libc` crate is
 //! vendored), so handler registration goes through a minimal local
-//! `extern "C"` declaration of POSIX `signal(2)` — the crate's only
-//! `unsafe`, scoped to this module and compiled on Unix targets only.
+//! `extern "C"` declaration of POSIX `signal(2)`, its `unsafe` scoped to
+//! this module and compiled on Unix targets only.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -12,7 +12,7 @@ use spair_serve::client::{fetch_cycle, run_query, SessionConfig, SessionFailure,
 use spair_serve::daemon::{DropPlan, ServeDaemon, ServeOptions, ServeWorld, TCP_BATCH};
 use spair_serve::frame::{
     encode_stream, Admit, Close, CloseReason, DataFrame, Datagram, Frame, Hello, StreamDecoder,
-    MAX_DATAGRAM,
+    DATA_FRAME, MAX_DATAGRAM,
 };
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream, UdpSocket};
@@ -410,6 +410,136 @@ fn a_close_sent_with_the_hello_stops_the_stream_within_a_batch() {
         total += sent as u64;
     }
     assert_eq!(summary.frames_sent, total);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `session_closed` events in a daemon's event log.
+fn closed_events(dir: &std::path::Path) -> Vec<String> {
+    std::fs::read_to_string(dir.join("serve.events.jsonl"))
+        .unwrap()
+        .lines()
+        .filter(|l| l.contains("\"event\":\"session_closed\""))
+        .map(str::to_string)
+        .collect()
+}
+
+/// The `frames_sent` count of a `session_closed` event line.
+fn frames_sent(line: &str) -> u64 {
+    line.split("\"frames_sent\":")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .and_then(|n| n.parse().ok())
+        .expect("frames_sent field")
+}
+
+/// TCP loses nothing, so a stream stops after one lap and waits for the
+/// client's `Close`: a lossless TCP session that closes after its lap is
+/// sent exactly `cycle_len` frames.
+#[test]
+fn a_tcp_session_that_closes_after_its_lap_is_sent_one_lap() {
+    let dir = test_dir("one_lap");
+    let programs = build_programs(8, 8, 8, 17);
+    let daemon = start_daemon(&programs, &["nr"], &dir, None);
+    let config = SessionConfig::new(daemon.local_addr(), "nr", Transport::Tcp);
+    let (_cycle, _boot, m) = fetch_cycle(&config).expect("tcp session");
+    assert_eq!(m.rcvbuf_bytes, 0, "no receive buffer is set on TCP");
+    let summary = daemon.shutdown().unwrap();
+    let closed = closed_events(&dir);
+    assert_eq!(closed.len(), 1, "{closed:?}");
+    assert!(closed[0].contains("\"reason\":\"done\""), "{}", closed[0]);
+    assert_eq!(frames_sent(&closed[0]), m.cycle_len, "{}", closed[0]);
+    assert_eq!(summary.tcp.frames_sent, m.cycle_len);
+    assert_eq!(summary.tcp.slots_owed, m.cycle_len);
+    assert_eq!(summary.tcp.laps_sent(), 1.0);
+    assert_eq!(summary.udp.slots_owed, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A TCP session that has its lap and waits for the client's `Close` is
+/// closed `daemon_shutdown` within one 100 ms read timeout of shutdown,
+/// not at the end of its (here 30 s) wait.
+#[test]
+fn shutdown_closes_a_tcp_session_waiting_for_its_close() {
+    let dir = test_dir("wait_shutdown");
+    let programs = build_programs(8, 8, 8, 19);
+    let registry = MethodRegistry::standard();
+    let world = ServeWorld::from_program_set(&programs, &[registry.get("nr").unwrap()]);
+    let opts = ServeOptions {
+        stall: Duration::from_secs(30),
+        ..ServeOptions::in_dir(&dir)
+    };
+    let daemon = ServeDaemon::start(world, opts).expect("daemon start");
+    let mut raw = TcpStream::connect(daemon.local_addr()).expect("connect");
+    raw.write_all(&encode_stream(&Frame::Hello(Hello {
+        method: "nr".into(),
+        transport: 0,
+        udp_port: 0,
+        offset: 0,
+    })))
+    .unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut dec = StreamDecoder::new();
+    let mut buf = vec![0u8; TCP_BATCH];
+    let mut next = |raw: &mut TcpStream| loop {
+        if let Some(f) = dec.next_frame().expect("daemon frame") {
+            return f;
+        }
+        let n = raw.read(&mut buf).expect("read");
+        assert!(n > 0, "daemon hung up");
+        dec.push(&buf[..n]);
+    };
+    let Frame::Admit(admit) = next(&mut raw) else {
+        panic!("expected Admit")
+    };
+    // Take the whole lap, then send no `Close`: the stream now waits.
+    for _ in 0..admit.cycle_len {
+        assert!(matches!(next(&mut raw), Frame::Data(_)));
+    }
+    let asked = std::time::Instant::now();
+    daemon.shutdown().unwrap();
+    let took = asked.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "shutdown took {took:?} against a 100 ms read timeout"
+    );
+    match next(&mut raw) {
+        Frame::Close(c) => assert_eq!(c.reason, CloseReason::DaemonShutdown),
+        other => panic!("expected Close, got {other:?}"),
+    }
+    let closed = closed_events(&dir);
+    assert_eq!(closed.len(), 1, "{closed:?}");
+    assert!(
+        closed[0].contains("\"reason\":\"daemon_shutdown\""),
+        "{}",
+        closed[0]
+    );
+    assert_eq!(frames_sent(&closed[0]), admit.cycle_len, "{}", closed[0]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A UDP client asks for a receive buffer that holds its lap, and a
+/// lossless loopback UDP session then loses no datagram.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_udp_session_gets_a_lap_sized_receive_buffer_and_loses_nothing() {
+    let dir = test_dir("rcvbuf");
+    let programs = build_programs(8, 8, 8, 23);
+    let daemon = start_daemon(&programs, &["nr"], &dir, None);
+    for offset in [0, 41] {
+        let mut config = SessionConfig::new(daemon.local_addr(), "nr", Transport::Udp);
+        config.offset = offset;
+        let (_cycle, _boot, m) = fetch_cycle(&config).expect("udp session");
+        let lap_bytes = m.cycle_len * (2 + DATA_FRAME) as u64;
+        assert!(
+            m.rcvbuf_bytes >= lap_bytes,
+            "granted {} bytes for a {lap_bytes}-byte lap",
+            m.rcvbuf_bytes
+        );
+        assert_eq!(m.observed_drops, 0, "{m:?}");
+        assert_eq!(m.laps, 1, "{m:?}");
+    }
+    let summary = daemon.shutdown().unwrap();
+    assert_eq!(summary.backpressure_drops, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -227,16 +227,6 @@ impl FaultSpec {
         !matches!(self, FaultSpec::None)
     }
 
-    /// Whether the spec can *silently* misdeliver content (restarts,
-    /// duplicates, stale frames) — the classes that force the supervisor
-    /// to discard and retry rather than trust §6.2 recovery.
-    pub fn is_silently_corrupting(&self) -> bool {
-        matches!(
-            self,
-            FaultSpec::Duplication { .. } | FaultSpec::Restarts { .. } | FaultSpec::Chaos { .. }
-        )
-    }
-
     /// Short label for reports.
     pub fn label(&self) -> String {
         match *self {
