@@ -13,34 +13,46 @@
 //! client would have to hold all trees on the path. Building is also the
 //! costliest of all methods (one shortest-path tree per node), which used
 //! to lock SPQ out of the paper-scale load cell entirely. The production
-//! build ([`SpqIndex::build_with_threads`]) makes it tractable with four
-//! ingredients, each differentially tested against a slow oracle:
+//! build ([`SpqIndex::build_with_threads`]) makes each tree cost its
+//! blocks plus the work its own colors force, with these ingredients,
+//! each differentially tested against a slow oracle:
 //!
 //! * core roots take their tree from the all-sources kernel of
-//!   [`spair_roadnet::peel`], which searches only the graph's 2-core and
-//!   fills the dangling trees around it, and their colors from
-//!   [`spair_roadnet::first_hop`]'s one-sweep DP over that tree;
+//!   [`spair_roadnet::peel`] in its pruned mode, which searches only the
+//!   graph's 2-core, and their colors from [`spair_roadnet::first_hop`]'s
+//!   one-sweep DP over that tree; a node in a dangling tree takes the
+//!   color of the core node its tree hangs off, or inside the root's own
+//!   dangling trees the color of the root edge above it;
 //! * a root inside a dangling tree runs no search at all: every node it
 //!   reaches outside its own subtree takes the color of its one exit
-//!   edge, and its subtree takes the child-edge colors in one pass over
-//!   the kernel's fill order (reachability comes from the search of the
-//!   core node the tree hangs off);
-//! * per-root quadtrees are built by walking a `QuadTemplate` — the
-//!   node coordinates are quadrant-sorted **once per graph**, so a root's
-//!   tree costs one color scan over the shared order instead of
-//!   re-bucketing every point at every recursion level;
+//!   edge, and its subtree the child-edge colors, read off a preorder
+//!   layout of the dangling trees in O(subtree) (reachability comes from
+//!   the search of the core node the tree hangs off);
+//! * per-root quadtrees are read off a `QuadTemplate` — the node
+//!   coordinates are quadrant-sorted **once per graph**. A core root lays
+//!   its colors out in template order with running counts of color
+//!   changes, so any cell's summary (empty, one color, or mixed) costs
+//!   O(1) and the tree O(n + blocks). A searchless root's tree differs
+//!   from its attachment's reachability only in the cells holding the
+//!   root or its subtree; it rescans those, O((subtree + 1) · depth),
+//!   and reads every other cell's summary off the attachment's;
 //! * core roots, each with the roots hanging off it, fan out across
 //!   worker threads through [`parallel::map_reduce_chunked`]; every tree
 //!   depends on its root alone, so the index is bit-identical
 //!   ([`SpqIndex::same_trees`]) for every thread count — and identical
 //!   to [`SpqIndex::build_reference`], the naive per-root recursive
 //!   builder retained as the differential oracle.
+//!
+//! Two nodes at one coordinate that need different colors in some tree
+//! cannot both be answered by a lookup by coordinate. The build counts
+//! such leaves ([`SpqIndex::coincident_conflicts`]) so that a program can
+//! refuse the world instead of routing wrong.
 
 use spair_roadnet::dijkstra::Direction;
 use spair_roadnet::first_hop::{first_hops_from_source_tree, first_hops_from_tree};
 use spair_roadnet::peel::{Peel, SourceTree};
 use spair_roadnet::sptree::NO_PARENT;
-use spair_roadnet::{dijkstra_full, parallel, NodeId, Point, RoadNetwork, DIST_INF};
+use spair_roadnet::{dijkstra_full, parallel, Distance, NodeId, Point, RoadNetwork, DIST_INF};
 use std::time::Instant;
 
 /// Color = index of the first edge out of the root node (255 = none).
@@ -69,6 +81,16 @@ impl Quadtree {
             Quadtree::Leaf(_) => 1,
             Quadtree::Mixed(pts) => 1 + pts.len(),
             Quadtree::Internal(ch) => 1 + ch.iter().map(Quadtree::blocks).sum::<usize>(),
+        }
+    }
+
+    /// `Mixed` leaves in which two points at one coordinate differ in
+    /// color.
+    fn coincident_conflicts(&self) -> usize {
+        match self {
+            Quadtree::Leaf(_) => 0,
+            Quadtree::Mixed(pts) => usize::from(coincident_conflict(pts)),
+            Quadtree::Internal(ch) => ch.iter().map(Quadtree::coincident_conflicts).sum(),
         }
     }
 
@@ -154,20 +176,25 @@ fn build_tree(points: &[(Point, Color)], bbox: (Point, Point), depth: usize) -> 
 /// only the colors differ — so the template sorts the nodes into
 /// quadrant-recursive order **once per graph** (each template cell covers
 /// a contiguous range of `order`, stably preserving ascending node-id
-/// order within the range). A root's colored tree is then a single walk:
-/// scan a cell's color range; uniform → `Leaf`, terminal or
-/// duplicate-coordinate → `Mixed`, otherwise recurse into the four child
-/// cells. No per-root re-bucketing, no allocation besides the output.
+/// order within the range). A root's colored tree is then read off the
+/// cells by [`QuadTemplate::emit`], top-down: a cell whose [`Summary`]
+/// is empty or one color → `Leaf`, a terminal or single-coordinate cell →
+/// `Mixed`, otherwise the four child cells. A [`Coloring`] answers each
+/// summary without a scan, so a tree costs its blocks.
 ///
-/// [`QuadTemplate::colored_tree`] reproduces [`build_tree`] over the
-/// root-excluded point set exactly; the `template_build_matches_*` tests
-/// hold the two builders bit-identical.
+/// The emitted tree is [`build_tree`] over the root-excluded point set
+/// exactly; the `template_build_matches_*` tests hold the two builders
+/// bit-identical.
 #[derive(Debug)]
 pub(crate) struct QuadTemplate {
     /// Node ids in quadrant-recursive order.
     order: Vec<NodeId>,
     /// Cells, preorder; cell 0 covers the whole `order`.
     cells: Vec<TemplateCell>,
+    /// Per node: its position in `order`, and the terminal cell holding
+    /// it.
+    pos: Vec<u32>,
+    leaf: Vec<u32>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -177,6 +204,91 @@ struct TemplateCell {
     /// SW/SE/NW/NE child cells; `None` for terminal cells (singleton,
     /// shared-coordinate, or depth-capped ranges).
     children: Option<[u32; 4]>,
+    /// The enclosing cell ([`NO_PARENT`] for cell 0).
+    parent: u32,
+    /// For a cell with children: the node whose removal leaves every
+    /// other point of the cell at one coordinate, if there is one
+    /// ([`NO_PARENT`] otherwise). That node's own tree leaves it out, so
+    /// there the cell cannot split its points and bails to `Mixed`.
+    lone: NodeId,
+}
+
+/// A cell's colors in one value: the color every point of the cell
+/// shares, [`EMPTY`] or [`MIXED`].
+type Summary = u16;
+
+/// No point in the cell (the root left out).
+const EMPTY: Summary = 256;
+
+/// Two colors in the cell.
+const MIXED: Summary = 257;
+
+/// The color a node reached from an attachment takes in the attachment's
+/// reachability [`Layout`].
+const REACHED: Color = 0;
+
+/// The summary of two disjoint point sets' union.
+fn merge(a: Summary, b: Summary) -> Summary {
+    if a == EMPTY || a == b {
+        b
+    } else if b == EMPTY {
+        a
+    } else {
+        MIXED
+    }
+}
+
+/// One root's coloring of the nodes, as [`QuadTemplate::emit`] reads it.
+trait Coloring {
+    /// Node `v`'s color (never asked for the root itself).
+    fn color(&self, v: NodeId) -> Color;
+    /// The summary of template cell `cell` (`c`), the root left out.
+    fn summary(&self, cell: u32, c: &TemplateCell) -> Summary;
+}
+
+/// One coloring in template order with the root left out, and the
+/// running count of color changes along it: a cell is one color exactly
+/// when the count does not move inside its range, so any cell's summary
+/// costs O(1) after an O(n) fill.
+#[derive(Debug, Default)]
+struct Layout {
+    /// The root's position in the template order (`order.len()` when no
+    /// node is left out).
+    root_pos: u32,
+    colors: Vec<Color>,
+    /// Per position: how many positions up to it differ in color from
+    /// the one before (the first counts as a change).
+    changes: Vec<u32>,
+}
+
+impl Layout {
+    /// Lays out `colors`, the template order's colors with the one at
+    /// `root_pos` left out (none when `root_pos` is past the end).
+    fn fill(&mut self, root_pos: usize, colors: impl Iterator<Item = Color>) {
+        self.root_pos = root_pos as u32;
+        self.colors.clear();
+        self.colors.extend(colors);
+        self.changes.resize(self.colors.len(), 0);
+        let (mut prev, mut changes) = (EMPTY, 0);
+        for (&c, count) in self.colors.iter().zip(&mut self.changes) {
+            changes += u32::from(Summary::from(c) != prev);
+            prev = Summary::from(c);
+            *count = changes;
+        }
+    }
+
+    /// Template cell `c`'s summary.
+    fn summary(&self, c: &TemplateCell) -> Summary {
+        let at = |x: u32| (x - u32::from(self.root_pos < x)) as usize;
+        let (lo, hi) = (at(c.lo), at(c.hi));
+        if lo == hi {
+            EMPTY
+        } else if self.changes[hi - 1] == self.changes[lo] {
+            Summary::from(self.colors[lo])
+        } else {
+            MIXED
+        }
+    }
 }
 
 impl QuadTemplate {
@@ -185,56 +297,102 @@ impl QuadTemplate {
         let mut cells = Vec::new();
         let n = order.len();
         subdivide(g, &mut order, 0, n, g.bounding_box(), 0, &mut cells);
-        Self { order, cells }
-    }
-
-    /// Builds `root`'s colored quadtree from per-node colors (indexed by
-    /// node id; the root itself is skipped, matching the per-root point
-    /// sets of the recursive builder).
-    pub(crate) fn colored_tree(&self, g: &RoadNetwork, colors: &[Color], root: NodeId) -> Quadtree {
-        self.walk(g, 0, colors, root)
-    }
-
-    fn walk(&self, g: &RoadNetwork, cell: u32, colors: &[Color], root: NodeId) -> Quadtree {
-        let c = self.cells[cell as usize];
-        let range = &self.order[c.lo as usize..c.hi as usize];
-        let mut it = range.iter().copied().filter(|&v| v != root);
-        let Some(first) = it.next() else {
-            return Quadtree::Leaf(NO_COLOR);
-        };
-        let first_color = colors[first as usize];
-        let first_point = g.point(first);
-        let mut uniform = true;
-        let mut shared_coord = true;
-        for v in it {
-            uniform &= colors[v as usize] == first_color;
-            shared_coord &= g.point(v) == first_point;
-            if !uniform && !shared_coord {
-                break;
+        let mut pos = vec![0; n];
+        for (i, &v) in order.iter().enumerate() {
+            pos[v as usize] = i as u32;
+        }
+        let mut leaf = vec![0; n];
+        for (i, c) in cells.iter().enumerate() {
+            if c.children.is_none() {
+                for &v in &order[c.lo as usize..c.hi as usize] {
+                    leaf[v as usize] = i as u32;
+                }
             }
         }
-        if uniform {
-            return Quadtree::Leaf(first_color);
-        }
-        match c.children {
-            Some(ch) if !shared_coord => Quadtree::Internal(Box::new([
-                self.walk(g, ch[0], colors, root),
-                self.walk(g, ch[1], colors, root),
-                self.walk(g, ch[2], colors, root),
-                self.walk(g, ch[3], colors, root),
-            ])),
-            // Terminal cell (depth cap) or all remaining points at one
-            // coordinate — build_tree's Mixed cases.
-            _ => Quadtree::Mixed(
-                range
-                    .iter()
-                    .copied()
-                    .filter(|&v| v != root)
-                    .map(|v| (g.point(v), colors[v as usize]))
-                    .collect(),
-            ),
+        Self {
+            order,
+            cells,
+            pos,
+            leaf,
         }
     }
+
+    /// Stamps `root` on every cell above `v` up to the first one already
+    /// stamped.
+    fn mark(&self, v: NodeId, root: NodeId, dirty: &mut [NodeId]) {
+        let mut cell = self.leaf[v as usize];
+        while cell != NO_PARENT && dirty[cell as usize] != root {
+            dirty[cell as usize] = root;
+            cell = self.cells[cell as usize].parent;
+        }
+    }
+
+    /// Summarizes, into `sums`, every cell at or below `cell` that `h`
+    /// stamped dirty, children before parents, and returns `cell`'s
+    /// summary.
+    fn summarize(&self, cell: u32, h: &Hanging, sums: &mut [Summary]) -> Summary {
+        let c = self.cells[cell as usize];
+        if h.dirty[cell as usize] != h.root {
+            return h.clean(&c);
+        }
+        let s = match c.children {
+            Some(ch) => ch
+                .iter()
+                .fold(EMPTY, |s, &k| merge(s, self.summarize(k, h, sums))),
+            None => self.order[c.lo as usize..c.hi as usize]
+                .iter()
+                .filter(|&&v| v != h.root)
+                .fold(EMPTY, |s, &v| merge(s, Summary::from(h.color(v)))),
+        };
+        sums[cell as usize] = s;
+        s
+    }
+
+    /// `root`'s quadtree below `cell`. Counts in `conflicts` the `Mixed`
+    /// leaves where two nodes at one coordinate differ in color.
+    fn emit(
+        &self,
+        g: &RoadNetwork,
+        cell: u32,
+        root: NodeId,
+        coloring: &impl Coloring,
+        conflicts: &mut usize,
+    ) -> Quadtree {
+        let c = self.cells[cell as usize];
+        match coloring.summary(cell, &c) {
+            EMPTY => Quadtree::Leaf(NO_COLOR),
+            MIXED => match c.children {
+                Some(ch) if c.lone != root => Quadtree::Internal(Box::new(
+                    ch.map(|k| self.emit(g, k, root, coloring, conflicts)),
+                )),
+                // Terminal cell (depth cap) or all remaining points at one
+                // coordinate — build_tree's Mixed cases.
+                _ => {
+                    let points: Vec<(Point, Color)> = self.order[c.lo as usize..c.hi as usize]
+                        .iter()
+                        .filter(|&&v| v != root)
+                        .map(|&v| (g.point(v), coloring.color(v)))
+                        .collect();
+                    *conflicts += usize::from(coincident_conflict(&points));
+                    Quadtree::Mixed(points)
+                }
+            },
+            color => Quadtree::Leaf(color as Color),
+        }
+    }
+}
+
+/// Whether two points at one coordinate carry different colors: a
+/// lookup by coordinate answers the first of them for both.
+fn coincident_conflict(points: &[(Point, Color)]) -> bool {
+    // `+ 0.0` folds -0.0 into 0.0, so equal coordinates have equal bits.
+    let mut keys: Vec<(u64, u64, Color)> = points
+        .iter()
+        .map(|&(p, c)| ((p.x + 0.0).to_bits(), (p.y + 0.0).to_bits(), c))
+        .collect();
+    keys.sort_unstable();
+    keys.windows(2)
+        .any(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1) && w[0].2 != w[1].2)
 }
 
 /// Recursive quadrant sort behind [`QuadTemplate::build`]. Mirrors
@@ -254,13 +412,27 @@ fn subdivide(
         lo: lo as u32,
         hi: hi as u32,
         children: None,
+        parent: NO_PARENT,
+        lone: NO_PARENT,
     });
     if hi - lo <= 1 || depth >= MAX_DEPTH {
         return idx;
     }
-    let p0 = g.point(order[lo]);
-    if order[lo..hi].iter().all(|&v| g.point(v) == p0) {
+    let range = &order[lo..hi];
+    let p0 = g.point(range[0]);
+    let Some(j) = range.iter().position(|&v| g.point(v) != p0) else {
         return idx;
+    };
+    // Exactly two coordinates, one of them held by a single node: that
+    // node is the cell's `lone` node.
+    let p1 = g.point(range[j]);
+    let at_p0 = range.iter().filter(|&&v| g.point(v) == p0).count();
+    if range.iter().all(|&v| g.point(v) == p0 || g.point(v) == p1) {
+        if at_p0 == 1 {
+            cells[idx as usize].lone = range[0];
+        } else if at_p0 == range.len() - 1 {
+            cells[idx as usize].lone = range[j];
+        }
     }
     let (min, max) = bbox;
     let mid = Point::new((min.x + max.x) / 2.0, (min.y + max.y) / 2.0);
@@ -283,6 +455,7 @@ fn subdivide(
     for qi in 0..4 {
         let (clo, chi) = ranges[qi];
         children[qi] = subdivide(g, order, clo, chi, boxes[qi], depth + 1, cells);
+        cells[children[qi] as usize].parent = idx;
     }
     cells[idx as usize].children = Some(children);
     idx
@@ -301,24 +474,218 @@ pub struct SpqIndex {
     /// Core roots the kernel recomputed over the whole graph after a
     /// double tie.
     tie_fallback_roots: usize,
+    /// `Mixed` leaves in which two nodes at one coordinate differ in color.
+    coincident_conflicts: usize,
     /// Build wall-clock.
     pub precompute_secs: f64,
+}
+
+/// The dangling trees of a [`Peel`], each laid out in preorder so that a
+/// node's subtree is one contiguous run, built once per graph.
+struct Forest {
+    /// The peeled nodes: the trees hanging off each core node together,
+    /// each tree in preorder.
+    nodes: Vec<NodeId>,
+    /// Per node: where its subtree starts in `nodes` (a peeled node), or
+    /// where the trees hanging off it start (a core node).
+    start: Vec<u32>,
+    /// Per node: its subtree's size, itself included (a peeled node), or
+    /// the number of nodes hanging off it (a core node).
+    size: Vec<u32>,
+    /// Per node: the core node its tree hangs off (itself for a core
+    /// node).
+    attach: Vec<NodeId>,
+    /// Per peeled node: the color of the one edge from its tree parent
+    /// down to it, and of the one edge from it up to its tree parent.
+    down: Vec<Color>,
+    up: Vec<Color>,
+    /// Per peeled node: its color in its attachment's tree, the `down`
+    /// color of its ancestor just below the attachment.
+    top: Vec<Color>,
+}
+
+impl Forest {
+    fn new(g: &RoadNetwork, peel: &Peel) -> Self {
+        let n = g.num_nodes();
+        let parent = |v: NodeId| peel.tree_parent(v).expect("peeled") as usize;
+        let fill = peel.fill_order();
+        let mut size = vec![0u32; n];
+        for &v in fill.iter().rev() {
+            size[v as usize] += 1;
+            size[parent(v)] += size[v as usize];
+        }
+        let mut start = vec![0u32; n];
+        let mut next = 0;
+        for &c in peel.core_nodes() {
+            start[c as usize] = next;
+            next += size[c as usize];
+        }
+        // Peeling leaves exactly one edge each way between a node and its
+        // tree parent.
+        let (mut down, mut up) = (vec![NO_COLOR; n], vec![NO_COLOR; n]);
+        for u in g.node_ids() {
+            for (i, (x, _)) in g.out_edges(u).enumerate() {
+                let color = Color::try_from(i).unwrap_or(NO_COLOR);
+                if peel.tree_parent(x) == Some(u) {
+                    down[x as usize] = color;
+                }
+                if peel.tree_parent(u) == Some(x) {
+                    up[u as usize] = color;
+                }
+            }
+        }
+        let mut cursor = start.clone();
+        let mut nodes = vec![0; fill.len()];
+        let mut attach: Vec<NodeId> = g.node_ids().collect();
+        let mut top = down.clone();
+        for &v in fill {
+            let p = parent(v);
+            let at = cursor[p];
+            cursor[p] += size[v as usize];
+            (start[v as usize], cursor[v as usize]) = (at, at + 1);
+            nodes[at as usize] = v;
+            attach[v as usize] = attach[p];
+            if peel.tree_parent(p as NodeId).is_some() {
+                top[v as usize] = top[p];
+            }
+        }
+        Self {
+            nodes,
+            start,
+            size,
+            attach,
+            down,
+            up,
+            top,
+        }
+    }
+
+    /// The run of `nodes` that `v` heads: its subtree in preorder (a
+    /// peeled node), or every node hanging off it (a core node).
+    fn below(&self, v: NodeId) -> &[NodeId] {
+        let at = self.start[v as usize] as usize;
+        &self.nodes[at..at + self.size[v as usize] as usize]
+    }
+}
+
+/// A searched root's coloring: its search colors the core, and a peeled
+/// node takes the color of its attachment, or inside the root's own
+/// dangling trees its [`Forest::top`] color.
+struct Searched<'s> {
+    root: NodeId,
+    /// Per core node: its color.
+    colors: &'s [Color],
+    forest: &'s Forest,
+    layout: &'s Layout,
+}
+
+impl Coloring for Searched<'_> {
+    fn color(&self, v: NodeId) -> Color {
+        let attach = self.forest.attach[v as usize];
+        if attach == self.root {
+            self.forest.top[v as usize]
+        } else {
+            self.colors[attach as usize]
+        }
+    }
+
+    fn summary(&self, _: u32, c: &TemplateCell) -> Summary {
+        self.layout.summary(c)
+    }
+}
+
+/// The coloring of a root inside a dangling tree, which runs no search.
+///
+/// Every out-edge of the root leads to its tree parent or to a child, and
+/// a child's subtree connects to the rest only through the root. So a
+/// node in a child's subtree is reached through that child's edge, and
+/// every other node the root reaches — exactly the nodes its attachment
+/// reaches, since the tree's edges run both ways — through the exit edge
+/// to its tree parent. Only the cells holding the root or its subtree
+/// (stamped in `dirty`) are summarized afresh; every other cell's summary
+/// is the attachment's reachability summary with [`REACHED`] read as the
+/// exit color.
+struct Hanging<'s> {
+    root: NodeId,
+    exit: Color,
+    /// The attachment's reachability [`Layout`]; `None` when its search
+    /// reaches every node.
+    reach: Option<&'s Layout>,
+    /// The attachment's search distances, and per node its attachment.
+    dist: &'s [Distance],
+    attach: &'s [NodeId],
+    /// Per node: the last root whose subtree holds it, and its color there.
+    below: &'s [NodeId],
+    colors: &'s [Color],
+    /// Per cell: the last root with a subtree node below it.
+    dirty: &'s [NodeId],
+}
+
+impl Hanging<'_> {
+    fn color(&self, v: NodeId) -> Color {
+        if self.below[v as usize] == self.root {
+            self.colors[v as usize]
+        } else if self.dist[self.attach[v as usize] as usize] != DIST_INF {
+            self.exit
+        } else {
+            NO_COLOR
+        }
+    }
+
+    /// The summary of a cell that holds neither the root nor its subtree.
+    fn clean(&self, c: &TemplateCell) -> Summary {
+        let reach = match self.reach {
+            None if c.lo == c.hi => EMPTY,
+            None => Summary::from(REACHED),
+            Some(layout) => layout.summary(c),
+        };
+        match reach {
+            s if s == Summary::from(REACHED) => Summary::from(self.exit),
+            MIXED if self.exit == NO_COLOR => Summary::from(NO_COLOR),
+            s => s,
+        }
+    }
+}
+
+/// A [`Hanging`] coloring with the summaries
+/// [`QuadTemplate::summarize`] wrote for its dirty cells.
+impl Coloring for (&Hanging<'_>, &[Summary]) {
+    fn color(&self, v: NodeId) -> Color {
+        self.0.color(v)
+    }
+
+    fn summary(&self, cell: u32, c: &TemplateCell) -> Summary {
+        let (h, sums) = *self;
+        if h.dirty[cell as usize] == h.root {
+            sums[cell as usize]
+        } else {
+            h.clean(c)
+        }
+    }
 }
 
 /// Per-worker scratch of the fan-out build, shared across every root the
 /// worker claims.
 struct RootScratch {
     tree: SourceTree,
+    /// Per node: the current root's colors.
     colors: Vec<Color>,
-    /// Per peeled node: the last root whose subtree it was found in.
-    subtree_of: Vec<NodeId>,
+    /// Per node: the last searchless root whose subtree it was found in.
+    below: Vec<NodeId>,
+    /// The core root's colors, then its reachability, in template order.
+    layout: Layout,
+    /// Per cell: the last searchless root with a subtree node below it,
+    /// and that root's summary of the cell.
+    dirty: Vec<NodeId>,
+    sums: Vec<Summary>,
 }
 
-/// One worker's trees, keyed by root, and its fallback count.
+/// One worker's trees, keyed by root, and its counters.
 #[derive(Default)]
 struct RootPartial {
     trees: Vec<(NodeId, Quadtree)>,
     tie_fallbacks: usize,
+    conflicts: usize,
 }
 
 impl SpqIndex {
@@ -340,39 +707,30 @@ impl SpqIndex {
     /// tie rule documented in [`spair_roadnet::first_hop`].
     pub fn build_with_threads(g: &RoadNetwork, threads: usize) -> Self {
         let start = Instant::now();
-        let bbox = g.bounding_box();
-        let template = QuadTemplate::build(g);
-        let peel = Peel::new(g, Direction::Forward);
-        let hanging = hanging_roots(g, &peel);
+        let build = Build::new(g);
+        let cells = build.template.cells.len();
         let merged = parallel::map_reduce_chunked(
-            peel.core_nodes(),
+            build.peel.core_nodes(),
             threads,
             8,
             || RootScratch {
-                tree: SourceTree::new(&peel),
+                tree: SourceTree::new(&build.peel),
                 colors: vec![NO_COLOR; g.num_nodes()],
-                subtree_of: vec![NO_PARENT; g.num_nodes()],
+                below: vec![NO_PARENT; g.num_nodes()],
+                layout: Layout::default(),
+                dirty: vec![NO_PARENT; cells],
+                sums: vec![EMPTY; cells],
             },
             RootPartial::default,
             |scratch, partial, chunk, _| {
                 for &a in chunk {
-                    partial.tie_fallbacks += usize::from(scratch.tree.search(&peel, a));
-                    first_hops_from_source_tree(g, &scratch.tree, &mut scratch.colors);
-                    partial
-                        .trees
-                        .push((a, template.colored_tree(g, &scratch.colors, a)));
-                    let first = hanging.partition_point(|&(b, _)| b < a);
-                    for &(_, r) in hanging[first..].iter().take_while(|&&(b, _)| b == a) {
-                        color_hanging_root(g, &peel, r, scratch);
-                        partial
-                            .trees
-                            .push((r, template.colored_tree(g, &scratch.colors, r)));
-                    }
+                    build.core_root(a, scratch, partial);
                 }
             },
             |acc, p| {
                 acc.trees.extend(p.trees);
                 acc.tie_fallbacks += p.tie_fallbacks;
+                acc.conflicts += p.conflicts;
             },
         )
         .unwrap_or_default();
@@ -380,10 +738,11 @@ impl SpqIndex {
         trees.sort_unstable_by_key(|&(v, _)| v);
         Self {
             trees: trees.into_iter().map(|(_, tree)| tree).collect(),
-            bbox,
-            searchless_roots: peel.fill_order().len(),
-            branch_nodes: peel.branch_nodes().len(),
+            bbox: g.bounding_box(),
+            searchless_roots: build.forest.nodes.len(),
+            branch_nodes: build.peel.branch_nodes().len(),
             tie_fallback_roots: merged.tie_fallbacks,
+            coincident_conflicts: merged.conflicts,
             precompute_secs: start.elapsed().as_secs_f64(),
         }
     }
@@ -410,6 +769,7 @@ impl SpqIndex {
             trees.push(build_tree(&points, bbox, 0));
         }
         Self {
+            coincident_conflicts: trees.iter().map(Quadtree::coincident_conflicts).sum(),
             trees,
             bbox,
             searchless_roots: 0,
@@ -446,6 +806,13 @@ impl SpqIndex {
     /// Core roots recomputed over the whole graph after a double tie.
     pub fn tie_fallback_roots(&self) -> usize {
         self.tie_fallback_roots
+    }
+
+    /// `Mixed` leaves in which two nodes at one coordinate differ in
+    /// color. A lookup by coordinate answers the color of the first of
+    /// them, so above zero the index routes some queries wrong.
+    pub fn coincident_conflicts(&self) -> usize {
+        self.coincident_conflicts
     }
 
     /// The colored quadtree of node `v`.
@@ -491,60 +858,117 @@ impl SpqIndex {
     }
 }
 
-/// The peeled nodes as `(attachment, node)` pairs, sorted: the
-/// attachment is the core node the node's dangling tree hangs off.
-fn hanging_roots(g: &RoadNetwork, peel: &Peel) -> Vec<(NodeId, NodeId)> {
-    let mut attachment: Vec<NodeId> = g.node_ids().collect();
-    for &v in peel.fill_order() {
-        attachment[v as usize] = attachment[peel.tree_parent(v).expect("peeled") as usize];
-    }
-    let mut hanging: Vec<_> = peel
-        .fill_order()
-        .iter()
-        .map(|&v| (attachment[v as usize], v))
-        .collect();
-    hanging.sort_unstable();
-    hanging
+/// What every worker of [`SpqIndex::build_with_threads`] reads, built
+/// once per graph.
+struct Build<'g> {
+    g: &'g RoadNetwork,
+    template: QuadTemplate,
+    forest: Forest,
+    /// The core searches: they fill the core only, and the forest colors
+    /// the rest.
+    peel: Peel<'g>,
+    /// Per template position: the node's attachment, and its
+    /// [`Forest::top`] color.
+    hangs: Vec<(NodeId, Color)>,
 }
 
-/// Colors every node by its first hop out of `r`, a root inside a
-/// dangling tree, without a search. `scratch.tree` must hold the search
-/// from the core node `r`'s tree hangs off, which reaches exactly the
-/// nodes `r` reaches: the tree's edges run both ways.
-///
-/// Every out-edge of `r` leads to its tree parent or to a child, and a
-/// child's subtree connects to the rest only through `r`. So a node in
-/// a child's subtree is reached through that child's edge, and every
-/// other node `r` reaches through the exit edge to its tree parent.
-/// Positions past 254 are inexpressible and stay [`NO_COLOR`], as in the
-/// first-hop sweep.
-fn color_hanging_root(g: &RoadNetwork, peel: &Peel, r: NodeId, scratch: &mut RootScratch) {
-    let RootScratch {
-        tree,
-        colors,
-        subtree_of,
-    } = scratch;
-    let exit_parent = peel.tree_parent(r);
-    let color_of = |i: usize| Color::try_from(i).unwrap_or(NO_COLOR);
-    let exit = g
-        .out_edges(r)
-        .position(|(u, _)| Some(u) == exit_parent)
-        .map_or(NO_COLOR, color_of);
-    for (c, &d) in colors.iter_mut().zip(tree.distances()) {
-        *c = if d == DIST_INF { NO_COLOR } else { exit };
-    }
-    colors[r as usize] = NO_COLOR;
-    for (i, (u, _)) in g.out_edges(r).enumerate() {
-        if Some(u) != exit_parent {
-            colors[u as usize] = color_of(i);
-            subtree_of[u as usize] = r;
+impl<'g> Build<'g> {
+    fn new(g: &'g RoadNetwork) -> Self {
+        let template = QuadTemplate::build(g);
+        let forest = Forest::new(g, &Peel::new(g, Direction::Forward));
+        let hangs = template
+            .order
+            .iter()
+            .map(|&v| (forest.attach[v as usize], forest.top[v as usize]))
+            .collect();
+        Self {
+            g,
+            template,
+            forest,
+            peel: Peel::pruned(g, Direction::Forward, &[]),
+            hangs,
         }
     }
-    for &u in peel.fill_order() {
-        let p = peel.tree_parent(u).expect("peeled") as usize;
-        if subtree_of[p] == r {
-            colors[u as usize] = colors[p];
-            subtree_of[u as usize] = r;
+
+    /// The trees of core root `a` and of every root hanging off it.
+    fn core_root(&self, a: NodeId, scratch: &mut RootScratch, partial: &mut RootPartial) {
+        let Self {
+            g,
+            template,
+            forest,
+            peel,
+            hangs,
+        } = self;
+        let RootScratch {
+            tree,
+            colors,
+            below,
+            layout,
+            dirty,
+            sums,
+        } = scratch;
+        partial.tie_fallbacks += usize::from(tree.search(peel, a));
+        first_hops_from_source_tree(g, tree, colors);
+        let at = template.pos[a as usize] as usize;
+        let color = |&(attach, top): &(NodeId, Color)| {
+            if attach == a {
+                top
+            } else {
+                colors[attach as usize]
+            }
+        };
+        layout.fill(at, hangs[..at].iter().chain(&hangs[at + 1..]).map(color));
+        let conflicts = &mut partial.conflicts;
+        let searched = Searched {
+            root: a,
+            colors,
+            forest,
+            layout,
+        };
+        let core = template.emit(g, 0, a, &searched, conflicts);
+        partial.trees.push((a, core));
+
+        let hanging = forest.below(a);
+        if hanging.is_empty() {
+            return;
+        }
+        // A connected graph's searches reach every node.
+        let dist = tree.distances();
+        let reaches_all = tree.order().len() == peel.core_nodes().len();
+        if !reaches_all {
+            let reach = |&(attach, _): &(NodeId, Color)| {
+                if dist[attach as usize] == DIST_INF {
+                    NO_COLOR
+                } else {
+                    REACHED
+                }
+            };
+            layout.fill(hangs.len(), hangs.iter().map(reach));
+        }
+        for &r in hanging {
+            for &u in forest.below(r) {
+                let p = peel.tree_parent(u).expect("peeled");
+                colors[u as usize] = if p == r {
+                    forest.down[u as usize]
+                } else {
+                    colors[p as usize]
+                };
+                below[u as usize] = r;
+                template.mark(u, r, dirty);
+            }
+            let h = Hanging {
+                root: r,
+                exit: forest.up[r as usize],
+                reach: (!reaches_all).then_some(&*layout),
+                dist,
+                attach: &forest.attach,
+                below,
+                colors,
+                dirty,
+            };
+            template.summarize(0, &h, sums);
+            let t = template.emit(g, 0, r, &(&h, &sums[..]), conflicts);
+            partial.trees.push((r, t));
         }
     }
 }
@@ -752,6 +1176,50 @@ mod tests {
             assert_eq!(path.first(), Some(&s));
             assert_eq!(path.last(), Some(&t));
         }
+    }
+
+    /// Tree-like networks (most roots searchless) snapped onto a coarse
+    /// lattice, so nodes share points, with a few nudged 1e-9 off their
+    /// point so the depth cap bails: fast and naive builds agree tree
+    /// for tree and on the conflicts they count.
+    #[test]
+    fn template_matches_reference_on_shared_and_depth_capped_points() {
+        let mut conflicts = 0;
+        for seed in 0..12u64 {
+            let g = spair_roadnet::generators::GeneratorConfig {
+                nodes: 60,
+                undirected_edges: 66,
+                seed,
+                ..Default::default()
+            }
+            .generate();
+            let mut b = GraphBuilder::new();
+            for v in g.node_ids() {
+                let p = g.point(v);
+                let nudge = if v % 7 == 0 { 1e-9 } else { 0.0 };
+                b.add_node(Point::new(
+                    (p.x / 150.0).floor() + nudge,
+                    (p.y / 150.0).floor(),
+                ));
+            }
+            for v in g.node_ids() {
+                for (u, w) in g.out_edges(v) {
+                    b.add_edge(v, u, w);
+                }
+            }
+            let g = b.finish();
+            let fast = SpqIndex::build_serial(&g);
+            let slow = SpqIndex::build_reference(&g);
+            assert!(fast.searchless_roots() > 0, "seed {seed}");
+            assert!(fast.same_trees(&slow), "seed {seed}");
+            assert_eq!(
+                fast.coincident_conflicts(),
+                slow.coincident_conflicts(),
+                "seed {seed}"
+            );
+            conflicts += fast.coincident_conflicts();
+        }
+        assert!(conflicts > 0, "no seed put two colors on one point");
     }
 
     #[test]

@@ -229,10 +229,9 @@ impl<'a> SpqAirServer<'a> {
                 rec.put_u8(TREE_MAGIC)
                     .put_u32(v)
                     .put_u32(u32_of(ci * TREE_CHUNK, "spq tree chunk offset")?)
-                    .put_u32(total);
-                let mut body = rec.as_slice().to_vec();
-                body.extend_from_slice(chunk);
-                w.push_record(&body);
+                    .put_u32(total)
+                    .put_bytes(chunk);
+                w.push_record(rec.as_slice());
             }
         }
         let tree_payloads = w.finish();
@@ -732,6 +731,23 @@ mod tests {
             .build_program()
             .expect("encode");
         (g, program)
+    }
+
+    /// The encoded cycle, pinned byte for byte on a seeded grid: its
+    /// packet count and an FNV-1a digest over every payload.
+    #[test]
+    fn cycle_bytes_are_pinned() {
+        let g = small_grid(12, 12, 5);
+        let index = SpqIndex::build(&g);
+        let program = SpqAirServer::new(&g, &index)
+            .build_program()
+            .expect("encode");
+        let cycle = program.cycle();
+        let mut digest = spair_roadnet::certify::Fnv1a::default();
+        for i in 0..cycle.len() {
+            digest.write(cycle.packet(i).payload());
+        }
+        assert_eq!((cycle.len(), digest.finish()), (197, 0x3bfc_41c9_c002_2374));
     }
 
     #[test]

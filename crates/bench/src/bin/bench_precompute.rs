@@ -37,6 +37,10 @@
 //!    `searchless_roots`: roots inside dangling trees, colored without
 //!    a search; `tie_fallback_roots`: core roots
 //!    recomputed over the whole graph after a double tie),
+//!    and again in the `spq_germany` object on a fixed germany-class
+//!    map (`NetworkPreset::Germany.config_for_nodes(7, 6_000)`, the
+//!    benchmark's `whole_cycle` map), whose roots mostly sit in dangling
+//!    trees (the grid's are mostly core roots),
 //! 4. repeats it once more for the HiTi hierarchy build on a
 //!    `--hiti-side`-sized grid (`HiTiIndex::build_with_threads` at one
 //!    worker vs many, gated on `same_tables`) — the flattened
@@ -63,6 +67,10 @@ use std::time::Instant;
 const GERMANY_SEED: u64 = 7;
 const GERMANY_NODES: usize = 8_000;
 const GERMANY_REGIONS: usize = 64;
+
+/// Nodes of the fixed germany-class SPQ build: the end-to-end
+/// benchmark's `whole_cycle` map (same seed as `GERMANY_SEED`).
+const SPQ_GERMANY_NODES: usize = 6_000;
 
 /// The problem sizes of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,6 +146,39 @@ impl Stage {
             ("bit_identical", self.bit_identical.to_string()),
         ]
     }
+}
+
+/// The SPQ build on `g`, serial vs `threads` workers, with the graph's
+/// fields and the index's counters.
+fn spq_stage(
+    label: &str,
+    g: &RoadNetwork,
+    threads: usize,
+    repeat: usize,
+) -> (Stage, Vec<(&'static str, String)>) {
+    eprintln!(
+        "{label}graph: {} nodes, {} edges",
+        g.num_nodes(),
+        g.num_edges()
+    );
+    let (stage, index) = Stage::measure(
+        label,
+        repeat,
+        || SpqIndex::build_serial(g),
+        || SpqIndex::build_with_threads(g, threads),
+        SpqIndex::same_trees,
+    );
+    let fields = vec![
+        ("nodes", g.num_nodes().to_string()),
+        ("edges", g.num_edges().to_string()),
+        ("total_blocks", index.total_blocks().to_string()),
+        ("index_packets", index.index_packets().to_string()),
+        ("core_nodes", index.core_nodes().to_string()),
+        ("branch_nodes", index.branch_nodes().to_string()),
+        ("searchless_roots", index.searchless_roots().to_string()),
+        ("tie_fallback_roots", index.tie_fallback_roots().to_string()),
+    ];
+    (stage, fields)
 }
 
 /// Border precompute on `g` under `regions` kd regions, serial vs
@@ -224,20 +265,16 @@ fn main() {
 
     // SPQ all-pairs build: one shortest-path tree (searched, or derived
     // inside a dangling tree) and one quadtree per node. Its own
-    // (smaller) network keeps the quadratic stage within a bench budget.
+    // (smaller) network keeps the quadratic stage within a bench budget;
+    // the germany-class map, mostly dangling trees, shows the searchless
+    // roots the grid barely has.
     let sg = small_grid(sizes.spq_side, sizes.spq_side, 42);
-    eprintln!(
-        "spq graph: {} nodes, {} edges",
-        sg.num_nodes(),
-        sg.num_edges()
-    );
-    let (spq, spq_index) = Stage::measure(
-        "spq ",
-        repeat,
-        || SpqIndex::build_serial(&sg),
-        || SpqIndex::build_with_threads(&sg, threads),
-        SpqIndex::same_trees,
-    );
+    let (spq, spq_fields) = spq_stage("spq ", &sg, threads, repeat);
+    let spq_germany_graph = NetworkPreset::Germany
+        .config_for_nodes(GERMANY_SEED, SPQ_GERMANY_NODES)
+        .generate();
+    let (spq_germany, spq_germany_fields) =
+        spq_stage("spq germany ", &spq_germany_graph, threads, repeat);
 
     // HiTi hierarchy build: restricted border-pair Dijkstras over every
     // group of every level, on the flat slot-arena path. One worker vs
@@ -258,19 +295,6 @@ fn main() {
         HiTiIndex::same_tables,
     );
 
-    let spq_fields = [
-        ("nodes", sg.num_nodes().to_string()),
-        ("edges", sg.num_edges().to_string()),
-        ("total_blocks", spq_index.total_blocks().to_string()),
-        ("index_packets", spq_index.index_packets().to_string()),
-        ("core_nodes", spq_index.core_nodes().to_string()),
-        ("branch_nodes", spq_index.branch_nodes().to_string()),
-        ("searchless_roots", spq_index.searchless_roots().to_string()),
-        (
-            "tie_fallback_roots",
-            spq_index.tie_fallback_roots().to_string(),
-        ),
-    ];
     let hiti_fields = [
         ("nodes", hg.num_nodes().to_string()),
         ("edges", hg.num_edges().to_string()),
@@ -293,9 +317,14 @@ fn main() {
             "germany",
             object(&[&germany_fields[..], &germany.fields()].concat()),
         )
+        .field(
+            "spq_germany",
+            object(&[&spq_germany_fields[..], &spq_germany.fields()].concat()),
+        )
         .finish();
-    let bit_identical =
-        border.bit_identical && germany.bit_identical && spq.bit_identical && hiti.bit_identical;
+    let bit_identical = [border, germany, spq, hiti, spq_germany]
+        .iter()
+        .all(|stage| stage.bit_identical);
     std::process::exit(certify::publish(&out, &json, Ok(()), bit_identical));
 }
 

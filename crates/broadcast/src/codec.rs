@@ -270,6 +270,12 @@ impl RecordBuf {
         self
     }
 
+    /// Appends raw bytes.
+    pub fn put_bytes(&mut self, v: &[u8]) -> &mut Self {
+        self.bytes.extend_from_slice(v);
+        self
+    }
+
     /// Current encoded size.
     pub fn len(&self) -> usize {
         self.bytes.len()

@@ -182,9 +182,11 @@ pub fn default_load_matrix(scale: f64) -> Vec<LoadSpec> {
 
     // SPQ precomputes a shortest-path tree (and a quadtree) per node —
     // the costliest build of all methods — but the build
-    // (`SpqIndex::build_with_threads`) searches only the 2-core, colors
-    // roots inside dangling trees without a search and fans out over
-    // workers, which keeps the all-pairs pass tractable at 100k nodes, so the paper-scale cell serves both
+    // (`SpqIndex::build_with_threads`) searches only the 2-core, reads
+    // each core root's quadtree off per-cell color summaries, rebuilds
+    // only the subtree's cells for a root inside a dangling tree (no
+    // search) and fans out over workers. That keeps the all-pairs pass
+    // tractable at 100k nodes, so the paper-scale cell serves both
     // whole-cycle-index representatives: SPQ next to HiTi.
     let mut s = base_scenario(&format!("germany{}k-kd-lossless", nodes / 1000), 9001);
     s.graph = graph;

@@ -225,6 +225,14 @@ pub enum MethodUnavailable {
     /// The admission bootstrap lacks a field the method's remote client
     /// requires (serving daemon and client disagree about the method).
     BadBootstrap(&'static str),
+    /// The method's index cannot represent this world, so its program
+    /// refuses to broadcast rather than answer some queries wrong.
+    Unrepresentable {
+        /// The refusing method.
+        method: &'static str,
+        /// What the index cannot represent.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for MethodUnavailable {
@@ -249,6 +257,9 @@ impl std::fmt::Display for MethodUnavailable {
                     f,
                     "{name}'s remote client is missing a required bootstrap field"
                 )
+            }
+            MethodUnavailable::Unrepresentable { method, reason } => {
+                write!(f, "{method} cannot represent this world: {reason}")
             }
         }
     }

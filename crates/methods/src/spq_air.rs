@@ -31,6 +31,9 @@ pub struct SpqAir;
 pub struct SpqMethodProgram {
     program: SpqProgram,
     precompute_secs: f64,
+    /// The index's [`SpqIndex::coincident_conflicts`]: above zero, some
+    /// lookups would route wrong, so the program refuses its cycle.
+    coincident_conflicts: usize,
 }
 
 impl SpqMethodProgram {
@@ -46,6 +49,15 @@ impl MethodProgram for SpqMethodProgram {
     }
 
     fn cycle(&self) -> Result<&BroadcastCycle, MethodUnavailable> {
+        if self.coincident_conflicts > 0 {
+            return Err(MethodUnavailable::Unrepresentable {
+                method: DESCRIPTOR.name,
+                reason: format!(
+                    "{} quadtree leaves hold coincident nodes of different colors",
+                    self.coincident_conflicts
+                ),
+            });
+        }
         Ok(self.program.cycle())
     }
 
@@ -78,6 +90,7 @@ impl BroadcastMethod for SpqAir {
         let index = SpqIndex::build(&world.g);
         Box::new(SpqMethodProgram {
             precompute_secs: index.precompute_secs,
+            coincident_conflicts: index.coincident_conflicts(),
             // A world exceeding a wire field of the index format is a
             // configuration error; surface the typed encode error loudly
             // rather than broadcasting a truncated index.

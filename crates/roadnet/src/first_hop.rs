@@ -34,7 +34,8 @@
 //!   the one that *first* achieved the final distance wins and later
 //!   equal candidates never overwrite it;
 //! * with parallel root edges to the same neighbor, the color is the
-//!   **first** matching position in the root's out-edge list.
+//!   position of the **lightest** of them, the one the neighbor's
+//!   distance is measured along; among equally light ones, the first.
 //!
 //! Any consumer that compares colors against a freshly run
 //! `dijkstra_full` (the SPQ differential tests do) must drive the sweep
@@ -69,25 +70,27 @@ fn sweep(
     let Some(&root) = order.first() else {
         return;
     };
-    // The root's direct neighbors seed their own edge index. Parallel
-    // edges: the first position wins; positions >= 255 are inexpressible
-    // in a u8 color and stay NO_FIRST_HOP.
-    let first_edges: Vec<NodeId> = g.out_edges(root).map(|(u, _)| u).collect();
-    let seed_color = |u: NodeId| -> u8 {
-        first_edges
-            .iter()
-            .position(|&x| x == u)
-            .filter(|&i| i < NO_FIRST_HOP as usize)
-            .map(|i| i as u8)
-            .unwrap_or(NO_FIRST_HOP)
-    };
     for &u in &order[1..] {
         out[u as usize] = match parent(u) {
-            Some(p) if p == root => seed_color(u),
+            Some(p) if p == root => root_edge_color(g, root, u),
             Some(p) => out[p as usize],
             None => NO_FIRST_HOP,
         };
     }
+}
+
+/// The color of `root`'s edge to its neighbor `u`: the position of the
+/// lightest root edge to `u`, the first of equally light ones, which is
+/// the edge `u`'s distance runs along. Positions >= 255 are
+/// inexpressible in a u8 color and give [`NO_FIRST_HOP`].
+fn root_edge_color(g: &RoadNetwork, root: NodeId, u: NodeId) -> u8 {
+    g.out_edges(root)
+        .enumerate()
+        .filter(|&(_, (x, _))| x == u)
+        .min_by_key(|&(_, (_, w))| w)
+        .and_then(|(i, _)| u8::try_from(i).ok())
+        .filter(|&c| c != NO_FIRST_HOP)
+        .unwrap_or(NO_FIRST_HOP)
 }
 
 /// Colors every node by its first hop out of `tree`'s source, in one
@@ -112,26 +115,32 @@ pub fn first_hops_from_source_tree(g: &RoadNetwork, tree: &SourceTree, out: &mut
 mod tests {
     use super::*;
     use crate::dijkstra::{dijkstra_full, Direction};
-    use crate::graph::{GraphBuilder, Point};
+    use crate::graph::{GraphBuilder, Point, Weight};
     use crate::peel::Peel;
 
     /// Oracle: reconstruct the `root -> t` path and look the first hop up
-    /// in the root's out-edge list.
+    /// in the root's out-edge list: the position of the lightest edge to
+    /// the path's second node, the first of equally light ones.
     fn reference_colors(g: &RoadNetwork, tree: &ShortestPathTree) -> Vec<u8> {
         let root = tree.source();
-        let first_edges: Vec<NodeId> = g.out_edges(root).map(|(u, _)| u).collect();
+        let first_edges: Vec<(NodeId, Weight)> = g.out_edges(root).collect();
         g.node_ids()
             .map(|t| {
                 if t == root {
                     return NO_FIRST_HOP;
                 }
                 match tree.path_to(t) {
-                    Some(path) => first_edges
-                        .iter()
-                        .position(|&x| x == path[1])
-                        .filter(|&i| i < NO_FIRST_HOP as usize)
-                        .map(|i| i as u8)
-                        .unwrap_or(NO_FIRST_HOP),
+                    Some(path) => {
+                        let mut best: Option<(usize, Weight)> = None;
+                        for (i, &(x, w)) in first_edges.iter().enumerate() {
+                            if x == path[1] && best.is_none_or(|(_, bw)| w < bw) {
+                                best = Some((i, w));
+                            }
+                        }
+                        best.map(|(i, _)| i)
+                            .filter(|&i| i < NO_FIRST_HOP as usize)
+                            .map_or(NO_FIRST_HOP, |i| i as u8)
+                    }
                     None => NO_FIRST_HOP,
                 }
             })
@@ -177,6 +186,25 @@ mod tests {
         let mut from_source_tree = vec![0u8; g.num_nodes()];
         first_hops_from_source_tree(&g, &source_tree, &mut from_source_tree);
         assert_eq!(from_tree, from_source_tree);
+    }
+
+    #[test]
+    fn parallel_root_edges_color_the_lightest() {
+        // Edges 0-1 of weight 5 then 1, and 1-2 of weight 1: node 1's
+        // distance runs along the second 0-1 edge, so both colors name it.
+        let mut b = GraphBuilder::new();
+        for i in 0..3 {
+            b.add_node(Point::new(i as f64, 0.0));
+        }
+        b.add_undirected_edge(0, 1, 5);
+        b.add_undirected_edge(0, 1, 1);
+        b.add_undirected_edge(1, 2, 1);
+        let g = b.finish();
+        let tree = dijkstra_full(&g, 0);
+        let mut dp = vec![0u8; 3];
+        first_hops_from_tree(&g, &tree, &mut dp);
+        assert_eq!(dp, vec![NO_FIRST_HOP, 1, 1]);
+        assert_eq!(dp, reference_colors(&g, &tree));
     }
 
     #[test]

@@ -816,8 +816,11 @@ fn spq_color(g: &RoadNetwork, index: &SpqIndex, root: NodeId, t: NodeId) -> u8 {
 #[test]
 fn hub_with_300_leaves_colors_past_position_254_as_no_color() {
     // The hub alone is the core; hung off a triangle by one edge (its
-    // out-edge position 300), it is a searchless root itself.
-    for hang in [false, true] {
+    // out-edge position 300), it is a searchless root itself. With a
+    // second triangle that reaches the first only over a one-way bridge,
+    // the hub's exit color is NO_COLOR for reached and unreached nodes
+    // alike.
+    for (hang, bridge) in [(false, false), (true, false), (true, true)] {
         let mut b = GraphBuilder::new();
         let hub = b.add_node(Point::new(0.0, 0.0));
         for i in 0..300 {
@@ -833,17 +836,28 @@ fn hub_with_300_leaves_colors_past_position_254_as_no_color() {
                 b.add_undirected_edge(t[i], t[(i + 1) % 3], 2);
             }
             b.add_undirected_edge(hub, t[0], 4);
+            if bridge {
+                let u: Vec<NodeId> = (0..3)
+                    .map(|i| b.add_node(Point::new(20.0 + i as f64, 21.0)))
+                    .collect();
+                for i in 0..3 {
+                    b.add_undirected_edge(u[i], u[(i + 1) % 3], 2);
+                }
+                b.add_edge(u[0], t[0], 1);
+            }
         }
         let g = b.finish();
         let index = SpqIndex::build_serial(&g);
         assert_eq!(index.searchless_roots(), if hang { 301 } else { 300 });
         assert!(
             index.same_trees(&SpqIndex::build_reference(&g)),
-            "hang {hang}"
+            "hang {hang} bridge {bridge}"
         );
         // A leaf reaches everything through its one edge, position 0.
         for leaf in [1, 150, 300] {
-            assert_eq!(index.tree(leaf), &Quadtree::Leaf(0), "leaf {leaf}");
+            if !bridge {
+                assert_eq!(index.tree(leaf), &Quadtree::Leaf(0), "leaf {leaf}");
+            }
         }
         for (i, (u, _)) in g.out_edges(hub).enumerate() {
             let want = if i < 255 { i as u8 } else { NO_COLOR };

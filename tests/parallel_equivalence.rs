@@ -96,7 +96,8 @@ proptest! {
     /// reconstruction from a fresh full Dijkstra does — including across
     /// zero-weight edges and shortest-path ties, where both sides must
     /// commit to `dijkstra_full`'s parents (strict-improvement rule;
-    /// first matching out-edge position of the root).
+    /// among parallel root edges, the lightest, the first of equally
+    /// light ones).
     #[test]
     fn first_hop_dp_matches_full_dijkstra_colors(
         g in arb_tie_network(),
@@ -117,17 +118,23 @@ proptest! {
         first_hops_from_source_tree(&g, &source_tree, &mut dp_kernel);
         prop_assert_eq!(&dp, &dp_kernel, "kernel sweep diverged from tree sweep");
 
-        let first_edges: Vec<NodeId> = g.out_edges(root).map(|(u, _)| u).collect();
+        let first_edges: Vec<(NodeId, Weight)> = g.out_edges(root).collect();
         for t in g.node_ids() {
             let want = if t == root {
                 NO_FIRST_HOP
             } else {
                 match tree.path_to(t) {
                     Some(path) => {
+                        let lightest = first_edges
+                            .iter()
+                            .filter(|&&(x, _)| x == path[1])
+                            .map(|&(_, w)| w)
+                            .min()
+                            .expect("path's first hop is a root out-edge");
                         let i = first_edges
                             .iter()
-                            .position(|&x| x == path[1])
-                            .expect("path's first hop is a root out-edge");
+                            .position(|&e| e == (path[1], lightest))
+                            .expect("the lightest edge is a root out-edge");
                         // Same >= 255 guard as the production seed_color.
                         if i < NO_FIRST_HOP as usize {
                             i as u8
@@ -202,4 +209,17 @@ fn spq_build_is_thread_deterministic_on_grid_and_preset() {
             );
         }
     }
+}
+
+/// The SPQ build against its naive oracle on the end-to-end benchmark's
+/// `whole_cycle` map (6 000 germany-class nodes, most roots inside
+/// dangling trees), serial and on two workers.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "germany-class world; run with --release")]
+fn spq_build_matches_reference_on_the_whole_cycle_map() {
+    let g = NetworkPreset::Germany.config_for_nodes(7, 6_000).generate();
+    let serial = SpqIndex::build_serial(&g);
+    assert!(serial.same_trees(&SpqIndex::build_reference(&g)));
+    assert!(serial.same_trees(&SpqIndex::build_with_threads(&g, 2)));
+    assert_eq!(serial.coincident_conflicts(), 0);
 }
