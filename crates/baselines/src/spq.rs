@@ -608,9 +608,8 @@ impl Coloring for Searched<'_> {
 struct Hanging<'s> {
     root: NodeId,
     exit: Color,
-    /// The attachment's reachability [`Layout`]; `None` when its search
-    /// reaches every node.
-    reach: Option<&'s Layout>,
+    /// The attachment's reachability [`Layout`].
+    reach: &'s Layout,
     /// The attachment's search distances, and per node its attachment.
     dist: &'s [Distance],
     attach: &'s [NodeId],
@@ -634,12 +633,7 @@ impl Hanging<'_> {
 
     /// The summary of a cell that holds neither the root nor its subtree.
     fn clean(&self, c: &TemplateCell) -> Summary {
-        let reach = match self.reach {
-            None if c.lo == c.hi => EMPTY,
-            None => Summary::from(REACHED),
-            Some(layout) => layout.summary(c),
-        };
-        match reach {
+        match self.reach.summary(c) {
             s if s == Summary::from(REACHED) => Summary::from(self.exit),
             MIXED if self.exit == NO_COLOR => Summary::from(NO_COLOR),
             s => s,
@@ -932,19 +926,15 @@ impl<'g> Build<'g> {
         if hanging.is_empty() {
             return;
         }
-        // A connected graph's searches reach every node.
         let dist = tree.distances();
-        let reaches_all = tree.order().len() == peel.core_nodes().len();
-        if !reaches_all {
-            let reach = |&(attach, _): &(NodeId, Color)| {
-                if dist[attach as usize] == DIST_INF {
-                    NO_COLOR
-                } else {
-                    REACHED
-                }
-            };
-            layout.fill(hangs.len(), hangs.iter().map(reach));
-        }
+        let reach = |&(attach, _): &(NodeId, Color)| {
+            if dist[attach as usize] == DIST_INF {
+                NO_COLOR
+            } else {
+                REACHED
+            }
+        };
+        layout.fill(hangs.len(), hangs.iter().map(reach));
         for &r in hanging {
             for &u in forest.below(r) {
                 let p = peel.tree_parent(u).expect("peeled");
@@ -959,7 +949,7 @@ impl<'g> Build<'g> {
             let h = Hanging {
                 root: r,
                 exit: forest.up[r as usize],
-                reach: (!reaches_all).then_some(&*layout),
+                reach: layout,
                 dist,
                 attach: &forest.attach,
                 below,

@@ -135,7 +135,7 @@ proptest! {
                             .iter()
                             .position(|&e| e == (path[1], lightest))
                             .expect("the lightest edge is a root out-edge");
-                        // Same >= 255 guard as the production seed_color.
+                        // Same >= 255 guard as the production root_edge_color.
                         if i < NO_FIRST_HOP as usize {
                             i as u8
                         } else {
