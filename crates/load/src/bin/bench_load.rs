@@ -170,6 +170,15 @@ fn run_socket_main(args: &BenchArgs, o: &Overrides, events: Option<String>) -> i
                         ("udp", format!("{:.3}", d.udp.laps_sent())),
                     ]),
                 ),
+                // Datagrams per send: timing-dependent like `laps_sent`,
+                // and outside the digest. A TCP write carries none.
+                (
+                    "datagrams_per_send",
+                    object(&[
+                        ("tcp", format!("{:.3}", d.tcp.datagrams_per_send())),
+                        ("udp", format!("{:.3}", d.udp.datagrams_per_send())),
+                    ]),
+                ),
                 ("dead_letters", d.dead_letters.to_string()),
                 ("events", d.events.to_string()),
             ]),

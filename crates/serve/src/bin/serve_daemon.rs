@@ -159,7 +159,7 @@ fn main() {
             println!(
                 "stopped sessions={} rejections={} evictions={} injected_drops={} \
                  backpressure_drops={} frames_sent={} laps_sent_tcp={:.3} laps_sent_udp={:.3} \
-                 dead_letters={} events={}",
+                 datagrams_per_send_udp={:.3} dead_letters={} events={}",
                 s.sessions,
                 s.rejections,
                 s.evictions,
@@ -168,6 +168,7 @@ fn main() {
                 s.frames_sent,
                 s.tcp.laps_sent(),
                 s.udp.laps_sent(),
+                s.udp.datagrams_per_send(),
                 s.dead_letters,
                 s.events
             );

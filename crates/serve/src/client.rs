@@ -14,8 +14,13 @@
 //! session's late datagrams reaching a reused port) is counted and
 //! dropped. A UDP datagram carries several frames, each with its own
 //! CRC; a damaged one ends its datagram, and the checked frames before
-//! it are still filed. A daemon `Close` fails a UDP session only if the
-//! datagrams already queued in its socket leave the table incomplete.
+//! it are still filed. A UDP client enables `UDP_GRO`, so a run of
+//! datagrams the daemon sent as one segmented send arrives as one
+//! receive; it is cut back into its datagrams at the segment size the
+//! kernel reports, each filed as if it had arrived alone, and the
+//! control stream is read once per receive. A daemon `Close` fails a
+//! UDP session only if the datagrams already queued in its socket leave
+//! the table incomplete.
 
 use crate::frame::{
     self, Close, CloseReason, DataFrame, Frame, FrameError, Hello, RejectReason, StreamDecoder,
@@ -110,6 +115,10 @@ pub struct SessionMetrics {
     /// UDP receive buffer the kernel granted, in bytes (0 on TCP, and
     /// off Linux). Below one lap's wire bytes, a burst can overrun it.
     pub rcvbuf_bytes: u64,
+    /// Receive calls that returned data: UDP receives (a datagram, or a
+    /// run of them coalesced), or reads of the TCP stream, whose first
+    /// may carry data frames behind the `Admit`.
+    pub recv_calls: u64,
 }
 
 /// Why a session did not produce a cycle.
@@ -258,12 +267,14 @@ fn send_done(control: &mut TcpStream, session: u32, m: &SessionMetrics) {
 }
 
 /// Blocking-with-timeout read of the next frame off the control stream,
-/// reading into `buf` when the decoder holds no whole frame.
+/// reading into `buf` when the decoder holds no whole frame; `reads`
+/// counts the reads that returned data.
 fn next_control_frame(
     stream: &mut TcpStream,
     dec: &mut StreamDecoder,
     deadline: Instant,
     buf: &mut [u8],
+    reads: &mut u64,
 ) -> Result<Frame, SessionFailure> {
     loop {
         if let Some(f) = dec.next_frame().map_err(SessionFailure::Frame)? {
@@ -274,7 +285,10 @@ fn next_control_frame(
         }
         match stream.read(buf) {
             Ok(0) => return Err(SessionFailure::Io("connection closed".into())),
-            Ok(n) => dec.push(&buf[..n]),
+            Ok(n) => {
+                *reads += 1;
+                dec.push(&buf[..n]);
+            }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 continue
             }
@@ -298,6 +312,8 @@ pub fn fetch_cycle(
             // has read the cycle length: until then the socket holds all
             // the kernel allows, not the default that a burst overruns.
             sockopt::set_recv_buffer(&s, usize::MAX);
+            // Where the kernel refuses, each receive is one datagram.
+            sockopt::enable_gro(&s);
             Some(s)
         }
         Transport::Tcp => None,
@@ -321,8 +337,9 @@ pub fn fetch_cycle(
     let mut dec = StreamDecoder::new();
     // One read can take a whole batch of the daemon's TCP writes.
     let mut rx = vec![0u8; crate::daemon::TCP_BATCH];
+    let mut reads = 0;
     let (session, cycle_len, bootstrap) =
-        match next_control_frame(&mut control, &mut dec, deadline, &mut rx)? {
+        match next_control_frame(&mut control, &mut dec, deadline, &mut rx, &mut reads)? {
             Frame::Admit(a) => (a.session, a.cycle_len, a.bootstrap),
             Frame::Reject(r) => return Err(SessionFailure::Rejected(r)),
             Frame::Close(c) => return Err(close_to_failure(c.reason)),
@@ -337,6 +354,7 @@ pub fn fetch_cycle(
         session,
         admission_us: started.elapsed().as_micros() as u64,
         cycle_len,
+        recv_calls: if udp.is_none() { reads } else { 0 },
         ..SessionMetrics::default()
     };
     if let Some(sock) = &udp {
@@ -407,13 +425,26 @@ fn collect_tcp(
     metrics: &mut SessionMetrics,
 ) -> Result<(), SessionFailure> {
     while !table.complete() {
-        match next_control_frame(control, dec, deadline, rx)? {
+        match next_control_frame(control, dec, deadline, rx, &mut metrics.recv_calls)? {
             Frame::Data(d) => ingest_data(d, table, metrics),
             Frame::Close(c) => return Err(close_to_failure(c.reason)),
             _ => return Err(SessionFailure::Frame(FrameError::UnknownKind(0xFE))),
         }
     }
     Ok(())
+}
+
+/// Bytes one UDP receive takes: the largest datagram, or coalesced run
+/// of them, the kernel hands over.
+const RUN_BYTES: usize = 1 << 16;
+
+/// Files one UDP receive: a datagram, or a run of datagrams of `segment`
+/// bytes coalesced by the kernel, each filed as if it arrived alone.
+fn ingest_run(run: &[u8], segment: usize, table: &mut SlotTable, metrics: &mut SessionMetrics) {
+    metrics.recv_calls += 1;
+    for datagram in frame::split_run(run, segment) {
+        ingest_datagram(datagram, table, metrics);
+    }
 }
 
 fn collect_udp(
@@ -427,14 +458,14 @@ fn collect_udp(
     // The control connection turns nonblocking: we only poll it for a
     // daemon-initiated Close while datagrams stream on the UDP socket.
     control.set_nonblocking(true)?;
-    let mut dgram = [0u8; frame::MAX_DATAGRAM];
+    let mut run = vec![0u8; RUN_BYTES];
     while !table.complete() {
         if Instant::now() > deadline {
             control.set_nonblocking(false)?;
             return Err(SessionFailure::Timeout);
         }
-        match sock.recv_from(&mut dgram) {
-            Ok((n, _peer)) => ingest_datagram(&dgram[..n], table, metrics),
+        match sockopt::recv_run(sock, &mut run) {
+            Ok((n, segment)) => ingest_run(&run[..n], segment, table, metrics),
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
             Err(e) => {
                 control.set_nonblocking(false)?;
@@ -456,8 +487,8 @@ fn collect_udp(
                 // The daemon sent the Close after the lap's datagrams,
                 // which may still wait in the socket: file them first.
                 sock.set_nonblocking(true)?;
-                while let Ok((n, _peer)) = sock.recv_from(&mut dgram) {
-                    ingest_datagram(&dgram[..n], table, metrics);
+                while let Ok((n, segment)) = sockopt::recv_run(sock, &mut run) {
+                    ingest_run(&run[..n], segment, table, metrics);
                 }
                 control.set_nonblocking(false)?;
                 if table.complete() {

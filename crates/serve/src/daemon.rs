@@ -18,9 +18,9 @@
 //! its session's 16-byte head in front and combines the two CRCs, so a
 //! session costs the daemon its head bytes, not a packet encode. The
 //! streamer reads the control stream for the client's `Close` after
-//! every TCP batch and every 8 UDP datagrams of the first lap (every
-//! datagram after it), so a stream stops within a batch of the client's
-//! `Close` rather than at lap end.
+//! every TCP batch and every UDP send (8 datagrams in the first lap, one
+//! after it), so a stream stops within a batch of the client's `Close`
+//! rather than at lap end.
 //!
 //! Backpressure is transport-shaped, never answer-shaped (the PR 6
 //! contract — late or typed, never wrong):
@@ -32,26 +32,34 @@
 //!   sends none is streamed further laps. A write timeout is the stall
 //!   detector: a consumer that drains nothing for [`ServeOptions::stall`]
 //!   is evicted (`client_evicted`, typed `Close`).
-//! * **UDP**: consecutive slots are packed into datagrams of at most
-//!   [`frame::MAX_DATAGRAM`] bytes. The client's receive buffer is sized
-//!   to hold a lap, so the streamer yields its thread only once per read
-//!   of the control stream: every 8 datagrams of the first lap, and
-//!   every datagram after it, when the client may be done. A send that
-//!   fails drops every frame in the datagram (counted per
-//!   frame, `packet_dropped` with cause `backpressure`); a [`DropPlan`]
+//! * **UDP**: consecutive slots are packed into datagrams of nine data
+//!   frames ([`frame::DATA_SEGMENT`] bytes, under
+//!   [`frame::MAX_DATAGRAM`]), appended end to end into one
+//!   [`frame::DataRun`] and sent as one send with UDP segmentation
+//!   offload (`UDP_SEGMENT`): the kernel cuts the run into the same
+//!   datagrams on the wire, and only a lap's last datagram is short. The
+//!   client's receive buffer is sized to hold a lap, so the streamer
+//!   sends, yields its thread and reads the control stream once per poll
+//!   interval: every 8 datagrams of the first lap, and every datagram
+//!   after it, when the client may be done. Where the kernel refuses the
+//!   offload, the same run goes out one datagram per send. A send that
+//!   fails drops every frame it carried (counted per frame,
+//!   `packet_dropped` with cause `backpressure`); a [`DropPlan`]
 //!   additionally leaves *deterministic* seeded slots out of the pack so
 //!   contention cells exercise gap recovery reproducibly. Dropped slots
 //!   re-arrive on a later lap — the client is delayed, its answer
 //!   unchanged.
 //!
 //! [`ServeSummary`] sets the frames sent on each transport against the
-//! slots its sessions were owed, one lap each ([`TransportSends`]).
+//! slots its sessions were owed, one lap each, and counts the sends that
+//! carried them ([`TransportSends`]).
 
 use crate::events::{DeadLetter, Event, EventLog};
 use crate::frame::{
-    self, Close, CloseReason, DataTail, Datagram, Frame, FrameError, Hello, RejectReason,
-    StreamDecoder,
+    self, Close, CloseReason, DataRun, DataTail, Frame, FrameError, Hello, RejectReason,
+    StreamDecoder, DATA_SEGMENT,
 };
+use crate::sockopt;
 use spair_broadcast::{splitmix64, BroadcastCycle};
 use spair_methods::{ClientBootstrap, MethodId, MethodRegistry, ProgramSet};
 use std::io::{ErrorKind, Read, Write};
@@ -200,10 +208,11 @@ impl ServeOptions {
 /// `Close` after every write.
 pub const TCP_BATCH: usize = 64 * 1024;
 
-/// UDP datagrams sent between two reads of the control stream for the
-/// client's `Close` during a session's first lap; after it, the stream
-/// is read after every datagram.
-const UDP_POLL_DATAGRAMS: u32 = 8;
+/// UDP datagrams in one send, between two reads of the control stream
+/// for the client's `Close`, during a session's first lap. Its last such
+/// interval, and every later lap, go out one datagram per send, with a
+/// read after each.
+const UDP_POLL_DATAGRAMS: usize = 8;
 
 /// One transport's sends, against what its sessions needed.
 #[derive(Debug, Clone, Copy, Default)]
@@ -213,6 +222,13 @@ pub struct TransportSends {
     /// Cycle slots those sessions were owed: one lap each, the sum of
     /// `cycle_len` over the admitted sessions.
     pub slots_owed: u64,
+    /// Calls that put the frames on the wire: TCP writes of one batch,
+    /// UDP sends of one run of datagrams (one datagram each where the
+    /// kernel refuses segmentation offload).
+    pub sends: u64,
+    /// UDP datagrams those sends put on the wire (0 on TCP, a byte
+    /// stream).
+    pub datagrams: u64,
 }
 
 impl TransportSends {
@@ -223,6 +239,15 @@ impl TransportSends {
             return 0.0;
         }
         self.frames_sent as f64 / self.slots_owed as f64
+    }
+
+    /// Datagrams per send (0 without sends, and on TCP). 8 means every
+    /// first-lap send carried a full poll interval.
+    pub fn datagrams_per_send(&self) -> f64 {
+        if self.sends == 0 {
+            return 0.0;
+        }
+        self.datagrams as f64 / self.sends as f64
     }
 }
 
@@ -258,10 +283,12 @@ struct Counters {
     evictions: AtomicU64,
     injected_drops: AtomicU64,
     backpressure_drops: AtomicU64,
-    /// Frames sent and slots owed, indexed by the `Hello`'s transport tag
-    /// (0 TCP, 1 UDP).
+    /// Frames sent, slots owed, sends and datagrams, indexed by the
+    /// `Hello`'s transport tag (0 TCP, 1 UDP).
     frames_sent: [AtomicU64; 2],
     slots_owed: [AtomicU64; 2],
+    sends: [AtomicU64; 2],
+    datagrams: [AtomicU64; 2],
 }
 
 struct Shared {
@@ -313,6 +340,8 @@ impl ServeDaemon {
                 backpressure_drops: AtomicU64::new(0),
                 frames_sent: Default::default(),
                 slots_owed: Default::default(),
+                sends: Default::default(),
+                datagrams: Default::default(),
             },
         });
         let accept_shared = Arc::clone(&shared);
@@ -356,6 +385,8 @@ impl ServeDaemon {
         let sends = |t: usize| TransportSends {
             frames_sent: c.frames_sent[t].load(Ordering::SeqCst),
             slots_owed: c.slots_owed[t].load(Ordering::SeqCst),
+            sends: c.sends[t].load(Ordering::SeqCst),
+            datagrams: c.datagrams[t].load(Ordering::SeqCst),
         };
         let (tcp, udp) = (sends(0), sends(1));
         let summary = ServeSummary {
@@ -380,8 +411,11 @@ impl ServeDaemon {
                 .u64("frames_sent", summary.frames_sent)
                 .u64("frames_sent_tcp", tcp.frames_sent)
                 .u64("slots_owed_tcp", tcp.slots_owed)
+                .u64("sends_tcp", tcp.sends)
                 .u64("frames_sent_udp", udp.frames_sent)
                 .u64("slots_owed_udp", udp.slots_owed)
+                .u64("sends_udp", udp.sends)
+                .u64("datagrams_udp", udp.datagrams)
                 .u64("dead_letters", summary.dead_letters),
         );
         self.shared.events.flush_sync()?;
@@ -467,6 +501,8 @@ impl SessionCtx<'_> {
         self.backpressure += tally.backpressure;
         let c = &self.shared.counters;
         c.frames_sent[self.transport].fetch_add(tally.sent, Ordering::SeqCst);
+        c.sends[self.transport].fetch_add(tally.sends, Ordering::SeqCst);
+        c.datagrams[self.transport].fetch_add(tally.datagrams, Ordering::SeqCst);
         for (cause, count, total) in [
             ("injected", tally.injected, &c.injected_drops),
             ("backpressure", tally.backpressure, &c.backpressure_drops),
@@ -591,10 +627,10 @@ fn run_session(mut stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
         // stream, so it stays nonblocking until `send_close`.
         let _ = stream.set_nonblocking(true);
         Sink::Udp {
+            offload: sockopt::set_send_segment(&sock, DATA_SEGMENT),
             sock,
             dest: SocketAddr::new(peer.ip(), hello.udp_port),
-            dgram: Datagram::new(),
-            unpolled: 0,
+            run: DataRun::new(),
             poll_every: UDP_POLL_DATAGRAMS,
         }
     } else {
@@ -651,13 +687,19 @@ enum Sink<'a> {
     Udp {
         sock: UdpSocket,
         dest: SocketAddr,
-        dgram: Datagram,
-        /// Datagrams sent since the control stream was last due a read.
-        unpolled: u32,
-        /// Datagrams between two reads: [`UDP_POLL_DATAGRAMS`] during
-        /// the first lap, which the client's receive buffer holds, and 1
-        /// after it, when the client may be done at any datagram.
-        poll_every: u32,
+        /// The datagrams of the current poll interval, end to end.
+        run: DataRun,
+        /// Datagrams per send, between two reads:
+        /// [`UDP_POLL_DATAGRAMS`] during the first lap, which the
+        /// client's receive buffer holds, and 1 from the lap's last poll
+        /// interval on. The client then files each datagram as it
+        /// arrives, with no run left to file when lap 1 starts, and may
+        /// be done at any datagram after it.
+        poll_every: usize,
+        /// Whether the kernel cuts a run into its datagrams
+        /// (`UDP_SEGMENT` is [`DATA_SEGMENT`]); without, each datagram is
+        /// its own send.
+        offload: bool,
     },
 }
 
@@ -667,6 +709,8 @@ struct LapTally {
     sent: u64,
     injected: u64,
     backpressure: u64,
+    sends: u64,
+    datagrams: u64,
 }
 
 /// Why a stream stopped before its lap budget ran out.
@@ -680,8 +724,9 @@ enum Halt {
 
 impl Sink<'_> {
     /// Queues the data frame `tail` stamps for `session` and `slot`,
-    /// sending what is queued once the batch or datagram is full. `true`
-    /// when the control stream is due a read (see [`Sink::flush`]).
+    /// sending what is queued once the batch or the poll interval's
+    /// datagrams are full. `true` when it sent, and the control stream
+    /// is due a read.
     fn push(
         &mut self,
         tail: &DataTail,
@@ -695,27 +740,27 @@ impl Sink<'_> {
                 *queued += 1;
                 batch.len() >= TCP_BATCH
             }
-            Sink::Udp { dgram, .. } => !dgram.push_data(tail, session, slot),
+            Sink::Udp {
+                run, poll_every, ..
+            } => {
+                run.push_data(tail, session, slot);
+                run.as_bytes().len() >= *poll_every * DATA_SEGMENT
+            }
         };
-        if !full {
-            return Ok(false);
+        if full {
+            self.flush(tally)?;
         }
-        let due = self.flush(tally)?;
-        if let Sink::Udp { dgram, .. } = self {
-            // Any frame fits the emptied datagram.
-            dgram.push_data(tail, session, slot);
-        }
-        Ok(due)
+        Ok(full)
     }
 
-    /// Sends whatever is queued; `true` when the control stream is due a
-    /// read: after every TCP write, and after every `poll_every`-th
-    /// datagram. A datagram goes out as one send; a failed send (the
-    /// loopback send buffer is full, or the peer is gone) drops every
-    /// frame in it, as UDP does. The thread yields once per poll, not per
-    /// datagram, so the receiver drains its socket buffer (which the
-    /// client sizes to hold a lap) without a context switch per send.
-    fn flush(&mut self, tally: &mut LapTally) -> std::io::Result<bool> {
+    /// Sends whatever is queued: one TCP write, or one UDP send of the
+    /// run (see [`sockopt::send_run`]). A failed UDP send (the loopback
+    /// send buffer is full, or the peer is gone) drops every frame it
+    /// carried, as UDP does. The thread yields once per UDP send, that
+    /// is once per poll, so the receiver drains its socket buffer (which
+    /// the client sizes to hold a lap) without a context switch per
+    /// datagram.
+    fn flush(&mut self, tally: &mut LapTally) -> std::io::Result<()> {
         match self {
             Sink::Tcp {
                 stream,
@@ -726,31 +771,27 @@ impl Sink<'_> {
                 batch.clear();
                 written?;
                 tally.sent += std::mem::take(queued);
-                Ok(true)
+                tally.sends += 1;
             }
             Sink::Udp {
                 sock,
                 dest,
-                dgram,
-                unpolled,
-                poll_every,
-            } if !dgram.is_empty() => {
-                let frames = dgram.frames() as u64;
-                match sock.send_to(dgram.as_bytes(), *dest) {
-                    Ok(_) => tally.sent += frames,
-                    Err(_) => tally.backpressure += frames,
-                }
-                dgram.clear();
-                *unpolled += 1;
-                let due = *unpolled >= *poll_every;
-                if due {
-                    *unpolled = 0;
-                    std::thread::yield_now();
-                }
-                Ok(due)
+                run,
+                offload,
+                ..
+            } if !run.is_empty() => {
+                let out = sockopt::send_run(sock, run.as_bytes(), DATA_SEGMENT, *dest, offload);
+                let sent = (out.bytes / (2 + frame::DATA_FRAME)) as u64;
+                tally.sent += sent;
+                tally.backpressure += run.frames() as u64 - sent;
+                tally.sends += out.sends;
+                tally.datagrams += out.datagrams;
+                run.clear();
+                std::thread::yield_now();
             }
-            _ => Ok(false),
+            _ => {}
         }
+        Ok(())
     }
 
     /// Reads what the client has sent on the control stream without
@@ -822,8 +863,8 @@ fn await_close(
 /// Streams the channel's frames lap after lap into `sink` until the
 /// client closes, a write ends the session, the daemon stops or the lap
 /// budget runs out, leaving out the slots `plan` drops. The control
-/// stream is read for the client's `Close` whenever the sink is due (see
-/// [`Sink::flush`]), at every lap end, and for one stall window after
+/// stream is read for the client's `Close` whenever the sink sends (see
+/// [`Sink::push`]), at every lap end, and for one stall window after
 /// the last lap.
 ///
 /// TCP delivers every slot of a lap, so a TCP stream stops after its
@@ -857,8 +898,14 @@ fn stream_laps(
         let mut tally = LapTally::default();
         let mut last = hello.offset;
         let session = ctx.session;
+        let singly_from = len.saturating_sub((UDP_POLL_DATAGRAMS * frame::DATAGRAM_FRAMES) as u64);
         let halted = (0..len)
             .try_for_each(|i| {
+                if let Sink::Udp { poll_every, .. } = &mut sink {
+                    if i >= singly_from {
+                        *poll_every = 1;
+                    }
+                }
                 let slot = hello.offset + u64::from(lap) * len + i;
                 if plan.is_some_and(|p| p.drops(session, slot, lap)) {
                     tally.injected += 1;
@@ -873,7 +920,7 @@ fn stream_laps(
                 Ok(())
             })
             .and_then(|()| sink.flush(&mut tally).map_err(Halt::Io))
-            .and_then(|_| sink.poll(control, dec))
+            .and_then(|()| sink.poll(control, dec))
             .and_then(|()| match sink {
                 Sink::Tcp { .. } if lap == 0 && opts.max_laps > 1 => {
                     await_close(control, dec, &shared.stop, opts.stall)
@@ -881,9 +928,6 @@ fn stream_laps(
                 _ => Ok(()),
             });
         ctx.account(lap, &tally);
-        if let Sink::Udp { poll_every, .. } = &mut sink {
-            *poll_every = 1;
-        }
         match halted {
             Ok(()) => {}
             Err(Halt::Control(got)) => {

@@ -5,7 +5,11 @@
 //! prefix. TCP carries one unbroken stream of prefixed frames
 //! ([`StreamDecoder`] reassembles them from arbitrary chunk boundaries);
 //! a UDP datagram carries one or more of them, packed by [`Datagram`] up
-//! to [`MAX_DATAGRAM`] bytes and split again by [`decode_datagram`].
+//! to [`MAX_DATAGRAM`] bytes and split again by [`decode_datagram`]. The
+//! daemon packs its data frames as a [`DataRun`], datagrams of
+//! [`DATA_SEGMENT`] bytes end to end for one segmented send, and the
+//! client cuts a run it receives whole back into its datagrams with
+//! [`split_run`].
 //!
 //! ```text
 //! 0..2   magic  "SP"
@@ -403,6 +407,13 @@ const DATA_TAIL: usize = 2 + PACKET_SIZE;
 /// Bytes of a data frame body: head, tail and CRC.
 pub const DATA_FRAME: usize = DATA_HEAD + DATA_TAIL + 4;
 
+/// Length-prefixed data frames that fit one [`MAX_DATAGRAM`]: nine.
+pub const DATAGRAM_FRAMES: usize = MAX_DATAGRAM / (2 + DATA_FRAME);
+
+/// Bytes of a UDP datagram full of data frames: [`DATAGRAM_FRAMES`]
+/// length-prefixed data frames, 1 368 bytes.
+pub const DATA_SEGMENT: usize = DATAGRAM_FRAMES * (2 + DATA_FRAME);
+
 /// Advances a CRC-32 register through [`DATA_TAIL`] zero bytes, one
 /// table per register byte: the operator is linear, so a register's
 /// shift is the XOR of its bytes' shifts. Each table entry is the XOR of
@@ -536,17 +547,6 @@ impl Datagram {
         true
     }
 
-    /// [`Datagram::push`] of the data frame `tail` stamps for `session`
-    /// and `slot`.
-    pub fn push_data(&mut self, tail: &DataTail, session: u32, slot: u64) -> bool {
-        if self.buf.len() + 2 + DATA_FRAME > MAX_DATAGRAM {
-            return false;
-        }
-        tail.stream_into(session, slot, &mut self.buf);
-        self.frames += 1;
-        true
-    }
-
     /// The datagram's bytes.
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
@@ -567,6 +567,57 @@ impl Datagram {
         self.buf.clear();
         self.frames = 0;
     }
+}
+
+/// Consecutive data frames packed as a run of UDP datagrams for one
+/// segmented send: every [`DATA_SEGMENT`] bytes is one datagram, and
+/// only the last may be shorter. [`split_run`] at [`DATA_SEGMENT`] gives
+/// back the datagrams [`Datagram::push`] packs from the same frames one
+/// datagram at a time. Reuse one across sends with [`DataRun::clear`].
+#[derive(Debug, Default)]
+pub struct DataRun {
+    buf: Vec<u8>,
+}
+
+impl DataRun {
+    /// An empty run.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends the data frame `tail` stamps for `session` and `slot`.
+    pub fn push_data(&mut self, tail: &DataTail, session: u32, slot: u64) {
+        tail.stream_into(session, slot, &mut self.buf);
+    }
+
+    /// The run's bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Frames packed so far.
+    pub fn frames(&self) -> usize {
+        self.buf.len() / (2 + DATA_FRAME)
+    }
+
+    /// Whether no frame is packed.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Empties the run, keeping its buffer.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+}
+
+/// Cuts a run of datagrams received whole back into its datagrams of
+/// `segment` bytes (only the last may be shorter). An empty run is one
+/// empty datagram, which [`decode_datagram`] types.
+pub fn split_run(run: &[u8], segment: usize) -> impl Iterator<Item = &[u8]> {
+    let empty: &[u8] = &[];
+    run.chunks(segment.max(1))
+        .chain(run.is_empty().then_some(empty))
 }
 
 /// Decodes one frame body. Total: every input is either a frame or a
@@ -964,5 +1015,17 @@ mod tests {
         // Poisoned for good — no resynchronization guessing.
         dec.push(&encode_stream(&Frame::Reject(RejectReason::Protocol)));
         assert!(dec.next_frame().is_err());
+    }
+
+    #[test]
+    fn an_empty_run_is_one_empty_datagram() {
+        assert_eq!(
+            split_run(&[], DATA_SEGMENT).collect::<Vec<_>>(),
+            [&[] as &[u8]]
+        );
+        let run = [7u8; 2 * DATA_SEGMENT + 3];
+        let lens: Vec<usize> = split_run(&run, DATA_SEGMENT).map(<[u8]>::len).collect();
+        assert_eq!(lens, [DATA_SEGMENT, DATA_SEGMENT, 3]);
+        assert_eq!(DATA_SEGMENT, 1368);
     }
 }

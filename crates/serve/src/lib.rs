@@ -16,7 +16,8 @@
 //! * [`frame`] — the wire format. One binary frame codec shared by both
 //!   transports, CRC-32-tailed with the same polynomial the 128-byte
 //!   packet images already use, plus the datagram packer
-//!   [`frame::Datagram`]; every malformed input surfaces as a typed
+//!   [`frame::Datagram`] and the daemon's run of data datagrams
+//!   [`frame::DataRun`]; every malformed input surfaces as a typed
 //!   [`frame::FrameError`], never a panic or a partial ingest.
 //! * [`events`] — the observability layer: an append-only JSONL event
 //!   log in the outbox style (`session_admitted`, `cycle_started`,
@@ -25,8 +26,9 @@
 //! * [`daemon`] — session admission over a TCP control connection,
 //!   per-session streamer threads running one lap loop over a TCP or
 //!   UDP sink that batches its sends (a TCP stream sends one lap and
-//!   waits for the client's `Close`; the UDP sink yields once per poll
-//!   of the control stream), per-client
+//!   waits for the client's `Close`; the UDP sink sends a poll
+//!   interval's datagrams as one segmented send and yields once per
+//!   poll of the control stream), per-client
 //!   backpressure (TCP write stalls evict slow consumers; failed UDP
 //!   sends and the deterministic injected [`daemon::DropPlan`] drop
 //!   frames), and graceful shutdown that closes every session with a
@@ -36,13 +38,16 @@
 //!   drops only ever delay an answer, they never change it), rebuild
 //!   the cycle via [`spair_broadcast::BroadcastCycle::from_packets`]
 //!   and answer queries with the registry's remote clients. A UDP
-//!   client asks for a receive buffer that holds a lap.
+//!   client asks for a receive buffer that holds a lap, and takes a run
+//!   of datagrams sent as one segmented send as one receive.
 //! * [`signal`] — the SIGINT/SIGTERM shutdown flag for the bins.
 //!
 //! The crate has two scoped `unsafe` modules, because the build is
 //! offline and has no libc crate: [`signal`] registers its handler, and
 //! the private `sockopt` sets and reads back a UDP socket's `SO_RCVBUF`,
-//! each through a local `extern "C"` declaration.
+//! sets `UDP_SEGMENT` on the daemon's socket and `UDP_GRO` on the
+//! client's, and receives with `recvmsg(2)` to read a coalesced run's
+//! segment size, each through a local `extern "C"` declaration.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

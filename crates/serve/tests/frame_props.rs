@@ -6,8 +6,9 @@
 use proptest::prelude::*;
 use spair_broadcast::{Packet, PacketKind, PAYLOAD_CAPACITY};
 use spair_serve::frame::{
-    self, decode, decode_datagram, encode, encode_stream, encode_stream_into, Close, CloseReason,
-    DataFrame, DataTail, Datagram, Frame, Hello, StreamDecoder, MAX_DATAGRAM,
+    self, decode, decode_datagram, encode, encode_stream, encode_stream_into, split_run, Close,
+    CloseReason, DataFrame, DataRun, DataTail, Datagram, Frame, Hello, StreamDecoder,
+    DATAGRAM_FRAMES, DATA_FRAME, DATA_SEGMENT, MAX_DATAGRAM,
 };
 
 /// A packet of any kind with a payload of 0 to [`PAYLOAD_CAPACITY`]
@@ -76,16 +77,16 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
     ]
 }
 
-/// Packs `items` in order into as few datagrams as the cap allows,
-/// `push` packing one item.
-fn pack_by<T>(items: &[T], push: impl Fn(&mut Datagram, &T) -> bool) -> Vec<Vec<u8>> {
+/// Packs `frames` in order with [`Datagram::push`] into as few
+/// datagrams as the cap allows, one datagram at a time.
+fn pack(frames: &[Frame]) -> Vec<Vec<u8>> {
     let mut out = Vec::new();
     let mut d = Datagram::new();
-    for item in items {
-        if !push(&mut d, item) {
+    for f in frames {
+        if !d.push(f) {
             out.push(d.as_bytes().to_vec());
             d.clear();
-            assert!(push(&mut d, item), "a frame fits an empty datagram");
+            assert!(d.push(f), "a frame fits an empty datagram");
         }
     }
     if !d.is_empty() {
@@ -94,9 +95,13 @@ fn pack_by<T>(items: &[T], push: impl Fn(&mut Datagram, &T) -> bool) -> Vec<Vec<
     out
 }
 
-/// Packs `frames` with [`Datagram::push`].
-fn pack(frames: &[Frame]) -> Vec<Vec<u8>> {
-    pack_by(frames, |d, f| d.push(f))
+/// The data frames of `data` stamped from their tails into one run.
+fn run_of(data: &[(Packet, u32, u64)]) -> DataRun {
+    let mut run = DataRun::new();
+    for (packet, session, slot) in data {
+        run.push_data(&DataTail::new(packet), *session, *slot);
+    }
+    run
 }
 
 /// Frames compare by their encoding (`Frame` holds packets, which have
@@ -307,14 +312,51 @@ proptest! {
         }
     }
 
-    /// Datagrams packed from encoded tails are the datagrams
-    /// `Datagram::push` packs from the same frames.
+    /// A run of data frames stamped from their tails, split at its
+    /// segment size, is byte for byte the datagrams `Datagram::push`
+    /// packs from the same frames one datagram at a time: each at most
+    /// [`MAX_DATAGRAM`] bytes, carrying the same frames in order.
     #[test]
-    fn datagrams_of_encoded_frames_match(data in proptest::collection::vec(arb_data(), 1..30)) {
+    fn a_run_split_at_its_segment_size_is_the_datagrams_sent_one_by_one(
+        data in proptest::collection::vec(arb_data(), 1..40),
+    ) {
         let frames: Vec<Frame> = data.iter().map(data_frame).collect();
-        let stamped = pack_by(&data, |d, (packet, session, slot)| {
-            d.push_data(&DataTail::new(packet), *session, *slot)
-        });
-        prop_assert_eq!(stamped, pack(&frames));
+        let run = run_of(&data);
+        prop_assert_eq!(run.frames(), data.len());
+        let split: Vec<Vec<u8>> = split_run(run.as_bytes(), DATA_SEGMENT)
+            .map(<[u8]>::to_vec)
+            .collect();
+        for d in &split {
+            prop_assert!(d.len() <= MAX_DATAGRAM, "datagram of {} bytes", d.len());
+        }
+        prop_assert_eq!(&split, &pack(&frames));
+        let decoded: Vec<Frame> = split
+            .iter()
+            .flat_map(|d| decode_datagram(d))
+            .map(|f| f.expect("packed frame decodes"))
+            .collect();
+        prop_assert_eq!(bodies(&decoded), bodies(&frames));
+    }
+
+    /// A bit flipped in datagram `j` of a run loses only the frames of
+    /// datagram `j` from the one holding the flip to its end: the frames
+    /// before it, and every other datagram, still decode.
+    #[test]
+    fn a_flip_in_a_run_costs_only_the_rest_of_its_datagram(
+        data in proptest::collection::vec(arb_data(), 1..40),
+        at in any::<usize>(),
+        bit in 0u8..8,
+    ) {
+        let frames: Vec<Frame> = data.iter().map(data_frame).collect();
+        let mut run = run_of(&data).as_bytes().to_vec();
+        let pos = at % run.len();
+        run[pos] ^= 1 << bit;
+        let (j, flipped) = (pos / DATA_SEGMENT, pos % DATA_SEGMENT / (2 + DATA_FRAME));
+        for (i, d) in split_run(&run, DATA_SEGMENT).enumerate() {
+            let ok: Vec<Frame> = decode_datagram(d).filter_map(Result::ok).collect();
+            let sent = &frames[i * DATAGRAM_FRAMES..frames.len().min((i + 1) * DATAGRAM_FRAMES)];
+            let kept = if i == j { &sent[..flipped] } else { sent };
+            prop_assert_eq!(bodies(&ok), bodies(kept), "datagram {}", i);
+        }
     }
 }

@@ -12,7 +12,7 @@ use spair_serve::client::{fetch_cycle, run_query, SessionConfig, SessionFailure,
 use spair_serve::daemon::{DropPlan, ServeDaemon, ServeOptions, ServeWorld, TCP_BATCH};
 use spair_serve::frame::{
     encode_stream, Admit, Close, CloseReason, DataFrame, Datagram, Frame, Hello, StreamDecoder,
-    DATA_FRAME, MAX_DATAGRAM,
+    DATA_FRAME, DATA_SEGMENT, MAX_DATAGRAM,
 };
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream, UdpSocket};
@@ -451,6 +451,11 @@ fn a_tcp_session_that_closes_after_its_lap_is_sent_one_lap() {
     assert_eq!(summary.tcp.frames_sent, m.cycle_len);
     assert_eq!(summary.tcp.slots_owed, m.cycle_len);
     assert_eq!(summary.tcp.laps_sent(), 1.0);
+    assert!(
+        summary.tcp.sends >= 1 && m.recv_calls >= 1,
+        "{summary:?} {m:?}"
+    );
+    assert_eq!(summary.tcp.datagrams, 0, "a TCP write carries no datagrams");
     assert_eq!(summary.udp.slots_owed, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -518,13 +523,16 @@ fn shutdown_closes_a_tcp_session_waiting_for_its_close() {
 }
 
 /// A UDP client asks for a receive buffer that holds its lap, and a
-/// lossless loopback UDP session then loses no datagram.
+/// lossless loopback UDP session then loses no datagram. The daemon
+/// sends most of the lap in runs of 8 datagrams, and each send arrives
+/// as one receive.
 #[cfg(target_os = "linux")]
 #[test]
 fn a_udp_session_gets_a_lap_sized_receive_buffer_and_loses_nothing() {
     let dir = test_dir("rcvbuf");
-    let programs = build_programs(8, 8, 8, 23);
+    let programs = build_programs(24, 24, 8, 23);
     let daemon = start_daemon(&programs, &["nr"], &dir, None);
+    let mut receives = 0;
     for offset in [0, 41] {
         let mut config = SessionConfig::new(daemon.local_addr(), "nr", Transport::Udp);
         config.offset = offset;
@@ -537,9 +545,18 @@ fn a_udp_session_gets_a_lap_sized_receive_buffer_and_loses_nothing() {
         );
         assert_eq!(m.observed_drops, 0, "{m:?}");
         assert_eq!(m.laps, 1, "{m:?}");
+        let datagrams = (lap_bytes as usize).div_ceil(DATA_SEGMENT);
+        assert!(datagrams > 16, "a lap of {datagrams} datagrams");
+        assert!((m.recv_calls as usize) < datagrams, "{m:?}");
+        receives += m.recv_calls;
     }
     let summary = daemon.shutdown().unwrap();
     assert_eq!(summary.backpressure_drops, 0);
+    assert!(summary.udp.datagrams_per_send() > 1.0, "{summary:?}");
+    assert!(
+        receives <= summary.udp.sends,
+        "{receives} receives, {summary:?}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -343,8 +343,10 @@ fn typed<T>(outcome: SessionOutcome<T>) -> Result<T, Option<&'static str>> {
 /// base seed of sub-session `s`: 0 for a single-session item, 1, 2, … for
 /// an on-edge composite's endpoint queries. Channel sessions run under
 /// `budget`; a local answer sees no channel, so a retry could not change
-/// it and it runs as one attempt. An item the device does not answer (a
-/// kNN item on a path client, say) gets the default [`Driven`].
+/// it and it runs as one attempt. An item whose program refuses the
+/// world ([`MethodUnavailable::Unrepresentable`]) is a typed give-up of
+/// class `unrepresentable`; an item the device does not answer (a kNN
+/// item on a path client, say) gets the default [`Driven`].
 pub fn drive(
     program: &dyn MethodProgram,
     device: &mut Device,
@@ -413,6 +415,8 @@ pub fn drive(
             d.cost(&s, single, 1);
             typed(s.outcome)
         }
+        // A program that cannot represent the world refuses, typed.
+        (_, _, Err(MethodUnavailable::Unrepresentable { .. })) => Err(Some("unrepresentable")),
         _ => return d,
     };
     match answer {
@@ -778,6 +782,50 @@ mod tests {
         );
         // ...but not exact.
         renders(&d, "\"exact\": false");
+    }
+
+    #[test]
+    fn an_unrepresentable_world_is_a_typed_refusal_not_a_wrong_answer() {
+        // `spq_air` on coincident nodes 1 and 2 that need different
+        // colors from node 0 (see `crates/methods/tests/spq_air.rs`):
+        // its program refuses to broadcast.
+        let mut b = spair_roadnet::GraphBuilder::new();
+        for (x, y) in [(0.0, 0.0), (1.0, 1.0), (1.0, 1.0), (2.0, 0.0)] {
+            b.add_node(spair_roadnet::Point::new(x, y));
+        }
+        for (u, v) in [(0, 1), (0, 3), (3, 2)] {
+            b.add_undirected_edge(u, v, 1);
+        }
+        let g = b.finish();
+        let part = spair_partition::KdTreePartition::build(&g, 2);
+        let pre = spair_core::BorderPrecomputation::run(&g, &part);
+        let programs = ProgramSet::new(World::from_parts(g, part, pre));
+        let program = programs.ensure(MethodId::SPQ_AIR);
+        assert!(matches!(
+            program.cycle(),
+            Err(MethodUnavailable::Unrepresentable { .. })
+        ));
+        let g = &programs.world().g;
+        let mut device = Device::new(program).expect("spq_air has an air client");
+        let (oracle, _) = dijkstra_to_target(g, 0, 2).expect("connected");
+        let item = WorkItem::P2p {
+            query: Query::for_nodes(g, 0, 2),
+            oracle,
+        };
+        let d = drive(
+            program,
+            &mut device,
+            g,
+            &item,
+            &Tune::at(0),
+            RecoveryBudget::single(),
+            |_| 11,
+        );
+        assert_eq!(d.verdict, Verdict::Failed("unrepresentable"));
+        assert!(d.stats.is_none());
+        let mut tally = Tally::default();
+        tally.fold(&d);
+        assert_eq!((tally.wrong, tally.typed()), (0, 1));
     }
 
     #[test]
