@@ -352,7 +352,8 @@ pub struct SocketReport {
     pub threads: usize,
     /// Per-cell results.
     pub cells: Vec<SocketCellReport>,
-    /// Lossless daemon counters after shutdown.
+    /// Daemon counters after shutdown, summed over the lossless and both
+    /// contention cells' daemons.
     pub daemon: ServeSummary,
 }
 
@@ -624,6 +625,9 @@ pub fn run_socket_bench(config: &SocketBenchConfig) -> SocketReport {
     }
     drop(stalled_conns);
     let evict_summary = evict_daemon.shutdown().expect("evict daemon shutdown");
+    let mut daemon = daemon_summary;
+    daemon.add(&drop_summary);
+    daemon.add(&evict_summary);
     let wall = start.elapsed().as_secs_f64();
     cells.push(SocketCellReport {
         method: sc.methods[0].to_string(),
@@ -648,7 +652,7 @@ pub fn run_socket_bench(config: &SocketBenchConfig) -> SocketReport {
         scenario: sc,
         threads: config.threads,
         cells,
-        daemon: daemon_summary,
+        daemon,
     }
 }
 

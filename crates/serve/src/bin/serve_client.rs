@@ -14,146 +14,101 @@
 //! 1 session failure (typed reason on stderr), 2 usage error.
 
 use spair_core::query::Query;
+use spair_roadnet::certify::{Cli, UsageError};
 use spair_roadnet::Point;
 use spair_serve::client::{fetch_cycle, run_query, SessionConfig, Transport};
-use std::net::SocketAddr;
 use std::time::Duration;
 
-struct Args {
-    addr: Option<SocketAddr>,
-    method: String,
-    transport: Transport,
-    offset: u64,
-    max_wait_ms: u64,
-    query: Option<Query>,
-}
+const USAGE: &str = "--addr HOST:PORT --method nr [--transport udp|tcp] \
+                     [--offset N] [--max-wait-ms N] \
+                     [--query SRC DST SX SY TX TY]";
 
-impl Default for Args {
-    fn default() -> Self {
-        Self {
-            addr: None,
-            method: "nr".into(),
-            transport: Transport::Udp,
-            offset: 0,
-            max_wait_ms: 30_000,
-            query: None,
-        }
-    }
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
+/// The session to open, and the query to answer over its cycle (none in
+/// probe mode).
+fn parse_args(cli: &mut Cli) -> Result<(SessionConfig, Option<Query>), UsageError> {
+    let mut addr = None;
+    let mut method = "nr".to_string();
+    let mut transport = Transport::Udp;
+    let mut offset = 0;
+    let mut max_wait_ms = 30_000;
+    let mut query = None;
+    while let Some(flag) = cli.next_arg() {
         match flag.as_str() {
-            "--addr" => {
-                args.addr = Some(val("--addr")?.parse().map_err(|e| format!("--addr: {e}"))?)
-            }
-            "--method" => args.method = val("--method")?,
+            "--addr" => addr = Some(cli.parse("--addr")?),
+            "--method" => method = cli.value("--method")?,
             "--transport" => {
-                args.transport = match val("--transport")?.as_str() {
+                transport = match cli.value("--transport")?.as_str() {
                     "tcp" => Transport::Tcp,
                     "udp" => Transport::Udp,
-                    other => return Err(format!("unknown transport {other}")),
+                    other => return Err(UsageError(format!("unknown transport {other}"))),
                 }
             }
-            "--offset" => {
-                args.offset = val("--offset")?
-                    .parse()
-                    .map_err(|e| format!("--offset: {e}"))?
-            }
-            "--max-wait-ms" => {
-                args.max_wait_ms = val("--max-wait-ms")?
-                    .parse()
-                    .map_err(|e| format!("--max-wait-ms: {e}"))?
-            }
+            "--offset" => offset = cli.parse("--offset")?,
+            "--max-wait-ms" => max_wait_ms = cli.parse("--max-wait-ms")?,
             "--query" => {
-                let mut f = |name: &str| -> Result<f64, String> {
-                    val(name)?
-                        .parse::<f64>()
-                        .map_err(|e| format!("{name}: {e}"))
-                };
-                let source = f("--query src")? as u32;
-                let target = f("--query dst")? as u32;
-                let (sx, sy) = (f("--query sx")?, f("--query sy")?);
-                let (tx, ty) = (f("--query tx")?, f("--query ty")?);
-                args.query = Some(Query {
+                let source = cli.parse("--query src")?;
+                let target = cli.parse("--query dst")?;
+                let (sx, sy) = (cli.parse("--query sx")?, cli.parse("--query sy")?);
+                let (tx, ty) = (cli.parse("--query tx")?, cli.parse("--query ty")?);
+                query = Some(Query {
                     source,
                     target,
                     source_pt: Point::new(sx, sy),
                     target_pt: Point::new(tx, ty),
                 });
             }
-            other => return Err(format!("unknown flag {other}")),
+            other => return Err(UsageError(format!("unknown flag {other}"))),
         }
     }
-    if args.addr.is_none() {
-        return Err("--addr is required".into());
-    }
-    Ok(args)
+    let config = SessionConfig {
+        addr: addr.ok_or_else(|| UsageError("--addr is required".into()))?,
+        method,
+        transport,
+        offset,
+        max_wait: Duration::from_millis(max_wait_ms),
+    };
+    Ok((config, query))
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let mut cli = Cli::from_env("serve_client", USAGE);
+    let (config, query) = parse_args(&mut cli).unwrap_or_else(|e| cli.fail(e));
+    let (method, transport) = (&config.method, config.transport.name());
+    let line = match query {
+        None => fetch_cycle(&config).map(|(cycle, _boot, m)| {
+            format!(
+                "probe method={method} transport={transport} session={} cycle_len={} \
+                 frames_rx={} dups={} observed_drops={} bad_frames={} foreign_frames={} \
+                 laps={} admission_us={} packets={}",
+                m.session,
+                m.cycle_len,
+                m.frames_rx,
+                m.dups,
+                m.observed_drops,
+                m.bad_frames,
+                m.foreign_frames,
+                m.laps,
+                m.admission_us,
+                cycle.len()
+            )
+        }),
+        Some(q) => run_query(&config, &q).map(|(outcome, m)| {
+            format!(
+                "answer method={method} transport={transport} session={} distance={} \
+                 path_len={} observed_drops={} laps={}",
+                m.session,
+                outcome.distance,
+                outcome.path.len(),
+                m.observed_drops,
+                m.laps
+            )
+        }),
+    };
+    match line {
+        Ok(line) => println!("{line}"),
         Err(e) => {
             eprintln!("serve_client: {e}");
-            std::process::exit(2);
+            std::process::exit(1);
         }
-    };
-    let config = SessionConfig {
-        addr: args.addr.expect("validated"),
-        method: args.method.clone(),
-        transport: args.transport,
-        offset: args.offset,
-        max_wait: Duration::from_millis(args.max_wait_ms),
-    };
-
-    match args.query {
-        None => match fetch_cycle(&config) {
-            Ok((cycle, _boot, m)) => {
-                println!(
-                    "probe method={} transport={} session={} cycle_len={} frames_rx={} \
-                     dups={} observed_drops={} bad_frames={} foreign_frames={} laps={} \
-                     admission_us={} packets={}",
-                    args.method,
-                    args.transport.name(),
-                    m.session,
-                    m.cycle_len,
-                    m.frames_rx,
-                    m.dups,
-                    m.observed_drops,
-                    m.bad_frames,
-                    m.foreign_frames,
-                    m.laps,
-                    m.admission_us,
-                    cycle.len()
-                );
-            }
-            Err(e) => {
-                eprintln!("serve_client: {e}");
-                std::process::exit(1);
-            }
-        },
-        Some(q) => match run_query(&config, &q) {
-            Ok((outcome, m)) => {
-                println!(
-                    "answer method={} transport={} session={} distance={} path_len={} \
-                     observed_drops={} laps={}",
-                    args.method,
-                    args.transport.name(),
-                    m.session,
-                    outcome.distance,
-                    outcome.path.len(),
-                    m.observed_drops,
-                    m.laps
-                );
-            }
-            Err(e) => {
-                eprintln!("serve_client: {e}");
-                std::process::exit(1);
-            }
-        },
     }
 }

@@ -17,103 +17,68 @@
 use spair_core::BorderPrecomputation;
 use spair_methods::{MethodId, MethodRegistry, ProgramSet, World};
 use spair_partition::KdTreePartition;
+use spair_roadnet::certify::{Cli, UsageError};
 use spair_roadnet::generators::small_grid;
 use spair_serve::daemon::{DropPlan, ServeDaemon, ServeOptions, ServeWorld};
 use spair_serve::signal;
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::Duration;
 
+const USAGE: &str = "[--addr 127.0.0.1:0] [--grid W H] [--regions N] \
+                     [--seed S] [--methods nr,eb,dj] [--events PATH] \
+                     [--dead-letter PATH] [--max-laps N] [--stall-ms N] \
+                     [--drop-permille N] [--drop-laps N]";
+
 struct Args {
-    addr: String,
     grid: (usize, usize),
     regions: usize,
     seed: u64,
     methods: Vec<MethodId>,
-    events: PathBuf,
-    dead_letter: PathBuf,
-    max_laps: u32,
-    stall_ms: u64,
-    drop_permille: u16,
-    drop_laps: u32,
+    opts: ServeOptions,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Self {
-            addr: "127.0.0.1:0".into(),
-            grid: (12, 12),
-            regions: 16,
-            seed: 9301,
-            methods: MethodRegistry::standard().air_methods(),
-            events: PathBuf::from("serve.events.jsonl"),
-            dead_letter: PathBuf::from("serve.deadletter.jsonl"),
-            max_laps: 64,
-            stall_ms: 1500,
-            drop_permille: 0,
-            drop_laps: 0,
-        }
-    }
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
+fn parse_args(cli: &mut Cli) -> Result<Args, UsageError> {
+    let mut args = Args {
+        grid: (12, 12),
+        regions: 16,
+        seed: 9301,
+        methods: MethodRegistry::standard().air_methods(),
+        // `127.0.0.1:0`, 64 laps, a 1 500 ms stall, logs in the working
+        // directory.
+        opts: ServeOptions::in_dir(Path::new("")),
+    };
+    let (mut drop_permille, mut drop_laps) = (0, 0);
+    while let Some(flag) = cli.next_arg() {
+        let opts = &mut args.opts;
         match flag.as_str() {
-            "--addr" => args.addr = val("--addr")?,
-            "--grid" => {
-                let w = val("--grid")?.parse().map_err(|e| format!("--grid: {e}"))?;
-                let h = val("--grid")?.parse().map_err(|e| format!("--grid: {e}"))?;
-                args.grid = (w, h);
-            }
-            "--regions" => {
-                args.regions = val("--regions")?
-                    .parse()
-                    .map_err(|e| format!("--regions: {e}"))?
-            }
-            "--seed" => args.seed = val("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
+            "--addr" => opts.addr = cli.value("--addr")?,
+            "--grid" => args.grid = (cli.parse("--grid")?, cli.parse("--grid")?),
+            "--regions" => args.regions = cli.parse("--regions")?,
+            "--seed" => args.seed = cli.parse("--seed")?,
             "--methods" => {
                 let air = MethodRegistry::standard().air_methods();
-                args.methods = MethodRegistry::parse_list(&val("--methods")?, &air)
-                    .map_err(|e| e.to_string())?
+                args.methods = MethodRegistry::parse_list(&cli.value("--methods")?, &air)
+                    .map_err(|e| UsageError(e.to_string()))?
             }
-            "--events" => args.events = PathBuf::from(val("--events")?),
-            "--dead-letter" => args.dead_letter = PathBuf::from(val("--dead-letter")?),
-            "--max-laps" => {
-                args.max_laps = val("--max-laps")?
-                    .parse()
-                    .map_err(|e| format!("--max-laps: {e}"))?
-            }
-            "--stall-ms" => {
-                args.stall_ms = val("--stall-ms")?
-                    .parse()
-                    .map_err(|e| format!("--stall-ms: {e}"))?
-            }
-            "--drop-permille" => {
-                args.drop_permille = val("--drop-permille")?
-                    .parse()
-                    .map_err(|e| format!("--drop-permille: {e}"))?
-            }
-            "--drop-laps" => {
-                args.drop_laps = val("--drop-laps")?
-                    .parse()
-                    .map_err(|e| format!("--drop-laps: {e}"))?
-            }
-            other => return Err(format!("unknown flag {other}")),
+            "--events" => opts.events_path = cli.value("--events")?.into(),
+            "--dead-letter" => opts.dead_letter_path = cli.value("--dead-letter")?.into(),
+            "--max-laps" => opts.max_laps = cli.parse("--max-laps")?,
+            "--stall-ms" => opts.stall = Duration::from_millis(cli.parse("--stall-ms")?),
+            "--drop-permille" => drop_permille = cli.parse("--drop-permille")?,
+            "--drop-laps" => drop_laps = cli.parse("--drop-laps")?,
+            other => return Err(UsageError(format!("unknown flag {other}"))),
         }
     }
+    args.opts.drop_plan = (drop_permille > 0).then_some(DropPlan {
+        permille: drop_permille,
+        laps: drop_laps.max(1),
+    });
     Ok(args)
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("serve_daemon: {e}");
-            std::process::exit(2);
-        }
-    };
+    let mut cli = Cli::from_env("serve_daemon", USAGE);
+    let args = parse_args(&mut cli).unwrap_or_else(|e| cli.fail(e));
 
     let g = small_grid(args.grid.0, args.grid.1, args.seed);
     let part = KdTreePartition::build(&g, args.regions);
@@ -125,20 +90,8 @@ fn main() {
         std::process::exit(2);
     }
 
-    let opts = ServeOptions {
-        addr: args.addr.clone(),
-        max_laps: args.max_laps,
-        stall: Duration::from_millis(args.stall_ms),
-        drop_plan: (args.drop_permille > 0).then_some(DropPlan {
-            permille: args.drop_permille,
-            laps: args.drop_laps.max(1),
-        }),
-        events_path: args.events.clone(),
-        dead_letter_path: args.dead_letter.clone(),
-    };
-
     signal::install_handlers();
-    let daemon = match ServeDaemon::start(world, opts) {
+    let daemon = match ServeDaemon::start(world, args.opts) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("serve_daemon: bind failed: {e}");

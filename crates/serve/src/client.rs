@@ -18,18 +18,20 @@
 //! datagrams the daemon sent as one segmented send arrives as one
 //! receive; it is cut back into its datagrams at the segment size the
 //! kernel reports, each filed as if it had arrived alone, and the
-//! control stream is read once per receive. A daemon `Close` fails a
-//! UDP session only if the datagrams already queued in its socket leave
-//! the table incomplete.
+//! control stream is read once per receive. A daemon `Close`, or the
+//! daemon hanging up, ends a UDP session at that read, not at
+//! `max_wait`, and fails it only if the datagrams already queued in its
+//! socket leave the table incomplete; a hang-up fails it as
+//! [`SessionFailure::Io`]. Over TCP, a hang-up before the table fills is
+//! the same typed failure, after every frame that arrived before it.
 
-use crate::frame::{
-    self, Close, CloseReason, DataFrame, Frame, FrameError, Hello, RejectReason, StreamDecoder,
-};
+use crate::control::{Control, ControlError};
+use crate::frame::{self, Close, CloseReason, DataFrame, Frame, FrameError, Hello, RejectReason};
 use crate::sockopt;
 use spair_broadcast::{BroadcastChannel, BroadcastCycle, LossModel, Packet};
 use spair_core::query::{Query, QueryOutcome};
 use spair_methods::{ClientBootstrap, MethodRegistry};
-use std::io::{ErrorKind, Read, Write};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpStream, UdpSocket};
 use std::time::{Duration, Instant};
 
@@ -183,6 +185,16 @@ impl From<std::io::Error> for SessionFailure {
     }
 }
 
+impl From<ControlError> for SessionFailure {
+    fn from(e: ControlError) -> Self {
+        match e {
+            ControlError::HungUp(kind) => SessionFailure::Io(format!("daemon hung up: {kind}")),
+            ControlError::Frame(e) => SessionFailure::Frame(e),
+            ControlError::Timeout => SessionFailure::Timeout,
+        }
+    }
+}
+
 fn close_to_failure(reason: CloseReason) -> SessionFailure {
     match reason {
         CloseReason::EvictedSlowConsumer => SessionFailure::Evicted,
@@ -256,47 +268,6 @@ impl SlotTable {
     }
 }
 
-fn send_done(control: &mut TcpStream, session: u32, m: &SessionMetrics) {
-    let _ = control.write_all(&frame::encode_stream(&Frame::Close(Close {
-        session,
-        reason: CloseReason::Done,
-        drops: m.observed_drops,
-        laps: m.laps,
-    })));
-    let _ = control.flush();
-}
-
-/// Blocking-with-timeout read of the next frame off the control stream,
-/// reading into `buf` when the decoder holds no whole frame; `reads`
-/// counts the reads that returned data.
-fn next_control_frame(
-    stream: &mut TcpStream,
-    dec: &mut StreamDecoder,
-    deadline: Instant,
-    buf: &mut [u8],
-    reads: &mut u64,
-) -> Result<Frame, SessionFailure> {
-    loop {
-        if let Some(f) = dec.next_frame().map_err(SessionFailure::Frame)? {
-            return Ok(f);
-        }
-        if Instant::now() > deadline {
-            return Err(SessionFailure::Timeout);
-        }
-        match stream.read(buf) {
-            Ok(0) => return Err(SessionFailure::Io("connection closed".into())),
-            Ok(n) => {
-                *reads += 1;
-                dec.push(&buf[..n]);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                continue
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-}
-
 /// Tunes in, collects one full cycle, closes the session, and returns
 /// the rebuilt cycle with its bootstrap and metrics.
 pub fn fetch_cycle(
@@ -324,27 +295,22 @@ pub fn fetch_cycle(
         .transpose()?
         .unwrap_or(0);
 
-    let mut control = TcpStream::connect_timeout(&config.addr, config.max_wait)?;
-    control.set_nodelay(true)?;
-    control.set_read_timeout(Some(Duration::from_millis(100)))?;
-    control.write_all(&frame::encode_stream(&Frame::Hello(Hello {
+    let stream = TcpStream::connect_timeout(&config.addr, config.max_wait)?;
+    // One read can take a whole batch of the daemon's TCP writes.
+    let mut control = Control::new(stream, crate::daemon::TCP_BATCH)?;
+    control.send_frame(&Frame::Hello(Hello {
         method: config.method.clone(),
         transport: config.transport.wire(),
         udp_port,
         offset: config.offset,
-    })))?;
+    }))?;
 
-    let mut dec = StreamDecoder::new();
-    // One read can take a whole batch of the daemon's TCP writes.
-    let mut rx = vec![0u8; crate::daemon::TCP_BATCH];
-    let mut reads = 0;
-    let (session, cycle_len, bootstrap) =
-        match next_control_frame(&mut control, &mut dec, deadline, &mut rx, &mut reads)? {
-            Frame::Admit(a) => (a.session, a.cycle_len, a.bootstrap),
-            Frame::Reject(r) => return Err(SessionFailure::Rejected(r)),
-            Frame::Close(c) => return Err(close_to_failure(c.reason)),
-            _ => return Err(SessionFailure::Frame(FrameError::UnknownKind(0xFE))),
-        };
+    let (session, cycle_len, bootstrap) = match control.next(deadline, None)? {
+        Frame::Admit(a) => (a.session, a.cycle_len, a.bootstrap),
+        Frame::Reject(r) => return Err(SessionFailure::Rejected(r)),
+        Frame::Close(c) => return Err(close_to_failure(c.reason)),
+        _ => return Err(SessionFailure::Frame(FrameError::UnknownKind(0xFE))),
+    };
     if cycle_len == 0 {
         return Err(SessionFailure::Query(
             "daemon advertised empty cycle".into(),
@@ -354,39 +320,32 @@ pub fn fetch_cycle(
         session,
         admission_us: started.elapsed().as_micros() as u64,
         cycle_len,
-        recv_calls: if udp.is_none() { reads } else { 0 },
         ..SessionMetrics::default()
     };
-    if let Some(sock) = &udp {
-        // Room for a whole lap, twice over for the kernel's per-datagram
-        // overhead, so a lap that arrives faster than it is read is not
-        // dropped in the socket, and no more.
-        let lap_bytes = cycle_len.saturating_mul(2 + frame::DATA_FRAME as u64);
-        metrics.rcvbuf_bytes = sockopt::set_recv_buffer(sock, lap_bytes.saturating_mul(2) as usize);
-    }
     let mut table = SlotTable::new(cycle_len);
-
     match udp {
-        None => collect_tcp(
-            &mut control,
-            &mut dec,
-            deadline,
-            &mut rx,
-            &mut table,
-            &mut metrics,
-        )?,
-        Some(sock) => collect_udp(
-            &mut control,
-            &mut dec,
-            &sock,
-            deadline,
-            &mut table,
-            &mut metrics,
-        )?,
+        None => {
+            collect_tcp(&mut control, deadline, &mut table, &mut metrics)?;
+            metrics.recv_calls = control.reads();
+        }
+        Some(sock) => {
+            // Room for a whole lap, twice over for the kernel's
+            // per-datagram overhead, so a lap that arrives faster than it
+            // is read is not dropped in the socket, and no more.
+            let lap_bytes = cycle_len.saturating_mul(2 + frame::DATA_FRAME as u64);
+            metrics.rcvbuf_bytes =
+                sockopt::set_recv_buffer(&sock, lap_bytes.saturating_mul(2) as usize);
+            collect_udp(&mut control, &sock, deadline, &mut table, &mut metrics)?;
+        }
     }
 
     metrics.laps = table.laps();
-    send_done(&mut control, session, &metrics);
+    let _ = control.send_frame(&Frame::Close(Close {
+        session,
+        reason: CloseReason::Done,
+        drops: metrics.observed_drops,
+        laps: metrics.laps,
+    }));
     Ok((table.into_cycle(), bootstrap, metrics))
 }
 
@@ -417,15 +376,13 @@ fn ingest_datagram(bytes: &[u8], table: &mut SlotTable, metrics: &mut SessionMet
 }
 
 fn collect_tcp(
-    control: &mut TcpStream,
-    dec: &mut StreamDecoder,
+    control: &mut Control,
     deadline: Instant,
-    rx: &mut [u8],
     table: &mut SlotTable,
     metrics: &mut SessionMetrics,
 ) -> Result<(), SessionFailure> {
     while !table.complete() {
-        match next_control_frame(control, dec, deadline, rx, &mut metrics.recv_calls)? {
+        match control.next(deadline, None)? {
             Frame::Data(d) => ingest_data(d, table, metrics),
             Frame::Close(c) => return Err(close_to_failure(c.reason)),
             _ => return Err(SessionFailure::Frame(FrameError::UnknownKind(0xFE))),
@@ -447,58 +404,43 @@ fn ingest_run(run: &[u8], segment: usize, table: &mut SlotTable, metrics: &mut S
     }
 }
 
+/// Files datagrams as they arrive, polling the control stream once per
+/// receive. The daemon's `Close`, a malformed control frame or the
+/// daemon's hang-up ends the session once the datagrams already queued
+/// in the socket are filed: it fails only if they leave the table
+/// incomplete.
 fn collect_udp(
-    control: &mut TcpStream,
-    dec: &mut StreamDecoder,
+    control: &mut Control,
     sock: &UdpSocket,
     deadline: Instant,
     table: &mut SlotTable,
     metrics: &mut SessionMetrics,
 ) -> Result<(), SessionFailure> {
-    // The control connection turns nonblocking: we only poll it for a
-    // daemon-initiated Close while datagrams stream on the UDP socket.
-    control.set_nonblocking(true)?;
     let mut run = vec![0u8; RUN_BYTES];
     while !table.complete() {
         if Instant::now() > deadline {
-            control.set_nonblocking(false)?;
             return Err(SessionFailure::Timeout);
         }
         match sockopt::recv_run(sock, &mut run) {
             Ok((n, segment)) => ingest_run(&run[..n], segment, table, metrics),
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(e) => {
-                control.set_nonblocking(false)?;
-                return Err(e.into());
-            }
+            Err(e) => return Err(e.into()),
         }
-        // Drain any control-plane Close.
-        let mut cbuf = [0u8; 1024];
-        loop {
-            match control.read(&mut cbuf) {
-                Ok(0) => break,
-                Ok(n) => dec.push(&cbuf[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
+        let failure = match control.poll() {
+            Ok(None) => continue,
+            Ok(Some(c)) => close_to_failure(c.reason),
+            Err(e) => e.into(),
+        };
+        sock.set_nonblocking(true)?;
+        while let Ok((n, segment)) = sockopt::recv_run(sock, &mut run) {
+            ingest_run(&run[..n], segment, table, metrics);
         }
-        while let Some(f) = dec.next_frame().map_err(SessionFailure::Frame)? {
-            if let Frame::Close(c) = f {
-                // The daemon sent the Close after the lap's datagrams,
-                // which may still wait in the socket: file them first.
-                sock.set_nonblocking(true)?;
-                while let Ok((n, segment)) = sockopt::recv_run(sock, &mut run) {
-                    ingest_run(&run[..n], segment, table, metrics);
-                }
-                control.set_nonblocking(false)?;
-                if table.complete() {
-                    return Ok(());
-                }
-                return Err(close_to_failure(c.reason));
-            }
-        }
+        return if table.complete() {
+            Ok(())
+        } else {
+            Err(failure)
+        };
     }
-    control.set_nonblocking(false)?;
     Ok(())
 }
 

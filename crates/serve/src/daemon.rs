@@ -7,26 +7,32 @@
 //! a `Hello` naming a method, a transport and a tune-in offset; the
 //! daemon replies `Admit` (session id, cycle length, bootstrap) and
 //! starts streaming the cycle lap after lap in absolute slot order
-//! (`slot % cycle_len` is the cycle position), until the client closes,
-//! the lap budget runs out, the consumer is too slow, or the daemon
-//! shuts down — each end typed as a [`CloseReason`] in both the wire
-//! `Close` frame and the `session_closed` event.
+//! (`slot % cycle_len` is the cycle position), until the client closes
+//! or hangs up, the lap budget runs out, the consumer is too slow, or the
+//! daemon shuts down. Every end goes through one function, which sends
+//! the client a typed [`CloseReason`] in a wire `Close` where one is due
+//! (not to a client that closed or hung up) and logs one
+//! `session_closed` event with the end's label.
 //!
 //! Each channel's data frames are encoded once, at [`ServeDaemon::start`]:
 //! every cycle position keeps its frame tail (payload length and packet
 //! image) and the tail's CRC as a [`DataTail`]. A streamer only writes
 //! its session's 16-byte head in front and combines the two CRCs, so a
 //! session costs the daemon its head bytes, not a packet encode. The
-//! streamer reads the control stream for the client's `Close` after
-//! every TCP batch and every UDP send (8 datagrams in the first lap, one
-//! after it), so a stream stops within a batch of the client's `Close`
-//! rather than at lap end.
+//! streamer reads the control stream, through the crate's one
+//! control-stream reader, after every TCP batch and every UDP send (8
+//! datagrams in the first lap, one after it), so a stream stops within a
+//! batch of the client's `Close`, or of its hang-up (logged
+//! `connection_lost`), rather than at lap end or after its lap budget.
+//! A `Close` that arrived before the hang-up still ends the session
+//! `done`.
 //!
 //! Backpressure is transport-shaped, never answer-shaped (the PR 6
 //! contract — late or typed, never wrong):
 //!
 //! * **TCP**: frames go out in batches of about [`TCP_BATCH`] bytes
-//!   from one reused buffer, and the kernel send buffer is the queue.
+//!   from one reused [`frame::DataRun`], the same queue the UDP sink
+//!   packs, and the kernel send buffer is the queue.
 //!   TCP loses nothing, so a stream sends one lap and then waits up to
 //!   [`ServeOptions::stall`] for the client's `Close`; a client that
 //!   sends none is streamed further laps. A write timeout is the stall
@@ -52,21 +58,23 @@
 //!
 //! [`ServeSummary`] sets the frames sent on each transport against the
 //! slots its sessions were owed, one lap each, and counts the sends that
-//! carried them ([`TransportSends`]).
+//! carried them ([`TransportSends`]). Sessions add to it under one lock,
+//! once per lap.
 
+use crate::control::{Control, ControlError};
 use crate::events::{DeadLetter, Event, EventLog};
 use crate::frame::{
     self, Close, CloseReason, DataRun, DataTail, Frame, FrameError, Hello, RejectReason,
-    StreamDecoder, DATA_SEGMENT,
+    DATA_SEGMENT,
 };
 use crate::sockopt;
 use spair_broadcast::{splitmix64, BroadcastCycle};
 use spair_methods::{ClientBootstrap, MethodId, MethodRegistry, ProgramSet};
-use std::io::{ErrorKind, Read, Write};
+use std::io::ErrorKind;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -249,6 +257,14 @@ impl TransportSends {
         }
         self.datagrams as f64 / self.sends as f64
     }
+
+    /// Adds `other`'s counts, field by field.
+    pub fn add(&mut self, other: &TransportSends) {
+        self.frames_sent += other.frames_sent;
+        self.slots_owed += other.slots_owed;
+        self.sends += other.sends;
+        self.datagrams += other.datagrams;
+    }
 }
 
 /// Monotonic counters the daemon exposes after shutdown.
@@ -277,18 +293,28 @@ pub struct ServeSummary {
     pub events: u64,
 }
 
-struct Counters {
-    sessions: AtomicU64,
-    rejections: AtomicU64,
-    evictions: AtomicU64,
-    injected_drops: AtomicU64,
-    backpressure_drops: AtomicU64,
-    /// Frames sent, slots owed, sends and datagrams, indexed by the
-    /// `Hello`'s transport tag (0 TCP, 1 UDP).
-    frames_sent: [AtomicU64; 2],
-    slots_owed: [AtomicU64; 2],
-    sends: [AtomicU64; 2],
-    datagrams: [AtomicU64; 2],
+impl ServeSummary {
+    /// Adds `other`'s counts, field by field: the totals of two daemons.
+    pub fn add(&mut self, other: &ServeSummary) {
+        self.sessions += other.sessions;
+        self.rejections += other.rejections;
+        self.evictions += other.evictions;
+        self.injected_drops += other.injected_drops;
+        self.backpressure_drops += other.backpressure_drops;
+        self.frames_sent += other.frames_sent;
+        self.tcp.add(&other.tcp);
+        self.udp.add(&other.udp);
+        self.dead_letters += other.dead_letters;
+        self.events += other.events;
+    }
+
+    fn transport(&mut self, udp: bool) -> &mut TransportSends {
+        if udp {
+            &mut self.udp
+        } else {
+            &mut self.tcp
+        }
+    }
 }
 
 struct Shared {
@@ -298,7 +324,27 @@ struct Shared {
     next_session: AtomicU32,
     events: EventLog,
     dead: DeadLetter,
-    counters: Counters,
+    /// Every count but `dead_letters` and `events`, which the logs keep.
+    summary: Mutex<ServeSummary>,
+}
+
+impl Shared {
+    fn summary(&self) -> MutexGuard<'_, ServeSummary> {
+        self.summary
+            .lock()
+            .expect("a session panicked holding the summary")
+    }
+
+    /// Counts and logs a refused admission, and tells the client why.
+    fn reject(&self, control: &mut Control, peer: SocketAddr, reason: RejectReason) {
+        self.summary().rejections += 1;
+        self.events.emit(
+            Event::new("session_rejected")
+                .str("peer", &peer.to_string())
+                .u64("reason", reason as u64),
+        );
+        let _ = control.send_frame(&Frame::Reject(reason));
+    }
 }
 
 /// A running daemon. Dropping it without [`ServeDaemon::shutdown`]
@@ -332,17 +378,7 @@ impl ServeDaemon {
             next_session: AtomicU32::new(1),
             events,
             dead,
-            counters: Counters {
-                sessions: AtomicU64::new(0),
-                rejections: AtomicU64::new(0),
-                evictions: AtomicU64::new(0),
-                injected_drops: AtomicU64::new(0),
-                backpressure_drops: AtomicU64::new(0),
-                frames_sent: Default::default(),
-                slots_owed: Default::default(),
-                sends: Default::default(),
-                datagrams: Default::default(),
-            },
+            summary: Mutex::default(),
         });
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::spawn(move || accept_loop(listener, accept_shared));
@@ -381,26 +417,11 @@ impl ServeDaemon {
             let _ = TcpStream::connect(wake);
             let _ = h.join();
         }
-        let c = &self.shared.counters;
-        let sends = |t: usize| TransportSends {
-            frames_sent: c.frames_sent[t].load(Ordering::SeqCst),
-            slots_owed: c.slots_owed[t].load(Ordering::SeqCst),
-            sends: c.sends[t].load(Ordering::SeqCst),
-            datagrams: c.datagrams[t].load(Ordering::SeqCst),
-        };
-        let (tcp, udp) = (sends(0), sends(1));
         let summary = ServeSummary {
-            sessions: c.sessions.load(Ordering::SeqCst),
-            rejections: c.rejections.load(Ordering::SeqCst),
-            evictions: c.evictions.load(Ordering::SeqCst),
-            injected_drops: c.injected_drops.load(Ordering::SeqCst),
-            backpressure_drops: c.backpressure_drops.load(Ordering::SeqCst),
-            frames_sent: tcp.frames_sent + udp.frames_sent,
-            tcp,
-            udp,
             dead_letters: self.shared.dead.recorded(),
-            events: 0,
+            ..*self.shared.summary()
         };
+        let (tcp, udp) = (summary.tcp, summary.udp);
         self.shared.events.emit(
             Event::new("daemon_stopped")
                 .u64("sessions", summary.sessions)
@@ -452,21 +473,76 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
+/// How a stream ended: each way has one label in `session_closed`, and
+/// all but the client's own `Close` and a hang-up send the client a
+/// typed `Close`.
+enum End {
+    /// The client's `Close` (normally `done`).
+    Client(Close),
+    /// The control stream carried a malformed frame.
+    Malformed(FrameError),
+    /// The client hung up without a `Close`, or a write to it failed.
+    HungUp,
+    /// A TCP write drained nothing for a whole stall window; `slot` is
+    /// the last slot queued.
+    Evicted { slot: u64 },
+    /// The daemon is shutting down.
+    Shutdown,
+    /// The lap budget ran out, and the client sent no `Close` within a
+    /// stall window after it.
+    Expired,
+    /// No UDP socket could be bound for the session.
+    UdpBindFailed,
+}
+
 struct SessionCtx<'a> {
     shared: &'a Shared,
     session: u32,
-    /// The `Hello`'s transport tag, the index of its send counters.
-    transport: usize,
+    udp: bool,
     frames_sent: u64,
     injected: u64,
     backpressure: u64,
 }
 
 impl SessionCtx<'_> {
-    fn close_event(&self, reason: &str, client: Option<Close>) {
+    /// Ends the session: the typed wire `Close` where one is due, and one
+    /// `session_closed` event.
+    fn end(&self, control: &mut Control, end: End) {
+        let shared = self.shared;
+        let typed = |r: CloseReason| (r.label(), Some(r), None);
+        let (label, wire, client) = match end {
+            End::Client(c) => (c.reason.label(), None, Some(c)),
+            End::HungUp => ("connection_lost", None, None),
+            End::Malformed(e) => {
+                let context = format!("session {} control", self.session);
+                shared.dead.record(&context, &e, control.unframed());
+                typed(CloseReason::ProtocolError)
+            }
+            End::Evicted { slot } => {
+                shared.summary().evictions += 1;
+                shared.events.emit(
+                    Event::new("client_evicted")
+                        .u64("session", u64::from(self.session))
+                        .u64("stall_ms", shared.opts.stall.as_millis() as u64)
+                        .u64("slot", slot),
+                );
+                typed(CloseReason::EvictedSlowConsumer)
+            }
+            End::Shutdown => typed(CloseReason::DaemonShutdown),
+            End::Expired => typed(CloseReason::Expired),
+            End::UdpBindFailed => ("udp_bind_failed", Some(CloseReason::ProtocolError), None),
+        };
+        if let Some(reason) = wire {
+            let _ = control.send_frame(&Frame::Close(Close {
+                session: self.session,
+                reason,
+                drops: 0,
+                laps: 0,
+            }));
+        }
         let mut ev = Event::new("session_closed")
             .u64("session", u64::from(self.session))
-            .str("reason", reason)
+            .str("reason", label)
             .u64("frames_sent", self.frames_sent)
             .u64("drops_injected", self.injected)
             .u64("drops_backpressure", self.backpressure);
@@ -475,42 +551,29 @@ impl SessionCtx<'_> {
                 .u64("client_drops", c.drops)
                 .u64("client_laps", u64::from(c.laps));
         }
-        self.shared.events.emit(ev);
-    }
-
-    /// Ends the session on what the control stream carried: the client's
-    /// `Close`, or a malformed frame.
-    fn end_by_control(&self, control: &TcpStream, got: Result<Close, FrameError>) {
-        match got {
-            Ok(c) => self.close_event(c.reason.label(), Some(c)),
-            Err(e) => {
-                self.shared
-                    .dead
-                    .record(&format!("session {} control", self.session), &e, &[]);
-                send_close(control, self.session, CloseReason::ProtocolError);
-                self.close_event(CloseReason::ProtocolError.label(), None);
-            }
-        }
+        shared.events.emit(ev);
     }
 
     /// Adds a lap's tally to the session and daemon counters, logging one
     /// `packet_dropped` event per cause that dropped frames.
     fn account(&mut self, lap: u32, tally: &LapTally) {
-        self.frames_sent += tally.sent;
+        self.frames_sent += tally.wire.frames_sent;
         self.injected += tally.injected;
         self.backpressure += tally.backpressure;
-        let c = &self.shared.counters;
-        c.frames_sent[self.transport].fetch_add(tally.sent, Ordering::SeqCst);
-        c.sends[self.transport].fetch_add(tally.sends, Ordering::SeqCst);
-        c.datagrams[self.transport].fetch_add(tally.datagrams, Ordering::SeqCst);
-        for (cause, count, total) in [
-            ("injected", tally.injected, &c.injected_drops),
-            ("backpressure", tally.backpressure, &c.backpressure_drops),
+        {
+            let mut s = self.shared.summary();
+            s.frames_sent += tally.wire.frames_sent;
+            s.injected_drops += tally.injected;
+            s.backpressure_drops += tally.backpressure;
+            s.transport(self.udp).add(&tally.wire);
+        }
+        for (cause, count) in [
+            ("injected", tally.injected),
+            ("backpressure", tally.backpressure),
         ] {
             if count == 0 {
                 continue;
             }
-            total.fetch_add(count, Ordering::SeqCst);
             self.shared.events.emit(
                 Event::new("packet_dropped")
                     .u64("session", u64::from(self.session))
@@ -522,43 +585,37 @@ impl SessionCtx<'_> {
     }
 }
 
-fn run_session(mut stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-
-    // --- Admission: read the Hello off the control stream. ---
-    let mut dec = StreamDecoder::new();
+/// Reads the client's `Hello`; `None` when the connection ends without
+/// one: it hung up, or was refused (a malformed or out-of-protocol frame
+/// is dead-lettered with the bytes that carried it).
+fn read_hello(control: &mut Control, peer: SocketAddr, shared: &Shared) -> Option<Hello> {
     let deadline = Instant::now() + Duration::from_secs(5);
-    let hello: Hello = loop {
-        if shared.stop.load(Ordering::SeqCst) || Instant::now() > deadline {
-            let _ = stream.write_all(&frame::encode_stream(&Frame::Reject(
-                RejectReason::ShuttingDown,
-            )));
-            return;
+    let err = match control.next(deadline, Some(&shared.stop)) {
+        Ok(Frame::Hello(h)) => return Some(h),
+        // Out-of-protocol frame before admission.
+        Ok(_) => FrameError::UnknownKind(0xFF),
+        Err(ControlError::Frame(e)) => e,
+        Err(ControlError::Timeout) => {
+            let _ = control.send_frame(&Frame::Reject(RejectReason::ShuttingDown));
+            return None;
         }
-        let mut buf = [0u8; 1024];
-        match stream.read(&mut buf) {
-            Ok(0) => return,
-            Ok(n) => dec.push(&buf[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                continue
-            }
-            Err(_) => return,
-        }
-        let err = match dec.next_frame() {
-            Ok(None) => continue,
-            Ok(Some(Frame::Hello(h))) => break h,
-            // Out-of-protocol frame before admission.
-            Ok(Some(_)) => frame::FrameError::UnknownKind(0xFF),
-            Err(e) => e,
-        };
-        // Undecodable or out-of-protocol bytes: dead-letter the evidence
-        // and refuse — the daemon state is untouched.
-        shared
-            .dead
-            .record(&format!("hello from {peer}"), &err, &buf);
-        shared.counters.rejections.fetch_add(1, Ordering::SeqCst);
-        shared.shared_reject(&mut stream, peer, RejectReason::Protocol);
+        Err(ControlError::HungUp(_)) => return None,
+    };
+    // The daemon state is untouched.
+    let context = format!("hello from {peer}");
+    shared.dead.record(&context, &err, control.unframed());
+    shared.reject(control, peer, RejectReason::Protocol);
+    None
+}
+
+fn run_session(stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
+    // The stall detector of a TCP stream's data writes.
+    let _ = stream.set_write_timeout(Some(shared.opts.stall));
+    // A client sends only its `Hello` and `Close`.
+    let Ok(mut control) = Control::new(stream, 1024) else {
+        return;
+    };
+    let Some(hello) = read_hello(&mut control, peer, &shared) else {
         return;
     };
 
@@ -570,187 +627,122 @@ fn run_session(mut stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
         } else {
             RejectReason::UnknownMethod
         };
-        shared.counters.rejections.fetch_add(1, Ordering::SeqCst);
-        shared.shared_reject(&mut stream, peer, reason);
+        shared.reject(&mut control, peer, reason);
         return;
     };
 
     let session = shared.next_session.fetch_add(1, Ordering::SeqCst);
     let cycle_len = channel.frames.len() as u64;
     let udp = hello.transport == 1;
-    let c = &shared.counters;
-    c.sessions.fetch_add(1, Ordering::SeqCst);
-    c.slots_owed[usize::from(udp)].fetch_add(cycle_len, Ordering::SeqCst);
-    let transport = if udp { "udp" } else { "tcp" };
+    {
+        let mut s = shared.summary();
+        s.sessions += 1;
+        s.transport(udp).slots_owed += cycle_len;
+    }
     shared.events.emit(
         Event::new("session_admitted")
             .u64("session", u64::from(session))
             .str("method", &channel.name)
-            .str("transport", transport)
+            .str("transport", if udp { "udp" } else { "tcp" })
             .str("peer", &peer.to_string())
             .u64("offset", hello.offset)
             .u64("cycle_len", cycle_len),
     );
-    if stream
-        .write_all(&frame::encode_stream(&Frame::Admit(frame::Admit {
-            session,
-            cycle_len,
-            bootstrap: channel.bootstrap,
-        })))
-        .is_err()
-    {
-        shared.events.emit(
-            Event::new("session_closed")
-                .u64("session", u64::from(session))
-                .str("reason", "connection_lost")
-                .u64("frames_sent", 0),
-        );
-        return;
-    }
-
     let mut ctx = SessionCtx {
         shared: &shared,
         session,
-        transport: usize::from(udp),
+        udp,
         frames_sent: 0,
         injected: 0,
         backpressure: 0,
     };
-    let sink = if udp {
-        let Ok(sock) = UdpSocket::bind("127.0.0.1:0") else {
-            send_close(&stream, session, CloseReason::ProtocolError);
-            ctx.close_event("udp_bind_failed", None);
-            return;
-        };
-        let _ = sock.set_nonblocking(true);
-        // Nothing else writes to the control stream while datagrams
-        // stream, so it stays nonblocking until `send_close`.
-        let _ = stream.set_nonblocking(true);
-        Sink::Udp {
-            offload: sockopt::set_send_segment(&sock, DATA_SEGMENT),
-            sock,
-            dest: SocketAddr::new(peer.ip(), hello.udp_port),
-            run: DataRun::new(),
-            poll_every: UDP_POLL_DATAGRAMS,
-        }
+    let admit = Frame::Admit(frame::Admit {
+        session,
+        cycle_len,
+        bootstrap: channel.bootstrap,
+    });
+    let end = if control.send_frame(&admit).is_err() {
+        End::HungUp
     } else {
-        let _ = stream.set_write_timeout(Some(shared.opts.stall));
-        Sink::Tcp {
-            stream: &stream,
-            batch: Vec::with_capacity(TCP_BATCH + 2 + frame::MAX_FRAME),
-            queued: 0,
+        match Sink::open(udp.then(|| SocketAddr::new(peer.ip(), hello.udp_port))) {
+            None => End::UdpBindFailed,
+            Some(sink) => {
+                // Injected drops model datagram loss, so they apply to UDP only.
+                let plan = shared.opts.drop_plan.filter(|_| udp);
+                stream_laps(&mut ctx, &mut control, &hello, &channel.frames, sink, plan)
+            }
         }
     };
-    // Injected drops model datagram loss, so they apply to UDP only.
-    let plan = shared.opts.drop_plan.filter(|_| udp);
-    let frames = &channel.frames;
-    stream_laps(&mut ctx, &stream, &mut dec, &hello, frames, sink, plan);
+    ctx.end(&mut control, end);
 }
 
-impl Shared {
-    fn shared_reject(&self, stream: &mut TcpStream, peer: SocketAddr, reason: RejectReason) {
-        self.events.emit(
-            Event::new("session_rejected")
-                .str("peer", &peer.to_string())
-                .u64("reason", reason as u64),
-        );
-        let _ = stream.write_all(&frame::encode_stream(&Frame::Reject(reason)));
-    }
+/// Where a session's data frames go: queued in one [`DataRun`] and sent
+/// once it reaches the sink's limit. The two sinks differ only in that
+/// limit and in their send call.
+struct Sink {
+    run: DataRun,
+    /// `None` for TCP, whose frames go out on the control connection
+    /// itself, written once per [`TCP_BATCH`] bytes and at lap end; the
+    /// kernel send buffer is the per-client queue, and a write that
+    /// stalls past `opts.stall` evicts the consumer.
+    udp: Option<UdpOut>,
 }
 
-fn send_close(stream: &TcpStream, session: u32, reason: CloseReason) {
-    let _ = stream.set_nonblocking(false);
-    let mut stream = stream;
-    let _ = stream.write_all(&frame::encode_stream(&Frame::Close(Close {
-        session,
-        reason,
-        drops: 0,
-        laps: 0,
-    })));
-}
-
-/// Where a session's data frames go. Both sinks queue frames and send
-/// them in batches; only a TCP write can fail, and its error ends the
-/// session.
-enum Sink<'a> {
-    /// Length-prefixed frames on the control connection itself, written
-    /// once per [`TCP_BATCH`] bytes and at lap end. The kernel send
-    /// buffer is the per-client queue; a write that stalls past
-    /// `opts.stall` evicts the consumer.
-    Tcp {
-        stream: &'a TcpStream,
-        batch: Vec<u8>,
-        queued: u64,
-    },
-    /// Datagrams of consecutive slots to the client's UDP port, the TCP
-    /// connection staying the control plane.
-    Udp {
-        sock: UdpSocket,
-        dest: SocketAddr,
-        /// The datagrams of the current poll interval, end to end.
-        run: DataRun,
-        /// Datagrams per send, between two reads:
-        /// [`UDP_POLL_DATAGRAMS`] during the first lap, which the
-        /// client's receive buffer holds, and 1 from the lap's last poll
-        /// interval on. The client then files each datagram as it
-        /// arrives, with no run left to file when lap 1 starts, and may
-        /// be done at any datagram after it.
-        poll_every: usize,
-        /// Whether the kernel cuts a run into its datagrams
-        /// (`UDP_SEGMENT` is [`DATA_SEGMENT`]); without, each datagram is
-        /// its own send.
-        offload: bool,
-    },
+/// A UDP sink's datagrams of consecutive slots to the client's port, the
+/// TCP connection staying the control plane.
+struct UdpOut {
+    sock: UdpSocket,
+    dest: SocketAddr,
+    /// Whether the kernel cuts a run into its datagrams (`UDP_SEGMENT` is
+    /// [`DATA_SEGMENT`]); without, each datagram is its own send.
+    offload: bool,
 }
 
 /// What one lap got out, and what it dropped by cause.
 #[derive(Default)]
 struct LapTally {
-    sent: u64,
+    /// Frames sent, and the sends and datagrams that carried them.
+    wire: TransportSends,
     injected: u64,
     backpressure: u64,
-    sends: u64,
-    datagrams: u64,
 }
 
-/// Why a stream stopped before its lap budget ran out.
-enum Halt {
-    /// A TCP write failed: the consumer stalled or hung up.
-    Io(std::io::Error),
-    /// The control stream carried the client's `Close`, or a malformed
-    /// frame.
-    Control(Result<Close, FrameError>),
-}
-
-impl Sink<'_> {
-    /// Queues the data frame `tail` stamps for `session` and `slot`,
-    /// sending what is queued once the batch or the poll interval's
-    /// datagrams are full. `true` when it sent, and the control stream
-    /// is due a read.
-    fn push(
-        &mut self,
-        tail: &DataTail,
-        session: u32,
-        slot: u64,
-        tally: &mut LapTally,
-    ) -> std::io::Result<bool> {
-        let full = match self {
-            Sink::Tcp { batch, queued, .. } => {
-                tail.stream_into(session, slot, batch);
-                *queued += 1;
-                batch.len() >= TCP_BATCH
-            }
-            Sink::Udp {
-                run, poll_every, ..
-            } => {
-                run.push_data(tail, session, slot);
-                run.as_bytes().len() >= *poll_every * DATA_SEGMENT
+impl Sink {
+    /// A TCP sink, or a UDP sink sending to `udp` from a fresh socket;
+    /// `None` when no UDP socket can be bound.
+    fn open(udp: Option<SocketAddr>) -> Option<Sink> {
+        let udp = match udp {
+            None => None,
+            Some(dest) => {
+                let sock = UdpSocket::bind("127.0.0.1:0").ok()?;
+                let _ = sock.set_nonblocking(true);
+                Some(UdpOut {
+                    offload: sockopt::set_send_segment(&sock, DATA_SEGMENT),
+                    sock,
+                    dest,
+                })
             }
         };
-        if full {
-            self.flush(tally)?;
-        }
-        Ok(full)
+        Some(Sink {
+            run: DataRun::new(),
+            udp,
+        })
+    }
+
+    /// Whether the queued frames are due a send, and the control stream a
+    /// read: [`TCP_BATCH`] bytes, or a UDP poll interval's datagrams:
+    /// [`UDP_POLL_DATAGRAMS`] of them during the first lap, which the
+    /// client's receive buffer holds, and one from the lap's last poll
+    /// interval on (`singly`). The client then files each datagram as it
+    /// arrives, with no run left to file when lap 1 starts, and may be
+    /// done at any datagram after it.
+    fn full(&self, singly: bool) -> bool {
+        let limit = match self.udp {
+            None => TCP_BATCH,
+            Some(_) if singly => DATA_SEGMENT,
+            Some(_) => UDP_POLL_DATAGRAMS * DATA_SEGMENT,
+        };
+        self.run.as_bytes().len() >= limit
     }
 
     /// Sends whatever is queued: one TCP write, or one UDP send of the
@@ -760,112 +752,86 @@ impl Sink<'_> {
     /// is once per poll, so the receiver drains its socket buffer (which
     /// the client sizes to hold a lap) without a context switch per
     /// datagram.
-    fn flush(&mut self, tally: &mut LapTally) -> std::io::Result<()> {
-        match self {
-            Sink::Tcp {
-                stream,
-                batch,
-                queued,
-            } if !batch.is_empty() => {
-                let written = stream.write_all(batch);
-                batch.clear();
-                written?;
-                tally.sent += std::mem::take(queued);
-                tally.sends += 1;
-            }
-            Sink::Udp {
-                sock,
-                dest,
-                run,
-                offload,
-                ..
-            } if !run.is_empty() => {
-                let out = sockopt::send_run(sock, run.as_bytes(), DATA_SEGMENT, *dest, offload);
-                let sent = (out.bytes / (2 + frame::DATA_FRAME)) as u64;
-                tally.sent += sent;
-                tally.backpressure += run.frames() as u64 - sent;
-                tally.sends += out.sends;
-                tally.datagrams += out.datagrams;
-                run.clear();
-                std::thread::yield_now();
-            }
-            _ => {}
+    fn flush(&mut self, control: &mut Control, tally: &mut LapTally) -> std::io::Result<()> {
+        if self.run.is_empty() {
+            return Ok(());
         }
+        let queued = self.run.frames() as u64;
+        let sent = match &mut self.udp {
+            None => {
+                let written = control.send(self.run.as_bytes());
+                self.run.clear();
+                written?;
+                tally.wire.sends += 1;
+                queued
+            }
+            Some(u) => {
+                let out = sockopt::send_run(
+                    &u.sock,
+                    self.run.as_bytes(),
+                    DATA_SEGMENT,
+                    u.dest,
+                    &mut u.offload,
+                );
+                self.run.clear();
+                tally.wire.sends += out.sends;
+                tally.wire.datagrams += out.datagrams;
+                std::thread::yield_now();
+                (out.bytes / (2 + frame::DATA_FRAME)) as u64
+            }
+        };
+        tally.wire.frames_sent += sent;
+        tally.backpressure += queued - sent;
         Ok(())
     }
+}
 
-    /// Reads what the client has sent on the control stream without
-    /// blocking; `Halt::Control` once it holds the client's `Close` or a
-    /// malformed frame. A UDP session's control stream is already
-    /// nonblocking; a TCP session's also carries the data writes, which
-    /// block, so it turns nonblocking for this read alone.
-    fn poll(&self, control: &TcpStream, dec: &mut StreamDecoder) -> Result<(), Halt> {
-        let tcp = matches!(self, Sink::Tcp { .. });
-        if tcp {
-            let _ = control.set_nonblocking(true);
-        }
-        let mut buf = [0u8; 1024];
-        let mut s = control;
-        loop {
-            match s.read(&mut buf) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => dec.push(&buf[..n]),
-            }
-        }
-        if tcp {
-            let _ = control.set_nonblocking(false);
-        }
-        next_close(dec)
+/// Reads the control stream without blocking: `Err` once it holds the
+/// client's `Close` or a malformed frame, or the client has hung up.
+fn poll_close(control: &mut Control) -> Result<(), End> {
+    match control.poll() {
+        Ok(None) => Ok(()),
+        Ok(Some(c)) => Err(End::Client(c)),
+        Err(ControlError::Frame(e)) => Err(End::Malformed(e)),
+        Err(_) => Err(End::HungUp),
     }
 }
 
-/// `Halt::Control` once the decoded control stream holds the client's
-/// `Close` or a malformed frame; other frames are skipped.
-fn next_close(dec: &mut StreamDecoder) -> Result<(), Halt> {
-    while let Some(f) = dec.next_frame().map_err(|e| Halt::Control(Err(e)))? {
-        if let Frame::Close(c) = f {
-            return Err(Halt::Control(Ok(c)));
-        }
-    }
-    Ok(())
-}
-
-/// Waits for the client's `Close` with the control stream blocking, one
-/// read timeout at a time, until it arrives (`Halt::Control`), the client
-/// hangs up (`Halt::Io`), the daemon stops or `window` elapses (`Ok` in
-/// the last two cases).
-fn await_close(
-    control: &TcpStream,
-    dec: &mut StreamDecoder,
-    stop: &AtomicBool,
-    window: Duration,
-) -> Result<(), Halt> {
-    let _ = control.set_nonblocking(false);
+/// Waits up to `window` for the client's `Close`, blocking one read
+/// timeout at a time: `Ok` when the window passes or the daemon stops
+/// first, `Err` as [`poll_close`].
+fn await_close(control: &mut Control, stop: &AtomicBool, window: Duration) -> Result<(), End> {
     let deadline = Instant::now() + window;
-    let mut buf = [0u8; 1024];
-    let mut s = control;
-    while Instant::now() < deadline && !stop.load(Ordering::SeqCst) {
-        match s.read(&mut buf) {
-            Ok(0) => return Err(Halt::Io(ErrorKind::UnexpectedEof.into())),
-            Ok(n) => dec.push(&buf[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(Halt::Io(e)),
+    loop {
+        match control.next(deadline, Some(stop)) {
+            Ok(Frame::Close(c)) => return Err(End::Client(c)),
+            Ok(_) => {}
+            Err(ControlError::Timeout) => return Ok(()),
+            Err(ControlError::Frame(e)) => return Err(End::Malformed(e)),
+            Err(ControlError::HungUp(_)) => return Err(End::HungUp),
         }
-        next_close(dec)?;
     }
-    Ok(())
+}
+
+/// How a send that failed at `slot` ends the stream: a timed-out TCP
+/// write evicts the consumer; any other failure means the peer hung up,
+/// and whatever it sent before (normally a typed `Close`) is still
+/// readable.
+fn send_failed(e: std::io::Error, slot: u64, control: &mut Control) -> End {
+    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+        return End::Evicted { slot };
+    }
+    match poll_close(control) {
+        Err(End::Client(c)) => End::Client(c),
+        _ => End::HungUp,
+    }
 }
 
 /// Streams the channel's frames lap after lap into `sink` until the
-/// client closes, a write ends the session, the daemon stops or the lap
-/// budget runs out, leaving out the slots `plan` drops. The control
-/// stream is read for the client's `Close` whenever the sink sends (see
-/// [`Sink::push`]), at every lap end, and for one stall window after
-/// the last lap.
+/// client closes or hangs up, a write ends the session, the daemon stops
+/// or the lap budget runs out, leaving out the slots `plan` drops. The
+/// control stream is read whenever the sink sends (see [`Sink::full`]),
+/// at every lap end, and for one stall window after the last lap.
 ///
 /// TCP delivers every slot of a lap, so a TCP stream stops after its
 /// first lap and waits one stall window for the `Close`; only a client
@@ -874,98 +840,66 @@ fn await_close(
 /// would let a consumer that never reads outlast the stall detector.
 fn stream_laps(
     ctx: &mut SessionCtx<'_>,
-    control: &TcpStream,
-    dec: &mut StreamDecoder,
+    control: &mut Control,
     hello: &Hello,
     frames: &[DataTail],
-    mut sink: Sink<'_>,
+    mut sink: Sink,
     plan: Option<DropPlan>,
-) {
+) -> End {
     let shared = ctx.shared;
     let opts = &shared.opts;
     let len = frames.len() as u64;
+    let session = ctx.session;
+    let singly_from = len.saturating_sub((UDP_POLL_DATAGRAMS * frame::DATAGRAM_FRAMES) as u64);
     for lap in 0..opts.max_laps {
         if shared.stop.load(Ordering::SeqCst) {
-            send_close(control, ctx.session, CloseReason::DaemonShutdown);
-            ctx.close_event("daemon_shutdown", None);
-            return;
+            return End::Shutdown;
         }
         shared.events.emit(
             Event::new("cycle_started")
-                .u64("session", u64::from(ctx.session))
+                .u64("session", u64::from(session))
                 .u64("lap", u64::from(lap)),
         );
         let mut tally = LapTally::default();
         let mut last = hello.offset;
-        let session = ctx.session;
-        let singly_from = len.saturating_sub((UDP_POLL_DATAGRAMS * frame::DATAGRAM_FRAMES) as u64);
         let halted = (0..len)
             .try_for_each(|i| {
-                if let Sink::Udp { poll_every, .. } = &mut sink {
-                    if i >= singly_from {
-                        *poll_every = 1;
-                    }
-                }
                 let slot = hello.offset + u64::from(lap) * len + i;
                 if plan.is_some_and(|p| p.drops(session, slot, lap)) {
                     tally.injected += 1;
                     return Ok(());
                 }
                 last = slot;
-                let tail = &frames[(slot % len) as usize];
-                let due = sink.push(tail, session, slot, &mut tally);
-                if due.map_err(Halt::Io)? {
-                    sink.poll(control, dec)?;
+                sink.run
+                    .push_data(&frames[(slot % len) as usize], session, slot);
+                if !sink.full(lap > 0 || i >= singly_from) {
+                    return Ok(());
                 }
-                Ok(())
+                sink.flush(control, &mut tally)
+                    .map_err(|e| send_failed(e, slot, control))?;
+                poll_close(control)
             })
-            .and_then(|()| sink.flush(&mut tally).map_err(Halt::Io))
-            .and_then(|()| sink.poll(control, dec))
-            .and_then(|()| match sink {
-                Sink::Tcp { .. } if lap == 0 && opts.max_laps > 1 => {
-                    await_close(control, dec, &shared.stop, opts.stall)
+            .and_then(|()| {
+                sink.flush(control, &mut tally)
+                    .map_err(|e| send_failed(e, last, control))
+            })
+            .and_then(|()| poll_close(control))
+            .and_then(|()| match sink.udp {
+                None if lap == 0 && opts.max_laps > 1 => {
+                    await_close(control, &shared.stop, opts.stall)
                 }
                 _ => Ok(()),
             });
         ctx.account(lap, &tally);
-        match halted {
-            Ok(()) => {}
-            Err(Halt::Control(got)) => {
-                ctx.end_by_control(control, got);
-                return;
-            }
-            Err(Halt::Io(e)) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // The consumer drained nothing for a full stall window.
-                shared.counters.evictions.fetch_add(1, Ordering::SeqCst);
-                shared.events.emit(
-                    Event::new("client_evicted")
-                        .u64("session", u64::from(ctx.session))
-                        .u64("stall_ms", opts.stall.as_millis() as u64)
-                        .u64("slot", last),
-                );
-                send_close(control, ctx.session, CloseReason::EvictedSlowConsumer);
-                ctx.close_event(CloseReason::EvictedSlowConsumer.label(), None);
-                return;
-            }
-            Err(Halt::Io(_)) => {
-                // The peer hung up; whatever it sent before hanging up (normally a
-                // typed Close) is still readable.
-                match sink.poll(control, dec) {
-                    Err(Halt::Control(Ok(c))) => ctx.close_event("done", Some(c)),
-                    _ => ctx.close_event("connection_lost", None),
-                }
-                return;
-            }
+        if let Err(end) = halted {
+            return end;
         }
     }
     // The last laps may still sit in socket buffers, unread: give the
     // client one stall window to send its `Close` before expiring.
-    match await_close(control, dec, &shared.stop, opts.stall) {
-        Err(Halt::Control(got)) => ctx.end_by_control(control, got),
-        _ => {
-            send_close(control, ctx.session, CloseReason::Expired);
-            ctx.close_event(CloseReason::Expired.label(), None);
-        }
+    match await_close(control, &shared.stop, opts.stall) {
+        Ok(()) => End::Expired,
+        Err(end) => end,
     }
 }
 

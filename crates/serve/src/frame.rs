@@ -6,9 +6,9 @@
 //! ([`StreamDecoder`] reassembles them from arbitrary chunk boundaries);
 //! a UDP datagram carries one or more of them, packed by [`Datagram`] up
 //! to [`MAX_DATAGRAM`] bytes and split again by [`decode_datagram`]. The
-//! daemon packs its data frames as a [`DataRun`], datagrams of
-//! [`DATA_SEGMENT`] bytes end to end for one segmented send, and the
-//! client cuts a run it receives whole back into its datagrams with
+//! daemon queues its data frames as a [`DataRun`] on both transports: a
+//! TCP batch, or datagrams of [`DATA_SEGMENT`] bytes end to end for one
+//! segmented send, which the client cuts back into its datagrams with
 //! [`split_run`].
 //!
 //! ```text
@@ -569,11 +569,12 @@ impl Datagram {
     }
 }
 
-/// Consecutive data frames packed as a run of UDP datagrams for one
-/// segmented send: every [`DATA_SEGMENT`] bytes is one datagram, and
-/// only the last may be shorter. [`split_run`] at [`DATA_SEGMENT`] gives
-/// back the datagrams [`Datagram::push`] packs from the same frames one
-/// datagram at a time. Reuse one across sends with [`DataRun::clear`].
+/// Consecutive length-prefixed data frames, queued for one send: a batch
+/// of the TCP stream, or a run of UDP datagrams for one segmented send,
+/// where every [`DATA_SEGMENT`] bytes is one datagram and only the last
+/// may be shorter. [`split_run`] at [`DATA_SEGMENT`] gives back the
+/// datagrams [`Datagram::push`] packs from the same frames one datagram
+/// at a time. Reuse one across sends with [`DataRun::clear`].
 #[derive(Debug, Default)]
 pub struct DataRun {
     buf: Vec<u8>,
@@ -795,26 +796,32 @@ impl StreamDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Next complete frame, `Ok(None)` if more bytes are needed.
+    /// Next complete frame, `Ok(None)` if more bytes are needed. A frame
+    /// that fails to decode stays unframed, with the bytes after it.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
         if self.poisoned {
             return Err(FrameError::BadStreamLength(0));
         }
-        let res = match prefixed_body(&self.buf[self.start..]) {
+        let res = match prefixed_body(self.unframed()) {
             Ok(None) => return Ok(None),
-            Ok(Some(body)) => {
-                self.start += 2 + body.len();
-                decode(body)
-            }
+            Ok(Some(body)) => decode(body).map(|f| (f, 2 + body.len())),
             Err(e) => Err(e),
         };
         self.poisoned = res.is_err();
-        res.map(Some)
+        res.map(|(f, len)| {
+            self.start += len;
+            Some(f)
+        })
     }
 
     /// Bytes buffered but not yet framed.
+    pub fn unframed(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
+
+    /// How many bytes are buffered but not yet framed.
     pub fn pending(&self) -> usize {
-        self.buf.len() - self.start
+        self.unframed().len()
     }
 }
 

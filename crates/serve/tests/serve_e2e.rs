@@ -12,10 +12,10 @@ use spair_serve::client::{fetch_cycle, run_query, SessionConfig, SessionFailure,
 use spair_serve::daemon::{DropPlan, ServeDaemon, ServeOptions, ServeWorld, TCP_BATCH};
 use spair_serve::frame::{
     encode_stream, Admit, Close, CloseReason, DataFrame, Datagram, Frame, Hello, StreamDecoder,
-    DATA_FRAME, DATA_SEGMENT, MAX_DATAGRAM,
+    DATAGRAM_FRAMES, DATA_FRAME, DATA_SEGMENT, MAX_DATAGRAM,
 };
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream, UdpSocket};
+use std::net::{Shutdown, TcpListener, TcpStream, UdpSocket};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -50,6 +50,59 @@ fn start_daemon(
         ..ServeOptions::in_dir(dir)
     };
     ServeDaemon::start(world, opts).expect("daemon start")
+}
+
+/// Accepts one connection on `listener` and reads the client's `Hello`
+/// off it, blocking.
+fn accept_hello(listener: &TcpListener) -> (TcpStream, Hello) {
+    let (mut control, _) = listener.accept().expect("accept");
+    let mut dec = StreamDecoder::new();
+    let mut buf = [0u8; 1024];
+    loop {
+        if let Some(Frame::Hello(h)) = dec.next_frame().expect("client frame") {
+            return (control, h);
+        }
+        let n = control.read(&mut buf).expect("read hello");
+        assert!(n > 0, "client hung up before its hello");
+        dec.push(&buf[..n]);
+    }
+}
+
+/// The next frame the daemon sent on `raw`, blocking.
+fn recv_frame(raw: &mut TcpStream, dec: &mut StreamDecoder) -> Frame {
+    let mut buf = vec![0u8; TCP_BATCH];
+    loop {
+        if let Some(f) = dec.next_frame().expect("daemon frame") {
+            return f;
+        }
+        let n = raw.read(&mut buf).expect("read");
+        assert!(n > 0, "daemon hung up");
+        dec.push(&buf[..n]);
+    }
+}
+
+/// Connects to `daemon` and asks for `method` over UDP, to be streamed to
+/// `udp`; returns the control stream, reads on which time out after 10 s.
+fn udp_hello(daemon: &ServeDaemon, method: &str, udp: &UdpSocket) -> TcpStream {
+    let mut raw = TcpStream::connect(daemon.local_addr()).expect("connect");
+    raw.write_all(&encode_stream(&Frame::Hello(Hello {
+        method: method.into(),
+        transport: 1,
+        udp_port: udp.local_addr().unwrap().port(),
+        offset: 0,
+    })))
+    .unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw
+}
+
+/// A numeric field of a JSONL event line.
+fn field(line: &str, key: &str) -> u64 {
+    line.split(&format!("\"{key}\":"))
+        .nth(1)
+        .and_then(|rest| rest.split([',', '}']).next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no {key} in {line}"))
 }
 
 /// The tentpole contract: for every served method and both transports,
@@ -166,34 +219,13 @@ fn forging_daemon(
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let daemon = std::thread::spawn(move || {
-        let (mut control, _) = listener.accept().expect("accept");
+        let (mut control, hello) = accept_hello(&listener);
         control
             .set_read_timeout(Some(Duration::from_millis(20)))
             .unwrap();
-        let mut dec = StreamDecoder::new();
-        let mut buf = [0u8; 1024];
-        // The client's next control frame: `Ok(None)` when none arrived
-        // within the read timeout, `Err` once the connection is gone.
-        let mut next = |control: &mut TcpStream| loop {
-            if let Some(f) = dec.next_frame().expect("client frame") {
-                return Ok(Some(f));
-            }
-            match control.read(&mut buf) {
-                Ok(0) => return Err(()),
-                Ok(n) => dec.push(&buf[..n]),
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    return Ok(None)
-                }
-                Err(_) => return Err(()),
-            }
-        };
-        let hello = loop {
-            match next(&mut control) {
-                Ok(Some(Frame::Hello(h))) => break h,
-                Ok(_) => {}
-                Err(()) => return,
-            }
-        };
+        // Whether the client is still listening: nothing arrived within
+        // the read timeout (its `Close`, or its hang-up, ends the laps).
+        let listening = |control: &mut TcpStream| matches!(control.read(&mut [0u8; 64]), Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut));
         let len = cycle.len() as u64;
         control
             .write_all(&encode_stream(&Frame::Admit(Admit {
@@ -221,6 +253,10 @@ fn forging_daemon(
                         assert!(dgram.push(f), "two data frames fit one datagram");
                     }
                     let _ = udp.send_to(dgram.as_bytes(), ("127.0.0.1", hello.udp_port));
+                    // Paced: an unpaced lap of two-frame datagrams overruns
+                    // the receive buffer the client sizes for nine-frame
+                    // ones, and loses the same last slots on every lap.
+                    std::thread::sleep(Duration::from_micros(100));
                 } else {
                     for f in &frames {
                         if control.write_all(&encode_stream(f)).is_err() {
@@ -229,7 +265,7 @@ fn forging_daemon(
                     }
                 }
             }
-            if !matches!(next(&mut control), Ok(None)) {
+            if !listening(&mut control) {
                 return;
             }
         }
@@ -284,17 +320,7 @@ fn udp_datagrams_queued_before_a_close_complete_the_session() {
     let addr = listener.local_addr().expect("addr");
     let lap = cycle.clone();
     let daemon = std::thread::spawn(move || {
-        let (mut control, _) = listener.accept().expect("accept");
-        let mut dec = StreamDecoder::new();
-        let mut buf = [0u8; 1024];
-        let hello = loop {
-            if let Some(Frame::Hello(h)) = dec.next_frame().expect("client frame") {
-                break h;
-            }
-            let n = control.read(&mut buf).expect("read hello");
-            assert!(n > 0, "client hung up before its hello");
-            dec.push(&buf[..n]);
-        };
+        let (mut control, hello) = accept_hello(&listener);
         let udp = UdpSocket::bind("127.0.0.1:0").expect("bind udp");
         let dest = ("127.0.0.1", hello.udp_port);
         let mut dgram = Datagram::new();
@@ -327,7 +353,7 @@ fn udp_datagrams_queued_before_a_close_complete_the_session() {
         })));
         control.write_all(&reply).expect("admit and close");
         // Hold the connection open until the client is done with it.
-        let _ = control.read(&mut buf);
+        let _ = control.read(&mut [0u8; 64]);
         datagrams
     });
     let config = SessionConfig::new(addr, "dj", Transport::Udp);
@@ -400,14 +426,12 @@ fn a_close_sent_with_the_hello_stops_the_stream_within_a_batch() {
     let mut total = 0;
     for (line, bound) in closed.iter().zip([batch, datagrams]) {
         assert!(line.contains("\"reason\":\"done\""), "{line}");
-        let sent: usize = line
-            .split("\"frames_sent\":")
-            .nth(1)
-            .and_then(|rest| rest.split(',').next())
-            .and_then(|n| n.parse().ok())
-            .expect("frames_sent field");
-        assert!(sent <= bound, "{sent} frames sent, bound {bound}: {line}");
-        total += sent as u64;
+        let sent = field(line, "frames_sent");
+        assert!(
+            sent <= bound as u64,
+            "{sent} frames sent, bound {bound}: {line}"
+        );
+        total += sent;
     }
     assert_eq!(summary.frames_sent, total);
     std::fs::remove_dir_all(&dir).ok();
@@ -421,15 +445,6 @@ fn closed_events(dir: &std::path::Path) -> Vec<String> {
         .filter(|l| l.contains("\"event\":\"session_closed\""))
         .map(str::to_string)
         .collect()
-}
-
-/// The `frames_sent` count of a `session_closed` event line.
-fn frames_sent(line: &str) -> u64 {
-    line.split("\"frames_sent\":")
-        .nth(1)
-        .and_then(|rest| rest.split(',').next())
-        .and_then(|n| n.parse().ok())
-        .expect("frames_sent field")
 }
 
 /// TCP loses nothing, so a stream stops after one lap and waits for the
@@ -447,7 +462,12 @@ fn a_tcp_session_that_closes_after_its_lap_is_sent_one_lap() {
     let closed = closed_events(&dir);
     assert_eq!(closed.len(), 1, "{closed:?}");
     assert!(closed[0].contains("\"reason\":\"done\""), "{}", closed[0]);
-    assert_eq!(frames_sent(&closed[0]), m.cycle_len, "{}", closed[0]);
+    assert_eq!(
+        field(&closed[0], "frames_sent"),
+        m.cycle_len,
+        "{}",
+        closed[0]
+    );
     assert_eq!(summary.tcp.frames_sent, m.cycle_len);
     assert_eq!(summary.tcp.slots_owed, m.cycle_len);
     assert_eq!(summary.tcp.laps_sent(), 1.0);
@@ -484,21 +504,12 @@ fn shutdown_closes_a_tcp_session_waiting_for_its_close() {
     .unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let mut dec = StreamDecoder::new();
-    let mut buf = vec![0u8; TCP_BATCH];
-    let mut next = |raw: &mut TcpStream| loop {
-        if let Some(f) = dec.next_frame().expect("daemon frame") {
-            return f;
-        }
-        let n = raw.read(&mut buf).expect("read");
-        assert!(n > 0, "daemon hung up");
-        dec.push(&buf[..n]);
-    };
-    let Frame::Admit(admit) = next(&mut raw) else {
+    let Frame::Admit(admit) = recv_frame(&mut raw, &mut dec) else {
         panic!("expected Admit")
     };
     // Take the whole lap, then send no `Close`: the stream now waits.
     for _ in 0..admit.cycle_len {
-        assert!(matches!(next(&mut raw), Frame::Data(_)));
+        assert!(matches!(recv_frame(&mut raw, &mut dec), Frame::Data(_)));
     }
     let asked = std::time::Instant::now();
     daemon.shutdown().unwrap();
@@ -507,7 +518,7 @@ fn shutdown_closes_a_tcp_session_waiting_for_its_close() {
         took < Duration::from_secs(1),
         "shutdown took {took:?} against a 100 ms read timeout"
     );
-    match next(&mut raw) {
+    match recv_frame(&mut raw, &mut dec) {
         Frame::Close(c) => assert_eq!(c.reason, CloseReason::DaemonShutdown),
         other => panic!("expected Close, got {other:?}"),
     }
@@ -518,7 +529,12 @@ fn shutdown_closes_a_tcp_session_waiting_for_its_close() {
         "{}",
         closed[0]
     );
-    assert_eq!(frames_sent(&closed[0]), admit.cycle_len, "{}", closed[0]);
+    assert_eq!(
+        field(&closed[0], "frames_sent"),
+        admit.cycle_len,
+        "{}",
+        closed[0]
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -617,7 +633,124 @@ fn rejections_and_dead_letters_are_typed() {
     );
     let dead = std::fs::read_to_string(dir.join("serve.deadletter.jsonl")).unwrap();
     assert!(dead.contains("\"event\":\"dead_letter\""));
+    // The garbage Hello's entry records the bytes that arrived, not the
+    // daemon's whole read buffer.
+    let garbage = dead
+        .lines()
+        .find(|l| l.contains("\"error\":\"bad_stream_length\""))
+        .expect("garbage hello dead-lettered");
+    let len = field(garbage, "len");
+    assert!((1..=20).contains(&len), "{garbage}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Garbage on the control stream of a streaming session closes it
+/// `protocol_error`, with a typed `Close` on the wire, and dead-letters
+/// the bytes that arrived.
+#[test]
+fn garbage_on_a_streaming_control_stream_is_a_protocol_error() {
+    let dir = test_dir("control_garbage");
+    let programs = build_programs(8, 8, 8, 29);
+    let daemon = start_daemon(&programs, &["nr"], &dir, None);
+    let udp = UdpSocket::bind("127.0.0.1:0").expect("bind udp");
+    let mut raw = udp_hello(&daemon, "nr", &udp);
+    let mut dec = StreamDecoder::new();
+    let Frame::Admit(admit) = recv_frame(&mut raw, &mut dec) else {
+        panic!("expected Admit")
+    };
+    raw.write_all(&[0xFF, 0xFF, 1, 2, 3]).unwrap();
+    match recv_frame(&mut raw, &mut dec) {
+        Frame::Close(c) => assert_eq!(c.reason, CloseReason::ProtocolError),
+        other => panic!("expected Close, got {other:?}"),
+    }
+    daemon.shutdown().unwrap();
+    let closed = closed_events(&dir);
+    assert_eq!(closed.len(), 1, "{closed:?}");
+    assert!(
+        closed[0].contains("\"reason\":\"protocol_error\""),
+        "{}",
+        closed[0]
+    );
+    let dead = std::fs::read_to_string(dir.join("serve.deadletter.jsonl")).unwrap();
+    let context = format!("\"context\":\"session {} control\"", admit.session);
+    let line = dead
+        .lines()
+        .find(|l| l.contains(&context))
+        .unwrap_or_else(|| panic!("no control dead letter in {dead}"));
+    assert!(field(line, "len") > 0, "{line}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A UDP client that hangs up without a `Close` ends its session at the
+/// daemon's next read of the control stream: logged `connection_lost`
+/// within one poll interval of the first lap, not streamed its whole lap
+/// budget and expired. The client shuts its sending side right after its
+/// `Hello`, so the hang-up is on the wire before the first datagram
+/// whatever the scheduling, then reads its `Admit` and drops both
+/// sockets.
+#[test]
+fn a_udp_client_that_hangs_up_without_a_close_is_not_streamed_on() {
+    let dir = test_dir("udp_hang_up");
+    let programs = build_programs(8, 8, 8, 31);
+    let daemon = start_daemon(&programs, &["nr"], &dir, None);
+    let udp = UdpSocket::bind("127.0.0.1:0").expect("bind udp");
+    let mut raw = udp_hello(&daemon, "nr", &udp);
+    raw.shutdown(Shutdown::Write).unwrap();
+    let Frame::Admit(admit) = recv_frame(&mut raw, &mut StreamDecoder::new()) else {
+        panic!("expected Admit")
+    };
+    drop(raw);
+    drop(udp);
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while closed_events(&dir).is_empty() {
+        assert!(std::time::Instant::now() < deadline, "session never closed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    daemon.shutdown().unwrap();
+    let closed = closed_events(&dir);
+    assert_eq!(closed.len(), 1, "{closed:?}");
+    assert!(
+        closed[0].contains("\"reason\":\"connection_lost\""),
+        "{}",
+        closed[0]
+    );
+    let bound = admit.cycle_len + (8 * DATAGRAM_FRAMES) as u64;
+    let sent = field(&closed[0], "frames_sent");
+    assert!(sent <= bound, "{sent} frames sent, bound {bound}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A UDP session whose daemon admits it and then hangs up fails at once
+/// as a typed I/O failure, not at the end of its `max_wait`.
+#[test]
+fn a_udp_session_whose_daemon_hangs_up_fails_at_once() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let daemon = std::thread::spawn(move || {
+        let (mut control, _hello) = accept_hello(&listener);
+        control
+            .write_all(&encode_stream(&Frame::Admit(Admit {
+                session: 7,
+                cycle_len: 40,
+                bootstrap: ClientBootstrap {
+                    num_regions: 1,
+                    bbox: None,
+                },
+            })))
+            .unwrap();
+    });
+    let mut config = SessionConfig::new(addr, "nr", Transport::Udp);
+    config.max_wait = Duration::from_secs(10);
+    let asked = std::time::Instant::now();
+    let fetched = fetch_cycle(&config);
+    let took = asked.elapsed();
+    daemon.join().expect("scripted daemon");
+    assert!(
+        matches!(fetched, Err(SessionFailure::Io(_))),
+        "{:?}",
+        fetched.map(|(_, _, m)| m)
+    );
+    assert!(took < Duration::from_secs(1), "took {took:?}");
 }
 
 /// A consumer that stops draining its TCP stream is evicted once the
@@ -743,4 +876,27 @@ fn sigint_shuts_the_daemon_down_cleanly() {
         assert!(l.starts_with('{') && l.ends_with('}'), "torn line {l:?}");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Both binaries share the bench binaries' flag parser: a malformed
+/// command line prints the usage line and exits 2.
+#[test]
+fn serve_bins_exit_2_on_a_usage_error() {
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_serve_daemon"), &["--grid", "6"][..]),
+        (env!("CARGO_BIN_EXE_serve_daemon"), &["--no-such-flag"][..]),
+        (env!("CARGO_BIN_EXE_serve_client"), &["--method", "nr"][..]),
+        (
+            env!("CARGO_BIN_EXE_serve_client"),
+            &["--addr", "127.0.0.1:9", "--transport", "sctp"][..],
+        ),
+    ] {
+        let out = std::process::Command::new(bin)
+            .args(args)
+            .output()
+            .expect("run binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: serve_"), "{args:?}: {stderr}");
+    }
 }
