@@ -22,9 +22,7 @@
 use spair_broadcast::codec::{u16_of, EncodeError, PayloadReader, RecordBuf, RecordWriter};
 use spair_broadcast::cycle::SegmentKind;
 use spair_broadcast::packet::PacketKind;
-use spair_broadcast::{
-    BroadcastChannel, BroadcastCycle, CpuMeter, CycleBuilder, MemoryMeter, QueryStats,
-};
+use spair_broadcast::{Air, BroadcastCycle, CpuMeter, CycleBuilder, MemoryMeter, QueryStats};
 use spair_core::netcodec::{encode_nodes, ReceivedGraph};
 use spair_core::query::{AirClient, Query, QueryError, QueryOutcome};
 use spair_partition::{BorderInfo, KdLocator, KdTreePartition, Partitioning, RegionId};
@@ -307,11 +305,7 @@ impl AirClient for ArcFlagClient {
         "ArcFlag"
     }
 
-    fn query(
-        &mut self,
-        ch: &mut BroadcastChannel<'_>,
-        q: &Query,
-    ) -> Result<QueryOutcome, QueryError> {
+    fn query(&mut self, ch: &mut dyn Air, q: &Query) -> Result<QueryOutcome, QueryError> {
         let mut mem = MemoryMeter::new();
         let mut cpu = CpuMeter::new();
         if q.source == q.target {
@@ -394,7 +388,7 @@ impl AirClient for ArcFlagClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spair_broadcast::LossModel;
+    use spair_broadcast::{BroadcastChannel, LossModel};
     use spair_roadnet::generators::small_grid;
     use spair_roadnet::{dijkstra_distance, MinHeap};
 

@@ -11,7 +11,7 @@
 use spair_broadcast::cycle::SegmentKind;
 use spair_broadcast::packet::PacketKind;
 use spair_broadcast::{
-    BroadcastChannel, BroadcastCycle, CpuMeter, CycleBuilder, MemoryMeter, QueryStats, Received,
+    Air, BroadcastCycle, CpuMeter, CycleBuilder, MemoryMeter, QueryStats, Received,
 };
 use spair_core::client_common::MAX_RETRY_CYCLES;
 use spair_core::netcodec::{encode_nodes, ReceivedGraph};
@@ -62,7 +62,7 @@ impl<'a> DjServer<'a> {
 /// whole-cycle client (DJ here; the A*/bidirectional air methods reuse
 /// it through `spair-methods`).
 pub fn receive_whole_cycle(
-    ch: &mut BroadcastChannel<'_>,
+    ch: &mut dyn Air,
     mem: &mut MemoryMeter,
     mut on_payload: impl FnMut(PacketKind, &[u8], &mut MemoryMeter),
 ) -> Result<(), QueryError> {
@@ -101,7 +101,7 @@ pub fn receive_whole_cycle(
 /// whole received network: DJ here, A* and bidirectional in
 /// `spair-methods`.
 pub fn receive_network_data(
-    ch: &mut BroadcastChannel<'_>,
+    ch: &mut dyn Air,
     mem: &mut MemoryMeter,
     store: &mut ReceivedGraph,
 ) -> Result<(), QueryError> {
@@ -142,11 +142,7 @@ impl AirClient for DjClient {
         "Dijkstra"
     }
 
-    fn query(
-        &mut self,
-        ch: &mut BroadcastChannel<'_>,
-        q: &Query,
-    ) -> Result<QueryOutcome, QueryError> {
+    fn query(&mut self, ch: &mut dyn Air, q: &Query) -> Result<QueryOutcome, QueryError> {
         let mut mem = MemoryMeter::new();
         let mut cpu = CpuMeter::new();
         if q.source == q.target {
@@ -189,7 +185,7 @@ impl AirClient for DjClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spair_broadcast::LossModel;
+    use spair_broadcast::{BroadcastChannel, LossModel};
     use spair_roadnet::dijkstra_distance;
     use spair_roadnet::generators::small_grid;
 

@@ -55,9 +55,7 @@ use bytes::Bytes;
 use spair_broadcast::codec::{u16_of, u8_of, EncodeError, PayloadReader, RecordBuf, RecordWriter};
 use spair_broadcast::cycle::{CycleBuilder, SegmentKind};
 use spair_broadcast::packet::{Packet, PacketKind, PAYLOAD_CAPACITY};
-use spair_broadcast::{
-    BroadcastChannel, BroadcastCycle, CpuMeter, MemoryMeter, QueryStats, Received,
-};
+use spair_broadcast::{Air, BroadcastCycle, CpuMeter, MemoryMeter, QueryStats, Received};
 use spair_core::client_common::{find_next_index, receive_segment_reliable, MAX_RETRY_CYCLES};
 use spair_core::netcodec::{encode_nodes, group_by_key, ReceivedGraph, SearchScratch, RAW_ARC};
 use spair_core::query::{decoded_node_bytes, AirClient, Query, QueryError, QueryOutcome};
@@ -674,11 +672,7 @@ impl HiTiAirClient {
     /// packet carries `seq`/`total`); lost packets are re-received in
     /// later cycles (§6.2 — HiTi's index is not replicated, so a loss in
     /// it costs a cycle-long wait, which Figure 14 would show).
-    fn receive_index(
-        &mut self,
-        ch: &mut BroadcastChannel<'_>,
-        start: usize,
-    ) -> Result<(), QueryError> {
+    fn receive_index(&mut self, ch: &mut dyn Air, start: usize) -> Result<(), QueryError> {
         const UNDECODABLE: QueryError = QueryError::Aborted("undecodable HiTi index packet");
         let len = ch.cycle_len();
         let dec = &mut self.index;
@@ -785,11 +779,7 @@ impl AirClient for HiTiAirClient {
         "HiTi"
     }
 
-    fn query(
-        &mut self,
-        ch: &mut BroadcastChannel<'_>,
-        q: &Query,
-    ) -> Result<QueryOutcome, QueryError> {
+    fn query(&mut self, ch: &mut dyn Air, q: &Query) -> Result<QueryOutcome, QueryError> {
         let mut mem = MemoryMeter::new();
         let mut cpu = CpuMeter::new();
         if q.source == q.target {
@@ -904,7 +894,7 @@ impl AirClient for HiTiAirClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spair_broadcast::{FaultPlan, LossModel};
+    use spair_broadcast::{BroadcastChannel, FaultPlan, FaultyChannel, LossModel};
     use spair_roadnet::dijkstra_distance;
     use spair_roadnet::generators::small_grid;
 
@@ -1218,7 +1208,7 @@ mod tests {
             /// it costs a cycle-long wait, which Figure 14 would show).
             fn receive_index(
                 &self,
-                ch: &mut BroadcastChannel<'_>,
+                ch: &mut dyn Air,
                 start: usize,
             ) -> Result<DecodedIndex, QueryError> {
                 let len = ch.cycle_len();
@@ -1316,11 +1306,7 @@ mod tests {
                 "HiTi"
             }
 
-            fn query(
-                &mut self,
-                ch: &mut BroadcastChannel<'_>,
-                q: &Query,
-            ) -> Result<QueryOutcome, QueryError> {
+            fn query(&mut self, ch: &mut dyn Air, q: &Query) -> Result<QueryOutcome, QueryError> {
                 let mut mem = MemoryMeter::new();
                 let mut cpu = CpuMeter::new();
                 if q.source == q.target {
@@ -1790,7 +1776,7 @@ mod tests {
                         5 | 6 => FaultPlan::duplication(0.05, k),
                         _ => FaultPlan::none(),
                     };
-                    BroadcastChannel::tune_in_with_faults(cycle, at, loss, plan)
+                    FaultyChannel::tune_in(cycle, at, loss, plan)
                 };
                 let want = sans_cpu(oracle::LegacyClient.query(&mut channel(), &q));
                 let got = sans_cpu(client.query(&mut channel(), &q));
@@ -1891,7 +1877,7 @@ mod tests {
             for i in 0..3u64 {
                 let k = spair_broadcast::splitmix64(seed * 3 + i);
                 let (s, t) = ((k % 144) as NodeId, ((k >> 16) % 144) as NodeId);
-                let mut ch = BroadcastChannel::tune_in_with_faults(
+                let mut ch = FaultyChannel::tune_in(
                     program.cycle(),
                     (k >> 32) as usize % len,
                     LossModel::bernoulli(0.05, k),

@@ -12,9 +12,7 @@
 use spair_broadcast::codec::{PayloadReader, RecordBuf, RecordWriter};
 use spair_broadcast::cycle::SegmentKind;
 use spair_broadcast::packet::PacketKind;
-use spair_broadcast::{
-    BroadcastChannel, BroadcastCycle, CpuMeter, CycleBuilder, MemoryMeter, QueryStats,
-};
+use spair_broadcast::{Air, BroadcastCycle, CpuMeter, CycleBuilder, MemoryMeter, QueryStats};
 use spair_core::netcodec::{encode_nodes, ReceivedGraph};
 use spair_core::query::{AirClient, Query, QueryError, QueryOutcome};
 use spair_roadnet::dijkstra::{DijkstraWorkspace, Direction};
@@ -241,11 +239,7 @@ impl AirClient for LandmarkClient {
         "Landmark"
     }
 
-    fn query(
-        &mut self,
-        ch: &mut BroadcastChannel<'_>,
-        q: &Query,
-    ) -> Result<QueryOutcome, QueryError> {
+    fn query(&mut self, ch: &mut dyn Air, q: &Query) -> Result<QueryOutcome, QueryError> {
         let mut mem = MemoryMeter::new();
         let mut cpu = CpuMeter::new();
         if q.source == q.target {
@@ -333,7 +327,7 @@ impl AirClient for LandmarkClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spair_broadcast::LossModel;
+    use spair_broadcast::{BroadcastChannel, LossModel};
     use spair_roadnet::dijkstra_distance;
     use spair_roadnet::generators::small_grid;
 

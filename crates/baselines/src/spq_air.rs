@@ -24,9 +24,7 @@ use crate::spq::{quadrant, Color, Quadtree, SpqIndex, NO_COLOR};
 use spair_broadcast::codec::{u16_of, u32_of, EncodeError, PayloadReader, RecordBuf, RecordWriter};
 use spair_broadcast::cycle::{CycleBuilder, SegmentKind};
 use spair_broadcast::packet::PacketKind;
-use spair_broadcast::{
-    BroadcastChannel, BroadcastCycle, CpuMeter, MemoryMeter, QueryStats, PAYLOAD_CAPACITY,
-};
+use spair_broadcast::{Air, BroadcastCycle, CpuMeter, MemoryMeter, QueryStats, PAYLOAD_CAPACITY};
 use spair_core::netcodec::{encode_nodes, ReceivedGraph};
 use spair_core::query::{AirClient, Query, QueryError, QueryOutcome};
 use spair_roadnet::{Distance, NodeId, Point, RoadNetwork};
@@ -413,11 +411,7 @@ impl AirClient for SpqClient {
         "SPQ"
     }
 
-    fn query(
-        &mut self,
-        ch: &mut BroadcastChannel<'_>,
-        q: &Query,
-    ) -> Result<QueryOutcome, QueryError> {
+    fn query(&mut self, ch: &mut dyn Air, q: &Query) -> Result<QueryOutcome, QueryError> {
         let mut mem = MemoryMeter::new();
         let mut cpu = CpuMeter::new();
         if q.source == q.target {
@@ -588,11 +582,7 @@ mod oracle {
             "SPQ"
         }
 
-        fn query(
-            &mut self,
-            ch: &mut BroadcastChannel<'_>,
-            q: &Query,
-        ) -> Result<QueryOutcome, QueryError> {
+        fn query(&mut self, ch: &mut dyn Air, q: &Query) -> Result<QueryOutcome, QueryError> {
             let mut mem = MemoryMeter::new();
             let mut cpu = CpuMeter::new();
             if q.source == q.target {
@@ -719,7 +709,7 @@ mod oracle {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use spair_broadcast::{LossModel, Packet};
+    use spair_broadcast::{BroadcastChannel, LossModel, Packet};
     use spair_roadnet::dijkstra_distance;
     use spair_roadnet::generators::small_grid;
     use std::sync::OnceLock;

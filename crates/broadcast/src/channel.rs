@@ -1,4 +1,4 @@
-//! The client's view of the broadcast channel.
+//! The simulated broadcast channel: an [`Air`] over one in-memory cycle.
 //!
 //! A [`BroadcastChannel`] session starts when the client tunes in at an
 //! arbitrary instant (packet offset) and advances in whole packets: the
@@ -10,9 +10,8 @@
 //! of the current broadcast cycle is reached, another starts, and
 //! processing continues as if it was the same cycle").
 
+use crate::air::{Air, Received};
 use crate::cycle::BroadcastCycle;
-use crate::fault::{FaultPlan, FaultState, FaultTelemetry, SlotDelivery};
-use crate::packet::Packet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -108,34 +107,6 @@ impl LossModel {
     }
 }
 
-/// Outcome of listening to one packet.
-#[derive(Debug, Clone)]
-pub enum Received<'a> {
-    /// The packet arrived intact.
-    Packet(&'a Packet),
-    /// Nothing usable arrived (erasure — channel noise or a wiped
-    /// correlated-loss window).
-    Lost,
-    /// A frame arrived but its link-layer CRC failed: the contents
-    /// (including the header pointer) are detectably garbage. Clients
-    /// must treat this exactly like [`Received::Lost`] — the §6.2
-    /// recovery paths re-fetch the slot in a later cycle — and never
-    /// decode the payload.
-    Corrupted,
-}
-
-impl<'a> Received<'a> {
-    /// The packet, if it arrived intact. `Lost` and `Corrupted` both map
-    /// to `None`, so every recovery path that retries missing slots
-    /// transparently covers detected corruption too.
-    pub fn ok(self) -> Option<&'a Packet> {
-        match self {
-            Received::Packet(p) => Some(p),
-            Received::Lost | Received::Corrupted => None,
-        }
-    }
-}
-
 /// A tuned-in client session over a repeating broadcast cycle.
 #[derive(Debug, Clone)]
 pub struct BroadcastChannel<'a> {
@@ -145,9 +116,6 @@ pub struct BroadcastChannel<'a> {
     start: u64,
     tuned: u64,
     loss: LossModel,
-    /// Fault-injection state; `None` on the (default) fault-free path,
-    /// which stays byte-identical to the pre-fault channel.
-    faults: Option<FaultState>,
 }
 
 impl<'a> BroadcastChannel<'a> {
@@ -166,155 +134,87 @@ impl<'a> BroadcastChannel<'a> {
             start,
             tuned: 0,
             loss,
-            faults: None,
         }
     }
 
-    /// Tunes in under a loss model *and* a [`FaultPlan`]. A
-    /// [`FaultPlan::none`] plan takes the exact fault-free path —
-    /// behaviour, RNG consumption and counters all byte-identical to
-    /// [`BroadcastChannel::tune_in`].
-    ///
-    /// The tune-in `offset` doubles as the session's absolute packet
-    /// clock, so clients that share a plan seed *and* tune in within one
-    /// cycle experience the same fault stream at the same wall-clock
-    /// slots — the correlated flash-crowd model.
-    pub fn tune_in_with_faults(
-        cycle: &'a BroadcastCycle,
-        offset: usize,
-        loss: LossModel,
-        plan: FaultPlan,
-    ) -> Self {
-        let mut ch = Self::tune_in(cycle, offset, loss);
-        if !plan.is_none() {
-            ch.faults = Some(FaultState::new(plan, ch.now));
-        }
-        ch
-    }
-
-    /// Packets in one cycle.
+    /// The cycle on air.
     #[inline]
-    pub fn cycle_len(&self) -> usize {
-        self.cycle.len()
+    pub(crate) fn cycle(&self) -> &'a BroadcastCycle {
+        self.cycle
     }
 
-    /// Current offset within the cycle — under the *current* cycle
-    /// version's schedule if the server has restarted (§6.2 fault model).
+    /// The global packet clock.
     #[inline]
-    pub fn offset(&self) -> usize {
-        match &self.faults {
-            Some(f) => f.offset_at(self.now, self.cycle.len() as u64),
-            None => (self.now % self.cycle.len() as u64) as usize,
-        }
+    pub(crate) fn now(&self) -> u64 {
+        self.now
     }
 
-    /// How many times the server restarted (truncating the cycle in
-    /// flight) up to the session's current clock. 0 without faults.
+    /// Listens to one slot: advances the clock, counts the slot as tuned
+    /// and draws the loss model for it. Returns the slot's clock and
+    /// whether the frame was lost.
     #[inline]
-    pub fn cycle_version(&self) -> u32 {
-        self.faults.as_ref().map_or(0, FaultState::version)
-    }
-
-    /// Per-session fault counters (all zero without a fault plan).
-    #[inline]
-    pub fn fault_telemetry(&self) -> FaultTelemetry {
-        self.faults
-            .as_ref()
-            .map_or_else(FaultTelemetry::default, FaultState::telemetry)
-    }
-
-    /// Packets elapsed since tune-in (access latency so far).
-    #[inline]
-    pub fn elapsed(&self) -> u64 {
-        self.now - self.start
-    }
-
-    /// Packets received so far (tuning time so far).
-    #[inline]
-    pub fn tuned(&self) -> u64 {
-        self.tuned
-    }
-
-    /// Packets slept through so far.
-    #[inline]
-    pub fn slept(&self) -> u64 {
-        self.elapsed() - self.tuned
-    }
-
-    /// Listens to the packet at the current offset and advances the clock.
-    pub fn receive(&mut self) -> Received<'a> {
-        if self.faults.is_some() {
-            return self.receive_faulty();
-        }
-        let pkt = self.cycle.packet(self.offset());
+    pub(crate) fn listen(&mut self) -> (u64, bool) {
         let at = self.now;
         self.now += 1;
         self.tuned += 1;
-        if self.loss.lost(at) {
+        (at, self.loss.lost(at))
+    }
+
+    /// Listens to the packet at the current offset and advances the
+    /// clock: [`Air::receive`], with the packet borrowed from the cycle
+    /// rather than from the channel.
+    #[inline]
+    pub fn receive(&mut self) -> Received<'a> {
+        let pkt = self.cycle.packet(Air::offset(self));
+        if self.listen().1 {
             Received::Lost
         } else {
             Received::Packet(pkt)
         }
     }
 
-    /// The fault-injected receive path. The legacy loss model is drawn
-    /// for every slot exactly as on the fault-free path (so layering a
-    /// plan on top of a loss model perturbs neither stream); the fault
-    /// plan then decides what the surviving frame actually is.
-    fn receive_faulty(&mut self) -> Received<'a> {
-        let len = self.cycle.len() as u64;
-        let at = self.now;
-        self.now += 1;
-        self.tuned += 1;
-        let lost = self.loss.lost(at);
-        let faults = self.faults.as_mut().expect("fault path");
-        if lost {
-            // The frame never made it; only the server-side restart
-            // schedule advances for this slot.
-            faults.advance(at);
-            return Received::Lost;
-        }
-        match faults.deliver(at, len) {
-            SlotDelivery::Wiped => Received::Lost,
-            SlotDelivery::Corrupted => {
-                // Computed, not assumed: flip the seeded bits in the wire
-                // image and let the CRC catch them (it always does for
-                // 1-3 flips at this frame length).
-                let plan = faults.plan();
-                let off = faults.offset_at(at, len);
-                debug_assert!(FaultState::corruption_detected(
-                    &plan,
-                    at,
-                    self.cycle.packet(off)
-                ));
-                Received::Corrupted
-            }
-            SlotDelivery::Deliver(off) => Received::Packet(self.cycle.packet(off)),
-        }
+    /// [`Air::elapsed`], callable without the trait in scope.
+    #[inline]
+    pub fn elapsed(&self) -> u64 {
+        self.now - self.start
     }
 
-    /// Sleeps through `packets` packets without listening.
-    pub fn sleep(&mut self, packets: u64) {
+    /// [`Air::tuned`], callable without the trait in scope.
+    #[inline]
+    pub fn tuned(&self) -> u64 {
+        self.tuned
+    }
+}
+
+impl Air for BroadcastChannel<'_> {
+    #[inline]
+    fn receive(&mut self) -> Received<'_> {
+        BroadcastChannel::receive(self)
+    }
+
+    #[inline]
+    fn sleep(&mut self, packets: u64) {
         self.now += packets;
-        if let Some(f) = self.faults.as_mut() {
-            f.advance(self.now);
-        }
     }
 
-    /// Sleeps forward until the cycle offset equals `offset` (zero sleep if
-    /// already there; a full cycle is never slept needlessly). The delta
-    /// is computed under the schedule the client currently observes; a
-    /// server restart during the sleep shifts the schedule under it —
-    /// exactly the truncated-cycle fault clients must recover from.
-    pub fn sleep_to_offset(&mut self, offset: usize) {
-        let len = self.cycle.len() as u64;
-        let target = (offset % self.cycle.len()) as u64;
-        let cur = self.offset() as u64;
-        let delta = (target + len - cur) % len;
-        self.now += delta;
-        if let Some(f) = self.faults.as_mut() {
-            f.advance(self.now);
-        }
+    #[inline]
+    fn offset(&self) -> usize {
+        (self.now % self.cycle.len() as u64) as usize
+    }
+
+    #[inline]
+    fn cycle_len(&self) -> usize {
+        self.cycle.len()
+    }
+
+    #[inline]
+    fn elapsed(&self) -> u64 {
+        BroadcastChannel::elapsed(self)
+    }
+
+    #[inline]
+    fn tuned(&self) -> u64 {
+        BroadcastChannel::tuned(self)
     }
 }
 
@@ -472,140 +372,6 @@ mod tests {
         let iid = mean_run(LossModel::bernoulli(0.05, 3));
         assert!(bursty > 5.0, "bursty mean run {bursty:.2}");
         assert!(iid < 2.0, "iid mean run {iid:.2}");
-    }
-
-    #[test]
-    fn none_fault_plan_is_byte_identical() {
-        let c = cycle(16);
-        let run = |with_plan: bool| {
-            let loss = LossModel::bursty(0.2, 4.0, 5);
-            let mut ch = if with_plan {
-                BroadcastChannel::tune_in_with_faults(&c, 3, loss, FaultPlan::none())
-            } else {
-                BroadcastChannel::tune_in(&c, 3, loss)
-            };
-            let mut trace = Vec::new();
-            for i in 0..200u64 {
-                if i % 5 == 0 {
-                    ch.sleep(i % 7);
-                }
-                trace.push(match ch.receive() {
-                    Received::Packet(p) => p.payload()[0],
-                    Received::Lost => 0xFE,
-                    Received::Corrupted => 0xFF,
-                });
-            }
-            (trace, ch.elapsed(), ch.tuned(), ch.fault_telemetry())
-        };
-        assert_eq!(run(false), run(true));
-        assert_eq!(run(true).3, FaultTelemetry::default());
-    }
-
-    #[test]
-    fn corruption_surfaces_as_corrupted_and_counts() {
-        let c = cycle(8);
-        let mut ch = BroadcastChannel::tune_in_with_faults(
-            &c,
-            0,
-            LossModel::Lossless,
-            FaultPlan::corruption(0.3, 9),
-        );
-        let mut corrupted = 0u64;
-        for _ in 0..2_000 {
-            if matches!(ch.receive(), Received::Corrupted) {
-                corrupted += 1;
-            }
-        }
-        assert!(corrupted > 400 && corrupted < 800, "corrupted {corrupted}");
-        assert_eq!(ch.fault_telemetry().corrupted, corrupted);
-        assert!(!ch.fault_telemetry().tainted(), "corruption is detectable");
-    }
-
-    #[test]
-    fn duplicates_deliver_the_previous_slot() {
-        let c = cycle(16);
-        let mut ch = BroadcastChannel::tune_in_with_faults(
-            &c,
-            0,
-            LossModel::Lossless,
-            FaultPlan::duplication(0.25, 4),
-        );
-        let mut dups = 0u64;
-        for i in 0..4_000u64 {
-            let expected = (i % 16) as u8;
-            if let Received::Packet(p) = ch.receive() {
-                if p.payload()[0] != expected {
-                    // A stutter delivers the frame one slot behind.
-                    assert_eq!(u64::from(p.payload()[0]), (i + 16 - 1) % 16, "slot {i}");
-                    dups += 1;
-                }
-            }
-        }
-        assert!(dups > 0);
-        // Slot 0 has no previous slot: its stutter redelivers slot 0
-        // itself, which the payload check cannot see.
-        let counted = ch.fault_telemetry().duplicates;
-        assert!(
-            counted == dups || counted == dups + 1,
-            "{counted} vs {dups}"
-        );
-        assert!(ch.fault_telemetry().tainted());
-    }
-
-    #[test]
-    fn restarts_bump_the_version_and_shift_the_schedule() {
-        let c = cycle(16);
-        let mut ch = BroadcastChannel::tune_in_with_faults(
-            &c,
-            0,
-            LossModel::Lossless,
-            FaultPlan::restarts(40.0, 0.0, 2),
-        );
-        assert_eq!(ch.cycle_version(), 0);
-        ch.sleep(10_000);
-        assert!(ch.cycle_version() > 100);
-        assert_eq!(u64::from(ch.cycle_version()), ch.fault_telemetry().restarts);
-        // The observed schedule is phase-shifted but still a valid cycle:
-        // consecutive receives walk consecutive offsets.
-        let a = ch.receive().ok().map(|p| p.payload()[0]);
-        let b = ch.receive().ok().map(|p| p.payload()[0]);
-        if let (Some(a), Some(b)) = (a, b) {
-            assert_eq!(u64::from(b), (u64::from(a) + 1) % 16);
-        }
-    }
-
-    #[test]
-    fn correlated_loss_is_shared_across_clients() {
-        // Two clients sharing the plan seed, tuned in at different
-        // offsets, lose exactly the same absolute slots — the
-        // flash-crowd fading model.
-        let c = cycle(16);
-        let plan = FaultPlan::correlated_loss(0.3, 4, 31);
-        let lost_slots = |offset: usize| {
-            let mut ch =
-                BroadcastChannel::tune_in_with_faults(&c, offset, LossModel::Lossless, plan);
-            let mut lost = Vec::new();
-            for _ in 0..500 {
-                let at = ch.elapsed() + offset as u64;
-                if matches!(ch.receive(), Received::Lost) {
-                    lost.push(at);
-                }
-            }
-            lost
-        };
-        let a = lost_slots(0);
-        let b = lost_slots(5);
-        let a_set: std::collections::HashSet<u64> = a.into_iter().collect();
-        let shared: Vec<u64> = b.iter().filter(|t| a_set.contains(t)).copied().collect();
-        // Every slot client B lost in the overlapping clock range was
-        // also lost by client A.
-        let overlap: Vec<u64> = b
-            .iter()
-            .filter(|&&t| (5..500).contains(&t))
-            .copied()
-            .collect();
-        assert!(!overlap.is_empty());
-        assert_eq!(shared.len(), overlap.len());
     }
 
     #[test]

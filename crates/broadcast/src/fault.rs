@@ -1,16 +1,14 @@
 //! Deterministic fault injection beyond packet loss (§6.2 stress model).
 //!
-//! [`LossModel`](crate::channel::LossModel) erases packets; a
-//! [`FaultPlan`] injects the *other* failure modes a broadcast client can
-//! meet in the field:
+//! [`LossModel`] erases packets; a [`FaultPlan`] injects the *other*
+//! failure modes a broadcast client can meet in the field:
 //!
 //! * **bit corruption** — a frame arrives, but some of its bits flipped in
 //!   flight. The link layer's CRC-32 trailer ([`crate::packet::crc32`])
 //!   catches every 1–3-bit error at this frame length (the IEEE 802.3
 //!   polynomial has Hamming distance 4 up to ~91 kbit), so a corrupted
-//!   frame is *detectable* and surfaces as
-//!   [`Received::Corrupted`](crate::channel::Received::Corrupted), never
-//!   as silently wrong payload bytes;
+//!   frame is *detectable* and surfaces as [`Received::Corrupted`],
+//!   never as silently wrong payload bytes;
 //! * **truncated cycles / server restarts** — the server aborts the
 //!   current cycle mid-flight and restarts from offset 0, bumping the
 //!   cycle version. Clients that slept across the restart wake to a
@@ -29,9 +27,17 @@
 //! packet clock** — like the Gilbert–Elliott chain, faults advance with
 //! the channel, not with the client, so the fault stream is independent
 //! of client behaviour (sleep patterns, retries) and of thread count.
-//! [`FaultPlan::none`] is the identity: a channel built with it behaves
-//! byte-for-byte like one built without a plan.
+//!
+//! A [`FaultyChannel`] is a [`BroadcastChannel`] under a plan: it is the
+//! one place faults are injected, and the [`Air`] clients listen to. Its
+//! [`FaultyChannel::telemetry`] counts what was injected, for the harness
+//! that opened it; a client cannot see it through [`Air`].
+//! [`FaultPlan::none`] is the identity: under it a [`FaultyChannel`]
+//! behaves byte for byte like the bare channel.
 
+use crate::air::{Air, Received};
+use crate::channel::{BroadcastChannel, LossModel};
+use crate::cycle::BroadcastCycle;
 use crate::packet::{crc32, Packet, PACKET_SIZE};
 
 /// SplitMix64 — the stateless hash behind every fault draw, and the
@@ -67,8 +73,6 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Per-packet probability the frame arrives bit-corrupted (CRC
     /// check fails; the client sees [`Received::Corrupted`]).
-    ///
-    /// [`Received::Corrupted`]: crate::channel::Received::Corrupted
     pub corrupt_rate: f64,
     /// Per-packet probability the previous slot's frame is delivered
     /// again instead of the scheduled one.
@@ -85,8 +89,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The identity plan: no faults, and a channel built with it is
-    /// byte-identical to one built without any plan.
+    /// The identity plan: no faults, and a [`FaultyChannel`] under it is
+    /// byte-identical to the bare [`BroadcastChannel`].
     pub const fn none() -> Self {
         Self {
             seed: 0,
@@ -96,15 +100,6 @@ impl FaultPlan {
             restart_mean_packets: 0.0,
             correlated_loss: None,
         }
-    }
-
-    /// Whether this plan injects no faults at all.
-    pub fn is_none(&self) -> bool {
-        self.corrupt_rate == 0.0
-            && self.duplicate_rate == 0.0
-            && self.stale_rate == 0.0
-            && self.restart_mean_packets == 0.0
-            && self.correlated_loss.is_none()
     }
 
     /// A corruption-only plan.
@@ -190,8 +185,7 @@ impl FaultPlan {
     }
 }
 
-/// Per-session fault counters, read through
-/// [`BroadcastChannel::fault_telemetry`](crate::channel::BroadcastChannel::fault_telemetry).
+/// Per-session fault counters, read through [`FaultyChannel::telemetry`].
 ///
 /// `corrupted` and `correlated_lost` frames are *client-detectable* (the
 /// CRC fails / nothing arrives), so the §6.2 recovery paths handle them
@@ -227,7 +221,7 @@ impl FaultTelemetry {
 }
 
 /// What the fault layer decided for one slot.
-pub(crate) enum SlotDelivery {
+enum SlotDelivery {
     /// Deliver the frame at this (epoch-mapped) cycle offset.
     Deliver(usize),
     /// The slot fell in a wiped correlated-loss window.
@@ -238,7 +232,7 @@ pub(crate) enum SlotDelivery {
 
 /// Live fault state of one channel session.
 #[derive(Debug, Clone)]
-pub(crate) struct FaultState {
+struct FaultState {
     plan: FaultPlan,
     /// Absolute clock at which the current epoch (cycle version) began;
     /// epoch 0 starts at clock 0 with offset = clock % len.
@@ -257,7 +251,7 @@ pub(crate) struct FaultState {
 }
 
 impl FaultState {
-    pub(crate) fn new(plan: FaultPlan, start: u64) -> Self {
+    fn new(plan: FaultPlan, start: u64) -> Self {
         let mut s = Self {
             next_restart: plan.restart_at(0).unwrap_or(u64::MAX),
             plan,
@@ -275,7 +269,7 @@ impl FaultState {
     }
 
     /// Advances the server-side restart schedule to clock `t`.
-    pub(crate) fn advance(&mut self, t: u64) {
+    fn advance(&mut self, t: u64) {
         while self.next_restart <= t {
             self.prev_epoch_start = self.epoch_start;
             self.epoch_start = self.next_restart;
@@ -291,7 +285,7 @@ impl FaultState {
 
     /// The cycle offset the *current* schedule broadcasts at clock `t`.
     #[inline]
-    pub(crate) fn offset_at(&self, t: u64, len: u64) -> usize {
+    fn offset_at(&self, t: u64, len: u64) -> usize {
         if self.version == 0 {
             (t % len) as usize
         } else {
@@ -310,7 +304,7 @@ impl FaultState {
     }
 
     /// Decides what slot `t` delivers. `len` is the cycle length.
-    pub(crate) fn deliver(&mut self, t: u64, len: u64) -> SlotDelivery {
+    fn deliver(&mut self, t: u64, len: u64) -> SlotDelivery {
         self.advance(t);
         if self.plan.correlated_lost(t) {
             self.telemetry.correlated_lost += 1;
@@ -331,24 +325,12 @@ impl FaultState {
         SlotDelivery::Deliver(self.offset_at(t, len))
     }
 
-    pub(crate) fn telemetry(&self) -> FaultTelemetry {
-        self.telemetry
-    }
-
-    pub(crate) fn plan(&self) -> FaultPlan {
-        self.plan
-    }
-
-    pub(crate) fn version(&self) -> u32 {
-        self.version
-    }
-
     /// Corrupts the frame's wire image at slot `t` and checks whether the
     /// link-layer CRC catches it. With 1–3 flipped bits in a 128-byte
     /// frame it always does (CRC-32 has Hamming distance 4 here), so the
     /// return value is `true` in practice; it is computed — not assumed —
     /// to keep the detectability claim honest.
-    pub(crate) fn corruption_detected(plan: &FaultPlan, t: u64, pkt: &Packet) -> bool {
+    fn corruption_detected(plan: &FaultPlan, t: u64, pkt: &Packet) -> bool {
         let mut wire = pkt.to_wire();
         let original = crc32(&wire);
         let h = splitmix64(plan.seed ^ TAG_CORRUPT ^ splitmix64(t) ^ 0xB17F);
@@ -372,19 +354,119 @@ impl FaultState {
     }
 }
 
+/// A [`BroadcastChannel`] under a [`FaultPlan`]: the loss model is drawn
+/// for every slot exactly as on the bare channel (so layering a plan on
+/// a loss model perturbs neither stream), and the plan then decides what
+/// a surviving frame is. The offset and every sleep follow the schedule
+/// of the current cycle version, so a server restart shifts the schedule
+/// under a sleeping client.
+#[derive(Debug, Clone)]
+pub struct FaultyChannel<'a> {
+    channel: BroadcastChannel<'a>,
+    state: FaultState,
+}
+
+impl<'a> FaultyChannel<'a> {
+    /// Tunes in at `offset` under a loss model and a plan. The tune-in
+    /// offset doubles as the session's absolute packet clock, so clients
+    /// that share a plan seed *and* tune in within one cycle meet the
+    /// same fault stream at the same slots — the correlated flash-crowd
+    /// model.
+    pub fn tune_in(
+        cycle: &'a BroadcastCycle,
+        offset: usize,
+        loss: LossModel,
+        plan: FaultPlan,
+    ) -> Self {
+        let channel = BroadcastChannel::tune_in(cycle, offset, loss);
+        let state = FaultState::new(plan, channel.now());
+        Self { channel, state }
+    }
+
+    /// What the plan injected into this session so far.
+    pub fn telemetry(&self) -> FaultTelemetry {
+        self.state.telemetry
+    }
+
+    /// How many times the server restarted (truncating the cycle in
+    /// flight) up to the session's current clock.
+    pub fn version(&self) -> u32 {
+        self.state.version
+    }
+}
+
+impl Air for FaultyChannel<'_> {
+    fn receive(&mut self) -> Received<'_> {
+        let cycle = self.channel.cycle();
+        let len = cycle.len() as u64;
+        let (at, lost) = self.channel.listen();
+        if lost {
+            // The frame never made it; only the server-side restart
+            // schedule advances for this slot.
+            self.state.advance(at);
+            return Received::Lost;
+        }
+        match self.state.deliver(at, len) {
+            SlotDelivery::Wiped => Received::Lost,
+            SlotDelivery::Corrupted => {
+                // Computed, not assumed: flip the seeded bits in the wire
+                // image and let the CRC catch them (it always does for
+                // 1-3 flips at this frame length).
+                debug_assert!(FaultState::corruption_detected(
+                    &self.state.plan,
+                    at,
+                    cycle.packet(self.state.offset_at(at, len))
+                ));
+                Received::Corrupted
+            }
+            SlotDelivery::Deliver(off) => Received::Packet(cycle.packet(off)),
+        }
+    }
+
+    fn sleep(&mut self, packets: u64) {
+        self.channel.sleep(packets);
+        self.state.advance(self.channel.now());
+    }
+
+    fn offset(&self) -> usize {
+        let len = self.channel.cycle_len() as u64;
+        self.state.offset_at(self.channel.now(), len)
+    }
+
+    fn cycle_len(&self) -> usize {
+        self.channel.cycle_len()
+    }
+
+    fn elapsed(&self) -> u64 {
+        self.channel.elapsed()
+    }
+
+    fn tuned(&self) -> u64 {
+        self.channel.tuned()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cycle::{CycleBuilder, SegmentKind};
     use crate::packet::PacketKind;
     use bytes::Bytes;
 
-    #[test]
-    fn none_plan_is_none() {
-        assert!(FaultPlan::none().is_none());
-        assert!(!FaultPlan::corruption(0.1, 1).is_none());
-        assert!(!FaultPlan::duplication(0.1, 1).is_none());
-        assert!(!FaultPlan::restarts(100.0, 0.0, 1).is_none());
-        assert!(!FaultPlan::correlated_loss(0.1, 8, 1).is_none());
+    /// A cycle of `n` one-byte packets whose byte is their offset.
+    fn cycle(n: usize) -> BroadcastCycle {
+        let mut b = CycleBuilder::new();
+        b.push_segment(
+            SegmentKind::GlobalIndex,
+            PacketKind::Index,
+            vec![Bytes::from(vec![0u8; 1])],
+        );
+        b.push_segment(
+            SegmentKind::NetworkData,
+            PacketKind::Data,
+            (1..n).map(|i| Bytes::from(vec![i as u8; 1])).collect(),
+        );
+        b.finish()
     }
 
     #[test]
@@ -446,19 +528,19 @@ mod tests {
     fn fault_state_versions_bump_across_restarts() {
         let plan = FaultPlan::restarts(40.0, 0.0, 9);
         let mut s = FaultState::new(plan, 0);
-        assert_eq!(s.version(), 0);
+        assert_eq!(s.version, 0);
         s.advance(10_000);
-        let v = s.version();
+        let v = s.version;
         assert!(v >= 100, "expected many restarts in 10k packets, got {v}");
-        assert_eq!(s.telemetry().restarts, u64::from(v));
+        assert_eq!(s.telemetry.restarts, u64::from(v));
     }
 
     #[test]
     fn pre_tune_in_restarts_are_not_session_events() {
         let plan = FaultPlan::restarts(40.0, 0.0, 9);
         let s = FaultState::new(plan, 1_000);
-        assert!(s.version() > 0, "schedule already shifted at tune-in");
-        assert_eq!(s.telemetry().restarts, 0, "but no session event counted");
+        assert!(s.version > 0, "schedule already shifted at tune-in");
+        assert_eq!(s.telemetry.restarts, 0, "but no session event counted");
     }
 
     #[test]
@@ -467,7 +549,7 @@ mod tests {
         let mut s = FaultState::new(plan, 0);
         let first = plan.restart_at(0).unwrap();
         s.advance(first);
-        assert_eq!(s.version(), 1);
+        assert_eq!(s.version, 1);
         // Right at the restart the schedule is back at offset 0.
         assert_eq!(s.offset_at(first, 64), 0);
         assert_eq!(s.offset_at(first + 5, 64), 5);
@@ -511,5 +593,131 @@ mod tests {
         ] {
             assert!(t.tainted());
         }
+    }
+
+    #[test]
+    fn none_fault_plan_is_byte_identical() {
+        let c = cycle(16);
+        fn trace(air: &mut dyn Air) -> (Vec<u8>, u64, u64, usize) {
+            let mut trace = Vec::new();
+            for i in 0..200u64 {
+                if i % 5 == 0 {
+                    air.sleep(i % 7);
+                }
+                if i % 11 == 0 {
+                    air.sleep_to_offset((i % 16) as usize);
+                }
+                trace.push(match air.receive() {
+                    Received::Packet(p) => p.payload()[0],
+                    Received::Lost => 0xFE,
+                    Received::Corrupted => 0xFF,
+                });
+            }
+            (trace, air.elapsed(), air.tuned(), air.offset())
+        }
+        let loss = || LossModel::bursty(0.2, 4.0, 5);
+        let mut bare = BroadcastChannel::tune_in(&c, 3, loss());
+        let mut faulty = FaultyChannel::tune_in(&c, 3, loss(), FaultPlan::none());
+        assert_eq!(trace(&mut bare), trace(&mut faulty));
+        assert_eq!(faulty.telemetry(), FaultTelemetry::default());
+        assert_eq!(faulty.version(), 0);
+    }
+
+    #[test]
+    fn corruption_surfaces_as_corrupted_and_counts() {
+        let c = cycle(8);
+        let mut ch =
+            FaultyChannel::tune_in(&c, 0, LossModel::Lossless, FaultPlan::corruption(0.3, 9));
+        let mut corrupted = 0u64;
+        for _ in 0..2_000 {
+            if matches!(ch.receive(), Received::Corrupted) {
+                corrupted += 1;
+            }
+        }
+        assert!(corrupted > 400 && corrupted < 800, "corrupted {corrupted}");
+        assert_eq!(ch.telemetry().corrupted, corrupted);
+        assert!(!ch.telemetry().tainted(), "corruption is detectable");
+    }
+
+    #[test]
+    fn duplicates_deliver_the_previous_slot() {
+        let c = cycle(16);
+        let mut ch =
+            FaultyChannel::tune_in(&c, 0, LossModel::Lossless, FaultPlan::duplication(0.25, 4));
+        let mut dups = 0u64;
+        for i in 0..4_000u64 {
+            let expected = (i % 16) as u8;
+            if let Received::Packet(p) = ch.receive() {
+                if p.payload()[0] != expected {
+                    // A stutter delivers the frame one slot behind.
+                    assert_eq!(u64::from(p.payload()[0]), (i + 16 - 1) % 16, "slot {i}");
+                    dups += 1;
+                }
+            }
+        }
+        assert!(dups > 0);
+        // Slot 0 has no previous slot: its stutter redelivers slot 0
+        // itself, which the payload check cannot see.
+        let counted = ch.telemetry().duplicates;
+        assert!(
+            counted == dups || counted == dups + 1,
+            "{counted} vs {dups}"
+        );
+        assert!(ch.telemetry().tainted());
+    }
+
+    #[test]
+    fn restarts_bump_the_version_and_shift_the_schedule() {
+        let c = cycle(16);
+        let mut ch = FaultyChannel::tune_in(
+            &c,
+            0,
+            LossModel::Lossless,
+            FaultPlan::restarts(40.0, 0.0, 2),
+        );
+        assert_eq!(ch.version(), 0);
+        ch.sleep(10_000);
+        assert!(ch.version() > 100);
+        assert_eq!(u64::from(ch.version()), ch.telemetry().restarts);
+        // The observed schedule is phase-shifted but still a valid cycle:
+        // consecutive receives walk consecutive offsets.
+        let a = ch.receive().ok().map(|p| p.payload()[0]);
+        let b = ch.receive().ok().map(|p| p.payload()[0]);
+        if let (Some(a), Some(b)) = (a, b) {
+            assert_eq!(u64::from(b), (u64::from(a) + 1) % 16);
+        }
+    }
+
+    #[test]
+    fn correlated_loss_is_shared_across_clients() {
+        // Two clients sharing the plan seed, tuned in at different
+        // offsets, lose exactly the same absolute slots — the
+        // flash-crowd fading model.
+        let c = cycle(16);
+        let plan = FaultPlan::correlated_loss(0.3, 4, 31);
+        let lost_slots = |offset: usize| {
+            let mut ch = FaultyChannel::tune_in(&c, offset, LossModel::Lossless, plan);
+            let mut lost = Vec::new();
+            for _ in 0..500 {
+                let at = ch.elapsed() + offset as u64;
+                if matches!(ch.receive(), Received::Lost) {
+                    lost.push(at);
+                }
+            }
+            lost
+        };
+        let a = lost_slots(0);
+        let b = lost_slots(5);
+        let a_set: std::collections::HashSet<u64> = a.into_iter().collect();
+        let shared: Vec<u64> = b.iter().filter(|t| a_set.contains(t)).copied().collect();
+        // Every slot client B lost in the overlapping clock range was
+        // also lost by client A.
+        let overlap: Vec<u64> = b
+            .iter()
+            .filter(|&&t| (5..500).contains(&t))
+            .copied()
+            .collect();
+        assert!(!overlap.is_empty());
+        assert_eq!(shared.len(), overlap.len());
     }
 }

@@ -23,7 +23,7 @@ pub const PAYLOAD_CAPACITY: usize = PACKET_SIZE - HEADER_SIZE;
 /// frame length (1024 bits « the polynomial's 91607-bit HD-4 bound) it
 /// detects **all** 1-, 2- and 3-bit errors, which is what makes injected
 /// bit corruption *detectable* rather than silently decoded: a frame
-/// whose CRC fails surfaces as [`crate::channel::Received::Corrupted`].
+/// whose CRC fails surfaces as [`crate::air::Received::Corrupted`].
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     let mut words = bytes.chunks_exact(8);

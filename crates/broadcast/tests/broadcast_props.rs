@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use spair_broadcast::codec::{PayloadReader, RecordBuf, RecordWriter};
 use spair_broadcast::cycle::{CycleBuilder, SegmentKind};
 use spair_broadcast::packet::{Packet, PacketKind, PACKET_SIZE, PAYLOAD_CAPACITY};
-use spair_broadcast::{BroadcastChannel, LossModel, Received};
+use spair_broadcast::{Air, BroadcastChannel, LossModel, Received};
 
 fn arb_kind() -> impl Strategy<Value = PacketKind> {
     prop_oneof![

@@ -4,15 +4,11 @@
 
 use crate::netcodec::ReceivedGraph;
 use bytes::Bytes;
-use spair_broadcast::{BroadcastChannel, MemoryMeter, Received};
+use spair_broadcast::{Air, MemoryMeter, Received};
 
 /// Receives the `len` packets starting at cycle offset `offset`, sleeping
 /// to the start first. Lost packets yield `None` at their position.
-pub fn receive_segment(
-    ch: &mut BroadcastChannel<'_>,
-    offset: usize,
-    len: usize,
-) -> Vec<Option<Bytes>> {
+pub fn receive_segment(ch: &mut dyn Air, offset: usize, len: usize) -> Vec<Option<Bytes>> {
     ch.sleep_to_offset(offset);
     let mut out = Vec::with_capacity(len);
     for _ in 0..len {
@@ -26,7 +22,7 @@ pub fn receive_segment(
 /// arrives, charging `mem` once per packet. The offset of a lost or
 /// malformed packet goes on `missing`.
 pub fn ingest_segment(
-    ch: &mut BroadcastChannel<'_>,
+    ch: &mut dyn Air,
     offset: usize,
     len: usize,
     store: &mut ReceivedGraph,
@@ -52,7 +48,7 @@ pub fn ingest_segment(
 /// and returns `None` — only possible at loss rates far beyond the
 /// evaluated 10%.
 pub fn receive_segment_reliable(
-    ch: &mut BroadcastChannel<'_>,
+    ch: &mut dyn Air,
     offset: usize,
     len: usize,
     max_cycles: usize,
@@ -85,7 +81,7 @@ pub const MAX_RETRY_CYCLES: usize = 100;
 /// If the packet is lost, keeps listening (each subsequent packet also
 /// carries the pointer). Returns the cycle offset where the next index
 /// copy starts.
-pub fn find_next_index(ch: &mut BroadcastChannel<'_>, max_attempts: usize) -> Option<usize> {
+pub fn find_next_index(ch: &mut dyn Air, max_attempts: usize) -> Option<usize> {
     for _ in 0..max_attempts {
         if let Received::Packet(p) = ch.receive() {
             let ni = p.next_index();
@@ -103,7 +99,7 @@ mod tests {
     use super::*;
     use spair_broadcast::cycle::{CycleBuilder, SegmentKind};
     use spair_broadcast::packet::PacketKind;
-    use spair_broadcast::LossModel;
+    use spair_broadcast::{BroadcastChannel, LossModel};
 
     fn test_cycle(n: usize) -> spair_broadcast::BroadcastCycle {
         let mut b = CycleBuilder::new();
@@ -139,15 +135,87 @@ mod tests {
         assert_eq!(bytes, vec![4, 5, 255, 1]);
     }
 
+    /// A scripted air over `cycle`, tuned in at offset 0, that loses
+    /// exactly the receptions at the listed clock slots.
+    struct ScriptedAir<'a> {
+        cycle: &'a spair_broadcast::BroadcastCycle,
+        now: u64,
+        tuned: u64,
+        lose: &'a [u64],
+    }
+
+    impl Air for ScriptedAir<'_> {
+        fn receive(&mut self) -> Received<'_> {
+            let at = self.now;
+            self.now += 1;
+            self.tuned += 1;
+            if self.lose.contains(&at) {
+                Received::Lost
+            } else {
+                Received::Packet(self.cycle.packet(self.offset_at(at)))
+            }
+        }
+
+        fn sleep(&mut self, packets: u64) {
+            self.now += packets;
+        }
+
+        fn offset(&self) -> usize {
+            self.offset_at(self.now)
+        }
+
+        fn cycle_len(&self) -> usize {
+            self.cycle.len()
+        }
+
+        fn elapsed(&self) -> u64 {
+            self.now
+        }
+
+        fn tuned(&self) -> u64 {
+            self.tuned
+        }
+    }
+
+    impl ScriptedAir<'_> {
+        fn offset_at(&self, t: u64) -> usize {
+            (t % self.cycle.len() as u64) as usize
+        }
+    }
+
     #[test]
-    fn reliable_reception_recovers_losses() {
+    fn reliable_reception_wakes_only_at_the_missing_offsets() {
+        // Offsets 2..12 of a 20-packet cycle. The first pass (clock 2..12)
+        // loses offsets 3, 5 and 9; the first retry round wakes at clock
+        // 23, 25 and 29 and loses offset 5 again; the second wakes at
+        // clock 45 (§6.2: each retry waits for the next cycle).
         let c = test_cycle(20);
-        let mut ch = BroadcastChannel::tune_in(&c, 0, LossModel::bernoulli(0.3, 99));
-        let got = receive_segment_reliable(&mut ch, 2, 10, MAX_RETRY_CYCLES).unwrap();
+        let mut air = ScriptedAir {
+            cycle: &c,
+            now: 0,
+            tuned: 0,
+            lose: &[3, 5, 9, 25],
+        };
+        let got = receive_segment_reliable(&mut air, 2, 10, MAX_RETRY_CYCLES).unwrap();
         let bytes: Vec<u8> = got.iter().map(|b| b[0]).collect();
         assert_eq!(bytes, (2..12).map(|i| i as u8).collect::<Vec<_>>());
-        // Retries cost extra tuning and latency.
-        assert!(ch.tuned() >= 10);
+        assert_eq!(air.tuned(), 10 + 3 + 1);
+        assert_eq!(air.elapsed(), 46);
+    }
+
+    #[test]
+    fn reliable_reception_gives_up_after_its_retry_budget() {
+        // Offset 4 is lost in the first pass and in each of two retries.
+        let c = test_cycle(10);
+        let mut air = ScriptedAir {
+            cycle: &c,
+            now: 0,
+            tuned: 0,
+            lose: &[4, 14, 24],
+        };
+        assert!(receive_segment_reliable(&mut air, 0, 6, 2).is_none());
+        assert_eq!(air.tuned(), 6 + 2);
+        assert_eq!(air.elapsed(), 25);
     }
 
     #[test]

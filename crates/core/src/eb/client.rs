@@ -8,7 +8,7 @@ use crate::netcodec::ReceivedGraph;
 use crate::patch::{ClientArena, Coverage};
 use crate::query::{AirClient, Query, QueryError, QueryOutcome};
 use spair_broadcast::packet::PacketKind;
-use spair_broadcast::{BroadcastChannel, CpuMeter, MemoryMeter, QueryStats, Received};
+use spair_broadcast::{Air, CpuMeter, MemoryMeter, QueryStats, Received};
 use spair_partition::{KdLocator, RegionId};
 use spair_roadnet::DIST_INF;
 
@@ -39,7 +39,7 @@ impl EbClient {
     /// `None` when not even one packet of the copy could be decoded.
     fn receive_index_copy(
         &self,
-        ch: &mut BroadcastChannel<'_>,
+        ch: &mut dyn Air,
         index_offset: usize,
         dec: &mut EbIndexDecoder,
     ) -> Option<usize> {
@@ -110,11 +110,7 @@ impl AirClient for EbClient {
         "EB"
     }
 
-    fn query(
-        &mut self,
-        ch: &mut BroadcastChannel<'_>,
-        q: &Query,
-    ) -> Result<QueryOutcome, QueryError> {
+    fn query(&mut self, ch: &mut dyn Air, q: &Query) -> Result<QueryOutcome, QueryError> {
         let mut mem = MemoryMeter::new();
         let mut cpu = CpuMeter::new();
 
@@ -278,7 +274,7 @@ mod tests {
     use super::*;
     use crate::eb::server::EbServer;
     use crate::precompute::BorderPrecomputation;
-    use spair_broadcast::LossModel;
+    use spair_broadcast::{BroadcastChannel, LossModel};
     use spair_partition::KdTreePartition;
     use spair_roadnet::generators::small_grid;
     use spair_roadnet::{dijkstra_distance, RoadNetwork};

@@ -33,7 +33,7 @@ use spair_broadcast::codec::{EncodeError, PayloadReader, RecordBuf, RecordWriter
 use spair_broadcast::cycle::SegmentKind;
 use spair_broadcast::interleave::{interleave_1m, optimal_m, DataChunk};
 use spair_broadcast::packet::PacketKind;
-use spair_broadcast::{BroadcastChannel, BroadcastCycle, CpuMeter, MemoryMeter, QueryStats};
+use spair_broadcast::{Air, BroadcastCycle, CpuMeter, MemoryMeter, QueryStats};
 use spair_partition::{KdLocator, KdTreePartition, Partitioning, RegionId};
 use spair_roadnet::{Distance, NodeId, Point, RoadNetwork};
 use std::ops::ControlFlow;
@@ -215,7 +215,7 @@ impl KnnClient {
     /// reachable POIs.
     pub fn query(
         &mut self,
-        ch: &mut BroadcastChannel<'_>,
+        ch: &mut dyn Air,
         source: NodeId,
         source_pt: Point,
         k: usize,
@@ -228,7 +228,7 @@ impl KnnClient {
     /// `radius` instead of the k-th candidate.
     pub fn range(
         &mut self,
-        ch: &mut BroadcastChannel<'_>,
+        ch: &mut dyn Air,
         source: NodeId,
         source_pt: Point,
         radius: Distance,
@@ -238,7 +238,7 @@ impl KnnClient {
 
     fn scan(
         &mut self,
-        ch: &mut BroadcastChannel<'_>,
+        ch: &mut dyn Air,
         source: NodeId,
         source_pt: Point,
         cutoff: Cutoff,
@@ -471,7 +471,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use spair_broadcast::LossModel;
+    use spair_broadcast::{BroadcastChannel, LossModel};
     use spair_roadnet::dijkstra_full;
     use spair_roadnet::generators::small_grid;
 

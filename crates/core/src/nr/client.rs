@@ -8,7 +8,7 @@ use crate::nr::server::NrSummary;
 use crate::patch::{ClientArena, Coverage};
 use crate::query::{AirClient, Query, QueryError, QueryOutcome};
 use spair_broadcast::packet::PacketKind;
-use spair_broadcast::{BroadcastChannel, CpuMeter, MemoryMeter, QueryStats, Received};
+use spair_broadcast::{Air, CpuMeter, MemoryMeter, QueryStats, Received};
 use spair_partition::{KdLocator, RegionId};
 
 /// The NR client.
@@ -50,7 +50,7 @@ impl NrClient {
     /// offset into `dec`. Uses the per-packet `seq`/`total` header to know
     /// when the copy ends even when tuning in mid-copy or losing packets.
     fn receive_local_index(
-        ch: &mut BroadcastChannel<'_>,
+        ch: &mut dyn Air,
         dec: &mut NrIndexDecoder,
         shared: &mut NrSharedState,
         missing: &mut Vec<usize>,
@@ -99,7 +99,7 @@ impl NrClient {
     /// records on the way) until a local-index packet starts, then receive
     /// that index into `dec`. `false` if no index started.
     fn crawl_to_next_index(
-        ch: &mut BroadcastChannel<'_>,
+        ch: &mut dyn Air,
         dec: &mut NrIndexDecoder,
         store: &mut ReceivedGraph,
         shared: &mut NrSharedState,
@@ -157,7 +157,7 @@ impl NrClient {
     /// client sleeps over it and wakes at the next local index. Either
     /// way the channel ends positioned at the local index that follows.
     fn receive_region_data(
-        ch: &mut BroadcastChannel<'_>,
+        ch: &mut dyn Air,
         entry: &crate::nr::index::NrOffsetEntry,
         include_local: bool,
         pre_consumed: Option<usize>,
@@ -210,11 +210,7 @@ impl AirClient for NrClient {
         "NR"
     }
 
-    fn query(
-        &mut self,
-        ch: &mut BroadcastChannel<'_>,
-        q: &Query,
-    ) -> Result<QueryOutcome, QueryError> {
+    fn query(&mut self, ch: &mut dyn Air, q: &Query) -> Result<QueryOutcome, QueryError> {
         let mut mem = MemoryMeter::new();
         let mut cpu = CpuMeter::new();
         if q.source == q.target {
@@ -452,7 +448,7 @@ mod tests {
     use super::*;
     use crate::nr::server::NrServer;
     use crate::precompute::BorderPrecomputation;
-    use spair_broadcast::LossModel;
+    use spair_broadcast::{BroadcastChannel, LossModel};
     use spair_partition::KdTreePartition;
     use spair_roadnet::generators::small_grid;
     use spair_roadnet::{dijkstra_distance, RoadNetwork};

@@ -35,7 +35,7 @@ use bytes::Bytes;
 use spair_broadcast::codec::{PayloadReader, RecordBuf, RecordWriter};
 use spair_broadcast::cycle::SegmentKind;
 use spair_broadcast::packet::PacketKind;
-use spair_broadcast::{BroadcastChannel, BroadcastCycle, CycleBuilder};
+use spair_broadcast::{Air, BroadcastCycle, CycleBuilder};
 use spair_roadnet::{NodeId, Weight};
 
 /// Bytes of the directory's global record.
@@ -335,7 +335,7 @@ pub struct PatchReport {
 /// before any data reception. Packet costs are read off the channel by
 /// the caller (`ch.tuned()` / `ch.elapsed()`).
 pub fn receive_patch(
-    ch: &mut BroadcastChannel<'_>,
+    ch: &mut dyn Air,
     have_version: u32,
     coverage: &Coverage,
     store: &mut ReceivedGraph,
@@ -418,7 +418,7 @@ pub fn receive_patch(
 mod tests {
     use super::*;
     use crate::netcodec::{encode_nodes, ReceivedGraph};
-    use spair_broadcast::LossModel;
+    use spair_broadcast::{BroadcastChannel, LossModel};
     use spair_roadnet::generators::small_grid;
 
     fn deltas(n: u32, base: Weight) -> Vec<WeightDelta> {

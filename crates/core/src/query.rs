@@ -1,6 +1,6 @@
 //! Query and result types shared by every broadcast method.
 
-use spair_broadcast::{BroadcastChannel, QueryStats};
+use spair_broadcast::{Air, QueryStats};
 use spair_roadnet::{Distance, NodeId, Point, RoadNetwork};
 
 /// A shortest-path query posed at the client.
@@ -84,11 +84,7 @@ pub trait AirClient {
 
     /// Processes one query over `channel`, which is already tuned in at
     /// an arbitrary instant.
-    fn query(
-        &mut self,
-        channel: &mut BroadcastChannel<'_>,
-        query: &Query,
-    ) -> Result<QueryOutcome, QueryError>;
+    fn query(&mut self, channel: &mut dyn Air, query: &Query) -> Result<QueryOutcome, QueryError>;
 
     /// Hands the last session's received arena (and its coverage) to a
     /// dynamic-world driver, consuming it — the hook delta-broadcast

@@ -13,8 +13,9 @@
 //!
 //! The [`supervise`] driver enforces the graceful-degradation rule:
 //!
-//! 1. run the client session; read the channel's
-//!    [`FaultTelemetry`] afterwards;
+//! 1. run the client session; take the attempt's [`FaultTelemetry`]
+//!    from the [`AttemptReport`] its caller builds (the harness that
+//!    opened the air, since no [`Air`] exposes what was injected);
 //! 2. if any *silently-corrupting* fault occurred
 //!    ([`FaultTelemetry::tainted`]), discard the result — answer or not —
 //!    and re-tune from scratch on a fresh attempt;
@@ -22,12 +23,12 @@
 //!    packet budget ([`RecoveryBudget`]) is exhausted.
 //!
 //! An [`SessionOutcome::Answered`] result is therefore *provably clean*:
-//! it was produced by a session whose channel reports zero taint, and
+//! it was produced by a session whose report shows zero taint, and
 //! detectable erasures cannot flip an answer (they only delay it). Every
 //! give-up is typed. Never wrong — only late, or typed.
 
 use crate::query::{Query, QueryError, QueryOutcome};
-use spair_broadcast::{BroadcastChannel, FaultTelemetry};
+use spair_broadcast::{Air, FaultTelemetry};
 
 use crate::query::AirClient;
 
@@ -161,10 +162,13 @@ impl RecoveryBudget {
     }
 }
 
-/// What one attempt's channel reported back to the supervisor.
+/// What one attempt cost and what was injected into it, as the harness
+/// that opened the attempt's air reports it: the supervisor reads no
+/// channel itself.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AttemptReport {
-    /// Fault counters of the attempt's channel session.
+    /// Fault counters of the attempt's session; zero on an air that
+    /// injects no faults.
     pub faults: FaultTelemetry,
     /// Packets elapsed during the attempt.
     pub elapsed: u64,
@@ -172,24 +176,11 @@ pub struct AttemptReport {
     pub tuned: u64,
 }
 
-impl AttemptReport {
-    /// Snapshot of a channel after the attempt ran on it. `before` is
-    /// [`BroadcastChannel::elapsed`]/`tuned` deltas when the channel is
-    /// reused across attempts; pass `(0, 0)` for a fresh channel.
-    pub fn of(ch: &BroadcastChannel<'_>, before: (u64, u64)) -> Self {
-        Self {
-            faults: ch.fault_telemetry(),
-            elapsed: ch.elapsed() - before.0,
-            tuned: ch.tuned() - before.1,
-        }
-    }
-}
-
 /// Terminal outcome of a supervised session.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionOutcome<T> {
-    /// A trusted answer: produced by an attempt whose channel reported
-    /// zero silently-corrupting faults.
+    /// A trusted answer: produced by an attempt whose report shows zero
+    /// silently-corrupting faults.
     Answered(T),
     /// A trusted negative: the client determined unreachability on a
     /// taint-free channel.
@@ -263,8 +254,8 @@ fn taint_of(t: &FaultTelemetry) -> Option<SessionError> {
 
 /// Runs attempts until one finishes on a taint-free channel or the
 /// budget runs out. `attempt(k)` runs the `k`-th (0-based) session —
-/// opening a fresh channel, or re-tuning a persistent one — and returns
-/// the client's result plus the channel's [`AttemptReport`].
+/// opening a fresh air, or re-tuning a persistent one — and returns the
+/// client's result plus the attempt's [`AttemptReport`].
 ///
 /// Under [`RecoveryBudget::single`] with a fault-free channel this is a
 /// transparent pass-through: one attempt, its result mapped 1:1.
@@ -327,18 +318,27 @@ where
 }
 
 /// Supervises an [`AirClient`] point-to-point query: each attempt opens a
-/// fresh channel through `open(k)` and runs the client over it.
-pub fn supervise_query<'c>(
+/// fresh air through `open(k)` and runs the client over it. No [`Air`]
+/// carries fault counters, so every attempt reports zero faults: the
+/// supervisor retries only what the client itself gives up on. A harness
+/// that injects faults builds its own [`AttemptReport`]s and calls
+/// [`supervise`].
+pub fn supervise_query<A: Air>(
     budget: RecoveryBudget,
     cycle_len: usize,
     client: &mut dyn AirClient,
     query: &Query,
-    mut open: impl FnMut(u32) -> BroadcastChannel<'c>,
+    mut open: impl FnMut(u32) -> A,
 ) -> SupervisedSession<QueryOutcome> {
     supervise(budget, cycle_len, |k| {
-        let mut ch = open(k);
-        let result = client.query(&mut ch, query);
-        (result, AttemptReport::of(&ch, (0, 0)))
+        let mut air = open(k);
+        let result = client.query(&mut air, query);
+        let report = AttemptReport {
+            faults: FaultTelemetry::default(),
+            elapsed: air.elapsed(),
+            tuned: air.tuned(),
+        };
+        (result, report)
     })
 }
 

@@ -45,8 +45,8 @@ use spair_core::RecoveryBudget;
 use spair_methods::{MethodId, MethodProgram, SessionShape};
 use spair_roadnet::parallel;
 use spair_sim::{
-    drive, Device, Driven, FaultSource, ScenarioContext, Tally, Tune, TuneInSpec, Verdict,
-    WorkItem, FAULT_BUDGET,
+    drive, Device, Driven, FaultSource, ScenarioContext, Tally, Tune, Verdict, WorkItem,
+    FAULT_BUDGET,
 };
 use std::time::Instant;
 
@@ -428,7 +428,6 @@ impl PreparedLoad {
 /// Streaming per-cell aggregate — the map-reduce partial. O(buckets)
 /// memory regardless of population.
 struct CellMetrics {
-    rate: ChannelRate,
     latency: StreamingHistogram,
     tuning: StreamingHistogram,
     energy_uj: StreamingHistogram,
@@ -447,7 +446,7 @@ struct CellMetrics {
 const HIST_BUCKETS: usize = 1024;
 
 impl CellMetrics {
-    fn new(cycle_len: usize, full_sessions: bool, supervised: bool, rate: ChannelRate) -> Self {
+    fn new(cycle_len: usize, full_sessions: bool, supervised: bool) -> Self {
         // Lossless sessions finish within a couple of cycles; lossy and
         // supervised ones stretch by retry cycles and re-tunes. Values
         // beyond the bound stay exact in count/sum/max and fall into the
@@ -456,9 +455,8 @@ impl CellMetrics {
         let factor = if full_sessions { 24 } else { 4 };
         let latency_bound = cycle * factor;
         let tuning_bound = cycle * if full_sessions { 24 } else { 2 };
-        let energy_bound = radio_uj(rate, tuning_bound, latency_bound);
+        let energy_bound = radio_uj(tuning_bound, latency_bound);
         Self {
-            rate,
             latency: StreamingHistogram::with_bound(latency_bound, HIST_BUCKETS),
             tuning: StreamingHistogram::with_bound(tuning_bound, HIST_BUCKETS),
             energy_uj: StreamingHistogram::with_bound(energy_bound, HIST_BUCKETS),
@@ -487,8 +485,7 @@ impl CellMetrics {
         };
         self.latency.record(latency);
         self.tuning.record(tuning);
-        self.energy_uj
-            .record(radio_uj(self.rate, tuning, latency - tuning));
+        self.energy_uj.record(radio_uj(tuning, latency - tuning));
     }
 
     fn absorb(&mut self, other: CellMetrics) {
@@ -546,14 +543,15 @@ impl CellMetrics {
 }
 
 /// Radio (receive + sleep) energy in micro-joules for the given packet
-/// counts — WaveLAN figures, a pure function of the counts.
-fn radio_uj(rate: ChannelRate, tuning: u64, sleep: u64) -> u64 {
+/// counts — WaveLAN figures on a moving 3G channel, a pure function of
+/// the counts.
+fn radio_uj(tuning: u64, sleep: u64) -> u64 {
     let stats = QueryStats {
         tuning_packets: tuning,
         sleep_packets: sleep,
         ..QueryStats::default()
     };
-    let (rx, sl, _) = EnergyModel::WAVELAN_ARM.breakdown(&stats, rate);
+    let (rx, sl, _) = EnergyModel::WAVELAN_ARM.breakdown(&stats, ChannelRate::MOVING_3G);
     ((rx + sl) * 1e6).round() as u64
 }
 
@@ -581,12 +579,8 @@ fn run_cell(prep: &PreparedLoad, cell: &PreparedCell, threads: usize) -> LoadCel
     // Cells whose clients each run a real session (lossy or supervised
     // flash), as opposed to O(1) profile replay.
     let full_sessions = spec.scenario.loss.is_lossy() || supervised;
-    let rate = spec.scenario.rate;
     let seed = cell_seed(spec.scenario.seed, cell.method);
-    let uniform = Tune {
-        tune_in: TuneInSpec::Uniform,
-        ..Tune::of(&spec.scenario)
-    };
+    let uniform = Tune::of(&spec.scenario);
 
     let clients: Vec<u32> = (0..cell.population as u32).collect();
     let metrics = parallel::map_reduce_chunked(
@@ -599,7 +593,7 @@ fn run_cell(prep: &PreparedLoad, cell: &PreparedCell, threads: usize) -> LoadCel
             CellMode::Full { .. } => Some(device(ctx, cell.method)),
             CellMode::Replay { .. } => None,
         },
-        || CellMetrics::new(cycle_len, full_sessions, supervised, rate),
+        || CellMetrics::new(cycle_len, full_sessions, supervised),
         |client, partial: &mut CellMetrics, chunk, _| {
             for &i in chunk {
                 let h = splitmix64(seed ^ splitmix64(u64::from(i) + 1));
@@ -653,7 +647,7 @@ fn run_cell(prep: &PreparedLoad, cell: &PreparedCell, threads: usize) -> LoadCel
         },
         |a, b| a.absorb(b),
     )
-    .unwrap_or_else(|| CellMetrics::new(cycle_len, full_sessions, supervised, rate));
+    .unwrap_or_else(|| CellMetrics::new(cycle_len, full_sessions, supervised));
     let cpu_ms = start.elapsed().as_secs_f64() * 1000.0;
     metrics.report(spec, cell, pool.len(), cycle_len, cpu_ms)
 }
@@ -717,7 +711,7 @@ mod tests {
         ];
         let mut rows = modes.into_iter().zip(&specs).map(|(mode, spec)| {
             let (full, flash) = (spec.scenario.loss.is_lossy() || spec.flash, spec.flash);
-            let mut m = CellMetrics::new(100, full, flash, spec.scenario.rate);
+            let mut m = CellMetrics::new(100, full, flash);
             for _ in 0..4 {
                 m.serve(d);
             }
@@ -844,9 +838,8 @@ mod tests {
 
     #[test]
     fn radio_uj_scales_with_tuning() {
-        let rate = ChannelRate::MOVING_3G;
-        let quiet = radio_uj(rate, 0, 1000);
-        let loud = radio_uj(rate, 1000, 0);
+        let quiet = radio_uj(0, 1000);
+        let loud = radio_uj(1000, 0);
         assert!(loud > 20 * quiet, "rx {loud} vs sleep {quiet}");
     }
 }

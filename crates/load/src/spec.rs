@@ -8,12 +8,9 @@
 //! distinct-query pool the population draws from (each query still gets a
 //! serial-Dijkstra oracle for conformance).
 
-use spair_broadcast::{ChannelRate, DeviceProfile};
 use spair_methods::{MethodId, MethodRegistry, MethodUnavailable};
 use spair_roadnet::NetworkPreset;
-use spair_sim::{
-    FaultSpec, GraphSpec, LossSpec, PartitionerKind, ScenarioSpec, TuneInSpec, WorkloadMix,
-};
+use spair_sim::{FaultSpec, GraphSpec, LossSpec, PartitionerKind, ScenarioSpec, WorkloadMix};
 
 /// Node count of the paper-scale load network at `--scale 1.0`: a
 /// "germany-class" topology (Germany's edge/node ratio from Table 2)
@@ -154,9 +151,6 @@ fn base_scenario(name: &str, seed: u64) -> ScenarioSpec {
         regions: 16,
         loss: LossSpec::Lossless,
         fault: FaultSpec::None,
-        tune_in: TuneInSpec::Uniform,
-        rate: ChannelRate::MOVING_3G,
-        heap_budget_bytes: DeviceProfile::J2ME_PHONE.heap_bytes,
         workload: WorkloadMix::p2p(12),
         seed,
     }

@@ -35,7 +35,7 @@ use crate::{
 };
 use spair_baselines::dj::receive_network_data;
 use spair_baselines::{DjProgram, DjServer};
-use spair_broadcast::{BroadcastChannel, BroadcastCycle, CpuMeter, MemoryMeter, QueryStats};
+use spair_broadcast::{Air, BroadcastCycle, CpuMeter, MemoryMeter, QueryStats};
 use spair_core::netcodec::ReceivedGraph;
 use spair_core::patch::{ClientArena, Coverage};
 use spair_core::query::{AirClient, Query, QueryError, QueryOutcome};
@@ -148,11 +148,7 @@ impl AirClient for AstarAirClient {
         "A*-air"
     }
 
-    fn query(
-        &mut self,
-        ch: &mut BroadcastChannel<'_>,
-        q: &Query,
-    ) -> Result<QueryOutcome, QueryError> {
+    fn query(&mut self, ch: &mut dyn Air, q: &Query) -> Result<QueryOutcome, QueryError> {
         let mut mem = MemoryMeter::new();
         let mut cpu = CpuMeter::new();
         if q.source == q.target {

@@ -7,7 +7,7 @@
 use crate::{
     BroadcastMethod, KnnAirClient, MethodDescriptor, MethodProgram, MethodUnavailable, World,
 };
-use spair_broadcast::{BroadcastChannel, BroadcastCycle};
+use spair_broadcast::{Air, BroadcastCycle};
 use spair_core::knn::KnnOutcome;
 use spair_core::query::QueryError;
 use spair_core::{KnnClient, KnnProgram, KnnServer};
@@ -48,7 +48,7 @@ impl KnnMethodProgram {
 impl KnnAirClient for KnnClient {
     fn query(
         &mut self,
-        ch: &mut BroadcastChannel<'_>,
+        ch: &mut dyn Air,
         source: NodeId,
         source_pt: Point,
         k: usize,

@@ -46,7 +46,7 @@ pub mod nr;
 mod received;
 pub mod spq_air;
 
-use spair_broadcast::{BroadcastChannel, BroadcastCycle};
+use spair_broadcast::{Air, BroadcastCycle};
 use spair_core::knn::KnnOutcome;
 use spair_core::query::{AirClient, Query, QueryError, QueryOutcome};
 use spair_core::BorderPrecomputation;
@@ -410,7 +410,7 @@ pub trait KnnAirClient {
     /// Finds the `k` POIs nearest to `source` over a tuned-in channel.
     fn query(
         &mut self,
-        ch: &mut BroadcastChannel<'_>,
+        ch: &mut dyn Air,
         source: NodeId,
         source_pt: Point,
         k: usize,

@@ -6,7 +6,7 @@
 //! with [`ReceivedGraph::search`].
 
 use spair_baselines::dj::receive_network_data;
-use spair_broadcast::{BroadcastChannel, MemoryMeter};
+use spair_broadcast::{Air, MemoryMeter};
 use spair_core::netcodec::ReceivedGraph;
 use spair_core::query::QueryError;
 use spair_roadnet::{NodeId, Point, RoadNetwork, Weight};
@@ -27,7 +27,7 @@ pub(crate) struct ReceivedNetwork {
 /// `store` is caller-owned scratch (cleared here), so clients serving
 /// many sessions reuse its arenas instead of re-allocating per query.
 pub(crate) fn receive_network(
-    ch: &mut BroadcastChannel<'_>,
+    ch: &mut dyn Air,
     mem: &mut MemoryMeter,
     store: &mut ReceivedGraph,
 ) -> Result<ReceivedNetwork, QueryError> {

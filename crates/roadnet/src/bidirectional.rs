@@ -16,7 +16,9 @@ use crate::{Distance, DIST_INF};
 /// Point-to-point distance via bidirectional search, or `None` if the
 /// target is unreachable.
 pub fn bidirectional_distance(g: &RoadNetwork, source: NodeId, target: NodeId) -> Option<Distance> {
-    bidirectional_search(g, source, target).0
+    bidirectional_search_paths(g, source, target)
+        .0
+        .map(|(d, _)| d)
 }
 
 /// Bidirectional search returning `(distance, path)` plus work counters.
@@ -28,6 +30,11 @@ pub fn bidirectional_distance(g: &RoadNetwork, source: NodeId, target: NodeId) -
 /// distance), so at termination `dist_f[meet] + dist_b[meet] == best` and
 /// the two parent chains through `meet` concatenate into a shortest
 /// `source -> target` walk.
+///
+/// Invariant used for termination: once `top(forward) + top(backward)`
+/// is at least the best meeting distance seen, no shorter path can still
+/// be discovered (every undiscovered path's two halves are bounded below
+/// by the respective heap tops).
 pub fn bidirectional_search_paths(
     g: &RoadNetwork,
     source: NodeId,
@@ -121,88 +128,6 @@ pub fn bidirectional_search_paths(
     (Some((best, path)), stats)
 }
 
-/// Bidirectional search returning the distance plus work counters.
-///
-/// Invariant used for termination: once `top(forward) + top(backward)`
-/// is at least the best meeting distance seen, no shorter path can still
-/// be discovered (every undiscovered path's two halves are bounded below
-/// by the respective heap tops).
-pub fn bidirectional_search(
-    g: &RoadNetwork,
-    source: NodeId,
-    target: NodeId,
-) -> (Option<Distance>, SearchStats) {
-    if source == target {
-        return (Some(0), SearchStats::default());
-    }
-    let n = g.num_nodes();
-    let mut dist_f = vec![DIST_INF; n];
-    let mut dist_b = vec![DIST_INF; n];
-    let mut heap_f = MinHeap::with_capacity(64);
-    let mut heap_b = MinHeap::with_capacity(64);
-    let mut stats = SearchStats::default();
-    let mut best = DIST_INF;
-
-    dist_f[source as usize] = 0;
-    dist_b[target as usize] = 0;
-    heap_f.push(0, source);
-    heap_b.push(0, target);
-
-    loop {
-        let tf = heap_f.peek_key();
-        let tb = heap_b.peek_key();
-        let (Some(tf), Some(tb)) = (tf, tb) else {
-            break; // one frontier exhausted: no more meetings possible
-        };
-        if best != DIST_INF && tf + tb >= best {
-            break;
-        }
-        // Expand the smaller frontier.
-        if tf <= tb {
-            let e = heap_f.pop().expect("peeked");
-            let v = e.item;
-            if e.key != dist_f[v as usize] {
-                continue;
-            }
-            stats.settled += 1;
-            for (u, w) in g.out_edges(v) {
-                stats.relaxed += 1;
-                let cand = e.key + w as Distance;
-                if cand < dist_f[u as usize] {
-                    dist_f[u as usize] = cand;
-                    heap_f.push(cand, u);
-                }
-                if dist_b[u as usize] != DIST_INF {
-                    best = best.min(cand + dist_b[u as usize]);
-                }
-            }
-        } else {
-            let e = heap_b.pop().expect("peeked");
-            let v = e.item;
-            if e.key != dist_b[v as usize] {
-                continue;
-            }
-            stats.settled += 1;
-            for (u, w) in g.in_edges(v) {
-                stats.relaxed += 1;
-                let cand = e.key + w as Distance;
-                if cand < dist_b[u as usize] {
-                    dist_b[u as usize] = cand;
-                    heap_b.push(cand, u);
-                }
-                if dist_f[u as usize] != DIST_INF {
-                    best = best.min(cand + dist_f[u as usize]);
-                }
-            }
-        }
-    }
-    if best == DIST_INF {
-        (None, stats)
-    } else {
-        (Some(best), stats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,7 +177,7 @@ mod tests {
         };
         let g = cfg.generate();
         let (s, t) = (0, 1999);
-        let (_, bi) = bidirectional_search(&g, s, t);
+        let (_, bi) = bidirectional_search_paths(&g, s, t);
         let (_, uni) = dijkstra_with_options(
             &g,
             s,

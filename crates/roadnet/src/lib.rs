@@ -36,7 +36,7 @@ pub mod snap;
 pub mod split;
 pub mod sptree;
 
-pub use bidirectional::{bidirectional_distance, bidirectional_search, bidirectional_search_paths};
+pub use bidirectional::{bidirectional_distance, bidirectional_search_paths};
 pub use dijkstra::{
     dijkstra_distance, dijkstra_filtered, dijkstra_full, dijkstra_to_target, DijkstraOptions,
     QueuePolicy, SearchStats,

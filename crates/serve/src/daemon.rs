@@ -587,7 +587,9 @@ impl SessionCtx<'_> {
 
 /// Reads the client's `Hello`; `None` when the connection ends without
 /// one: it hung up, or was refused (a malformed or out-of-protocol frame
-/// is dead-lettered with the bytes that carried it).
+/// is dead-lettered with the bytes that carried it, and a client that
+/// sends nothing within the admission deadline is counted and logged as
+/// rejected; only a stopping daemon answers `ShuttingDown`).
 fn read_hello(control: &mut Control, peer: SocketAddr, shared: &Shared) -> Option<Hello> {
     let deadline = Instant::now() + Duration::from_secs(5);
     let err = match control.next(deadline, Some(&shared.stop)) {
@@ -595,8 +597,12 @@ fn read_hello(control: &mut Control, peer: SocketAddr, shared: &Shared) -> Optio
         // Out-of-protocol frame before admission.
         Ok(_) => FrameError::UnknownKind(0xFF),
         Err(ControlError::Frame(e)) => e,
-        Err(ControlError::Timeout) => {
+        Err(ControlError::Timeout) if shared.stop.load(Ordering::SeqCst) => {
             let _ = control.send_frame(&Frame::Reject(RejectReason::ShuttingDown));
+            return None;
+        }
+        Err(ControlError::Timeout) => {
+            shared.reject(control, peer, RejectReason::AdmissionTimeout);
             return None;
         }
         Err(ControlError::HungUp(_)) => return None,

@@ -143,6 +143,8 @@ pub enum RejectReason {
     ShuttingDown = 2,
     /// The Hello itself was malformed.
     Protocol = 3,
+    /// No Hello arrived within the admission deadline.
+    AdmissionTimeout = 4,
 }
 
 impl RejectReason {
@@ -153,6 +155,7 @@ impl RejectReason {
             0 => RejectReason::UnknownMethod,
             1 => RejectReason::NotServed,
             2 => RejectReason::ShuttingDown,
+            4 => RejectReason::AdmissionTimeout,
             _ => RejectReason::Protocol,
         }
     }
@@ -909,6 +912,22 @@ mod tests {
                 assert_eq!((c.session, c.drops, c.laps), (12, 17, 3));
             }
             other => panic!("wrong frame {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reject_reason_tags_round_trip() {
+        for r in [
+            RejectReason::UnknownMethod,
+            RejectReason::NotServed,
+            RejectReason::ShuttingDown,
+            RejectReason::Protocol,
+            RejectReason::AdmissionTimeout,
+        ] {
+            assert_eq!(RejectReason::from_u8(r as u8), r);
+        }
+        for tag in 5..=u8::MAX {
+            assert_eq!(RejectReason::from_u8(tag), RejectReason::Protocol);
         }
     }
 

@@ -73,7 +73,7 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                 })
             }
         ),
-        (0u8..=3).prop_map(|r| Frame::Reject(frame::RejectReason::from_u8(r))),
+        (0u8..=4).prop_map(|r| Frame::Reject(frame::RejectReason::from_u8(r))),
     ]
 }
 

@@ -11,8 +11,8 @@ use spair_roadnet::QueuePolicy;
 use spair_serve::client::{fetch_cycle, run_query, SessionConfig, SessionFailure, Transport};
 use spair_serve::daemon::{DropPlan, ServeDaemon, ServeOptions, ServeWorld, TCP_BATCH};
 use spair_serve::frame::{
-    encode_stream, Admit, Close, CloseReason, DataFrame, Datagram, Frame, Hello, StreamDecoder,
-    DATAGRAM_FRAMES, DATA_FRAME, DATA_SEGMENT, MAX_DATAGRAM,
+    encode_stream, Admit, Close, CloseReason, DataFrame, Datagram, Frame, Hello, RejectReason,
+    StreamDecoder, DATAGRAM_FRAMES, DATA_FRAME, DATA_SEGMENT, MAX_DATAGRAM,
 };
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, UdpSocket};
@@ -641,6 +641,37 @@ fn rejections_and_dead_letters_are_typed() {
         .expect("garbage hello dead-lettered");
     let len = field(garbage, "len");
     assert!((1..=20).contains(&len), "{garbage}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A client that connects and sends no `Hello` is refused when the 5 s
+/// admission deadline passes: `Reject(AdmissionTimeout)` on the wire, one
+/// counted rejection and one `session_rejected` event. A running daemon
+/// does not claim to be shutting down.
+#[test]
+fn a_client_that_sends_no_hello_is_rejected_for_admission_timeout() {
+    let dir = test_dir("admission_timeout");
+    let programs = build_programs(6, 6, 4, 3);
+    let daemon = start_daemon(&programs, &["nr"], &dir, None);
+    let mut raw = TcpStream::connect(daemon.local_addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(15))).unwrap();
+    let reply = recv_frame(&mut raw, &mut StreamDecoder::new());
+    assert!(
+        matches!(reply, Frame::Reject(RejectReason::AdmissionTimeout)),
+        "{reply:?}"
+    );
+    let summary = daemon.shutdown().unwrap();
+    assert_eq!(summary.rejections, 1);
+    let events = std::fs::read_to_string(dir.join("serve.events.jsonl")).unwrap();
+    let rejected: Vec<&str> = events
+        .lines()
+        .filter(|l| l.contains("\"event\":\"session_rejected\""))
+        .collect();
+    assert_eq!(rejected.len(), 1, "{events}");
+    assert_eq!(
+        field(rejected[0], "reason"),
+        RejectReason::AdmissionTimeout as u64
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

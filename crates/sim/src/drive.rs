@@ -22,7 +22,7 @@
 
 use crate::engine::WorkItem;
 use crate::spec::{FaultSpec, LossSpec, ScenarioSpec, TuneInSpec};
-use spair_broadcast::{splitmix64, BroadcastChannel, BroadcastCycle, FaultPlan, QueryStats};
+use spair_broadcast::{splitmix64, Air, BroadcastCycle, FaultPlan, FaultyChannel, QueryStats};
 use spair_core::patch::ClientArena;
 use spair_core::query::AirClient;
 use spair_core::{
@@ -62,11 +62,11 @@ pub struct Tune {
 }
 
 impl Tune {
-    /// The scenario's tune-in rule and loss model on a fault-free
-    /// channel.
+    /// The scenario's loss model at a uniform tune-in instant (the
+    /// paper's §7 protocol) on a fault-free channel.
     pub fn of(spec: &ScenarioSpec) -> Self {
         Self {
-            tune_in: spec.tune_in,
+            tune_in: TuneInSpec::Uniform,
             loss: spec.loss,
             faults: FaultSource::None,
         }
@@ -83,10 +83,10 @@ impl Tune {
 }
 
 /// Opens one channel session on `cycle`; every stream it draws is a pure
-/// function of `seed`.
-pub fn open<'a>(cycle: &'a BroadcastCycle, tune: &Tune, seed: u64) -> BroadcastChannel<'a> {
+/// function of `seed`. A fault-free session runs under
+/// [`FaultPlan::none`], which delivers every slot as scheduled.
+pub fn open<'a>(cycle: &'a BroadcastCycle, tune: &Tune, seed: u64) -> FaultyChannel<'a> {
     let offset = match tune.tune_in {
-        TuneInSpec::Start => 0,
         TuneInSpec::Uniform => (splitmix64(seed) % cycle.len() as u64) as usize,
         TuneInSpec::At(offset) => offset,
     };
@@ -95,7 +95,7 @@ pub fn open<'a>(cycle: &'a BroadcastCycle, tune: &Tune, seed: u64) -> BroadcastC
         FaultSource::PerSession(spec) => spec.plan(splitmix64(seed ^ 0xFA17), cycle.len()),
         FaultSource::Shared(plan) => plan,
     };
-    BroadcastChannel::tune_in_with_faults(
+    FaultyChannel::tune_in(
         cycle,
         offset,
         tune.loss.model(splitmix64(seed ^ 0x10C5)),
@@ -315,13 +315,18 @@ impl Driven {
         tune: &Tune,
         budget: RecoveryBudget,
         seed: u64,
-        mut run: impl FnMut(&mut BroadcastChannel<'_>) -> Result<T, QueryError>,
+        mut run: impl FnMut(&mut dyn Air) -> Result<T, QueryError>,
     ) -> Result<T, Option<&'static str>> {
         self.queries += 1;
         let s = supervise(budget, cycle.len(), |k| {
             let mut ch = open(cycle, tune, attempt_seed(seed, k));
             let result = run(&mut ch);
-            (result, AttemptReport::of(&ch, (0, 0)))
+            let report = AttemptReport {
+                faults: ch.telemetry(),
+                elapsed: ch.elapsed(),
+                tuned: ch.tuned(),
+            };
+            (result, report)
         });
         self.cost(&s, budget, cycle.len());
         typed(s.outcome)
@@ -494,8 +499,7 @@ mod tests {
     use spair_roadnet::dijkstra_to_target;
     use spair_roadnet::generators::small_grid;
 
-    type Script =
-        fn(u32, &mut BroadcastChannel<'_>, &QueryOutcome) -> Result<QueryOutcome, QueryError>;
+    type Script = fn(u32, &mut dyn Air, &QueryOutcome) -> Result<QueryOutcome, QueryError>;
 
     /// A scripted client: attempt `k` answers `script(k, channel, truth)`.
     struct Fake {
@@ -509,11 +513,7 @@ mod tests {
             "fake"
         }
 
-        fn query(
-            &mut self,
-            ch: &mut BroadcastChannel<'_>,
-            _: &Query,
-        ) -> Result<QueryOutcome, QueryError> {
+        fn query(&mut self, ch: &mut dyn Air, _: &Query) -> Result<QueryOutcome, QueryError> {
             self.calls += 1;
             (self.script)(self.calls - 1, ch, &self.truth)
         }

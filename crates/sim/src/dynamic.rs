@@ -42,7 +42,7 @@ use crate::spec::{GraphSpec, ScenarioSpec, WorkloadMix};
 use crate::traffic::{network_at, version_deltas, TrafficSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spair_broadcast::{splitmix64, BroadcastCycle, QueryStats};
+use spair_broadcast::{splitmix64, Air, BroadcastCycle, QueryStats};
 use spair_core::patch::{build_patch_cycle, receive_patch, ClientArena, PatchError};
 use spair_core::{BorderPrecomputation, Query, RecoveryBudget};
 use spair_methods::{MethodId, MethodRegistry, ProgramSet, SessionShape, Tuning, World};

@@ -27,7 +27,7 @@ use crate::report::{CellReport, ConformanceMatrix, Matrix};
 use crate::spec::ScenarioSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spair_broadcast::{splitmix64, BroadcastCycle, EnergyModel};
+use spair_broadcast::{splitmix64, BroadcastCycle, ChannelRate, DeviceProfile, EnergyModel};
 use spair_core::query::AirClient;
 use spair_core::{BorderPrecomputation, OnEdgePoint, Query, RecoveryBudget};
 use spair_methods::{
@@ -352,7 +352,7 @@ pub fn knn_item(g: &RoadNetwork, pois: &[NodeId], source: NodeId, k: usize) -> W
 pub fn run_cell(ctx: &ScenarioContext, method: MethodId) -> CellReport {
     let single = RecoveryBudget::single();
     let (tally, worst) = ctx.fold_portion(method, &Tune::of(&ctx.spec), single);
-    let (rx, sleep, cpu) = EnergyModel::WAVELAN_ARM.breakdown(&tally.stats, ctx.spec.rate);
+    let (rx, sleep, cpu) = EnergyModel::WAVELAN_ARM.breakdown(&tally.stats, ChannelRate::MOVING_3G);
     CellReport {
         scenario: ctx.spec.name.clone(),
         method: method.name(),
@@ -360,7 +360,7 @@ pub fn run_cell(ctx: &ScenarioContext, method: MethodId) -> CellReport {
         max_onedge_latency_packets: worst[1],
         max_knn_latency_packets: worst[2],
         cycle_packets: ctx.reported_cycle_packets(method),
-        within_memory_budget: tally.stats.peak_memory_bytes <= ctx.spec.heap_budget_bytes,
+        within_memory_budget: tally.stats.peak_memory_bytes <= DeviceProfile::J2ME_PHONE.heap_bytes,
         radio_energy_joules: rx + sleep,
         cpu_ms: cpu / EnergyModel::WAVELAN_ARM.cpu_watts * 1000.0,
         tally,

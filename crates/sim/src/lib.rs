@@ -6,9 +6,8 @@
 //! crate turns that claim into an executable artifact: a seeded
 //! [`ScenarioSpec`] describes one simulated world — graph, partitioner
 //! (kd-median or uniform-grid splits), loss model (lossless / Bernoulli /
-//! Gilbert–Elliott bursty), tune-in distribution, channel rate, device
-//! heap budget and a query workload mixing point-to-point,
-//! on-edge and kNN queries — and the engine drives **every client method**
+//! Gilbert–Elliott bursty), faults and a query workload mixing
+//! point-to-point, on-edge and kNN queries — and the engine drives **every client method**
 //! (`nr`, `eb`, `dj`, `ld`, `af`, `spq_air`, `hiti_air`, the §6.1
 //! memory-bound variant and the §8 kNN client) through it, differentially
 //! verifying each answer against a serial Dijkstra oracle.

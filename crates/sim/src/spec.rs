@@ -1,14 +1,12 @@
 //! Declarative scenario specifications.
 //!
 //! A [`ScenarioSpec`] names everything one simulated world varies: the
-//! graph, the partitioner, the channel noise, how clients tune in, the
-//! channel rate and device heap, and the query workload mix. Specs are
-//! plain data — the
-//! engine ([`crate::engine`]) turns a spec plus its seed into a fully
+//! graph, the partitioner, the channel noise, the faults and the query
+//! workload mix. Specs are plain data — the engine ([`crate::engine`]) turns a spec plus its seed into a fully
 //! deterministic run, so two runs of the same spec are byte-identical
 //! regardless of thread count.
 
-use spair_broadcast::{ChannelRate, DeviceProfile, FaultPlan, LossModel};
+use spair_broadcast::{FaultPlan, LossModel};
 use spair_partition::KdTreePartition;
 use spair_roadnet::generators::small_grid;
 use spair_roadnet::{NetworkPreset, RoadNetwork};
@@ -250,8 +248,6 @@ impl FaultSpec {
 /// Where in the cycle clients tune in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TuneInSpec {
-    /// Always at cycle offset 0 (worst-case-free baseline).
-    Start,
     /// Uniformly random offset per query (the paper's §7 protocol).
     Uniform,
     /// Always at this offset (modulo the cycle length): a probe session
@@ -302,13 +298,6 @@ pub struct ScenarioSpec {
     /// stale frames, correlated windows). [`FaultSpec::None`] keeps every
     /// channel byte-identical to the pre-fault engine.
     pub fault: FaultSpec,
-    /// Tune-in offset distribution.
-    pub tune_in: TuneInSpec,
-    /// Channel bit rate (drives latency seconds and radio energy).
-    pub rate: ChannelRate,
-    /// Device heap budget in bytes (the per-cell `within_memory_budget`
-    /// verdict).
-    pub heap_budget_bytes: usize,
     /// Query workload mix.
     pub workload: WorkloadMix,
     /// Master seed: graph generation, workload draws, tune-in offsets and
@@ -330,9 +319,6 @@ impl ScenarioSpec {
             regions: 8,
             loss: LossSpec::Lossless,
             fault: FaultSpec::None,
-            tune_in: TuneInSpec::Uniform,
-            rate: ChannelRate::MOVING_3G,
-            heap_budget_bytes: DeviceProfile::J2ME_PHONE.heap_bytes,
             workload: WorkloadMix {
                 point_to_point: 8,
                 on_edge: 3,

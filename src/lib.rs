@@ -57,7 +57,7 @@ pub mod prelude {
         SpqAirServer, SpqClient, SpqIndex,
     };
     pub use spair_broadcast::{
-        BroadcastChannel, ChannelRate, DeviceProfile, EnergyModel, LossModel, QueryStats,
+        Air, BroadcastChannel, ChannelRate, DeviceProfile, EnergyModel, LossModel, QueryStats,
     };
     pub use spair_core::query::AirClient;
     pub use spair_core::{
