@@ -213,11 +213,6 @@ impl FaultTelemetry {
     pub fn tainted(&self) -> bool {
         self.restarts > 0 || self.duplicates > 0 || self.stale > 0
     }
-
-    /// Whether any fault at all was observed.
-    pub fn any(&self) -> bool {
-        self.tainted() || self.corrupted > 0 || self.correlated_lost > 0
-    }
 }
 
 /// What the fault layer decided for one slot.
@@ -570,13 +565,14 @@ mod tests {
     #[test]
     fn telemetry_taint_classes() {
         let clean = FaultTelemetry::default();
-        assert!(!clean.tainted() && !clean.any());
+        assert!(!clean.tainted());
+        assert_eq!(clean.corrupted + clean.correlated_lost, 0);
         let corrupt = FaultTelemetry {
             corrupted: 3,
             ..Default::default()
         };
         assert!(!corrupt.tainted(), "corruption is detectable, not silent");
-        assert!(corrupt.any());
+        assert_eq!(corrupt.corrupted, 3);
         for t in [
             FaultTelemetry {
                 duplicates: 1,

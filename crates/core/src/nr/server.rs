@@ -117,48 +117,45 @@ impl<'a> NrServer<'a> {
             }
         }
 
-        let make_indexes = |offsets: &[NrOffsetEntry]| -> Vec<NrLocalIndex> {
-            (0..n as RegionId)
-                .map(|m| NrLocalIndex {
-                    region: m,
-                    num_regions: n,
-                    splits: self.part.splits().to_vec(),
-                    next: self.next_matrix(m, &needed_lists),
-                    offsets: offsets.to_vec(),
-                })
-                .collect()
-        };
-
-        // Pass 1: placeholder offsets to learn the layout.
-        let placeholder = vec![
-            NrOffsetEntry {
-                data_offset: 0,
-                cross_packets: 0,
-                local_packets: 0,
-            };
-            n
-        ];
-        let dry_indexes = make_indexes(&placeholder);
+        // Each region's next matrix, built once; the index encodes to a
+        // fixed width, so one encode with placeholder offsets gives every
+        // index's length, and from them the offsets.
+        let mut indexes: Vec<NrLocalIndex> = (0..n as RegionId)
+            .map(|m| NrLocalIndex {
+                region: m,
+                num_regions: n,
+                splits: self.part.splits().to_vec(),
+                next: self.next_matrix(m, &needed_lists),
+                offsets: vec![
+                    NrOffsetEntry {
+                        data_offset: 0,
+                        cross_packets: 0,
+                        local_packets: 0,
+                    };
+                    n
+                ],
+            })
+            .collect();
+        let index_len = indexes
+            .first()
+            .map_or(Ok(0), |idx| idx.encode().map(|p| p.len()))?;
         let mut offset = 0usize;
         let mut entries = Vec::with_capacity(n);
-        let mut index_lens = Vec::with_capacity(n);
-        for m in 0..n {
-            let ilen = dry_indexes[m].encode()?.len();
-            index_lens.push(ilen);
-            offset += ilen;
+        for (cross, local) in &region_payloads {
+            offset += index_len;
             entries.push(NrOffsetEntry {
                 data_offset: offset as u32,
-                cross_packets: region_payloads[m].0.len() as u16,
-                local_packets: region_payloads[m].1.len() as u16,
+                cross_packets: cross.len() as u16,
+                local_packets: local.len() as u16,
             });
-            offset += region_payloads[m].0.len() + region_payloads[m].1.len();
+            offset += cross.len() + local.len();
         }
 
-        // Pass 2: real offsets (identical packet counts by construction).
         let mut builder = CycleBuilder::new();
-        for (m, idx) in make_indexes(&entries).into_iter().enumerate() {
+        for (m, idx) in indexes.iter_mut().enumerate() {
+            idx.offsets.clone_from(&entries);
             let payloads = idx.encode()?;
-            assert_eq!(payloads.len(), index_lens[m], "fixed-width encoding");
+            assert_eq!(payloads.len(), index_len, "fixed-width encoding");
             builder.push_segment(
                 SegmentKind::LocalIndex(m as u16),
                 PacketKind::LocalIndex,
@@ -178,7 +175,7 @@ impl<'a> NrServer<'a> {
         Ok(NrProgram {
             cycle: builder.finish(),
             summary: NrSummary { num_regions: n },
-            index_packets_per_region: index_lens,
+            index_packets_per_region: vec![index_len; n],
         })
     }
 }

@@ -13,29 +13,48 @@
 //!   border-pair shortest path (§4.1's region-data split that cuts ~20% of
 //!   tuning time).
 //!
-//! Per source the three are extracted by dynamic programs over the
-//! shortest-path tree instead of walking each of the O(B²) pair paths:
-//! region sets propagate parent→child in settle order, and the
-//! on-a-border-path marks propagate child→parent in reverse settle order.
-//! Any parents-first order of the tree serves both.
-//!
-//! The trees come from the all-sources kernel of [`spair_roadnet::peel`]:
-//! it searches only the branch nodes of the graph's 2-core and fills the
-//! degree-2 chains and the dangling trees around them, with exactly the
-//! parents of one whole-graph
+//! The trees come from the all-sources kernel of [`spair_roadnet::peel`],
+//! with exactly the parents of one whole-graph
 //! [`DijkstraWorkspace::run`](spair_roadnet::dijkstra::DijkstraWorkspace::run)
-//! per source. Its fill is pruned to the border nodes
-//! ([`Peel::pruned`]): a peeled node with no border node in its dangling
-//! subtree lies on no border-pair path, so neither the tables nor the
-//! DPs read it.
+//! per source, and are read at branch-node granularity: the kernel stops
+//! at its [`BranchView`] (per branch node of the 2-core a distance and a
+//! parent, per degree-2 chain the slot where its interiors switch from
+//! one end's side to the other's), and the pass never fills a tree over
+//! the chain interiors and dangling trees.
 //!
-//! **One search per attachment.** The pass searches from *roots*: every
-//! border node in the 2-core, and every core node `a` that a dangling
-//! tree holding border nodes attaches at. A border node `s` inside a
-//! dangling tree is folded from its attachment's search. Let `T` be the
-//! dangling subtree below `a` that holds `s`; its only link to the rest
-//! of the graph is one edge each way between its top node and `a`, both
-//! of positive weight. Then:
+//! **Once per graph** ([`Peel::pruned`] to the border nodes) the pass
+//! prepares:
+//!
+//! * the *roots*: every border node in the 2-core, and every core node
+//!   that a dangling tree holding border nodes attaches at. They are the
+//!   only core nodes a border-pair path can end at or leave the core
+//!   from, and each is searched once;
+//! * per root, its *targets*: per region, the min and max distance from
+//!   the root to the border nodes at it (itself, and those in the
+//!   dangling subtrees below it, whose distances are the walks down) and
+//!   the union of the regions on those walks;
+//! * per chain slot, the regions of the chain's interiors from its first
+//!   end up to the slot and from the slot to its last end.
+//!
+//! **Per source** the fold then reads each root's distance and path
+//! regions in O(1) off the branch view: a branch node's from a
+//! parent-first pass over the settled branch nodes; a chain interior's
+//! from the end its split side hangs off, plus the chain's prefix or
+//! suffix regions. The marks follow the same shape. A branch node lies
+//! on a path when a root at it or below it is reached, which one
+//! child-first pass over the settled branch nodes propagates. On a chain,
+//! the marked interiors of one side form a run from that side's end, so
+//! a source's marks there are a prefix or suffix length. A dangling
+//! subtree's marks are all its kept nodes once its attachment is reached
+//! from outside it. Lengths and reached flags merge by max and or, and
+//! expand into `cross_border` once at the end. Only the root's own chain,
+//! whose interiors hang off the root itself, is walked node by node.
+//!
+//! **One search per attachment.** A border node `s` inside a dangling
+//! tree is folded from its attachment's search. Let `T` be the dangling
+//! subtree below `a` that holds `s`; its only link to the rest of the
+//! graph is one edge each way between its top node and `a`, both of
+//! positive weight. Then:
 //!
 //! * Outside `T`, `s`'s tree is `a`'s tree shifted by the walk length
 //!   `d(s, a)`. The kernel's search from `s` walks up to `a` and runs the
@@ -50,18 +69,21 @@
 //!   the kept part of `T` alone, in time proportional to it.
 //! * If `a`'s search meets a double tie, whole-graph searches from `a`
 //!   and from `s` may break it differently, so each source under `a`
-//!   falls back to its own search and fold; it meets the same tie, and
+//!   gets its own search, summarised into a branch view, and the same
+//!   fold; it meets the same tie, and
 //!   [`BorderPrecomputation::tie_fallback_sources`] counts it as before.
 //!
 //! So the tables equal the whole-graph fold on every graph.
 
 use crate::regionset::{RegionSet, RegionSetMatrix};
 use spair_partition::{BorderInfo, Partitioning, RegionId};
+use spair_roadnet::certify::Fnv1a;
 use spair_roadnet::dijkstra::Direction;
 use spair_roadnet::parallel;
-use spair_roadnet::peel::{Peel, SourceTree};
+use spair_roadnet::peel::{BranchParent, BranchView, Peel, SourceTree};
 use spair_roadnet::sptree::NO_PARENT;
 use spair_roadnet::{Distance, NodeId, RoadNetwork, DIST_INF};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Min/max shortest-path distance between border nodes of a region pair.
@@ -89,6 +111,13 @@ impl MinMax {
     fn cover(&mut self, d: Distance) {
         self.min = self.min.min(d);
         self.max = self.max.max(d);
+    }
+
+    /// Widens the range to cover `other` shifted by `shift`.
+    #[inline]
+    fn cover_shifted(&mut self, other: MinMax, shift: Distance) {
+        self.cover(other.min + shift);
+        self.cover(other.max + shift);
     }
 }
 
@@ -124,14 +153,28 @@ pub struct BorderPrecomputation {
     pub precompute_secs: f64,
 }
 
+/// Where a root sits in the 2-core.
+#[derive(Clone, Copy)]
+enum Place {
+    /// A branch node, by branch index.
+    Branch(u32),
+    /// A chain interior: its chain and slot.
+    Interior(usize, usize),
+}
+
 /// A search root: a core node that is a border node, or that dangling
 /// trees holding border nodes attach at, or both.
 struct Root {
     node: NodeId,
     /// Whether `node` is a border node, a source of its own.
     border: bool,
-    /// The dangling subtrees below `node` that hold border nodes.
-    subtrees: Vec<Subtree>,
+    place: Place,
+    /// The dangling subtrees below `node` that hold border nodes, in
+    /// [`Pass::subtrees`].
+    subtrees: Range<usize>,
+    /// Every border node at the root, itself and in its subtrees, in
+    /// [`Pass::targets`].
+    targets: Range<usize>,
 }
 
 /// A dangling subtree directly below its attachment.
@@ -141,11 +184,35 @@ struct Subtree {
     /// Its border nodes, ascending: the sources the attachment's search
     /// serves, and the targets inside the subtree.
     borders: Vec<NodeId>,
-    /// Its nodes with a border node below them, parents first.
+    /// Its nodes with a border node below them, parents first: the nodes
+    /// on the paths into it from outside.
     kept: Vec<NodeId>,
+    /// Its border nodes, in [`Pass::targets`].
+    targets: Range<usize>,
 }
 
-/// What every worker reads: the peeled graph, the regions and the roots.
+/// The border nodes of one region in a group (a root's, or a subtree's),
+/// as the root reaches them: the range of their distances from it. The
+/// regions of their walks down from the root are
+/// [`Pass::target_regions`] at the same index.
+#[derive(Clone, Copy)]
+struct Targets {
+    region: usize,
+    range: MinMax,
+}
+
+/// Which of a root's own targets a fold leaves out: the root itself
+/// when it is the source, or one subtree whose sources fold the paths
+/// inside it on their own.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Skip {
+    Nothing,
+    Root,
+    Subtree(usize),
+}
+
+/// What every worker reads: the peeled graph, the regions, the roots and
+/// their targets.
 struct Pass<'g> {
     peel: Peel<'g>,
     borders: BorderInfo,
@@ -153,29 +220,43 @@ struct Pass<'g> {
     regions: usize,
     words: usize,
     roots: Vec<Root>,
-    /// Per kept peeled node, the top of its subtree; `NO_PARENT` for
-    /// every other node.
-    top: Vec<NodeId>,
+    subtrees: Vec<Subtree>,
+    /// Per chain slot, `words` each: the regions of its chain's interiors
+    /// from the chain's first end up to the slot (`prefix`) and from the
+    /// slot up to its last end (`suffix`). At the ends, all interiors.
+    prefix: Vec<u64>,
+    suffix: Vec<u64>,
+    targets: Vec<Targets>,
+    /// Per entry of `targets`, `words` each.
+    target_regions: Vec<u64>,
 }
 
-/// Reusable per-worker buffers for the searches and DPs.
+/// Reusable per-worker buffers for the searches and folds.
 struct SourceScratch {
     tree: SourceTree,
-    /// Flat parent→child DP buffer: region set of the tree path to v.
-    path_regions: Vec<u64>,
-    /// Child→parent marks: v lies on a path towards some border target.
-    on_path: Vec<bool>,
+    /// Per branch index, `words` each: the regions of the tree path from
+    /// the root.
+    branch_regions: Vec<u64>,
+    /// Per branch index: lies on a path to a target.
+    on_branch: Vec<bool>,
+    /// One path's regions.
+    path: Vec<u64>,
+    /// Per region, over the targets at roots other than the view's root:
+    /// min/max distance from the root and path regions.
+    far: Vec<MinMax>,
+    far_regions: Vec<u64>,
+    /// `far` plus the root's own targets a source folds.
+    outside: Vec<MinMax>,
+    outside_regions: Vec<u64>,
     /// A subtree source's tree over its own subtree: the nodes parents
     /// first (its walk to the top first), their distances and path
-    /// region sets, and the walk's marks.
+    /// region sets, the walk's marks, and the marks of the nodes on its
+    /// paths.
     local_order: Vec<NodeId>,
     local_dist: Vec<Distance>,
     local_regions: Vec<u64>,
     on_walk: Vec<bool>,
-    /// Per target region, over the border targets outside the current
-    /// subtree: min/max distance and path regions from the attachment.
-    outside: Vec<MinMax>,
-    outside_regions: Vec<u64>,
+    on_path: Vec<bool>,
 }
 
 /// One worker's contribution, merged cell-wise. Every combining
@@ -187,8 +268,74 @@ struct SourcePartial {
     minmax: Vec<MinMax>,
     traversed: RegionSetMatrix,
     cross_border: Vec<bool>,
+    /// Per chain: how many of its interiors, counted from its first end
+    /// (`prefix`) and from its last end (`suffix`), lie on a path.
+    prefix: Vec<u32>,
+    suffix: Vec<u32>,
+    /// Per subtree: reached from outside it, so that all its kept nodes
+    /// lie on a path.
+    reached: Vec<bool>,
     shared_sources: usize,
     tie_fallbacks: usize,
+}
+
+impl SourcePartial {
+    fn new(pass: &Pass) -> Self {
+        let n = pass.regions;
+        let chains = pass.peel.chains().count();
+        Self {
+            minmax: vec![MinMax::EMPTY; n * n],
+            traversed: RegionSetMatrix::new(n),
+            cross_border: vec![false; pass.region_of.len()],
+            prefix: vec![0; chains],
+            suffix: vec![0; chains],
+            reached: vec![false; pass.subtrees.len()],
+            shared_sources: 0,
+            tie_fallbacks: 0,
+        }
+    }
+
+    fn merge(&mut self, p: SourcePartial) {
+        for (a, b) in self.minmax.iter_mut().zip(&p.minmax) {
+            a.min = a.min.min(b.min);
+            a.max = a.max.max(b.max);
+        }
+        self.traversed.union_with(&p.traversed);
+        for (a, b) in self.cross_border.iter_mut().zip(&p.cross_border) {
+            *a |= b;
+        }
+        for (a, b) in self.prefix.iter_mut().zip(&p.prefix) {
+            *a = (*a).max(*b);
+        }
+        for (a, b) in self.suffix.iter_mut().zip(&p.suffix) {
+            *a = (*a).max(*b);
+        }
+        for (a, b) in self.reached.iter_mut().zip(&p.reached) {
+            *a |= b;
+        }
+        self.shared_sources += p.shared_sources;
+        self.tie_fallbacks += p.tie_fallbacks;
+    }
+
+    /// Expands the chain runs and the reached subtrees into
+    /// `cross_border`.
+    fn expand(&mut self, pass: &Pass) {
+        let chains = pass.peel.chains();
+        let path = chains.path();
+        for c in 0..chains.count() {
+            let (lo, hi) = chains.ends(c);
+            let prefix = &path[lo + 1..=lo + self.prefix[c] as usize];
+            let suffix = &path[hi - self.suffix[c] as usize..hi];
+            for &v in prefix.iter().chain(suffix) {
+                self.cross_border[v as usize] = true;
+            }
+        }
+        for (subtree, _) in pass.subtrees.iter().zip(&self.reached).filter(|(_, &r)| r) {
+            for &v in &subtree.kept {
+                self.cross_border[v as usize] = true;
+            }
+        }
+    }
 }
 
 impl BorderPrecomputation {
@@ -215,7 +362,7 @@ impl BorderPrecomputation {
         let n = part.num_regions();
         let nn = g.num_nodes();
         let pass = Pass::new(g, part);
-        let words = pass.words;
+        let (words, branches) = (pass.words, pass.peel.branch_nodes().len());
 
         let merged = parallel::map_reduce_chunked(
             &pass.roots,
@@ -223,48 +370,30 @@ impl BorderPrecomputation {
             4,
             || SourceScratch {
                 tree: SourceTree::new(&pass.peel),
-                path_regions: vec![0u64; nn * words],
-                on_path: vec![false; nn],
+                branch_regions: vec![0; branches * words],
+                on_branch: vec![false; branches],
+                path: vec![0; words],
+                far: vec![MinMax::EMPTY; n],
+                far_regions: vec![0; n * words],
+                outside: vec![MinMax::EMPTY; n],
+                outside_regions: vec![0; n * words],
                 local_order: Vec::new(),
                 local_dist: vec![0; nn],
-                local_regions: vec![0u64; nn * words],
+                local_regions: vec![0; nn * words],
                 on_walk: vec![false; nn],
-                outside: vec![MinMax::EMPTY; n],
-                outside_regions: vec![0u64; n * words],
+                on_path: vec![false; nn],
             },
-            || SourcePartial {
-                minmax: vec![MinMax::EMPTY; n * n],
-                traversed: RegionSetMatrix::new(n),
-                cross_border: vec![false; nn],
-                shared_sources: 0,
-                tie_fallbacks: 0,
-            },
+            || SourcePartial::new(&pass),
             |scratch, partial, roots, _base| {
                 for root in roots {
                     pass.fold_root(scratch, partial, root);
                 }
             },
-            |acc, p| {
-                for (a, b) in acc.minmax.iter_mut().zip(&p.minmax) {
-                    a.min = a.min.min(b.min);
-                    a.max = a.max.max(b.max);
-                }
-                acc.traversed.union_with(&p.traversed);
-                for (a, b) in acc.cross_border.iter_mut().zip(&p.cross_border) {
-                    *a |= b;
-                }
-                acc.shared_sources += p.shared_sources;
-                acc.tie_fallbacks += p.tie_fallbacks;
-            },
+            SourcePartial::merge,
         );
-        let partial = merged.unwrap_or_else(|| SourcePartial {
-            // A one-region partitioning has no border nodes at all.
-            minmax: vec![MinMax::EMPTY; n * n],
-            traversed: RegionSetMatrix::new(n),
-            cross_border: vec![false; nn],
-            shared_sources: 0,
-            tie_fallbacks: 0,
-        });
+        // A one-region partitioning has no border nodes at all.
+        let mut partial = merged.unwrap_or_else(|| SourcePartial::new(&pass));
+        partial.expand(&pass);
         let (mut minmax, mut cross_border) = (partial.minmax, partial.cross_border);
         for r in 0..n {
             minmax[r * n + r].min = 0;
@@ -299,6 +428,29 @@ impl BorderPrecomputation {
             && self.traversed == other.traversed
             && self.cross_border == other.cross_border
             && self.borders.all() == other.borders.all()
+    }
+
+    /// FNV-1a 64 over the tables: every min/max cell row-major (min, then
+    /// max, eight little-endian bytes each), every traversed set
+    /// row-major (its regions ascending as two little-endian bytes each,
+    /// then `ffff`), and one byte (0 or 1) per node for the cross-border
+    /// marks.
+    pub fn tables_digest(&self) -> u64 {
+        let mut h = Fnv1a::default();
+        for cell in &self.minmax {
+            h.write_u64(cell.min).write_u64(cell.max);
+        }
+        let n = self.num_regions as RegionId;
+        for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
+            for r in self.traversed(i, j).iter() {
+                h.write(&r.to_le_bytes());
+            }
+            h.write(&u16::MAX.to_le_bytes());
+        }
+        for &c in &self.cross_border {
+            h.write(&[u8::from(c)]);
+        }
+        h.finish()
     }
 
     /// Number of regions.
@@ -396,21 +548,39 @@ impl BorderPrecomputation {
 }
 
 impl<'g> Pass<'g> {
-    /// Peels `g` pruned to its border nodes and groups the sources into
-    /// roots, ascending by node.
+    /// Peels `g` pruned to its border nodes, groups the sources into
+    /// roots, ascending by node, and summarises each root's targets.
     fn new(g: &'g RoadNetwork, part: &impl Partitioning) -> Self {
         let nn = g.num_nodes();
         let regions = part.num_regions();
+        let words = regions.div_ceil(64);
+        let region_of: Vec<RegionId> = g.node_ids().map(|v| part.region_of(v)).collect();
+        let bit = |v: NodeId| {
+            let r = region_of[v as usize] as usize;
+            (r / 64, 1u64 << (r % 64))
+        };
         let borders = BorderInfo::compute(g, part);
         let peel = Peel::pruned(g, Direction::Forward, borders.all());
         let attachment = |top: NodeId| peel.tree_parent(top).expect("a peeled top");
+        // Per kept peeled node: the top of its subtree, its distance down
+        // from the attachment, and the regions of that walk.
         let mut top = vec![NO_PARENT; nn];
+        let mut down = vec![0; nn];
+        let mut walk_regions = vec![0u64; nn * words];
         for &v in peel.fill_order() {
             let p = peel.tree_parent(v).expect("a peeled node");
-            top[v as usize] = match peel.tree_parent(p) {
-                None => v,
-                Some(_) => top[p as usize],
+            let vi = v as usize * words;
+            let d = peel.down_weight(v) as Distance;
+            (top[v as usize], down[v as usize]) = match peel.tree_parent(p) {
+                None => (v, d),
+                Some(_) => {
+                    let pi = p as usize * words;
+                    walk_regions.copy_within(pi..pi + words, vi);
+                    (top[p as usize], down[p as usize] + d)
+                }
             };
+            let (k, m) = bit(v);
+            walk_regions[vi + k] |= m;
         }
         // Per core node, its root's index (`u32::MAX`: not a root); per
         // top node, its subtree's index among its root's.
@@ -419,48 +589,174 @@ impl<'g> Pass<'g> {
             let t = top[b as usize];
             root_of[if t == NO_PARENT { b } else { attachment(t) } as usize] = 0;
         }
-        let mut roots = Vec::new();
+        let mut nodes = Vec::new();
         for &v in peel.core_nodes() {
             if root_of[v as usize] != u32::MAX {
-                root_of[v as usize] = roots.len() as u32;
-                roots.push(Root {
-                    node: v,
-                    border: borders.is_border(v),
-                    subtrees: Vec::new(),
-                });
+                root_of[v as usize] = nodes.len() as u32;
+                nodes.push(v);
             }
         }
+        let mut below: Vec<Vec<Subtree>> = nodes.iter().map(|_| Vec::new()).collect();
         let mut slot = vec![u32::MAX; nn];
         for &b in borders.all() {
             let t = top[b as usize];
             if t == NO_PARENT {
                 continue;
             }
-            let root = &mut roots[root_of[attachment(t) as usize] as usize];
+            let subtrees = &mut below[root_of[attachment(t) as usize] as usize];
             if slot[t as usize] == u32::MAX {
-                slot[t as usize] = root.subtrees.len() as u32;
-                root.subtrees.push(Subtree {
+                slot[t as usize] = subtrees.len() as u32;
+                subtrees.push(Subtree {
                     top: t,
                     borders: Vec::new(),
                     kept: Vec::new(),
+                    targets: 0..0,
                 });
             }
-            root.subtrees[slot[t as usize] as usize].borders.push(b);
+            subtrees[slot[t as usize] as usize].borders.push(b);
         }
         for &v in peel.fill_order() {
             let t = top[v as usize];
-            let root = &mut roots[root_of[attachment(t) as usize] as usize];
-            root.subtrees[slot[t as usize] as usize].kept.push(v);
+            below[root_of[attachment(t) as usize] as usize][slot[t as usize] as usize]
+                .kept
+                .push(v);
+        }
+
+        // Each subtree's targets per region, then each root's: itself,
+        // and its subtrees' merged.
+        let mut targets = Vec::new();
+        let mut target_regions = Vec::new();
+        // Covers `region`'s entry in the group from `start` on.
+        let add = |targets: &mut Vec<Targets>,
+                   target_regions: &mut Vec<u64>,
+                   start: usize,
+                   region: usize,
+                   range: MinMax,
+                   walk: &[u64]| {
+            let i = match targets[start..].iter().position(|t| t.region == region) {
+                Some(i) => start + i,
+                None => {
+                    targets.push(Targets {
+                        region,
+                        range: MinMax::EMPTY,
+                    });
+                    target_regions.resize(targets.len() * words, 0);
+                    targets.len() - 1
+                }
+            };
+            targets[i].range.cover_shifted(range, 0);
+            for (a, b) in target_regions[i * words..(i + 1) * words]
+                .iter_mut()
+                .zip(walk)
+            {
+                *a |= b;
+            }
+        };
+        let no_walk = vec![0u64; words];
+        let mut subtrees = Vec::new();
+        let mut roots = Vec::with_capacity(nodes.len());
+        for (&node, below) in nodes.iter().zip(below) {
+            let (first, first_target) = (subtrees.len(), targets.len());
+            for mut subtree in below {
+                let start = targets.len();
+                for &b in &subtree.borders {
+                    let (d, bi) = (down[b as usize], b as usize * words);
+                    let range = MinMax { min: d, max: d };
+                    let walk = &walk_regions[bi..bi + words];
+                    let region = region_of[b as usize] as usize;
+                    add(
+                        &mut targets,
+                        &mut target_regions,
+                        start,
+                        region,
+                        range,
+                        walk,
+                    );
+                }
+                subtree.targets = start..targets.len();
+                subtrees.push(subtree);
+            }
+            let start = targets.len();
+            let border = borders.is_border(node);
+            if border {
+                let range = MinMax { min: 0, max: 0 };
+                let region = region_of[node as usize] as usize;
+                add(
+                    &mut targets,
+                    &mut target_regions,
+                    start,
+                    region,
+                    range,
+                    &no_walk,
+                );
+            }
+            for i in first_target..start {
+                let Targets { region, range } = targets[i];
+                let walk = target_regions[i * words..(i + 1) * words].to_vec();
+                add(
+                    &mut targets,
+                    &mut target_regions,
+                    start,
+                    region,
+                    range,
+                    &walk,
+                );
+            }
+            let place = match peel.branch_index(node) {
+                Some(b) => Place::Branch(b),
+                None => {
+                    let (chain, s) = peel.chains().of(node).expect("a core node");
+                    Place::Interior(chain, s)
+                }
+            };
+            roots.push(Root {
+                node,
+                border,
+                place,
+                subtrees: first..subtrees.len(),
+                targets: start..targets.len(),
+            });
+        }
+
+        let chains = peel.chains();
+        let path = chains.path();
+        let (mut prefix, mut suffix) =
+            (vec![0u64; path.len() * words], vec![0; path.len() * words]);
+        for c in 0..chains.count() {
+            let (lo, hi) = chains.ends(c);
+            for s in lo + 1..hi {
+                prefix.copy_within((s - 1) * words..s * words, s * words);
+                let (k, m) = bit(path[s]);
+                prefix[s * words + k] |= m;
+            }
+            prefix.copy_within((hi - 1) * words..hi * words, hi * words);
+            for s in (lo + 1..hi).rev() {
+                suffix.copy_within((s + 1) * words..(s + 2) * words, s * words);
+                let (k, m) = bit(path[s]);
+                suffix[s * words + k] |= m;
+            }
+            suffix.copy_within((lo + 1) * words..(lo + 2) * words, lo * words);
         }
         Self {
-            region_of: g.node_ids().map(|v| part.region_of(v)).collect(),
+            region_of,
             regions,
-            words: regions.div_ceil(64),
+            words,
             peel,
             borders,
             roots,
-            top,
+            subtrees,
+            prefix,
+            suffix,
+            targets,
+            target_regions,
         }
+    }
+
+    /// The word and mask of `v`'s region in a region bitset.
+    #[inline]
+    fn bit(&self, v: NodeId) -> (usize, u64) {
+        let r = self.region_of[v as usize] as usize;
+        (r / 64, 1u64 << (r % 64))
     }
 
     /// Folds a root's search into `partial`: the root as a source, if it
@@ -469,176 +765,277 @@ impl<'g> Pass<'g> {
     /// on other roots' results — the independence the parallel fan-out
     /// rests on.
     fn fold_root(&self, scratch: &mut SourceScratch, partial: &mut SourcePartial, root: &Root) {
-        let a = root.node;
-        let tied = scratch.tree.search(&self.peel, a);
-        self.path_regions(scratch);
+        let tied = scratch.tree.search_branches(&self.peel, root.node);
         if root.border {
             partial.tie_fallbacks += usize::from(tied);
-            self.fold_targets(scratch, partial, a);
-            self.mark_paths(scratch, partial, a, |_| false);
-        } else if !tied {
-            // The root's marks as its subtrees' sources see them: outside
-            // each one's own subtree, and never on the root itself
-            // (`fold_subtree` marks it when some path runs through it).
-            let lone = match root.subtrees.as_slice() {
-                [only] => Some(only.top),
-                _ => None,
-            };
-            self.mark_paths(scratch, partial, a, |v| {
-                v == a || lone == Some(self.top[v as usize])
-            });
-        }
-        if tied {
-            // Ties may break differently from each source: fold each
-            // from its own search.
-            for &s in root.subtrees.iter().flat_map(|t| &t.borders) {
-                partial.tie_fallbacks += usize::from(scratch.tree.search(&self.peel, s));
-                self.path_regions(scratch);
-                self.fold_targets(scratch, partial, s);
-                self.mark_paths(scratch, partial, s, |_| false);
+            self.fold_view(scratch, partial, root, Skip::Root);
+            self.gather_outside(scratch, root, Skip::Root);
+            let (n, ra) = (self.regions, self.region_of[root.node as usize]);
+            for (rt, cell) in scratch.outside.iter().enumerate() {
+                if !cell.is_empty() {
+                    partial.minmax[ra as usize * n + rt].cover_shifted(*cell, 0);
+                    let regions = &scratch.outside_regions[rt * self.words..(rt + 1) * self.words];
+                    partial
+                        .traversed
+                        .get_mut(ra, rt as RegionId)
+                        .union_words(regions);
+                }
             }
-        } else {
-            for subtree in &root.subtrees {
-                self.fold_subtree(scratch, partial, a, subtree);
+        } else if !tied {
+            // The root's marks as its subtrees' sources see them: a lone
+            // subtree's own paths are its sources' to mark.
+            let skip = match root.subtrees.len() {
+                1 => Skip::Subtree(root.subtrees.start),
+                _ => Skip::Nothing,
+            };
+            self.fold_view(scratch, partial, root, skip);
+        }
+        for t in root.subtrees.clone() {
+            let subtree = &self.subtrees[t];
+            if !tied {
+                self.gather_outside(scratch, root, Skip::Subtree(t));
                 partial.shared_sources += subtree.borders.len();
             }
+            for &s in &subtree.borders {
+                if tied {
+                    // Ties may break differently from each source: fold
+                    // each from its own search.
+                    let tied = scratch.tree.search_branches(&self.peel, s);
+                    partial.tie_fallbacks += usize::from(tied);
+                    self.fold_view(scratch, partial, root, Skip::Subtree(t));
+                    self.gather_outside(scratch, root, Skip::Subtree(t));
+                }
+                self.fold_subtree_source(scratch, partial, subtree, s);
+            }
         }
     }
 
-    /// The forward DP over the current tree: the regions of the path
-    /// from its source to every node in its order.
-    fn path_regions(&self, scratch: &mut SourceScratch) {
+    /// Covers `far` and `far_regions` with the targets `range` at a node
+    /// at distance `d` from the root, over a path with regions `path`.
+    fn gather(
+        &self,
+        far: &mut [MinMax],
+        far_regions: &mut [u64],
+        range: Range<usize>,
+        d: Distance,
+        path: &[u64],
+    ) {
         let words = self.words;
+        for i in range {
+            let Targets { region, range } = self.targets[i];
+            far[region].cover_shifted(range, d);
+            let walk = &self.target_regions[i * words..(i + 1) * words];
+            let cell = &mut far_regions[region * words..(region + 1) * words];
+            for ((a, &p), &w) in cell.iter_mut().zip(path).zip(walk) {
+                *a |= p | w;
+            }
+        }
+    }
+
+    /// The targets a source folds through the root of the current view:
+    /// `far`, plus the root's own targets but those `skip` names, into
+    /// `outside`.
+    fn gather_outside(&self, scratch: &mut SourceScratch, root: &Root, skip: Skip) {
         let SourceScratch {
-            tree, path_regions, ..
+            far,
+            far_regions,
+            outside,
+            outside_regions,
+            path,
+            ..
         } = scratch;
-        let parent = tree.parents();
-        for &v in tree.order() {
-            let vi = v as usize * words;
-            match parent[v as usize] {
-                NO_PARENT => path_regions[vi..vi + words].fill(0),
-                p => path_regions.copy_within(p as usize * words..p as usize * words + words, vi),
+        outside.copy_from_slice(far);
+        outside_regions.copy_from_slice(far_regions);
+        path.fill(0);
+        let (k, m) = self.bit(root.node);
+        path[k] |= m;
+        if root.border && skip != Skip::Root {
+            let r = self.region_of[root.node as usize] as usize;
+            outside[r].cover(0);
+            outside_regions[r * self.words + k] |= m;
+        }
+        for t in root.subtrees.clone() {
+            if skip != Skip::Subtree(t) {
+                let targets = self.subtrees[t].targets.clone();
+                self.gather(outside, outside_regions, targets, 0, path);
             }
-            let r = self.region_of[v as usize] as usize;
-            path_regions[vi + r / 64] |= 1u64 << (r % 64);
         }
     }
 
-    /// Folds the current tree, rooted at border node `b`, into min/max
-    /// and traversed sets towards every other border node (different
-    /// *or same* region — the diagonal serves same-region queries).
-    fn fold_targets(&self, scratch: &SourceScratch, partial: &mut SourcePartial, b: NodeId) {
-        let (n, words) = (self.regions, self.words);
-        let rb = self.region_of[b as usize];
-        let dist = scratch.tree.distances();
-        for &t in self.borders.all() {
-            let d = dist[t as usize];
-            if t == b || d == DIST_INF {
-                continue;
-            }
-            let rt = self.region_of[t as usize];
-            partial.minmax[rb as usize * n + rt as usize].cover(d);
-            let ti = t as usize * words;
-            partial
-                .traversed
-                .get_mut(rb, rt)
-                .union_words(&scratch.path_regions[ti..ti + words]);
-        }
-    }
-
-    /// The reverse DP over the current tree from `source`: marks every
-    /// node on a path to a border node other than the source, except
-    /// the nodes `skip` names.
-    ///
-    /// §4.1 defines cross-border nodes via paths between border nodes of
-    /// *different* regions, but same-region border pairs must be included
-    /// too: a query with Rs == Rt whose shortest path detours through a
-    /// neighbouring region R' travels over nodes of R' that lie only on
-    /// same-region border-pair paths, and EB ships only the cross-border
-    /// segment of R'. (Extension of the paper's definition, required for
-    /// correctness of same-region queries; the diagonal of matrix A is
-    /// the matching extension on the pruning side.)
-    ///
-    /// `on_path` marks from a previous tree are only ever read for nodes
-    /// in the *current* order, which is cleared first, so the buffer
-    /// carries over between trees without a full reset.
-    fn mark_paths(
+    /// Folds the current branch view, from `root`: gathers the targets at
+    /// every other root into `scratch.far` (distances from `root`), and
+    /// marks the paths from `root` to them and to its own targets but
+    /// those `skip` names (see the module docs).
+    fn fold_view(
         &self,
         scratch: &mut SourceScratch,
         partial: &mut SourcePartial,
-        source: NodeId,
-        skip: impl Fn(NodeId) -> bool,
+        root: &Root,
+        skip: Skip,
     ) {
-        let SourceScratch { tree, on_path, .. } = scratch;
-        let (order, dist, parent) = (tree.order(), tree.distances(), tree.parents());
-        for &v in order {
-            on_path[v as usize] = false;
-        }
-        for &t in self.borders.all() {
-            if t != source && dist[t as usize] != DIST_INF {
-                on_path[t as usize] = true;
-            }
-        }
-        for &v in order.iter().rev() {
-            if on_path[v as usize] {
-                if !skip(v) {
-                    partial.cross_border[v as usize] = true;
-                }
-                let p = parent[v as usize];
-                if p != NO_PARENT {
-                    on_path[p as usize] = true;
-                }
-            }
-        }
-    }
+        let (peel, words) = (&self.peel, self.words);
+        let chains = peel.chains();
+        let path = chains.path();
+        let SourceScratch {
+            tree,
+            branch_regions: br,
+            on_branch,
+            path: regions,
+            far,
+            far_regions,
+            ..
+        } = scratch;
+        let view: &BranchView = tree.view();
+        let d0 = view.root_dist();
+        let source = view.source_chain();
+        let branch = |v: NodeId| peel.branch_index(v).expect("a chain end") as usize;
+        let (root_word, root_mask) = self.bit(root.node);
 
-    /// Folds the sources of `subtree` from the tree of `a`, the core node
-    /// it attaches at (current, with its path regions).
-    fn fold_subtree(
-        &self,
-        scratch: &mut SourceScratch,
-        partial: &mut SourcePartial,
-        a: NodeId,
-        subtree: &Subtree,
-    ) {
-        let words = self.words;
-        // Targets outside the subtree, per region, as `a` reaches them.
-        scratch.outside.fill(MinMax::EMPTY);
-        scratch.outside_regions.fill(0);
-        let mut reach_out = false;
-        let dist = scratch.tree.distances();
-        for &t in self.borders.all() {
-            let d = dist[t as usize];
-            if d == DIST_INF || self.top[t as usize] == subtree.top {
+        // The regions of the paths to the branch nodes, parents first.
+        for &b in view.settled() {
+            let bi = b as usize * words;
+            match view.parent(peel, b) {
+                BranchParent::Root => br[bi..bi + words].fill(0),
+                BranchParent::Edge(p) => {
+                    let pi = p as usize * words;
+                    br.copy_within(pi..pi + words, bi);
+                }
+                BranchParent::Chain { chain, forward } => {
+                    let (lo, hi) = chains.ends(chain);
+                    match source {
+                        Some(s) if s.chain == chain => {
+                            let from = if forward { s.slot + 1 } else { s.slot - 1 };
+                            let seg = if forward { &self.suffix } else { &self.prefix };
+                            br[bi..bi + words]
+                                .copy_from_slice(&seg[from * words..(from + 1) * words]);
+                            br[bi + root_word] |= root_mask;
+                        }
+                        _ => {
+                            let fi = branch(path[if forward { lo } else { hi }]) * words;
+                            br.copy_within(fi..fi + words, bi);
+                            let all = &self.prefix[hi * words..(hi + 1) * words];
+                            for (a, &r) in br[bi..bi + words].iter_mut().zip(all) {
+                                *a |= r;
+                            }
+                        }
+                    }
+                }
+            }
+            let (k, m) = self.bit(peel.branch_nodes()[b as usize]);
+            br[bi + k] |= m;
+        }
+
+        // The root's own targets.
+        on_branch.fill(false);
+        let mut root_on = root.border && skip != Skip::Root;
+        for t in root.subtrees.clone() {
+            if skip != Skip::Subtree(t) {
+                partial.reached[t] = true;
+                root_on = true;
+            }
+        }
+
+        // Every other root, where the view reaches it.
+        far.fill(MinMax::EMPTY);
+        far_regions.fill(0);
+        for x in &self.roots {
+            let d = match x.place {
+                _ if x.node == root.node => continue,
+                Place::Branch(b) => {
+                    let d = view.dist(b);
+                    if d == DIST_INF {
+                        continue;
+                    }
+                    let bi = b as usize * words;
+                    regions.copy_from_slice(&br[bi..bi + words]);
+                    on_branch[b as usize] = true;
+                    d
+                }
+                Place::Interior(c, k) => {
+                    let Some((d, e)) = view.interior(peel, c, k) else {
+                        continue;
+                    };
+                    let (lo, hi) = chains.ends(c);
+                    if e != lo && e != hi {
+                        // Hanging off the root, on its own chain.
+                        regions.fill(0);
+                        regions[root_word] |= root_mask;
+                        for &v in &path[k.min(e + 1)..=k.max(e - 1)] {
+                            let (w, m) = self.bit(v);
+                            regions[w] |= m;
+                            partial.cross_border[v as usize] = true;
+                        }
+                        root_on = true;
+                    } else {
+                        let eb = branch(path[e]);
+                        on_branch[eb] = true;
+                        let (seg, count) = match e == lo {
+                            true => (&self.prefix, &mut partial.prefix[c]),
+                            false => (&self.suffix, &mut partial.suffix[c]),
+                        };
+                        *count = (*count).max(k.abs_diff(e) as u32);
+                        let (ei, si) = (eb * words, k * words);
+                        for w in 0..words {
+                            regions[w] = br[ei + w] | seg[si + w];
+                        }
+                    }
+                    d
+                }
+            };
+            self.gather(far, far_regions, x.targets.clone(), d - d0, regions);
+            for t in x.subtrees.clone() {
+                partial.reached[t] = true;
+            }
+        }
+
+        // Marks, children first.
+        if let Place::Branch(rb) = root.place {
+            on_branch[rb as usize] |= root_on;
+        }
+        for &b in view.settled().iter().rev() {
+            if !on_branch[b as usize] {
                 continue;
             }
-            reach_out = true;
-            let rt = self.region_of[t as usize] as usize;
-            scratch.outside[rt].cover(d);
-            let (ti, ri) = (t as usize * words, rt * words);
-            for k in 0..words {
-                scratch.outside_regions[ri + k] |= scratch.path_regions[ti + k];
+            partial.cross_border[peel.branch_nodes()[b as usize] as usize] = true;
+            match view.parent(peel, b) {
+                BranchParent::Root => {}
+                BranchParent::Edge(p) => on_branch[p as usize] = true,
+                BranchParent::Chain { chain, forward } => {
+                    let (lo, hi) = chains.ends(chain);
+                    match source {
+                        Some(s) if s.chain == chain => {
+                            let span = if forward {
+                                s.slot + 1..hi
+                            } else {
+                                lo + 1..s.slot
+                            };
+                            for &v in &path[span] {
+                                partial.cross_border[v as usize] = true;
+                            }
+                            root_on = true;
+                        }
+                        _ => {
+                            partial.prefix[chain] = (hi - lo - 1) as u32;
+                            on_branch[branch(path[if forward { lo } else { hi }])] = true;
+                        }
+                    }
+                }
             }
         }
-        if reach_out {
-            partial.cross_border[a as usize] = true;
-        }
-        for &s in &subtree.borders {
-            self.fold_subtree_source(scratch, partial, a, subtree, s, reach_out);
+        if root_on {
+            partial.cross_border[root.node as usize] = true;
         }
     }
 
-    /// Folds border node `s` of `subtree`, below `a`: its tree over the
-    /// kept part of the subtree, and through `a` the targets outside
-    /// (`reach_out`: some are reachable), from `scratch.outside`.
+    /// Folds border node `s` of `subtree`: its tree over the kept part of
+    /// the subtree, and through the attachment the targets outside, from
+    /// `scratch.outside` (distances from the attachment).
     fn fold_subtree_source(
         &self,
         scratch: &mut SourceScratch,
         partial: &mut SourcePartial,
-        a: NodeId,
         subtree: &Subtree,
         s: NodeId,
-        reach_out: bool,
     ) {
         let (n, words, peel) = (self.regions, self.words, &self.peel);
         let rs = self.region_of[s as usize];
@@ -652,10 +1049,6 @@ impl<'g> Pass<'g> {
             outside_regions,
             ..
         } = scratch;
-        let bit = |v: NodeId| {
-            let r = self.region_of[v as usize] as usize;
-            (r / 64, 1u64 << (r % 64))
-        };
         // The walk up to the top, each node the parent of the one after.
         order.clear();
         let (mut v, mut d) = (s, 0);
@@ -665,7 +1058,7 @@ impl<'g> Pass<'g> {
                 None => regions[vi..vi + words].fill(0),
                 Some(&c) => regions.copy_within(c as usize * words..c as usize * words + words, vi),
             }
-            let (k, m) = bit(v);
+            let (k, m) = self.bit(v);
             regions[vi + k] |= m;
             dist[v as usize] = d;
             on_walk[v as usize] = true;
@@ -685,7 +1078,7 @@ impl<'g> Pass<'g> {
                 dist[u as usize] = dist[p as usize] + peel.down_weight(u) as Distance;
                 let (ui, pi) = (u as usize * words, p as usize * words);
                 regions.copy_within(pi..pi + words, ui);
-                let (k, m) = bit(u);
+                let (k, m) = self.bit(u);
                 regions[ui + k] |= m;
                 order.push(u);
             }
@@ -705,25 +1098,22 @@ impl<'g> Pass<'g> {
                     .union_words(&regions[ti..ti + words]);
             }
         }
-        if reach_out {
-            // The walk's regions: up to the top, and `a`'s.
-            let ti = subtree.top as usize * words;
-            for (rt, o) in outside.iter().enumerate() {
-                if o.is_empty() {
-                    continue;
-                }
-                let cell = &mut partial.minmax[rs as usize * n + rt];
-                cell.cover(to_a + o.min);
-                cell.cover(to_a + o.max);
-                let set = partial.traversed.get_mut(rs, rt as RegionId);
-                set.union_words(&outside_regions[rt * words..rt * words + words]);
-                set.union_words(&regions[ti..ti + words]);
-                set.insert(self.region_of[a as usize]);
+        let mut reach_out = false;
+        // The walk's regions: up to the top, then the attachment's paths.
+        let ti = subtree.top as usize * words;
+        for (rt, cell) in outside.iter().enumerate() {
+            if cell.is_empty() {
+                continue;
             }
+            reach_out = true;
+            partial.minmax[rs as usize * n + rt].cover_shifted(*cell, to_a);
+            let set = partial.traversed.get_mut(rs, rt as RegionId);
+            set.union_words(&outside_regions[rt * words..(rt + 1) * words]);
+            set.union_words(&regions[ti..ti + words]);
         }
 
         // Marks: the paths to the subtree's other border nodes, and the
-        // whole walk when a path leaves through `a`.
+        // whole walk when a path leaves through the attachment.
         for &v in order.iter() {
             on_path[v as usize] = false;
         }

@@ -325,6 +325,29 @@ impl<'g> Peel<'g> {
         &self.fill_order
     }
 
+    /// Branch index of `v`, `None` for other nodes.
+    pub fn branch_index(&self, v: NodeId) -> Option<u32> {
+        Some(*self.branch_index.get(v as usize)?).filter(|&b| b != NONE)
+    }
+
+    /// The core's degree-2 chains.
+    pub fn chains(&self) -> &Chains {
+        &self.chains
+    }
+
+    /// The walk from `source` up to the core: the core node it ends at,
+    /// its length, and its last node before the core (`NO_PARENT` for a
+    /// core source).
+    fn walk(&self, source: NodeId) -> (NodeId, Distance, NodeId) {
+        let (mut v, mut d, mut prev) = (source, 0, NO_PARENT);
+        while self.tree_parent[v as usize] != NO_PARENT {
+            d += self.up_weight[v as usize] as Distance;
+            prev = v;
+            v = self.tree_parent[v as usize];
+        }
+        (v, d, prev)
+    }
+
     /// Sets `marks` to `on` along the walk from `source` up to (not
     /// including) the core node its tree attaches at.
     fn mark_walk(&self, marks: &mut [bool], source: NodeId, on: bool) {
@@ -348,9 +371,10 @@ impl<'g> Peel<'g> {
     }
 }
 
-/// The core's degree-2 chains (see the module docs).
+/// The core's degree-2 chains (see the module docs), laid end to end in
+/// one path of *slots*.
 #[derive(Debug)]
-struct Chains {
+pub struct Chains {
     /// Node → its slot in `path` for chain interiors, [`NONE`] for other
     /// nodes; so the branch nodes are the core nodes without a slot.
     slot: Vec<u32>,
@@ -363,6 +387,9 @@ struct Chains {
     /// end to each slot (`along_left`).
     along_right: Vec<Distance>,
     along_left: Vec<Distance>,
+    /// The interiors, as (chain, slot), whose in-weights from their two
+    /// chain neighbours are equal: the only ones a double tie can hit.
+    tie_slots: Vec<(u32, u32)>,
 }
 
 impl Chains {
@@ -386,6 +413,7 @@ impl Chains {
             path: Vec::new(),
             along_right: Vec::new(),
             along_left: Vec::new(),
+            tie_slots: Vec::new(),
         };
         for &a in core_nodes {
             if !interior[a as usize] {
@@ -422,6 +450,14 @@ impl Chains {
                 left[i] = left[i + 1] + step(path[i + 1], path[i]);
             }
         }
+        for c in 0..chains.count() {
+            let (lo, hi) = chains.ends(c);
+            for s in lo + 1..hi {
+                if right[s] - right[s - 1] == left[s] - left[s + 1] {
+                    chains.tie_slots.push((c as u32, s as u32));
+                }
+            }
+        }
         (chains.along_right, chains.along_left) = (right, left);
         chains
     }
@@ -453,17 +489,30 @@ impl Chains {
     }
 
     /// Number of chains.
-    fn count(&self) -> usize {
+    pub fn count(&self) -> usize {
         self.offsets.len() - 1
     }
 
     /// The slots `(first, last)` of chain `c`'s two ends.
-    fn ends(&self, c: usize) -> (usize, usize) {
+    pub fn ends(&self, c: usize) -> (usize, usize) {
         (self.offsets[c] as usize, self.offsets[c + 1] as usize - 1)
     }
 
+    /// Per slot, its node: each chain's first end, its interiors in
+    /// order, its last end.
+    pub fn path(&self) -> &[NodeId] {
+        &self.path
+    }
+
+    /// Per slot, the distance a search covers along its chain from the
+    /// chain's first end (`along_right`) and from its last end
+    /// (`along_left`).
+    pub fn along(&self) -> (&[Distance], &[Distance]) {
+        (&self.along_right, &self.along_left)
+    }
+
     /// The chain that interior `v` lies on, and `v`'s slot.
-    fn of(&self, v: NodeId) -> Option<(usize, usize)> {
+    pub fn of(&self, v: NodeId) -> Option<(usize, usize)> {
         let slot = self.slot[v as usize] as usize;
         (self.slot[v as usize] != NONE).then(|| {
             (
@@ -518,14 +567,188 @@ impl Label {
     };
 }
 
-/// Per-worker buffers of the branch search, over branch indices.
-#[derive(Debug)]
-struct CoreSearch {
-    heap: MinHeap<u32>,
-    labels: Vec<Label>,
+/// How a branch node's tree parent reaches it in a [`BranchView`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BranchParent {
+    /// The node is the root of the branch search, the core node the walk
+    /// from the source ends at.
+    Root,
+    /// A plain edge from the branch node of this index.
+    Edge(u32),
+    /// Every interior of `chain`, entered from its first end (`forward`)
+    /// or from its last; on the source's chain, from the root.
+    Chain {
+        /// The chain.
+        chain: usize,
+        /// Whether the node is the chain's last end.
+        forward: bool,
+    },
 }
 
-impl CoreSearch {
+/// The root's own chain, when the branch search starts at a chain
+/// interior: it splits the chain into two halves, each searched like a
+/// chain of its own.
+#[derive(Debug, Clone, Copy)]
+pub struct SourceChain {
+    /// The chain.
+    pub chain: usize,
+    /// The root's slot in [`Chains::path`].
+    pub slot: usize,
+}
+
+impl SourceChain {
+    /// The chain-path slots between which super-edge `via` runs: its
+    /// whole chain, or on the source's chain the half from the source.
+    fn span(source_chain: Option<Self>, peel: &Peel, via: u32) -> (usize, usize) {
+        let chain = (via >> 1) as usize;
+        let (lo, hi) = peel.chains.ends(chain);
+        match source_chain {
+            Some(s) if s.chain == chain && via & 1 == 1 => (lo, s.slot),
+            Some(s) if s.chain == chain => (s.slot, hi),
+            _ => (lo, hi),
+        }
+    }
+}
+
+/// One source's shortest-path tree kept at branch-node granularity: per
+/// branch node its distance and parent, in settle order (see the module
+/// docs). Every chain interior's distance and parent follow in O(1)
+/// from its span's two ends ([`BranchView::interior`]), and
+/// [`SourceTree::search`] fills them in. Also the per-worker buffers of
+/// the branch search.
+#[derive(Debug)]
+pub struct BranchView {
+    heap: MinHeap<u32>,
+    /// Per branch index.
+    labels: Vec<Label>,
+    /// The reached branch indices, parents first.
+    settled: Vec<u32>,
+    source_chain: Option<SourceChain>,
+    root: NodeId,
+    root_dist: Distance,
+    /// Whether the view summarises a whole-graph search, whose heap
+    /// order broke a double tie at a chain interior the way `tie_first`
+    /// says.
+    summarised: bool,
+    /// Per chain slot with a double tie in a summarised view: whether
+    /// its parent is towards its span's first end.
+    tie_first: Vec<bool>,
+}
+
+impl BranchView {
+    fn new(peel: &Peel) -> Self {
+        Self {
+            heap: MinHeap::with_capacity(64),
+            labels: vec![Label::UNREACHED; peel.branch_nodes.len()],
+            settled: Vec::with_capacity(peel.branch_nodes.len()),
+            source_chain: None,
+            root: NO_PARENT,
+            root_dist: 0,
+            summarised: false,
+            tie_first: vec![false; peel.chains.path.len()],
+        }
+    }
+
+    /// The reached branch nodes, by branch index, every parent (or the
+    /// far end of a parent chain) before its children.
+    pub fn settled(&self) -> &[u32] {
+        &self.settled
+    }
+
+    /// The distance of the branch node of index `b`, `DIST_INF` where
+    /// unreachable.
+    pub fn dist(&self, b: u32) -> Distance {
+        self.labels[b as usize].dist
+    }
+
+    /// How the reached branch node of index `b` hangs off its parent.
+    pub fn parent(&self, peel: &Peel, b: u32) -> BranchParent {
+        let label = self.labels[b as usize];
+        if label.via != NONE {
+            return BranchParent::Chain {
+                chain: (label.via >> 1) as usize,
+                forward: label.via & 1 == 0,
+            };
+        }
+        match peel.branch_index(label.pred) {
+            Some(p) => BranchParent::Edge(p),
+            None => BranchParent::Root,
+        }
+    }
+
+    /// The span of the interior at slot `s` of chain `c`: the slots of
+    /// the chain's two ends, or on the source's chain the half's.
+    pub fn span(&self, peel: &Peel, c: usize, s: usize) -> (usize, usize) {
+        let (lo, hi) = peel.chains.ends(c);
+        match self.source_chain {
+            Some(sc) if sc.chain == c && s < sc.slot => (lo, sc.slot),
+            Some(sc) if sc.chain == c => (sc.slot, hi),
+            _ => (lo, hi),
+        }
+    }
+
+    /// The distance of the node at chain slot `s`, an end of a span.
+    fn slot_dist(&self, peel: &Peel, s: usize) -> Distance {
+        match self.source_chain {
+            Some(sc) if sc.slot == s => self.root_dist,
+            _ => self.labels[peel.branch_index[peel.chains.path[s] as usize] as usize].dist,
+        }
+    }
+
+    /// The interior at slot `s` of chain `c`: its distance, and the slot
+    /// its parent run hangs off (an end of its span, every interior in
+    /// between on the run); `None` where unreachable. Along a span the
+    /// interiors hanging off its first end form a prefix.
+    pub fn interior(&self, peel: &Peel, c: usize, s: usize) -> Option<(Distance, usize)> {
+        let (lo, hi) = self.span(peel, c, s);
+        let (dl, dr) = (self.slot_dist(peel, lo), self.slot_dist(peel, hi));
+        let (l, r, first) = self.side(peel, lo, hi, dl, dr, s);
+        let (d, end) = if first { (l, lo) } else { (r, hi) };
+        (d != DIST_INF).then_some((d, end))
+    }
+
+    /// At slot `s` between span ends `lo` and `hi` at distances `dl` and
+    /// `dr`: the distances from either end, and whether the parent is
+    /// towards `lo`. Each interior takes the nearer end, or on a tie
+    /// from both sides the neighbour of smaller distance; a double tie
+    /// goes towards `lo` unless a summarised search broke it otherwise.
+    #[inline]
+    fn side(
+        &self,
+        peel: &Peel,
+        lo: usize,
+        hi: usize,
+        dl: Distance,
+        dr: Distance,
+        s: usize,
+    ) -> (Distance, Distance, bool) {
+        let (ar, al) = (&peel.chains.along_right, &peel.chains.along_left);
+        let from_lo = |s: usize| dl.saturating_add(ar[s] - ar[lo]);
+        let from_hi = |s: usize| dr.saturating_add(al[s] - al[hi]);
+        let (l, r) = (from_lo(s), from_hi(s));
+        let first = l < r
+            || (l == r && l != DIST_INF && {
+                let (key_l, key_r) = (from_lo(s - 1), from_hi(s + 1));
+                key_l < key_r || (key_l == key_r && (!self.summarised || self.tie_first[s]))
+            });
+        (l, r, first)
+    }
+
+    /// The root's chain, when the root is a chain interior.
+    pub fn source_chain(&self) -> Option<SourceChain> {
+        self.source_chain
+    }
+
+    /// The core node the walk from the source ends at.
+    pub fn root(&self) -> NodeId {
+        self.root
+    }
+
+    /// The root's distance: the length of the walk.
+    pub fn root_dist(&self) -> Distance {
+        self.root_dist
+    }
+
     /// Offers branch `u` the label `cand`. A shorter distance wins; at
     /// an equal one the smaller predecessor key does, and an equal key
     /// from another predecessor is a double tie when `exact`. The root
@@ -544,6 +767,149 @@ impl CoreSearch {
             }
         }
         Ok(())
+    }
+
+    /// Whether chain `c` is the parent chain of its first end and of its
+    /// last end.
+    fn parent_of_ends(&self, peel: &Peel, c: usize) -> (bool, bool) {
+        let (lo, hi) = peel.chains.ends(c);
+        let via = (c as u32) << 1;
+        let via_of =
+            |s: usize| self.labels[peel.branch_index[peel.chains.path[s] as usize] as usize].via;
+        (via_of(lo) == via | 1, via_of(hi) == via)
+    }
+
+    /// The walk from `source` up to the core, then the branch search from
+    /// its end. With `exact`, fails on a double tie, at a branch node or
+    /// at a chain interior.
+    fn run(&mut self, peel: &Peel, source: NodeId, exact: bool) -> Result<(), DoubleTie> {
+        let (root, d0, prev) = peel.walk(source);
+        self.root = root;
+        self.root_dist = d0;
+        self.summarised = false;
+        self.labels.fill(Label::UNREACHED);
+        self.heap.clear();
+        self.settled.clear();
+        let Chains {
+            path,
+            along_right: ar,
+            along_left: al,
+            ..
+        } = &peel.chains;
+        self.source_chain = None;
+        let root_branch = if let Some((chain, slot)) = peel.chains.of(root) {
+            // Seed both ends of the source's chain along the chain.
+            let (lo, hi) = peel.chains.ends(chain);
+            let via = (chain as u32) << 1;
+            let towards_lo = Label {
+                dist: d0 + al[lo] - al[slot],
+                pred: path[lo + 1],
+                key: d0 + al[lo + 1] - al[slot],
+                via: via | 1,
+            };
+            let towards_hi = Label {
+                dist: d0 + ar[hi] - ar[slot],
+                pred: path[hi - 1],
+                key: d0 + ar[hi - 1] - ar[slot],
+                via,
+            };
+            let branch = |s: usize| peel.branch_index[path[s] as usize];
+            self.relax(branch(lo), towards_lo, NONE, exact)?;
+            self.relax(branch(hi), towards_hi, NONE, exact)?;
+            self.source_chain = Some(SourceChain { chain, slot });
+            NONE
+        } else {
+            let r = peel.branch_index[root as usize];
+            self.labels[r as usize] = Label {
+                dist: d0,
+                pred: prev,
+                ..Label::UNREACHED
+            };
+            self.heap.push(d0, r);
+            r
+        };
+
+        while let Some(e) = self.heap.pop() {
+            let (dv, v) = (e.key, e.item);
+            if dv != self.labels[v as usize].dist {
+                continue; // stale duplicate
+            }
+            self.settled.push(v);
+            let (lo, hi) = (
+                peel.edge_offsets[v as usize] as usize,
+                peel.edge_offsets[v as usize + 1] as usize,
+            );
+            for e in &peel.edges[lo..hi] {
+                let cand = Label {
+                    dist: dv + e.weight,
+                    pred: e.pred,
+                    key: dv + e.lead,
+                    via: e.via,
+                };
+                self.relax(e.to, cand, root_branch, exact)?;
+            }
+        }
+
+        // An interior is tight from both ends exactly where its two
+        // distances meet, and its two keys then tie exactly where its two
+        // in-weights do: only those slots can hold a double tie.
+        if exact {
+            for &(c, s) in &peel.chains.tie_slots {
+                let (c, s) = (c as usize, s as usize);
+                if self
+                    .source_chain
+                    .is_some_and(|sc| sc.chain == c && sc.slot == s)
+                {
+                    continue;
+                }
+                let (lo, hi) = self.span(peel, c, s);
+                let (dl, dr) = (self.slot_dist(peel, lo), self.slot_dist(peel, hi));
+                let (l, r, _) = self.side(peel, lo, hi, dl, dr, s);
+                if l == r && l != DIST_INF {
+                    return Err(DoubleTie);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads a whole-graph search from `source` as a branch view.
+    fn summarise(&mut self, peel: &Peel, ws: &DijkstraWorkspace, source: NodeId) {
+        let (root, _, _) = peel.walk(source);
+        self.root = root;
+        self.root_dist = ws.distance(root);
+        self.labels.fill(Label::UNREACHED);
+        self.settled.clear();
+        let chains = &peel.chains;
+        for &u in ws.settle_order() {
+            let b = peel.branch_index[u as usize];
+            if b == NONE {
+                continue;
+            }
+            let pred = ws.parent(u).unwrap_or(NO_PARENT);
+            let via = match (pred != NO_PARENT).then(|| chains.of(pred)).flatten() {
+                Some((c, s)) if s + 1 == chains.ends(c).1 && chains.path[s + 1] == u => {
+                    (c as u32) << 1
+                }
+                Some((c, _)) => (c as u32) << 1 | 1,
+                None => NONE,
+            };
+            self.labels[b as usize] = Label {
+                dist: ws.distance(u),
+                pred,
+                key: 0,
+                via,
+            };
+            self.settled.push(b);
+        }
+        self.source_chain = chains
+            .of(root)
+            .map(|(chain, slot)| SourceChain { chain, slot });
+        self.summarised = true;
+        for &(_, s) in &chains.tie_slots {
+            let s = s as usize;
+            self.tie_first[s] = ws.parent(chains.path[s]) == Some(chains.path[s - 1]);
+        }
     }
 }
 
@@ -572,47 +938,24 @@ impl Tree {
     }
 
     /// Fills the chain nodes strictly between slots `lo` and `hi`, whose
-    /// distances are final: each takes the nearer end, or on a tie from
-    /// both sides the neighbour of smaller distance. The interiors with
-    /// a parent towards `lo` form a prefix; both runs enter the order
-    /// parents first.
-    fn fill_chain(
-        &mut self,
-        peel: &Peel,
-        lo: usize,
-        hi: usize,
-        exact: bool,
-    ) -> Result<(), DoubleTie> {
-        let Chains {
-            path,
-            along_right: ar,
-            along_left: al,
-            ..
-        } = &peel.chains;
+    /// distances are final, each from the side `view` gives it: the
+    /// prefix from `lo`, then the rest from `hi`, each run parents first.
+    fn fill_chain(&mut self, peel: &Peel, view: &BranchView, lo: usize, hi: usize) {
+        let path = &peel.chains.path;
         let (dl, dr) = (self.dist[path[lo] as usize], self.dist[path[hi] as usize]);
-        let from_lo = |s: usize| dl.saturating_add(ar[s] - ar[lo]);
-        let from_hi = |s: usize| dr.saturating_add(al[s] - al[hi]);
         let mut split = hi;
         for s in lo + 1..hi {
-            let (l, r) = (from_lo(s), from_hi(s));
-            let towards_lo = l < r
-                || (l == r && l != DIST_INF && {
-                    let (key_l, key_r) = (from_lo(s - 1), from_hi(s + 1));
-                    if key_l == key_r && exact {
-                        return Err(DoubleTie);
-                    }
-                    key_l <= key_r
-                });
-            if !towards_lo {
+            let (l, _, first) = view.side(peel, lo, hi, dl, dr, s);
+            if !first {
                 split = s;
                 break;
             }
             self.set(path[s], l, path[s - 1]);
         }
         for s in (split..hi).rev() {
-            self.set(path[s], from_hi(s), path[s + 1]);
+            let (_, r, _) = view.side(peel, lo, hi, dl, dr, s);
+            self.set(path[s], r, path[s + 1]);
         }
-        Ok(())
     }
 }
 
@@ -627,30 +970,9 @@ pub struct SourceTree {
     tree: Tree,
     /// Marks the walk from the source to the core while the fill runs.
     on_walk: Vec<bool>,
-    core: CoreSearch,
+    view: BranchView,
     /// Whole-graph search for double-tie sources, made on first use.
     fallback: Option<DijkstraWorkspace>,
-}
-
-/// The source's own chain, split at the core node the walk ends at.
-#[derive(Clone, Copy)]
-struct SourceChain {
-    chain: usize,
-    slot: usize,
-}
-
-impl SourceChain {
-    /// The chain-path slots between which super-edge `via` runs: its
-    /// whole chain, or on the source's chain the half from the source.
-    fn span(source_chain: Option<Self>, peel: &Peel, via: u32) -> (usize, usize) {
-        let chain = (via >> 1) as usize;
-        let (lo, hi) = peel.chains.ends(chain);
-        match source_chain {
-            Some(s) if s.chain == chain && via & 1 == 1 => (lo, s.slot),
-            Some(s) if s.chain == chain => (s.slot, hi),
-            _ => (lo, hi),
-        }
-    }
 }
 
 impl SourceTree {
@@ -664,10 +986,7 @@ impl SourceTree {
                 parent: vec![NO_PARENT; n],
             },
             on_walk: vec![false; n],
-            core: CoreSearch {
-                heap: MinHeap::with_capacity(64),
-                labels: vec![Label::UNREACHED; peel.branch_nodes.len()],
-            },
+            view: BranchView::new(peel),
             fallback: None,
         }
     }
@@ -678,7 +997,8 @@ impl SourceTree {
     /// Returns true when a double tie made the kernel recompute the
     /// source over the whole graph.
     pub fn search(&mut self, peel: &Peel, source: NodeId) -> bool {
-        if self.run(peel, source, true) {
+        if self.view.run(peel, source, true).is_ok() {
+            self.fill(peel, source);
             return false;
         }
         let g = peel.g;
@@ -711,14 +1031,41 @@ impl SourceTree {
     /// exact; among equally short paths the parents may differ from
     /// [`DijkstraWorkspace::run`]'s, so this mode never falls back.
     pub fn search_distances(&mut self, peel: &Peel, source: NodeId) {
-        self.run(peel, source, false);
+        // Without the tie check the search always completes.
+        let _ = self.view.run(peel, source, false);
+        self.fill(peel, source);
     }
 
-    /// Walk, branch search, chain fill and tree fill. With
-    /// `exact_parents`, returns false — the tree then unusable — on a
-    /// double tie.
-    fn run(&mut self, peel: &Peel, source: NodeId, exact_parents: bool) -> bool {
-        let tree = &mut self.tree;
+    /// [`SourceTree::search`] stopped at the branch view: its
+    /// [`SourceTree::view`] holds exactly the whole-graph search's
+    /// distances and parents at the branch nodes and chain splits, and
+    /// the tree itself is left unfilled. Returns true when a double tie
+    /// made the kernel recompute the source over the whole graph (the
+    /// view then summarises that search).
+    pub fn search_branches(&mut self, peel: &Peel, source: NodeId) -> bool {
+        if self.view.run(peel, source, true).is_ok() {
+            return false;
+        }
+        let g = peel.g;
+        let ws = self
+            .fallback
+            .get_or_insert_with(|| DijkstraWorkspace::new(g.num_nodes()));
+        ws.run(g, source, peel.dir);
+        self.view.summarise(peel, ws, source);
+        true
+    }
+
+    /// The branch view of the last search.
+    pub fn view(&self) -> &BranchView {
+        &self.view
+    }
+
+    /// Fills the tree from the branch view of a search from `source`:
+    /// the walk, the branch nodes in settle order (each parent chain's
+    /// interiors right before its node), the other chains, then the
+    /// peeled nodes.
+    fn fill(&mut self, peel: &Peel, source: NodeId) {
+        let (tree, view) = (&mut self.tree, &self.view);
         tree.order.clear();
         let mut v = source;
         let mut d: Distance = 0;
@@ -731,24 +1078,52 @@ impl SourceTree {
             v = peel.tree_parent[v as usize];
         }
         let walk = tree.order.len();
-        let tie_free = self
-            .core
-            .search(peel, tree, v, d, prev, exact_parents)
-            .is_ok();
-        if tie_free {
-            for &u in &peel.fill_order {
-                if !self.on_walk[u as usize] {
-                    let p = peel.tree_parent[u as usize];
-                    let dp = tree.dist[p as usize];
-                    let du = dp.saturating_add(peel.down_weight[u as usize] as Distance);
-                    tree.set(u, du, p);
+        for &b in &peel.branch_nodes {
+            tree.dist[b as usize] = DIST_INF;
+            tree.parent[b as usize] = NO_PARENT;
+        }
+        if view.source_chain.is_some() {
+            tree.set(v, d, prev);
+        }
+        for &b in &view.settled {
+            let label = view.labels[b as usize];
+            let node = peel.branch_nodes[b as usize];
+            tree.dist[node as usize] = label.dist;
+            tree.parent[node as usize] = label.pred;
+            if label.via != NONE {
+                let (lo, hi) = SourceChain::span(view.source_chain, peel, label.via);
+                tree.fill_chain(peel, view, lo, hi);
+            }
+            tree.order.push(node);
+        }
+        // Every chain no branch node took its parent from.
+        for c in 0..peel.chains.count() {
+            let (lo, hi) = peel.chains.ends(c);
+            let (into_lo, into_hi) = view.parent_of_ends(peel, c);
+            match view.source_chain {
+                Some(s) if s.chain == c => {
+                    if !into_lo {
+                        tree.fill_chain(peel, view, lo, s.slot);
+                    }
+                    if !into_hi {
+                        tree.fill_chain(peel, view, s.slot, hi);
+                    }
                 }
+                _ if !into_lo && !into_hi => tree.fill_chain(peel, view, lo, hi),
+                _ => {}
+            }
+        }
+        for &u in &peel.fill_order {
+            if !self.on_walk[u as usize] {
+                let p = peel.tree_parent[u as usize];
+                let dp = tree.dist[p as usize];
+                let du = dp.saturating_add(peel.down_weight[u as usize] as Distance);
+                tree.set(u, du, p);
             }
         }
         for &u in &tree.order[..walk] {
             self.on_walk[u as usize] = false;
         }
-        tie_free
     }
 
     /// The reachable nodes, parents first, starting with the source.
@@ -765,117 +1140,6 @@ impl SourceTree {
     /// unreachable nodes.
     pub fn parents(&self) -> &[NodeId] {
         &self.tree.parent
-    }
-}
-
-impl CoreSearch {
-    /// The branch search from core node `root`, at distance `d0` from
-    /// the source with parent `prev`, then the chain fill, into `tree`.
-    fn search(
-        &mut self,
-        peel: &Peel,
-        tree: &mut Tree,
-        root: NodeId,
-        d0: Distance,
-        prev: NodeId,
-        exact: bool,
-    ) -> Result<(), DoubleTie> {
-        self.labels.fill(Label::UNREACHED);
-        self.heap.clear();
-        for &b in &peel.branch_nodes {
-            tree.dist[b as usize] = DIST_INF;
-            tree.parent[b as usize] = NO_PARENT;
-        }
-        let (root_branch, source_chain) = if let Some((chain, slot)) = peel.chains.of(root) {
-            // Seed both ends of the source's chain along the chain.
-            tree.set(root, d0, prev);
-            let (lo, hi) = peel.chains.ends(chain);
-            let Chains {
-                path,
-                along_right: ar,
-                along_left: al,
-                ..
-            } = &peel.chains;
-            let via = (chain as u32) << 1;
-            let towards_lo = Label {
-                dist: d0 + al[lo] - al[slot],
-                pred: path[lo + 1],
-                key: d0 + al[lo + 1] - al[slot],
-                via: via | 1,
-            };
-            let towards_hi = Label {
-                dist: d0 + ar[hi] - ar[slot],
-                pred: path[hi - 1],
-                key: d0 + ar[hi - 1] - ar[slot],
-                via,
-            };
-            let branch = |s: usize| peel.branch_index[path[s] as usize];
-            self.relax(branch(lo), towards_lo, NONE, exact)?;
-            self.relax(branch(hi), towards_hi, NONE, exact)?;
-            (NONE, Some(SourceChain { chain, slot }))
-        } else {
-            let r = peel.branch_index[root as usize];
-            self.labels[r as usize] = Label {
-                dist: d0,
-                pred: prev,
-                ..Label::UNREACHED
-            };
-            self.heap.push(d0, r);
-            (r, None)
-        };
-
-        while let Some(e) = self.heap.pop() {
-            let (dv, v) = (e.key, e.item);
-            let label = self.labels[v as usize];
-            if dv != label.dist {
-                continue; // stale duplicate
-            }
-            let node = peel.branch_nodes[v as usize];
-            tree.dist[node as usize] = dv;
-            tree.parent[node as usize] = label.pred;
-            // A parent over a super-edge: that chain's interiors go first.
-            if label.via != NONE {
-                let (lo, hi) = SourceChain::span(source_chain, peel, label.via);
-                tree.fill_chain(peel, lo, hi, exact)?;
-            }
-            tree.order.push(node);
-            let (lo, hi) = (
-                peel.edge_offsets[v as usize] as usize,
-                peel.edge_offsets[v as usize + 1] as usize,
-            );
-            for e in &peel.edges[lo..hi] {
-                let cand = Label {
-                    dist: dv + e.weight,
-                    pred: e.pred,
-                    key: dv + e.lead,
-                    via: e.via,
-                };
-                self.relax(e.to, cand, root_branch, exact)?;
-            }
-        }
-
-        // Every chain no branch node took its parent from.
-        for c in 0..peel.chains.count() {
-            let (lo, hi) = peel.chains.ends(c);
-            let via = (c as u32) << 1;
-            let via_of = |s: usize| {
-                self.labels[peel.branch_index[peel.chains.path[s] as usize] as usize].via
-            };
-            let (into_lo, into_hi) = (via_of(lo) == via | 1, via_of(hi) == via);
-            match source_chain {
-                Some(s) if s.chain == c => {
-                    if !into_lo {
-                        tree.fill_chain(peel, lo, s.slot, exact)?;
-                    }
-                    if !into_hi {
-                        tree.fill_chain(peel, s.slot, hi, exact)?;
-                    }
-                }
-                _ if !into_lo && !into_hi => tree.fill_chain(peel, lo, hi, exact)?,
-                _ => {}
-            }
-        }
-        Ok(())
     }
 }
 
