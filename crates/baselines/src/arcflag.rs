@@ -210,24 +210,33 @@ impl<'a> ArcFlagServer<'a> {
         );
 
         // Flags: per node, (target, flagbytes) pairs keyed by edge target
-        // so loss-recovery reordering cannot misalign them.
+        // so loss-recovery reordering cannot misalign them. The client
+        // keys flags by (from, to), so parallel edges share one entry:
+        // the union of their bits, which keeps the lightest one's.
         let mut w = RecordWriter::new();
+        let mut entries: Vec<(NodeId, Vec<u8>)> = Vec::new();
         for u in self.g.node_ids() {
-            let edges: Vec<u32> = self.g.out_edge_ids(u).collect();
-            for chunk in edges.chunks(10) {
+            entries.clear();
+            for e in self.g.out_edge_ids(u) {
+                let v = self.g.edge_target(e);
+                let i = match entries.iter().position(|(t, _)| *t == v) {
+                    Some(i) => i,
+                    None => {
+                        entries.push((v, vec![0; flag_bytes]));
+                        entries.len() - 1
+                    }
+                };
+                for r in (0..n).filter(|&r| self.index.flag(e, r as RegionId)) {
+                    entries[i].1[r / 8] |= 1 << (r % 8);
+                }
+            }
+            for chunk in entries.chunks(10) {
                 rec.clear();
                 rec.put_u8(AUX_MAGIC).put_u32(u).put_u8(chunk.len() as u8);
-                for &e in chunk {
-                    rec.put_u32(self.g.edge_target(e));
-                    for byte in 0..flag_bytes {
-                        let mut v = 0u8;
-                        for bit in 0..8 {
-                            let r = byte * 8 + bit;
-                            if r < n && self.index.flag(e, r as RegionId) {
-                                v |= 1 << bit;
-                            }
-                        }
-                        rec.put_u8(v);
+                for (v, bytes) in chunk {
+                    rec.put_u32(*v);
+                    for &byte in bytes {
+                        rec.put_u8(byte);
                     }
                 }
                 w.push_record(rec.as_slice());

@@ -22,7 +22,9 @@
 //!    border nodes and dangling-tree attachments searched from;
 //!    `shared_sources`: border nodes inside dangling trees folded from
 //!    their attachment's search; `tie_fallback_sources`: sources
-//!    recomputed over the whole graph after a double tie), then does the
+//!    recomputed over the whole graph after a double tie;
+//!    `tables_digest`: `BorderPrecomputation::tables_digest`, an FNV-1a
+//!    64 over the minmax, traversed and cross-border tables), then does the
 //!    same in the `germany` object on a fixed germany-class map
 //!    (`NetworkPreset::Germany.config_for_nodes(7, 8_000)`, 64 kd
 //!    regions, the benchmark's `updates` map), where most border nodes
@@ -217,6 +219,7 @@ fn border_stage(
             "tie_fallback_sources",
             pre.tie_fallback_sources().to_string(),
         ),
+        ("tables_digest", format!("\"{:016x}\"", pre.tables_digest())),
     ];
     (stage, fields)
 }

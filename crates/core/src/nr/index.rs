@@ -83,7 +83,9 @@ impl NrLocalIndex {
         assert_eq!(self.offsets.len(), n);
         let wide = n > 255;
 
-        let body = |total: u16| -> Result<Vec<Bytes>, EncodeError> {
+        // The records, packed into packet bodies; each packet's header
+        // then names its position and the packet count.
+        let bodies = {
             let mut w = RecordWriter::with_capacity(PAYLOAD_CAPACITY - HEADER_LEN);
             let mut rec = RecordBuf::new();
 
@@ -135,24 +137,23 @@ impl NrLocalIndex {
             }
 
             w.finish()
-                .into_iter()
-                .enumerate()
-                .map(|(seq, body)| {
-                    let mut h = RecordBuf::new();
-                    h.put_u8(MAGIC)
-                        .put_u16(self.region)
-                        .put_u16(u16_of(seq, "nr index seq")?)
-                        .put_u16(total)
-                        .put_u16(u16_of(n, "nr region count")?);
-                    let mut v = h.as_slice().to_vec();
-                    v.extend_from_slice(&body);
-                    Ok(Bytes::from(v))
-                })
-                .collect()
         };
-
-        let count = u16_of(body(0)?.len(), "nr index total packets")?;
-        body(count)
+        let total = u16_of(bodies.len(), "nr index total packets")?;
+        bodies
+            .into_iter()
+            .enumerate()
+            .map(|(seq, body)| {
+                let mut h = RecordBuf::new();
+                h.put_u8(MAGIC)
+                    .put_u16(self.region)
+                    .put_u16(u16_of(seq, "nr index seq")?)
+                    .put_u16(total)
+                    .put_u16(u16_of(n, "nr region count")?);
+                let mut v = h.as_slice().to_vec();
+                v.extend_from_slice(&body);
+                Ok(Bytes::from(v))
+            })
+            .collect()
     }
 }
 

@@ -62,25 +62,24 @@ impl<'a> NrServer<'a> {
         Self { g, part, pre }
     }
 
-    /// Next-region matrix for viewpoint `m`: cell `(i, j)` is the first
-    /// region at/after `m` in cyclic broadcast order that is needed for a
-    /// shortest path from `Ri` to `Rj`.
-    fn next_matrix(&self, m: RegionId, needed_lists: &[Vec<RegionId>]) -> Vec<u16> {
+    /// Next-region matrix for every viewpoint `m`: cell `(i, j)` of
+    /// matrix `m` is the first region at/after `m` in cyclic broadcast
+    /// order that is needed for a shortest path from `Ri` to `Rj`. One
+    /// sweep over the viewpoints per pair.
+    fn next_matrices(&self, needed_lists: &[Vec<RegionId>]) -> Vec<Vec<u16>> {
         let n = self.part.num_regions();
-        let mut out = vec![NO_NEXT; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                let needed = &needed_lists[i * n + j];
-                if needed.is_empty() {
-                    continue;
+        let mut out = vec![vec![NO_NEXT; n * n]; n];
+        for (cell, needed) in needed_lists.iter().enumerate() {
+            let Some(&smallest) = needed.first() else {
+                continue;
+            };
+            // First needed >= m, else wrap to the smallest.
+            let mut k = 0;
+            for (m, matrix) in out.iter_mut().enumerate() {
+                while needed.get(k).is_some_and(|&r| (r as usize) < m) {
+                    k += 1;
                 }
-                // First needed >= m, else wrap to the smallest.
-                let nxt = match needed.binary_search(&m) {
-                    Ok(k) => needed[k],
-                    Err(k) if k < needed.len() => needed[k],
-                    Err(_) => needed[0],
-                };
-                out[i * n + j] = nxt;
+                matrix[cell] = needed.get(k).copied().unwrap_or(smallest);
             }
         }
         out
@@ -121,11 +120,12 @@ impl<'a> NrServer<'a> {
         // fixed width, so one encode with placeholder offsets gives every
         // index's length, and from them the offsets.
         let mut indexes: Vec<NrLocalIndex> = (0..n as RegionId)
-            .map(|m| NrLocalIndex {
+            .zip(self.next_matrices(&needed_lists))
+            .map(|(m, next)| NrLocalIndex {
                 region: m,
                 num_regions: n,
                 splits: self.part.splits().to_vec(),
-                next: self.next_matrix(m, &needed_lists),
+                next,
                 offsets: vec![
                     NrOffsetEntry {
                         data_offset: 0,
@@ -254,8 +254,7 @@ mod tests {
                 lists.push(pre.needed_regions(i, j).iter().collect::<Vec<_>>());
             }
         }
-        for m in 0..8u16 {
-            let mat = server.next_matrix(m, &lists);
+        for (m, mat) in (0..8u16).zip(server.next_matrices(&lists)) {
             for i in 0..8usize {
                 for j in 0..8usize {
                     let nxt = mat[i * 8 + j];
@@ -300,5 +299,29 @@ mod tests {
             })
             .sum();
         assert_eq!(nr.cycle().len(), raw + nr.index_packets());
+    }
+
+    /// The encoded cycle, pinned byte for byte on a germany-class map
+    /// (64 kd regions, every local index of one fixed width): its packet
+    /// count and an FNV-1a digest over every payload.
+    #[test]
+    fn cycle_bytes_are_pinned_on_a_germany_class_map() {
+        let g = spair_roadnet::NetworkPreset::Germany
+            .config_for_nodes(7, 3_000)
+            .generate();
+        let part = KdTreePartition::build(&g, 64);
+        let pre = BorderPrecomputation::run(&g, &part);
+        let program = NrServer::new(&g, &part, &pre)
+            .build_program()
+            .expect("encode");
+        let cycle = program.cycle();
+        let mut digest = spair_roadnet::certify::Fnv1a::default();
+        for i in 0..cycle.len() {
+            digest.write(cycle.packet(i).payload());
+        }
+        assert_eq!(
+            (cycle.len(), digest.finish()),
+            (5_767, 0x32de_bc61_adc3_4fa9)
+        );
     }
 }

@@ -80,7 +80,7 @@ use spair_partition::{BorderInfo, Partitioning, RegionId};
 use spair_roadnet::certify::Fnv1a;
 use spair_roadnet::dijkstra::Direction;
 use spair_roadnet::parallel;
-use spair_roadnet::peel::{BranchParent, BranchView, Peel, SourceTree};
+use spair_roadnet::peel::{BranchParent, BranchView, Peel, SourceTree, Span};
 use spair_roadnet::sptree::NO_PARENT;
 use spair_roadnet::{Distance, NodeId, RoadNetwork, DIST_INF};
 use std::ops::Range;
@@ -226,6 +226,8 @@ struct Pass<'g> {
     /// slot up to its last end (`suffix`). At the ends, all interiors.
     prefix: Vec<u64>,
     suffix: Vec<u64>,
+    /// Per branch index, the word and mask of its node's region.
+    branch_bits: Vec<(usize, u64)>,
     targets: Vec<Targets>,
     /// Per entry of `targets`, `words` each.
     target_regions: Vec<u64>,
@@ -549,7 +551,8 @@ impl BorderPrecomputation {
 
 impl<'g> Pass<'g> {
     /// Peels `g` pruned to its border nodes, groups the sources into
-    /// roots, ascending by node, and summarises each root's targets.
+    /// roots (branch nodes first, then chain interiors by chain and
+    /// slot), and summarises each root's targets.
     fn new(g: &'g RoadNetwork, part: &impl Partitioning) -> Self {
         let nn = g.num_nodes();
         let regions = part.num_regions();
@@ -718,6 +721,13 @@ impl<'g> Pass<'g> {
             });
         }
 
+        // Roots on one chain side by side, so a fold reads each chain's
+        // span once.
+        roots.sort_by_key(|root| match root.place {
+            Place::Branch(b) => (0, b as usize, 0),
+            Place::Interior(c, s) => (1, c, s),
+        });
+
         let chains = peel.chains();
         let path = chains.path();
         let (mut prefix, mut suffix) =
@@ -737,6 +747,7 @@ impl<'g> Pass<'g> {
             }
             suffix.copy_within((lo + 1) * words..(lo + 2) * words, lo * words);
         }
+        let branch_bits = peel.branch_nodes().iter().map(|&v| bit(v)).collect();
         Self {
             region_of,
             regions,
@@ -747,6 +758,7 @@ impl<'g> Pass<'g> {
             subtrees,
             prefix,
             suffix,
+            branch_bits,
             targets,
             target_regions,
         }
@@ -892,13 +904,14 @@ impl<'g> Pass<'g> {
         let (root_word, root_mask) = self.bit(root.node);
 
         // The regions of the paths to the branch nodes, parents first.
+        // (Region sets are a word or two: plain loops beat memcpy.)
         for &b in view.settled() {
             let bi = b as usize * words;
             match view.parent(peel, b) {
-                BranchParent::Root => br[bi..bi + words].fill(0),
+                BranchParent::Root => (0..words).for_each(|w| br[bi + w] = 0),
                 BranchParent::Edge(p) => {
                     let pi = p as usize * words;
-                    br.copy_within(pi..pi + words, bi);
+                    (0..words).for_each(|w| br[bi + w] = br[pi + w]);
                 }
                 BranchParent::Chain { chain, forward } => {
                     let (lo, hi) = chains.ends(chain);
@@ -906,22 +919,18 @@ impl<'g> Pass<'g> {
                         Some(s) if s.chain == chain => {
                             let from = if forward { s.slot + 1 } else { s.slot - 1 };
                             let seg = if forward { &self.suffix } else { &self.prefix };
-                            br[bi..bi + words]
-                                .copy_from_slice(&seg[from * words..(from + 1) * words]);
+                            (0..words).for_each(|w| br[bi + w] = seg[from * words + w]);
                             br[bi + root_word] |= root_mask;
                         }
                         _ => {
                             let fi = branch(path[if forward { lo } else { hi }]) * words;
-                            br.copy_within(fi..fi + words, bi);
                             let all = &self.prefix[hi * words..(hi + 1) * words];
-                            for (a, &r) in br[bi..bi + words].iter_mut().zip(all) {
-                                *a |= r;
-                            }
+                            (0..words).for_each(|w| br[bi + w] = br[fi + w] | all[w]);
                         }
                     }
                 }
             }
-            let (k, m) = self.bit(peel.branch_nodes()[b as usize]);
+            let (k, m) = self.branch_bits[b as usize];
             br[bi + k] |= m;
         }
 
@@ -938,6 +947,7 @@ impl<'g> Pass<'g> {
         // Every other root, where the view reaches it.
         far.fill(MinMax::EMPTY);
         far_regions.fill(0);
+        let mut span: Option<Span> = None;
         for x in &self.roots {
             let d = match x.place {
                 _ if x.node == root.node => continue,
@@ -947,14 +957,21 @@ impl<'g> Pass<'g> {
                         continue;
                     }
                     let bi = b as usize * words;
-                    regions.copy_from_slice(&br[bi..bi + words]);
+                    (0..words).for_each(|w| regions[w] = br[bi + w]);
                     on_branch[b as usize] = true;
                     d
                 }
                 Place::Interior(c, k) => {
-                    let Some((d, e)) = view.interior(peel, c, k) else {
-                        continue;
+                    // Roots on one chain are adjacent: read its span once.
+                    let read = match span {
+                        Some(read) if read.chain == c && read.holds(k) => read,
+                        _ => view.span(peel, c, k),
                     };
+                    span = Some(read);
+                    let (d, e) = read.at(peel, k);
+                    if d == DIST_INF {
+                        continue;
+                    }
                     let (lo, hi) = chains.ends(c);
                     if e != lo && e != hi {
                         // Hanging off the root, on its own chain.

@@ -41,6 +41,14 @@
 //! whole graph: when a super-edge is the parent of a branch node, the
 //! chain's interiors enter the order right before that node.
 //!
+//! **Branch view.** Steps 1 and 2 alone leave a [`BranchView`]: per
+//! branch node its distance and parent, and per chain a [`Span`], its two
+//! ends' distances and the slot where its interiors stop hanging off the
+//! first end (they form a prefix, see below). Any interior's distance and
+//! parent run are then O(1) reads. [`SourceTree::search_branches`] stops
+//! there (border precompute folds the view); steps 3 and 4 fill the tree
+//! from the same spans for SPQ and arc flags.
+//!
 //! **Pruned fill.** A build that reads the tree only at a fixed set of
 //! targets and on the paths to them (border precompute) peels with
 //! [`Peel::pruned`]. Step 4 then fills only the peeled nodes with a
@@ -504,13 +512,6 @@ impl Chains {
         &self.path
     }
 
-    /// Per slot, the distance a search covers along its chain from the
-    /// chain's first end (`along_right`) and from its last end
-    /// (`along_left`).
-    pub fn along(&self) -> (&[Distance], &[Distance]) {
-        (&self.along_right, &self.along_left)
-    }
-
     /// The chain that interior `v` lies on, and `v`'s slot.
     pub fn of(&self, v: NodeId) -> Option<(usize, usize)> {
         let slot = self.slot[v as usize] as usize;
@@ -596,24 +597,61 @@ pub struct SourceChain {
     pub slot: usize,
 }
 
-impl SourceChain {
-    /// The chain-path slots between which super-edge `via` runs: its
-    /// whole chain, or on the source's chain the half from the source.
-    fn span(source_chain: Option<Self>, peel: &Peel, via: u32) -> (usize, usize) {
-        let chain = (via >> 1) as usize;
-        let (lo, hi) = peel.chains.ends(chain);
-        match source_chain {
-            Some(s) if s.chain == chain && via & 1 == 1 => (lo, s.slot),
-            Some(s) if s.chain == chain => (s.slot, hi),
-            _ => (lo, hi),
+/// A run of chain interiors between two slots of a [`BranchView`] whose
+/// distances are final: a whole chain, or a half of the source's chain.
+/// Its interiors hang off `lo` up to `split` and off `hi` from there,
+/// each run parents first from its end.
+#[derive(Debug, Clone, Copy)]
+pub struct Span {
+    /// The chain.
+    pub chain: usize,
+    /// The slot of its first end.
+    pub lo: usize,
+    /// The slot of its last end.
+    pub hi: usize,
+    /// The ends' distances.
+    dl: Distance,
+    dr: Distance,
+    /// The first slot whose parent is towards `hi`.
+    pub split: usize,
+}
+
+impl Span {
+    /// Whether chain slot `s` is an interior of the span.
+    pub fn holds(&self, s: usize) -> bool {
+        self.lo < s && s < self.hi
+    }
+
+    /// The interior at slot `s`: its distance (`DIST_INF` where
+    /// unreachable), and the end its parent run hangs off.
+    #[inline]
+    pub fn at(&self, peel: &Peel, s: usize) -> (Distance, usize) {
+        if s < self.split {
+            (self.along_lo(peel, s), self.lo)
+        } else {
+            (self.along_hi(peel, s), self.hi)
         }
+    }
+
+    /// The distance to slot `s` along the span from its first end.
+    #[inline]
+    fn along_lo(&self, peel: &Peel, s: usize) -> Distance {
+        let along = &peel.chains.along_right;
+        self.dl.saturating_add(along[s] - along[self.lo])
+    }
+
+    /// The distance to slot `s` along the span from its last end.
+    #[inline]
+    fn along_hi(&self, peel: &Peel, s: usize) -> Distance {
+        let along = &peel.chains.along_left;
+        self.dr.saturating_add(along[s] - along[self.hi])
     }
 }
 
 /// One source's shortest-path tree kept at branch-node granularity: per
 /// branch node its distance and parent, in settle order (see the module
 /// docs). Every chain interior's distance and parent follow in O(1)
-/// from its span's two ends ([`BranchView::interior`]), and
+/// from its [`Span`] ([`BranchView::span`]), and
 /// [`SourceTree::search`] fills them in. Also the per-worker buffers of
 /// the branch search.
 #[derive(Debug)]
@@ -624,7 +662,6 @@ pub struct BranchView {
     /// The reached branch indices, parents first.
     settled: Vec<u32>,
     source_chain: Option<SourceChain>,
-    root: NodeId,
     root_dist: Distance,
     /// Whether the view summarises a whole-graph search, whose heap
     /// order broke a double tie at a chain interior the way `tie_first`
@@ -642,7 +679,6 @@ impl BranchView {
             labels: vec![Label::UNREACHED; peel.branch_nodes.len()],
             settled: Vec::with_capacity(peel.branch_nodes.len()),
             source_chain: None,
-            root: NO_PARENT,
             root_dist: 0,
             summarised: false,
             tie_first: vec![false; peel.chains.path.len()],
@@ -676,15 +712,35 @@ impl BranchView {
         }
     }
 
-    /// The span of the interior at slot `s` of chain `c`: the slots of
-    /// the chain's two ends, or on the source's chain the half's.
-    pub fn span(&self, peel: &Peel, c: usize, s: usize) -> (usize, usize) {
+    /// The span of chain `c` that holds slot `s`: the whole chain, or on
+    /// the source's chain the half that holds `s` (the first half for
+    /// the chain's first end, the second for its last), with its split.
+    pub fn span(&self, peel: &Peel, c: usize, s: usize) -> Span {
         let (lo, hi) = peel.chains.ends(c);
-        match self.source_chain {
+        let (lo, hi) = match self.source_chain {
             Some(sc) if sc.chain == c && s < sc.slot => (lo, sc.slot),
             Some(sc) if sc.chain == c => (sc.slot, hi),
             _ => (lo, hi),
+        };
+        let mut span = Span {
+            chain: c,
+            lo,
+            hi,
+            dl: self.slot_dist(peel, lo),
+            dr: self.slot_dist(peel, hi),
+            split: hi,
+        };
+        // The interiors hanging off `lo` form a prefix: search its end.
+        let mut first = lo + 1;
+        while first < span.split {
+            let mid = (first + span.split) / 2;
+            if self.towards_lo(peel, &span, mid) {
+                first = mid + 1;
+            } else {
+                span.split = mid;
+            }
         }
+        span
     }
 
     /// The distance of the node at chain slot `s`, an end of a span.
@@ -695,53 +751,24 @@ impl BranchView {
         }
     }
 
-    /// The interior at slot `s` of chain `c`: its distance, and the slot
-    /// its parent run hangs off (an end of its span, every interior in
-    /// between on the run); `None` where unreachable. Along a span the
-    /// interiors hanging off its first end form a prefix.
-    pub fn interior(&self, peel: &Peel, c: usize, s: usize) -> Option<(Distance, usize)> {
-        let (lo, hi) = self.span(peel, c, s);
-        let (dl, dr) = (self.slot_dist(peel, lo), self.slot_dist(peel, hi));
-        let (l, r, first) = self.side(peel, lo, hi, dl, dr, s);
-        let (d, end) = if first { (l, lo) } else { (r, hi) };
-        (d != DIST_INF).then_some((d, end))
-    }
-
-    /// At slot `s` between span ends `lo` and `hi` at distances `dl` and
-    /// `dr`: the distances from either end, and whether the parent is
-    /// towards `lo`. Each interior takes the nearer end, or on a tie
-    /// from both sides the neighbour of smaller distance; a double tie
-    /// goes towards `lo` unless a summarised search broke it otherwise.
+    /// Whether the interior at slot `s` of `span` has its parent towards
+    /// the span's first end. Each interior takes the nearer end, or on a
+    /// tie from both sides the neighbour of smaller distance; a double
+    /// tie goes towards the first end unless a summarised search broke
+    /// it otherwise.
     #[inline]
-    fn side(
-        &self,
-        peel: &Peel,
-        lo: usize,
-        hi: usize,
-        dl: Distance,
-        dr: Distance,
-        s: usize,
-    ) -> (Distance, Distance, bool) {
-        let (ar, al) = (&peel.chains.along_right, &peel.chains.along_left);
-        let from_lo = |s: usize| dl.saturating_add(ar[s] - ar[lo]);
-        let from_hi = |s: usize| dr.saturating_add(al[s] - al[hi]);
-        let (l, r) = (from_lo(s), from_hi(s));
-        let first = l < r
+    fn towards_lo(&self, peel: &Peel, span: &Span, s: usize) -> bool {
+        let (l, r) = (span.along_lo(peel, s), span.along_hi(peel, s));
+        l < r
             || (l == r && l != DIST_INF && {
-                let (key_l, key_r) = (from_lo(s - 1), from_hi(s + 1));
+                let (key_l, key_r) = (span.along_lo(peel, s - 1), span.along_hi(peel, s + 1));
                 key_l < key_r || (key_l == key_r && (!self.summarised || self.tie_first[s]))
-            });
-        (l, r, first)
+            })
     }
 
     /// The root's chain, when the root is a chain interior.
     pub fn source_chain(&self) -> Option<SourceChain> {
         self.source_chain
-    }
-
-    /// The core node the walk from the source ends at.
-    pub fn root(&self) -> NodeId {
-        self.root
     }
 
     /// The root's distance: the length of the walk.
@@ -784,7 +811,6 @@ impl BranchView {
     /// at a chain interior.
     fn run(&mut self, peel: &Peel, source: NodeId, exact: bool) -> Result<(), DoubleTie> {
         let (root, d0, prev) = peel.walk(source);
-        self.root = root;
         self.root_dist = d0;
         self.summarised = false;
         self.labels.fill(Label::UNREACHED);
@@ -862,10 +888,9 @@ impl BranchView {
                 {
                     continue;
                 }
-                let (lo, hi) = self.span(peel, c, s);
-                let (dl, dr) = (self.slot_dist(peel, lo), self.slot_dist(peel, hi));
-                let (l, r, _) = self.side(peel, lo, hi, dl, dr, s);
-                if l == r && l != DIST_INF {
+                let span = self.span(peel, c, s);
+                let l = span.along_lo(peel, s);
+                if l == span.along_hi(peel, s) && l != DIST_INF {
                     return Err(DoubleTie);
                 }
             }
@@ -876,7 +901,6 @@ impl BranchView {
     /// Reads a whole-graph search from `source` as a branch view.
     fn summarise(&mut self, peel: &Peel, ws: &DijkstraWorkspace, source: NodeId) {
         let (root, _, _) = peel.walk(source);
-        self.root = root;
         self.root_dist = ws.distance(root);
         self.labels.fill(Label::UNREACHED);
         self.settled.clear();
@@ -937,24 +961,15 @@ impl Tree {
         }
     }
 
-    /// Fills the chain nodes strictly between slots `lo` and `hi`, whose
-    /// distances are final, each from the side `view` gives it: the
-    /// prefix from `lo`, then the rest from `hi`, each run parents first.
-    fn fill_chain(&mut self, peel: &Peel, view: &BranchView, lo: usize, hi: usize) {
+    /// Fills the interiors of `span`, each run parents first from its
+    /// end.
+    fn fill_chain(&mut self, peel: &Peel, span: Span) {
         let path = &peel.chains.path;
-        let (dl, dr) = (self.dist[path[lo] as usize], self.dist[path[hi] as usize]);
-        let mut split = hi;
-        for s in lo + 1..hi {
-            let (l, _, first) = view.side(peel, lo, hi, dl, dr, s);
-            if !first {
-                split = s;
-                break;
-            }
-            self.set(path[s], l, path[s - 1]);
+        for s in span.lo + 1..span.split {
+            self.set(path[s], span.at(peel, s).0, path[s - 1]);
         }
-        for s in (split..hi).rev() {
-            let (_, r, _) = view.side(peel, lo, hi, dl, dr, s);
-            self.set(path[s], r, path[s + 1]);
+        for s in (span.split..span.hi).rev() {
+            self.set(path[s], span.at(peel, s).0, path[s + 1]);
         }
     }
 }
@@ -1091,8 +1106,11 @@ impl SourceTree {
             tree.dist[node as usize] = label.dist;
             tree.parent[node as usize] = label.pred;
             if label.via != NONE {
-                let (lo, hi) = SourceChain::span(view.source_chain, peel, label.via);
-                tree.fill_chain(peel, view, lo, hi);
+                // The node is the chain's last end when entered forward.
+                let chain = (label.via >> 1) as usize;
+                let (lo, hi) = peel.chains.ends(chain);
+                let end = if label.via & 1 == 0 { hi } else { lo };
+                tree.fill_chain(peel, view.span(peel, chain, end));
             }
             tree.order.push(node);
         }
@@ -1103,13 +1121,13 @@ impl SourceTree {
             match view.source_chain {
                 Some(s) if s.chain == c => {
                     if !into_lo {
-                        tree.fill_chain(peel, view, lo, s.slot);
+                        tree.fill_chain(peel, view.span(peel, c, lo));
                     }
                     if !into_hi {
-                        tree.fill_chain(peel, view, s.slot, hi);
+                        tree.fill_chain(peel, view.span(peel, c, hi));
                     }
                 }
-                _ if !into_lo && !into_hi => tree.fill_chain(peel, view, lo, hi),
+                _ if !into_lo && !into_hi => tree.fill_chain(peel, view.span(peel, c, lo)),
                 _ => {}
             }
         }

@@ -1085,3 +1085,161 @@ fn one_way_bridge_leaves_targets_unreachable_from_the_attachment() {
     let (near, far) = (pre.minmax(1, 0), pre.minmax(0, 1));
     assert!(!near.is_empty() && !far.is_empty());
 }
+
+// ---------------------------------------------------------------------
+// The branch view: each root's distance, path regions and marks read off
+// its branch nodes and chain splits, never off a filled tree.
+// ---------------------------------------------------------------------
+
+/// Each node its own region, so every node is a border node.
+fn own_regions(g: &RoadNetwork) -> Vec<RegionId> {
+    g.node_ids().map(|v| v as RegionId).collect()
+}
+
+#[test]
+fn interior_tight_from_both_sides() {
+    // Branch nodes 0 and 1 meet over a plain edge and the chains
+    // 0 - 2 - 3 - 1 and 0 - 4 - 1. From 0, interior 3 is 1 + 3 = 4 over
+    // 2 (at 1) and 2 + 2 = 4 over
+    // branch node 1 (at 2): tight from both sides, its parent the nearer
+    // neighbour. Every node is a border source and target, the chain
+    // interiors 2, 3 and 4 included.
+    let g = net(
+        5,
+        &[
+            (0, 1, 2),
+            (0, 2, 1),
+            (2, 3, 3),
+            (3, 1, 2),
+            (0, 4, 5),
+            (4, 1, 5),
+        ],
+        &[],
+    );
+    let peel = Peel::new(&g, Direction::Forward);
+    assert_eq!(peel.branch_nodes(), &[0, 1]);
+    assert!(peel.chains().of(3).is_some());
+    let pre = check_regions(&g, &own_regions(&g));
+    assert_eq!(pre.tie_fallback_sources(), 0);
+    assert_eq!(pre.search_roots(), 5);
+}
+
+#[test]
+fn dangling_tree_at_a_chain_interior() {
+    // The tree 3 - 5 - 6 hangs off interior 3 of chain 0 - 2 - 3 - 1,
+    // with a heavier way up (4) than down (2) at its top: its border
+    // nodes are folded from 3's search, whose chain splits at 3.
+    let g = net(
+        7,
+        &[
+            (0, 1, 4),
+            (0, 2, 3),
+            (2, 3, 1),
+            (3, 1, 5),
+            (0, 4, 5),
+            (4, 1, 5),
+            (5, 6, 1),
+        ],
+        &[(3, 5, 2), (5, 3, 4)],
+    );
+    let peel = Peel::new(&g, Direction::Forward);
+    assert_eq!(peel.branch_nodes(), &[0, 1]);
+    assert_eq!(
+        (peel.tree_parent(5), peel.tree_parent(6)),
+        (Some(3), Some(5))
+    );
+    assert!(peel.chains().of(3).is_some());
+    let pre = check_regions(&g, &[0, 0, 0, 0, 0, 1, 2]);
+    assert_eq!(pre.borders().all(), &[3, 5, 6]);
+    assert_eq!((pre.search_roots(), pre.shared_sources()), (1, 2));
+    check_regions(&g, &own_regions(&g));
+}
+
+#[test]
+fn source_on_its_own_chain() {
+    // Chain 0 - 2 - 3 - 4 - 1 of weight 2 a hop; 0 and 1 also meet over
+    // a plain edge and the chain 0 - 5 - 1. Node 3 alone is in region 1,
+    // so the border sources 2, 3 and 4 all sit on one chain, and each
+    // reaches the other two over its own chain's halves.
+    let g = net(
+        6,
+        &[
+            (0, 2, 2),
+            (2, 3, 2),
+            (3, 4, 2),
+            (4, 1, 2),
+            (0, 1, 7),
+            (0, 5, 1),
+            (5, 1, 9),
+        ],
+        &[],
+    );
+    let peel = Peel::new(&g, Direction::Forward);
+    assert_eq!(peel.branch_nodes(), &[0, 1]);
+    let pre = check_regions(&g, &[0, 0, 0, 1, 0, 0]);
+    assert_eq!(pre.borders().all(), &[2, 3, 4]);
+    check_regions(&g, &[0, 0, 0, 1, 0, 2]);
+    check_regions(&g, &own_regions(&g));
+}
+
+#[test]
+fn ring_promoted_to_a_branch_node() {
+    // The ring 0 - 1 - 2 - 3 - 4 - 0 is made only of interiors: its
+    // smallest id becomes the branch node, and the chain runs from 0
+    // back to 0. The tree 2 - 5 - 6 hangs off interior 2.
+    let g = net(
+        7,
+        &[
+            (0, 1, 3),
+            (1, 2, 1),
+            (2, 3, 4),
+            (3, 4, 2),
+            (4, 0, 2),
+            (2, 5, 2),
+            (5, 6, 3),
+        ],
+        &[],
+    );
+    let peel = Peel::new(&g, Direction::Forward);
+    assert_eq!(peel.branch_nodes(), &[0]);
+    assert_eq!(peel.core_nodes(), &[0, 1, 2, 3, 4]);
+    check_regions(&g, &own_regions(&g));
+    check_regions(&g, &[0, 1, 1, 2, 2, 0, 3]);
+}
+
+#[test]
+fn double_tie_fallback_source() {
+    // From 0, interior 3 is 2 + 2 over 2 and 2 + 2 over 1, both at 2: a
+    // double tie the kernel hands to a whole-graph search. The tree
+    // 0 - 5 - 6 hangs off 0, so its border sources sit under a tied
+    // attachment and each gets a whole-graph search of its own.
+    let g = net(
+        7,
+        &[
+            (0, 1, 2),
+            (0, 2, 2),
+            (2, 3, 2),
+            (3, 1, 2),
+            (0, 4, 5),
+            (4, 1, 5),
+            (0, 5, 3),
+            (5, 6, 1),
+        ],
+        &[],
+    );
+    let peel = Peel::new(&g, Direction::Forward);
+    assert_eq!(peel.branch_nodes(), &[0, 1]);
+    assert_eq!(
+        (peel.tree_parent(5), peel.tree_parent(6)),
+        (Some(0), Some(5))
+    );
+    let mut tree = SourceTree::new(&peel);
+    assert!([0, 5, 6].iter().all(|&s| tree.search(&peel, s)));
+    let pre = check_regions(&g, &own_regions(&g));
+    assert!(pre.tie_fallback_sources() >= 3);
+    // Node 0 is no border node here, only the attachment of 5 and 6.
+    let pre = check_regions(&g, &[0, 0, 0, 1, 0, 0, 2]);
+    assert_eq!(pre.borders().all(), &[1, 2, 3, 5, 6]);
+    assert_eq!(pre.shared_sources(), 0, "a tied attachment shares none");
+    assert!(pre.tie_fallback_sources() >= 2);
+}
