@@ -22,7 +22,8 @@
 use spair_broadcast::codec::{u16_of, EncodeError, PayloadReader, RecordBuf, RecordWriter};
 use spair_broadcast::cycle::SegmentKind;
 use spair_broadcast::packet::PacketKind;
-use spair_broadcast::{Air, BroadcastCycle, CpuMeter, CycleBuilder, MemoryMeter, QueryStats};
+use spair_broadcast::{Air, BroadcastCycle, CpuMeter, CycleBuilder, MemoryMeter};
+use spair_core::client_common::{finish, ingest, receive_whole_cycle, same_node};
 use spair_core::netcodec::{encode_nodes, ReceivedGraph};
 use spair_core::query::{AirClient, Query, QueryError, QueryOutcome};
 use spair_partition::{BorderInfo, KdLocator, KdTreePartition, Partitioning, RegionId};
@@ -317,25 +318,19 @@ impl AirClient for ArcFlagClient {
     fn query(&mut self, ch: &mut dyn Air, q: &Query) -> Result<QueryOutcome, QueryError> {
         let mut mem = MemoryMeter::new();
         let mut cpu = CpuMeter::new();
-        if q.source == q.target {
-            return Ok(QueryOutcome {
-                distance: 0,
-                path: vec![q.source],
-                stats: QueryStats::default(),
-            });
+        if let Some(out) = same_node(q) {
+            return Ok(out);
         }
         let flag_bytes = self.num_regions.div_ceil(8);
         let mut store = ReceivedGraph::new();
         let mut flags: HashMap<(NodeId, NodeId), Vec<u8>> = HashMap::new();
         let mut splits: Vec<Option<f64>> = Vec::new();
-        crate::dj::receive_whole_cycle(ch, &mut mem, |kind, payload, mem| match kind {
+        receive_whole_cycle(ch, |p| match p.kind() {
             PacketKind::Data => {
-                if let Some(charged) = store.ingest_payload(payload) {
-                    mem.alloc(charged);
-                }
+                ingest(&mut store, &mut mem, p);
             }
             PacketKind::Aux => {
-                if let Some(entries) = decode_flags(payload, flag_bytes) {
+                if let Some(entries) = decode_flags(p.payload(), flag_bytes) {
                     for (u, v, bytes) in entries {
                         mem.alloc(16 + bytes.len());
                         flags.insert((u, v), bytes);
@@ -343,7 +338,7 @@ impl AirClient for ArcFlagClient {
                 }
             }
             PacketKind::Index => {
-                decode_splits(payload, &mut splits);
+                decode_splits(p.payload(), &mut splits);
             }
             _ => {}
         })?;
@@ -375,22 +370,7 @@ impl AirClient for ArcFlagClient {
                 |_, _, _| ControlFlow::Continue(()),
             )
         });
-        let stats = QueryStats {
-            tuning_packets: ch.tuned(),
-            latency_packets: ch.elapsed(),
-            sleep_packets: ch.slept(),
-            peak_memory_bytes: mem.peak(),
-            cpu: cpu.total(),
-            settled_nodes: settled as u64,
-        };
-        match res {
-            Some((distance, path)) => Ok(QueryOutcome {
-                distance,
-                path,
-                stats,
-            }),
-            None => Err(QueryError::Unreachable),
-        }
+        finish(ch, &mem, &cpu, settled, res)
     }
 }
 

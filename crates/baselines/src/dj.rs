@@ -10,10 +10,8 @@
 
 use spair_broadcast::cycle::SegmentKind;
 use spair_broadcast::packet::PacketKind;
-use spair_broadcast::{
-    Air, BroadcastCycle, CpuMeter, CycleBuilder, MemoryMeter, QueryStats, Received,
-};
-use spair_core::client_common::MAX_RETRY_CYCLES;
+use spair_broadcast::{Air, BroadcastCycle, CpuMeter, CycleBuilder, MemoryMeter};
+use spair_core::client_common::{finish, receive_network_data, same_node};
 use spair_core::netcodec::{encode_nodes, ReceivedGraph};
 use spair_core::patch::{ClientArena, Coverage};
 use spair_core::query::{AirClient, Query, QueryError, QueryOutcome};
@@ -56,65 +54,6 @@ impl<'a> DjServer<'a> {
     }
 }
 
-/// Receives every packet of one full cycle starting now, handing each
-/// payload to `on_payload`; lost packets are re-received in later cycles
-/// (§6.2). Errors if the retry budget is exhausted. Shared by every
-/// whole-cycle client (DJ here; the A*/bidirectional air methods reuse
-/// it through `spair-methods`).
-pub fn receive_whole_cycle(
-    ch: &mut dyn Air,
-    mem: &mut MemoryMeter,
-    mut on_payload: impl FnMut(PacketKind, &[u8], &mut MemoryMeter),
-) -> Result<(), QueryError> {
-    let len = ch.cycle_len();
-    let mut missing: Vec<usize> = Vec::new();
-    for _ in 0..len {
-        let off = ch.offset();
-        match ch.receive() {
-            Received::Packet(p) => on_payload(p.kind(), p.payload(), mem),
-            Received::Lost | Received::Corrupted => missing.push(off),
-        }
-    }
-    let mut rounds = 0;
-    while !missing.is_empty() {
-        rounds += 1;
-        if rounds > MAX_RETRY_CYCLES {
-            return Err(QueryError::Aborted("whole-cycle reception never completed"));
-        }
-        missing.sort_by_key(|&off| (off + len - ch.offset()) % len);
-        let mut still = Vec::new();
-        for off in missing {
-            ch.sleep_to_offset(off);
-            match ch.receive() {
-                Received::Packet(p) => on_payload(p.kind(), p.payload(), mem),
-                Received::Lost | Received::Corrupted => still.push(off),
-            }
-        }
-        missing = still;
-    }
-    Ok(())
-}
-
-/// Clears `store` and receives one whole cycle of data packets into it
-/// (§6.2 re-reception included), charging the meter each payload's
-/// decoded-node bytes. The receive step of every client that searches the
-/// whole received network: DJ here, A* and bidirectional in
-/// `spair-methods`.
-pub fn receive_network_data(
-    ch: &mut dyn Air,
-    mem: &mut MemoryMeter,
-    store: &mut ReceivedGraph,
-) -> Result<(), QueryError> {
-    store.clear();
-    receive_whole_cycle(ch, mem, |kind, payload, mem| {
-        if kind == PacketKind::Data {
-            if let Some(charged) = store.ingest_payload(payload) {
-                mem.alloc(charged);
-            }
-        }
-    })
-}
-
 /// The DJ client.
 ///
 /// The client owns its received-network store and search scratch, reused
@@ -145,33 +84,14 @@ impl AirClient for DjClient {
     fn query(&mut self, ch: &mut dyn Air, q: &Query) -> Result<QueryOutcome, QueryError> {
         let mut mem = MemoryMeter::new();
         let mut cpu = CpuMeter::new();
-        if q.source == q.target {
-            return Ok(QueryOutcome {
-                distance: 0,
-                path: vec![q.source],
-                stats: QueryStats::default(),
-            });
+        if let Some(out) = same_node(q) {
+            return Ok(out);
         }
         let store = &mut self.store;
         receive_network_data(ch, &mut mem, store)?;
         mem.alloc(store.num_nodes() * 24);
         let (res, settled) = cpu.time(|| store.shortest_path(q.source, q.target));
-        let stats = QueryStats {
-            tuning_packets: ch.tuned(),
-            latency_packets: ch.elapsed(),
-            sleep_packets: ch.slept(),
-            peak_memory_bytes: mem.peak(),
-            cpu: cpu.total(),
-            settled_nodes: settled as u64,
-        };
-        match res {
-            Some((distance, path)) => Ok(QueryOutcome {
-                distance,
-                path,
-                stats,
-            }),
-            None => Err(QueryError::Unreachable),
-        }
+        finish(ch, &mem, &cpu, settled, res)
     }
 
     fn export_arena(&mut self) -> Option<ClientArena> {

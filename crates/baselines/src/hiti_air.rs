@@ -55,8 +55,11 @@ use bytes::Bytes;
 use spair_broadcast::codec::{u16_of, u8_of, EncodeError, PayloadReader, RecordBuf, RecordWriter};
 use spair_broadcast::cycle::{CycleBuilder, SegmentKind};
 use spair_broadcast::packet::{Packet, PacketKind, PAYLOAD_CAPACITY};
-use spair_broadcast::{Air, BroadcastCycle, CpuMeter, MemoryMeter, QueryStats, Received};
-use spair_core::client_common::{find_next_index, receive_segment_reliable, MAX_RETRY_CYCLES};
+use spair_broadcast::{Air, BroadcastCycle, CpuMeter, MemoryMeter, Received};
+use spair_core::client_common::{
+    find_next_index, finish, receive_segment_reliable, rereceive, same_node, RetryOrder,
+    MAX_RETRY_CYCLES,
+};
 use spair_core::netcodec::{encode_nodes, group_by_key, ReceivedGraph, SearchScratch, RAW_ARC};
 use spair_core::query::{decoded_node_bytes, AirClient, Query, QueryError, QueryOutcome};
 use spair_partition::{GridLocator, RegionId};
@@ -730,28 +733,21 @@ impl HiTiAirClient {
                 continue; // nothing intact this cycle; try the next one
             };
             // Targeted retries for the holes.
-            let mut missing: Vec<usize> = (0..t).filter(|&i| !received[i]).collect();
-            let mut rounds = 0;
-            while !missing.is_empty() {
-                rounds += 1;
-                if rounds > MAX_RETRY_CYCLES {
-                    return Err(QueryError::Aborted("HiTi index reception never completed"));
+            let missing = (0..t)
+                .filter(|&i| !received[i])
+                .map(|i| (start + i) % len)
+                .collect();
+            let file = |off: usize, p: &Packet| {
+                if !is_index_packet(p, (off + len - start) % len, t) {
+                    return Ok(false);
                 }
-                let mut still = Vec::new();
-                for i in missing {
-                    ch.sleep_to_offset((start + i) % len);
-                    match ch.receive() {
-                        Received::Packet(p) if is_index_packet(p, i, t) => {
-                            if !dec.ingest(p.payload()) {
-                                return Err(UNDECODABLE);
-                            }
-                            received[i] = true;
-                        }
-                        _ => still.push(i),
-                    }
+                if !dec.ingest(p.payload()) {
+                    return Err(UNDECODABLE);
                 }
-                missing = still;
-            }
+                Ok(true)
+            };
+            let why = "HiTi index reception never completed";
+            rereceive(ch, missing, RetryOrder::AsListed, why, file)?;
             return if dec.finish() {
                 Ok(())
             } else {
@@ -782,12 +778,8 @@ impl AirClient for HiTiAirClient {
     fn query(&mut self, ch: &mut dyn Air, q: &Query) -> Result<QueryOutcome, QueryError> {
         let mut mem = MemoryMeter::new();
         let mut cpu = CpuMeter::new();
-        if q.source == q.target {
-            return Ok(QueryOutcome {
-                distance: 0,
-                path: vec![q.source],
-                stats: QueryStats::default(),
-            });
+        if let Some(out) = same_node(q) {
+            return Ok(out);
         }
 
         // 1. Entire index ("the client should receive the entire index").
@@ -826,9 +818,8 @@ impl AirClient for HiTiAirClient {
             let Some((off, len)) = index.cell(cell) else {
                 return Err(QueryError::Aborted("cell offset missing from index"));
             };
-            let payloads =
-                receive_segment_reliable(ch, off as usize, len as usize, MAX_RETRY_CYCLES)
-                    .ok_or(QueryError::Aborted("cell data reception never completed"))?;
+            let why = "cell data reception never completed";
+            let payloads = receive_segment_reliable(ch, off as usize, len as usize, why)?;
             for payload in &payloads {
                 if let Some(bytes) = store.ingest_payload(payload) {
                     mem.alloc(bytes);
@@ -872,22 +863,7 @@ impl AirClient for HiTiAirClient {
             (d.map(path), settled)
         });
         mem.alloc(settled * decoded_node_bytes(0));
-        let stats = QueryStats {
-            tuning_packets: ch.tuned(),
-            latency_packets: ch.elapsed(),
-            sleep_packets: ch.slept(),
-            peak_memory_bytes: mem.peak(),
-            cpu: cpu.total(),
-            settled_nodes: settled as u64,
-        };
-        match res {
-            Some((distance, path)) => Ok(QueryOutcome {
-                distance,
-                path,
-                stats,
-            }),
-            None => Err(QueryError::Unreachable),
-        }
+        finish(ch, &mem, &cpu, settled, res)
     }
 }
 
@@ -1309,12 +1285,8 @@ mod tests {
             fn query(&mut self, ch: &mut dyn Air, q: &Query) -> Result<QueryOutcome, QueryError> {
                 let mut mem = MemoryMeter::new();
                 let mut cpu = CpuMeter::new();
-                if q.source == q.target {
-                    return Ok(QueryOutcome {
-                        distance: 0,
-                        path: vec![q.source],
-                        stats: QueryStats::default(),
-                    });
+                if let Some(out) = same_node(q) {
+                    return Ok(out);
                 }
 
                 // 1. Entire index ("the client should receive the entire index").
@@ -1346,9 +1318,8 @@ mod tests {
                     let Some(&(off, len)) = index.cells.get(&cell) else {
                         return Err(QueryError::Aborted("cell offset missing from index"));
                     };
-                    let payloads =
-                        receive_segment_reliable(ch, off as usize, len as usize, MAX_RETRY_CYCLES)
-                            .ok_or(QueryError::Aborted("cell data reception never completed"))?;
+                    let why = "cell data reception never completed";
+                    let payloads = receive_segment_reliable(ch, off as usize, len as usize, why)?;
                     for payload in &payloads {
                         if let Some(records) = decode_payload(payload) {
                             for rec in records {
@@ -1362,22 +1333,7 @@ mod tests {
                 let (res, settled) =
                     cpu.time(|| hierarchical_search(&index, &selected, &store, q.source, q.target));
                 mem.alloc(settled * decoded_node_bytes(0));
-                let stats = QueryStats {
-                    tuning_packets: ch.tuned(),
-                    latency_packets: ch.elapsed(),
-                    sleep_packets: ch.slept(),
-                    peak_memory_bytes: mem.peak(),
-                    cpu: cpu.total(),
-                    settled_nodes: settled as u64,
-                };
-                match res {
-                    Some((distance, path)) => Ok(QueryOutcome {
-                        distance,
-                        path,
-                        stats,
-                    }),
-                    None => Err(QueryError::Unreachable),
-                }
+                finish(ch, &mem, &cpu, settled, res)
             }
         }
 

@@ -12,7 +12,8 @@
 use spair_broadcast::codec::{PayloadReader, RecordBuf, RecordWriter};
 use spair_broadcast::cycle::SegmentKind;
 use spair_broadcast::packet::PacketKind;
-use spair_broadcast::{Air, BroadcastCycle, CpuMeter, CycleBuilder, MemoryMeter, QueryStats};
+use spair_broadcast::{Air, BroadcastCycle, CpuMeter, CycleBuilder, MemoryMeter};
+use spair_core::client_common::{finish, ingest, receive_whole_cycle, same_node};
 use spair_core::netcodec::{encode_nodes, ReceivedGraph};
 use spair_core::query::{AirClient, Query, QueryError, QueryOutcome};
 use spair_roadnet::dijkstra::{DijkstraWorkspace, Direction};
@@ -242,23 +243,17 @@ impl AirClient for LandmarkClient {
     fn query(&mut self, ch: &mut dyn Air, q: &Query) -> Result<QueryOutcome, QueryError> {
         let mut mem = MemoryMeter::new();
         let mut cpu = CpuMeter::new();
-        if q.source == q.target {
-            return Ok(QueryOutcome {
-                distance: 0,
-                path: vec![q.source],
-                stats: QueryStats::default(),
-            });
+        if let Some(out) = same_node(q) {
+            return Ok(out);
         }
         let mut store = ReceivedGraph::new();
         let mut vectors: HashMap<NodeId, Vec<(Distance, Distance)>> = HashMap::new();
-        crate::dj::receive_whole_cycle(ch, &mut mem, |kind, payload, mem| match kind {
+        receive_whole_cycle(ch, |p| match p.kind() {
             PacketKind::Data => {
-                if let Some(charged) = store.ingest_payload(payload) {
-                    mem.alloc(charged);
-                }
+                ingest(&mut store, &mut mem, p);
             }
             PacketKind::Aux => {
-                if let Some(entries) = decode_aux(payload) {
+                if let Some(entries) = decode_aux(p.payload()) {
                     for (id, start, chunk) in entries {
                         mem.alloc(16 + chunk.len() * 8);
                         let v = vectors.entry(id).or_default();
@@ -305,22 +300,7 @@ impl AirClient for LandmarkClient {
                 |_, _, _| ControlFlow::Continue(()),
             )
         });
-        let stats = QueryStats {
-            tuning_packets: ch.tuned(),
-            latency_packets: ch.elapsed(),
-            sleep_packets: ch.slept(),
-            peak_memory_bytes: mem.peak(),
-            cpu: cpu.total(),
-            settled_nodes: settled as u64,
-        };
-        match res {
-            Some((distance, path)) => Ok(QueryOutcome {
-                distance,
-                path,
-                stats,
-            }),
-            None => Err(QueryError::Unreachable),
-        }
+        finish(ch, &mem, &cpu, settled, res)
     }
 }
 

@@ -24,7 +24,8 @@ use crate::spq::{quadrant, Color, Quadtree, SpqIndex, NO_COLOR};
 use spair_broadcast::codec::{u16_of, u32_of, EncodeError, PayloadReader, RecordBuf, RecordWriter};
 use spair_broadcast::cycle::{CycleBuilder, SegmentKind};
 use spair_broadcast::packet::PacketKind;
-use spair_broadcast::{Air, BroadcastCycle, CpuMeter, MemoryMeter, QueryStats, PAYLOAD_CAPACITY};
+use spair_broadcast::{Air, BroadcastCycle, CpuMeter, MemoryMeter, PAYLOAD_CAPACITY};
+use spair_core::client_common::{finish, ingest, receive_whole_cycle, same_node};
 use spair_core::netcodec::{encode_nodes, ReceivedGraph};
 use spair_core::query::{AirClient, Query, QueryError, QueryOutcome};
 use spair_roadnet::{Distance, NodeId, Point, RoadNetwork};
@@ -414,12 +415,8 @@ impl AirClient for SpqClient {
     fn query(&mut self, ch: &mut dyn Air, q: &Query) -> Result<QueryOutcome, QueryError> {
         let mut mem = MemoryMeter::new();
         let mut cpu = CpuMeter::new();
-        if q.source == q.target {
-            return Ok(QueryOutcome {
-                distance: 0,
-                path: vec![q.source],
-                stats: QueryStats::default(),
-            });
+        if let Some(out) = same_node(q) {
+            return Ok(out);
         }
 
         // Whole-cycle reception (§3.2): the adjacency data and every tree
@@ -427,14 +424,12 @@ impl AirClient for SpqClient {
         let (store, trees) = (&mut self.store, &mut self.trees);
         store.clear();
         trees.begin(ch.cycle_len());
-        crate::dj::receive_whole_cycle(ch, &mut mem, |kind, payload, mem| match kind {
+        receive_whole_cycle(ch, |p| match p.kind() {
             PacketKind::Data => {
-                if let Some(charged) = store.ingest_payload(payload) {
-                    mem.alloc(charged);
-                }
+                ingest(store, &mut mem, p);
             }
             PacketKind::Aux => {
-                let mut r = PayloadReader::new(payload);
+                let mut r = PayloadReader::new(p.payload());
                 while let Some(TREE_MAGIC) = r.read_u8() {
                     match trees.ingest_record(&mut r) {
                         Ok(charged) => mem.alloc(charged),
@@ -485,22 +480,8 @@ impl AirClient for SpqClient {
             None
         });
 
-        let stats = QueryStats {
-            tuning_packets: ch.tuned(),
-            latency_packets: ch.elapsed(),
-            sleep_packets: ch.slept(),
-            peak_memory_bytes: mem.peak(),
-            cpu: cpu.total(),
-            settled_nodes: walk.as_ref().map(|(_, p)| p.len() as u64).unwrap_or(0),
-        };
-        match walk {
-            Some((distance, path)) => Ok(QueryOutcome {
-                distance,
-                path,
-                stats,
-            }),
-            None => Err(QueryError::Unreachable),
-        }
+        let walked = walk.as_ref().map_or(0, |(_, p)| p.len());
+        finish(ch, &mem, &cpu, walked, walk)
     }
 }
 
@@ -585,28 +566,24 @@ mod oracle {
         fn query(&mut self, ch: &mut dyn Air, q: &Query) -> Result<QueryOutcome, QueryError> {
             let mut mem = MemoryMeter::new();
             let mut cpu = CpuMeter::new();
-            if q.source == q.target {
-                return Ok(QueryOutcome {
-                    distance: 0,
-                    path: vec![q.source],
-                    stats: QueryStats::default(),
-                });
+            if let Some(out) = same_node(q) {
+                return Ok(out);
             }
 
             // Whole-cycle reception (§3.2): adjacency data must be complete;
             // lost tree packets degrade, so they are not re-received.
             let mut store = ReceivedGraph::new();
             let mut bufs: HashMap<NodeId, TreeBuf> = HashMap::new();
-            crate::dj::receive_whole_cycle(ch, &mut mem, |kind, payload, mem| match kind {
+            receive_whole_cycle(ch, |p| match p.kind() {
                 PacketKind::Data => {
-                    if let Some(records) = decode_payload(payload) {
+                    if let Some(records) = decode_payload(p.payload()) {
                         for rec in records {
                             mem.alloc(store.ingest(rec));
                         }
                     }
                 }
                 PacketKind::Aux => {
-                    let mut r = PayloadReader::new(payload);
+                    let mut r = PayloadReader::new(p.payload());
                     while let Some(TREE_MAGIC) = r.read_u8() {
                         let (Some(v), Some(off), Some(total)) =
                             (r.read_u32(), r.read_u32(), r.read_u32())
@@ -685,22 +662,8 @@ mod oracle {
                 None
             });
 
-            let stats = QueryStats {
-                tuning_packets: ch.tuned(),
-                latency_packets: ch.elapsed(),
-                sleep_packets: ch.slept(),
-                peak_memory_bytes: mem.peak(),
-                cpu: cpu.total(),
-                settled_nodes: walk.as_ref().map(|(_, p)| p.len() as u64).unwrap_or(0),
-            };
-            match walk {
-                Some((distance, path)) => Ok(QueryOutcome {
-                    distance,
-                    path,
-                    stats,
-                }),
-                None => Err(QueryError::Unreachable),
-            }
+            let walked = walk.as_ref().map_or(0, |(_, p)| p.len());
+            finish(ch, &mem, &cpu, walked, walk)
         }
     }
 }

@@ -1,14 +1,17 @@
 //! Client-side EB query processing (§4.2, Algorithm 1) with the §6.2 loss
 //! recovery rules.
 
-use crate::client_common::{find_next_index, ingest_segment, MAX_RETRY_CYCLES};
+use crate::client_common::{
+    find_next_index, finish, ingest, ingest_segment, rereceive, same_node, RetryOrder,
+    MAX_RETRY_CYCLES,
+};
 use crate::eb::index::EbIndexDecoder;
 use crate::eb::server::EbSummary;
 use crate::netcodec::ReceivedGraph;
 use crate::patch::{ClientArena, Coverage};
 use crate::query::{AirClient, Query, QueryError, QueryOutcome};
 use spair_broadcast::packet::PacketKind;
-use spair_broadcast::{Air, CpuMeter, MemoryMeter, QueryStats, Received};
+use spair_broadcast::{Air, CpuMeter, MemoryMeter, Received};
 use spair_partition::{KdLocator, RegionId};
 use spair_roadnet::DIST_INF;
 
@@ -114,12 +117,8 @@ impl AirClient for EbClient {
         let mut mem = MemoryMeter::new();
         let mut cpu = CpuMeter::new();
 
-        if q.source == q.target {
-            return Ok(QueryOutcome {
-                distance: 0,
-                path: vec![q.source],
-                stats: QueryStats::default(),
-            });
+        if let Some(out) = same_node(q) {
+            return Ok(out);
         }
 
         // Phase 1: index. Listen for the pointer, receive a copy; on any
@@ -211,27 +210,10 @@ impl AirClient for EbClient {
             ingest_segment(ch, offset, take, &mut store, &mut mem, &mut missing);
         }
         // §6.2: lost region data must be received in a later cycle.
-        let mut rounds = 0;
-        while !missing.is_empty() {
-            rounds += 1;
-            if rounds > MAX_RETRY_CYCLES {
-                return Err(QueryError::Aborted("EB region data never completed"));
-            }
-            missing.sort_by_key(|&off| (off + len - ch.offset()) % len);
-            let mut still = Vec::new();
-            for off in missing {
-                ch.sleep_to_offset(off);
-                match ch
-                    .receive()
-                    .ok()
-                    .and_then(|p| store.ingest_payload(p.payload()))
-                {
-                    Some(charged) => mem.alloc(charged),
-                    None => still.push(off),
-                }
-            }
-            missing = still;
-        }
+        let why = "EB region data never completed";
+        rereceive(ch, missing, RetryOrder::NearestFirst, why, |_, p| {
+            Ok(ingest(&mut store, &mut mem, p))
+        })?;
 
         // Phase 4: Dijkstra over the union of received regions (§4.2
         // guarantees the answer is correct for the whole network).
@@ -243,22 +225,7 @@ impl AirClient for EbClient {
             h
         };
         self.store = store;
-        let stats = QueryStats {
-            tuning_packets: ch.tuned(),
-            latency_packets: ch.elapsed(),
-            sleep_packets: ch.slept(),
-            peak_memory_bytes: mem.peak(),
-            cpu: cpu.total(),
-            settled_nodes: settled as u64,
-        };
-        match res {
-            Some((distance, path)) => Ok(QueryOutcome {
-                distance,
-                path,
-                stats,
-            }),
-            None => Err(QueryError::Unreachable),
-        }
+        finish(ch, &mem, &cpu, settled, res)
     }
 
     fn export_arena(&mut self) -> Option<ClientArena> {

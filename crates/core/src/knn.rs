@@ -23,7 +23,9 @@
 //! Range queries (`all POIs within distance d`) fall out of the same scan
 //! with the cut-off fixed at `d` instead of the k-th candidate.
 
-use crate::client_common::{find_next_index, ingest_segment, MAX_RETRY_CYCLES};
+use crate::client_common::{
+    find_next_index, ingest, ingest_segment, rereceive, session_stats, RetryOrder,
+};
 use crate::eb::index::EbIndexDecoder;
 use crate::eb::{EbIndex, EbRegionEntry};
 use crate::netcodec::{encode_nodes_with_borders, ReceivedGraph};
@@ -281,29 +283,14 @@ impl KnnClient {
                 }
             }
         }
-        let mut rounds = 0;
-        while !lost.is_empty() {
-            rounds += 1;
-            if rounds > MAX_RETRY_CYCLES {
-                return Err(crate::query::QueryError::Aborted(
-                    "kNN index never completed",
-                ));
+        // A retried slot that turns out to hold a data packet is dropped.
+        let why = "kNN index never completed";
+        rereceive(ch, lost, RetryOrder::AsListed, why, |_, p| {
+            if p.kind() == PacketKind::Index {
+                ingest_index(p.payload(), &mut dec, &mut poi_ids);
             }
-            let mut still = Vec::new();
-            for off in lost {
-                ch.sleep_to_offset(off);
-                match ch.receive() {
-                    spair_broadcast::Received::Packet(p) if p.kind() == PacketKind::Index => {
-                        ingest_index(p.payload(), &mut dec, &mut poi_ids);
-                    }
-                    spair_broadcast::Received::Packet(_) => {} // was a data packet
-                    spair_broadcast::Received::Lost | spair_broadcast::Received::Corrupted => {
-                        still.push(off)
-                    }
-                }
-            }
-            lost = still;
-        }
+            Ok(true)
+        })?;
         let Some(splits) = dec.splits() else {
             return Err(crate::query::QueryError::Aborted("kNN splits incomplete"));
         };
@@ -336,8 +323,6 @@ impl KnnClient {
         // each batch, extend Dijkstra; stop when the k-th candidate beats
         // the next region's lower bound.
         let mut store = ReceivedGraph::new();
-        let mut missing: Vec<usize> = Vec::new();
-        let len = ch.cycle_len();
         let mut found: Vec<Neighbor> = Vec::new();
         let mut consumed = 0usize;
         while consumed < order.len() {
@@ -356,6 +341,7 @@ impl KnnClient {
                 batch.push(order[consumed].1);
                 consumed += 1;
             }
+            let mut missing = Vec::new();
             for r in batch {
                 let e = dec
                     .region_entry(r)
@@ -366,29 +352,10 @@ impl KnnClient {
                 ingest_segment(ch, offset, take, &mut store, &mut mem, &mut missing);
             }
             // §6.2: recover losses before searching over the batch.
-            let mut rounds = 0;
-            while !missing.is_empty() {
-                rounds += 1;
-                if rounds > MAX_RETRY_CYCLES {
-                    return Err(crate::query::QueryError::Aborted(
-                        "kNN data never completed",
-                    ));
-                }
-                missing.sort_by_key(|&off| (off + len - ch.offset()) % len);
-                let mut still = Vec::new();
-                for off in missing {
-                    ch.sleep_to_offset(off);
-                    match ch
-                        .receive()
-                        .ok()
-                        .and_then(|p| store.ingest_payload(p.payload()))
-                    {
-                        Some(charged) => mem.alloc(charged),
-                        None => still.push(off),
-                    }
-                }
-                missing = still;
-            }
+            let why = "kNN data never completed";
+            rereceive(ch, missing, RetryOrder::NearestFirst, why, |_, p| {
+                Ok(ingest(&mut store, &mut mem, p))
+            })?;
             // Re-run the expansion over everything received so far.
             found = cpu.time(|| expand_over_store(&mut store, source, &is_poi, cutoff));
         }
@@ -398,17 +365,9 @@ impl KnnClient {
             Cutoff::Nearest(k) => found.truncate(k),
             Cutoff::Radius(d) => found.retain(|nb| nb.distance <= d),
         }
-        let stats = QueryStats {
-            tuning_packets: ch.tuned(),
-            latency_packets: ch.elapsed(),
-            sleep_packets: ch.slept(),
-            peak_memory_bytes: mem.peak(),
-            cpu: cpu.total(),
-            settled_nodes: store.num_nodes() as u64,
-        };
         Ok(KnnOutcome {
             neighbors: found,
-            stats,
+            stats: session_stats(ch, &mem, &cpu, store.num_nodes()),
         })
     }
 }

@@ -1,14 +1,17 @@
 //! Client-side NR query processing (§5.2, Algorithm 2) with the §6.2 loss
 //! recovery rules.
 
-use crate::client_common::{find_next_index, ingest_segment, MAX_RETRY_CYCLES};
+use crate::client_common::{
+    find_next_index, finish, ingest, ingest_segment, rereceive, same_node, RetryOrder,
+    MAX_RETRY_CYCLES,
+};
 use crate::netcodec::ReceivedGraph;
 use crate::nr::index::{parse_header, NrIndexDecoder, NrSharedState, NO_NEXT};
 use crate::nr::server::NrSummary;
 use crate::patch::{ClientArena, Coverage};
 use crate::query::{AirClient, Query, QueryError, QueryOutcome};
 use spair_broadcast::packet::PacketKind;
-use spair_broadcast::{Air, CpuMeter, MemoryMeter, QueryStats, Received};
+use spair_broadcast::{Air, CpuMeter, MemoryMeter, Received};
 use spair_partition::{KdLocator, RegionId};
 
 /// The NR client.
@@ -135,9 +138,7 @@ impl NrClient {
                     return true;
                 }
                 Received::Packet(p) if p.kind() == PacketKind::Data => {
-                    if let Some(charged) = store.ingest_payload(p.payload()) {
-                        mem.alloc(charged);
-                    }
+                    ingest(store, mem, p);
                 }
                 Received::Lost | Received::Corrupted => missing.push(off),
                 _ => {}
@@ -213,12 +214,8 @@ impl AirClient for NrClient {
     fn query(&mut self, ch: &mut dyn Air, q: &Query) -> Result<QueryOutcome, QueryError> {
         let mut mem = MemoryMeter::new();
         let mut cpu = CpuMeter::new();
-        if q.source == q.target {
-            return Ok(QueryOutcome {
-                distance: 0,
-                path: vec![q.source],
-                stats: QueryStats::default(),
-            });
+        if let Some(out) = same_node(q) {
+            return Ok(out);
         }
 
         let n = self.summary.num_regions as RegionId;
@@ -383,30 +380,15 @@ impl AirClient for NrClient {
         }
 
         // §6.2: lost region-data packets are re-received in later cycles.
-        let len = ch.cycle_len();
-        let mut rounds = 0;
-        while !missing.is_empty() {
-            rounds += 1;
-            if rounds > MAX_RETRY_CYCLES {
-                return Err(QueryError::Aborted("NR region data never completed"));
+        // A slot that turns out to hold an index packet has nothing to
+        // recover, and a data payload that does not ingest is not retried.
+        let why = "NR region data never completed";
+        rereceive(ch, missing, RetryOrder::NearestFirst, why, |_, p| {
+            if p.kind() == PacketKind::Data {
+                ingest(&mut store, &mut mem, p);
             }
-            missing.sort_by_key(|&off| (off + len - ch.offset()) % len);
-            let mut still = Vec::new();
-            for off in missing {
-                ch.sleep_to_offset(off);
-                match ch.receive() {
-                    Received::Packet(p) if p.kind() == PacketKind::Data => {
-                        if let Some(charged) = store.ingest_payload(p.payload()) {
-                            mem.alloc(charged);
-                        }
-                    }
-                    // Turned out to be an index packet: nothing to recover.
-                    Received::Packet(_) => {}
-                    Received::Lost | Received::Corrupted => still.push(off),
-                }
-            }
-            missing = still;
-        }
+            Ok(true)
+        })?;
 
         mem.alloc(store.num_nodes() * 24);
         let (res, settled) = cpu.time(|| store.shortest_path(q.source, q.target));
@@ -417,22 +399,7 @@ impl AirClient for NrClient {
             .collect();
         self.store = store;
         self.index = current;
-        let stats = QueryStats {
-            tuning_packets: ch.tuned(),
-            latency_packets: ch.elapsed(),
-            sleep_packets: ch.slept(),
-            peak_memory_bytes: mem.peak(),
-            cpu: cpu.total(),
-            settled_nodes: settled as u64,
-        };
-        match res {
-            Some((distance, path)) => Ok(QueryOutcome {
-                distance,
-                path,
-                stats,
-            }),
-            None => Err(QueryError::Unreachable),
-        }
+        finish(ch, &mem, &cpu, settled, res)
     }
 
     fn export_arena(&mut self) -> Option<ClientArena> {

@@ -398,6 +398,39 @@ mod tests {
     }
 
     #[test]
+    fn on_arc_measures_the_lightest_of_parallel_edges() {
+        // Two roads from 0 to 1, the heavy one inserted first.
+        let mut b = spair_roadnet::GraphBuilder::new();
+        for x in 0..3 {
+            b.add_node(Point::new(x as f64, 0.0));
+        }
+        b.add_edge(0, 1, 10);
+        b.add_edge(0, 1, 4);
+        b.add_edge(1, 2, 3);
+        let g = b.finish();
+        let light = g.weight_between(0, 1).map(Distance::from);
+        assert_eq!(light, dijkstra_distance(&g, 0, 1));
+        let src = OnEdgePoint::on_arc(&g, 0, 1, 1);
+        assert_eq!(src.exits, vec![(1, 3, g.point(1))]);
+        let dst = OnEdgePoint::at_node(&g, 2);
+        let out = on_edge_query(&src, &dst, local_runner(&g)).unwrap();
+        assert_eq!(out.distance, 3 + 3);
+        // The split reference cuts the arc `on_arc` measured.
+        let (g2, ids) = insert_positions(
+            &g,
+            &[EdgePosition {
+                from: 0,
+                to: 1,
+                along: 1,
+            }],
+        );
+        assert_eq!(dijkstra_distance(&g2, 0, ids[0]), Some(1));
+        assert_eq!(dijkstra_distance(&g2, ids[0], 1), Some(3));
+        assert_eq!(dijkstra_distance(&g2, ids[0], 2), Some(out.distance));
+        assert_eq!(dijkstra_distance(&g2, 0, 1), dijkstra_distance(&g, 0, 1));
+    }
+
+    #[test]
     fn stats_accumulate_over_combos() {
         let g = small_grid(6, 6, 8);
         let (u, v, w) = splittable_arc(&g);

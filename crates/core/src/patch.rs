@@ -29,7 +29,7 @@
 //! [`PatchError::Stale`], leaving the arena byte-identical, so the caller
 //! can fall back to a full re-tune under its recovery supervisor.
 
-use crate::client_common::{find_next_index, receive_segment_reliable, MAX_RETRY_CYCLES};
+use crate::client_common::{find_next_index, receive_segment_reliable};
 use crate::netcodec::{PatchApply, ReceivedGraph};
 use bytes::Bytes;
 use spair_broadcast::codec::{PayloadReader, RecordBuf, RecordWriter};
@@ -325,6 +325,16 @@ pub struct PatchReport {
     pub regions_listened: usize,
 }
 
+/// [`receive_segment_reliable`] with its give-up typed as a patch abort.
+fn reliable(
+    ch: &mut dyn Air,
+    offset: usize,
+    len: usize,
+    why: &'static str,
+) -> Result<Vec<Bytes>, PatchError> {
+    receive_segment_reliable(ch, offset, len, why).map_err(|_| PatchError::Aborted(why))
+}
+
 /// Runs one client patch session over a tuned-in patch channel: finds
 /// the directory via the next-index pointer, decodes it (with §6.2
 /// re-reception of lost packets), verifies the version stamps, then
@@ -345,15 +355,18 @@ pub fn receive_patch(
         "no next-index pointer on patch channel",
     ))?;
     let mut dec = PatchDecoder::new();
-    let first = receive_segment_reliable(ch, dir, 1, MAX_RETRY_CYCLES)
-        .ok_or(PatchError::Aborted("patch directory never received"))?;
+    let first = reliable(ch, dir, 1, "patch directory never received")?;
     dec.ingest_directory_payload(&first[0])
         .ok_or(PatchError::Aborted("malformed patch directory"))?;
     let header = dec.header().expect("just ingested");
     let dpkts = dir_packet_count(header.region_count as usize);
     if dpkts > 1 {
-        let rest = receive_segment_reliable(ch, (dir + 1) % len, dpkts - 1, MAX_RETRY_CYCLES)
-            .ok_or(PatchError::Aborted("patch directory never completed"))?;
+        let rest = reliable(
+            ch,
+            (dir + 1) % len,
+            dpkts - 1,
+            "patch directory never completed",
+        )?;
         for p in &rest {
             dec.ingest_directory_payload(p)
                 .ok_or(PatchError::Aborted("malformed patch directory"))?;
@@ -382,13 +395,12 @@ pub fn receive_patch(
     let mut applied = 0usize;
     let mut skipped = 0usize;
     for e in &wanted {
-        let payloads = receive_segment_reliable(
+        let payloads = reliable(
             ch,
             e.start as usize % len,
             e.packets as usize,
-            MAX_RETRY_CYCLES,
-        )
-        .ok_or(PatchError::Aborted("patch data never completed"))?;
+            "patch data never completed",
+        )?;
         for p in &payloads {
             let deltas =
                 decode_patch_payload(p).ok_or(PatchError::Aborted("malformed patch data"))?;

@@ -33,9 +33,9 @@ use crate::{
     BroadcastMethod, ClientBootstrap, MethodDescriptor, MethodProgram, MethodUnavailable,
     SessionShape, World,
 };
-use spair_baselines::dj::receive_network_data;
 use spair_baselines::{DjProgram, DjServer};
-use spair_broadcast::{Air, BroadcastCycle, CpuMeter, MemoryMeter, QueryStats};
+use spair_broadcast::{Air, BroadcastCycle, CpuMeter, MemoryMeter};
+use spair_core::client_common::{finish, receive_network_data, same_node};
 use spair_core::netcodec::ReceivedGraph;
 use spair_core::patch::{ClientArena, Coverage};
 use spair_core::query::{AirClient, Query, QueryError, QueryOutcome};
@@ -151,12 +151,8 @@ impl AirClient for AstarAirClient {
     fn query(&mut self, ch: &mut dyn Air, q: &Query) -> Result<QueryOutcome, QueryError> {
         let mut mem = MemoryMeter::new();
         let mut cpu = CpuMeter::new();
-        if q.source == q.target {
-            return Ok(QueryOutcome {
-                distance: 0,
-                path: vec![q.source],
-                stats: QueryStats::default(),
-            });
+        if let Some(out) = same_node(q) {
+            return Ok(out);
         }
         let store = &mut self.store;
         receive_network_data(ch, &mut mem, store)?;
@@ -179,22 +175,7 @@ impl AirClient for AstarAirClient {
                 |_, _, _| ControlFlow::Continue(()),
             )
         });
-        let stats = QueryStats {
-            tuning_packets: ch.tuned(),
-            latency_packets: ch.elapsed(),
-            sleep_packets: ch.slept(),
-            peak_memory_bytes: mem.peak(),
-            cpu: cpu.total(),
-            settled_nodes: settled as u64,
-        };
-        match res {
-            Some((distance, path)) => Ok(QueryOutcome {
-                distance,
-                path,
-                stats,
-            }),
-            None => Err(QueryError::Unreachable),
-        }
+        finish(ch, &mem, &cpu, settled, res)
     }
 
     fn export_arena(&mut self) -> Option<ClientArena> {

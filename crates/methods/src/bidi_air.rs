@@ -16,7 +16,8 @@ use crate::{
     SessionShape, World,
 };
 use spair_baselines::{DjProgram, DjServer};
-use spair_broadcast::{Air, BroadcastCycle, CpuMeter, MemoryMeter, QueryStats};
+use spair_broadcast::{Air, BroadcastCycle, CpuMeter, MemoryMeter};
+use spair_core::client_common::{finish, same_node};
 use spair_core::netcodec::ReceivedGraph;
 use spair_core::patch::{ClientArena, Coverage};
 use spair_core::query::{AirClient, Query, QueryError, QueryOutcome};
@@ -93,34 +94,16 @@ impl AirClient for BidiAirClient {
     fn query(&mut self, ch: &mut dyn Air, q: &Query) -> Result<QueryOutcome, QueryError> {
         let mut mem = MemoryMeter::new();
         let mut cpu = CpuMeter::new();
-        if q.source == q.target {
-            return Ok(QueryOutcome {
-                distance: 0,
-                path: vec![q.source],
-                stats: QueryStats::default(),
-            });
+        if let Some(out) = same_node(q) {
+            return Ok(out);
         }
         let net = receive_network(ch, &mut mem, &mut self.store)?;
         let (Some(s), Some(t)) = (net.dense(q.source), net.dense(q.target)) else {
             return Err(QueryError::Unreachable);
         };
         let (res, stats) = cpu.time(|| bidirectional_search_paths(&net.g, s, t));
-        let stats_out = QueryStats {
-            tuning_packets: ch.tuned(),
-            latency_packets: ch.elapsed(),
-            sleep_packets: ch.slept(),
-            peak_memory_bytes: mem.peak(),
-            cpu: cpu.total(),
-            settled_nodes: stats.settled as u64,
-        };
-        match res {
-            Some((distance, path)) => Ok(QueryOutcome {
-                distance,
-                path: net.path_to_orig(&path),
-                stats: stats_out,
-            }),
-            None => Err(QueryError::Unreachable),
-        }
+        let res = res.map(|(distance, path)| (distance, net.path_to_orig(&path)));
+        finish(ch, &mem, &cpu, stats.settled, res)
     }
 
     fn export_arena(&mut self) -> Option<ClientArena> {

@@ -5,8 +5,8 @@
 //! node ids. Every other whole-cycle client searches its store directly
 //! with [`ReceivedGraph::search`].
 
-use spair_baselines::dj::receive_network_data;
 use spair_broadcast::{Air, MemoryMeter};
+use spair_core::client_common::receive_network_data;
 use spair_core::netcodec::ReceivedGraph;
 use spair_core::query::QueryError;
 use spair_roadnet::{NodeId, Point, RoadNetwork, Weight};

@@ -201,9 +201,13 @@ impl RoadNetwork {
         0..self.num_nodes() as NodeId
     }
 
-    /// Looks up the weight of edge `(u, v)`, if present.
+    /// Looks up the weight of edge `(u, v)`, if present: the lightest of
+    /// parallel edges, the weight every shortest-path search uses.
     pub fn weight_between(&self, u: NodeId, v: NodeId) -> Option<Weight> {
-        self.out_edges(u).find(|&(t, _)| t == v).map(|(_, w)| w)
+        self.out_edges(u)
+            .filter(|&(t, _)| t == v)
+            .map(|(_, w)| w)
+            .min()
     }
 
     /// Bounding box `(min, max)` over all node coordinates.
@@ -377,6 +381,19 @@ mod tests {
         assert_eq!(g.out_degree(3), 0);
         assert_eq!(g.in_degree(3), 2);
         assert_eq!(g.in_degree(0), 0);
+    }
+
+    #[test]
+    fn weight_between_takes_the_lightest_parallel_edge() {
+        let mut b = GraphBuilder::new();
+        b.add_node(Point::new(0.0, 0.0));
+        b.add_node(Point::new(1.0, 0.0));
+        b.add_edge(0, 1, 9);
+        b.add_edge(0, 1, 2);
+        b.add_edge(0, 1, 5);
+        let g = b.finish();
+        assert_eq!(g.weight_between(0, 1), Some(2));
+        assert_eq!(g.weight_between(1, 0), None);
     }
 
     #[test]

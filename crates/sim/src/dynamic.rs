@@ -38,7 +38,7 @@ use crate::drive::{
 };
 use crate::engine::{run_cells, session_seed, WorkItem};
 use crate::report::{Gate, Matrix, Row};
-use crate::spec::{GraphSpec, ScenarioSpec, WorkloadMix};
+use crate::spec::{FaultSpec, GraphSpec, ScenarioSpec, WorkloadMix};
 use crate::traffic::{network_at, version_deltas, TrafficSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -85,8 +85,16 @@ impl DynamicContext {
     /// column. Methods build their per-version programs lazily on first
     /// use, so rebuild-heavy servers are only constructed where a cell
     /// actually runs.
+    ///
+    /// Panics on a spec whose base sets a fault: dynamic sessions run on
+    /// fault-free channels, and faults crossed with dynamic worlds are
+    /// ROADMAP item 12, not yet certified.
     pub fn build(spec: &DynamicSpec) -> Self {
         assert!(spec.versions >= 2, "a dynamic world needs >= 2 versions");
+        assert!(
+            spec.base.fault == FaultSpec::None,
+            "dynamic worlds run fault-free: faults x dynamic worlds is ROADMAP item 12"
+        );
         let s = &spec.base;
         let g0 = s.graph.build(s.seed);
         let part = Arc::new(s.partitioner.build(&g0, s.regions));
@@ -711,6 +719,14 @@ mod tests {
             traffic: TrafficSpec::rush_hour(),
             versions: 3,
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "ROADMAP item 12")]
+    fn a_faulted_base_is_refused() {
+        let mut spec = quick_spec(61);
+        spec.base.fault = FaultSpec::Corruption { rate: 0.05 };
+        DynamicContext::build(&spec);
     }
 
     #[test]

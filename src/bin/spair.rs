@@ -19,6 +19,7 @@
 
 use spair::core::RecoveryBudget;
 use spair::prelude::*;
+use spair::roadnet::certify::{Cli, UsageError};
 use spair::roadnet::{self, Distance, NodeId};
 use spair_methods::{MethodId, MethodRegistry, ProgramSet, Tuning, World};
 use spair_sim::{
@@ -28,25 +29,31 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
+const USAGE: &str = "<generate|inspect|serve|query|knn> [<file>] [--flag <value>]...";
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
+    let mut cli = Cli::from_env("spair", USAGE);
+    let Some(cmd) = cli.next_arg() else {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let result = match cmd.as_str() {
-        "generate" => generate(rest),
-        "inspect" => inspect(rest),
-        "serve" => serve(rest),
-        "query" => query(rest),
-        "knn" => knn(rest),
+    let command: fn(&Flags) -> Result<(), String> = match cmd.as_str() {
+        "generate" => generate,
+        "inspect" => inspect,
+        "serve" => serve,
+        "query" => query,
+        "knn" => knn,
         "--help" | "-h" | "help" => {
             println!("{}", usage());
-            Ok(())
+            return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown command '{other}'\n{}", usage())),
+        other => {
+            eprintln!("error: unknown command '{other}'\n{}", usage());
+            return ExitCode::FAILURE;
+        }
     };
-    match result {
+    let flags = Flags::parse(&mut cli).unwrap_or_else(|e| cli.fail(e));
+    match command(&flags) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -92,54 +99,57 @@ methods (--method, default nr):
     )
 }
 
-/// Tiny flag parser: `--key value` pairs plus positionals.
+/// A command's network file and flags, parsed by the bench binaries'
+/// [`Cli`]. A flag given twice keeps its last value; commands apply
+/// their own defaults to flags left out.
+#[derive(Debug, Default)]
 struct Flags {
-    positional: Vec<String>,
-    pairs: Vec<(String, String)>,
+    file: Option<String>,
+    preset: Option<String>,
+    scale: Option<f64>,
+    seed: Option<u64>,
+    out: Option<String>,
+    method: Option<String>,
+    regions: Option<usize>,
+    poi_every: Option<usize>,
+    from: Option<NodeId>,
+    to: Option<NodeId>,
+    k: Option<usize>,
+    loss: Option<f64>,
+    offset: Option<usize>,
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut positional = Vec::new();
-        let mut pairs = Vec::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            let key = a
-                .strip_prefix("--")
-                .or_else(|| a.strip_prefix('-').filter(|k| k.len() == 1));
-            if let Some(key) = key {
-                let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-                pairs.push((key.to_string(), value.clone()));
-            } else {
-                positional.push(a.clone());
+    fn parse(cli: &mut Cli) -> Result<Self, UsageError> {
+        let mut f = Flags::default();
+        while let Some(arg) = cli.next_arg() {
+            let flag = arg.as_str();
+            match flag {
+                "--preset" => f.preset = Some(cli.value(flag)?),
+                "--scale" => f.scale = Some(cli.parse(flag)?),
+                "--seed" => f.seed = Some(cli.parse(flag)?),
+                "-o" => f.out = Some(cli.value(flag)?),
+                "--method" => f.method = Some(cli.value(flag)?),
+                "--regions" => f.regions = Some(cli.parse(flag)?),
+                "--poi-every" => f.poi_every = Some(cli.parse(flag)?),
+                "--from" => f.from = Some(cli.parse(flag)?),
+                "--to" => f.to = Some(cli.parse(flag)?),
+                "--k" => f.k = Some(cli.parse(flag)?),
+                "--loss" => f.loss = Some(cli.parse(flag)?),
+                "--offset" => f.offset = Some(cli.parse(flag)?),
+                _ if flag.starts_with('-') => {
+                    return Err(UsageError(format!("unknown flag {flag}")))
+                }
+                _ if f.file.is_none() => f.file = Some(arg),
+                _ => return Err(UsageError(format!("unexpected argument '{flag}'"))),
             }
         }
-        Ok(Self { positional, pairs })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key}: bad value '{v}'")),
-        }
-    }
-
-    fn require(&self, key: &str) -> Result<&str, String> {
-        self.get(key).ok_or_else(|| format!("--{key} is required"))
+        Ok(f)
     }
 
     fn file(&self) -> Result<&str, String> {
-        self.positional
-            .first()
-            .map(String::as_str)
+        self.file
+            .as_deref()
             .ok_or_else(|| "a network file is required".to_string())
     }
 }
@@ -149,9 +159,9 @@ fn load(path: &str) -> Result<RoadNetwork, String> {
     roadnet::io::read_text(BufReader::new(f)).map_err(|e| format!("{path}: {e}"))
 }
 
-fn generate(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    let preset = match flags.require("preset")?.to_ascii_lowercase().as_str() {
+fn generate(flags: &Flags) -> Result<(), String> {
+    let preset = flags.preset.as_deref().ok_or("--preset is required")?;
+    let preset = match preset.to_ascii_lowercase().as_str() {
         "milan" => NetworkPreset::Milan,
         "germany" => NetworkPreset::Germany,
         "argentina" => NetworkPreset::Argentina,
@@ -159,9 +169,9 @@ fn generate(args: &[String]) -> Result<(), String> {
         "sanfrancisco" | "san-francisco" | "sf" => NetworkPreset::SanFrancisco,
         other => return Err(format!("unknown preset '{other}'")),
     };
-    let scale: f64 = flags.get_parsed("scale", 1.0)?;
-    let seed: u64 = flags.get_parsed("seed", 42)?;
-    let out = flags.require("o")?;
+    let scale = flags.scale.unwrap_or(1.0);
+    let seed = flags.seed.unwrap_or(42);
+    let out = flags.out.as_deref().ok_or("-o is required")?;
     let g = preset.scaled_config(seed, scale).generate();
     let f = File::create(out).map_err(|e| format!("{out}: {e}"))?;
     roadnet::io::write_text(&g, BufWriter::new(f)).map_err(|e| format!("{out}: {e}"))?;
@@ -174,8 +184,7 @@ fn generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn inspect(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+fn inspect(flags: &Flags) -> Result<(), String> {
     let g = load(flags.file()?)?;
     let (min, max) = g.bounding_box();
     let degrees: Vec<usize> = g.node_ids().map(|v| g.out_degree(v)).collect();
@@ -200,9 +209,9 @@ fn inspect(args: &[String]) -> Result<(), String> {
 /// The registry's programs over a map: a kd partition into `--regions`
 /// regions with its border precomputation, every `--poi-every`-th node as
 /// a POI, and ArcFlag on its own partition of at most 16 regions.
-fn programs(g: RoadNetwork, flags: &Flags) -> Result<ProgramSet, String> {
-    let regions: usize = flags.get_parsed("regions", 32)?;
-    let every: usize = flags.get_parsed("poi-every", 50)?;
+fn programs(g: RoadNetwork, flags: &Flags) -> ProgramSet {
+    let regions = flags.regions.unwrap_or(32);
+    let every = flags.poi_every.unwrap_or(50);
     let pois: Vec<NodeId> = g.node_ids().step_by(every.max(1)).collect();
     let part = KdTreePartition::build(&g, regions);
     let pre = BorderPrecomputation::run(&g, &part);
@@ -210,16 +219,16 @@ fn programs(g: RoadNetwork, flags: &Flags) -> Result<ProgramSet, String> {
         af_regions: Some(regions.min(16)),
         ..Tuning::default()
     };
-    Ok(ProgramSet::new(
+    ProgramSet::new(
         World::from_parts(g, part, pre)
             .with_pois(pois)
             .with_tuning(tuning),
-    ))
+    )
 }
 
 /// The `--method` flag's registry entry.
 fn method(flags: &Flags) -> Result<MethodId, String> {
-    let name = flags.get("method").unwrap_or("nr").to_ascii_lowercase();
+    let name = flags.method.as_deref().unwrap_or("nr").to_ascii_lowercase();
     MethodRegistry::standard()
         .get(&name)
         .map_err(|e| e.to_string())
@@ -245,10 +254,9 @@ fn run(
     }
 }
 
-fn serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    let m = method(&flags)?;
-    let programs = programs(load(flags.file()?)?, &flags)?;
+fn serve(flags: &Flags) -> Result<(), String> {
+    let m = method(flags)?;
+    let programs = programs(load(flags.file()?)?, flags);
     let cycle = programs.ensure(m).cycle().map_err(|e| e.to_string())?;
     println!("method          : {} ({m})", m.label());
     println!(
@@ -265,30 +273,27 @@ fn serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn query(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+fn query(flags: &Flags) -> Result<(), String> {
     let g = load(flags.file()?)?;
-    let from: NodeId = flags.get_parsed("from", NodeId::MAX)?;
-    let to: NodeId = flags.get_parsed("to", NodeId::MAX)?;
-    if from == NodeId::MAX || to == NodeId::MAX {
+    let (Some(from), Some(to)) = (flags.from, flags.to) else {
         return Err("--from and --to are required".into());
-    }
+    };
     if from as usize >= g.num_nodes() || to as usize >= g.num_nodes() {
         return Err(format!("node ids must be < {}", g.num_nodes()));
     }
-    let m = method(&flags)?;
+    let m = method(flags)?;
     if m.descriptor().knn {
         return Err(format!("{m} answers kNN queries: use `spair knn`"));
     }
-    let loss: f64 = flags.get_parsed("loss", 0.0)?;
-    let seed: u64 = flags.get_parsed("seed", 1)?;
+    let loss = flags.loss.unwrap_or(0.0);
+    let seed = flags.seed.unwrap_or(1);
     let oracle = roadnet::dijkstra_distance(&g, from, to)
         .ok_or_else(|| format!("node {to} is unreachable from node {from}"))?;
     let query = Query::for_nodes(&g, from, to);
-    let programs = programs(g, &flags)?;
+    let programs = programs(g, flags);
     let cycle_len = programs.ensure(m).cycle().map_or(1, |c| c.len());
     let tune = Tune {
-        tune_in: TuneInSpec::At(flags.get_parsed("offset", cycle_len / 3)?),
+        tune_in: TuneInSpec::At(flags.offset.unwrap_or(cycle_len / 3)),
         loss: if loss > 0.0 {
             LossSpec::Bernoulli { rate: loss }
         } else {
@@ -322,18 +327,16 @@ fn query(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn knn(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+fn knn(flags: &Flags) -> Result<(), String> {
     let g = load(flags.file()?)?;
-    let from: NodeId = flags.get_parsed("from", NodeId::MAX)?;
-    if from == NodeId::MAX || from as usize >= g.num_nodes() {
+    let Some(from) = flags.from.filter(|&v| (v as usize) < g.num_nodes()) else {
         return Err("--from is required and must be a valid node id".into());
-    }
-    let k: usize = flags.get_parsed("k", 3)?;
+    };
+    let k = flags.k.unwrap_or(3);
     let m = MethodId::KNN_AIR;
     let tree = roadnet::dijkstra_full(&g, from);
     let source_pt = g.point(from);
-    let programs = programs(g, &flags)?;
+    let programs = programs(g, flags);
     let pois = &programs.world().pois;
     let mut oracle: Vec<Distance> = pois
         .iter()
@@ -354,7 +357,7 @@ fn knn(args: &[String]) -> Result<(), String> {
     println!(
         "{} POIs on the network (every {}th node)",
         pois.len(),
-        flags.get_parsed("poi-every", 50)?
+        flags.poi_every.unwrap_or(50)
     );
     println!("{k} nearest to node {from}:");
     for (node, distance) in d.nodes.iter().zip(&oracle) {
@@ -370,42 +373,47 @@ fn knn(args: &[String]) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::Flags;
+    use super::*;
 
-    fn flags(args: &[&str]) -> Flags {
-        Flags::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+    fn flags(args: &[&str]) -> Result<Flags, UsageError> {
+        let args = args.iter().map(|s| s.to_string()).collect();
+        Flags::parse(&mut Cli::new("spair", USAGE, args))
     }
 
     #[test]
     fn parses_long_and_short_flags() {
-        let f = flags(&["map.gr", "--method", "nr", "-o", "out.gr"]);
+        let f = flags(&["map.gr", "--method", "nr", "-o", "out.gr"]).unwrap();
         assert_eq!(f.file().unwrap(), "map.gr");
-        assert_eq!(f.get("method"), Some("nr"));
-        assert_eq!(f.get("o"), Some("out.gr"));
+        assert_eq!(f.method.as_deref(), Some("nr"));
+        assert_eq!(f.out.as_deref(), Some("out.gr"));
     }
 
     #[test]
     fn later_flags_win() {
-        let f = flags(&["--seed", "1", "--seed", "2"]);
-        assert_eq!(f.get_parsed::<u64>("seed", 0).unwrap(), 2);
+        let f = flags(&["--seed", "1", "--seed", "2"]).unwrap();
+        assert_eq!(f.seed, Some(2));
     }
 
     #[test]
     fn defaults_apply_when_absent() {
-        let f = flags(&["map.gr"]);
-        assert_eq!(f.get_parsed::<usize>("regions", 32).unwrap(), 32);
-        assert!(f.require("method").is_err());
+        let f = flags(&["map.gr"]).unwrap();
+        assert_eq!(f.regions, None);
+        assert_eq!(method(&f).unwrap(), MethodId::NR);
     }
 
     #[test]
     fn missing_value_is_an_error() {
-        let args = vec!["--seed".to_string()];
-        assert!(Flags::parse(&args).is_err());
+        assert!(flags(&["--seed"]).is_err());
     }
 
     #[test]
     fn bad_value_is_an_error() {
-        let f = flags(&["--scale", "abc"]);
-        assert!(f.get_parsed::<f64>("scale", 1.0).is_err());
+        assert!(flags(&["--scale", "abc"]).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_and_extra_arguments_are_errors() {
+        assert!(flags(&["map.gr", "--nosuch", "1"]).is_err());
+        assert!(flags(&["map.gr", "other.gr"]).is_err());
     }
 }
